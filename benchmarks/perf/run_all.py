@@ -22,7 +22,13 @@ import time
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, "..", ".."))  # make `benchmarks` importable
 
-from benchmarks.perf import bench_e2e, bench_memo, bench_net, bench_usfft  # noqa: E402
+from benchmarks.perf import (  # noqa: E402
+    bench_construction,
+    bench_e2e,
+    bench_memo,
+    bench_net,
+    bench_usfft,
+)
 from benchmarks.perf.harness import RESULTS_DIR, ROOT_JSON, machine_info, write_json  # noqa: E402
 from benchmarks.perf.trend import HISTORY_PATH, append_history  # noqa: E402
 
@@ -47,6 +53,8 @@ def main(argv=None) -> int:
     benchmarks.update(bench_memo.run(quick=args.quick, repeat=repeat))
     print("[perf] remote transport round-trip overhead (loopback tcp vs inproc)...")
     benchmarks.update(bench_net.run(quick=args.quick, repeat=repeat))
+    print("[perf] solver construction (one shared stack vs a cold stack per solver)...")
+    benchmarks.update(bench_construction.run(quick=args.quick, repeat=repeat))
     print("[perf] end-to-end MLRSolver.run (optimized vs reference hot path)...")
     benchmarks.update(bench_e2e.run(quick=args.quick, repeat=2 if args.quick else 3))
 

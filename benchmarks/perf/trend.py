@@ -8,8 +8,10 @@ the gate::
     PYTHONPATH=src python -m benchmarks.perf.trend [--threshold 0.25]
 
 compares the latest entry against the previous *comparable* one (same
-``--quick`` flag) and exits nonzero when any benchmark's ``best_s``
-regressed by more than the threshold (default 25%).
+``--quick`` flag) and exits nonzero when any benchmark's ``best_s`` — or
+one of its ``gauges``, the lower-is-better sizes a benchmark records next
+to its timings (``solver_construction.block_mb``) — grew by more than the
+threshold (default 25%).
 
 Machine identity matters: CI runners are heterogeneous VMs, so a
 cross-machine comparison would gate on hardware, not code.  When the two
@@ -50,18 +52,21 @@ def history_entry(payload: dict, now: float | None = None) -> dict:
     """Compress one ``BENCH_perf.json`` payload into a history record:
     the optimized ``best_s`` per benchmark plus the acceptance speedups —
     enough to gate on, small enough to commit forever."""
-    best_s = {}
+    best_s, gauges = {}, {}
     for name, entry in (payload.get("benchmarks") or {}).items():
         try:
             best_s[name] = float(entry["optimized"]["best_s"])
         except (KeyError, TypeError, ValueError):
             continue
+        for key, value in (entry.get("gauges") or {}).items():
+            gauges[f"{name}.{key}"] = float(value)
     return {
         "schema": HISTORY_SCHEMA,
         "t": int(payload.get("generated_unix") or (now if now is not None else time.time())),
         "quick": bool(payload.get("quick")),
         "machine": payload.get("machine") or {},
         "best_s": best_s,
+        "gauges": gauges,
         "acceptance": payload.get("acceptance") or {},
     }
 
@@ -100,13 +105,13 @@ def same_machine(a: dict, b: dict) -> bool:
 
 
 def compare(prev: dict, cur: dict, threshold: float = 0.25) -> list[dict]:
-    """Per-benchmark regression check: ``best_s`` growing by more than
-    ``threshold`` (relative) is a regression.  Benchmarks present in only
-    one entry are skipped — adding or retiring a benchmark is not a
+    """Per-benchmark regression check: ``best_s`` (or a gauge) growing by
+    more than ``threshold`` (relative) is a regression.  Benchmarks present
+    in only one entry are skipped — adding or retiring a benchmark is not a
     regression."""
     regressions = []
-    prev_best = prev.get("best_s") or {}
-    cur_best = cur.get("best_s") or {}
+    prev_best = {**(prev.get("best_s") or {}), **(prev.get("gauges") or {})}
+    cur_best = {**(cur.get("best_s") or {}), **(cur.get("gauges") or {})}
     for name in sorted(set(prev_best) & set(cur_best)):
         old, new = float(prev_best[name]), float(cur_best[name])
         if old <= 0.0:
@@ -159,8 +164,8 @@ def main(argv=None) -> int:
     for reg in regressions:
         print(
             f"[trend] REGRESSION {reg['benchmark']}: "
-            f"{reg['prev_s']*1e3:.2f} ms -> {reg['cur_s']*1e3:.2f} ms "
-            f"({(reg['ratio'] - 1.0) * 100:.0f}% slower)"
+            f"{reg['prev_s']:.4g} -> {reg['cur_s']:.4g} "
+            f"({(reg['ratio'] - 1.0) * 100:.0f}% worse)"
         )
     if regressions:
         print(

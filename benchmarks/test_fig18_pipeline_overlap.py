@@ -19,6 +19,8 @@ def overlap():
 def test_fig18_pipeline_overlap(benchmark, overlap):
     result = benchmark.pedantic(lambda: overlap, iterations=1, rounds=1)
     emit("fig18_pipeline_overlap", result.report())
+    # timing-dependent, so printed here and kept out of the saved report
+    print(f"{result.read_backpressure} reader backpressure stalls")
 
     # the functional pipelined run is bit-identical to the monolithic path,
     # and the streaming-ingest run matches the batch reconstruction

@@ -729,7 +729,9 @@ class PipelineOverlapResult:
     bitwise_identical: bool
     streaming_identical: bool
     pipeline_items: int
-    read_backpressure: int  # producer blocks observed by the functional run
+    #: producer blocks observed by the functional run — timing-dependent, so
+    #: not part of ``report()`` (whose output is committed)
+    read_backpressure: int
     case_counts: dict[str, int]
 
     @property
@@ -756,8 +758,7 @@ class PipelineOverlapResult:
         t += (
             f"\nfunctional run: pipelined == serial bit-for-bit: "
             f"{self.bitwise_identical}; streaming ingest == batch: "
-            f"{self.streaming_identical}; {self.pipeline_items} chunk-ops "
-            f"pipelined, {self.read_backpressure} reader backpressure stalls"
+            f"{self.streaming_identical}; {self.pipeline_items} chunk-ops pipelined"
         )
         return t
 
@@ -933,7 +934,8 @@ class WarmstartResult:
             f"second-scan hit rate: cold {self.cold_hit_rate:.3f} -> "
             f"warm {self.warm_hit_rate:.3f} (gain +{self.warm_gain:.3f})",
             f"snapshot: {self.snapshot_partitions} partitions, "
-            f"{self.snapshot_nbytes / 1024:.1f} KiB on disk, "
+            # MiB: the manifest's float fields make the size wander by ~0.1 KiB
+            f"{self.snapshot_nbytes / 2**20:.1f} MiB on disk, "
             f"save->load query outcomes bit-identical: "
             f"{self.snapshot_bit_identical}",
         ]

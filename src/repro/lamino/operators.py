@@ -24,6 +24,9 @@ Shapes follow the paper::
 
 from __future__ import annotations
 
+import threading
+from typing import Callable
+
 import numpy as np
 
 from .geometry import LaminoGeometry
@@ -80,6 +83,20 @@ class LaminoOperators:
             half_width=half_width,
             oversample=oversample,
         )
+        self._lipschitz_lock = threading.Lock()
+        self._lipschitz: dict = {}  # guarded-by: self._lipschitz_lock
+
+    def lipschitz_once(self, key, estimate: Callable[[], float]) -> float:
+        """``estimate()`` for ``key``, run once in this stack's lifetime.
+
+        ``lambda_max(L* L)`` depends on nothing but the geometry, so every
+        solver built on the stack shares one estimate; concurrent builders
+        wait for the first rather than racing it.
+        """
+        with self._lipschitz_lock:
+            if key not in self._lipschitz:
+                self._lipschitz[key] = estimate()
+            return self._lipschitz[key]
 
     # -- the six FFT operations ---------------------------------------------------
 

@@ -57,8 +57,20 @@ Execution discipline (the hot-path contract every executor relies on):
   thread), so steady-state sweeps perform no large allocations before the
   FFT.
 - a chunk's per-slice 2-D interpolations are applied as **one** SpMV with a
-  cached block-diagonal CSR (and its pre-transposed scatter for type 1)
-  instead of a Python loop of ``nslices`` matvecs.
+  block-diagonal CSR cached per contiguous row range, instead of a Python
+  loop of ``nslices`` matvecs.
+- complex64 blocks prune taps against one *plan-wide* threshold
+  (``TAP_PRUNE_REL`` of the plan's largest tap), so the operator a slice
+  gets does not depend on the row range it is applied in: chunked and
+  full-range application agree bit for bit, on any chunk grid.
+- the type-1 scatter of a range is the transpose of that range's cached
+  gather (``block_scatter`` never rebuilds the taps), so the pair is an
+  exact adjoint by construction.
+- nothing builds blocks ahead of use; the first caller of a range does.
+  For a solver that caller is the Lipschitz power iteration of
+  ``repro.solvers.lsp``, which runs on the executor's own chunk grid, so
+  construction leaves exactly the blocks the sweeps reuse and the sweeps
+  build none.
 
 :func:`reference_kernels` switches the module to the pre-vectorization
 kernels (``numpy.fft``, per-slice interpolation loops, per-call dtype
@@ -67,10 +79,11 @@ against an honest baseline, and so tests can assert the two agree.
 
 With oversampling ``m`` and window half-width ``K`` the Gaussian shape
 parameter is chosen so truncation and aliasing errors balance, giving a
-relative accuracy of roughly ``exp(-K**2 / (4*tau))``: ~2e-6 for ``K = 6``,
-~1.5e-5 for the default ``K = 5`` — at or below COMPLEX64 resolution, the
-precision the paper's pipeline operates in.  Pass ``half_width=7`` for
-double-precision-grade accuracy (~1e-8).
+relative accuracy of roughly ``exp(-K**2 / (4*tau))``: ~1.5e-5 for
+``K = 5`` (the bare plan classes' default), ~2e-6 for ``K = 6`` — at or below
+COMPLEX64 resolution, the precision the paper's pipeline operates in — and
+~1e-8, double-precision grade, for ``K = 7``, which is what
+:class:`~repro.lamino.operators.LaminoOperators` builds its plans with.
 """
 
 from __future__ import annotations
@@ -456,6 +469,7 @@ class USFFT2DPlan:
     interp: list = field(init=False, repr=False)
     _tap_cols: np.ndarray = field(init=False, repr=False)
     _tap_data: np.ndarray = field(init=False, repr=False)
+    _prune_floor: float = field(init=False, repr=False)
     _casts: dict = field(init=False, default_factory=dict, repr=False)
     _blocks: dict = field(init=False, default_factory=dict, repr=False)
     _scratch: threading.local = field(init=False, default_factory=threading.local, repr=False)
@@ -483,6 +497,9 @@ class USFFT2DPlan:
         cols = (idx0[..., :, None] * f1 + idx1[..., None, :]).reshape(nsl, -1)
         self._tap_cols = cols.astype(np.int32)
         self._tap_data = (w0[..., :, None] * w1[..., None, :]).reshape(nsl, -1)
+        # plan-wide, so the operator a slice gets does not depend on the
+        # chunk range it is applied in
+        self._prune_floor = self.TAP_PRUNE_REL * float(self._tap_data.max())
         # per-slice CSR views over the shared tap arrays (zero-copy)
         row_ptr = np.arange(npts + 1, dtype=np.int32) * (taps * taps)
         self.interp = [
@@ -504,8 +521,9 @@ class USFFT2DPlan:
 
     # -- cached compute-dtype variants -------------------------------------------------
 
-    #: relative tap-weight cutoff for complex64 block operators: a Gaussian
-    #: tap this far below the central weight is at single-precision epsilon
+    #: tap-weight cutoff for complex64 block operators, relative to the
+    #: plan's largest tap (a central weight, ~1): a Gaussian tap this far
+    #: below the central weight is at single-precision epsilon
     #: (1.2e-7) — its contribution is unrepresentable against the central
     #: tap in complex64 arithmetic — so the c64 operator drops it (~25-30%
     #: of the square stencil's corners).  complex128 blocks keep the full
@@ -547,7 +565,8 @@ class USFFT2DPlan:
         return self._block(start, stop, dtype, scatter=False)
 
     def block_scatter(self, start: int, stop: int, dtype) -> sparse.csr_matrix:
-        """Pre-transposed (CSR, not lazy CSC) adjoint of :meth:`block_gather`."""
+        """Pre-transposed (CSR, not lazy CSC) adjoint of :meth:`block_gather`:
+        the cached gather of the same range, transposed."""
         return self._block(start, stop, dtype, scatter=True)
 
     def _block(self, start: int, stop: int, dtype, scatter: bool) -> sparse.csr_matrix:
@@ -557,40 +576,47 @@ class USFFT2DPlan:
         key = (start, stop, dt.char, scatter)
         mat = self._blocks.get(key)
         if mat is None:
-            nsl = stop - start
-            f0, f1 = self.fine_shape
-            nfine = f0 * f1
-            taps2 = (2 * self.half_width + 1) ** 2
-            # indptr carries values up to nnz, which dwarfs the column count
-            nnz_max = nsl * self.npts * taps2
-            idx_dtype = np.int32 if max(nsl * nfine, nnz_max) < 2**31 else np.int64
-            # shifted -> raw layout: r = (c + f//2) mod f per axis (the
-            # permutation is self-inverse for even sizes)
-            c = self._tap_cols[start:stop].astype(idx_dtype, copy=False)
-            c0, c1 = c // f1, c % f1
-            raw = ((c0 + f0 // 2) % f0) * f1 + (c1 + f1 // 2) % f1
-            offs = (np.arange(nsl, dtype=idx_dtype) * nfine)[:, None]
-            indices = (raw + offs).reshape(-1)
-            data = self._tap_data[start:stop].reshape(-1)
-            if dt == np.dtype(np.complex64):
-                # prune taps beneath single-precision resolution
-                keep = data >= self.TAP_PRUNE_REL * data.max()
-                counts = keep.reshape(-1, taps2).sum(axis=1)
-                indptr = np.zeros(nsl * self.npts + 1, dtype=idx_dtype)
-                np.cumsum(counts, out=indptr[1:])
-                indices = indices[keep]
-                data = data[keep]
+            if scatter:
+                # the transpose of the same range's cached gather, not a rebuild
+                mat = self.block_gather(start, stop, dt).T.tocsr()
             else:
-                indptr = np.arange(nsl * self.npts + 1, dtype=idx_dtype) * taps2
-            gather = sparse.csr_matrix(
-                (data.astype(dt), indices, indptr),
-                shape=(nsl * self.npts, nsl * nfine),
-                copy=False,
-            )
-            gather.sort_indices()
-            mat = gather.T.tocsr() if scatter else gather
+                mat = self._build_gather(start, stop, dt)
             self._blocks[key] = mat
         return mat
+
+    def _build_gather(self, start: int, stop: int, dt: np.dtype) -> sparse.csr_matrix:
+        nsl = stop - start
+        f0, f1 = self.fine_shape
+        nfine = f0 * f1
+        taps2 = (2 * self.half_width + 1) ** 2
+        # indptr carries values up to nnz, which dwarfs the column count
+        nnz_max = nsl * self.npts * taps2
+        idx_dtype = np.int32 if max(nsl * nfine, nnz_max) < 2**31 else np.int64
+        # shifted -> raw layout: r = (c + f//2) mod f per axis (the
+        # permutation is self-inverse for even sizes)
+        c = self._tap_cols[start:stop].astype(idx_dtype, copy=False)
+        c0, c1 = c // f1, c % f1
+        raw = ((c0 + f0 // 2) % f0) * f1 + (c1 + f1 // 2) % f1
+        offs = (np.arange(nsl, dtype=idx_dtype) * nfine)[:, None]
+        indices = (raw + offs).reshape(-1)
+        data = self._tap_data[start:stop].reshape(-1)
+        if dt == np.dtype(np.complex64):
+            # prune taps beneath single-precision resolution
+            keep = data >= self._prune_floor
+            counts = keep.reshape(-1, taps2).sum(axis=1)
+            indptr = np.zeros(nsl * self.npts + 1, dtype=idx_dtype)
+            np.cumsum(counts, out=indptr[1:])
+            indices = indices[keep]
+            data = data[keep]
+        else:
+            indptr = np.arange(nsl * self.npts + 1, dtype=idx_dtype) * taps2
+        gather = sparse.csr_matrix(
+            (data.astype(dt), indices, indptr),
+            shape=(nsl * self.npts, nsl * nfine),
+            copy=False,
+        )
+        gather.sort_indices()
+        return gather
 
     def _workspace(self, nsl: int, cdtype) -> np.ndarray:
         """Preallocated zero-padded fine-grid buffer (per thread); only the

@@ -101,13 +101,14 @@ class ADMMSolver:
         self.ops = ops
         self.config = config or ADMMConfig()
         self.executor = executor if executor is not None else DirectExecutor(ops)
-        self.lsp = LSP(
-            self.executor,
-            n_inner=self.config.n_inner,
-            cancellation=self.config.cancellation,
-            fusion=self.config.fusion,
-            step_max_rel=self.config.step_max_rel,
-        )
+        with obs.span("solver.init"):
+            self.lsp = LSP(
+                self.executor,
+                n_inner=self.config.n_inner,
+                cancellation=self.config.cancellation,
+                fusion=self.config.fusion,
+                step_max_rel=self.config.step_max_rel,
+            )
 
     def run(
         self,

@@ -29,24 +29,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..lamino.chunking import iter_chunks
+from ..obs import runtime as obs
 from .cg import NCGState
 from .grad import div3, grad3
 
 __all__ = ["LSPResult", "LSP", "estimate_normal_lipschitz"]
 
 
-def estimate_normal_lipschitz(ops, n_iters: int = 8, seed: int = 0) -> float:
-    """Power-iteration estimate of ``lambda_max(L* L)`` for step sizing."""
+def estimate_normal_lipschitz(
+    ops, n_iters: int = 8, seed: int = 0, chunk_size: int | None = None
+) -> float:
+    """Power-iteration estimate of ``lambda_max(L* L)`` for step sizing.
+
+    Cached on ``ops`` per ``(n_iters, seed)``.  The 2-D stage runs in row
+    chunks of ``chunk_size`` — the grid the sweeps will use, so the pass
+    builds exactly the block operators they reuse; the value does not
+    depend on the grid (``USFFT2DPlan`` prunes against a plan-wide floor).
+    """
+    return ops.lipschitz_once(
+        (n_iters, seed), lambda: _power_iteration(ops, n_iters, seed, chunk_size)
+    )
+
+
+def _power_iteration(ops, n_iters: int, seed: int, chunk_size: int | None) -> float:
+    h = ops.geometry.det_shape[0]
+    rows = [c.slice for c in iter_chunks(h, chunk_size or h)]
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(ops.geometry.vol_shape).astype(np.complex64)
     x /= np.linalg.norm(x)
     sigma = 1.0
-    for _ in range(n_iters):
-        y = ops.adjoint_freq(ops.forward_freq(x))
-        sigma = float(np.linalg.norm(y))
-        if sigma == 0.0:
-            return 1.0
-        x = y / sigma
+    with obs.span("solver.lipschitz", n_iters=n_iters):
+        for _ in range(n_iters):
+            # ops, not an executor: probe vectors must not be memoized
+            u1 = ops.fu1d(x)
+            back = [ops.fu2d_adj(ops.fu2d(u1[:, r], rows=r), rows=r) for r in rows]
+            y = ops.fu1d_adj(np.concatenate(back, axis=1))
+            sigma = float(np.linalg.norm(y))
+            if sigma == 0.0:
+                return 1.0
+            x = y / sigma
     return sigma
 
 
@@ -83,7 +105,9 @@ class LSP:
         self._sigma = (
             lipschitz_data
             if lipschitz_data is not None
-            else estimate_normal_lipschitz(executor.ops)
+            else estimate_normal_lipschitz(
+                executor.ops, chunk_size=getattr(executor, "chunk_size", None)
+            )
         )
 
     def lipschitz(self, rho: float) -> float:

@@ -90,6 +90,20 @@ class TestCompare:
         cur = trend.history_entry(payload({"a": 1.0, "new": 99.0}))
         assert trend.compare(prev, cur) == []
 
+    def test_gauges_are_gated_like_timings(self):
+        # a benchmark's lower-is-better sizes (solver_construction.block_mb)
+        def with_gauge(mb):
+            p = payload({"a": 1.0})
+            p["benchmarks"]["a"]["gauges"] = {"block_mb": mb}
+            return trend.history_entry(p)
+
+        assert with_gauge(100.0)["gauges"] == {"a.block_mb": 100.0}
+        assert trend.compare(with_gauge(100.0), with_gauge(120.0)) == []
+        regs = trend.compare(with_gauge(100.0), with_gauge(130.0))
+        assert [r["benchmark"] for r in regs] == ["a.block_mb"]
+        # an entry from before gauges existed has nothing to compare against
+        assert trend.compare(trend.history_entry(payload({"a": 1.0})), with_gauge(1e9)) == []
+
     def test_machine_fingerprint(self):
         a = trend.history_entry(payload({"x": 1.0}))
         b = trend.history_entry(payload({"x": 1.0}))
