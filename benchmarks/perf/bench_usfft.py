@@ -2,7 +2,9 @@
 
 Times full chunked sweeps of the four memoizable operations (the shapes the
 executors actually drive through ``sweep_stream``) in complex64, with the
-same plans and inputs on both paths.
+same plans and inputs on both paths.  ``usfft2d_type2_sweep`` also records
+``gauges.nnz_per_row``, the taps per target of the complex64 gather blocks
+it times, so ``trend.py`` fails if the stencil widens.
 """
 
 from __future__ import annotations
@@ -77,4 +79,10 @@ def run(quick: bool = True, repeat: int = 5) -> dict:
         with U.reference_kernels():
             ref = time_fn(fn, repeat=repeat)
         out[name] = pair_entry(ref, opt, dtype="complex64")
+    gathers = [
+        m for (_, _, char, scatter), m in plan2d._blocks.items() if char == "F" and not scatter
+    ]
+    out["usfft2d_type2_sweep"]["gauges"] = {
+        "nnz_per_row": sum(m.nnz for m in gathers) / sum(m.shape[0] for m in gathers)
+    }
     return out

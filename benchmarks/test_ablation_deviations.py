@@ -1,9 +1,11 @@
-"""Ablation of this reproduction's engineering deviations (DESIGN.md §6).
+"""Ablation of this reproduction's engineering deviations.
 
 The paper's memoization as literally described (verbatim value reuse, no
 staleness bound) is numerically unstable at reproduction scale; this bench
 quantifies what each added mechanism buys — the evidence behind the design
-deviations recorded in DESIGN.md / EXPERIMENTS.md.
+deviations recorded on the ``MemoConfig`` fields (``scale_correction``,
+``max_consecutive_reuse``) in ``src/repro/core/config.py``; the report is
+``benchmarks/results/ablation_deviations.txt``.
 """
 
 import numpy as np

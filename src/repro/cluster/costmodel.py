@@ -12,7 +12,8 @@ paper's headline numbers:
 - index query on 1M keys, dim 60                  ->  ~0.2 ms    (Sec. 4.3.2)
 - value-database P99                              ->  <0.5 ms    (Sec. 4.3.2)
 
-The fit is recorded in EXPERIMENTS.md; no experiment consumes absolute
+The fitted values are the :class:`CostModel` field defaults below and the
+device rates in :mod:`.devices`; no experiment consumes absolute
 seconds beyond these anchors — the figures report normalized times, ratios
 and distributions.
 """
@@ -67,7 +68,7 @@ class CostModel:
     #: effective GPU throughput for gridding-FFT work, elements/s; fitted.
     gpu_fft_elems_per_s: float = 16.0e9
     #: relative op weights: F_u2D's per-element work is dominated by the
-    #: per-point Gaussian gather (taps^2 per target) vs the 1-D transform's
+    #: per-point window gather (taps^2 per target) vs the 1-D transform's
     #: taps; ratios below reproduce the paper's observation that F_u2D is
     #: the longest operation (Sec. 4.3.2) and its Fig. 10 proportions.
     op_weight: dict = field(

@@ -8,7 +8,8 @@ returns a result object with a ``report()`` string printing the same
 quantities the paper plots.
 
 ``quick=True`` (the default used by tests) shrinks iteration counts; the
-benchmarks run the fuller settings recorded in EXPERIMENTS.md.
+benchmarks run the fuller settings each ``benchmarks/test_fig*.py`` passes
+(reports land in ``benchmarks/results/``).
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ import numpy as np
 
 from .geometry import LaminoGeometry
 from .usfft import (
+    DEFAULT_HALF_WIDTH,
     USFFT1DPlan,
     USFFT2DPlan,
     centered_fft2,
@@ -69,7 +70,7 @@ class LaminoOperators:
     def __init__(
         self,
         geometry: LaminoGeometry,
-        half_width: int = 7,
+        half_width: int = DEFAULT_HALF_WIDTH,
         oversample: int = 2,
     ) -> None:
         self.geometry = geometry

@@ -1,7 +1,7 @@
 """Unequally spaced fast Fourier transforms (USFFT / NUFFT).
 
-This module implements the Dutt--Rokhlin / Greengard--Lee Gaussian-gridding
-USFFT used by Fourier-based laminography (the ``F_u1D`` and ``F_u2D``
+This module implements the Dutt--Rokhlin gridding USFFT, with a Kaiser--Bessel
+window, used by Fourier-based laminography (the ``F_u1D`` and ``F_u2D``
 operators of the mLR paper).  Two transform types are provided, in one and
 two dimensions:
 
@@ -31,13 +31,13 @@ O(1) and the CG iteration counts small.
 
 Algorithm (three steps, type 2):
 
-1. divide the input by the inverse transform of the Gaussian window
+1. divide the input by the transform of the Kaiser--Bessel window
    (deconvolution in the space domain),
 2. zero-pad to an oversampled grid (factor ``oversample``, default 2) and
    take a centered FFT,
 3. apply a precomputed *interpolation operator* mapping the fine spectrum to
    the target frequencies: each target gathers its ``2*half_width + 1``
-   nearest fine-grid neighbors (per dimension) with Gaussian weights.
+   nearest fine-grid neighbors (per dimension) with Kaiser--Bessel weights.
 
 Step 3 is materialized at plan-construction time — as a small dense matrix
 in 1-D and as one *block-diagonal* CSR sparse matrix per contiguous slice
@@ -77,13 +77,23 @@ kernels (``numpy.fft``, per-slice interpolation loops, per-call dtype
 casts).  It exists so ``benchmarks/perf`` can measure the optimized path
 against an honest baseline, and so tests can assert the two agree.
 
-With oversampling ``m`` and window half-width ``K`` the Gaussian shape
-parameter is chosen so truncation and aliasing errors balance, giving a
-relative accuracy of roughly ``exp(-K**2 / (4*tau))``: ~1.5e-5 for
-``K = 5`` (the bare plan classes' default), ~2e-6 for ``K = 6`` — at or below
-COMPLEX64 resolution, the precision the paper's pipeline operates in — and
-~1e-8, double-precision grade, for ``K = 7``, which is what
-:class:`~repro.lamino.operators.LaminoOperators` builds its plans with.
+The window is ``psi(t) = I0(beta*sqrt(1 - (t/W)**2)) / I0(beta)`` on the
+support ``W = K + 1/2`` of ``w = 2*K + 1`` taps (``K`` = ``half_width``,
+``t`` in fine-grid nodes), deconvolved by its closed-form transform
+``psi_hat(nu) = 2*W/I0(beta) * sinh(z)/z``, ``z = sqrt(beta**2 -
+(2*pi*W*nu)**2)``.  With oversampling ``m`` the shape parameter follows
+Beatty et al.'s rule ``beta = pi*sqrt((w/m)**2 * (m - 1/2)**2 - 0.8)``, the
+minimizer of the aliasing error for a ``w``-tap window.  Measured against the
+brute-force DTFT at ``m = 2`` (complex128, relative l2), every extra tap pair
+buys two decades: ~6e-5 for ``K = 2``, ~6e-7 for ``K = 3``, ~8e-9 for
+``K = 4``, ~1e-10 for ``K = 5``.  A Gaussian window needs ``K = 7`` (15 taps
+per axis) for what ``K = 4`` (9 taps) reaches here.  ``K = 4``
+(:data:`DEFAULT_HALF_WIDTH`, used by both plan classes and by
+:class:`~repro.lamino.operators.LaminoOperators`) is the narrowest width whose
+window error sits below COMPLEX64 resolution — the precision the paper's
+pipeline operates in — with margin: complex64 transforms land at ~2e-7, their
+rounding floor, and complex128 ones at ~8e-9; ``K = 3`` would put the window
+error above that floor, ``K = 5`` buys nothing complex64 can represent.
 """
 
 from __future__ import annotations
@@ -95,7 +105,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as _sfft
-from scipy import sparse
+from scipy import sparse, special
 
 from ..obs import runtime as _obs
 
@@ -186,29 +196,42 @@ def reference_kernels():
         yield
 
 
-def _kernel_tau(half_width: int, oversample: int) -> float:
-    """Gaussian shape parameter balancing truncation and aliasing error.
+#: Taps per axis are ``2*DEFAULT_HALF_WIDTH + 1``; the one width default of
+#: both plan classes and of :class:`~repro.lamino.operators.LaminoOperators`.
+DEFAULT_HALF_WIDTH = 4
 
-    Solves ``K**2 / (4*tau) == 4*pi**2*tau*(1 - 1/m)`` for ``tau``.
-    """
+
+def _kernel_beta(half_width: int, oversample: int) -> float:
+    """Kaiser--Bessel shape parameter for ``w = 2*half_width + 1`` taps at
+    oversampling ``m``: Beatty et al.'s rule (module docstring)."""
     if half_width < 1:
         raise ValueError(f"half_width must be >= 1, got {half_width}")
     if oversample < 2:
         raise ValueError(f"oversample must be >= 2, got {oversample}")
-    return half_width / (4.0 * math.pi * math.sqrt(1.0 - 1.0 / oversample))
+    w = 2 * half_width + 1
+    return math.pi * math.sqrt((w / oversample) ** 2 * (oversample - 0.5) ** 2 - 0.8)
 
 
-def _space_correction(n: int, fine_n: int, tau: float) -> np.ndarray:
+def _space_correction(n: int, fine_n: int, half_width: int, beta: float) -> np.ndarray:
     """Reciprocal window transform ``1 / psi_hat(x_j / fine_n)`` on the grid.
 
-    ``psi_hat(nu) = sqrt(4*pi*tau) * exp(-4*pi**2*tau*nu**2)`` is the
-    continuous Fourier transform of the frequency-domain Gaussian tap window
-    ``psi(t) = exp(-t**2 / (4*tau))``.
+    ``psi_hat(nu) = 2*W/I0(beta) * sinh(z)/z``, ``z = sqrt(beta**2 -
+    (2*pi*W*nu)**2)``, is the continuous Fourier transform of the Kaiser--Bessel
+    tap window (module docstring).  ``z`` is real on the whole grid
+    (``|nu| <= 1/(2*m)``) for every ``beta`` :func:`_kernel_beta` returns; a
+    smaller ``beta`` is rejected, not continued onto the ``sin`` branch,
+    where the deconvolution would divide by near-zeros.
     """
     x = np.arange(n, dtype=np.float64) - n // 2
-    nu = x / fine_n
-    psi_hat = math.sqrt(4.0 * math.pi * tau) * np.exp(-4.0 * math.pi**2 * tau * nu**2)
-    return 1.0 / psi_hat
+    support = half_width + 0.5
+    z2 = beta**2 - (2.0 * math.pi * support * x / fine_n) ** 2
+    if z2.min() <= 0.0:
+        raise ValueError(
+            f"beta={beta:.3g} too small for half_width={half_width} on a "
+            f"{n}/{fine_n} grid: the window transform changes sign inside the band"
+        )
+    z = np.sqrt(z2)
+    return z * special.i0(beta) / (2.0 * support * np.sinh(z))
 
 
 def _fftn_raw(a: np.ndarray, axes: tuple[int, ...], overwrite: bool = False) -> np.ndarray:
@@ -261,14 +284,17 @@ def centered_ifft2(a: np.ndarray, norm: str = "ortho") -> np.ndarray:
     return np.fft.fftshift(img, axes=(-2, -1))
 
 
-def _tap_geometry(coords: np.ndarray, oversample: int, half_width: int, tau: float, fine_n: int):
-    """Per-target tap indices (wrapped onto the fine grid) and Gaussian weights."""
+def _tap_geometry(coords: np.ndarray, oversample: int, half_width: int, beta: float, fine_n: int):
+    """Per-target tap indices (wrapped onto the fine grid) and Kaiser--Bessel weights."""
     centers = oversample * np.asarray(coords, dtype=np.float64)
     nearest = np.rint(centers).astype(np.int64)
     offsets = np.arange(-half_width, half_width + 1)
     idx = nearest[..., None] + offsets
     t = centers[..., None] - idx
-    w = np.exp(-(t**2) / (4.0 * tau))
+    # a target halfway between nodes puts a tap at |t| == W: clip, so that
+    # rounding in the radicand can never put a NaN weight into a plan
+    r = np.sqrt(np.maximum(1.0 - (t / (half_width + 0.5)) ** 2, 0.0))
+    w = special.i0(beta * r) / special.i0(beta)
     return np.mod(idx + fine_n // 2, fine_n), w
 
 
@@ -299,11 +325,11 @@ class USFFT1DPlan:
 
     n: int
     freqs: np.ndarray
-    half_width: int = 5
+    half_width: int = DEFAULT_HALF_WIDTH
     oversample: int = 2
 
     fine_n: int = field(init=False)
-    tau: float = field(init=False)
+    beta: float = field(init=False)
     corr: np.ndarray = field(init=False)
     interp: np.ndarray = field(init=False)
     _casts: dict = field(init=False, default_factory=dict, repr=False)
@@ -314,10 +340,10 @@ class USFFT1DPlan:
         if self.n < 2 or self.n % 2:
             raise ValueError(f"n must be even and >= 2, got {self.n}")
         self.fine_n = self.oversample * self.n
-        self.tau = _kernel_tau(self.half_width, self.oversample)
-        self.corr = _space_correction(self.n, self.fine_n, self.tau)
+        self.beta = _kernel_beta(self.half_width, self.oversample)
+        self.corr = _space_correction(self.n, self.fine_n, self.half_width, self.beta)
         idx, w = _tap_geometry(
-            self.freqs, self.oversample, self.half_width, self.tau, self.fine_n
+            self.freqs, self.oversample, self.half_width, self.beta, self.fine_n
         )
         interp = np.zeros((self.ns, self.fine_n), dtype=np.float64)
         np.add.at(interp, (np.arange(self.ns)[:, None], idx), w)
@@ -448,7 +474,7 @@ class USFFT2DPlan:
     laminography ``F_u2D`` operator where the in-plane frequency samples
     depend on the detector row frequency.
 
-    The separable Gaussian interpolation of slice ``i`` is materialized as a
+    The separable window interpolation of slice ``i`` is materialized as a
     CSR matrix ``interp[i]`` of shape ``(npts, fine0*fine1)`` with
     ``(2*half_width + 1)**2`` nonzeros per row.  The hot path never applies
     these one at a time: :meth:`block_gather` / :meth:`block_scatter`
@@ -460,11 +486,11 @@ class USFFT2DPlan:
 
     shape: tuple[int, int]
     points: np.ndarray
-    half_width: int = 5
+    half_width: int = DEFAULT_HALF_WIDTH
     oversample: int = 2
 
     fine_shape: tuple[int, int] = field(init=False)
-    tau: float = field(init=False)
+    beta: float = field(init=False)
     corr: np.ndarray = field(init=False)
     interp: list = field(init=False, repr=False)
     _tap_cols: np.ndarray = field(init=False, repr=False)
@@ -483,17 +509,17 @@ class USFFT2DPlan:
             raise ValueError(f"points must have shape (nslices, npts, 2), got {pts.shape}")
         self.points = pts
         self.fine_shape = (self.oversample * n0, self.oversample * n1)
-        self.tau = _kernel_tau(self.half_width, self.oversample)
-        c0 = _space_correction(n0, self.fine_shape[0], self.tau)
-        c1 = _space_correction(n1, self.fine_shape[1], self.tau)
+        self.beta = _kernel_beta(self.half_width, self.oversample)
+        c0 = _space_correction(n0, self.fine_shape[0], self.half_width, self.beta)
+        c1 = _space_correction(n1, self.fine_shape[1], self.half_width, self.beta)
         self.corr = np.outer(c0, c1)
         f0, f1 = self.fine_shape
         nfine = f0 * f1
         taps = 2 * self.half_width + 1
         nsl, npts = pts.shape[0], pts.shape[1]
         # tap geometry for every slice at once (no per-slice Python loop)
-        idx0, w0 = _tap_geometry(pts[..., 0], self.oversample, self.half_width, self.tau, f0)
-        idx1, w1 = _tap_geometry(pts[..., 1], self.oversample, self.half_width, self.tau, f1)
+        idx0, w0 = _tap_geometry(pts[..., 0], self.oversample, self.half_width, self.beta, f0)
+        idx1, w1 = _tap_geometry(pts[..., 1], self.oversample, self.half_width, self.beta, f1)
         cols = (idx0[..., :, None] * f1 + idx1[..., None, :]).reshape(nsl, -1)
         self._tap_cols = cols.astype(np.int32)
         self._tap_data = (w0[..., :, None] * w1[..., None, :]).reshape(nsl, -1)
@@ -522,12 +548,12 @@ class USFFT2DPlan:
     # -- cached compute-dtype variants -------------------------------------------------
 
     #: tap-weight cutoff for complex64 block operators, relative to the
-    #: plan's largest tap (a central weight, ~1): a Gaussian tap this far
-    #: below the central weight is at single-precision epsilon
-    #: (1.2e-7) — its contribution is unrepresentable against the central
-    #: tap in complex64 arithmetic — so the c64 operator drops it (~25-30%
-    #: of the square stencil's corners).  complex128 blocks keep the full
-    #: stencil.
+    #: plan's largest tap (a central weight, ~1): a tap this far below the
+    #: central weight is at single-precision epsilon (1.2e-7) — its
+    #: contribution is unrepresentable against the central tap in complex64
+    #: arithmetic — so the c64 operator drops it (~14% of the square
+    #: stencil, its corners, at the default width).  complex128 blocks keep
+    #: the full stencil.
     TAP_PRUNE_REL = 1e-7
 
     def corr_for(self, dtype, direction: str = "plain") -> np.ndarray:
@@ -706,7 +732,7 @@ def usfft2d_type1(
     scatter = plan.block_scatter(rows.start, rows.stop, cdtype)
     Fv = np.ascontiguousarray(F, dtype=cdtype).reshape(nsl * plan.npts)
     with _obs.span("usfft.interp", xform="2d_type1"):
-        spec = scatter @ Fv  # the whole chunk's Gaussian scatter in one SpMV
+        spec = scatter @ Fv  # the whole chunk's scatter in one SpMV
     with _obs.span("usfft.fft", xform="2d_type1"):
         grid = _ifftn_raw(spec.reshape(nsl, f0, f1), axes=(-2, -1), overwrite=True)
     out = np.empty((nsl, n0, n1), dtype=cdtype)
@@ -792,7 +818,7 @@ def _ref_usfft2d_type1(F: np.ndarray, plan: USFFT2DPlan, rows: range) -> np.ndar
     spec = np.empty((nsl, f0 * f1), dtype=np.result_type(F.dtype, np.complex64))
     for j, i in enumerate(rows):
         # .T of a CSR matrix is a lazy CSC view: the exact transpose of the
-        # gather, i.e. the Gaussian scatter, at matvec speed.
+        # gather, i.e. the scatter, at matvec speed.
         spec[j] = plan.interp[i].T @ F[j]
     grid = _ref_centered_adjoint_fft(spec.reshape(nsl, f0, f1), axes=(-2, -1))
     out = grid[:, lo0 : lo0 + n0, lo1 : lo1 + n1] * corr
