@@ -9,12 +9,15 @@ deviations recorded on the ``MemoConfig`` fields (``scale_correction``,
 """
 
 import numpy as np
+import pytest
 
 from benchmarks._util import emit
 from repro.core import MemoConfig, MLRConfig, MLRSolver
 from repro.harness.datasets import SMALL, build
 from repro.lamino import LaminoOperators
 from repro.solvers import ADMMConfig, ADMMSolver, accuracy
+
+pytestmark = pytest.mark.slow
 
 ADMM = ADMMConfig(alpha=1e-3, rho=0.5, n_outer=16, n_inner=4, step_max_rel=4.0)
 

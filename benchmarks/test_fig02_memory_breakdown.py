@@ -1,7 +1,11 @@
 """Figure 2: CPU memory consumption by variable and LSP time dominance."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig02_memory_breakdown(benchmark):

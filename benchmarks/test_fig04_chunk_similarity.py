@@ -1,7 +1,11 @@
 """Figure 4: tau-similar prior chunks accumulate across ADMM iterations."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig04_chunk_similarity(benchmark):

@@ -1,7 +1,11 @@
 """Figure 8: overall mLR performance on the three datasets."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig08_overall(benchmark):

@@ -1,7 +1,11 @@
 """Figure 9: operation cancellation and fusion ablation."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def _get(rows, dataset, workload, variant_prefix):

@@ -1,7 +1,11 @@
 """Figure 10: memoization case breakdown per FFT operation."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig10_memo_breakdown(benchmark):

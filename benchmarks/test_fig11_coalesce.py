@@ -1,7 +1,11 @@
 """Figure 11: key coalescing reduces per-key communication + search time."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig11_coalesce(benchmark):

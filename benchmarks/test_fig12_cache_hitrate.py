@@ -1,7 +1,11 @@
 """Figure 12: private vs global memoization-cache hit rates."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig12_cache_hitrate(benchmark):

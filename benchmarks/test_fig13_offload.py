@@ -1,7 +1,11 @@
 """Figure 13: ADMM-Offload vs greedy and LRU baselines."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig13_offload(benchmark):

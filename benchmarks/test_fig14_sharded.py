@@ -5,6 +5,8 @@ import pytest
 from benchmarks._util import emit
 from repro.harness import experiments as E
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module")
 def sharded():

@@ -1,7 +1,11 @@
 """Figure 15: memory-node interconnect utilization vs GPU count."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig15_bandwidth(benchmark):

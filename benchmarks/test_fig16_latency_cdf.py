@@ -1,9 +1,12 @@
 """Figure 16: memoization-database query latency distribution vs GPUs."""
 
 import numpy as np
+import pytest
 
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig16_latency_cdf(benchmark):

@@ -16,9 +16,12 @@ orders-of-magnitude cap on the single largest spike.
 """
 
 import numpy as np
+import pytest
 
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_fig17_convergence(benchmark):

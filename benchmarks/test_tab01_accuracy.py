@@ -1,7 +1,11 @@
 """Table 1: reconstruction accuracy vs the similarity threshold tau."""
 
+import pytest
+
 from benchmarks._util import emit
 from repro.harness import experiments as E
+
+pytestmark = pytest.mark.slow
 
 
 def test_tab01_accuracy(benchmark):

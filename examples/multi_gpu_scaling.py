@@ -1,7 +1,7 @@
 """Multi-GPU scaling study on the simulated Polaris platform.
 
-Runs a real (scaled-down) reconstruction on the *distributed* memoized
-executor — 4 simulated GPU workers over a 2-shard memoization service —
+Runs a real (scaled-down) reconstruction on the memoized executor at
+4 simulated GPU workers over a 2-shard memoization service,
 then replays its worker-tagged trace at paper scale across 1..16 simulated
 A100s and 1..4 index shards: the Section 5.2 / Figures 14-16 experiment
 (intra-node scaling, the inter-node dip, memory-node NIC saturation,
@@ -43,7 +43,7 @@ def main() -> None:
           f"{n_workers} workers x {n_shards} shards")
 
     print("\nper-shard memoization service:")
-    for s, st in enumerate(ex.per_shard_db_stats()):
+    for s, st in enumerate(ex.router.per_shard_stats()):
         print(f"  shard {s}: {st.queries} queries, hit rate {st.hit_rate:.0%}, "
               f"{ex.router.per_shard_entries()[s]} entries")
     print("per-worker key coalescing:")

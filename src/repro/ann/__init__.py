@@ -1,9 +1,8 @@
-"""ANN index substrate (Faiss substitute): IVF, HNSW, brute force, k-means."""
+"""ANN index substrate (Faiss substitute): IVF, brute force, k-means."""
 
 from .buffer import GrowableRows
 from .flat import FlatIndex
-from .hnsw import HNSWIndex
 from .ivf import IVFFlatIndex
 from .kmeans import assign, kmeans
 
-__all__ = ["FlatIndex", "GrowableRows", "HNSWIndex", "IVFFlatIndex", "assign", "kmeans"]
+__all__ = ["FlatIndex", "GrowableRows", "IVFFlatIndex", "assign", "kmeans"]

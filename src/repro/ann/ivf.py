@@ -6,8 +6,7 @@ dynamic insertion with minimal overhead compared to the graph-based ANN,
 which incurs high reconstruction costs."  A k-means coarse quantizer
 partitions key space; each cluster owns an inverted list of vectors;
 queries scan the ``nprobe`` nearest clusters.  Inserts append to one list —
-O(1), no restructuring — which is the property mLR relies on, and which
-:mod:`repro.ann.hnsw` exists to contrast against.
+O(1), no restructuring — which is the property mLR relies on.
 
 Inverted lists are growable contiguous buffers with squared norms
 maintained at insert time (:class:`~repro.ann.buffer.GrowableRows`), so the

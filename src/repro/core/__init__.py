@@ -1,11 +1,10 @@
-"""mLR core: memoization engine, caches, coalescer, the sharded
-multi-worker memoization service (:class:`MemoShardRouter` +
-:class:`DistributedMemoizedExecutor`), offload planner, multi-GPU scaling,
-and the trace-driven performance simulation."""
+"""mLR core: the memoization engine (:class:`MemoizedExecutor` — W workers x
+N shards, 1 x 1 by default), caches, coalescer, the sharded memoization
+database tier (:class:`MemoShardRouter`), offload planner, multi-GPU
+scaling, and the trace-driven performance simulation."""
 
 from .coalescer import CoalesceStats, KeyCoalescer
 from .config import MemoConfig, MLRConfig, ObsConfig, PipelineConfig
-from .distributed import DistributedMemoizedExecutor, WorkerState
 from .keying import CNNKeyEncoder, PoolKeyEncoder, chunk_to_image, chunk_to_stack, pool3d
 from .memo_cache import CacheHit, CacheStats, GlobalMemoCache, PrivateMemoCache
 from .memo_db import MemoDatabase, MemoDBStats, QueryOutcome
@@ -16,6 +15,7 @@ from .memo_engine import (
     CASE_MISS,
     MemoEvent,
     MemoizedExecutor,
+    WorkerState,
 )
 from .memo_shard import (
     MemoShard,
@@ -70,7 +70,6 @@ __all__ = [
     "ShardInsert",
     "ShardQuery",
     "shard_of_location",
-    "DistributedMemoizedExecutor",
     "WorkerState",
     "CASE_CACHE",
     "CASE_DB",

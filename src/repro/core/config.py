@@ -60,6 +60,13 @@ class MemoConfig:
         ``"private"`` (paper default: one single-entry FIFO cache per chunk
         location), ``"global"`` (the baseline it is compared against), or
         ``None`` (no local cache — every lookup goes to the memo database).
+        Each worker owns its cache and probes it for its whole chunk block
+        before serving the block, so an entry inserted while serving becomes
+        visible at the next worker-block boundary.  Private caches are
+        scoped to a location and cannot tell; a shared ``"global"`` cache
+        can — a same-sweep cross-location hit is deferred to the next block
+        (or sweep), which is the one place the fleet shape is not pure
+        routing.
     db_value_mode:
         Value representation of the memoization database: ``"array"``
         (default — zero-copy in-memory ndarrays; hits skip the
@@ -126,7 +133,9 @@ class MemoConfig:
         if self.encoder not in ("pool", "cnn"):
             raise ValueError(f"encoder must be 'pool' or 'cnn', got {self.encoder!r}")
         if self.cache not in ("private", "global", None):
-            raise ValueError(f"cache must be 'private', 'global' or None")
+            raise ValueError(
+                f"cache must be 'private', 'global' or None, got {self.cache!r}"
+            )
         if self.db_value_mode not in ("array", "bytes"):
             raise ValueError(
                 f"db_value_mode must be 'array' or 'bytes', got {self.db_value_mode!r}"
@@ -174,11 +183,11 @@ class MLRConfig:
 
     n_workers / n_shards:
         Simulated GPU workers and memoization-database shards (paper
-        Sections 4.3 and 5.2).  ``1 x 1`` (the default) runs the
-        single-worker :class:`~repro.core.memo_engine.MemoizedExecutor`;
-        anything larger runs the sharded
-        :class:`~repro.core.distributed.DistributedMemoizedExecutor`, which
-        is numerically identical for the paper-default private cache.
+        Sections 4.3 and 5.2) of the one
+        :class:`~repro.core.memo_engine.MemoizedExecutor`.  The fleet shape
+        is pure routing: every ``n_workers x n_shards`` is numerically
+        identical to the default ``1 x 1`` for the paper-default private
+        cache.
     pipeline:
         ``None`` (the default) executes op sweeps monolithically; a
         :class:`~repro.pipeline.PipelineConfig` wraps the executor in the

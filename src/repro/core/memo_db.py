@@ -17,19 +17,19 @@ stored key, gates on the paper's Eq. 3 cosine-similarity threshold tau, and
 returns the stored value on acceptance.  All traffic statistics needed by
 the performance model (queries, hits, inserted/fetched bytes) are counted.
 
-The batched service API (Section 4.3.3) is a *true* batch: one coalesced
-key message becomes one stacked ``index.search`` (a single GEMM against the
+The service API (Section 4.3.3) is a *true* batch: one coalesced key
+message becomes one stacked ``index.search`` (a single GEMM against the
 probed inverted lists) instead of a Python loop of scalar searches, and a
-batched insert trains/extends the index with stacked vectors.  The scalar
-and batched paths share every per-key decision helper — the cold-database
-pretrain scan (vectorized over candidates) and the Eq. 3 gate — so a batch
-returns bit-identical outcomes and byte counters to the equivalent scalar
-loop, on trained and cold databases alike.
+batched insert trains/extends the index with stacked vectors.  Every
+per-key decision — the cold-database pretrain scan (vectorized over
+candidates) and the Eq. 3 gate — is independent of the batch it travels
+in, so a batch returns bit-identical outcomes and byte counters to the
+same keys sent one per message, on trained and cold databases alike;
+``query`` / ``insert`` are exactly that one-item message.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +52,8 @@ class MemoDBStats:
     inserts: int = 0
     bytes_inserted: int = 0
     bytes_fetched: int = 0
-    #: number of batched messages served via query_batch/insert_batch
+    #: number of messages served — every query_batch/insert_batch call,
+    #: the one-item ``query``/``insert`` form included
     query_batches: int = 0
     insert_batches: int = 0
 
@@ -206,25 +207,19 @@ class MemoDatabase:
         return encoded_nbytes(value)
 
     def insert(self, key: np.ndarray, value: np.ndarray, meta=None) -> int:
-        """DB.Put: store the (key, value) pair — plus the reuse metadata
-        (input-chunk DC and AC norm) — training the coarse quantizer once
-        enough keys accumulated."""
-        key = self._check_key(key)
-        new_id = self._index_key(key)
-        self._keys[new_id] = key
-        self._meta[new_id] = meta
-        self.stats.inserts += 1
-        self.stats.bytes_inserted += self._store_value(new_id, value)
-        return new_id
+        """DB.Put of one pair: a one-item :meth:`insert_batch` message."""
+        return self.insert_batch([(key, value, meta)])[0]
 
     def insert_batch(self, items) -> list[int]:
-        """DB.Put for a batch of ``(key, value, meta)`` triples; ids in item
-        order.
+        """DB.Put for a batch of ``(key, value, meta)`` triples — each the
+        (key, value) pair plus the reuse metadata (input-chunk DC and AC
+        norm); ids in item order.
 
         Keys destined for a trained index are stacked and added in one call
-        (one cluster-assignment GEMM); the pretrain buffer and value puts
-        follow the exact scalar-loop semantics, so the resulting database
-        state is identical to inserting one item at a time.
+        (one cluster-assignment GEMM); the pretrain buffer (training the
+        coarse quantizer once enough keys accumulated) and value puts
+        proceed item by item, so the resulting database state is identical
+        to inserting one item at a time.
         """
         items = list(items)
         if not items:
@@ -263,28 +258,14 @@ class MemoDatabase:
         best = int(np.argmax(sims))
         return best, float(sims[best])
 
-    def _gate_one(self, key: np.ndarray, matched: int) -> float:
-        """Scalar Eq. 3 gate, bit-identical to one row of :meth:`_gate_rows`
-        (same float64 einsum reductions, without the batch scaffolding)."""
-        stored = self._keys.get(matched)
-        if stored is None:
-            return -2.0
-        kd = key.astype(np.float64)
-        sd = stored.astype(np.float64)
-        dot = float(np.einsum("i,i->", kd, sd))
-        denom = math.sqrt(float(np.einsum("i,i->", kd, kd))) * math.sqrt(
-            float(np.einsum("i,i->", sd, sd))
-        )
-        return dot / denom if denom > 0.0 else 0.0
-
     def _gate_rows(self, Q: np.ndarray, matched) -> np.ndarray:
         """Eq. 3 gate for row-aligned (query, matched-id) pairs, vectorized.
 
         Cosine similarity (:func:`~repro.solvers.metrics.cosine_similarity`
         semantics: zero-norm operands gate to 0) computed in float64 with
         einsum row reductions, which are independent of batch size — so a
-        1-row call (the scalar path) is bit-identical to the same row
-        inside a batch.  Ids without a stored key gate to -2.
+        1-row call is bit-identical to the same row inside a batch.  Ids
+        without a stored key gate to -2.
         """
         sims = np.full(len(matched), -2.0)
         rows = [i for i, mid in enumerate(matched) if self._keys.get(int(mid)) is not None]
@@ -325,31 +306,17 @@ class MemoDatabase:
         return QueryOutcome(None, sim, matched, n)
 
     def query(self, key: np.ndarray) -> QueryOutcome:
-        """Find the most similar stored key; return its value if Eq. 3's
-        cosine similarity exceeds tau."""
-        key = np.asarray(key, dtype=np.float32).ravel()
-        self.stats.queries += 1
-        n = len(self.values)
-        if not self.index.is_trained:
-            matched, sim = self._cold_best(key)
-            return self._resolve(key, matched, sim, n)
-        with obs.span("memo.ann_query", n=1):
-            dists, ids = self.index.search(key[None], k=1)
-        matched = int(ids[0, 0])
-        if matched < 0:
-            return QueryOutcome(None, -2.0, -1, n)
-        return self._resolve(key, matched, self._gate_one(key, matched), n)
-
-    # -- batched service API (paper Section 4.3.3) ---------------------------------------
+        """DB.Get of one key: a one-item :meth:`query_batch` message."""
+        return self.query_batch([key])[0]
 
     def query_batch(self, keys) -> list["QueryOutcome"]:
-        """DB.Get for one coalesced key message.
+        """DB.Get for one coalesced key message (paper Section 4.3.3).
 
         The memory node receives a 4 KB message holding many keys and
         services them as **one** batched index lookup — a single stacked
-        ``index.search`` — with the Eq. 3 gate applied per matched pair;
-        outcomes are returned in key order, bit-identical to the scalar
-        loop (the per-key helpers are shared).
+        ``index.search`` — finding each key's most similar stored key and
+        returning its value if Eq. 3's cosine similarity exceeds tau;
+        outcomes are returned in key order.
         """
         keys = [np.asarray(k, dtype=np.float32).ravel() for k in keys]
         if not keys:
@@ -375,9 +342,6 @@ class MemoDatabase:
                     outcomes.append(self._resolve(key, mid, float(sim), n))
         self.stats.query_batches += 1
         return outcomes
-
-    def _stored_key(self, wanted: int) -> np.ndarray | None:
-        return self._keys.get(wanted)
 
     # -- snapshot hooks ------------------------------------------------------------------
 

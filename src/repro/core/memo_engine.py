@@ -2,24 +2,40 @@
 
 :class:`MemoizedExecutor` subclasses the chunk-streaming
 :class:`~repro.solvers.executor.DirectExecutor` and intercepts the four
-cancelled-pipeline operations (``Fu1D``, ``Fu2D``, ``Fu2D*``, ``Fu1D*``).
-For every chunk it runs the paper's Figure 6 workflow:
+cancelled-pipeline operations (``Fu1D``, ``Fu2D``, ``Fu2D*``, ``Fu1D*``)
+at the sweep seam.  It reproduces the paper's scalable deployment
+(Sections 4.3, 4.4 and 5.2, Figures 6 and 14) functionally:
 
-1. encode the operation's input chunk into a key,
-2. probe the chunk location's **private cache** (Section 4.4),
-3. on a cache miss, query the **memoization database** on the memory node
-   (Section 4.3.2) through the key **coalescer** (Section 4.3.3),
-4. on a database miss, perform the real FFT operation and insert the
-   (key, value) pair (the *insertion* path).
+- chunk locations are assigned to ``n_workers`` simulated GPU workers with
+  :func:`repro.core.scaling.distribute_chunks` (contiguous blocks, the
+  rechunking-friendly layout the scalability figures assume),
+- each worker owns a **private memoization cache** (Section 4.4) and a
+  :class:`~repro.core.coalescer.KeyCoalescer` (Section 4.3.3); keys that
+  miss the cache are buffered and leave the worker as coalesced messages,
+- every emitted message goes to ``self.router`` — the **memoization
+  database** tier on the memory node (Section 4.3.2): a
+  :class:`~repro.core.memo_shard.MemoShardRouter` in process, or a
+  :class:`~repro.net.client.RemoteMemoClient` /
+  :class:`~repro.net.replicated.ReplicatedMemoClient` over TCP — and is
+  serviced through the batched ``query_batch`` / ``insert_batch`` API,
+- misses are computed and their insertions dispatched as one batched
+  message per sweep (insertion is asynchronous in the paper — nothing in
+  the sweep depends on it).
 
-Every decision is appended to ``events`` — the trace the trace-driven
-performance simulation (:mod:`repro.core.perfsim`) replays at paper scale,
-and the raw material for Figures 4, 10 and 12.
+Each op sweep runs in two phases per worker block: (A) encode keys, resolve
+cache hits, and stream the remainder through the coalescer to the shards;
+(B) in chunk order, serve hits (affine scale-corrected reuse) and compute
+misses.  Because memoization reuse is scoped to a single chunk location
+(Section 4.1) and a location is owned by exactly one worker and one shard,
+deferring queries to message boundaries changes no outcome: the fleet shape
+``n_workers x n_shards`` is pure routing, and ``1 x 1`` — one GPU with the
+database next to it — is just its smallest configuration.  (The one caveat
+is ``cache="global"``, see :class:`~repro.core.config.MemoConfig`.)
 
-The multi-worker, sharded-database variant of this executor lives in
-:mod:`repro.core.distributed` (:class:`DistributedMemoizedExecutor`); it
-subclasses this engine and is numerically identical at ``1 worker x 1
-shard``.
+Every decision is appended to ``events`` — tagged with its ``worker`` and
+``shard`` — the trace the trace-driven performance simulation
+(:mod:`repro.core.perfsim`) replays at paper scale with the exact locality
+of the numeric run, and the raw material for Figures 4, 10 and 12.
 """
 
 from __future__ import annotations
@@ -29,16 +45,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import runtime as obs
-from ..solvers.executor import DirectExecutor
-from .coalescer import KeyCoalescer
+from ..solvers.executor import SWEEP_KERNELS, DirectExecutor
+from .coalescer import CoalesceStats, KeyCoalescer
 from .config import MemoConfig
 from .keying import CNNKeyEncoder, PoolKeyEncoder
-from .memo_cache import GlobalMemoCache, PrivateMemoCache
-from .memo_db import MemoDatabase
+from .memo_cache import CacheStats, GlobalMemoCache, PrivateMemoCache
+from .memo_db import MemoDatabase, MemoDBStats
+from .memo_shard import MemoShardRouter, ShardInsert, ShardQuery, memo_state_partitions
+from .scaling import GPUAssignment, distribute_chunks
 
 __all__ = [
     "MemoEvent",
     "MemoizedExecutor",
+    "WorkerState",
     "make_db_factory",
     "memo_state_partitions",
     "CASE_MISS",
@@ -50,7 +69,7 @@ __all__ = [
 
 def make_db_factory(config: MemoConfig):
     """Partition factory (``dim -> MemoDatabase``) carrying ``config``'s
-    tau / index / value-mode settings — shared by the executors and the
+    tau / index / value-mode settings — shared by the executor and the
     memo server daemon so every deployment shape builds identical
     partitions."""
 
@@ -67,13 +86,6 @@ def make_db_factory(config: MemoConfig):
     return make_db
 
 
-def memo_state_partitions(state: dict) -> list[dict]:
-    """Flat partition list of a ``memo_state()`` tree, layout-independent
-    (the sharded layout nests partitions per shard)."""
-    if state.get("layout") == "sharded":
-        return [p for s in state["shards"] for p in s["partitions"]]
-    return list(state["partitions"])
-
 #: event case labels (Figure 10's "Fail Memo" / "Suc Memo" / "Memo w/Caching")
 CASE_MISS = "miss"  # no match: original computation + insertion
 CASE_DB = "db_hit"  # value retrieved from the remote memoization database
@@ -86,8 +98,7 @@ class MemoEvent:
     """One chunk-level memoization decision.
 
     ``worker`` is the simulated GPU worker that executed the chunk and
-    ``shard`` the database shard that owns the chunk location; both are 0
-    for the single-worker :class:`MemoizedExecutor`.
+    ``shard`` the database shard that owns the chunk location.
     """
 
     outer: int
@@ -104,31 +115,53 @@ class MemoEvent:
 
 @dataclass
 class _OpState:
-    """Per-operation memoization state.
+    """Per-operation, per-chunk-location bookkeeping of the engine.
 
     Reuse is scoped to a *chunk location* (paper Section 4.1: results are
-    stored "for a chunk location to be reused in future iterations"), so
-    each location owns a database partition — the single-physical-index
-    equivalent of a Faiss id-selector restricted to that location's ids.
+    stored "for a chunk location to be reused in future iterations"); the
+    database partitions themselves live behind ``executor.router``.
     """
 
-    make_db: object
-    dbs: dict = field(default_factory=dict)  # location -> MemoDatabase
-    cache: PrivateMemoCache | GlobalMemoCache | None = None
     key_history: dict = field(default_factory=dict)  # location -> [keys]
     consecutive_serves: dict = field(default_factory=dict)  # location -> int
     dc_basis: dict = field(default_factory=dict)  # location -> op(all-ones chunk)
 
-    def db_for(self, location, dim: int) -> MemoDatabase:
-        db = self.dbs.get(location)
-        if db is None:
-            db = self.make_db(dim)
-            self.dbs[location] = db
-        return db
+
+@dataclass
+class WorkerState:
+    """One simulated GPU worker: its private cache per op and its coalescer."""
+
+    worker_id: int
+    coalescer: KeyCoalescer
+    caches: dict = field(default_factory=dict)  # op -> cache | None
+    #: queries buffered behind the coalescer, awaiting the next message
+    pending: list = field(default_factory=list)  # [(_Slot, ShardQuery)]
+
+
+class _Slot:
+    """Resolution record of one chunk within a sweep (phase A -> phase B)."""
+
+    __slots__ = ("case", "key", "meta", "hit", "outcome", "serves")
+
+    def __init__(self) -> None:
+        self.case = None
+        self.key = None
+        self.meta = None
+        self.hit = None  # CacheHit on a cache hit
+        self.outcome = None  # QueryOutcome once the shard answered
+        self.serves = 0
 
 
 class MemoizedExecutor(DirectExecutor):
-    """Chunk executor with the full mLR memoization stack."""
+    """Chunk executor with the full mLR memoization stack: ``n_workers``
+    simulated GPU workers against an ``n_shards`` database tier.
+
+    The tier is ``self.router``; the executor uses exactly ``query_batch``,
+    ``insert_batch``, ``shard_of``, ``stats``, ``entries``, ``state_dict``,
+    ``push_state`` and ``close`` of it, so anything exposing those eight is
+    a tier.  Per-shard breakdowns are the tier's own
+    (``executor.router.per_shard_stats()``).
+    """
 
     def __init__(
         self,
@@ -137,7 +170,11 @@ class MemoizedExecutor(DirectExecutor):
         chunk_size: int | None = None,
         encoder=None,
         n_locations: int | None = None,
+        n_workers: int = 1,
+        n_shards: int = 1,
     ) -> None:
+        if n_workers < 1 or n_shards < 1:
+            raise ValueError("n_workers and n_shards must be >= 1")
         super().__init__(ops, chunk_size=chunk_size)
         self.config = config or MemoConfig()
         if encoder is not None:
@@ -149,12 +186,12 @@ class MemoizedExecutor(DirectExecutor):
                 "encoder='cnn' requires passing a trained CNNKeyEncoder instance"
             )
         self._n_locations_override = n_locations
-        self._state: dict[str, _OpState] = {
-            op: self._make_state(op) for op in self.config.memo_ops
-        }
-        self.coalescer = KeyCoalescer()
+        self.n_workers = n_workers
+        self.n_shards = n_shards
+        self.router = None
         self.events: list[MemoEvent] = []
         self.enabled = True
+        self.reset_state()
 
     def n_locations_for(self, op: str) -> int:
         """Chunk-location count of one operation's sweep.
@@ -174,29 +211,106 @@ class MemoizedExecutor(DirectExecutor):
         return -(-n // size)
 
     def reset_state(self) -> None:
-        """Drop all memoization state (databases, caches, histories) — e.g.
-        after installing a new key encoder with a different dimensionality."""
-        self._state = {op: self._make_state(op) for op in self.config.memo_ops}
+        """Drop all memoization state (database tier connection, caches,
+        histories) — e.g. after installing a new key encoder with a
+        different dimensionality."""
+        cfg = self.config
+        self._state: dict[str, _OpState] = {op: _OpState() for op in cfg.memo_ops}
+        old_router = self.router
+        self.router = self._make_router()
+        if old_router is not None:
+            old_router.close()
+        self.workers = [
+            WorkerState(
+                worker_id=w,
+                coalescer=KeyCoalescer(),
+                caches={op: self._make_worker_cache(op) for op in cfg.memo_ops},
+            )
+            for w in range(self.n_workers)
+        ]
+        self._assignments: dict[tuple[str, int], GPUAssignment] = {}
+
+    def _make_router(self):
+        cfg = self.config
+        if cfg.transport != "tcp":
+            return MemoShardRouter(self.n_shards, make_db_factory(cfg))
+        # the shard service lives in MemoServerDaemons (possibly on other
+        # hosts); both clients speak the router's exact surface.  One
+        # address gets the single client; more (or replication=N) get the
+        # replicated one — insert fan-out, per-shard query failover.
+        from ..net.client import RemoteMemoClient
+        from ..net.replicated import ReplicatedMemoClient
+        from ..net.wire import parse_address_list
+
+        addresses = parse_address_list(cfg.server_address)
+        common = dict(
+            expect_tau=cfg.tau,
+            expect_value_mode=cfg.db_value_mode,
+            encoder_fingerprint=self._encoder_fingerprint(),
+            n_shards_hint=self.n_shards,
+        )
+        if len(addresses) > 1 or cfg.replication is not None:
+            return ReplicatedMemoClient(
+                addresses,
+                replication=cfg.replication,
+                heartbeat_interval_s=cfg.heartbeat_interval_s,
+                **common,
+            )
+        return RemoteMemoClient(addresses[0], **common)
+
+    def _make_worker_cache(self, op: str):
+        cfg = self.config
+        if cfg.cache == "private":
+            return PrivateMemoCache(cfg.tau)
+        if cfg.cache == "global":
+            # per-worker capacity matches the worker's location share so the
+            # fleet's total cache memory equals the single-worker baseline
+            n = self.n_locations_for(op)
+            share = -(-n // self.n_workers)
+            return GlobalMemoCache(cfg.tau, capacity=max(1, share))
+        return None
 
     def close(self) -> None:
-        """Release transport resources; the in-process engine holds none
-        (the distributed executor closes its remote client here)."""
+        """Release the tier's transport (no-op for the in-process router)."""
+        self.router.close()
 
-    def _db_factory(self):
-        """Partition factory (``dim -> MemoDatabase``) carrying this
-        executor's tau / index configuration."""
-        return make_db_factory(self.config)
+    # -- worker / shard plumbing ---------------------------------------------------------
 
-    def _make_state(self, op: str) -> _OpState:
-        cfg = self.config
-        make_db = self._db_factory()
-        if cfg.cache == "private":
-            cache = PrivateMemoCache(cfg.tau)
-        elif cfg.cache == "global":
-            cache = GlobalMemoCache(cfg.tau, capacity=self.n_locations_for(op))
-        else:
-            cache = None
-        return _OpState(make_db=make_db, cache=cache)
+    def assignment_for(self, op: str, n_chunks: int) -> GPUAssignment:
+        key = (op, n_chunks)
+        assign = self._assignments.get(key)
+        if assign is None:
+            assign = distribute_chunks(n_chunks, self.n_workers)
+            self._assignments[key] = assign
+        return assign
+
+    def _flush(self, worker: WorkerState) -> None:
+        """Force-emit (and dispatch) the worker's buffered key message.
+
+        Called at the end of every worker block and on ``begin_inner``: a
+        sweep's tail batch must not leak into the next sweep's message
+        accounting (Figure 11's ``messages`` / ``mean_batch`` inputs), and
+        no key may stay pending across an inner iteration.
+        """
+        if worker.coalescer.flush() is not None:
+            self._dispatch_queries(worker)
+
+    def begin_inner(self, iteration: int) -> None:
+        for worker in self.workers:
+            self._flush(worker)
+        super().begin_inner(iteration)
+
+    def _dispatch_queries(self, worker: WorkerState) -> None:
+        """Send the worker's buffered message: route it shard-wise and store
+        each outcome on its slot."""
+        if not worker.pending:
+            return
+        queries = [q for _slot, q in worker.pending]
+        with obs.span("memo.dispatch", worker=worker.worker_id, n=len(queries)):
+            outcomes = self.router.query_batch(queries)
+        for (slot, _q), outcome in zip(worker.pending, outcomes):
+            slot.outcome = outcome
+        worker.pending = []
 
     # -- the memoization workflow -------------------------------------------------------
 
@@ -208,6 +322,19 @@ class MemoizedExecutor(DirectExecutor):
         ac_sq = max(total_sq - input_chunk.size * abs(dc) ** 2, 0.0)
         return float(np.sqrt(ac_sq)), dc
 
+    def _raw_kernel(self, op: str):
+        """The unmemoized ``(chunk, input) -> output`` computation of one
+        sweep-scheduled op: the inherited single-chunk kernel from the
+        shared ``SWEEP_KERNELS`` table.  Memoize the *linear* transform
+        only: the fused ``Fu2D`` kernel's output is affine (it subtracts
+        the constant dhat slab), which would break scale-corrected reuse.
+        The subtraction is re-applied outside the memoized region; the
+        performance model still accounts for fusion."""
+        kernel = getattr(self, SWEEP_KERNELS[op])
+        if op == "Fu2D":
+            return lambda chunk, x: kernel(chunk, x, None)
+        return kernel
+
     def _basis(self, op: str, chunk, shape: tuple[int, ...]) -> np.ndarray:
         """``op`` applied to the all-ones chunk at this location (computed
         once, like a plan): the exact image of the DC component."""
@@ -215,118 +342,165 @@ class MemoizedExecutor(DirectExecutor):
         basis = state.dc_basis.get(chunk.index)
         if basis is None:
             ones = np.ones(shape, dtype=np.complex64)
-            basis = self._apply_raw(op, chunk, ones)
+            basis = self._raw_kernel(op)(chunk, ones)
             state.dc_basis[chunk.index] = basis
         return basis
 
-    def _apply_raw(self, op: str, chunk, arr: np.ndarray) -> np.ndarray:
-        if op == "Fu1D":
-            return self.ops.fu1d(arr)
-        if op == "Fu1D*":
-            return self.ops.fu1d_adj(arr)
-        if op == "Fu2D":
-            return self.ops.fu2d(arr, rows=chunk.slice)
-        if op == "Fu2D*":
-            return self.ops.fu2d_adj(arr, rows=chunk.slice)
-        raise ValueError(f"unknown op {op!r}")
+    def sweep_stream(self, op, items, n_chunks=None):
+        """Streaming multi-worker sweep: consume ``(chunk, payload)`` in
+        chunk order, yield ``(chunk, output)`` worker block by worker block.
 
-    def _memoized(self, op: str, chunk, input_chunk: np.ndarray, compute) -> np.ndarray:
+        Per worker, phase A (encode, cache probe, coalesced shard queries)
+        runs over the worker's contiguous chunk block, then phase B (serve
+        hits, compute misses) for that block.  Because chunk locations are
+        worker-disjoint and insertions are deferred to the end of the whole
+        sweep, streaming worker-by-worker is bit-identical to running all
+        of phase A before all of phase B — outputs just become available as
+        each worker's block completes, which is what lets the pipeline's
+        writer stage overlap them with the next block's compute.  The
+        full-array ops are inherited drivers over this seam, so the
+        monolithic and pipelined paths share it.
+
+        ``n_chunks`` (the sweep size) is required: the worker assignment
+        must be fixed before the first item is consumed.
+        """
+        if op not in SWEEP_KERNELS:
+            # detector-plane ops are never sweep-scheduled: stream them
+            # chunk-at-a-time like the base executor
+            yield from super().sweep_stream(op, items, n_chunks=n_chunks)
+            return
+        if n_chunks is None:
+            raise ValueError("the memoized sweep needs n_chunks up front")
+        completed = False
+        try:
+            yield from self._stream_sweep(op, items, n_chunks)
+            completed = True
+        finally:
+            if not completed:
+                # a dead sweep (pipeline stage failure, abandoned generator)
+                # must not leak its buffered queries or coalesced keys into
+                # the next sweep's messages and statistics
+                for worker in self.workers:
+                    worker.pending = []
+                    worker.coalescer.discard()
+
+    def _stream_sweep(self, op, items, n_chunks):
         cfg = self.config
+        memoized_op = self.enabled and op in self._state
         in_warmup = self.outer_iteration < cfg.warmup_iterations
-        meta = self._chunk_meta(input_chunk)
-        if not self.enabled or op not in self._state or in_warmup:
-            out = compute()
-            if op in self._state and self.enabled:
-                # warmup still populates the database so later iterations hit
-                key = self.encoder.encode(input_chunk)
-                self._state[op].db_for(chunk.index, key.shape[0]).insert(
-                    key, out, meta=meta
+        assign = self.assignment_for(op, n_chunks)
+        state = self._state.get(op)
+        compute = self._raw_kernel(op)
+        inserts: list[ShardInsert] = []
+        it = iter(items)
+
+        for worker_id, owned in enumerate(assign.per_gpu):
+            worker = self.workers[worker_id]
+            cache = worker.caches.get(op)
+            block: list = []  # (chunk, input, subtract | None, slot)
+
+            # -- phase A: cache probe + coalesced shard queries for this block ------
+            for ci in owned:
+                try:
+                    chunk, payload = next(it)
+                except StopIteration:
+                    raise ValueError(
+                        f"sweep_stream({op!r}): stream ended after chunk "
+                        f"{ci - 1}, expected {n_chunks} chunks"
+                    ) from None
+                if chunk.index != ci:
+                    raise ValueError(
+                        f"sweep_stream({op!r}): expected chunk {ci}, got "
+                        f"{chunk.index} — items must arrive in chunk order"
+                    )
+                # counted per consumed chunk (like the base executor), so a
+                # sweep abandoned mid-stream does not inflate the statistics
+                self.op_counts[op] += 1
+                x, sub = payload if op == "Fu2D" else (payload, None)
+                slot = _Slot()
+                block.append((chunk, x, sub, slot))
+                if not memoized_op or in_warmup:
+                    continue
+                slot.meta = self._chunk_meta(x)
+                slot.key = self.encoder.encode(x)
+                self._remember_key(op, chunk.index, slot.key)
+                # Bounded staleness: force a periodic recompute so one stored
+                # value cannot serve a location's gradient indefinitely (see
+                # MemoConfig).
+                slot.serves = state.consecutive_serves.get(chunk.index, 0)
+                if slot.serves >= cfg.max_consecutive_reuse:
+                    slot.case = CASE_MISS
+                    continue
+                if cache is not None:
+                    hit = cache.lookup(chunk.index, slot.key, self.outer_iteration)
+                    if hit is not None:
+                        slot.case = CASE_CACHE
+                        slot.hit = hit
+                        continue
+                # miss locally: the key joins the worker's next message
+                worker.pending.append(
+                    (slot, ShardQuery(op=op, location=chunk.index, key=slot.key))
                 )
-                self._remember_key(op, chunk.index, key)
-            self._record(op, chunk.index, CASE_DIRECT, -2.0, 0, 0)
-            return out
+                if worker.coalescer.offer((op, chunk.index)) is not None:
+                    self._dispatch_queries(worker)
+            self._flush(worker)  # end of the worker's block: the tail message
 
-        state = self._state[op]
-        key = self.encoder.encode(input_chunk)
-        self._remember_key(op, chunk.index, key)
+            # -- phase B: serve hits, compute misses, batch insertions --------------
+            for chunk, x, sub, slot in block:
+                loc = chunk.index
+                tags = dict(worker=worker_id, shard=self.router.shard_of(loc))
+                # the span closes before the yield: consumer time (pipeline
+                # writer, downstream stages) must not bill to the kernel
+                with obs.span(f"sweep.{op}", chunk=loc, worker=worker_id):
+                    if not memoized_op or in_warmup:
+                        out = compute(chunk, x)
+                        if memoized_op:
+                            # warmup still populates the database so later iterations hit
+                            key = self.encoder.encode(x)
+                            inserts.append(
+                                ShardInsert(op, loc, key, out, self._chunk_meta(x))
+                            )
+                            self._remember_key(op, loc, key)
+                        self._record(op, loc, CASE_DIRECT, -2.0, 0, 0, **tags)
+                    elif slot.case == CASE_CACHE:
+                        state.consecutive_serves[loc] = slot.serves + 1
+                        out = self._reconstruct(
+                            op, chunk, x, slot.hit.value, slot.hit.meta, slot.meta
+                        )
+                        self._record(op, loc, CASE_CACHE, 1.0, slot.key.nbytes,
+                                     out.nbytes, **tags)
+                    elif slot.outcome is not None and slot.outcome.hit:
+                        # database hit: backfill the local cache with the raw
+                        # stored value
+                        hit = slot.outcome
+                        state.consecutive_serves[loc] = slot.serves + 1
+                        out = self._reconstruct(
+                            op, chunk, x, hit.value, hit.stored_meta, slot.meta
+                        )
+                        if cache is not None:
+                            cache.insert(loc, slot.key, hit.value, meta=hit.stored_meta)
+                        self._record(op, loc, CASE_DB, hit.similarity, slot.key.nbytes,
+                                     out.nbytes, **tags)
+                    else:
+                        # miss (or forced refresh): original computation,
+                        # batched insertion, local-cache refresh
+                        out = compute(chunk, x)
+                        state.consecutive_serves[loc] = 0
+                        inserts.append(ShardInsert(op, loc, slot.key, out, slot.meta))
+                        if cache is not None:
+                            cache.insert(loc, slot.key, out, meta=slot.meta)
+                        sim = slot.outcome.similarity if slot.outcome is not None else -2.0
+                        self._record(op, loc, CASE_MISS, sim, slot.key.nbytes,
+                                     out.nbytes, **tags)
+                yield chunk, out if sub is None else out - sub
 
-        # Bounded staleness: force a periodic recompute so one stored value
-        # cannot serve a location's gradient indefinitely (see MemoConfig).
-        serves = state.consecutive_serves.get(chunk.index, 0)
-        must_refresh = serves >= cfg.max_consecutive_reuse
-
-        # (2) private/global memoization cache on the compute node
-        if state.cache is not None and not must_refresh:
-            hit = state.cache.lookup(chunk.index, key, self.outer_iteration)
-            if hit is not None:
-                return self._serve_cache_hit(
-                    op, state, chunk, input_chunk, key, hit, meta, serves
-                )
-
-        # (3) remote memoization database (keys travel via the coalescer)
-        db = state.db_for(chunk.index, key.shape[0])
-        outcome = None
-        if not must_refresh:
-            self.coalescer.offer((op, chunk.index))
-            outcome = db.query(key)
-            if outcome.hit:
-                return self._serve_db_hit(
-                    op, state, chunk, input_chunk, key, outcome, meta, serves,
-                    state.cache,
-                )
-
-        # (4) miss: original computation + asynchronous insertion
-        out = compute()
-        return self._finish_miss(
-            op, state, chunk, key, out, meta, outcome, state.cache,
-            store=lambda: db.insert(key, out, meta=meta),
-        )
-
-    # -- the three per-chunk resolutions (shared with the distributed engine,
-    # so the 1 worker x 1 shard bit-identity is structural, not incidental) --
-
-    def _serve_cache_hit(
-        self, op, state, chunk, input_chunk, key, hit, query_meta, serves,
-        worker=0, shard=0,
-    ):
-        """Local-cache hit: bump the serve streak, reconstruct, record."""
-        state.consecutive_serves[chunk.index] = serves + 1
-        value = self._reconstruct(op, chunk, input_chunk, hit.value, hit.meta, query_meta)
-        self._record(op, chunk.index, CASE_CACHE, 1.0, key.nbytes, value.nbytes,
-                     worker=worker, shard=shard)
-        return value
-
-    def _serve_db_hit(
-        self, op, state, chunk, input_chunk, key, outcome, query_meta, serves,
-        cache, worker=0, shard=0,
-    ):
-        """Database hit: bump the streak, reconstruct, backfill the local
-        cache with the raw stored value, record."""
-        state.consecutive_serves[chunk.index] = serves + 1
-        value = self._reconstruct(
-            op, chunk, input_chunk, outcome.value, outcome.stored_meta, query_meta
-        )
-        if cache is not None:
-            cache.insert(chunk.index, key, outcome.value, meta=outcome.stored_meta)
-        self._record(op, chunk.index, CASE_DB, outcome.similarity, key.nbytes,
-                     value.nbytes, worker=worker, shard=shard)
-        return value
-
-    def _finish_miss(
-        self, op, state, chunk, key, out, query_meta, outcome, cache, store,
-        worker=0, shard=0,
-    ):
-        """Miss (or forced refresh): reset the streak, persist the fresh
-        value via ``store`` (direct insert or batched message), refresh the
-        local cache, record."""
-        state.consecutive_serves[chunk.index] = 0
-        store()
-        if cache is not None:
-            cache.insert(chunk.index, key, out, meta=query_meta)
-        sim = outcome.similarity if outcome is not None else -2.0
-        self._record(op, chunk.index, CASE_MISS, sim, key.nbytes, out.nbytes,
-                     worker=worker, shard=shard)
-        return out
+        for extra in it:
+            raise ValueError(
+                f"sweep_stream({op!r}): got chunk {extra[0].index} beyond the "
+                f"declared {n_chunks} chunks"
+            )
+        if inserts:
+            self.router.insert_batch(inserts)
 
     def _reconstruct(
         self,
@@ -364,7 +538,7 @@ class MemoizedExecutor(DirectExecutor):
         if self.config.track_similarity_census:
             self._state[op].key_history.setdefault(location, []).append(key.copy())
 
-    def _record(self, op, chunk_idx, case, sim, kb, vb, worker=0, shard=0) -> None:
+    def _record(self, op, chunk_idx, case, sim, kb, vb, worker, shard) -> None:
         # single funnel for every chunk-op resolution: the live per-op
         # hit/miss breakdown mirrors case_counts() exactly
         obs.counter("memo_chunks_total", op=op, case=case).inc()
@@ -383,72 +557,6 @@ class MemoizedExecutor(DirectExecutor):
             )
         )
 
-    def coalesce_stats(self):
-        """Key-message statistics (Figure 11).  The accessor — not the raw
-        ``coalescer`` attribute — is the stable surface: the distributed
-        executor aggregates per-worker coalescers behind it."""
-        return self.coalescer.stats
-
-    # -- sweep boundaries ---------------------------------------------------------------
-
-    def flush_coalescers(self) -> None:
-        """Force-emit any buffered key message.
-
-        Called at the end of every full-array op sweep and on
-        ``begin_inner``: a sweep's tail batch must not leak into the next
-        sweep's message accounting (Figure 11's ``messages`` / ``mean_batch``
-        inputs), and no key may stay pending across an inner iteration.
-        """
-        self.coalescer.flush()
-
-    def begin_inner(self, iteration: int) -> None:
-        self.flush_coalescers()
-        super().begin_inner(iteration)
-
-    def sweep_stream(self, op, items, n_chunks=None):
-        """Streaming sweep with an end-of-sweep coalescer flush (a sweep's
-        tail batch must not leak into the next sweep's message accounting).
-        The full-array ops are inherited drivers over this seam, so the
-        flush covers the monolithic and pipelined paths alike.  An
-        abandoned sweep discards its buffered keys instead — a dead sweep
-        must not pollute the next sweep's message statistics."""
-        completed = False
-        try:
-            yield from super().sweep_stream(op, items, n_chunks=n_chunks)
-            completed = True
-        finally:
-            if op in self._state:
-                if completed:
-                    self.flush_coalescers()
-                else:
-                    self.coalescer.discard()
-
-    # -- chunk kernels intercepted -----------------------------------------------------
-
-    def _run_fu1d(self, chunk, u_c):
-        return self._memoized("Fu1D", chunk, u_c, lambda: super(MemoizedExecutor, self)._run_fu1d(chunk, u_c))
-
-    def _run_fu1d_adj(self, chunk, u1_c):
-        return self._memoized("Fu1D*", chunk, u1_c, lambda: super(MemoizedExecutor, self)._run_fu1d_adj(chunk, u1_c))
-
-    def _run_fu2d(self, chunk, u1_c, sub):
-        # Memoize the *linear* transform only: the fused kernel's output is
-        # affine (it subtracts the constant dhat slab), which would break
-        # scale-corrected reuse.  The subtraction is re-applied outside the
-        # memoized region; the performance model still accounts for fusion.
-        out = self._memoized(
-            "Fu2D",
-            chunk,
-            u1_c,
-            lambda: super(MemoizedExecutor, self)._run_fu2d(chunk, u1_c, None),
-        )
-        if sub is not None:
-            out = out - sub
-        return out
-
-    def _run_fu2d_adj(self, chunk, r_c):
-        return self._memoized("Fu2D*", chunk, r_c, lambda: super(MemoizedExecutor, self)._run_fu2d_adj(chunk, r_c))
-
     # -- statistics ---------------------------------------------------------------------
 
     def case_counts(self) -> dict[str, int]:
@@ -458,51 +566,44 @@ class MemoizedExecutor(DirectExecutor):
         return out
 
     def cache_stats(self, op: str):
-        return self._state[op].cache.stats if self._state[op].cache else None
+        """Cache statistics aggregated across all workers (``None`` when
+        the configuration runs without a local cache)."""
+        agg = CacheStats()
+        for worker in self.workers:
+            cache = worker.caches.get(op)
+            if cache is None:
+                return None
+            agg.merge(cache.stats)
+        return agg
+
+    def coalesce_stats(self) -> CoalesceStats:
+        """Fleet-wide key-message statistics (Figure 11), aggregated over
+        all workers."""
+        agg = CoalesceStats()
+        for stats in self.per_worker_coalesce_stats():
+            agg.merge(stats)
+        return agg
+
+    def per_worker_coalesce_stats(self) -> list[CoalesceStats]:
+        """Figure 11 companion: each worker's key-message statistics."""
+        return [worker.coalescer.stats for worker in self.workers]
 
     def db_stats(self, op: str):
-        """Aggregated database statistics across all location partitions."""
-        from .memo_db import MemoDBStats
-
-        return MemoDBStats.merged(db.stats for db in self._state[op].dbs.values())
+        """Database statistics of one op, aggregated over the whole tier."""
+        return self.router.stats(op)
 
     def db_stats_total(self):
         """One merged :class:`~repro.core.memo_db.MemoDBStats` over every
         memoized op — the figure job/service reporting quotes."""
-        from .memo_db import MemoDBStats
-
         return MemoDBStats.merged(self.db_stats(op) for op in self._state)
 
     def db_entries(self, op: str) -> int:
-        return sum(len(db) for db in self._state[op].dbs.values())
+        return self.router.entries(op)
 
     def db_entries_total(self) -> int:
         return sum(self.db_entries(op) for op in self._state)
 
     # -- snapshot hooks ------------------------------------------------------------------
-
-    def _check_partition_fields(self, op: str, tau: float, value_mode: str) -> None:
-        """Fail fast on a snapshot that would silently change memoization
-        semantics under this executor's configuration.  Field-level so the
-        remote transport can validate raw partition trees without first
-        rebuilding the databases they describe."""
-        if op not in self._state:
-            raise ValueError(
-                f"snapshot carries op {op!r}, not memoized here "
-                f"(memo_ops={self.config.memo_ops})"
-            )
-        if tau != self.config.tau:
-            raise ValueError(
-                f"snapshot tau {tau} != configured tau {self.config.tau}"
-            )
-        if value_mode != self.config.db_value_mode:
-            raise ValueError(
-                f"snapshot value_mode {value_mode!r} != configured "
-                f"{self.config.db_value_mode!r}"
-            )
-
-    def _check_partition(self, op: str, db: MemoDatabase) -> None:
-        self._check_partition_fields(op, db.tau, db.value_mode)
 
     def _encoder_fingerprint(self) -> dict:
         """Key-encoder provenance recorded with every memo snapshot: keys
@@ -555,45 +656,56 @@ class MemoizedExecutor(DirectExecutor):
             )
 
     def memo_state(self) -> dict:
-        """The executor's whole database tier as one restorable state tree
-        (partitions keyed by ``(op, location)``, plus the key-encoder
-        fingerprint the keys were produced with and — for trained CNN
-        encoders — the encoder weights themselves)."""
-        return {
-            "layout": "single",
-            "encoder": self._encoder_fingerprint(),
-            "encoder_state": self._encoder_state(),
-            "partitions": [
-                {"op": op, "location": int(loc), "db": db.state_dict()}
-                for op, state in self._state.items()
-                for loc, db in state.dbs.items()
-            ],
-        }
+        """The database tier as one restorable state tree, snapshotted per
+        shard through the router (each shard contributes its partitions,
+        keyed by ``(op, location)``, and message counters; a remote router
+        pulls the server's tier), plus the key-encoder fingerprint the keys
+        were produced with and — for trained CNN encoders — the encoder
+        weights themselves."""
+        state = self.router.state_dict()
+        state["encoder"] = self._encoder_fingerprint()
+        state["encoder_state"] = self._encoder_state()
+        return state
 
     def load_memo_state(self, state: dict) -> None:
-        """Warm-start this executor from a snapshotted database tier.
+        """Warm-start this executor's tier from a snapshot.
 
-        Partitions are validated (op memoized here, tau / value_mode /
-        key-encoder provenance match) and installed by chunk location;
-        snapshots taken from a sharded deployment load fine — partition
-        keying is layout-independent.
+        Fails fast on a snapshot that would silently change memoization
+        semantics under this executor's configuration (op not memoized
+        here, tau / value_mode / key-encoder provenance mismatch).  The
+        partitions are validated as raw trees and handed to the tier
+        verbatim: either layout and any shard count load — partitions
+        re-route by chunk location — and on a remote transport they travel
+        as one snapshot message instead of being rebuilt locally (ANN index
+        included) only to be re-serialized for the wire.  The executor's
+        encoder state rides along so a later pull from a daemon can still
+        warm-start a CNN deployment.
         """
         self._check_encoder(state)
-        partitions = memo_state_partitions(state)
-        restored = [
-            (str(p["op"]), int(p["location"]), MemoDatabase.from_state(p["db"]))
-            for p in partitions
-        ]
-        for op, _loc, db in restored:
-            self._check_partition(op, db)
-        self._install_partitions(restored)
-
-    def _install_partitions(self, restored: list) -> None:
-        """Install validated ``(op, location, db)`` partitions in one go (the
-        distributed executor overrides this to route them — or, on a remote
-        transport, to push them as a single snapshot message)."""
-        for op, loc, db in restored:
-            self._state[op].dbs[loc] = db
+        cfg = self.config
+        for part in memo_state_partitions(state):
+            op, db_cfg = str(part["op"]), part["db"]["config"]
+            if op not in self._state:
+                raise ValueError(
+                    f"snapshot carries op {op!r}, not memoized here "
+                    f"(memo_ops={cfg.memo_ops})"
+                )
+            if float(db_cfg["tau"]) != cfg.tau:
+                raise ValueError(
+                    f"snapshot tau {db_cfg['tau']} != configured tau {cfg.tau}"
+                )
+            if str(db_cfg["value_mode"]) != cfg.db_value_mode:
+                raise ValueError(
+                    f"snapshot value_mode {db_cfg['value_mode']!r} != configured "
+                    f"{cfg.db_value_mode!r}"
+                )
+        self.router.push_state(
+            {
+                **state,
+                "encoder": self._encoder_fingerprint(),
+                "encoder_state": self._encoder_state(),
+            }
+        )
 
     def similarity_census(self, op: str, tau: float | None = None) -> dict[int, list[int]]:
         """Figure 4: per location, for each iteration's key, how many *prior*

@@ -18,7 +18,10 @@ of the reproduction:
   served through the batched ``query_batch`` / ``insert_batch`` API,
 - :class:`MemoShardRouter` — the client-side router: groups a coalesced key
   batch by owning shard, dispatches the per-shard sub-batches, reassembles
-  outcomes in request order, and aggregates statistics across shards.
+  outcomes in request order, and aggregates statistics across shards.  It
+  is the in-process *tier* of
+  :class:`~repro.core.memo_engine.MemoizedExecutor` (the TCP clients in
+  :mod:`repro.net` are the remote ones).
 
 Reuse stays scoped to a chunk location (Section 4.1), so sharding never
 changes *what* is memoized — only which service engine answers.  A single
@@ -33,7 +36,14 @@ import numpy as np
 
 from .memo_db import MemoDatabase, MemoDBStats
 
-__all__ = ["shard_of_location", "ShardQuery", "ShardInsert", "MemoShard", "MemoShardRouter"]
+__all__ = [
+    "shard_of_location",
+    "memo_state_partitions",
+    "ShardQuery",
+    "ShardInsert",
+    "MemoShard",
+    "MemoShardRouter",
+]
 
 
 def shard_of_location(location: int, n_shards: int) -> int:
@@ -46,6 +56,14 @@ def shard_of_location(location: int, n_shards: int) -> int:
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     return int(location) % n_shards
+
+
+def memo_state_partitions(state: dict) -> list[dict]:
+    """Flat partition list of a ``memo_state()`` tree, layout-independent
+    (the sharded layout nests partitions per shard)."""
+    if state.get("layout") == "sharded":
+        return [p for s in state["shards"] for p in s["partitions"]]
+    return list(state["partitions"])
 
 
 def _scatter_gather(items: list, key_of, service) -> list:
@@ -87,8 +105,8 @@ class MemoShard:
     """One database shard: the ``(op, location)`` partitions it owns.
 
     Each partition is a full :class:`MemoDatabase` (ANN index + value
-    store), created lazily at first insert/query, exactly as the unsharded
-    engine does — so shard membership is pure routing, never semantics.
+    store), created lazily at first insert/query — so shard membership is
+    pure routing, never semantics.
     """
 
     def __init__(self, shard_id: int, make_db) -> None:
@@ -163,16 +181,6 @@ class MemoShard:
                 for (op, loc), db in self._dbs.items()
             ],
         }
-
-    def load_state(self, state: dict) -> None:
-        """Install the snapshotted partitions (overwriting same-keyed ones)
-        and restore the message counters."""
-        for part in state["partitions"]:
-            self._dbs[(str(part["op"]), int(part["location"]))] = MemoDatabase.from_state(
-                part["db"]
-            )
-        self.query_messages = int(state["query_messages"])
-        self.insert_messages = int(state["insert_messages"])
 
     def entries(self, op: str | None = None) -> int:
         return sum(
@@ -263,24 +271,29 @@ class MemoShardRouter:
             "shards": [shard.state_dict() for shard in self.shards],
         }
 
-    def load_state(self, state: dict) -> None:
-        """Restore a service snapshot, re-routing every partition by its
-        chunk location.
+    def push_state(self, tree: dict) -> bool:
+        """Install a ``memo_state()`` tree of either layout, routing every
+        partition by its chunk location (overwriting same-keyed ones).
 
         Because shard membership is pure routing (the consistent
         ``shard_of_location`` map), a snapshot taken at any shard count
         restores onto any other: each partition simply lands on the shard
         that owns its location here.  Message counters are per-shard
         observations, so they are only restored when the topology matches.
+        Every database is rebuilt before the first one is installed — a
+        malformed partition leaves the tier untouched.
         """
-        shard_states = state["shards"]
-        for shard_state in shard_states:
-            for part in shard_state["partitions"]:
-                loc = int(part["location"])
-                self.shard_for(loc)._dbs[(str(part["op"]), loc)] = (
-                    MemoDatabase.from_state(part["db"])
-                )
-        if int(state["n_shards"]) == self.n_shards:
-            for shard, shard_state in zip(self.shards, shard_states):
+        restored = [
+            (str(p["op"]), int(p["location"]), MemoDatabase.from_state(p["db"]))
+            for p in memo_state_partitions(tree)
+        ]
+        for op, loc, db in restored:
+            self.shard_for(loc)._dbs[(op, loc)] = db
+        if tree.get("layout") == "sharded" and int(tree["n_shards"]) == self.n_shards:
+            for shard, shard_state in zip(self.shards, tree["shards"]):
                 shard.query_messages = int(shard_state["query_messages"])
                 shard.insert_messages = int(shard_state["insert_messages"])
+        return True
+
+    def close(self) -> None:
+        """Nothing to release in process (the TCP clients close sockets)."""

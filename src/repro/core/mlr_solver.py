@@ -88,28 +88,14 @@ class MLRSolver:
             # trained CNN encoder its keys were produced with — install it
             # instead of demanding a re-train
             encoder = CNNKeyEncoder.from_state(snapshot_tree["encoder_state"])
-        if (
-            self.config.n_workers > 1
-            or self.config.n_shards > 1
-            or self.config.memo.transport != "inproc"
-        ):
-            from .distributed import DistributedMemoizedExecutor
-
-            self.executor = DistributedMemoizedExecutor(
-                self.ops,
-                config=self.config.memo,
-                chunk_size=self.config.chunk_size,
-                encoder=encoder,
-                n_workers=self.config.n_workers,
-                n_shards=self.config.n_shards,
-            )
-        else:
-            self.executor = MemoizedExecutor(
-                self.ops,
-                config=self.config.memo,
-                chunk_size=self.config.chunk_size,
-                encoder=encoder,
-            )
+        self.executor = MemoizedExecutor(
+            self.ops,
+            config=self.config.memo,
+            chunk_size=self.config.chunk_size,
+            encoder=encoder,
+            n_workers=self.config.n_workers,
+            n_shards=self.config.n_shards,
+        )
         self.memo_executor = self.executor
         if self.config.pipeline is not None:
             from ..pipeline import PipelinedExecutor

@@ -96,8 +96,8 @@ def _trace_lookup(
     round-robin interleaving: paper chunk ``j`` inherits sim location
     ``j * n_sim // n_paper``.  Because both scales distribute contiguous
     location blocks over workers, this preserves the worker and shard
-    locality a :class:`~repro.core.distributed.DistributedMemoizedExecutor`
-    trace carries — the mode the sharded scaling experiment replays.
+    locality a :class:`~repro.core.memo_engine.MemoizedExecutor` trace
+    carries — the mode the sharded scaling experiment replays.
     """
     if trace is None:
         return None
@@ -154,10 +154,9 @@ def simulate_iteration(
     ``n_shards`` shards the memory node's index database over independent
     service engines: each coalesced message is split into per-shard
     sub-batches using the same consistent location -> shard routing the
-    numeric :class:`~repro.core.distributed.DistributedMemoizedExecutor`
-    uses, each shard searches only its ~1/N share of the keys, and the
-    sub-batches are serviced concurrently — the Figure 14 workers x shards
-    scaling surface.
+    numeric :class:`~repro.core.memo_engine.MemoizedExecutor` uses, each
+    shard searches only its ~1/N share of the keys, and the sub-batches are
+    serviced concurrently — the Figure 14 workers x shards scaling surface.
     """
     if variant not in _VARIANT_OPS:
         raise ValueError(f"variant must be one of {sorted(_VARIANT_OPS)}")

@@ -136,6 +136,7 @@ class FaultSocket:
         self._sock = sock
         self._site = site
         self._poisoned = False  # single-owner: one connection, its I/O thread
+        self._recv_fault: str | None = None  # decided per frame, applied by recv()
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
@@ -185,11 +186,19 @@ class FaultSocket:
         self.sendall(data, *args)
         return len(data)
 
-    def recv(self, bufsize, *args):
+    def before_frame(self) -> None:
+        """The recv-side decision point: the frame reader calls it once per
+        frame it is about to read.  Deciding per ``recv()`` call would make
+        the ``:recv`` stream follow kernel segmentation — one frame is one
+        to several calls, and several frames can arrive in one — so the
+        frame a fault lands on, and with it everything downstream (replays,
+        reconnects, every later op index), would vary from run to run under
+        one seed.  A ``drop`` breaks the connection here; ``truncate`` and
+        ``bitflip`` act on the next bytes actually received."""
         self._check_poisoned()
         event = self._decide("recv")
         if event is None:
-            return self._sock.recv(bufsize, *args)
+            return
         if event.delay_s > 0:
             time.sleep(event.delay_s)
         if event.kind == "drop":
@@ -197,11 +206,17 @@ class FaultSocket:
             raise ConnectionResetError(
                 f"[fault-injection] dropped recv at {self._site}"
             )
-        if event.kind == "truncate":
+        if event.kind in ("truncate", "bitflip"):
+            self._recv_fault = event.kind
+
+    def recv(self, bufsize, *args):
+        self._check_poisoned()
+        kind, self._recv_fault = self._recv_fault, None
+        if kind == "truncate":
             self._poisoned = True
             return b""  # mid-stream EOF
         data = self._sock.recv(bufsize, *args)
-        if event.kind == "bitflip" and data:
+        if kind == "bitflip" and data:
             flipped = bytearray(data)
             flipped[len(flipped) // 2] ^= 0x01
             return bytes(flipped)

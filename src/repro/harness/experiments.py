@@ -533,7 +533,7 @@ def fig14_scaling(
 class ShardedScalingResult:
     """Figure 14 companion: the workers x shards scaling surface.
 
-    The numeric run is executed once with the distributed executor (private
+    The numeric run is executed once at ``n_workers x n_shards`` (private
     caches make the numerics independent of the worker/shard counts); its
     per-worker and per-shard statistics are reported directly, and its
     worker-tagged steady-state trace is replayed on the DES across the
@@ -603,7 +603,7 @@ def fig14_sharded(
     """The distributed-memoization scaling study (paper Sections 4.3/5.2).
 
     Runs the real (scaled-down) reconstruction on a
-    :class:`~repro.core.distributed.DistributedMemoizedExecutor` with
+    :class:`~repro.core.memo_engine.MemoizedExecutor` with
     ``n_workers x n_shards``, then replays its worker-tagged steady trace on
     the DES over the ``grid_workers x grid_shards`` surface.  ``db_keys`` is
     the modeled beamline-scale key population — large enough that index
@@ -624,7 +624,7 @@ def fig14_sharded(
     result = solver.reconstruct(data)
     ex = solver.executor
 
-    shard_stats = ex.per_shard_db_stats()
+    shard_stats = ex.router.per_shard_stats()
     coalesce = ex.per_worker_coalesce_stats()
     trace = _steady_trace(result.events, sim_outer - 1)
 
@@ -980,6 +980,7 @@ def _snapshot_proof(executor, snapshot_dir: str | None) -> tuple[bool, int, int]
     import numpy as np
 
     from ..core.memo_db import MemoDatabase
+    from ..core.memo_shard import memo_state_partitions
     from ..service.snapshot import load_memo_snapshot, save_memo_snapshot
 
     own_tmp = snapshot_dir is None
@@ -991,22 +992,22 @@ def _snapshot_proof(executor, snapshot_dir: str | None) -> tuple[bool, int, int]
         )
         loaded = {
             (p["op"], int(p["location"])): MemoDatabase.from_state(p["db"])
-            for p in load_memo_snapshot(path)["partitions"]
+            for p in memo_state_partitions(load_memo_snapshot(path))
         }
         rng = np.random.default_rng(0)
-        identical = True
-        for op, state in executor._state.items():
-            for loc, live in state.dbs.items():
+        identical, n_parts = True, 0
+        for shard in executor.router.shards:
+            for (op, loc), live in shard._dbs.items():
                 probes = [k.copy() for k in live._keys.values()]
                 probes += [k + rng.normal(0, 1e-3, k.shape).astype(np.float32)
                            for k in probes[:8]]
                 probes.append(np.zeros(live.dim, dtype=np.float32))
+                n_parts += 1
                 restored = loaded.pop((op, int(loc)))
                 if not _outcomes_identical(
                     live.query_batch(probes), restored.query_batch(probes)
                 ):
                     identical = False
-        n_parts = sum(len(s.dbs) for s in executor._state.values())
         identical = identical and not loaded  # no extra partitions either
         return identical, n_parts, nbytes
     finally:

@@ -1,10 +1,11 @@
 """Remote memo client: the :class:`~repro.core.memo_shard.MemoShardRouter`
 surface over a TCP connection to a :class:`~repro.net.server.MemoServerDaemon`.
 
-:class:`RemoteMemoClient` is what the distributed executor swaps in when
+:class:`RemoteMemoClient` is the tier the memoized executor builds when
 ``MemoConfig(transport="tcp")`` is set: it speaks the same batched
-``query_batch`` / ``insert_batch`` / ``stats`` / ``state_dict`` vocabulary
-as the in-process router, so every caller above it is transport-blind.
+``query_batch`` / ``insert_batch`` / ``stats`` / ``state_dict`` /
+``push_state`` vocabulary as the in-process router, so every caller above
+it is transport-blind.
 
 Three behaviors define it:
 
@@ -781,7 +782,3 @@ class RemoteMemoClient:
                 raise
             log.warning("snapshot push dropped (server unreachable): %s", exc)
             return False
-
-    # alias: the router's load_state vocabulary
-    def load_state(self, tree: dict) -> None:
-        self.push_state(tree)

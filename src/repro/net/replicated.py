@@ -2,8 +2,8 @@
 
 :class:`ReplicatedMemoClient` speaks the exact
 :class:`~repro.core.memo_shard.MemoShardRouter` surface the single-server
-:class:`~repro.net.client.RemoteMemoClient` does, so the distributed
-executor swaps it in transparently when
+:class:`~repro.net.client.RemoteMemoClient` does, so the memoized
+executor builds it instead when
 ``MemoConfig(server_address=[addr, ...], replication=N)`` names more than
 one daemon.  Semantics:
 
@@ -532,9 +532,6 @@ class ReplicatedMemoClient:
         if not pushed and not self.fail_open:
             raise TransportUnavailable("no live replica accepted the push")
         return pushed
-
-    def load_state(self, tree: dict) -> None:
-        self.push_state(tree)
 
     # -- anti-entropy --------------------------------------------------------------------
 

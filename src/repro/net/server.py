@@ -334,7 +334,7 @@ class MemoServerDaemon:
             )
             return
         self._check_push(tree)
-        self.router.load_state(tree)
+        self.router.push_state(tree)
         self._remember_encoder(tree)
         log.info(
             "warm-started %d partitions from %s",

@@ -435,6 +435,9 @@ class FrameReader:
         self._sock = sock
         self._max_payload = max_payload
         self._buf = bytearray()
+        # fault-injection seam: recv-side faults are decided once per frame,
+        # not per recv() call (see FaultSocket.before_frame for why)
+        self._before_frame = getattr(sock, "before_frame", None)
 
     def _fill(self, n: int, started: bool) -> None:
         """Buffer at least ``n`` bytes; EOF raises ConnectionClosed at a
@@ -466,6 +469,11 @@ class FrameReader:
     def read_frame(self):
         """Read and validate one frame; raises typed errors, never hangs on
         malformed input (a bad frame poisons the stream, so callers close)."""
+        if self._before_frame is not None:
+            try:
+                self._before_frame()
+            except OSError as exc:
+                raise TruncatedFrame(f"connection lost mid-frame: {exc}") from exc
         self._fill(_HEADER.size, started=False)
         magic, version, msg_type, _flags, request_id, length, crc = _HEADER.unpack_from(
             self._buf, 0

@@ -1,10 +1,9 @@
 """Pipelined executor: the ``pipeline=`` execution mode of the solver.
 
 :class:`PipelinedExecutor` wraps any chunk-streaming executor
-(:class:`~repro.solvers.executor.DirectExecutor`,
-:class:`~repro.core.memo_engine.MemoizedExecutor`, or
-:class:`~repro.core.distributed.DistributedMemoizedExecutor`) and turns
-every full-array operation into a three-stage
+(:class:`~repro.solvers.executor.DirectExecutor` or
+:class:`~repro.core.memo_engine.MemoizedExecutor` at any workers x shards
+shape) and turns every full-array operation into a three-stage
 :class:`~repro.pipeline.pipeline.ChunkPipeline`: a reader thread produces
 input slabs, the wrapped executor's ``sweep_stream`` computes them in
 chunk order on the calling thread, and a writer thread assembles output

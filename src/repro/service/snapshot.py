@@ -44,7 +44,6 @@ import zipfile
 import numpy as np
 
 from ..ann.flat import FlatIndex
-from ..ann.hnsw import HNSWIndex
 from ..ann.ivf import IVFFlatIndex
 from ..core.keying import CNNKeyEncoder
 from ..core.memo_db import MemoDatabase
@@ -76,7 +75,7 @@ SNAPSHOT_VERSION = 2
 _MANIFEST = "manifest.json"
 _ARRAYS = "arrays.npz"
 
-_INDEX_TYPES = {"flat": FlatIndex, "ivf": IVFFlatIndex, "hnsw": HNSWIndex}
+_INDEX_TYPES = {"flat": FlatIndex, "ivf": IVFFlatIndex}
 
 
 class SnapshotError(RuntimeError):
@@ -357,7 +356,7 @@ def load_database(path) -> MemoDatabase:
 
 
 def save_index(path, index) -> dict:
-    """Snapshot one ANN index (Flat / IVF — trained or not — / HNSW)."""
+    """Snapshot one ANN index (Flat / IVF — trained or not)."""
     for tag, cls in _INDEX_TYPES.items():
         if type(index) is cls:
             return write_snapshot(

@@ -43,9 +43,10 @@ SWEEP_AXIS = {
 }
 
 #: Sweep-scheduled (memoizable) op -> its single-chunk kernel method.  The
-#: one dispatch table: ``chunk_kernel`` binds these on ``self`` (reaching
-#: memoizing overrides) and the distributed executor's raw dispatch binds
-#: them past :class:`~repro.core.memo_engine.MemoizedExecutor`.
+#: one dispatch table: ``chunk_kernel`` binds these for the chunk-at-a-time
+#: sweep, and :class:`~repro.core.memo_engine.MemoizedExecutor` — which
+#: intercepts at ``sweep_stream``, not per kernel — binds the same methods
+#: as the raw computation of a miss.
 SWEEP_KERNELS = {
     "Fu1D": "_run_fu1d",
     "Fu1D*": "_run_fu1d_adj",
@@ -112,7 +113,7 @@ class DirectExecutor:
         Processing is strictly in arrival order on the calling thread, so a
         pipelined run produces bit-identical numerics to the monolithic
         full-array path.  ``n_chunks`` is accepted for interface parity with
-        the distributed executor (which needs the sweep size up front).
+        the memoized executor (which needs the sweep size up front).
         """
         del n_chunks  # chunk-at-a-time execution needs no lookahead
         kernel = self.chunk_kernel(op)
@@ -168,7 +169,7 @@ class DirectExecutor:
             "F2D*", ((c, dhat[c.slice]) for c in chunks), len(chunks), axis=0
         )
 
-    # -- single-chunk kernels (overridden by the memoized executor) -------------------
+    # -- single-chunk kernels (the SWEEP_KERNELS table's targets) ----------------------
 
     def _run_fu1d(self, chunk, u_c: np.ndarray) -> np.ndarray:
         return self.ops.fu1d(u_c)

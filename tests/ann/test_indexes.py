@@ -1,13 +1,11 @@
-"""Flat / IVF / HNSW index behavior and recall guarantees."""
+"""Flat / IVF index behavior and recall guarantees."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.ann import FlatIndex, HNSWIndex, IVFFlatIndex
+from repro.ann import FlatIndex, IVFFlatIndex
 
 
 def dataset(rng, n=200, dim=8):
@@ -143,53 +141,6 @@ class TestIVF:
             b.search(row[None], k=1)
         sequential = b.n_distance_computations
         assert batched <= sequential
-
-
-class TestHNSW:
-    def test_empty_search(self):
-        idx = HNSWIndex(4)
-        d, i = idx.search(np.zeros((1, 4)))
-        assert np.all(i == -1)
-
-    def test_single_element(self, rng):
-        idx = HNSWIndex(4)
-        v = rng.standard_normal((1, 4)).astype(np.float32)
-        idx.add(v)
-        d, i = idx.search(v)
-        assert i[0, 0] == 0 and d[0, 0] < 1e-5
-
-    def test_recall_against_flat(self, rng):
-        vecs = dataset(rng, n=300)
-        hnsw = HNSWIndex(8, m=8, ef_construction=48, ef_search=32, seed=0)
-        hnsw.add(vecs)
-        flat = FlatIndex(8)
-        flat.add(vecs)
-        q = dataset(rng, n=40)
-        _, want = flat.search(q, k=1)
-        _, got = hnsw.search(q, k=1)
-        assert (got == want).mean() > 0.85
-
-    def test_insertion_rewires_graph(self, rng):
-        """The reconstruction cost the paper avoids: inserts touch existing
-        nodes' edge lists (unlike IVF's pure appends)."""
-        idx = HNSWIndex(8, m=4, seed=0)
-        idx.add(dataset(rng, n=100))
-        assert idx.n_edge_updates > 100
-
-    def test_dim_mismatch(self, rng):
-        idx = HNSWIndex(4)
-        with pytest.raises(ValueError):
-            idx.add(rng.standard_normal((2, 5)).astype(np.float32))
-
-    @given(seed=st.integers(0, 1000))
-    @settings(max_examples=10, deadline=None)
-    def test_nearest_self_query(self, seed):
-        rng = np.random.default_rng(seed)
-        vecs = rng.standard_normal((60, 6)).astype(np.float32)
-        idx = HNSWIndex(6, m=6, ef_search=24, seed=seed)
-        idx.add(vecs)
-        _, got = idx.search(vecs[:10], k=1)
-        assert (got[:, 0] == np.arange(10)).mean() >= 0.9
 
 
 class TestGrowableRows:

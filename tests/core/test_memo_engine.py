@@ -1,12 +1,28 @@
-"""Memoized executor: correctness invariants against the direct executor."""
+"""Memoized executor: correctness invariants against the direct executor,
+fleet-shape (workers x shards) equivalence, and the tier seam."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import MemoConfig, MemoizedExecutor, MLRConfig, MLRSolver
+from repro.core import (
+    KeyCoalescer,
+    MemoConfig,
+    MemoizedExecutor,
+    MemoShardRouter,
+    MLRConfig,
+    MLRSolver,
+    PipelineConfig,
+    shard_of_location,
+)
+from repro.core.memo_engine import make_db_factory, memo_state_partitions
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
+from repro.lamino.chunking import Chunk
 from repro.solvers import ADMMConfig, ADMMSolver, DirectExecutor, accuracy
 
 
@@ -30,6 +46,29 @@ def memo_cfg(**over):
 
 
 ADMM = ADMMConfig(n_outer=6, n_inner=3, step_max_rel=4.0)
+
+
+def run_chunk(ex, op, payload, hi):
+    """One single-chunk sweep of ``op`` through the public seam."""
+    chunk = Chunk(index=0, axis=0, lo=0, hi=hi)
+    [(_chunk, out)] = list(ex.sweep_stream(op, [(chunk, payload)], n_chunks=1))
+    return out
+
+
+def rand_chunk(seed, shape=(4, 16, 16)):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+        np.complex64
+    )
+
+
+@pytest.fixture(scope="module")
+def reference(problem):
+    """The 1 worker x 1 shard run every fleet shape is compared to."""
+    g, ops, truth, d = problem
+    ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4)
+    res = ADMMSolver(ops, ADMM, executor=ex).run(d)
+    return ex, res
 
 
 class TestEquivalence:
@@ -109,111 +148,129 @@ class TestAffineReuse:
         """A pure rescaling of a stored chunk must be served (nearly)
         exactly — the linearity property affine reuse exploits."""
         g, ops, truth, d = problem
-        from repro.lamino.chunking import Chunk
-
         cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)  # past warmup
-        rng = np.random.default_rng(0)
-        chunk = Chunk(index=0, axis=0, lo=0, hi=4)
-        x = (rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))).astype(np.complex64)
-        first = ex._run_fu1d(chunk, x)
-        served = ex._run_fu1d(chunk, (2.0 * x).astype(np.complex64))
+        x = rand_chunk(0)
+        run_chunk(ex, "Fu1D", x, 4)
+        served = run_chunk(ex, "Fu1D", (2.0 * x).astype(np.complex64), 4)
         true = ops.fu1d(2.0 * x)
         assert ex.events[-1].case in ("db_hit", "cache_hit")
         assert np.linalg.norm(served - true) < 1e-3 * np.linalg.norm(true)
-        del first
 
     def test_dc_shift_served_exactly(self, problem):
         """Adding a DC offset to a stored chunk is handled exactly by the
         dc-basis correction."""
         g, ops, truth, d = problem
-        from repro.lamino.chunking import Chunk
-
         cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
-        rng = np.random.default_rng(1)
-        chunk = Chunk(index=1, axis=0, lo=4, hi=8)
-        x = (rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))).astype(np.complex64)
-        ex._run_fu1d(chunk, x)
+        x = rand_chunk(1)
+        run_chunk(ex, "Fu1D", x, 4)
         shifted = (x + (0.5 - 0.25j)).astype(np.complex64)
-        served = ex._run_fu1d(chunk, shifted)
+        served = run_chunk(ex, "Fu1D", shifted, 4)
         true = ops.fu1d(shifted)
         assert ex.events[-1].case in ("db_hit", "cache_hit")
         assert np.linalg.norm(served - true) < 1e-2 * np.linalg.norm(true)
 
     def test_fused_subtraction_applied_after_reuse(self, problem):
+        """The fused Fu2D kernel's dhat slab rides in the payload and is
+        subtracted outside the memoized (linear) region."""
         g, ops, truth, d = problem
-        from repro.lamino.chunking import Chunk
-
         cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=16)
         ex.begin_outer(1)
-        rng = np.random.default_rng(2)
-        chunk = Chunk(index=0, axis=0, lo=0, hi=16)
-        x = (rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))).astype(np.complex64)
-        sub = (rng.standard_normal(g.data_shape) + 0j).astype(np.complex64)
-        ex._run_fu2d(chunk, x, None)  # prime
-        out = ex._run_fu2d(chunk, x, sub)  # cache hit + subtraction outside
+        x = rand_chunk(2, (16, 16, 16))
+        sub = (np.random.default_rng(2).standard_normal(g.data_shape) + 0j).astype(
+            np.complex64
+        )
+        run_chunk(ex, "Fu2D", (x, None), 16)  # prime
+        out = run_chunk(ex, "Fu2D", (x, sub), 16)  # cache hit + subtraction outside
+        assert ex.events[-1].case == "cache_hit"
         want = ops.fu2d(x) - sub
         assert np.linalg.norm(out - want) < 1e-3 * np.linalg.norm(want)
 
 
 class TestCoalescerFlush:
+    @staticmethod
+    def drained(ex):
+        return all(w.coalescer.pending == 0 and not w.pending for w in ex.workers)
+
     def test_no_pending_keys_after_each_sweep(self, problem):
         """Regression: the tail batch of every op sweep must be force-emitted
         — a leaked tail skews the Figure 11 message statistics."""
         g, ops, truth, d = problem
-        ex = MemoizedExecutor(ops, config=memo_cfg(warmup_iterations=0), chunk_size=4)
+        ex = MemoizedExecutor(
+            ops, config=memo_cfg(warmup_iterations=0), chunk_size=4, n_workers=2
+        )
         ex.begin_outer(1)
         rng = np.random.default_rng(0)
         u = (rng.standard_normal((16, 16, 16)) + 0j).astype(np.complex64)
         for sweep in (ex.fu1d, ex.fu1d_adj):
             sweep(u)
-            assert ex.coalescer.pending == 0
+            assert self.drained(ex)
         r = (rng.standard_normal(g.data_shape) + 0j).astype(np.complex64)
         ex.fu2d_adj(r)
-        assert ex.coalescer.pending == 0
+        assert self.drained(ex)
 
     def test_begin_inner_flushes(self, problem):
         g, ops, truth, d = problem
         ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4)
-        ex.coalescer.offer(("Fu1D", 0))
-        assert ex.coalescer.pending == 1
+        coalescer = ex.workers[0].coalescer
+        coalescer.offer(("Fu1D", 0))
+        assert coalescer.pending == 1
         ex.begin_inner(0)
-        assert ex.coalescer.pending == 0
-        assert ex.coalescer.stats.messages == 1
+        assert coalescer.pending == 0
+        assert ex.coalesce_stats().messages == 1
 
     def test_message_count_for_non_multiple_key_stream(self, problem):
-        """7 keys at 3 keys/message must yield exactly 3 messages (2 full +
-        1 tail), with every key accounted for."""
+        """A 7-chunk sweep at 3 keys/message must leave as exactly 3
+        messages (2 full + 1 tail), every key reaching the database."""
         g, ops, truth, d = problem
-        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4)
-        ex.coalescer = type(ex.coalescer)(key_bytes=100, payload_bytes=300)
-        for i in range(7):
-            ex.coalescer.offer(("Fu1D", i))
-        ex.flush_coalescers()
-        stats = ex.coalescer.stats
+        cfg = memo_cfg(warmup_iterations=0, cache=None)
+        ex = MemoizedExecutor(ops, config=cfg, chunk_size=2)
+        ex.workers[0].coalescer = KeyCoalescer(key_bytes=100, payload_bytes=300)
+        ex.begin_outer(1)
+        u = rand_chunk(3, (14, 16, 16))
+        chunks = [Chunk(index=i, axis=0, lo=2 * i, hi=2 * i + 2) for i in range(7)]
+        outs = list(ex.sweep_stream("Fu1D", [(c, u[c.slice]) for c in chunks], 7))
+        assert len(outs) == 7
+        stats = ex.coalesce_stats()
         assert stats.keys == 7
         assert stats.messages == 3
         assert stats.batch_sizes == [3, 3, 1]
         assert stats.mean_batch == pytest.approx(7 / 3)
-        assert ex.coalescer.pending == 0
+        assert ex.db_stats("Fu1D").queries == 7
+        assert self.drained(ex)
 
-    def test_full_run_leaves_nothing_pending_and_counts_every_key(self, problem):
+    def test_abandoned_sweep_discards_buffered_keys(self, problem):
+        """A dead sweep must not leak keys into the next sweep's messages."""
         g, ops, truth, d = problem
-        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4)
-        ADMMSolver(ops, ADMM, executor=ex).run(d)
-        stats = ex.coalescer.stats
-        assert ex.coalescer.pending == 0
+        cfg = memo_cfg(warmup_iterations=0, cache=None)
+        ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
+        ex.begin_outer(1)
+        u = rand_chunk(4, (16, 16, 16))
+        chunks = [Chunk(index=i, axis=0, lo=4 * i, hi=4 * i + 4) for i in range(4)]
+
+        def broken():
+            yield chunks[0], u[chunks[0].slice]
+            yield chunks[1], u[chunks[1].slice]
+            raise RuntimeError("reader died")
+
+        with pytest.raises(RuntimeError, match="reader died"):
+            list(ex.sweep_stream("Fu1D", broken(), 4))
+        assert self.drained(ex)
+        stats = ex.coalesce_stats()
+        assert (stats.keys, stats.messages) == (0, 0)
+
+    def test_full_run_leaves_nothing_pending_and_counts_every_key(self, reference):
+        ex, _res = reference
+        stats = ex.coalesce_stats()
+        assert self.drained(ex)
         assert stats.keys > 0
         assert stats.keys == sum(stats.batch_sizes)
         # every offered key reached the database as a query
-        total_queries = sum(
-            ex.db_stats(op).queries for op in ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")
-        )
-        assert stats.keys == total_queries
+        assert stats.keys == ex.db_stats_total().queries
 
 
 class TestPerOpLocationCounts:
@@ -232,8 +289,14 @@ class TestPerOpLocationCounts:
         g = LaminoGeometry((24, 16, 16), n_angles=12, det_shape=(16, 16), tilt_deg=61.0)
         ops = LaminoOperators(g)
         ex = MemoizedExecutor(ops, config=memo_cfg(cache="global"), chunk_size=4)
-        assert ex._state["Fu1D"].cache.capacity == 6
-        assert ex._state["Fu2D"].cache.capacity == 4
+        assert ex.workers[0].caches["Fu1D"].capacity == 6
+        assert ex.workers[0].caches["Fu2D"].capacity == 4
+        # a fleet's total cache memory equals the single-worker baseline
+        ex = MemoizedExecutor(
+            ops, config=memo_cfg(cache="global"), chunk_size=4, n_workers=2
+        )
+        assert [w.caches["Fu1D"].capacity for w in ex.workers] == [3, 3]
+        assert [w.caches["Fu2D"].capacity for w in ex.workers] == [2, 2]
 
     def test_explicit_override_wins(self):
         g = LaminoGeometry((24, 16, 16), n_angles=12, det_shape=(16, 16), tilt_deg=61.0)
@@ -268,8 +331,6 @@ class TestReconstructEdgeCases:
         factor degenerates to 0 and the served value must be exactly
         dc_q * basis — the DC-only reconstruction."""
         g, ops, truth, d = problem
-        from repro.lamino.chunking import Chunk
-
         ex = self._executor(ops)
         chunk = Chunk(index=0, axis=0, lo=0, hi=4)
         dc_a, dc_q = 0.7 - 0.2j, -0.3 + 0.5j
@@ -284,39 +345,29 @@ class TestReconstructEdgeCases:
 
     def test_scale_correction_off_returns_raw_copy(self, problem):
         g, ops, truth, d = problem
-        from repro.lamino.chunking import Chunk
-
         ex = self._executor(ops, scale_correction=False)
-        chunk = Chunk(index=0, axis=0, lo=0, hi=4)
-        rng = np.random.default_rng(5)
-        x = (rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))).astype(np.complex64)
-        stored = ex._run_fu1d(chunk, x)
-        served = ex._run_fu1d(chunk, (2.0 * x).astype(np.complex64))
+        x = rand_chunk(5)
+        stored = run_chunk(ex, "Fu1D", x, 4)
+        served = run_chunk(ex, "Fu1D", (2.0 * x).astype(np.complex64), 4)
         assert ex.events[-1].case in ("db_hit", "cache_hit")
         # raw reuse: the stored value verbatim, not a rescaled estimate
         np.testing.assert_array_equal(served, stored)
         served[0, 0, 0] = 99.0  # must be a copy, not an alias of the cache
-        again = ex._run_fu1d(chunk, (2.0 * x).astype(np.complex64))
+        again = run_chunk(ex, "Fu1D", (2.0 * x).astype(np.complex64), 4)
         assert again[0, 0, 0] != 99.0
 
     def test_served_value_preserves_dtype(self, problem):
         g, ops, truth, d = problem
-        from repro.lamino.chunking import Chunk
-
         ex = self._executor(ops)
-        chunk = Chunk(index=1, axis=0, lo=4, hi=8)
-        rng = np.random.default_rng(6)
-        x = (rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))).astype(np.complex64)
-        ex._run_fu1d(chunk, x)
-        served = ex._run_fu1d(chunk, (1.5 * x).astype(np.complex64))
+        x = rand_chunk(6)
+        run_chunk(ex, "Fu1D", x, 4)
+        served = run_chunk(ex, "Fu1D", (1.5 * x).astype(np.complex64), 4)
         assert ex.events[-1].case in ("db_hit", "cache_hit")
         assert served.dtype == np.complex64
 
     def test_none_meta_returns_copy(self, problem):
         """A stored value without reuse metadata falls back to raw reuse."""
         g, ops, truth, d = problem
-        from repro.lamino.chunking import Chunk
-
         ex = self._executor(ops)
         chunk = Chunk(index=0, axis=0, lo=0, hi=4)
         value = np.arange(8, dtype=np.complex64)
@@ -351,6 +402,311 @@ class TestSimilarityCensusVectorized:
         census = ex.similarity_census("Fu2D", tau=0.5)
         assert census[0] == [0, 0, 0]
 
+# -- fleet shape: workers x shards is pure routing -----------------------------------------
+
+
+def event_trace(events):
+    """The event trace minus the routing tags (worker, shard)."""
+    return [
+        (e.outer, e.inner, e.op, e.chunk, e.case, e.similarity, e.key_bytes,
+         e.value_bytes)
+        for e in events
+    ]
+
+
+class TestFleetShapeEquivalence:
+    _refs: dict = {}
+
+    def ref(self, problem, chunk_size):
+        """The 1 x 1, private-cache, monolithic run at ``chunk_size``."""
+        if chunk_size not in self._refs:
+            g, ops, truth, d = problem
+            solver = MLRSolver(
+                g, MLRConfig(chunk_size=chunk_size, memo=memo_cfg()), admm=ADMM, ops=ops
+            )
+            res = solver.reconstruct(d)
+            self._refs[chunk_size] = (
+                res.u, event_trace(res.events), solver.memo_executor.db_stats_total()
+            )
+        return self._refs[chunk_size]
+
+    @given(
+        n_workers=st.integers(1, 4),
+        n_shards=st.integers(1, 3),
+        chunk_size=st.sampled_from([3, 4, 8, 16]),
+        pipeline=st.sampled_from([None, PipelineConfig()]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_shape_reproduces_one_by_one(
+        self, problem, n_workers, n_shards, chunk_size, pipeline
+    ):
+        """Private caches scope reuse to a location, and a location is owned
+        by one worker and one shard — so the fleet shape (and the pipelined
+        execution mode) changes which worker/shard a decision is tagged
+        with and nothing else: reconstruction, event trace and database
+        traffic equal the 1 x 1 run's."""
+        g, ops, truth, d = problem
+        ref_u, ref_trace, ref_db = self.ref(problem, chunk_size)
+        cfg = MLRConfig(
+            chunk_size=chunk_size, memo=memo_cfg(), n_workers=n_workers,
+            n_shards=n_shards, pipeline=pipeline,
+        )
+        solver = MLRSolver(g, cfg, admm=ADMM, ops=ops)
+        ex = solver.memo_executor
+        assert (ex.n_workers, ex.router.n_shards) == (n_workers, n_shards)
+        res = solver.reconstruct(d)
+        np.testing.assert_array_equal(ref_u, res.u)
+        assert event_trace(res.events) == ref_trace
+        assert ex.db_stats_total().as_dict() == ref_db.as_dict()
+
+    def test_aggregated_stats_match_one_by_one(self, problem, reference):
+        g, ops, truth, d = problem
+        ref_ex, _ = reference
+        ex = MemoizedExecutor(
+            ops, config=memo_cfg(), chunk_size=4, n_workers=4, n_shards=2
+        )
+        ADMMSolver(ops, ADMM, executor=ex).run(d)
+        for op in ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*"):
+            assert ex.db_stats(op).as_dict() == ref_ex.db_stats(op).as_dict()
+            assert ex.db_entries(op) == ref_ex.db_entries(op)
+            ref_cache = ref_ex.cache_stats(op)
+            cache = ex.cache_stats(op)
+            assert (cache.hits, cache.misses) == (ref_cache.hits, ref_cache.misses)
+
+    def test_invalid_counts_rejected(self, problem):
+        g, ops, truth, d = problem
+        with pytest.raises(ValueError):
+            MemoizedExecutor(ops, config=memo_cfg(), n_workers=0)
+        with pytest.raises(ValueError):
+            MemoizedExecutor(ops, config=memo_cfg(), n_shards=0)
+        with pytest.raises(ValueError):
+            MLRConfig(n_shards=0)
+
+
+class TestWorkersAndShards:
+    @pytest.fixture(scope="class")
+    def run(self, problem):
+        g, ops, truth, d = problem
+        ex = MemoizedExecutor(
+            ops, config=memo_cfg(), chunk_size=4, n_workers=4, n_shards=2
+        )
+        ADMMSolver(ops, ADMM, executor=ex).run(d)
+        return ex
+
+    def test_events_tag_owning_worker(self, run):
+        for ev in run.events:
+            assign = run.assignment_for(ev.op, run.n_locations_for(ev.op))
+            assert ev.worker == assign.owner_of(ev.chunk)
+
+    def test_events_tag_owning_shard(self, run):
+        for ev in run.events:
+            assert ev.shard == shard_of_location(ev.chunk, run.n_shards)
+
+    def test_every_worker_executed_and_coalesced(self, run):
+        workers = {ev.worker for ev in run.events}
+        assert workers == set(range(4))
+        for stats in run.per_worker_coalesce_stats():
+            assert stats.keys > 0
+            assert stats.messages > 0
+            assert stats.keys == sum(stats.batch_sizes)
+
+    def test_coalescers_drained_after_run(self, run):
+        assert TestCoalescerFlush.drained(run)
+
+    def test_shard_traffic_partitions_cleanly(self, run):
+        per = run.router.per_shard_stats()
+        agg = run.router.stats()
+        assert sum(s.queries for s in per) == agg.queries
+        assert sum(s.inserts for s in per) == agg.inserts
+        assert all(s.queries > 0 for s in per)
+
+    def test_shard_locations_respect_routing(self, run):
+        for shard in run.router.shards:
+            for loc in shard.locations():
+                assert shard_of_location(loc, run.n_shards) == shard.shard_id
+
+    def test_aggregated_coalesce_stats_cover_all_workers(self, run):
+        agg = run.coalesce_stats()
+        per = run.per_worker_coalesce_stats()
+        assert agg.keys == sum(s.keys for s in per) > 0
+        assert agg.messages == sum(s.messages for s in per) > 0
+        assert agg.keys == sum(agg.batch_sizes)
+
+    def test_reset_state_clears_service(self, run, problem):
+        g, ops, truth, d = problem
+        ex = MemoizedExecutor(
+            ops, config=memo_cfg(), chunk_size=4, n_workers=2, n_shards=2
+        )
+        ADMMSolver(ops, ADMM, executor=ex).run(d)
+        assert ex.router.entries() > 0
+        ex.reset_state()
+        assert ex.router.entries() == 0
+        assert TestCoalescerFlush.drained(ex)
+        assert ex.cache_stats("Fu1D").hits == 0
+
+
+# -- the tier seam --------------------------------------------------------------------------
+
+TIER_SURFACE = (
+    "query_batch", "insert_batch", "shard_of", "stats", "entries", "state_dict",
+    "push_state", "close",
+)
+
+
+class RecordingTier:
+    """A memo tier exposing *only* the eight methods the executor may use;
+    anything else the executor reached for would raise AttributeError."""
+
+    def __init__(self, n_shards: int) -> None:
+        self._router = MemoShardRouter(n_shards, make_db_factory(memo_cfg()))
+        self.calls: Counter = Counter()
+
+
+def _recorded(name):
+    def method(self, *args, **kwargs):
+        self.calls[name] += 1
+        return getattr(self._router, name)(*args, **kwargs)
+
+    return method
+
+
+for _name in TIER_SURFACE:
+    setattr(RecordingTier, _name, _recorded(_name))
+
+
+class TestTierSeam:
+    def test_eight_method_tier_runs_solve_and_state_round_trip(self, problem, reference):
+        g, ops, truth, d = problem
+        ref_ex, ref = reference
+        assert {n for n in vars(RecordingTier) if not n.startswith("_")} == set(
+            TIER_SURFACE
+        )
+        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4, n_workers=2)
+        tier = ex.router = RecordingTier(n_shards=2)
+        res = ADMMSolver(ops, ADMM, executor=ex).run(d)
+        np.testing.assert_array_equal(res.u, ref.u)
+        assert ex.case_counts() == ref_ex.case_counts()
+        assert ex.db_stats_total().as_dict() == ref_ex.db_stats_total().as_dict()
+        assert ex.db_entries_total() == ref_ex.db_entries_total()
+
+        fresh = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4)
+        fresh.router = RecordingTier(n_shards=1)
+        fresh.load_memo_state(ex.memo_state())
+        assert fresh.db_entries_total() == ex.db_entries_total()
+        assert fresh.db_stats_total().as_dict() == ex.db_stats_total().as_dict()
+        assert fresh.router.calls["push_state"] == 1
+
+        ex.close()
+        assert set(tier.calls + fresh.router.calls) == set(TIER_SURFACE)
+
+    def test_in_process_router_is_such_a_tier(self):
+        router = MemoShardRouter(2, make_db_factory(memo_cfg()))
+        assert all(callable(getattr(router, name)) for name in TIER_SURFACE)
+        assert router.close() is None
+
+
+# -- snapshot layouts -----------------------------------------------------------------------
+
+
+def assert_tree_equal(a, b, path="tree"):
+    assert type(a) is type(b) or (
+        isinstance(a, (list, tuple)) and isinstance(b, (list, tuple))
+    ), path
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            assert_tree_equal(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_tree_equal(x, y, f"{path}[{i}]")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), path
+    else:
+        assert a == b, path
+
+
+def sorted_partitions(state):
+    return sorted(
+        memo_state_partitions(state), key=lambda p: (p["op"], int(p["location"]))
+    )
+
+
+class TestSnapshotLayouts:
+    @pytest.fixture(scope="class")
+    def trees(self, reference):
+        """The same tier hand-built in both layouts: ``single`` (what every
+        snapshot written before the executors were unified, and
+        ``SharedMemoService._merged``, contain) and a 3-shard ``sharded``
+        one."""
+        ex, _ = reference
+        live = ex.memo_state()
+        parts = sorted_partitions(live)
+        assert len(parts) == 16  # 4 ops x 4 locations
+        single = {
+            "layout": "single",
+            "encoder": live["encoder"],
+            "encoder_state": None,
+            "partitions": parts,
+        }
+        sharded = {
+            "layout": "sharded",
+            "n_shards": 3,
+            "encoder": live["encoder"],
+            "encoder_state": None,
+            "shards": [
+                {
+                    "shard_id": s,
+                    "query_messages": 10 + s,
+                    "insert_messages": 20 + s,
+                    "partitions": [p for p in parts if int(p["location"]) % 3 == s],
+                }
+                for s in range(3)
+            ],
+        }
+        return parts, {"single": single, "sharded": sharded}
+
+    @pytest.mark.parametrize("layout", ["single", "sharded"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
+    def test_either_layout_loads_into_any_shape(self, problem, trees, layout, shape):
+        g, ops, truth, d = problem
+        parts, by_layout = trees
+        n_workers, n_shards = shape
+        ex = MemoizedExecutor(
+            ops, config=memo_cfg(), chunk_size=4, n_workers=n_workers,
+            n_shards=n_shards,
+        )
+        ex.load_memo_state(by_layout[layout])
+        saved = ex.memo_state()
+        assert (saved["layout"], saved["n_shards"]) == ("sharded", n_shards)
+        assert_tree_equal(sorted_partitions(saved), parts)
+        for shard in saved["shards"]:
+            for part in shard["partitions"]:
+                assert int(part["location"]) % n_shards == shard["shard_id"]
+        # per-shard message counters are observations of one topology
+        assert all(s["query_messages"] == 0 for s in saved["shards"])
+
+    def test_matching_topology_restores_message_counters(self, problem, trees):
+        g, ops, truth, d = problem
+        _parts, by_layout = trees
+        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4, n_shards=3)
+        ex.load_memo_state(by_layout["sharded"])
+        assert [s.query_messages for s in ex.router.shards] == [10, 11, 12]
+        assert [s.insert_messages for s in ex.router.shards] == [20, 21, 22]
+
+    def test_mismatched_snapshot_rejected_before_install(self, problem, trees):
+        g, ops, truth, d = problem
+        _parts, by_layout = trees
+        for over, match in (
+            (dict(tau=0.95), "tau"),
+            (dict(db_value_mode="bytes"), "value_mode"),
+            (dict(memo_ops=("Fu2D", "Fu2D*")), "not memoized here"),
+        ):
+            ex = MemoizedExecutor(ops, config=memo_cfg(**over), chunk_size=4)
+            with pytest.raises(ValueError, match=match):
+                ex.load_memo_state(by_layout["single"])
+            assert ex.router.entries() == 0
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -367,6 +723,10 @@ class TestConfigValidation:
     def test_invalid_memo_config(self, kwargs):
         with pytest.raises(ValueError):
             MemoConfig(**kwargs)
+
+    def test_invalid_cache_names_the_value(self):
+        with pytest.raises(ValueError, match=r"or None, got 'both'"):
+            MemoConfig(cache="both")
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):

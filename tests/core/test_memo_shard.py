@@ -196,7 +196,9 @@ class TestMemoDatabaseBatchAPI:
             np.testing.assert_array_equal(got.value, want.value)
         assert db_a.stats.query_batches == 1
         assert db_a.stats.insert_batches == 1
-        assert db_b.stats.query_batches == 0
+        # the scalar form is a one-item message
+        assert db_b.stats.query_batches == 6
+        assert db_b.stats.insert_batches == 6
 
     def test_empty_batches_are_noops(self):
         db = make_db(4)

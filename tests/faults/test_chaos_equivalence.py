@@ -31,6 +31,8 @@ from repro.obs import ObsConfig
 from repro.obs import runtime as obs
 from repro.solvers import ADMMConfig
 
+pytestmark = pytest.mark.slow
+
 ADMM = ADMMConfig(n_outer=5, n_inner=2, step_max_rel=4.0)
 
 
@@ -124,6 +126,13 @@ class TestChaosEquivalence:
         assert ref.op_counts == res.op_counts
 
     def test_same_seed_replays_same_fault_trace(self, problem):
+        """The whole trace — every site, op index and kind — is a function
+        of the seed.  That holds because every decision stream counts
+        something the traffic alone determines: ``:send`` one frame per op,
+        ``:recv`` one *frame* per op (not one ``recv()`` call — those follow
+        kernel segmentation, which used to move where a recv fault landed,
+        up to the reconnect handshake, and flaked this test 1 run in 10),
+        ``:connect`` and ``shardN`` one request per op."""
         signatures = []
         for _ in range(2):
             plan = FaultPlan(77, chaos_rules())

@@ -1,8 +1,10 @@
-"""FaultPlan determinism and rule semantics (no sockets involved)."""
+"""FaultPlan determinism and rule semantics, and the socket seam's op streams."""
 
 from __future__ import annotations
 
 import json
+import socket
+import threading
 
 import pytest
 
@@ -145,3 +147,50 @@ class TestRuntimeInstall:
         with faults.injected_faults(plan):
             with pytest.raises(ConnectionRefusedError):
                 faults.on_connect("client:x")
+
+
+class TestRecvDecisionsArePerFrame:
+    """The ``:recv`` stream must count *frames*, not ``recv()`` calls: how a
+    frame is segmented on arrival is kernel timing, and a seeded plan can
+    only replay against a count the traffic alone determines."""
+
+    @staticmethod
+    def read_frames(plan, writes, n_frames):
+        from repro.net.wire import FrameReader
+
+        a, b = socket.socketpair()
+        try:
+            with faults.injected_faults(plan):
+                reader = FrameReader(faults.wrap_socket(b, "client:x"))
+                sender = threading.Thread(target=lambda: [a.sendall(w) for w in writes])
+                sender.start()
+                frames = [reader.read_frame() for _ in range(n_frames)]
+                sender.join()
+            return frames
+        finally:
+            a.close()
+            b.close()
+
+    def test_segmentation_does_not_move_the_stream(self):
+        from repro.net.wire import MSG_PING, encode_frame
+
+        raw = [encode_frame(MSG_PING, rid, {"n": rid}) for rid in range(1, 5)]
+        coalesced = [b"".join(raw)]  # four frames in one segment
+        dribbled = [bytes([byte]) for frame in raw for byte in frame]
+        counts = []
+        for writes in (coalesced, dribbled):
+            plan = FaultPlan(0, (FaultRule("client:x:recv", "drop", prob=0.0),))
+            frames = self.read_frames(plan, writes, 4)
+            assert [rid for _type, rid, _body in frames] == [1, 2, 3, 4]
+            counts.append(plan._sites["client:x:recv"].op_count)
+        assert counts == [4, 4]
+
+    def test_drop_lands_on_the_same_frame_however_it_arrived(self):
+        from repro.net.wire import MSG_PING, TruncatedFrame, encode_frame
+
+        raw = [encode_frame(MSG_PING, rid, None) for rid in range(1, 4)]
+        for writes in ([b"".join(raw)], raw):
+            plan = FaultPlan(0, (FaultRule("client:x:recv", "drop", after=2),))
+            with pytest.raises(TruncatedFrame, match="dropped recv"):
+                self.read_frames(plan, writes, 3)
+            assert plan.trace_signature() == [("client:x:recv", 2, "drop", 0.0)]

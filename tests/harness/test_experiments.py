@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.harness import experiments as E
 from repro.harness.datasets import DATASETS, DatasetSpec, build
@@ -38,6 +39,7 @@ class TestExperimentsSmoke:
         assert set(r.counts) == {"top", "middle", "bottom"}
         assert all(v[0] == 0 for v in r.counts.values())
 
+    @pytest.mark.slow  # three datasets; the 13 s tail of the unit suite
     def test_fig08(self):
         r = E.fig08_overall(n_outer=10, sim_outer=4, quick=True)
         assert len(r.rows) == 3

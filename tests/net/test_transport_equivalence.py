@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import MemoConfig, MLRConfig, MLRSolver
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
-from repro.net import MemoServerDaemon, RemoteSnapshotStore
+from repro.net import MemoServerDaemon, RemoteMemoClient, RemoteSnapshotStore
 from repro.service import JobSpec, ReconstructionScheduler, ServiceConfig
 from repro.solvers import ADMMConfig
 
@@ -70,7 +70,7 @@ class TestBitIdentity:
                 memo_cfg(transport="tcp", server_address=srv.address),
                 n_workers=n_workers, n_shards=n_shards,
             )
-            assert solver.memo_executor.remote
+            assert isinstance(solver.memo_executor.router, RemoteMemoClient)
             assert solver.memo_executor.router.net_stats.degraded_queries == 0
         np.testing.assert_array_equal(ref.u, res.u)
         assert event_view(ref) == event_view(res)  # every hit/miss decision
@@ -95,8 +95,8 @@ class TestBitIdentity:
                     == ref_solver.memo_executor.db_entries(op)
                 )
             assert (
-                solver.memo_executor.per_shard_db_stats()[0].as_dict()
-                == ref_solver.memo_executor.per_shard_db_stats()[0].as_dict()
+                solver.memo_executor.router.per_shard_stats()[0].as_dict()
+                == ref_solver.memo_executor.router.per_shard_stats()[0].as_dict()
             )
 
     def test_value_mode_bytes_also_identical(self, problem):

@@ -86,6 +86,7 @@ class TestConfigure:
             ObsConfig(buckets_per_decade=0)
 
 
+@pytest.mark.slow  # spawns interpreters
 class TestEnvGate:
     def test_repro_obs_env_enables_at_import(self):
         code = (

@@ -284,6 +284,7 @@ def _free_port() -> int:
     return port
 
 
+@pytest.mark.slow  # spawns a server process
 class TestCrossProcess:
     def test_subprocess_server_dump_stitches(self, enabled, tmp_path):
         """The real thing: the daemon in its own process (own obs runtime,

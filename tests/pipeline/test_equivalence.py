@@ -148,14 +148,13 @@ class TestPipelineEquivalence:
     def test_abandoned_sweep_leaks_no_state(self, problem):
         """A pipelined sweep that dies mid-flight must not leak buffered
         queries/keys into the executor's next sweep."""
-        from repro.core.distributed import DistributedMemoizedExecutor
         from repro.core.memo_engine import MemoizedExecutor
         from repro.pipeline import ArraySource, ChunkPipeline
 
         geometry, ops, data = problem
         for make in (
             lambda: MemoizedExecutor(ops, config=_memo(), chunk_size=4),
-            lambda: DistributedMemoizedExecutor(
+            lambda: MemoizedExecutor(
                 ops, config=_memo(), chunk_size=4, n_workers=2, n_shards=2
             ),
         ):
@@ -176,8 +175,7 @@ class TestPipelineEquivalence:
             )
             with pytest.raises(OSError):
                 pipe.run()
-            workers = getattr(ex, "workers", [])
-            assert all(not w.pending for w in workers)
+            assert all(not w.pending for w in ex.workers)
             assert ex.coalesce_stats().keys == sum(
                 b for b in ex.coalesce_stats().batch_sizes
             )  # only *sent* keys are counted after the dead sweep

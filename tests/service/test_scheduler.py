@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import MemoConfig, MLRConfig
+from repro.core.memo_engine import memo_state_partitions
 from repro.lamino import LaminoGeometry, brain_like, simulate_data
 from repro.service import (
     AdmissionError,
@@ -357,7 +358,7 @@ class TestSharedMemo:
         reloaded = SharedMemoService()
         reloaded.load(tmp_path / "m")
         tree = reloaded.state()
-        assert tree is not None and tree["partitions"]
+        assert tree is not None and memo_state_partitions(tree)
         # a scheduler booted from the restored service warm-starts its jobs
         with ReconstructionScheduler(
             ServiceConfig(n_workers=1), memo_service=reloaded

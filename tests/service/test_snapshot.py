@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.ann import FlatIndex, HNSWIndex, IVFFlatIndex
+from repro.ann import FlatIndex, IVFFlatIndex
 from repro.core import CNNKeyEncoder, MemoDatabase
 from repro.kvstore import ArrayStore, KVStore, encode_array, store_from_state
 from repro.nn import ChunkEncoder
@@ -156,32 +156,25 @@ class TestIndexRoundTrips:
         restored.add(added)
         self.assert_search_identical(ix, restored)
 
-    def test_hnsw(self, tmp_path):
-        ix = HNSWIndex(self.dim, m=4, ef_construction=16, ef_search=8, seed=3)
-        ix.add(rand_keys(60, self.dim, seed=6))
-        save_index(tmp_path / "ix", ix)
-        restored = load_index(tmp_path / "ix")
-        assert len(restored) == len(ix)
-        assert restored.n_edge_updates == ix.n_edge_updates
-        self.assert_search_identical(ix, restored, k=2)
-        # the level RNG travels along: future inserts rewire identically
-        more = rand_keys(10, self.dim, seed=7)
-        ix.add(more)
-        restored.add(more)
-        assert ix._levels == restored._levels
-        assert ix._edges == restored._edges
-        self.assert_search_identical(ix, restored, k=2)
-
     def test_empty_indexes(self, tmp_path):
-        for ix in (FlatIndex(4), HNSWIndex(4)):
-            save_index(tmp_path / "e", ix)
-            restored = load_index(tmp_path / "e")
-            d, i = restored.search(np.zeros((1, 4), dtype=np.float32), k=2)
-            assert np.all(np.isinf(d)) and np.all(i == -1)
+        save_index(tmp_path / "e", FlatIndex(4))
+        restored = load_index(tmp_path / "e")
+        d, i = restored.search(np.zeros((1, 4), dtype=np.float32), k=2)
+        assert np.all(np.isinf(d)) and np.all(i == -1)
 
     def test_unknown_type_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match="unknown index type"):
             save_index(tmp_path / "ix", object())
+
+    def test_removed_hnsw_tag_fails_as_snapshot_error(self, tmp_path):
+        """An index snapshot written while the (never reachable) HNSW index
+        still existed must fail as a snapshot problem, not an import or
+        lookup error."""
+        write_snapshot(
+            tmp_path / "ix", {"index_type": "hnsw", "state": {}}, kind="ann-index"
+        )
+        with pytest.raises(SnapshotError, match="unknown index_type 'hnsw'"):
+            load_index(tmp_path / "ix")
 
 
 # -- key-value stores -------------------------------------------------------------------

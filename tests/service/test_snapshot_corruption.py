@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.core import MemoConfig, MLRConfig, MLRSolver
+from repro.core.memo_engine import memo_state_partitions
 from repro.faults import FaultPlan, FaultRule
 from repro.faults import runtime as faults
 from repro.lamino import LaminoGeometry, brain_like, simulate_data
@@ -145,7 +146,7 @@ class TestDurableWrite:
     def test_rewrite_over_existing_snapshot(self, snapshot_tree, snapshot_dir):
         write_snapshot(snapshot_dir, snapshot_tree, kind="memo-state")
         tree = read_snapshot(snapshot_dir, expect_kind="memo-state")
-        assert tree["partitions"]
+        assert memo_state_partitions(tree)
 
 
 class TestQuarantine:

@@ -31,7 +31,7 @@ def config(**over) -> MLRConfig:
 
 @pytest.fixture(scope="module")
 def first_job(problem):
-    """A completed first reconstruction (single-layout executor)."""
+    """A completed first reconstruction (1 worker x 1 shard)."""
     geometry, d1, _ = problem
     solver = MLRSolver(geometry, config(), admm=ADMM)
     solver.reconstruct(d1)
@@ -43,10 +43,8 @@ class TestMemoState:
         executor = first_job.memo_executor
         save_memo_snapshot(tmp_path / "m", executor)
         tree = load_memo_snapshot(tmp_path / "m")
-        assert tree["layout"] == "single"
-        assert len(tree["partitions"]) == sum(
-            len(s.dbs) for s in executor._state.values()
-        )
+        assert (tree["layout"], tree["n_shards"]) == ("sharded", 1)
+        assert len(tree["shards"][0]["partitions"]) == 16  # 4 ops x 4 locations
         fresh = MLRSolver(first_job.geometry, config(), admm=ADMM)
         fresh.memo_executor.load_memo_state(tree)
         assert fresh.memo_executor.db_entries_total() == executor.db_entries_total()
