@@ -1,10 +1,10 @@
-"""Memoization-service throughput: batched zero-copy vs scalar serialized.
+"""Memoization-service throughput: one batched message vs one key per message.
 
-The baseline is the pre-batching service shape: one scalar ``query`` per
-key (a Python loop with a full serialize/deserialize round-trip on every
-hit) against a ``value_mode="bytes"`` database.  The optimized path is one
-``query_batch`` message against the zero-copy ``value_mode="array"``
-database — the exact service path the sharded/distributed executors drive.
+Both sides run against the same kind of database (the zero-copy array
+value store): the baseline is the pre-batching service shape — a Python
+loop of one-key ``query`` / ``insert`` messages — and the optimized path is
+one ``query_batch`` / ``insert_batch`` message, the exact service path the
+memoized executor drives.
 """
 
 from __future__ import annotations
@@ -37,27 +37,22 @@ def _workload(quick: bool):
     return dim, keys, value, probes
 
 
-def _build(dim, keys, value, value_mode):
-    db = MemoDatabase(dim=dim, tau=0.9, train_min=32, value_mode=value_mode)
-    db.insert_batch([(k, value, None) for k in keys])
-    return db
-
 def run(quick: bool = True, repeat: int = 5) -> dict:
     dim, keys, value, probes = _workload(quick)
-    db_bytes = _build(dim, keys, value, "bytes")
-    db_array = _build(dim, keys, value, "array")
+    db = MemoDatabase(dim=dim, tau=0.9, train_min=32)
+    db.insert_batch([(k, value, None) for k in keys])
     probe_list = list(probes)
 
     def scalar_query_loop():
         for k in probe_list:
-            db_bytes.query(k)
+            db.query(k)
 
     def batched_query():
-        db_array.query_batch(probe_list)
+        db.query_batch(probe_list)
 
     # sanity: both paths agree on hit/miss before we time them
-    scalar_out = [db_bytes.query(k) for k in probe_list]
-    batch_out = db_array.query_batch(probe_list)
+    scalar_out = [db.query(k) for k in probe_list]
+    batch_out = db.query_batch(probe_list)
     assert [o.hit for o in scalar_out] == [o.hit for o in batch_out]
     assert any(o.hit for o in batch_out)
 
@@ -71,13 +66,12 @@ def run(quick: bool = True, repeat: int = 5) -> dict:
     ins_items = [(k, value, None) for k in probes]
 
     def scalar_insert_loop():
-        db = MemoDatabase(dim=dim, tau=0.9, train_min=32, value_mode="bytes")
+        fresh = MemoDatabase(dim=dim, tau=0.9, train_min=32)
         for k, v, m in ins_items:
-            db.insert(k, v, meta=m)
+            fresh.insert(k, v, meta=m)
 
     def batched_insert():
-        db = MemoDatabase(dim=dim, tau=0.9, train_min=32, value_mode="array")
-        db.insert_batch(ins_items)
+        MemoDatabase(dim=dim, tau=0.9, train_min=32).insert_batch(ins_items)
 
     insert = pair_entry(
         time_fn(scalar_insert_loop, repeat=repeat),

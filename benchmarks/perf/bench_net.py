@@ -7,9 +7,9 @@ key batch; the "optimized" side is the same batch through
 one framed, checksummed, round-tripped message costs on top of the raw
 service.  A second entry measures the pipelined insert path, where the
 client does not wait for acknowledgements and the gap narrows.  A third
-pair prices the replicated tier: one ``ReplicatedMemoClient`` over two
-loopback daemons vs the single-daemon client, i.e. what insert fan-out
-and primary-replica query routing cost on top of plain TCP.
+pair prices the replicated tier: the replication wrapper over two loopback
+daemons' clients vs the single-daemon client, i.e. what insert fan-out and
+primary-replica query routing cost on top of plain TCP.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 from repro.core import MemoConfig
 from repro.core.memo_engine import make_db_factory
 from repro.core.memo_shard import MemoShardRouter, ShardInsert, ShardQuery
-from repro.net import MemoServerDaemon, RemoteMemoClient
-from repro.net.replicated import ReplicatedMemoClient
+from repro.net import MemoServerDaemon, RemoteMemoClient, connect_tier
 
 from .harness import pair_entry, time_fn
 
@@ -110,7 +109,7 @@ def run(quick: bool = True, repeat: int = 5) -> dict:
         ) as r0, MemoServerDaemon(
             n_shards=N_SHARDS, memo=_memo(), name="memo-server-r1"
         ) as r1:
-            replicated = ReplicatedMemoClient(
+            replicated = connect_tier(
                 [r0.address, r1.address],
                 expect_tau=_memo().tau,
                 client_name="bench-replicated",

@@ -3,9 +3,9 @@
 Every benchmark times a (baseline, optimized) pair on identical inputs and
 reports best-of-N wall time plus the speedup.  The baseline is the honest
 pre-vectorization code path, which the source keeps runnable —
-:func:`repro.lamino.usfft.reference_kernels` for the kernels, scalar
-queries on a serialized-value database for the memo service — so the
-numbers are measured, never estimated.
+:func:`repro.lamino.usfft.reference_kernels` for the kernels, a loop of
+one-key messages for the memo service — so the numbers are measured, never
+estimated.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import platform
 import time
 from dataclasses import dataclass
 
-__all__ = ["Timing", "time_fn", "pair_entry", "write_json", "RESULTS_DIR", "ROOT_JSON"]
+__all__ = ["Timing", "time_fn", "pair_entry", "write_json", "RESULTS_DIR", "RESULTS_JSON"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 RESULTS_DIR = os.path.join(_HERE, "..", "results")
-ROOT_JSON = os.path.join(_HERE, "..", "..", "BENCH_perf.json")
+RESULTS_JSON = os.path.join(RESULTS_DIR, "BENCH_perf.json")
 
 
 @dataclass
@@ -93,7 +93,7 @@ def machine_info() -> dict:
     }
 
 
-def write_json(payload: dict, paths=(ROOT_JSON,)) -> list[str]:
+def write_json(payload: dict, paths=(RESULTS_JSON,)) -> list[str]:
     written = []
     for path in paths:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)

@@ -4,12 +4,12 @@ Usage (from the repository root)::
 
     PYTHONPATH=src python benchmarks/perf/run_all.py [--quick]
 
-Writes the machine-readable results to the repository root
-(``BENCH_perf.json``) and to ``benchmarks/results/BENCH_perf.json`` (the CI
-artifact directory).  The ``acceptance`` block carries the two headline
-numbers this perf trajectory is gated on: the end-to-end ``MLRSolver.run``
-speedup and the batched memo-query speedup, both measured against the
-pre-vectorization baselines preserved in the source tree.
+Writes the machine-readable results to
+``benchmarks/results/BENCH_perf.json`` (the CI artifact directory) and
+appends one line to ``history.jsonl`` there.  These are kernel and service
+micro-benchmarks; whole-job wall time is the perf ledger's
+(``python -m benchmarks.ledger``).  The ``acceptance`` block carries the
+batched memo-query speedup over the one-key-per-message loop.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ sys.path.insert(0, os.path.join(_HERE, "..", ".."))  # make `benchmarks` importa
 
 from benchmarks.perf import (  # noqa: E402
     bench_construction,
-    bench_e2e,
     bench_memo,
     bench_net,
     bench_usfft,
 )
-from benchmarks.perf.harness import RESULTS_DIR, ROOT_JSON, machine_info, write_json  # noqa: E402
+from benchmarks.perf.harness import RESULTS_JSON, machine_info, write_json  # noqa: E402
 from benchmarks.perf.trend import HISTORY_PATH, append_history  # noqa: E402
 
 
@@ -41,7 +40,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output", default=None,
-        help="extra path to write the JSON to (besides the default two)",
+        help="extra path to write the JSON to (besides the default)",
     )
     args = parser.parse_args(argv)
     repeat = 3 if args.quick else 5
@@ -49,14 +48,12 @@ def main(argv=None) -> int:
     benchmarks: dict = {}
     print("[perf] usfft op sweeps (optimized vs reference kernels)...")
     benchmarks.update(bench_usfft.run(quick=args.quick, repeat=repeat))
-    print("[perf] memo service throughput (batched zero-copy vs scalar serialized)...")
+    print("[perf] memo service throughput (one batched message vs one key per message)...")
     benchmarks.update(bench_memo.run(quick=args.quick, repeat=repeat))
     print("[perf] remote transport round-trip overhead (loopback tcp vs inproc)...")
     benchmarks.update(bench_net.run(quick=args.quick, repeat=repeat))
     print("[perf] solver construction (one shared stack vs a cold stack per solver)...")
     benchmarks.update(bench_construction.run(quick=args.quick, repeat=repeat))
-    print("[perf] end-to-end MLRSolver.run (optimized vs reference hot path)...")
-    benchmarks.update(bench_e2e.run(quick=args.quick, repeat=2 if args.quick else 3))
 
     payload = {
         # /2: every timing block additionally carries p50_s/p95_s/p99_s
@@ -66,11 +63,10 @@ def main(argv=None) -> int:
         "machine": machine_info(),
         "benchmarks": benchmarks,
         "acceptance": {
-            "e2e_speedup": benchmarks["mlr_solver_run"]["speedup"],
             "memo_query_batch_speedup": benchmarks["memo_query_batch"]["speedup"],
         },
     }
-    paths = [ROOT_JSON, os.path.join(RESULTS_DIR, "BENCH_perf.json")]
+    paths = [RESULTS_JSON]
     if args.output:
         paths.append(args.output)
     for path in write_json(payload, paths):

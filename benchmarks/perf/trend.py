@@ -41,6 +41,7 @@ __all__ = [
     "append_history",
     "load_history",
     "compare",
+    "retired",
     "main",
 ]
 
@@ -108,7 +109,8 @@ def compare(prev: dict, cur: dict, threshold: float = 0.25) -> list[dict]:
     """Per-benchmark regression check: ``best_s`` (or a gauge) growing by
     more than ``threshold`` (relative) is a regression.  Benchmarks present
     in only one entry are skipped — adding or retiring a benchmark is not a
-    regression."""
+    regression (:func:`retired` names the ones that went, so the gate can
+    say what it no longer covers)."""
     regressions = []
     prev_best = {**(prev.get("best_s") or {}), **(prev.get("gauges") or {})}
     cur_best = {**(cur.get("best_s") or {}), **(cur.get("gauges") or {})}
@@ -122,6 +124,13 @@ def compare(prev: dict, cur: dict, threshold: float = 0.25) -> list[dict]:
                 {"benchmark": name, "prev_s": old, "cur_s": new, "ratio": ratio}
             )
     return regressions
+
+
+def retired(prev: dict, cur: dict) -> list[str]:
+    """Benchmarks (and gauges) the previous entry timed and the current one
+    does not: no longer gated from here on."""
+    gone = set(prev.get("best_s") or {}) | set(prev.get("gauges") or {})
+    return sorted(gone - set(cur.get("best_s") or {}) - set(cur.get("gauges") or {}))
 
 
 def main(argv=None) -> int:
@@ -161,6 +170,8 @@ def main(argv=None) -> int:
         print(msg + " — hardware, not code; passing")
         return 0
     regressions = compare(prev, cur, threshold=args.threshold)
+    for name in retired(prev, cur):
+        print(f"[trend] {name}: in the previous entry, not in this one — no longer gated")
     for reg in regressions:
         print(
             f"[trend] REGRESSION {reg['benchmark']}: "

@@ -43,9 +43,9 @@ def main() -> None:
           f"{n_workers} workers x {n_shards} shards")
 
     print("\nper-shard memoization service:")
-    for s, st in enumerate(ex.router.per_shard_stats()):
+    for s, (st, n_entries) in enumerate(ex.router.shard_stats()):
         print(f"  shard {s}: {st.queries} queries, hit rate {st.hit_rate:.0%}, "
-              f"{ex.router.per_shard_entries()[s]} entries")
+              f"{n_entries} entries")
     print("per-worker key coalescing:")
     for w, cs in enumerate(ex.per_worker_coalesce_stats()):
         print(f"  worker {w}: {cs.keys} keys in {cs.messages} messages "

@@ -21,15 +21,16 @@ registry (and that histogram buckets are cumulative), and writes the
 memo-tier heat report (``python -m repro.obs heat``) next to the dump.
 
 With ``--distributed`` the daemon instead runs as a separate *process*
-(``python -m repro.net.server``): trace context rides the request frames,
-the daemon's spans are drained over ``MSG_TRACE_PULL``, and the two JSONL
-dumps are merged into one stitched cross-process trace tree with the
-per-hop wire-cost table.
+(``python -m repro.net.server --telemetry-port``): trace context rides the
+request frames, the daemon's spans are read from its telemetry plane's
+``/snapshot``, and the two dumps are merged into one stitched
+cross-process trace tree with the per-hop wire-cost table.
 
 Run:  python examples/observability_demo.py [--quick] [--distributed] [--out DIR]
 """
 
 import argparse
+import json
 import os
 import re
 import socket
@@ -103,9 +104,9 @@ def _assert_cumulative_buckets(text: str) -> int:
     return n
 
 
-def spawn_server(port: int) -> subprocess.Popen:
-    """Start ``python -m repro.net.server`` with tracing enabled and wait
-    until its listener accepts."""
+def spawn_server(port: int, plane_port: int) -> subprocess.Popen:
+    """Start ``python -m repro.net.server`` with tracing enabled and a
+    telemetry plane, and wait until both listeners accept."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(repo, "src") + os.pathsep + env.get(
@@ -114,13 +115,16 @@ def spawn_server(port: int) -> subprocess.Popen:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.net.server",
          "--host", "127.0.0.1", "--port", str(port),
-         "--shards", "2", "--tau", "0.9"],
+         "--shards", "2", "--tau", "0.9",
+         "--telemetry-port", str(plane_port)],
         env=env, cwd=repo,
     )
     deadline = time.monotonic() + 20.0
     while time.monotonic() < deadline:
         try:
-            socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+            # the plane binds last: once it answers, both ports do
+            for p in (port, plane_port):
+                socket.create_connection(("127.0.0.1", p), timeout=1.0).close()
             return proc
         except OSError:
             time.sleep(0.1)
@@ -132,15 +136,17 @@ def run_distributed(args) -> int:
     g, ops, data = build_problem(args.quick)
     admm = ADMMConfig(n_outer=5 if args.quick else 8, n_inner=2,
                       step_max_rel=4.0)
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
+    ports = []
+    for _ in range(2):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            ports.append(s.getsockname()[1])
+    port, plane_port = ports
 
     print("== cross-process traced reconstruction ==")
-    proc = spawn_server(port)
+    proc = spawn_server(port, plane_port)
     print(f"spawned `python -m repro.net.server` (pid {proc.pid}) "
-          f"on 127.0.0.1:{port}")
+          f"on 127.0.0.1:{port}, telemetry plane on 127.0.0.1:{plane_port}")
     try:
         cfg = MLRConfig(
             chunk_size=4,
@@ -152,9 +158,12 @@ def run_distributed(args) -> int:
         result = solver.reconstruct(data)
         print(f"reconstructed: {result.u.shape}, "
               f"memoized fraction {100 * result.memoized_fraction:.0f}%")
-        # drain the daemon's span rings over the wire before closing
-        pulled = solver.memo_executor.router.trace_pull()
         solver.close()
+        # the daemon's side of the story, from its telemetry plane (what
+        # `python -m repro.obs report client.jsonl 127.0.0.1:PORT` reads)
+        pulled = json.loads(
+            _http_get(f"http://127.0.0.1:{plane_port}/snapshot").decode("utf-8")
+        )
     finally:
         proc.terminate()
         proc.wait(timeout=10)
@@ -165,11 +174,12 @@ def run_distributed(args) -> int:
     n_lines = dump_jsonl(local_path)
     server_path = os.path.join(out_dir, "observability_demo_server.jsonl")
     with open(server_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(dump_lines([], pulled["spans"],
-                                      pulled["dropped"])) + "\n")
+        fh.write("\n".join(dump_lines(
+            pulled["metrics"], pulled["spans"], pulled["meta"]["dropped_spans"]
+        )) + "\n")
     print(f"\nwrote {n_lines} client records to {local_path}")
     print(f"wrote {len(pulled['spans'])} server spans from "
-          f"'{pulled['server']}' to {server_path}")
+          f"'{pulled['meta']['server']}' to {server_path}")
 
     print("\n== stitched cross-process report "
           "(python -m repro.obs report client.jsonl server.jsonl) ==")
@@ -216,9 +226,8 @@ def main() -> int:
         print(f"reconstructed: {result.u.shape}, "
               f"memoized fraction {100 * result.memoized_fraction:.0f}%")
 
-        # the server's view, as a Prometheus scrape would see it
-        payload = solver.memo_executor.router.metrics()
-        prom = to_prometheus(payload["metrics"])
+        # the server's view, as a Prometheus scrape sees it
+        prom = _http_get(daemon.telemetry.url + "/metrics").decode("utf-8")
         served = [ln for ln in prom.splitlines()
                   if ln.startswith("net_server_") and "_max" not in ln
                   and "bucket" not in ln and "_sum" not in ln][:6]

@@ -128,7 +128,6 @@ def fail_open_demo(g, scans, admm) -> dict:
         n_workers=2, n_shards=2,
     )
     solver = MLRSolver(g, cfg, admm=admm)
-    solver.memo_executor.router.backoff_initial_s = 0.01
 
     def kill_at_iteration(it, _u, _info):
         if it == 1 and daemon.running:

@@ -67,12 +67,6 @@ class MemoConfig:
         can — a same-sweep cross-location hit is deferred to the next block
         (or sweep), which is the one place the fleet shape is not pure
         routing.
-    db_value_mode:
-        Value representation of the memoization database: ``"array"``
-        (default — zero-copy in-memory ndarrays; hits skip the
-        encode/decode round-trip while byte statistics still report the
-        serialized frame size) or ``"bytes"`` (values stored serialized, the
-        wire format the spill/offload paths use).
     transport / server_address / replication:
         Where the memoization database tier lives.  ``"inproc"`` (default)
         keeps the shard router in this process; ``"tcp"`` routes all
@@ -80,13 +74,14 @@ class MemoConfig:
         daemons at ``server_address`` — a single ``"host:port"`` (or
         ``(host, port)`` pair), a comma-separated ``"h1:p1,h2:p2"`` string,
         or a list of either — so multiple hosts share one memo tier.  More
-        than one address (or ``replication=N`` over a longer list) runs the
-        replicated client: inserts fan out to every live replica, queries
-        fail over per shard, and a killed replica degrades throughput, not
-        results.  The remote client is fail-open: an unreachable tier
-        degrades to cold compute, never a failed reconstruction.  Loopback
-        ``tcp`` is bit-identical to ``inproc`` at every workers x shards
-        layout, replicated or not.
+        than one address (or ``replication=N`` over a longer list) wraps
+        one client per daemon in the replication tier
+        (:func:`repro.net.connect_tier`): inserts fan out to every live
+        replica, queries fail over per shard, and a killed replica degrades
+        throughput, not results.  The remote client is fail-open: an
+        unreachable tier degrades to cold compute, never a failed
+        reconstruction.  Loopback ``tcp`` is bit-identical to ``inproc`` at
+        every workers x shards layout, replicated or not.
     heartbeat_interval_s:
         Replicated-client background health loop period (ping + circuit
         probes + anti-entropy resync of rejoined replicas).  ``None``
@@ -103,7 +98,6 @@ class MemoConfig:
     index_clusters: int = 16
     index_nprobe: int = 4
     index_train_min: int = 32
-    db_value_mode: str = "array"
     transport: str = "inproc"
     server_address: str | tuple | list | None = None
     replication: int | None = None
@@ -135,10 +129,6 @@ class MemoConfig:
         if self.cache not in ("private", "global", None):
             raise ValueError(
                 f"cache must be 'private', 'global' or None, got {self.cache!r}"
-            )
-        if self.db_value_mode not in ("array", "bytes"):
-            raise ValueError(
-                f"db_value_mode must be 'array' or 'bytes', got {self.db_value_mode!r}"
             )
         if self.key_hw < 2:
             raise ValueError(f"key_hw must be >= 2, got {self.key_hw}")
@@ -200,8 +190,8 @@ class MLRConfig:
         :meth:`~repro.core.mlr_solver.MLRSolver.save_memo_snapshot`), or an
         in-memory state tree from an executor's ``memo_state()``.  Loaded
         into the executor at solver construction; ``None`` starts cold.
-        The snapshot must have been taken at the same tau / value mode —
-        mismatches fail fast with a ``ValueError``.
+        The snapshot must have been taken at the same tau — a mismatch
+        fails fast with a ``ValueError``.
     obs:
         Observability knobs (:class:`~repro.obs.ObsConfig`).  When set, the
         solver installs it as the process-wide :mod:`repro.obs` runtime at

@@ -5,12 +5,11 @@ Two cooperating stores on the (simulated) memory node:
 - an **index database** organizing keys by similarity — an IVF ANN index
   (:class:`~repro.ann.IVFFlatIndex`), trained lazily on the first keys and
   supporting O(1) dynamic insertion,
-- a **value database** holding the FFT-operation outputs under integer ids.
-  Two representations are supported (``value_mode``): ``"array"`` (default)
-  keeps the ndarrays in memory — zero-copy hits, with byte *accounting*
-  identical to the serialized form — and ``"bytes"`` serializes through
-  :func:`~repro.kvstore.encode_array` (the wire format the spill/offload
-  paths use).
+- a **value database** holding the FFT-operation outputs under integer
+  ids: an :class:`~repro.kvstore.ArrayStore`, which keeps the ndarrays in
+  memory — zero-copy hits — while *accounting* every byte as the
+  serialized frame (:func:`~repro.kvstore.encode_array`) the wire and the
+  spill/offload paths would carry.
 
 A query encodes nothing itself: it receives a key vector, finds the nearest
 stored key, gates on the paper's Eq. 3 cosine-similarity threshold tau, and
@@ -30,19 +29,17 @@ same keys sent one per message, on trained and cold databases alike;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..ann.buffer import GrowableRows
 from ..ann.ivf import IVFFlatIndex
-from ..kvstore.serialization import decode_array, encode_array, encoded_nbytes
-from ..kvstore.store import ArrayStore, KVStore, store_from_state
+from ..kvstore.serialization import encoded_nbytes
+from ..kvstore.store import ArrayStore
 from ..obs import runtime as obs
 
 __all__ = ["MemoDBStats", "QueryOutcome", "MemoDatabase"]
-
-_VALUE_MODES = ("array", "bytes")
 
 
 @dataclass
@@ -97,27 +94,7 @@ class MemoDBStats:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "hits": self.hits,
-            "inserts": self.inserts,
-            "bytes_inserted": self.bytes_inserted,
-            "bytes_fetched": self.bytes_fetched,
-            "query_batches": self.query_batches,
-            "insert_batches": self.insert_batches,
-        }
-
-    def publish(self, **labels) -> None:
-        """Register these counters as ``memo_db_<field>`` gauges in the
-        :mod:`repro.obs` registry (no-op while observability is disabled).
-        Gauges, not counters: a stats object is a snapshot-valued total, so
-        each publish *sets* the authoritative value — publishing twice is
-        idempotent rather than double-counting."""
-        if not obs.enabled():
-            return
-        for fname, value in self.as_dict().items():
-            obs.gauge(f"memo_db_{fname}", **labels).set(value)
-        obs.gauge("memo_db_hit_rate", **labels).set(self.hit_rate)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -139,11 +116,9 @@ class QueryOutcome:
 class MemoDatabase:
     """Index + value store for one FFT operation's memoization table.
 
-    ``value_mode="array"`` (default) keeps values as read-only in-memory
-    ndarrays: hits return the stored array without a decode copy, while all
-    byte statistics still report the serialized frame size, so Figures
-    10/11/15 are unchanged.  ``value_mode="bytes"`` stores the serialized
-    payloads themselves.
+    Values are kept as read-only in-memory ndarrays: hits return the stored
+    array without a decode copy, while all byte statistics report the
+    serialized frame size (what Figures 10/11/15 count).
     """
 
     dim: int
@@ -151,10 +126,9 @@ class MemoDatabase:
     index_clusters: int = 16
     index_nprobe: int = 4
     train_min: int = 32
-    value_mode: str = "array"
 
     index: IVFFlatIndex = field(init=False)
-    values: KVStore = field(init=False)
+    values: ArrayStore = field(init=False)
     stats: MemoDBStats = field(init=False)
     _pretrain: GrowableRows = field(init=False, repr=False)
     _keys: dict = field(init=False, default_factory=dict)
@@ -163,14 +137,10 @@ class MemoDatabase:
     def __post_init__(self) -> None:
         if not (0.0 < self.tau <= 1.0):
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if self.value_mode not in _VALUE_MODES:
-            raise ValueError(
-                f"value_mode must be one of {_VALUE_MODES}, got {self.value_mode!r}"
-            )
         self.index = IVFFlatIndex(
             self.dim, n_clusters=self.index_clusters, nprobe=self.index_nprobe
         )
-        self.values = ArrayStore() if self.value_mode == "array" else KVStore()
+        self.values = ArrayStore()
         self.stats = MemoDBStats()
         self._pretrain = GrowableRows((self.dim,), np.float32)
 
@@ -196,15 +166,6 @@ class MemoDatabase:
             self._pretrain.clear()
             return int(ids[-1])
         return len(self._pretrain) - 1
-
-    def _store_value(self, new_id: int, value: np.ndarray) -> int:
-        """Persist one value; returns the accounted (serialized-frame) size."""
-        if self.value_mode == "bytes":
-            payload = encode_array(value)
-            self.values.put(new_id, payload)
-            return len(payload)
-        self.values.put(new_id, value)
-        return encoded_nbytes(value)
 
     def insert(self, key: np.ndarray, value: np.ndarray, meta=None) -> int:
         """DB.Put of one pair: a one-item :meth:`insert_batch` message."""
@@ -238,7 +199,8 @@ class MemoDatabase:
             self._keys[new_id] = key
             self._meta[new_id] = meta
             self.stats.inserts += 1
-            self.stats.bytes_inserted += self._store_value(new_id, value)
+            self.values.put(new_id, value)
+            self.stats.bytes_inserted += encoded_nbytes(value)
         self.stats.insert_batches += 1
         return ids
 
@@ -282,23 +244,13 @@ class MemoDatabase:
         )
         return sims
 
-    def _fetch(self, matched: int):
-        """Value-store read: ``(value, accounted nbytes)`` or ``None``."""
-        stored = self.values.get(matched)
-        if stored is None:
-            return None
-        if self.value_mode == "bytes":
-            return decode_array(stored), len(stored)
-        return stored, encoded_nbytes(stored)
-
     def _resolve(self, key: np.ndarray, matched: int, sim: float, n: int) -> QueryOutcome:
         """Shared hit/miss resolution once the nearest candidate is known."""
         if matched >= 0 and sim > self.tau:
-            fetched = self._fetch(matched)
-            if fetched is not None:
-                value, nbytes = fetched
+            value = self.values.get(matched)
+            if value is not None:
                 self.stats.hits += 1
-                self.stats.bytes_fetched += nbytes
+                self.stats.bytes_fetched += encoded_nbytes(value)
                 return QueryOutcome(value, sim, matched, n, self._meta.get(matched))
         if not self.index.is_trained:
             # cold-database misses never expose the scan's candidate id
@@ -385,7 +337,6 @@ class MemoDatabase:
                 "index_clusters": self.index_clusters,
                 "index_nprobe": self.index_nprobe,
                 "train_min": self.train_min,
-                "value_mode": self.value_mode,
             },
             "index": self.index.state_dict(),
             "values": self.values.state_dict(),
@@ -409,16 +360,9 @@ class MemoDatabase:
             index_clusters=int(cfg["index_clusters"]),
             index_nprobe=int(cfg["index_nprobe"]),
             train_min=int(cfg["train_min"]),
-            value_mode=str(cfg["value_mode"]),
         )
         db.index = IVFFlatIndex.from_state(state["index"])
-        db.values = store_from_state(state["values"])
-        expected = ArrayStore if db.value_mode == "array" else KVStore
-        if type(db.values) is not expected:
-            raise ValueError(
-                f"value store of type {type(db.values).__name__} does not match "
-                f"value_mode {db.value_mode!r}"
-            )
+        db.values = ArrayStore.from_state(state["values"])
         db.stats = MemoDBStats(**{k: int(v) for k, v in state["stats"].items()})
         pretrain = np.asarray(state["pretrain"], dtype=np.float32)
         if len(pretrain):

@@ -14,10 +14,9 @@ at the sweep seam.  It reproduces the paper's scalable deployment
   miss the cache are buffered and leave the worker as coalesced messages,
 - every emitted message goes to ``self.router`` — the **memoization
   database** tier on the memory node (Section 4.3.2): a
-  :class:`~repro.core.memo_shard.MemoShardRouter` in process, or a
-  :class:`~repro.net.client.RemoteMemoClient` /
-  :class:`~repro.net.replicated.ReplicatedMemoClient` over TCP — and is
-  serviced through the batched ``query_batch`` / ``insert_batch`` API,
+  :class:`~repro.core.memo_shard.MemoShardRouter` in process, or what
+  :func:`repro.net.connect_tier` builds over TCP — and is serviced
+  through the batched ``query_batch`` / ``insert_batch`` API,
 - misses are computed and their insertions dispatched as one batched
   message per sweep (insertion is asynchronous in the paper — nothing in
   the sweep depends on it).
@@ -69,9 +68,8 @@ __all__ = [
 
 def make_db_factory(config: MemoConfig):
     """Partition factory (``dim -> MemoDatabase``) carrying ``config``'s
-    tau / index / value-mode settings — shared by the executor and the
-    memo server daemon so every deployment shape builds identical
-    partitions."""
+    tau / index settings — shared by the executor and the memo server
+    daemon so every deployment shape builds identical partitions."""
 
     def make_db(dim: int) -> MemoDatabase:
         return MemoDatabase(
@@ -80,7 +78,6 @@ def make_db_factory(config: MemoConfig):
             index_clusters=config.index_clusters,
             index_nprobe=config.index_nprobe,
             train_min=config.index_train_min,
-            value_mode=config.db_value_mode,
         )
 
     return make_db
@@ -156,11 +153,12 @@ class MemoizedExecutor(DirectExecutor):
     """Chunk executor with the full mLR memoization stack: ``n_workers``
     simulated GPU workers against an ``n_shards`` database tier.
 
-    The tier is ``self.router``; the executor uses exactly ``query_batch``,
-    ``insert_batch``, ``shard_of``, ``stats``, ``entries``, ``state_dict``,
-    ``push_state`` and ``close`` of it, so anything exposing those eight is
-    a tier.  Per-shard breakdowns are the tier's own
-    (``executor.router.per_shard_stats()``).
+    The tier is ``self.router``, a
+    :class:`~repro.core.memo_shard.MemoTier`; the executor uses exactly
+    ``query_batch``, ``insert_batch``, ``shard_of``, ``stats``,
+    ``entries``, ``state_dict``, ``push_state`` and ``close`` of it.
+    Per-shard breakdowns are the tier's own
+    (``executor.router.shard_stats()``).
     """
 
     def __init__(
@@ -235,28 +233,18 @@ class MemoizedExecutor(DirectExecutor):
         if cfg.transport != "tcp":
             return MemoShardRouter(self.n_shards, make_db_factory(cfg))
         # the shard service lives in MemoServerDaemons (possibly on other
-        # hosts); both clients speak the router's exact surface.  One
-        # address gets the single client; more (or replication=N) get the
-        # replicated one — insert fan-out, per-shard query failover.
-        from ..net.client import RemoteMemoClient
-        from ..net.replicated import ReplicatedMemoClient
-        from ..net.wire import parse_address_list
+        # hosts): one address gets the TCP client, more (or replication=N)
+        # the replication tier over one client each
+        from ..net import connect_tier
 
-        addresses = parse_address_list(cfg.server_address)
-        common = dict(
+        return connect_tier(
+            cfg.server_address,
+            replication=cfg.replication,
+            heartbeat_interval_s=cfg.heartbeat_interval_s,
             expect_tau=cfg.tau,
-            expect_value_mode=cfg.db_value_mode,
             encoder_fingerprint=self._encoder_fingerprint(),
             n_shards_hint=self.n_shards,
         )
-        if len(addresses) > 1 or cfg.replication is not None:
-            return ReplicatedMemoClient(
-                addresses,
-                replication=cfg.replication,
-                heartbeat_interval_s=cfg.heartbeat_interval_s,
-                **common,
-            )
-        return RemoteMemoClient(addresses[0], **common)
 
     def _make_worker_cache(self, op: str):
         cfg = self.config
@@ -672,7 +660,7 @@ class MemoizedExecutor(DirectExecutor):
 
         Fails fast on a snapshot that would silently change memoization
         semantics under this executor's configuration (op not memoized
-        here, tau / value_mode / key-encoder provenance mismatch).  The
+        here, tau / key-encoder provenance mismatch).  The
         partitions are validated as raw trees and handed to the tier
         verbatim: either layout and any shard count load — partitions
         re-route by chunk location — and on a remote transport they travel
@@ -693,11 +681,6 @@ class MemoizedExecutor(DirectExecutor):
             if float(db_cfg["tau"]) != cfg.tau:
                 raise ValueError(
                     f"snapshot tau {db_cfg['tau']} != configured tau {cfg.tau}"
-                )
-            if str(db_cfg["value_mode"]) != cfg.db_value_mode:
-                raise ValueError(
-                    f"snapshot value_mode {db_cfg['value_mode']!r} != configured "
-                    f"{cfg.db_value_mode!r}"
                 )
         self.router.push_state(
             {

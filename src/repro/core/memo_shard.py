@@ -12,16 +12,20 @@ of the reproduction:
 - :func:`shard_of_location` — the one consistent location -> shard mapping,
   shared with the performance model (:mod:`repro.core.perfsim`) so the DES
   routes paper-scale query traffic exactly like the numeric run,
+- :class:`MemoTier` — the tier as everything above it sees it: the few
+  primitives an implementation supplies and the derived half (``shard_of``,
+  ``stats``, ``entries``, context manager, health) written once.  The
+  in-process router here, the TCP client and the replication wrapper in
+  :mod:`repro.net` are its three implementations, and they compose: the
+  wrapper replicates over *any* list of tiers,
 - :class:`MemoShard` — one shard: the per ``(op, location)``
   :class:`~repro.core.memo_db.MemoDatabase` partitions it owns (each
-  partition bundles its own ANN index and :class:`~repro.kvstore.KVStore`),
-  served through the batched ``query_batch`` / ``insert_batch`` API,
-- :class:`MemoShardRouter` — the client-side router: groups a coalesced key
-  batch by owning shard, dispatches the per-shard sub-batches, reassembles
-  outcomes in request order, and aggregates statistics across shards.  It
-  is the in-process *tier* of
-  :class:`~repro.core.memo_engine.MemoizedExecutor` (the TCP clients in
-  :mod:`repro.net` are the remote ones).
+  partition bundles its own ANN index and
+  :class:`~repro.kvstore.ArrayStore`), served through the batched
+  ``query_batch`` / ``insert_batch`` API,
+- :class:`MemoShardRouter` — the in-process tier: groups a coalesced key
+  batch by owning shard, dispatches the per-shard sub-batches and
+  reassembles outcomes in request order.
 
 Reuse stays scoped to a chunk location (Section 4.1), so sharding never
 changes *what* is memoized — only which service engine answers.  A single
@@ -30,17 +34,20 @@ shard therefore reproduces the unsharded database bit for bit.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .memo_db import MemoDatabase, MemoDBStats
+from .memo_db import MemoDatabase, MemoDBStats, QueryOutcome
 
 __all__ = [
     "shard_of_location",
     "memo_state_partitions",
     "ShardQuery",
     "ShardInsert",
+    "MemoTier",
     "MemoShard",
     "MemoShardRouter",
 ]
@@ -101,6 +108,86 @@ class ShardInsert:
     meta: object = None
 
 
+class MemoTier(ABC):
+    """The memoization-database tier: what the executor, the scheduler and
+    the replication wrapper may use of it.
+
+    An implementation supplies ``n_shards`` and the abstract methods; the
+    rest is derived here, once.  The transport half (``connected``,
+    ``label``, ``net_stats``, ``flush``, ``ping``, ``reset_backoff``) has
+    in-process answers — always reachable, nothing in flight — that a
+    remote tier overrides, which is what lets replication wrap routers and
+    TCP clients alike.
+    """
+
+    n_shards: int
+    #: transport counters (a dataclass), ``None`` where there is no wire
+    net_stats = None
+    #: False while a remote tier has no live connection
+    connected = True
+    #: how telemetry names this tier (a remote tier's ``"host:port"``)
+    label: str | None = None
+
+    @abstractmethod
+    def query_batch(self, queries: list[ShardQuery]) -> list[QueryOutcome]:
+        """One coalesced key message -> outcomes in request order."""
+
+    @abstractmethod
+    def insert_batch(self, inserts: list[ShardInsert]) -> list[int]:
+        """One batched insertion message -> ids in request order."""
+
+    @abstractmethod
+    def shard_stats(self, op: str | None = None) -> list[tuple[MemoDBStats, int]]:
+        """``(statistics, stored entries)`` of every shard, in shard order
+        (optionally one op's) — the one read every aggregate derives from."""
+
+    @abstractmethod
+    def state_dict(self) -> dict:
+        """The whole tier as a ``memo_state()``-compatible tree."""
+
+    @abstractmethod
+    def push_state(self, tree: dict) -> bool:
+        """Merge a ``memo_state()`` tree of either layout into the tier
+        (see :meth:`MemoShardRouter.push_state` for the merge); False when
+        a fail-open remote tier dropped it."""
+
+    @abstractmethod
+    def close(self) -> None:
+        """Release whatever the tier holds (sockets, threads)."""
+
+    def shard_of(self, location: int) -> int:
+        return shard_of_location(location, self.n_shards)
+
+    def stats(self, op: str | None = None) -> MemoDBStats:
+        """One merged :class:`MemoDBStats` over all shards — the single
+        aggregation surface service/job reporting reads (built on
+        :meth:`MemoDBStats.merged`, never hand-rolled per caller)."""
+        return MemoDBStats.merged(s for s, _n in self.shard_stats(op))
+
+    def entries(self, op: str | None = None) -> int:
+        return sum(n for _s, n in self.shard_stats(op))
+
+    def health(self) -> dict:
+        """Replica label -> ``{circuit, dirty, connected}``; empty for a
+        tier that is not replicated (nothing to pull out of rotation)."""
+        return {}
+
+    def flush(self) -> None:
+        """Wait out acknowledgements still in flight (none in process)."""
+
+    def ping(self) -> bool:
+        return True
+
+    def reset_backoff(self) -> None:
+        """Forget any reconnect window (there is none in process)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 class MemoShard:
     """One database shard: the ``(op, location)`` partitions it owns.
 
@@ -156,6 +243,18 @@ class MemoShard:
             self.insert_messages += 1
         return ids
 
+    def install(self, dbs: dict[tuple[str, int], MemoDatabase]) -> None:
+        """Swap rebuilt ``(op, location)`` partitions in.  An installed
+        partition wins wholesale, but heat is telemetry about *this* tier's
+        traffic: it keeps max(last-hit) and sum(hits) for the entries the
+        partition it replaces also held, so a merge never makes a hot entry
+        look cold to the eviction planner."""
+        for key, db in dbs.items():
+            old = self._dbs.get(key)
+            if old is not None:
+                db.values.merge_heat(old.values)
+            self._dbs[key] = db
+
     # -- statistics ----------------------------------------------------------------
 
     def stats(self, op: str | None = None) -> MemoDBStats:
@@ -192,12 +291,9 @@ class MemoShard:
             loc for (o, loc) in self._dbs if op is None or o == op
         )
 
-    def __len__(self) -> int:
-        return self.entries()
 
-
-class MemoShardRouter:
-    """Client-side router over ``n_shards`` database shards.
+class MemoShardRouter(MemoTier):
+    """The in-process tier: a router over ``n_shards`` database shards.
 
     ``make_db`` is the partition factory (``dim -> MemoDatabase``); every
     shard shares it, so all partitions carry identical tau / index
@@ -209,9 +305,6 @@ class MemoShardRouter:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.n_shards = n_shards
         self.shards = [MemoShard(s, make_db) for s in range(n_shards)]
-
-    def shard_of(self, location: int) -> int:
-        return shard_of_location(location, self.n_shards)
 
     def shard_for(self, location: int) -> MemoShard:
         return self.shards[self.shard_of(location)]
@@ -243,22 +336,8 @@ class MemoShardRouter:
             lambda shard_id, group: self.shards[shard_id].insert_batch(group),
         )
 
-    # -- statistics ----------------------------------------------------------------
-
-    def stats(self, op: str | None = None) -> MemoDBStats:
-        """One merged :class:`MemoDBStats` over all shards — the single
-        aggregation surface service/job reporting reads (built on
-        :meth:`MemoDBStats.merged`, never hand-rolled per caller)."""
-        return MemoDBStats.merged(shard.stats(op) for shard in self.shards)
-
-    def per_shard_stats(self, op: str | None = None) -> list[MemoDBStats]:
-        return [shard.stats(op) for shard in self.shards]
-
-    def entries(self, op: str | None = None) -> int:
-        return sum(shard.entries(op) for shard in self.shards)
-
-    def per_shard_entries(self, op: str | None = None) -> list[int]:
-        return [shard.entries(op) for shard in self.shards]
+    def shard_stats(self, op: str | None = None) -> list[tuple[MemoDBStats, int]]:
+        return [(shard.stats(op), shard.entries(op)) for shard in self.shards]
 
     # -- snapshot hooks ------------------------------------------------------------------
 
@@ -271,9 +350,10 @@ class MemoShardRouter:
             "shards": [shard.state_dict() for shard in self.shards],
         }
 
-    def push_state(self, tree: dict) -> bool:
-        """Install a ``memo_state()`` tree of either layout, routing every
-        partition by its chunk location (overwriting same-keyed ones).
+    def push_state(self, tree: dict, on_shard=None) -> bool:
+        """Merge a ``memo_state()`` tree of either layout into the tier,
+        routing every partition by its chunk location; a pushed partition
+        replaces a same-keyed one (:meth:`MemoShard.install`).
 
         Because shard membership is pure routing (the consistent
         ``shard_of_location`` map), a snapshot taken at any shard count
@@ -281,14 +361,25 @@ class MemoShardRouter:
         that owns its location here.  Message counters are per-shard
         observations, so they are only restored when the topology matches.
         Every database is rebuilt before the first one is installed — a
-        malformed partition leaves the tier untouched.
+        malformed partition raises ``ValueError`` and leaves the tier
+        untouched.
+
+        ``on_shard(shard_id, fn)`` runs ``fn`` where that shard's state may
+        be touched; the memo daemon passes its shard worker threads, the
+        default is inline.
         """
-        restored = [
-            (str(p["op"]), int(p["location"]), MemoDatabase.from_state(p["db"]))
-            for p in memo_state_partitions(tree)
-        ]
-        for op, loc, db in restored:
-            self.shard_for(loc)._dbs[(op, loc)] = db
+        by_shard: dict[int, dict[tuple[str, int], MemoDatabase]] = {}
+        try:
+            for p in memo_state_partitions(tree):
+                op, loc = str(p["op"]), int(p["location"])
+                by_shard.setdefault(self.shard_of(loc), {})[(op, loc)] = (
+                    MemoDatabase.from_state(p["db"])
+                )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed memo-state partition: {exc!r}") from None
+        run = on_shard or (lambda _sid, install: install())
+        for sid, dbs in by_shard.items():
+            run(sid, partial(self.shards[sid].install, dbs))
         if tree.get("layout") == "sharded" and int(tree["n_shards"]) == self.n_shards:
             for shard, shard_state in zip(self.shards, tree["shards"]):
                 shard.query_messages = int(shard_state["query_messages"])

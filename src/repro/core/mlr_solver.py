@@ -234,20 +234,25 @@ class MLRSolver:
     # -- reconstruction -----------------------------------------------------------------
 
     def _publish_memo_stats(self) -> None:
-        """Register the authoritative end-of-run :class:`MemoDBStats` values
-        (per memoized op and merged) into the observability registry, so a
-        ``repro.obs`` dump reconciles *exactly* with the database tier's own
-        counters."""
+        """Register the authoritative end-of-run values into the
+        observability registry — :class:`MemoDBStats` per memoized op and
+        merged (``memo_db_*``), and a remote tier's transport counters
+        (``net_client_*``) — so a ``repro.obs`` dump reconciles *exactly*
+        with the tier's own counters."""
         if not obs.enabled():
             return
         from .memo_db import MemoDBStats
 
-        per_op = []
-        for op in self.config.memo.memo_ops:
-            stats = self.memo_executor.db_stats(op)
-            stats.publish(op=op)
-            per_op.append(stats)
-        MemoDBStats.merged(per_op).publish(op="all")
+        per_op = {
+            op: self.memo_executor.db_stats(op) for op in self.config.memo.memo_ops
+        }
+        per_op["all"] = MemoDBStats.merged(per_op.values())
+        for op, stats in per_op.items():
+            obs.publish_gauges("memo_db", stats, op=op)
+            obs.gauge("memo_db_hit_rate", op=op).set(stats.hit_rate)
+        net_stats = self.memo_executor.router.net_stats
+        if net_stats is not None:
+            obs.publish_gauges("net_client", net_stats)
 
     def reconstruct(
         self, d: np.ndarray, u0: np.ndarray | None = None, callback=None

@@ -624,7 +624,7 @@ def fig14_sharded(
     result = solver.reconstruct(data)
     ex = solver.executor
 
-    shard_stats = ex.router.per_shard_stats()
+    shard_stats = ex.router.shard_stats()
     coalesce = ex.per_worker_coalesce_stats()
     trace = _steady_trace(result.events, sim_outer - 1)
 
@@ -644,9 +644,9 @@ def fig14_sharded(
     return ShardedScalingResult(
         n_workers=n_workers,
         n_shards=n_shards,
-        shard_hit_rates=[st.hit_rate for st in shard_stats],
-        shard_queries=[st.queries for st in shard_stats],
-        shard_entries=ex.router.per_shard_entries(),
+        shard_hit_rates=[st.hit_rate for st, _n in shard_stats],
+        shard_queries=[st.queries for st, _n in shard_stats],
+        shard_entries=[n for _st, n in shard_stats],
         worker_keys=[c.keys for c in coalesce],
         worker_messages=[c.messages for c in coalesce],
         worker_mean_batch=[c.mean_batch for c in coalesce],

@@ -1,7 +1,7 @@
 """Value-database substrate (Redis substitute)."""
 
 from .serialization import decode_array, encode_array, encoded_nbytes
-from .store import ArrayStore, KVStats, KVStore, store_from_state
+from .store import ArrayStore, KVStats, KVStore
 
 __all__ = [
     "ArrayStore",
@@ -10,5 +10,4 @@ __all__ = [
     "encoded_nbytes",
     "KVStats",
     "KVStore",
-    "store_from_state",
 ]

@@ -30,7 +30,6 @@ __all__ = [
     "KVStats",
     "KVStore",
     "ArrayStore",
-    "store_from_state",
     "heat_now",
     "merge_heat_states",
 ]
@@ -289,15 +288,6 @@ class ArrayStore(KVStore):
     @staticmethod
     def _value_nbytes(value) -> int:
         return encoded_nbytes(value)
-
-
-def store_from_state(state: dict) -> KVStore:
-    """Restore a :class:`KVStore` or :class:`ArrayStore` from its
-    ``state_dict`` by its ``store_type`` tag."""
-    for cls in (KVStore, ArrayStore):
-        if state["store_type"] == cls._STORE_TYPE:
-            return cls.from_state(state)
-    raise ValueError(f"unknown store_type {state['store_type']!r}")
 
 
 def merge_heat_states(new_state: dict, old_state: dict) -> None:

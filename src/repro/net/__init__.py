@@ -12,11 +12,20 @@ memo tier:
   daemon hosting a :class:`~repro.core.memo_shard.MemoShardRouter` with
   shards mapped to worker threads (run it with
   ``python -m repro.net.server``),
-- :mod:`repro.net.client` — :class:`RemoteMemoClient`, the same batched
-  query/insert surface as the in-process router, with request pipelining,
-  reconnect-with-backoff, and fail-open degradation to cold compute,
+- :mod:`repro.net.client` — :class:`RemoteMemoClient`, the
+  :class:`~repro.core.memo_shard.MemoTier` over one TCP connection, with
+  request pipelining, reconnect-with-backoff, and fail-open degradation to
+  cold compute; and :func:`connect_tier`, the one place an address list
+  becomes a tier,
+- :mod:`repro.net.replicated` — :class:`ReplicatedMemoClient`, replication
+  (insert fan-out, per-shard query failover, circuit breakers, resync) as a
+  wrapper over any list of tiers,
 - :mod:`repro.net.snapshot_store` — :class:`RemoteSnapshotStore`, the
   scheduler-side push/pull tier for cross-host warm starts.
+
+The wire carries memo traffic only (queries, inserts, stats, snapshot
+push/pull, heartbeats); a daemon's metrics and spans are read from its
+HTTP telemetry plane (:mod:`repro.obs.http`).
 
 Select it with ``MemoConfig(transport="tcp", server_address=...)`` (compute
 side) or ``ServiceConfig(memo_transport="tcp", memo_server=...)``
@@ -24,7 +33,8 @@ side) or ``ServiceConfig(memo_transport="tcp", memo_server=...)``
 bit-identical behavior is asserted between the two.
 """
 
-from .client import NetClientStats, RemoteMemoClient, TransportUnavailable
+from .client import NetClientStats, RemoteMemoClient, TransportUnavailable, connect_tier
+from .replicated import ReplicatedMemoClient
 from .server import MemoServerDaemon, ServerStats
 from .snapshot_store import RemoteSnapshotStore
 from .wire import (
@@ -45,7 +55,9 @@ from .wire import (
 __all__ = [
     "NetClientStats",
     "RemoteMemoClient",
+    "ReplicatedMemoClient",
     "TransportUnavailable",
+    "connect_tier",
     "MemoServerDaemon",
     "ServerStats",
     "RemoteSnapshotStore",

@@ -1,11 +1,12 @@
-"""Remote memo client: the :class:`~repro.core.memo_shard.MemoShardRouter`
-surface over a TCP connection to a :class:`~repro.net.server.MemoServerDaemon`.
+"""Remote memo client: a :class:`~repro.core.memo_shard.MemoTier` over a
+TCP connection to a :class:`~repro.net.server.MemoServerDaemon`.
 
-:class:`RemoteMemoClient` is the tier the memoized executor builds when
-``MemoConfig(transport="tcp")`` is set: it speaks the same batched
-``query_batch`` / ``insert_batch`` / ``stats`` / ``state_dict`` /
-``push_state`` vocabulary as the in-process router, so every caller above
-it is transport-blind.
+:class:`RemoteMemoClient` supplies the tier's primitives over the wire —
+``query_batch`` / ``insert_batch`` / ``shard_stats`` / ``state_dict`` /
+``push_state`` — so every caller above it is transport-blind;
+:func:`connect_tier` is the one place an address list becomes a tier (one
+address: this client; more: the replication tier of
+:mod:`repro.net.replicated` over one client per daemon).
 
 Three behaviors define it:
 
@@ -21,9 +22,13 @@ Three behaviors define it:
   unreachable server degrades queries to all-miss outcomes and drops
   inserts/stats on the floor: the reconstruction continues on cold compute
   and *never* fails because the memo tier did.  Deterministic
-  misconfiguration (protocol version skew, tau / value-mode mismatch
-  against the server) always raises — a mismatched tier would silently
-  change hit/miss decisions, which is worse than unavailability.
+  misconfiguration (protocol version skew, tau mismatch against the
+  server) always raises — a mismatched tier would silently change
+  hit/miss decisions, which is worse than unavailability.
+
+The wire carries memo traffic only: this client's transport counters are
+``net_stats`` (published as ``net_client_*`` gauges by the solver), and a
+daemon's own metrics and spans are read from its HTTP telemetry plane.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..core.memo_db import MemoDBStats, QueryOutcome
-from ..core.memo_shard import shard_of_location
+from ..core.memo_shard import MemoTier
 from ..faults import runtime as faults
 from ..obs import runtime as obs
 from .policy import RetryPolicy, seed_from_name
@@ -49,8 +54,6 @@ from .wire import (
     MSG_HELLO,
     MSG_HELLO_OK,
     MSG_INSERT,
-    MSG_METRICS,
-    MSG_METRICS_OK,
     MSG_PING,
     MSG_PING_OK,
     MSG_QUERY,
@@ -61,8 +64,6 @@ from .wire import (
     MSG_SNAP_PUSH_OK,
     MSG_STATS,
     MSG_STATS_OK,
-    MSG_TRACE_PULL,
-    MSG_TRACE_PULL_OK,
     PROTOCOL_VERSION,
     FrameReader,
     MessageError,
@@ -72,13 +73,14 @@ from .wire import (
     inserts_to_wire,
     outcomes_from_wire,
     parse_address,
+    parse_address_list,
     queries_to_wire,
     send_frame,
     stats_from_wire,
     trace_ctx_to_wire,
 )
 
-__all__ = ["NetClientStats", "RemoteMemoClient", "TransportUnavailable"]
+__all__ = ["NetClientStats", "RemoteMemoClient", "TransportUnavailable", "connect_tier"]
 
 log = logging.getLogger("repro.net.client")
 
@@ -108,25 +110,15 @@ class NetClientStats:
     replayed_insert_batches: int = 0
     dropped_replays: int = 0
 
-    def publish(self, **labels) -> None:
-        """Register every counter as a ``net_client_<field>`` gauge.
 
-        Call on a *copy* taken outside the client lock; publishing sets
-        snapshot values, so republishing is idempotent."""
-        if not obs.enabled():
-            return
-        for field_name, value in vars(self).items():
-            obs.gauge(f"net_client_{field_name}", **labels).set(float(value))
-
-
-class RemoteMemoClient:
+class RemoteMemoClient(MemoTier):
     """One host's connection to the shared memo service.
 
-    ``expect_tau`` / ``expect_value_mode`` (usually taken from the local
-    :class:`~repro.core.config.MemoConfig`) are checked against the server's
-    advertised configuration at handshake; a mismatch raises ``ValueError``
-    regardless of ``fail_open``, because serving hits gated by a different
-    tau would silently change memoization decisions.
+    ``expect_tau`` (usually the local
+    :class:`~repro.core.config.MemoConfig`'s) is checked against the
+    server's advertised configuration at handshake; a mismatch raises
+    ``ValueError`` regardless of ``fail_open``, because serving hits gated
+    by a different tau would silently change memoization decisions.
 
     ``encoder_fingerprint`` (the executor's ``_encoder_fingerprint()``) is
     sent at handshake; the server pins the first one it sees and rejects
@@ -140,32 +132,25 @@ class RemoteMemoClient:
         self,
         address,
         expect_tau: float | None = None,
-        expect_value_mode: str | None = None,
         encoder_fingerprint: dict | None = None,
         fail_open: bool = True,
         n_shards_hint: int = 1,
         connect_timeout: float = 5.0,
         io_timeout: float | None = 60.0,
-        backoff_initial_s: float = 0.05,
-        backoff_max_s: float = 5.0,
         max_inflight: int = 8,
         client_name: str = "memo-client",
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.address = parse_address(address)
+        self.label = f"{self.address[0]}:{self.address[1]}"
         self.expect_tau = expect_tau
-        self.expect_value_mode = expect_value_mode
         self.encoder_fingerprint = encoder_fingerprint
         self.fail_open = fail_open
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
-        self.backoff_initial_s = backoff_initial_s
-        self.backoff_max_s = backoff_max_s
         self.max_inflight = max_inflight
         self.client_name = client_name
-        self.retry_policy = retry_policy or RetryPolicy(
-            backoff_initial_s=backoff_initial_s, backoff_max_s=backoff_max_s
-        )
+        self.retry_policy = retry_policy or RetryPolicy()
         self.net_stats = NetClientStats()  # guarded-by: self._lock
         self.server_info: dict | None = None
         self._n_shards = max(1, int(n_shards_hint))
@@ -188,17 +173,16 @@ class RemoteMemoClient:
         self._req_seq = 0  # guarded-by: self._lock
         # seeded decorrelated-jitter schedule: reproducible per client name,
         # different across clients (no thundering herd on daemon restart)
-        backoff_seed = seed_from_name(
-            f"{client_name}@{self.address[0]}:{self.address[1]}"
+        self._backoff_state = self.retry_policy.backoff(  # guarded-by: self._lock
+            seed_from_name(f"{client_name}@{self.label}")
         )
-        self._backoff_state = self.retry_policy.backoff(backoff_seed)  # guarded-by: self._lock
         # monotonic deadline for the next connect try
         self._next_attempt = 0.0  # guarded-by: self._lock
         self._closed = False  # guarded-by: self._lock
         self._outage_logged = False  # guarded-by: self._lock
-        # eager first connect: deterministic misconfiguration (version/tau/
-        # value-mode skew) surfaces at construction; a merely-down server
-        # follows the fail-open rules like any later call
+        # eager first connect: deterministic misconfiguration (version/tau
+        # skew) surfaces at construction; a merely-down server follows the
+        # fail-open rules like any later call
         try:
             self._ensure_locked()
         except VersionMismatch:
@@ -216,12 +200,9 @@ class RemoteMemoClient:
 
     @property
     def n_shards(self) -> int:
+        """The server's shard count once a handshake reported it, the
+        constructor hint before that (``shard_of`` labels with it)."""
         return self._n_shards
-
-    def shard_of(self, location: int) -> int:
-        """Consistent location -> shard labeling (server topology once
-        known, the constructor hint before that)."""
-        return shard_of_location(location, self._n_shards)
 
     def reset_backoff(self) -> None:
         """Forget the current backoff window so the next call retries
@@ -236,12 +217,6 @@ class RemoteMemoClient:
             self._closed = True
             self._drop_locked()
             self._replay.clear()
-
-    def __enter__(self) -> "RemoteMemoClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _drop_locked(self) -> None:
         if self._sock is not None:
@@ -276,9 +251,7 @@ class RemoteMemoClient:
         self._drop_locked()
         self.net_stats.connect_failures += 1
         if arm_backoff:
-            self._next_attempt = time.monotonic() + self._backoff_state.next_delay(
-                self.backoff_initial_s, self.backoff_max_s
-            )
+            self._next_attempt = time.monotonic() + self._backoff_state.next_delay()
         else:
             self._next_attempt = 0.0
         if not self._outage_logged:
@@ -382,14 +355,6 @@ class RemoteMemoClient:
                 f"memo server at {self.address[0]}:{self.address[1]} runs "
                 f"tau={info.get('tau')}, this client is configured for "
                 f"tau={self.expect_tau} — hits would be gated differently"
-            )
-        if (
-            self.expect_value_mode is not None
-            and info.get("value_mode") != self.expect_value_mode
-        ):
-            raise ValueError(
-                f"memo server value_mode {info.get('value_mode')!r} != configured "
-                f"{self.expect_value_mode!r}"
             )
 
     @staticmethod
@@ -651,134 +616,117 @@ class RemoteMemoClient:
                 obs.counter("net_client_degraded_total", kind="insert_batch").inc()
         return [-1] * len(inserts)
 
-    # -- liveness ------------------------------------------------------------------------
+    # -- everything off the hot path -----------------------------------------------------
+
+    def _request_or_none(self, msg_type: int, body, expect_type: int):
+        """One synchronous request under the fail-open rule the calls below
+        share: deterministic rejections (version skew, a server-side
+        MSG_ERROR) raise; a transport failure raises only with
+        ``fail_open=False`` and otherwise answers ``None`` — the caller
+        substitutes its cold value."""
+        try:
+            return self._sync_request(msg_type, body, expect_type)
+        except (VersionMismatch, RemoteError):
+            raise
+        except (OSError, ProtocolError) as exc:
+            # TransportUnavailable is an OSError: unreachable and broken
+            # servers degrade the same way
+            if not self.fail_open:
+                raise
+            log.info(
+                "%s: %s degraded (server unreachable): %s",
+                self.client_name, MESSAGE_NAMES.get(msg_type, msg_type), exc,
+            )
+            return None
 
     def ping(self) -> bool:
         """One MSG_PING/MSG_PING_OK heartbeat round trip.  ``True`` means
-        the server answered; ``False`` (fail-open) that it is unreachable.
-        Deterministic rejections raise, like every other request."""
-        try:
-            reply = self._sync_request(MSG_PING, {}, MSG_PING_OK)
-            return isinstance(reply, dict)
-        except (VersionMismatch, RemoteError):
-            raise
-        except (OSError, ProtocolError):
-            if not self.fail_open:
-                raise
-            return False
+        the server answered; ``False`` (fail-open) that it is unreachable."""
+        return isinstance(self._request_or_none(MSG_PING, {}, MSG_PING_OK), dict)
 
-    # -- statistics ----------------------------------------------------------------------
-
-    def _stats_body(self, op: str | None) -> dict | None:
-        try:
-            return self._sync_request(MSG_STATS, {"op": op}, MSG_STATS_OK)
-        except (VersionMismatch, RemoteError):
-            raise
-        except (OSError, ProtocolError):
-            if not self.fail_open:
-                raise
+    def shard_stats(self, op: str | None = None) -> list[tuple[MemoDBStats, int]]:
+        """One MSG_STATS round trip; an unreachable server (fail-open) reads
+        as empty shards."""
+        body = self._request_or_none(MSG_STATS, {"op": op}, MSG_STATS_OK)
+        if body is None:
             with self._lock:
                 self.net_stats.degraded_stats_pulls += 1
             obs.counter("net_client_degraded_total", kind="stats_pull").inc()
-            return None
-
-    def stats(self, op: str | None = None) -> MemoDBStats:
-        body = self._stats_body(op)
-        if body is None:
-            return MemoDBStats()
-        return MemoDBStats.merged(stats_from_wire(s) for s in body["per_shard"])
-
-    def per_shard_stats(self, op: str | None = None) -> list[MemoDBStats]:
-        body = self._stats_body(op)
-        if body is None:
-            return [MemoDBStats() for _ in range(self._n_shards)]
-        return [stats_from_wire(s) for s in body["per_shard"]]
-
-    def entries(self, op: str | None = None) -> int:
-        return sum(self.per_shard_entries(op))
-
-    def per_shard_entries(self, op: str | None = None) -> list[int]:
-        body = self._stats_body(op)
-        if body is None:
-            return [0] * self._n_shards
-        return [int(n) for n in body["per_shard_entries"]]
-
-    def metrics(self) -> dict | None:
-        """Pull the server's observability view: its traffic counters plus
-        its full metric-registry snapshot (request/shard latency histograms
-        when the server process runs with observability enabled).
-
-        Also publishes this client's own transport counters into the *local*
-        registry, so one dump carries both sides of the wire.  Fail-open
-        returns ``None`` when the server is unreachable."""
-        with self._lock:
-            stats_now = NetClientStats(**vars(self.net_stats))
-        stats_now.publish(client=self.client_name)
-        try:
-            return self._sync_request(MSG_METRICS, {}, MSG_METRICS_OK)
-        except (VersionMismatch, RemoteError):
-            raise
-        except (OSError, ProtocolError):
-            if not self.fail_open:
-                raise
-            with self._lock:
-                self.net_stats.degraded_stats_pulls += 1
-            obs.counter("net_client_degraded_total", kind="metrics_pull").inc()
-            return None
-
-    def trace_pull(self) -> dict | None:
-        """Drain the server's span ring buffers (one-shot: spans transfer,
-        they are not copied).  Returns ``{"server", "obs_enabled", "spans",
-        "dropped"}``, or ``None`` when the server predates the trace
-        feature (it would reject the unknown message and kill the
-        connection) or is unreachable under fail-open."""
-        info = self.server_info
-        if info is not None and FEATURE_TRACE not in (info.get("features") or ()):
-            return None
-        try:
-            reply = self._sync_request(MSG_TRACE_PULL, {}, MSG_TRACE_PULL_OK)
-            return reply if isinstance(reply, dict) else None
-        except (VersionMismatch, RemoteError):
-            raise
-        except (OSError, ProtocolError):
-            if not self.fail_open:
-                raise
-            obs.counter("net_client_degraded_total", kind="trace_pull").inc()
-            return None
-
-    # -- snapshot surface (the router's state hooks, over the wire) ----------------------
+            return [(MemoDBStats(), 0) for _ in range(self._n_shards)]
+        return [
+            (stats_from_wire(s), int(n))
+            for s, n in zip(body["per_shard"], body["entries"])
+        ]
 
     def state_dict(self) -> dict:
         """Pull the server's full tier (``memo_state()``-compatible tree).
         Fail-open returns an *empty* single-layout tree when the server is
         unreachable — callers persisting it will persist a cold tier."""
-        try:
-            reply = self._sync_request(MSG_SNAP_PULL, {}, MSG_SNAP_PULL_OK)
-            tree = reply.get("tree")
-            if not isinstance(tree, dict):
-                raise MessageError("snapshot pull returned no tree")
-            return tree
-        except (VersionMismatch, RemoteError):
-            raise
-        except (OSError, ProtocolError) as exc:
-            if not self.fail_open:
-                raise
-            log.warning("snapshot pull degraded to an empty tier: %s", exc)
+        reply = self._request_or_none(MSG_SNAP_PULL, {}, MSG_SNAP_PULL_OK)
+        if reply is None:
             return {"layout": "single", "partitions": []}
+        if not isinstance(reply.get("tree"), dict):
+            raise MessageError("snapshot pull returned no tree")
+        return reply["tree"]
 
     def push_state(self, tree: dict) -> bool:
-        """Merge a tier into the server (partition-level union, ours wins).
-        Returns False (fail-open) when the server is unreachable; server-side
-        rejections (tau / encoder mismatch) raise ``ValueError``."""
+        """Merge a tier into the server (the router's merge, run on the
+        daemon's shard threads).  Returns False (fail-open) when the server
+        is unreachable; server-side rejections (tau / encoder mismatch, a
+        malformed partition) raise ``ValueError``."""
         try:
-            self._sync_request(MSG_SNAP_PUSH, {"tree": tree}, MSG_SNAP_PUSH_OK)
-            return True
+            reply = self._request_or_none(
+                MSG_SNAP_PUSH, {"tree": tree}, MSG_SNAP_PUSH_OK
+            )
         except RemoteError as exc:
             raise ValueError(exc.remote_message) from None
-        except VersionMismatch:
-            raise
-        except (OSError, ProtocolError) as exc:
-            if not self.fail_open:
-                raise
-            log.warning("snapshot push dropped (server unreachable): %s", exc)
-            return False
+        return reply is not None
+
+
+def connect_tier(
+    addresses,
+    replication: int | None = None,
+    heartbeat_interval_s: float | None = None,
+    fail_open: bool = True,
+    **client_kwargs,
+) -> MemoTier:
+    """The one place an address list becomes a memo tier.
+
+    ``addresses`` is anything :func:`~repro.net.wire.parse_address_list`
+    accepts.  One address is a :class:`RemoteMemoClient`; more — or
+    ``replication=N``, which uses the first N — are one client each inside
+    a :class:`~repro.net.replicated.ReplicatedMemoClient` (the only taker
+    of ``heartbeat_interval_s``).  ``client_kwargs`` go to every client.
+    A merely-down daemon is tolerated either way (the tier degrades);
+    deterministic misconfiguration raises immediately.
+    """
+    addrs = parse_address_list(addresses)
+    if replication is None and len(addrs) == 1:
+        return RemoteMemoClient(addrs[0], fail_open=fail_open, **client_kwargs)
+    if replication is not None:
+        if not (1 <= replication <= len(addrs)):
+            raise ValueError(
+                f"replication={replication} needs between 1 and "
+                f"{len(addrs)} addresses, got {len(addrs)}"
+            )
+        addrs = addrs[:replication]
+    from .replicated import ReplicatedMemoClient  # it imports this module
+
+    name = client_kwargs.pop("client_name", "memo-client")
+    replicas = []
+    for i, addr in enumerate(addrs):
+        # constructed fail-open so a down replica does not abort the set
+        # (deterministic misconfig still raises through), then flipped to
+        # fail-closed: later transport failures must surface in the
+        # wrapper, where the failover/breaker logic decides what degrades
+        client = RemoteMemoClient(
+            addr, fail_open=True, client_name=f"{name}-r{i}", **client_kwargs
+        )
+        client.fail_open = False
+        replicas.append(client)
+    return ReplicatedMemoClient(
+        replicas,
+        retry_policy=client_kwargs.get("retry_policy"),
+        heartbeat_interval_s=heartbeat_interval_s,
+        fail_open=fail_open,
+    )

@@ -131,16 +131,13 @@ class BackoffState:
         self._prev = 0.0
         self.attempts = 0
 
-    def next_delay(self, base_s: float | None = None, cap_s: float | None = None):
+    def next_delay(self) -> float:
         """The next sleep in seconds: ``min(cap, uniform(base, 3 * prev))``,
-        never below ``base``.  ``base_s`` / ``cap_s`` override the policy's
-        bounds (the memo client keeps its historically mutable knobs)."""
-        base = self.policy.backoff_initial_s if base_s is None else base_s
-        cap = self.policy.backoff_max_s if cap_s is None else cap_s
-        cap = max(cap, base)
-        lo = min(base, cap)
-        hi = max(lo, min(cap, 3.0 * self._prev))
-        delay = self._rng.uniform(lo, hi) if hi > lo else lo
+        never below ``base`` (the policy's ``backoff_initial_s`` /
+        ``backoff_max_s``)."""
+        base, cap = self.policy.backoff_initial_s, self.policy.backoff_max_s
+        hi = max(base, min(cap, 3.0 * self._prev))
+        delay = self._rng.uniform(base, hi) if hi > base else base
         self._prev = max(delay, base)
         self.attempts += 1
         return delay

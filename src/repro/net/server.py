@@ -15,12 +15,17 @@ memory node):
   frame poisons only that connection (typed error back, then close), never
   the daemon,
 - **snapshot push/pull** — schedulers warm-start from the daemon and merge
-  their finished tiers back into it (partition-level union, newest wins),
-  so the shared tier outlives any one job or host,
+  their finished tiers back into it (the router's own ``push_state`` merge:
+  partition-level union, newest wins, heat kept), so the shared tier
+  outlives any one job or host,
 - **periodic persistence** — with ``snapshot_path`` set, the accumulated
   tier is written through :mod:`repro.service.snapshot` at a fixed cadence
   and on shutdown, and reloaded at boot, so the daemon itself warm-starts
   across restarts.
+
+The wire carries memo traffic only; the daemon's metrics and spans leave
+through its HTTP telemetry plane (``telemetry_port`` / ``--telemetry-port``:
+``/metrics``, ``/snapshot``, ``/healthz``, ``/readyz``).
 
 Run standalone with ``python -m repro.net.server --port 9876 --shards 4``.
 """
@@ -32,14 +37,12 @@ import contextvars
 import logging
 import os
 import socket
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..core.config import MemoConfig
-from ..core.memo_db import MemoDatabase
 from ..core.memo_engine import make_db_factory, memo_state_partitions
 from ..core.memo_shard import MemoShardRouter
 from ..faults import runtime as faults
@@ -52,8 +55,6 @@ from .wire import (
     MSG_HELLO_OK,
     MSG_INSERT,
     MSG_INSERT_OK,
-    MSG_METRICS,
-    MSG_METRICS_OK,
     MSG_PING,
     MSG_PING_OK,
     MSG_QUERY,
@@ -64,8 +65,6 @@ from .wire import (
     MSG_SNAP_PUSH_OK,
     MSG_STATS,
     MSG_STATS_OK,
-    MSG_TRACE_PULL,
-    MSG_TRACE_PULL_OK,
     PROTOCOL_VERSION,
     ConnectionClosed,
     FrameReader,
@@ -103,7 +102,6 @@ class ServerStats:
     insert_batches: int = 0
     inserts: int = 0
     stats_pulls: int = 0
-    metrics_pulls: int = 0
     snapshot_pushes: int = 0
     snapshot_pulls: int = 0
     protocol_errors: int = 0
@@ -113,39 +111,6 @@ class ServerStats:
     idle_reaped: int = 0
     snapshots_quarantined: int = 0
     duplicate_insert_batches: int = 0
-    trace_pulls: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "connections": self.connections,
-            "active_connections": self.active_connections,
-            "query_batches": self.query_batches,
-            "queries": self.queries,
-            "insert_batches": self.insert_batches,
-            "inserts": self.inserts,
-            "stats_pulls": self.stats_pulls,
-            "metrics_pulls": self.metrics_pulls,
-            "snapshot_pushes": self.snapshot_pushes,
-            "snapshot_pulls": self.snapshot_pulls,
-            "protocol_errors": self.protocol_errors,
-            "app_errors": self.app_errors,
-            "snapshots_persisted": self.snapshots_persisted,
-            "pings": self.pings,
-            "idle_reaped": self.idle_reaped,
-            "snapshots_quarantined": self.snapshots_quarantined,
-            "duplicate_insert_batches": self.duplicate_insert_batches,
-            "trace_pulls": self.trace_pulls,
-        }
-
-    def publish(self, **labels) -> None:
-        """Register these counters as ``net_server_<field>`` gauges in the
-        :mod:`repro.obs` registry (no-op while observability is off).
-        Call on a copy taken outside the daemon's lock — the registry lock
-        never nests under it."""
-        if not obs.enabled():
-            return
-        for fname, value in self.as_dict().items():
-            obs.gauge(f"net_server_{fname}", **labels).set(value)
 
 
 class MemoServerDaemon:
@@ -333,9 +298,7 @@ class MemoServerDaemon:
                 self.snapshot_path, exc, quarantined,
             )
             return
-        self._check_push(tree)
-        self.router.push_state(tree)
-        self._remember_encoder(tree)
+        self.push_state(tree)
         log.info(
             "warm-started %d partitions from %s",
             len(memo_state_partitions(tree)),
@@ -484,8 +447,8 @@ class MemoServerDaemon:
 
     def _check_push(self, tree: dict) -> None:
         """Reject a pushed tree that would silently change memoization
-        semantics: tau / value-mode mismatches, or keys from a different
-        encoder than the tier already holds."""
+        semantics: a tau mismatch, or keys from a different encoder than
+        the tier already holds."""
         if not isinstance(tree, dict) or "layout" not in tree:
             raise _AppError("snapshot push payload is not a memo-state tree")
         try:
@@ -494,18 +457,12 @@ class MemoServerDaemon:
             raise _AppError(f"malformed memo-state tree: {exc!r}") from None
         for part in partitions:
             try:
-                cfg = part["db"]["config"]
-                tau, mode = float(cfg["tau"]), str(cfg["value_mode"])
-            except (KeyError, TypeError) as exc:
+                tau = float(part["db"]["config"]["tau"])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise _AppError(f"malformed partition in push: {exc!r}") from None
             if tau != self.memo.tau:
                 raise _AppError(
                     f"pushed partition tau {tau} != server tau {self.memo.tau}"
-                )
-            if mode != self.memo.db_value_mode:
-                raise _AppError(
-                    f"pushed partition value_mode {mode!r} != server "
-                    f"{self.memo.db_value_mode!r}"
                 )
         self._check_encoder_fp(tree.get("encoder"), "pushed", pin=True)
 
@@ -525,38 +482,21 @@ class MemoServerDaemon:
         self._check_encoder_fp(fp, "client", pin=pin)
 
     def push_state(self, tree: dict) -> int:
-        """Merge a pushed tier into the live router (partition-level union,
-        pushed partitions win); returns the number of partitions installed."""
+        """Merge a pushed tier into the live router — the router's own
+        :meth:`~repro.core.memo_shard.MemoShardRouter.push_state`, with each
+        shard's install run on that shard's worker thread; returns the
+        number of partitions installed.  A malformed partition is answered
+        as a request-level error and leaves the tier untouched."""
         self._check_push(tree)
-        partitions = memo_state_partitions(tree)
-        by_shard: dict[int, list[dict]] = {}
-        for part in partitions:
-            by_shard.setdefault(
-                self.router.shard_of(int(part["location"])), []
-            ).append(part)
-
-        def install(sid: int, parts: list[dict]) -> None:
-            shard = self.router.shards[sid]
-            for part in parts:
-                key = (str(part["op"]), int(part["location"]))
-                new_db = MemoDatabase.from_state(part["db"])
-                old_db = shard._dbs.get(key)
-                if old_db is not None:
-                    # pushed partitions win wholesale, but heat is telemetry
-                    # about *this* tier's traffic: keep max(last-hit) and
-                    # sum(hits) for keys both sides hold, so an absorb never
-                    # makes a hot entry look cold to the eviction planner
-                    new_db.values.merge_heat(old_db.values)
-                shard._dbs[key] = new_db
-
-        futures = [
-            self._shard_pools[sid].submit(install, sid, parts)
-            for sid, parts in by_shard.items()
-        ]
-        for f in futures:
-            f.result()
+        try:
+            self.router.push_state(
+                tree,
+                on_shard=lambda sid, fn: self._shard_pools[sid].submit(fn).result(),
+            )
+        except ValueError as exc:
+            raise _AppError(str(exc)) from None
         self._remember_encoder(tree)
-        return len(partitions)
+        return len(memo_state_partitions(tree))
 
     def resync_from(self, peers) -> int:
         """Anti-entropy resync: pull a peer replica's merged tier and merge
@@ -577,7 +517,6 @@ class MemoServerDaemon:
                 with RemoteMemoClient(
                     (host, port),
                     expect_tau=self.memo.tau,
-                    expect_value_mode=self.memo.db_value_mode,
                     fail_open=False,
                     client_name=f"{self.name}-resync",
                 ) as peer_client:
@@ -606,7 +545,8 @@ class MemoServerDaemon:
 
         with self._lock:
             stats_now = ServerStats(**vars(self.stats))
-        stats_now.publish(server=self.name)
+        # published from the copy: the registry lock never nests under ours
+        obs.publish_gauges("net_server", stats_now, server=self.name)
 
         def walk(shard) -> list[dict]:
             records: list[dict] = []
@@ -619,35 +559,6 @@ class MemoServerDaemon:
         all_records = [r for recs in self._on_all_shards(walk) for r in recs]
         return age_histogram_entries(all_records)
 
-    def serve_metrics(self) -> dict:
-        """The daemon's observability view: its own traffic counters plus a
-        full registry snapshot (request/shard latency histograms included
-        when observability is enabled in the server process)."""
-        with self._lock:
-            stats_now = ServerStats(**vars(self.stats))
-        # publish outside the daemon lock, then snapshot, so the returned
-        # registry view already carries the net_server_* gauges just set
-        stats_now.publish(server=self.name)
-        metrics = obs.snapshot()
-        if not metrics:
-            # observability disabled in this process: synthesize the traffic
-            # counters as gauges so a metrics pull is never empty
-            metrics = [
-                {
-                    "kind": "gauge",
-                    "name": f"net_server_{field_name}",
-                    "labels": {"server": self.name},
-                    "value": float(value),
-                    "max": float(value),
-                }
-                for field_name, value in sorted(stats_now.as_dict().items())
-            ]
-        return {
-            "server": stats_now.as_dict(),
-            "obs_enabled": obs.enabled(),
-            "metrics": metrics,
-        }
-
     def serve_stats(self, op: str | None) -> dict:
         """Per-shard statistics, entries and message counters in one body
         (the client derives the merged view)."""
@@ -657,7 +568,7 @@ class MemoServerDaemon:
         return {
             "op": op,
             "per_shard": [stats_to_wire(s) for s, _n in per_shard],
-            "per_shard_entries": [int(n) for _s, n in per_shard],
+            "entries": [int(n) for _s, n in per_shard],
             "query_messages": [int(s.query_messages) for s in self.router.shards],
             "insert_messages": [int(s.insert_messages) for s in self.router.shards],
         }
@@ -795,7 +706,6 @@ class MemoServerDaemon:
                 "server": self.name,
                 "n_shards": self.router.n_shards,
                 "tau": self.memo.tau,
-                "value_mode": self.memo.db_value_mode,
                 # capability advert: clients attach trace context only when
                 # the feature is listed, so old servers never see the key
                 "features": [FEATURE_TRACE],
@@ -866,24 +776,6 @@ class MemoServerDaemon:
             with self._lock:
                 self.stats.snapshot_pulls += 1
             return MSG_SNAP_PULL_OK, {"tree": tree}
-        if msg_type == MSG_METRICS:
-            with self._lock:
-                self.stats.metrics_pulls += 1
-            return MSG_METRICS_OK, self.serve_metrics()
-        if msg_type == MSG_TRACE_PULL:
-            # one-shot drain (not a copy): spans transfer to the puller, so
-            # repeated pulls never re-ship the same records.  The handler's
-            # own request span finishes after the drain and rides the next
-            # pull — a stitched report is always one pull behind on itself
-            spans, dropped = obs.drain_spans()
-            with self._lock:
-                self.stats.trace_pulls += 1
-            return MSG_TRACE_PULL_OK, {
-                "server": self.name,
-                "obs_enabled": obs.enabled(),
-                "spans": spans,
-                "dropped": int(dropped),
-            }
         if msg_type == MSG_PING:
             with self._lock:
                 self.stats.pings += 1
@@ -892,52 +784,6 @@ class MemoServerDaemon:
 
 
 # -- standalone entry point ----------------------------------------------------------------
-
-
-def _metrics_dump(address: str) -> int:
-    """Fetch a running server's metrics and print them as Prometheus text."""
-    from ..obs.export import to_prometheus
-    from .client import RemoteMemoClient
-
-    with RemoteMemoClient(
-        address, fail_open=False, client_name="metrics-dump"
-    ) as client:
-        payload = client.metrics()
-    print(to_prometheus(payload["metrics"]), end="")
-    return 0
-
-
-def _trace_dump(address: str, out: str | None) -> int:
-    """Drain a running server's span rings into a JSONL dump — the same
-    format :func:`repro.obs.dump_jsonl` writes locally, so ``python -m
-    repro.obs report local.jsonl server.jsonl`` stitches both sides of the
-    wire into one cross-process trace tree."""
-    from ..obs.export import dump_lines
-    from .client import RemoteMemoClient
-
-    with RemoteMemoClient(
-        address, fail_open=False, client_name="trace-dump"
-    ) as client:
-        reply = client.trace_pull()
-        payload = client.metrics()
-    if reply is None:
-        print(
-            f"server at {address} does not advertise the trace feature",
-            file=sys.stderr,
-        )
-        return 1
-    lines = dump_lines(
-        (payload or {}).get("metrics") or [],
-        reply.get("spans") or [],
-        int(reply.get("dropped") or 0),
-    )
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def main(argv=None) -> int:
@@ -950,29 +796,12 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=4, help="database shards")
     parser.add_argument("--tau", type=float, default=0.92, help="similarity threshold")
     parser.add_argument(
-        "--value-mode", choices=("array", "bytes"), default="array",
-        help="value-store representation",
-    )
-    parser.add_argument(
         "--snapshot", default=None,
         help="snapshot directory for boot warm-start and persistence",
     )
     parser.add_argument(
         "--snapshot-interval", type=float, default=300.0,
         help="seconds between periodic snapshots (with --snapshot)",
-    )
-    parser.add_argument(
-        "--metrics-dump", default=None, metavar="HOST:PORT",
-        help="fetch a running server's metrics, print Prometheus text, exit",
-    )
-    parser.add_argument(
-        "--trace-dump", default=None, metavar="HOST:PORT",
-        help="drain a running server's span buffers into a JSONL dump "
-             "(stdout or --out), stitchable with `python -m repro.obs report`",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="destination file for --trace-dump (default: stdout)",
     )
     parser.add_argument(
         "--idle-timeout", type=float, default=None, metavar="SECONDS",
@@ -986,7 +815,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--telemetry-port", type=int, default=None, metavar="PORT",
-        help="serve /metrics /healthz /readyz /snapshot on this HTTP port "
+        help="serve /metrics /healthz /readyz /snapshot on this HTTP port — "
+             "the daemon's only telemetry egress: scrape it, or point "
+             "`python -m repro.obs report|top` at it "
              "(0 = ephemeral; default: no telemetry server)",
     )
     parser.add_argument(
@@ -994,10 +825,6 @@ def main(argv=None) -> int:
         help="bind address for --telemetry-port (default: 127.0.0.1)",
     )
     args = parser.parse_args(argv)
-    if args.metrics_dump is not None:
-        return _metrics_dump(args.metrics_dump)
-    if args.trace_dump is not None:
-        return _trace_dump(args.trace_dump, args.out)
     if args.peer is not None:
         # fail fast on a malformed list (the error names the bad element)
         # before binding a port the operator then has to clean up
@@ -1007,7 +834,7 @@ def main(argv=None) -> int:
         host=args.host,
         port=args.port,
         n_shards=args.shards,
-        memo=MemoConfig(tau=args.tau, db_value_mode=args.value_mode),
+        memo=MemoConfig(tau=args.tau),
         snapshot_path=args.snapshot,
         snapshot_interval_s=args.snapshot_interval if args.snapshot else None,
         idle_timeout_s=args.idle_timeout,
@@ -1021,8 +848,8 @@ def main(argv=None) -> int:
             log.warning("peer resync failed (%s) — serving with local state", exc)
     host, port = daemon.address
     log.info(
-        "memo server listening on %s:%d (%d shards, tau=%g, %s values)",
-        host, port, daemon.router.n_shards, daemon.memo.tau, daemon.memo.db_value_mode,
+        "memo server listening on %s:%d (%d shards, tau=%g)",
+        host, port, daemon.router.n_shards, daemon.memo.tau,
     )
     if daemon.telemetry is not None:
         log.info("telemetry plane at %s", daemon.telemetry.url)

@@ -8,9 +8,10 @@ scheduler pushes each finished job's tier to a
 partition-level union) and pulls the merged tier to seed the next job.  Two
 beamline hosts pointed at the same daemon therefore warm-start from each
 other's scans, and the daemon's own on-disk persistence makes the tier
-survive every process involved.  A comma-separated address list (or list of
-addresses) backs the store with the replicated client instead — pushes fan
-out, pulls fail over.
+survive every process involved.  The store's tier is whatever
+:func:`~repro.net.client.connect_tier` builds for its address(es): a
+comma-separated address list (or list of addresses) gets the replicated
+tier — pushes fan out, pulls fail over.
 
 The store is fail-open by default: an unreachable daemon makes ``pull``
 return ``None`` (jobs start cold) and ``push`` return ``False`` (the tier
@@ -30,7 +31,7 @@ import logging
 import time
 
 from ..core.memo_engine import memo_state_partitions
-from .client import RemoteMemoClient
+from .client import connect_tier
 from .policy import RetryPolicy, seed_from_name
 
 __all__ = ["RemoteSnapshotStore"]
@@ -45,35 +46,15 @@ class RemoteSnapshotStore:
         self,
         address,
         fail_open: bool = True,
-        client=None,
         client_name: str = "snapshot-store",
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.retry_policy = retry_policy or RetryPolicy()
-        if client is not None:
-            self._client = client
-        else:
-            from .wire import parse_address_list
-
-            addresses = parse_address_list(address)
-            if len(addresses) > 1:
-                from .replicated import ReplicatedMemoClient
-
-                self._client = ReplicatedMemoClient(
-                    addresses,
-                    fail_open=fail_open,
-                    client_name=client_name,
-                    retry_policy=self.retry_policy,
-                )
-            else:
-                self._client = RemoteMemoClient(
-                    addresses[0],
-                    fail_open=fail_open,
-                    client_name=client_name,
-                    retry_policy=self.retry_policy,
-                )
-        self.address = getattr(self._client, "address", None) or getattr(
-            self._client, "addresses", None
+        self._client = connect_tier(
+            address,
+            fail_open=fail_open,
+            client_name=client_name,
+            retry_policy=self.retry_policy,
         )
         self._backoff = self.retry_policy.backoff(seed_from_name(client_name))
 
@@ -81,9 +62,8 @@ class RemoteSnapshotStore:
     def connected(self) -> bool:
         return self._client.connected
 
-    @property
-    def net_stats(self):
-        return self._client.net_stats
+    def health(self) -> dict:
+        return self._client.health()
 
     def pull(self) -> dict | None:
         """The daemon's merged tier, or ``None`` when it is cold or stays
@@ -94,7 +74,9 @@ class RemoteSnapshotStore:
         the fail-open client papered over a transport failure, so the store
         backs off and retries before accepting a cold start."""
         policy = self.retry_policy
-        deadline = time.monotonic() + policy.deadline_s
+        deadline = (
+            None if policy.deadline_s is None else time.monotonic() + policy.deadline_s
+        )
         self._backoff.reset()
         for attempt in range(policy.max_attempts):
             tree = self._client.state_dict()
@@ -104,7 +86,7 @@ class RemoteSnapshotStore:
                 return None  # genuinely cold tier, not a transport artifact
             delay = self._backoff.next_delay()
             if attempt + 1 >= policy.max_attempts or (
-                time.monotonic() + delay >= deadline
+                deadline is not None and time.monotonic() + delay >= deadline
             ):
                 break
             log.debug(

@@ -55,13 +55,8 @@ __all__ = [
     "MSG_SNAP_PUSH_OK",
     "MSG_SNAP_PULL",
     "MSG_SNAP_PULL_OK",
-    "MSG_METRICS",
-    "MSG_METRICS_OK",
     "MSG_PING",
     "MSG_PING_OK",
-    "MSG_PONG",
-    "MSG_TRACE_PULL",
-    "MSG_TRACE_PULL_OK",
     "MSG_ERROR",
     "MESSAGE_NAMES",
     "FEATURE_TRACE",
@@ -93,7 +88,10 @@ __all__ = [
     "stats_from_wire",
 ]
 
-PROTOCOL_VERSION = 1
+#: 2: the wire carries memo traffic only — the telemetry pulls (message
+#: types 13/14 and 17/18) are gone, served by the HTTP plane instead — and
+#: HELLO_OK / the stats reply shed the fields that went with them
+PROTOCOL_VERSION = 2
 
 #: refuse to allocate for absurd declared lengths (corrupt or hostile frames)
 MAX_PAYLOAD_BYTES = 1 << 33  # 8 GiB
@@ -115,16 +113,9 @@ MSG_SNAP_PUSH = 9
 MSG_SNAP_PUSH_OK = 10
 MSG_SNAP_PULL = 11
 MSG_SNAP_PULL_OK = 12
-MSG_METRICS = 13
-MSG_METRICS_OK = 14
 MSG_PING = 15
 MSG_PING_OK = 16
-MSG_TRACE_PULL = 17
-MSG_TRACE_PULL_OK = 18
 MSG_ERROR = 255
-
-#: heartbeats read better as ping/pong; the pong *is* the ping's ok-reply
-MSG_PONG = MSG_PING_OK
 
 MESSAGE_NAMES = {
     MSG_HELLO: "hello",
@@ -139,12 +130,8 @@ MESSAGE_NAMES = {
     MSG_SNAP_PUSH_OK: "snapshot_push_ok",
     MSG_SNAP_PULL: "snapshot_pull",
     MSG_SNAP_PULL_OK: "snapshot_pull_ok",
-    MSG_METRICS: "metrics",
-    MSG_METRICS_OK: "metrics_ok",
     MSG_PING: "ping",
     MSG_PING_OK: "pong",
-    MSG_TRACE_PULL: "trace_pull",
-    MSG_TRACE_PULL_OK: "trace_pull_ok",
     MSG_ERROR: "error",
 }
 
@@ -158,7 +145,7 @@ MESSAGE_NAMES = {
 # that advertised it; dict bodies tolerate unknown keys on both sides.
 
 #: HELLO_OK feature token: this server understands the "trace" request
-#: field and answers MSG_TRACE_PULL
+#: field (its spans are read from its telemetry plane's ``/snapshot``)
 FEATURE_TRACE = "trace"
 
 

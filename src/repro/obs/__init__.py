@@ -47,6 +47,7 @@ from .runtime import (
     peek_spans,
     profile_snapshot,
     profiler,
+    publish_gauges,
     registry,
     reset,
     server_span,
@@ -82,6 +83,7 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
+    "publish_gauges",
     "span",
     "server_span",
     "registry",

@@ -1,9 +1,10 @@
 """CLI: ``python -m repro.obs {report,heat,top} ...``.
 
-- ``report <dump.jsonl> [more.jsonl ...]`` — per-stage latency /
-  throughput tables for JSONL observability dumps (merged into one
-  stitched cross-process trace report); ``--profile`` appends the
-  sampling-profiler self-time table.
+- ``report <dump.jsonl | host:port> [more ...]`` — per-stage latency /
+  throughput tables for JSONL observability dumps and/or live telemetry
+  planes (a memo daemon's ``--telemetry-port``), merged into one stitched
+  cross-process trace report; ``--profile`` appends the sampling-profiler
+  self-time table.
 - ``heat <snapshot-dir | host:port> [--stale-after S]`` — memo-tier heat
   report (hit distribution by op / shard / age decile, cold-entry
   fraction, projected reclaimable bytes) from an on-disk memo snapshot or
@@ -39,6 +40,14 @@ def _fetch_snapshot(target: str, timeout: float = 5.0) -> dict:
         return json.loads(resp.read().decode("utf-8"))
 
 
+def _load_source(source: str) -> dict:
+    """One ``report`` input: a JSONL dump on disk, else a telemetry
+    ``host:port`` whose ``/snapshot`` has the same shape."""
+    if os.path.exists(source) or ":" not in source:
+        return load_jsonl(source)
+    return _fetch_snapshot(source)
+
+
 def _heat_tree(source: str) -> dict:
     """Resolve the ``heat`` source: a snapshot directory is read (and
     checksum-verified) off disk; ``host:port`` pulls the live tier over
@@ -49,13 +58,10 @@ def _heat_tree(source: str) -> dict:
 
         return read_snapshot(source, expect_kind="memo-state")
     if ":" in source:
-        from ..net.client import RemoteMemoClient
+        from ..net import connect_tier
 
-        client = RemoteMemoClient(source, fail_open=False, client_name="obs-heat")
-        try:
-            return client.state_dict()
-        finally:
-            client.close()
+        with connect_tier(source, fail_open=False, client_name="obs-heat") as tier:
+            return tier.state_dict()
     raise SystemExit(
         f"heat source {source!r} is neither a snapshot directory nor host:port"
     )
@@ -185,9 +191,10 @@ def main(argv: list[str] | None = None) -> int:
         "paths",
         nargs="+",
         metavar="path",
-        help="JSONL dump(s) written by repro.obs.export.dump_jsonl or "
-             "`python -m repro.net.server --trace-dump`; several dumps are "
-             "merged into one stitched cross-process report",
+        help="JSONL dump(s) written by repro.obs.export.dump_jsonl and/or "
+             "HOST:PORT telemetry planes (e.g. a memo daemon's "
+             "--telemetry-port); several are merged into one stitched "
+             "cross-process report",
     )
     rep.add_argument(
         "--json",
@@ -242,9 +249,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "report":
         if len(args.paths) == 1:
-            data = load_jsonl(args.paths[0])
+            data = _load_source(args.paths[0])
         else:
-            data = merge_dumps(load_jsonl(p) for p in args.paths)
+            data = merge_dumps(_load_source(p) for p in args.paths)
         report = build_report(data)
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))

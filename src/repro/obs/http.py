@@ -1,8 +1,8 @@
 """Live telemetry plane: a stdlib-only threaded HTTP scrape/probe server.
 
 :class:`TelemetryServer` turns the pull-after-the-fact observability
-surface (JSONL dumps, ``--metrics-dump`` one-shots) into the live
-endpoints a long-running deployment needs:
+surface (JSONL dumps) into the live endpoints a long-running deployment
+needs — and is the only way telemetry leaves a memo daemon:
 
 - ``GET /metrics`` — the process's metrics registry in Prometheus text
   exposition format (via :func:`~repro.obs.export.to_prometheus`), plus

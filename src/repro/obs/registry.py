@@ -1,9 +1,10 @@
 """Thread-safe metrics registry: counters, gauges, log-bucketed histograms.
 
-The registry is the convergence point of the repo's five stats dataclasses
-(``ServerStats``, ``QueueStats``, ``PipelineStats``, ``SchedulerStats``,
-``MemoDBStats``) and of the live instrumentation on the sweep / FFT / ANN /
-queue / wire hot paths.  Design constraints:
+The registry is the convergence point of the repo's stats dataclasses
+(``NetClientStats``, ``ServerStats``, ``QueueStats``, ``PipelineStats``,
+``SchedulerStats``, ``MemoDBStats`` — all through
+:func:`repro.obs.runtime.publish_gauges`) and of the live instrumentation
+on the sweep / FFT / ANN / queue / wire hot paths.  Design constraints:
 
 - **bounded memory** — histograms hold fixed log-spaced bucket counts plus
   (count, sum, min, max); no metric ever keeps an unbounded sample list,

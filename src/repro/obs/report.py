@@ -1,8 +1,8 @@
 """Per-stage latency / throughput report over JSONL observability dumps.
 
-``python -m repro.obs report run.jsonl [server.jsonl ...]`` merges any
+``python -m repro.obs report run.jsonl [memnode:9900 ...]`` merges any
 number of dumps (one per process: a solver run's local dump plus the
-``--trace-dump`` of each memo daemon) and prints:
+telemetry plane — ``/snapshot`` — of each memo daemon) and prints:
 
 - **trace tree** — the stitched cross-process span tree: spans are linked
   by ``parent_id`` / ``trace_id`` across dumps, aggregated by name path,
@@ -502,7 +502,7 @@ def render_report(report: dict, include_profile: bool = False) -> str:
 
 def report_from_file(*paths: str) -> str:
     """Render the report for one dump, or the stitched report of several
-    (e.g. a run's local dump plus each daemon's ``--trace-dump``)."""
+    (e.g. a run's local dump plus each daemon's saved ``/snapshot``)."""
     if len(paths) == 1:
         data = load_jsonl(paths[0])
     else:

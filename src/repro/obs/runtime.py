@@ -16,6 +16,7 @@ Enable by either route:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -39,6 +40,7 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
+    "publish_gauges",
     "span",
     "server_span",
     "current_trace_context",
@@ -272,6 +274,24 @@ def histogram(name: str, edges: tuple[float, ...] | None = None, **labels) -> Hi
     if not state["enabled"]:
         return _NULL_HISTOGRAM
     return state["registry"].histogram(name, edges=edges, **labels)
+
+
+def publish_gauges(prefix: str, stats, **labels) -> None:
+    """Set one ``<prefix>_<field>`` gauge per numeric field of the stats
+    dataclass ``stats`` (fields holding anything else — nested stats — are
+    the caller's to publish under their own labels).
+
+    Gauges, not counters: a stats object is a snapshot-valued total, so
+    each publish *sets* the authoritative value — publishing twice is
+    idempotent rather than double-counting.  Pass a copy taken outside the
+    owner's lock; the registry lock must never nest under it."""
+    state = _STATE
+    if not state["enabled"]:
+        return
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, (int, float)):
+            state["registry"].gauge(f"{prefix}_{f.name}", **labels).set(value)
 
 
 def span(name: str, **attrs):

@@ -50,14 +50,12 @@ class PipelineStats:
         return self
 
     def publish(self, **labels) -> None:
-        """Register these totals as ``pipeline_*`` gauges in the
-        :mod:`repro.obs` registry (no-op while observability is off)."""
-        if not obs.enabled():
-            return
-        obs.gauge("pipeline_sweeps", **labels).set(self.sweeps)
-        obs.gauge("pipeline_items", **labels).set(self.items)
-        self.read_queue.publish(queue="read", **labels)
-        self.write_queue.publish(queue="write", **labels)
+        """Register these totals as ``pipeline_*`` gauges and both queues'
+        as ``pipeline_queue_*{queue=...}`` in the :mod:`repro.obs` registry
+        (no-op while observability is off)."""
+        obs.publish_gauges("pipeline", self, **labels)
+        obs.publish_gauges("pipeline_queue", self.read_queue, queue="read", **labels)
+        obs.publish_gauges("pipeline_queue", self.write_queue, queue="write", **labels)
 
 
 class _Stage(threading.Thread):

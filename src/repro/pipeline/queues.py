@@ -48,20 +48,6 @@ class QueueStats:
         self.max_depth = max(self.max_depth, other.max_depth)
         return self
 
-    def publish(self, **labels) -> None:
-        """Register these counters as ``pipeline_queue_<field>`` gauges in
-        the :mod:`repro.obs` registry (no-op while observability is off).
-        Gauges because a stats object is a snapshot-valued total: each
-        publish sets the authoritative value, so republishing after a
-        merge is idempotent rather than double-counting."""
-        if not obs.enabled():
-            return
-        obs.gauge("pipeline_queue_puts", **labels).set(self.puts)
-        obs.gauge("pipeline_queue_gets", **labels).set(self.gets)
-        obs.gauge("pipeline_queue_producer_blocks", **labels).set(self.producer_blocks)
-        obs.gauge("pipeline_queue_consumer_blocks", **labels).set(self.consumer_blocks)
-        obs.gauge("pipeline_queue_max_depth", **labels).set(self.max_depth)
-
 
 class BoundedQueue:
     """Fixed-depth FIFO with blocking put/get and cooperative shutdown."""

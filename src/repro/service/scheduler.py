@@ -89,10 +89,10 @@ class ServiceConfig:
     telemetry_port / telemetry_host:
         With ``telemetry_port`` set, the scheduler serves the live
         telemetry plane (:class:`~repro.obs.http.TelemetryServer`) on
-        ``telemetry_host:telemetry_port``: ``/metrics`` (scheduler gauges
-        plus, for a remote tier, the replica-labeled daemon counters),
-        ``/healthz``, ``/readyz`` (accepting / queue-not-saturated / not
-        every replica breaker open) and ``/snapshot``.  Port 0 binds
+        ``telemetry_host:telemetry_port``: ``/metrics`` (the scheduler's
+        own gauges — a remote tier's daemons serve theirs from their own
+        planes), ``/healthz``, ``/readyz`` (accepting / queue-not-saturated
+        / not every replica breaker open) and ``/snapshot``.  Port 0 binds
         ephemerally — read ``scheduler.telemetry.port`` back.
     """
 
@@ -139,21 +139,6 @@ class SchedulerStats:
     cancelled: int = 0
     peak_queue_depth: int = 0
     peak_running: int = 0
-
-    def publish(self, **labels) -> None:
-        """Register these counters as ``scheduler_<field>`` gauges in the
-        :mod:`repro.obs` registry (no-op while observability is off).
-        Must be called on a copy taken outside the scheduler's condition —
-        the registry lock never nests under it."""
-        if not obs.enabled():
-            return
-        obs.gauge("scheduler_submitted", **labels).set(self.submitted)
-        obs.gauge("scheduler_rejected", **labels).set(self.rejected)
-        obs.gauge("scheduler_completed", **labels).set(self.completed)
-        obs.gauge("scheduler_failed", **labels).set(self.failed)
-        obs.gauge("scheduler_cancelled", **labels).set(self.cancelled)
-        obs.gauge("scheduler_peak_queue_depth", **labels).set(self.peak_queue_depth)
-        obs.gauge("scheduler_peak_running", **labels).set(self.peak_running)
 
 
 @dataclass
@@ -279,6 +264,11 @@ class SharedMemoService:
             self._tree = tree
             self.generation += 1
 
+    def health(self) -> dict:
+        """The remote tier's replica health map (see
+        :meth:`~repro.core.memo_shard.MemoTier.health`); empty in process."""
+        return self.store.health() if self.store is not None else {}
+
     def close(self) -> None:
         if self.store is not None:
             self.store.close()
@@ -334,24 +324,15 @@ class ReconstructionScheduler:
 
     def _telemetry_collect(self) -> list[dict]:
         """Collect hook for the scrape path: publish the scheduler gauges
-        (same seam the worker loop uses) and, when a *replicated* remote
-        tier fronts the memo service, append each live replica's metric
-        entries — they carry ``replica="host:port"`` labels, so the merged
-        scrape stays collision-free.  A single-server tier's entries are
-        unlabeled copies of ours and are left to its own daemon's plane."""
+        (same seam the worker loop uses).  Nothing is appended — a remote
+        tier's daemons are scraped at their own telemetry planes."""
         with self._cond:
             stats_now = SchedulerStats(**vars(self.stats))
             depth_now = self._live_waiting_locked()
             running_now = self._running
-        stats_now.publish()
+        obs.publish_gauges("scheduler", stats_now)
         obs.gauge("scheduler_queue_depth").set(depth_now)
         obs.gauge("scheduler_running").set(running_now)
-        client = getattr(self.memo_service.store, "_client", None)
-        # health() marks the replicated client; a single-server pull would
-        # cost a wire round trip per scrape only to be discarded below
-        payload = client.metrics() if hasattr(client, "health") else None
-        if isinstance(payload, dict) and "replicas" in payload:
-            return [e for e in payload.get("metrics") or [] if isinstance(e, dict)]
         return []
 
     def _readiness_probes(self) -> list:
@@ -376,14 +357,15 @@ class ReconstructionScheduler:
             return ok, detail if ok else f"saturated: {detail}"
 
         def memo_tier() -> tuple[bool, str]:
-            # duck-typed: only the replicated client exposes health(); an
-            # in-process tier or single-server client is never the reason
-            # to pull this scheduler out of rotation (those paths fail open)
-            client = getattr(self.memo_service.store, "_client", None)
-            health = getattr(client, "health", None)
-            if health is None:
+            # only a replicated tier reports replicas; an in-process tier
+            # or single-server client is never the reason to pull this
+            # scheduler out of rotation (those paths fail open)
+            circuits = {
+                tag: h.get("circuit")
+                for tag, h in self.memo_service.health().items()
+            }
+            if not circuits:
                 return True, "no replicated tier"
-            circuits = {tag: h.get("circuit") for tag, h in health().items()}
             ok = any(state != "open" for state in circuits.values())
             detail = " ".join(f"{tag}:{state}" for tag, state in sorted(circuits.items()))
             return ok, detail if ok else f"all breakers open: {detail}"
@@ -518,7 +500,8 @@ class ReconstructionScheduler:
                     stats_now = SchedulerStats(**vars(self.stats))
                     self._cond.notify_all()
                 obs.gauge("scheduler_running").set(running_now)
-                stats_now.publish()
+                # from the copy: the registry lock never nests under _cond
+                obs.publish_gauges("scheduler", stats_now)
 
     def _check_cancel(self, handle: JobHandle) -> None:
         if handle.cancel_requested:

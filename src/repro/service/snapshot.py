@@ -28,8 +28,7 @@ hit rates.
 The contract, asserted by the test suite: a database restored from a
 snapshot answers ``query`` / ``query_batch`` **bit-identically** to the
 live instance that produced it — values, similarities, matched ids and
-statistics alike — for every ANN index state (trained, mid-training, empty)
-and both value modes.
+statistics alike — for every ANN index state (trained, mid-training, empty).
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from ..ann.flat import FlatIndex
 from ..ann.ivf import IVFFlatIndex
 from ..core.keying import CNNKeyEncoder
 from ..core.memo_db import MemoDatabase
+from ..core.memo_shard import memo_state_partitions
 from ..faults import runtime as faults
 
 __all__ = [
@@ -274,9 +274,31 @@ def read_snapshot(path, expect_kind: str | None = None, verify: bool = True) -> 
     except (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError) as exc:
         raise SnapshotError(f"unreadable arrays at {arrays_path!r}: {exc}") from exc
     try:
-        return _unpack(manifest["tree"], arrays, manifest["arrays"], verify)
+        tree = _unpack(manifest["tree"], arrays, manifest["arrays"], verify)
+        _reject_serialized_values(tree, manifest.get("kind"))
     except (KeyError, TypeError, AttributeError) as exc:
         raise SnapshotError(f"malformed snapshot tree at {path!r}: {exc!r}") from exc
+    return tree
+
+
+def _reject_serialized_values(tree: dict, kind) -> None:
+    """Databases snapshotted while the serialized value store existed carry
+    a ``value_mode`` tag.  ``"array"`` is the representation that remains
+    (such snapshots load as ever); one holding ``"bytes"`` values cannot be
+    served and must fail as a snapshot problem, not deep inside a store."""
+    if kind == "memo-database":
+        dbs = [tree]
+    elif kind == "memo-state":
+        dbs = [part["db"] for part in memo_state_partitions(tree)]
+    else:
+        return
+    for db in dbs:
+        mode = db["config"].get("value_mode", "array")
+        if mode != "array":
+            raise SnapshotError(
+                f"snapshot stores memo values as value_mode {mode!r}; this "
+                "build reads only 'array' snapshots"
+            )
 
 
 def quarantine_snapshot(path) -> str | None:

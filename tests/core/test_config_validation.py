@@ -63,8 +63,6 @@ class TestMemoConfig:
             MemoConfig(encoder="transformer")
         with pytest.raises(ValueError, match="cache"):
             MemoConfig(cache="l2")
-        with pytest.raises(ValueError, match="db_value_mode"):
-            MemoConfig(db_value_mode="pickle")
 
     def test_numeric_knobs(self):
         with pytest.raises(ValueError, match="key_hw"):

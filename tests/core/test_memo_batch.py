@@ -4,8 +4,8 @@ A ``query_batch``/``insert_batch`` message must answer exactly like the
 same keys sent one per message (``query``/``insert``, the one-item form) —
 same outcomes bit for bit, same ``MemoDBStats`` byte counters, message
 counters differing only by the message count — across trained and cold
-(pretrain) databases, and the zero-copy ``value_mode="array"`` must account
-every byte exactly like the serialized store.
+(pretrain) databases, and the zero-copy value store must account every byte
+as the serialized frame.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import MemoDatabase
 from repro.core.memo_db import MemoDBStats
+from repro.kvstore import encode_array
 
 
 def make_keys(rng, n, dim=8, dup_every=4):
@@ -35,12 +36,12 @@ def make_values(rng, n):
     ]
 
 
-def populated_pair(rng, n=48, train_min=16, value_mode="array", tau=0.9):
+def populated_pair(rng, n=48, train_min=16, tau=0.9):
     """Two identically-populated databases (same insertion order/content)."""
     keys, values = make_keys(rng, n), make_values(rng, n)
     dbs = []
     for _ in range(2):
-        db = MemoDatabase(dim=8, tau=tau, train_min=train_min, value_mode=value_mode)
+        db = MemoDatabase(dim=8, tau=tau, train_min=train_min)
         for k, v in zip(keys, values):
             db.insert(k, v, meta=(float(np.linalg.norm(v)), complex(v.mean())))
         dbs.append(db)
@@ -145,32 +146,24 @@ class TestInsertBatchEquivalence:
         assert len(db) == 0 and db.stats.inserts == 0
 
 
-class TestValueModes:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            MemoDatabase(dim=8, value_mode="mmap")
+class TestValueStore:
+    def test_bytes_are_accounted_as_the_serialized_frame(self, rng):
+        """Values stay ndarrays in memory, but every byte statistic counts
+        the ``encode_array`` frame the wire / spill paths would carry."""
+        keys, values = make_keys(rng, 40, dup_every=100), make_values(rng, 40)
+        db = MemoDatabase(dim=8, tau=0.9, train_min=16)
+        for k, v in zip(keys, values):
+            db.insert(k, v)
+        frames = [len(encode_array(v)) for v in values]
+        assert db.stats.bytes_inserted == sum(frames)
+        assert db.values.stats.bytes_in == db.values.nbytes == sum(frames)
+        hits = db.query_batch([keys[5], keys[7]])
+        assert [o.matched_id for o in hits if o.hit] == [5, 7]
+        assert db.stats.bytes_fetched == frames[5] + frames[7]
+        assert db.values.stats.bytes_out == db.stats.bytes_fetched
 
-    def test_array_and_bytes_modes_agree(self, rng):
-        keys, values = make_keys(rng, 40), make_values(rng, 40)
-        db_a = MemoDatabase(dim=8, tau=0.9, train_min=16, value_mode="array")
-        db_b = MemoDatabase(dim=8, tau=0.9, train_min=16, value_mode="bytes")
-        for db in (db_a, db_b):
-            for k, v in zip(keys, values):
-                db.insert(k, v)
-        probes = np.concatenate([make_keys(rng, 12), db_a._keys[5][None]])
-        out_a = db_a.query_batch(list(probes))
-        out_b = db_b.query_batch(list(probes))
-        assert any(o.hit for o in out_a)
-        assert_outcomes_identical(out_a, out_b)
-        # byte accounting must be identical: encoded_nbytes == len(encode_array)
-        assert db_a.stats.bytes_inserted == db_b.stats.bytes_inserted
-        assert db_a.stats.bytes_fetched == db_b.stats.bytes_fetched
-        assert db_a.values.stats.bytes_in == db_b.values.stats.bytes_in
-        assert db_a.values.stats.bytes_out == db_b.values.stats.bytes_out
-        assert db_a.values.nbytes == db_b.values.nbytes
-
-    def test_array_mode_hits_are_zero_copy_and_read_only(self, rng):
-        db = MemoDatabase(dim=8, tau=0.5, train_min=100, value_mode="array")
+    def test_hits_are_zero_copy_and_read_only(self, rng):
+        db = MemoDatabase(dim=8, tau=0.5, train_min=100)
         k = make_keys(rng, 1)[0]
         v = np.arange(6, dtype=np.complex64).reshape(2, 3)
         db.insert(k, v)
@@ -179,17 +172,10 @@ class TestValueModes:
         assert not out1.value.flags.writeable
         np.testing.assert_array_equal(out1.value, v)
 
-    def test_array_mode_insert_detaches_from_caller_buffer(self, rng):
-        db = MemoDatabase(dim=8, tau=0.5, train_min=100, value_mode="array")
+    def test_insert_detaches_from_caller_buffer(self, rng):
+        db = MemoDatabase(dim=8, tau=0.5, train_min=100)
         k = make_keys(rng, 1)[0]
         v = np.ones(4, dtype=np.complex64)
         db.insert(k, v)
         v[:] = 99.0  # producer reuses its buffer
         np.testing.assert_array_equal(db.query(k).value, np.ones(4, dtype=np.complex64))
-
-    def test_bytes_mode_round_trips_fresh_copies(self, rng):
-        db = MemoDatabase(dim=8, tau=0.5, train_min=100, value_mode="bytes")
-        k = make_keys(rng, 1)[0]
-        db.insert(k, np.ones(4, dtype=np.complex64))
-        out = db.query(k)
-        assert out.hit and out.value.flags.writeable

@@ -21,6 +21,7 @@ from repro.core import (
     shard_of_location,
 )
 from repro.core.memo_engine import make_db_factory, memo_state_partitions
+from repro.core.memo_shard import MemoTier
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
 from repro.lamino.chunking import Chunk
 from repro.solvers import ADMMConfig, ADMMSolver, DirectExecutor, accuracy
@@ -514,7 +515,7 @@ class TestWorkersAndShards:
         assert TestCoalescerFlush.drained(run)
 
     def test_shard_traffic_partitions_cleanly(self, run):
-        per = run.router.per_shard_stats()
+        per = [s for s, _n in run.router.shard_stats()]
         agg = run.router.stats()
         assert sum(s.queries for s in per) == agg.queries
         assert sum(s.inserts for s in per) == agg.inserts
@@ -547,39 +548,53 @@ class TestWorkersAndShards:
 
 # -- the tier seam --------------------------------------------------------------------------
 
-TIER_SURFACE = (
-    "query_batch", "insert_batch", "shard_of", "stats", "entries", "state_dict",
-    "push_state", "close",
+#: what the executor may call on its tier: the primitives an implementation
+#: supplies plus the part MemoTier derives from them
+TIER_PRIMITIVES = (
+    "query_batch", "insert_batch", "shard_stats", "state_dict", "push_state", "close",
 )
+TIER_DERIVED = ("shard_of", "stats", "entries")
 
 
-class RecordingTier:
-    """A memo tier exposing *only* the eight methods the executor may use;
-    anything else the executor reached for would raise AttributeError."""
+class RecordingTier(MemoTier):
+    """A memo tier implementing *only* the primitives: everything else the
+    executor uses has to come out of the ``MemoTier`` base."""
 
     def __init__(self, n_shards: int) -> None:
+        self.n_shards = n_shards
         self._router = MemoShardRouter(n_shards, make_db_factory(memo_cfg()))
         self.calls: Counter = Counter()
 
-
-def _recorded(name):
-    def method(self, *args, **kwargs):
+    def _call(self, name, *args):
         self.calls[name] += 1
-        return getattr(self._router, name)(*args, **kwargs)
+        return getattr(self._router, name)(*args)
 
-    return method
+    def query_batch(self, queries):
+        return self._call("query_batch", queries)
 
+    def insert_batch(self, inserts):
+        return self._call("insert_batch", inserts)
 
-for _name in TIER_SURFACE:
-    setattr(RecordingTier, _name, _recorded(_name))
+    def shard_stats(self, op=None):
+        return self._call("shard_stats", op)
+
+    def state_dict(self):
+        return self._call("state_dict")
+
+    def push_state(self, tree):
+        return self._call("push_state", tree)
+
+    def close(self):
+        return self._call("close")
 
 
 class TestTierSeam:
-    def test_eight_method_tier_runs_solve_and_state_round_trip(self, problem, reference):
+    def test_primitives_only_tier_runs_solve_and_state_round_trip(self, problem, reference):
         g, ops, truth, d = problem
         ref_ex, ref = reference
+        assert set(MemoTier.__abstractmethods__) == set(TIER_PRIMITIVES)
         assert {n for n in vars(RecordingTier) if not n.startswith("_")} == set(
-            TIER_SURFACE
+            TIER_PRIMITIVES
         )
         ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4, n_workers=2)
         tier = ex.router = RecordingTier(n_shards=2)
@@ -597,12 +612,22 @@ class TestTierSeam:
         assert fresh.router.calls["push_state"] == 1
 
         ex.close()
-        assert set(tier.calls + fresh.router.calls) == set(TIER_SURFACE)
+        assert set(tier.calls + fresh.router.calls) == set(TIER_PRIMITIVES)
 
-    def test_in_process_router_is_such_a_tier(self):
-        router = MemoShardRouter(2, make_db_factory(memo_cfg()))
-        assert all(callable(getattr(router, name)) for name in TIER_SURFACE)
-        assert router.close() is None
+    def test_derived_half_is_written_once(self):
+        """``shard_of`` / ``stats`` / ``entries`` / context manager / health
+        come from the base for every tier; the in-process answers of the
+        transport half hold for a router."""
+        from repro.net import RemoteMemoClient, ReplicatedMemoClient
+
+        for cls in (MemoShardRouter, RemoteMemoClient, ReplicatedMemoClient, RecordingTier):
+            assert issubclass(cls, MemoTier)
+            for name in TIER_DERIVED + ("__enter__", "__exit__"):
+                assert name not in vars(cls), (cls.__name__, name)
+        with MemoShardRouter(2, make_db_factory(memo_cfg())) as router:
+            assert router.health() == {} and router.net_stats is None
+            assert router.connected and router.ping() and router.flush() is None
+            assert [router.shard_of(loc) for loc in range(4)] == [0, 1, 0, 1]
 
 
 # -- snapshot layouts -----------------------------------------------------------------------
@@ -699,7 +724,6 @@ class TestSnapshotLayouts:
         _parts, by_layout = trees
         for over, match in (
             (dict(tau=0.95), "tau"),
-            (dict(db_value_mode="bytes"), "value_mode"),
             (dict(memo_ops=("Fu2D", "Fu2D*")), "not memoized here"),
         ):
             ex = MemoizedExecutor(ops, config=memo_cfg(**over), chunk_size=4)

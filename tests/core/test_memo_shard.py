@@ -111,11 +111,11 @@ class TestStats:
         assert agg.inserts == 9
         assert agg.queries == 9
         assert agg.hits == 9
-        per = router.per_shard_stats()
-        assert sum(s.queries for s in per) == agg.queries
-        assert sum(s.inserts for s in per) == agg.inserts
+        per = router.shard_stats()
+        assert sum(s.queries for s, _n in per) == agg.queries
+        assert sum(s.inserts for s, _n in per) == agg.inserts
         assert router.entries() == 9
-        assert router.per_shard_entries() == [3, 3, 3]
+        assert [n for _s, n in per] == [3, 3, 3]
 
     def test_shard_message_counters(self):
         router = MemoShardRouter(2, make_db)

@@ -1,8 +1,9 @@
 """Replicated memo tier: fan-out, per-shard failover, circuits, resync.
 
-Client-level coverage of :class:`ReplicatedMemoClient` against a real
-two-daemon :class:`ReplicaSet` (solver-level chaos equivalence lives in
-``test_chaos_equivalence.py``).
+The integration layer: :class:`ReplicatedMemoClient` over TCP clients
+against a real two-daemon :class:`ReplicaSet`.  The semantics themselves
+are pinned without sockets in ``tests/net/test_tier.py``; solver-level
+chaos equivalence lives in ``test_chaos_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import pytest
 from repro.core.config import MemoConfig
 from repro.core.memo_shard import ShardInsert, ShardQuery
 from repro.faults.chaos import DaemonSchedule, ReplicaSet
-from repro.net import TransportUnavailable
+from repro.net import TransportUnavailable, connect_tier
 from repro.net.policy import RetryPolicy
-from repro.net.replicated import ReplicatedMemoClient
 from repro.obs import ObsConfig
 from repro.obs import runtime as obs
 
@@ -44,14 +44,14 @@ def replicas():
 
 def make_client(rs, **over):
     kwargs = dict(
+        replication=2,
         expect_tau=MEMO.tau,
-        expect_value_mode=MEMO.db_value_mode,
         n_shards_hint=2,
         retry_policy=FAST,
         client_name="test-replicated",
     )
     kwargs.update(over)
-    return ReplicatedMemoClient(rs.address_str, **kwargs)
+    return connect_tier(rs.address_str, **kwargs)
 
 
 def mk_items(rng, n, op="Fu1D"):
@@ -90,7 +90,7 @@ class TestFanOut:
 
     def test_replication_slices_address_list(self, replicas):
         with make_client(replicas, replication=1) as client:
-            assert len(client.addresses) == 1
+            assert client.labels == ["%s:%d" % replicas.addresses[0]]
         with pytest.raises(ValueError, match="replication"):
             make_client(replicas, replication=3)
 

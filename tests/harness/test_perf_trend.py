@@ -90,6 +90,19 @@ class TestCompare:
         cur = trend.history_entry(payload({"a": 1.0, "new": 99.0}))
         assert trend.compare(prev, cur) == []
 
+    def test_retired_benchmarks_are_named(self, tmp_path, capsys):
+        """A benchmark that disappears from the history (``mlr_solver_run``
+        did) passes the gate, but not silently."""
+        prev = trend.history_entry(payload({"a": 1.0, "gone": 1.0}))
+        cur = trend.history_entry(payload({"a": 1.0, "new": 99.0}))
+        assert trend.retired(prev, cur) == ["gone"]
+        path = tmp_path / "history.jsonl"
+        write_history(path, [payload({"a": 1.0, "gone": 1.0}),
+                             payload({"a": 1.0}, t=2000)])
+        assert trend.main(["--history", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "gone" in out and "no longer gated" in out
+
     def test_gauges_are_gated_like_timings(self):
         # a benchmark's lower-is-better sizes (solver_construction.block_mb)
         def with_gauge(mb):

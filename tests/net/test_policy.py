@@ -19,6 +19,7 @@ from repro.net.policy import (
     RetryPolicy,
     seed_from_name,
 )
+from repro.net.snapshot_store import RemoteSnapshotStore
 from repro.net.wire import parse_address, parse_address_list
 
 
@@ -48,14 +49,6 @@ class TestBackoff:
             schedules.append(tuple(state.next_delay() for _ in range(8)))
         assert len(set(schedules)) == len(schedules)
 
-    def test_live_overrides_respected(self):
-        """The memo client's historically mutable backoff knobs keep
-        working: overrides passed per-call re-bound the schedule."""
-        state = RetryPolicy(backoff_initial_s=0.05, backoff_max_s=5.0).backoff(3)
-        for _ in range(20):
-            assert state.next_delay(base_s=0.0, cap_s=0.1) <= 0.1
-        assert state.next_delay(base_s=7.0, cap_s=9.0) >= 7.0
-
     def test_reset_restarts_schedule(self):
         state = RetryPolicy(backoff_initial_s=0.1, backoff_max_s=10.0).backoff(5)
         first = [state.next_delay() for _ in range(5)]
@@ -73,6 +66,24 @@ class TestBackoff:
             RetryPolicy(backoff_initial_s=1.0, backoff_max_s=0.5)
         with pytest.raises(ValueError, match="failure_threshold"):
             RetryPolicy(failure_threshold=0)
+
+
+class TestDeadlineIsOptional:
+    def test_store_pull_without_a_deadline_is_bounded_by_attempts(self):
+        """``deadline_s=None`` is a documented policy ("only ``max_attempts``
+        bounds it"): a pull against a dead address must give up cold after
+        its attempts, not trip over ``monotonic() + None``."""
+        import socket
+
+        with socket.socket() as s:  # a port nothing listens on
+            s.bind(("127.0.0.1", 0))
+            dead = s.getsockname()
+        policy = RetryPolicy(
+            max_attempts=2, deadline_s=None, backoff_initial_s=0.0, backoff_max_s=0.01
+        )
+        with RemoteSnapshotStore(dead, retry_policy=policy) as store:
+            assert store.pull() is None
+            assert not store.connected
 
 
 class TestCircuitBreaker:

@@ -27,6 +27,7 @@ from repro.net import (
     TransportUnavailable,
     VersionMismatch,
 )
+from repro.net.policy import RetryPolicy
 from repro.net.wire import (
     MSG_ERROR,
     MSG_HELLO,
@@ -47,8 +48,7 @@ def daemon():
 
 @pytest.fixture()
 def client(daemon):
-    c = RemoteMemoClient(daemon.address, expect_tau=MEMO.tau,
-                         expect_value_mode=MEMO.db_value_mode, n_shards_hint=2)
+    c = RemoteMemoClient(daemon.address, expect_tau=MEMO.tau, n_shards_hint=2)
     yield c
     c.close()
 
@@ -87,7 +87,7 @@ class TestService:
                 np.testing.assert_array_equal(r.value, e.value)
         assert client.stats().as_dict() == local.stats().as_dict()
         assert client.entries() == local.entries()
-        assert client.per_shard_entries() == local.per_shard_entries()
+        assert client.shard_stats() == local.shard_stats()
 
     def test_snapshot_push_pull_roundtrip(self, daemon, client, rng):
         inserts = _mk_items(rng, 5)
@@ -248,10 +248,6 @@ class TestClientResilience:
         with pytest.raises(ValueError, match="tau"):
             RemoteMemoClient(daemon.address, expect_tau=0.5, fail_open=True)
 
-    def test_value_mode_mismatch_raises(self, daemon):
-        with pytest.raises(ValueError, match="value_mode"):
-            RemoteMemoClient(daemon.address, expect_value_mode="bytes")
-
     def test_dead_server_fail_open_degrades_and_counts(self, rng):
         with MemoServerDaemon(n_shards=1, memo=MEMO) as srv:
             addr = srv.address
@@ -289,7 +285,9 @@ class TestClientResilience:
     def test_reconnects_after_server_restart(self, rng):
         with MemoServerDaemon(n_shards=1, memo=MEMO) as srv:
             host, port = srv.address
-            c = RemoteMemoClient((host, port), backoff_initial_s=0.0)
+            c = RemoteMemoClient(
+                (host, port), retry_policy=RetryPolicy(backoff_initial_s=0.0)
+            )
             c.insert_batch(_mk_items(rng, 1))
             c.flush()
             assert c.connected

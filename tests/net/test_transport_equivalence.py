@@ -2,7 +2,8 @@
 
 - ``MLRSolver`` reconstructions and per-op memo hit/miss decisions match
   exactly between ``transport="inproc"`` and ``transport="tcp"`` at every
-  tested workers x shards layout,
+  tested workers x shards layout — and with replication wrapped around
+  in-process routers instead of a wire,
 - a scheduler warm-starts through a :class:`RemoteSnapshotStore` (two
   scheduler instances = two hosts sharing one daemon),
 - kill-the-daemon-mid-run fail-open: the job completes on cold compute and
@@ -14,9 +15,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MemoConfig, MLRConfig, MLRSolver
+from repro.core import MemoConfig, MemoShardRouter, MLRConfig, MLRSolver
+from repro.core.memo_engine import make_db_factory
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
-from repro.net import MemoServerDaemon, RemoteMemoClient, RemoteSnapshotStore
+from repro.net import (
+    MemoServerDaemon,
+    RemoteMemoClient,
+    RemoteSnapshotStore,
+    ReplicatedMemoClient,
+)
 from repro.service import JobSpec, ReconstructionScheduler, ServiceConfig
 from repro.solvers import ADMMConfig
 
@@ -95,23 +102,35 @@ class TestBitIdentity:
                     == ref_solver.memo_executor.db_entries(op)
                 )
             assert (
-                solver.memo_executor.router.per_shard_stats()[0].as_dict()
-                == ref_solver.memo_executor.router.per_shard_stats()[0].as_dict()
+                solver.memo_executor.router.shard_stats()
+                == ref_solver.memo_executor.router.shard_stats()
             )
 
-    def test_value_mode_bytes_also_identical(self, problem):
+    def test_replicated_over_inproc_routers_identical(self, problem):
+        """The fourth topology: replication wrapped around two in-process
+        routers (no wire at all) reproduces the bare router bit for bit,
+        and leaves both replicas holding the same tier."""
         g, ops, d = problem
-        _s, ref = run_solver(g, ops, d, memo_cfg(db_value_mode="bytes"))
-        with MemoServerDaemon(
-            n_shards=1, memo=memo_cfg(db_value_mode="bytes")
-        ) as srv:
-            _s2, res = run_solver(
-                g, ops, d,
-                memo_cfg(db_value_mode="bytes", transport="tcp",
-                         server_address=srv.address),
-            )
+        ref_solver, ref = run_solver(g, ops, d, memo_cfg(), n_workers=2, n_shards=2)
+        cfg = MLRConfig(chunk_size=4, memo=memo_cfg(), n_workers=2, n_shards=2)
+        solver = MLRSolver(g, cfg, admm=ADMM, ops=ops)
+        replicas = [MemoShardRouter(2, make_db_factory(memo_cfg())) for _ in range(2)]
+        solver.memo_executor.router = ReplicatedMemoClient(replicas)
+        res = solver.reconstruct(d)
         np.testing.assert_array_equal(ref.u, res.u)
         assert event_view(ref) == event_view(res)
+        assert ref.case_counts == res.case_counts
+        ref_ex, ex = ref_solver.memo_executor, solver.memo_executor
+        assert ex.db_stats_total().as_dict() == ref_ex.db_stats_total().as_dict()
+        assert ex.db_entries_total() == ref_ex.db_entries_total()
+        assert ex.router.shard_stats() == ref_ex.router.shard_stats()
+        assert ex.router.net_stats is None
+        # inserts reached both; each shard's reads went to its primary only
+        assert replicas[0].entries() == replicas[1].entries() == ref_ex.router.entries()
+        for shard, (stats, _n) in enumerate(ref_ex.router.shard_stats()):
+            primary, other = replicas[shard % 2], replicas[1 - shard % 2]
+            assert primary.shard_stats()[shard][0].queries == stats.queries
+            assert other.shard_stats()[shard][0].queries == 0
 
     def test_warm_start_via_remote_snapshot_matches_local(self, problem):
         """memo_snapshot loads push to the daemon; a second run over the
@@ -295,7 +314,6 @@ class TestFailOpen:
         )
         solver = MLRSolver(g, cfg, admm=ADMM, ops=ops)
         client = solver.memo_executor.router
-        client.backoff_initial_s = 0.0  # reconnect eagerly for the test
 
         killed_at = 2
 

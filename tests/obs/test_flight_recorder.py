@@ -19,9 +19,8 @@ import numpy as np
 from repro.core import MLRConfig, MemoConfig, ObsConfig
 from repro.core.memo_shard import ShardQuery
 from repro.lamino import LaminoGeometry
-from repro.net import MemoServerDaemon
+from repro.net import MemoServerDaemon, connect_tier
 from repro.net.policy import RetryPolicy
-from repro.net.replicated import ReplicatedMemoClient
 from repro.obs import runtime as obs
 from repro.obs.report import report_from_file
 from repro.service import JobSpec, JobState, ReconstructionScheduler, ServiceConfig
@@ -135,8 +134,8 @@ class TestProductionTriggers:
         with MemoServerDaemon(n_shards=1, name="victim") as d:
             address = d.address
         # daemon closed: next contact trips the breaker immediately
-        rc = ReplicatedMemoClient(
-            [address], client_name="breaker",
+        rc = connect_tier(
+            [address], replication=1,
             retry_policy=RetryPolicy(failure_threshold=1, reset_timeout_s=30.0),
         )
         try:
@@ -150,7 +149,6 @@ class TestProductionTriggers:
             meta = json.loads(fh.readline())
         attrs = meta["flight"]["attrs"]
         assert attrs["replica"] == f"{address[0]}:{address[1]}"
-        assert attrs["client"] == "breaker"
         assert attrs["error"]
 
     def test_breaker_reopen_does_not_redump(self, tmp_path):
@@ -159,8 +157,8 @@ class TestProductionTriggers:
         obs.configure(ObsConfig(flight_dir=str(tmp_path)))
         with MemoServerDaemon(n_shards=1, name="victim") as d:
             address = d.address
-        rc = ReplicatedMemoClient(
-            [address], client_name="flap",
+        rc = connect_tier(
+            [address], replication=1,
             retry_policy=RetryPolicy(failure_threshold=1, reset_timeout_s=30.0),
         )
         try:

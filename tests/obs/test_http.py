@@ -146,6 +146,24 @@ class TestSnapshot:
         assert any(r["name"] == "memo_chunks_total" for r in report["scalars"])
         assert any(r["name"] == "sweep.Fu1D" for r in report["spans"])
 
+    def test_report_cli_reads_a_plane_beside_jsonl_dumps(self, enabled, tmp_path, capsys):
+        """``python -m repro.obs report dump.jsonl host:port``: a telemetry
+        target is fetched from ``/snapshot`` and merged with the files."""
+        from repro.obs.__main__ import main as obs_main
+
+        dump = tmp_path / "earlier.jsonl"
+        obs.dump_jsonl(str(dump), snapshot=[], spans=[
+            {"name": "from.file", "span_id": 1, "parent_id": None, "trace_id": 1,
+             "start_s": 0.0, "dur_s": 0.001, "proc": "other-proc"},
+        ])
+        with obs.span("from.plane"):
+            pass
+        with TelemetryServer(name="unit") as srv:
+            host, port = srv.address
+            assert obs_main(["report", "--json", str(dump), f"{host}:{port}"]) == 0
+        names = {r["name"] for r in json.loads(capsys.readouterr().out)["spans"]}
+        assert {"from.file", "from.plane"} <= names
+
     def test_unknown_path_404(self, enabled):
         with TelemetryServer() as srv:
             status, _, _ = _get(srv.url + "/nope")

@@ -1,25 +1,31 @@
-"""The MSG_METRICS pull: daemon-side snapshot over the wire, client
-request-latency histograms, degraded-mode counters, --metrics-dump."""
+"""Network-tier metrics: the daemon's view through its telemetry plane,
+client request-latency histograms, degraded-mode counters and the
+``net_client_*`` gauges the solver publishes — all off the memo wire."""
 
 from __future__ import annotations
+
+import json
+import urllib.request
 
 import numpy as np
 import pytest
 
-from repro.core import MemoConfig
+from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig
 from repro.core.memo_shard import ShardInsert, ShardQuery
 from repro.net import MemoServerDaemon, RemoteMemoClient
-from repro.net.server import main as server_main
 from repro.obs import runtime as obs
+from repro.solvers import ADMMConfig
 
 
-def memo_cfg() -> MemoConfig:
-    return MemoConfig(tau=0.9, index_train_min=4, index_clusters=2, index_nprobe=2)
+def memo_cfg(**over) -> MemoConfig:
+    base = dict(tau=0.9, index_train_min=4, index_clusters=2, index_nprobe=2)
+    base.update(over)
+    return MemoConfig(**base)
 
 
 @pytest.fixture()
 def daemon():
-    with MemoServerDaemon(n_shards=2, memo=memo_cfg()) as d:
+    with MemoServerDaemon(n_shards=2, memo=memo_cfg(), telemetry_port=0) as d:
         yield d
 
 
@@ -36,33 +42,52 @@ def traffic(client, rng):
     return client.query_batch(probes)
 
 
-class TestMetricsPull:
-    def test_metrics_returns_server_view(self, enabled, daemon, rng):
+def scrape(daemon, path: str) -> str:
+    with urllib.request.urlopen(daemon.telemetry.url + path, timeout=5.0) as resp:
+        return resp.read().decode("utf-8")
+
+
+class TestDaemonTelemetryPlane:
+    def test_snapshot_returns_server_view(self, enabled, daemon, rng):
         with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
             traffic(client, rng)
-            payload = client.metrics()
-        assert payload["obs_enabled"] is True
-        server = payload["server"]
-        assert server["metrics_pulls"] == 1
-        assert server["query_batches"] == 1
-        assert server["insert_batches"] == 1
-        names = {e["name"] for e in payload["metrics"]}
+        payload = json.loads(scrape(daemon, "/snapshot"))
+        assert payload["meta"]["obs_enabled"] is True
+        by_name = {e["name"]: e for e in payload["metrics"]}
+        assert by_name["net_server_query_batches"]["value"] == 1
+        assert by_name["net_server_insert_batches"]["value"] == 1
+        assert by_name["net_server_queries"]["labels"] == {"server": "memo-server"}
         # request + shard service-time histograms from the daemon side
-        assert "net_server_request_seconds" in names
-        assert "net_server_shard_seconds" in names
-        assert "net_server_queries" in names
+        assert "net_server_request_seconds" in by_name
+        assert "net_server_shard_seconds" in by_name
 
     def test_request_types_label_the_histograms(self, enabled, daemon, rng):
         with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
             traffic(client, rng)
-            payload = client.metrics()
         types = {
             e["labels"]["type"]
-            for e in payload["metrics"]
+            for e in json.loads(scrape(daemon, "/snapshot"))["metrics"]
             if e["name"] == "net_server_request_seconds"
         }
         assert {"query_batch", "insert_batch"} <= types
 
+    def test_metrics_scrape_is_prometheus_text(self, enabled, daemon, rng):
+        with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
+            traffic(client, rng)
+        out = scrape(daemon, "/metrics")
+        assert "# TYPE net_server_query_batches gauge" in out
+        assert 'net_server_query_batches{server="memo-server"} 1' in out
+        assert "net_server_request_seconds_bucket" in out
+
+    def test_the_scrape_costs_no_wire_request(self, enabled, daemon, rng):
+        with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
+            traffic(client, rng)
+            scrape(daemon, "/metrics")
+            assert client.net_stats.requests == 2  # insert + query, nothing else
+        assert daemon.stats.stats_pulls == 0
+
+
+class TestClientSide:
     def test_client_latency_histograms_by_message_type(self, enabled, daemon, rng):
         with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
             traffic(client, rng)
@@ -77,27 +102,29 @@ class TestMetricsPull:
         q = series[("net_client_request_seconds", "query_batch")]
         assert q["count"] == 1 and q["sum"] > 0.0
 
-    def test_client_publish_rides_along(self, enabled, daemon, rng):
-        with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
-            traffic(client, rng)
-            client.metrics()
-        local = {e["name"]: e for e in obs.snapshot()}
-        # published before the MSG_METRICS round trip itself is counted
-        assert local["net_client_requests"]["value"] == 2  # insert + query
-        assert local["net_client_pipelined_inserts"]["value"] == 8
-
-    def test_obs_disabled_server_synthesizes_gauges(self, disabled, daemon, rng):
-        with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
-            traffic(client, rng)
-            payload = client.metrics()
-        assert payload["obs_enabled"] is False
-        names = {e["name"] for e in payload["metrics"]}
-        assert "net_server_query_batches" in names  # synthesized from ServerStats
-        assert "net_server_request_seconds" not in names  # no histograms while off
-        by_name = {e["name"]: e for e in payload["metrics"]}
-        assert by_name["net_server_query_batches"]["value"] == 1.0
-        # the local process allocated nothing
-        assert len(obs.registry()) == 0
+    def test_solver_publishes_client_counters_next_to_memo_db(
+        self, tiny_geometry, tiny_ops, tiny_data
+    ):
+        with MemoServerDaemon(n_shards=2, memo=memo_cfg()) as srv:
+            cfg = MLRConfig(
+                chunk_size=4,
+                memo=memo_cfg(transport="tcp", server_address=srv.address),
+                obs=ObsConfig(),
+            )
+            solver = MLRSolver(
+                tiny_geometry, cfg, ADMMConfig(n_outer=3, n_inner=2), ops=tiny_ops
+            )
+            try:
+                solver.reconstruct(tiny_data)
+                net = solver.memo_executor.router.net_stats
+            finally:
+                solver.close()
+        gauges = {e["name"]: e["value"] for e in obs.snapshot() if e["kind"] == "gauge"
+                  and e["name"].startswith("net_client_")}
+        assert gauges["net_client_pipelined_inserts"] == net.pipelined_inserts > 0
+        assert gauges["net_client_degraded_queries"] == 0
+        assert gauges["net_client_requests"] == net.requests > 0
+        assert set(gauges) == {f"net_client_{f}" for f in vars(net)}
 
 
 class TestDegraded:
@@ -105,14 +132,14 @@ class TestDegraded:
         with MemoServerDaemon(n_shards=1, memo=memo_cfg()) as d:
             addr = d.address
         client = RemoteMemoClient(addr, fail_open=True)
-        assert client.metrics() is None
-        assert client.net_stats.degraded_stats_pulls == 1
+        assert client.stats().queries == 0 and client.entries() == 0
+        assert client.net_stats.degraded_stats_pulls == 2
         degraded = {
             e["labels"]["kind"]: e["value"]
             for e in obs.snapshot()
             if e["name"] == "net_client_degraded_total"
         }
-        assert degraded.get("metrics_pull") == 1
+        assert degraded == {"stats_pull": 2}
         client.close()
 
     def test_degraded_queries_count_in_registry(self, enabled, rng):
@@ -138,23 +165,5 @@ class TestDegraded:
             addr = d.address
         client = RemoteMemoClient(addr, fail_open=False)
         with pytest.raises(OSError):
-            client.metrics()
+            client.stats()
         client.close()
-
-
-class TestMetricsDumpCli:
-    def test_metrics_dump_prints_prometheus(self, enabled, daemon, rng, capsys):
-        with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
-            traffic(client, rng)
-        host, port = daemon.address
-        assert server_main(["--metrics-dump", f"{host}:{port}"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE net_server_query_batches gauge" in out
-        assert 'net_server_query_batches{server="memo-server"} 1' in out
-        assert "net_server_request_seconds_bucket" in out
-
-    def test_metrics_dump_against_dead_server_fails(self, enabled):
-        with MemoServerDaemon(n_shards=1, memo=memo_cfg()) as d:
-            host, port = d.address
-        with pytest.raises((OSError, ValueError)):
-            server_main(["--metrics-dump", f"{host}:{port}"])

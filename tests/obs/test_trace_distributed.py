@@ -6,9 +6,10 @@ The PR's headline contracts:
   children) parents under the ``net_client.request`` span that issued it,
   across the wire, under one trace id — including through reconnects,
   pipelined insert-ack drains, and replica failover,
-- ``MSG_TRACE_PULL`` drains a daemon's span rings remotely, and merging
-  that dump with the local one stitches a genuinely cross-*process* tree
-  (exercised against a ``python -m repro.net.server`` subprocess),
+- a daemon's spans leave through its telemetry plane (``/snapshot``), and
+  merging that view with the local dump stitches a genuinely
+  cross-*process* tree (exercised against a ``python -m repro.net.server
+  --telemetry-port`` subprocess),
 - a full TCP reconstruction yields one stitched tree rooted at
   ``solver.reconstruct`` with a per-hop wire-cost table,
 - tracing off is invisible: no trace field on any frame, and the
@@ -17,11 +18,13 @@ The PR's headline contracts:
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import subprocess
 import sys
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -30,9 +33,8 @@ from repro.core import MLRConfig, MLRSolver, MemoConfig, ObsConfig
 from repro.core.memo_shard import ShardInsert, ShardQuery
 from repro.faults import FaultPlan, FaultRule
 from repro.faults import runtime as faults
-from repro.net import MemoServerDaemon
+from repro.net import MemoServerDaemon, connect_tier
 from repro.net.client import RemoteMemoClient
-from repro.net.replicated import ReplicatedMemoClient
 from repro.obs import runtime as obs
 from repro.obs.report import build_report, build_trace, merge_dumps, render_report
 from repro.solvers import ADMMConfig
@@ -188,9 +190,7 @@ class TestReconnectAndFailover:
     def test_stitching_survives_failover(self, enabled):
         with MemoServerDaemon(n_shards=2, name="r0") as d0:
             with MemoServerDaemon(n_shards=2, name="r1") as d1:
-                rc = ReplicatedMemoClient(
-                    [d0.address, d1.address], client_name="failover"
-                )
+                rc = connect_tier([d0.address, d1.address], client_name="failover")
                 try:
                     d0.close()  # preferred replica of shard 0 goes dark
                     with obs.span("root.op"):
@@ -208,72 +208,50 @@ class TestReconnectAndFailover:
             assert s["trace_id"] == root["trace_id"]
 
 
-class TestTracePull:
-    def test_pull_drains_once(self, enabled):
-        with MemoServerDaemon(n_shards=1, name="drained") as d:
+def plane_snapshot(url: str) -> dict:
+    """A telemetry plane's ``/snapshot``: the shape ``load_jsonl`` gives."""
+    with urllib.request.urlopen(url + "/snapshot", timeout=5.0) as resp:
+        return json.loads(resp.read().decode("utf-8"))
+
+
+class TestTelemetryPlaneSpans:
+    def test_snapshot_peeks_the_daemons_spans(self, enabled):
+        with MemoServerDaemon(n_shards=1, name="peeked", telemetry_port=0) as d:
             with RemoteMemoClient(d.address, client_name="tp") as c:
                 c.ping()
-                first = c.trace_pull()
-                assert first["server"] == "drained"
-                assert first["obs_enabled"] is True
+                first = plane_snapshot(d.telemetry.url)
+                assert first["meta"]["server"] == "peeked"
+                assert first["meta"]["obs_enabled"] is True
                 first_ids = {s["span_id"] for s in first["spans"]}
                 assert first_ids  # the ping handler span at minimum
-                second = c.trace_pull()
-                # drained, not copied: no span ships twice
-                assert first_ids.isdisjoint(
-                    {s["span_id"] for s in second["spans"]}
-                )
+                c.ping()
+                second = plane_snapshot(d.telemetry.url)
+                # a read, not a drain: earlier spans stay in the ring
+                assert first_ids < {s["span_id"] for s in second["spans"]}
+                # and the wire saw the two pings only — no telemetry message
+                assert c.net_stats.requests == 2
 
-    def test_pull_gated_on_feature_advert(self, enabled):
-        with MemoServerDaemon(n_shards=1, name="old") as d:
-            with RemoteMemoClient(d.address, client_name="og") as c:
-                c.server_info = {
-                    k: v for k, v in c.server_info.items() if k != "features"
-                }
-                # an old server would kill the connection on the unknown
-                # message: the client must not even send it
-                assert c.trace_pull() is None
-
-    def test_replicated_pull_and_metrics_aggregate(self, enabled):
-        with MemoServerDaemon(n_shards=2, name="ra") as d0, \
-             MemoServerDaemon(n_shards=2, name="rb") as d1:
-            rc = ReplicatedMemoClient(
-                [d0.address, d1.address], client_name="agg"
-            )
-            try:
-                rc.insert_batch([insert(0)])  # fans out to both replicas
-                rc.query_batch([query(0)])
-                rc.flush()
-                m = rc.metrics()
-                tags = {f"{h}:{p}" for h, p in rc.addresses}
-                assert set(m["replicas"]) == tags
-                assert m["obs_enabled"] is True
-                assert m["metrics"]
-                for entry in m["metrics"]:
-                    assert entry["labels"]["replica"] in tags
-                # both replicas saw the fanned-out insert
-                for stats in m["replicas"].values():
-                    assert stats["insert_batches"] >= 1
-                pulled = rc.trace_pull()
-                assert pulled is not None
-                assert sorted(pulled["servers"]) == ["ra", "rb"]
-                assert pulled["spans"]
-            finally:
-                rc.close()
-
-    def test_replicated_metrics_fail_open_per_replica(self, enabled):
-        with MemoServerDaemon(n_shards=2, name="live") as d0:
-            with MemoServerDaemon(n_shards=2, name="dead") as d1:
-                rc = ReplicatedMemoClient(
-                    [d0.address, d1.address], client_name="半"
-                )
-            try:
-                rc.query_batch([query(0)])
-                m = rc.metrics()  # d1 is down: skipped, not fatal
-                assert m is not None
-                assert len(m["replicas"]) == 1
-            finally:
-                rc.close()
+    def test_replicated_tier_stitches_from_each_replicas_plane(self, enabled):
+        with MemoServerDaemon(n_shards=2, name="ra", telemetry_port=0) as d0, \
+             MemoServerDaemon(n_shards=2, name="rb", telemetry_port=0) as d1:
+            with connect_tier([d0.address, d1.address], client_name="agg") as rc:
+                with obs.span("root.op"):
+                    rc.insert_batch([insert(0)])  # fans out to both replicas
+                    rc.query_batch([query(0)])
+                    rc.flush()
+            views = [plane_snapshot(d.telemetry.url) for d in (d0, d1)]
+        assert [v["meta"]["server"] for v in views] == ["ra", "rb"]
+        # both replicas saw the fanned-out insert (same process here, so the
+        # gauges are told apart by their server label)
+        batches = {
+            e["labels"]["server"]: e["value"]
+            for e in views[1]["metrics"] if e["name"] == "net_server_insert_batches"
+        }
+        assert batches == {"ra": 1, "rb": 1}
+        trace = build_trace(merge_dumps(views[:1])["spans"])
+        paths = {tuple(r["path"]) for r in trace["tree"]}
+        assert ("root.op", "net_client.request", "net_server.request") in paths
+        assert trace["orphans"] == 0
 
 
 def _free_port() -> int:
@@ -288,19 +266,20 @@ def _free_port() -> int:
 class TestCrossProcess:
     def test_subprocess_server_dump_stitches(self, enabled, tmp_path):
         """The real thing: the daemon in its own process (own obs runtime,
-        own pid), spans pulled over MSG_TRACE_PULL, merged with the local
-        dump into one tree spanning two processes."""
+        own pid), its spans read from its telemetry plane's ``/snapshot``,
+        merged with the local dump into one tree spanning two processes."""
         repo = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(repo, "src") + os.pathsep + env.get(
             "PYTHONPATH", "")
         env["REPRO_OBS"] = "1"
-        port = _free_port()
+        port, plane_port = _free_port(), _free_port()
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.net.server",
              "--host", "127.0.0.1", "--port", str(port),
-             "--shards", "2", "--tau", "0.92"],
+             "--shards", "2", "--tau", "0.92",
+             "--telemetry-port", str(plane_port)],
             env=env, cwd=repo,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
@@ -309,7 +288,9 @@ class TestCrossProcess:
             ready = False
             while time.monotonic() < deadline:
                 try:
-                    socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+                    # the plane binds last: once it answers, both ports do
+                    for p in (port, plane_port):
+                        socket.create_connection(("127.0.0.1", p), timeout=1.0).close()
                     ready = True
                     break
                 except OSError:
@@ -324,7 +305,7 @@ class TestCrossProcess:
                     client.insert_batch([insert(0), insert(3, seed=1)])
                     client.query_batch([query(0), query(3)])
                     client.flush()
-                pulled = client.trace_pull()
+            pulled = plane_snapshot(f"http://127.0.0.1:{plane_port}")
         finally:
             proc.terminate()
             proc.wait(timeout=10)
@@ -332,7 +313,7 @@ class TestCrossProcess:
         data = merge_dumps([
             {"meta": {"dropped_spans": dropped}, "metrics": obs.snapshot(),
              "spans": local_spans},
-            {"meta": {}, "metrics": [], "spans": pulled["spans"]},
+            pulled,
         ])
         trace = build_trace(data["spans"])
         assert trace["procs"] == 2  # genuinely two processes in one tree

@@ -10,7 +10,7 @@ import pytest
 
 from repro.ann import FlatIndex, IVFFlatIndex
 from repro.core import CNNKeyEncoder, MemoDatabase
-from repro.kvstore import ArrayStore, KVStore, encode_array, store_from_state
+from repro.kvstore import ArrayStore, KVStore, encode_array
 from repro.nn import ChunkEncoder
 from repro.service import (
     SnapshotError,
@@ -187,8 +187,8 @@ class TestStoreRoundTrips:
         store.put("two", b"d" * 10)
         store.get(1)
         store.get("missing")
-        restored = store_from_state(store.state_dict())
-        assert isinstance(restored, KVStore) and not isinstance(restored, ArrayStore)
+        restored = KVStore.from_state(store.state_dict())
+        assert type(restored) is KVStore
         assert restored.keys() == store.keys()
         assert restored.nbytes == store.nbytes
         assert restored.get(1) == b"abc" and restored.get("two") == b"d" * 10
@@ -198,7 +198,7 @@ class TestStoreRoundTrips:
         store = ArrayStore()
         a = np.arange(6, dtype=np.complex64).reshape(2, 3)
         store.put(0, a)
-        restored = store_from_state(store.state_dict())
+        restored = ArrayStore.from_state(store.state_dict())
         assert isinstance(restored, ArrayStore)
         got = restored.get(0)
         assert np.array_equal(got, a) and got.dtype == a.dtype
@@ -222,8 +222,8 @@ class TestStoreRoundTrips:
         with pytest.raises(ValueError, match="store"):
             KVStore.from_state(state)
         state["store_type"] = "martian"
-        with pytest.raises(ValueError, match="unknown store_type"):
-            store_from_state(state)
+        with pytest.raises(ValueError, match="'martian' store"):
+            ArrayStore.from_state(state)
 
 
 # -- the INT8-quantized key encoder -----------------------------------------------------
@@ -263,10 +263,10 @@ class TestEncoderRoundTrip:
 # -- the memoization database -----------------------------------------------------------
 
 
-def populated_db(value_mode: str, n: int, dim: int = 8, train_min: int = 6):
+def populated_db(n: int, dim: int = 8, train_min: int = 6):
     rng = np.random.default_rng(7)
     db = MemoDatabase(dim=dim, tau=0.9, index_clusters=3, index_nprobe=2,
-                      train_min=train_min, value_mode=value_mode)
+                      train_min=train_min)
     for i in range(n):
         k = rng.standard_normal(dim).astype(np.float32)
         v = (rng.standard_normal((3, 4))
@@ -288,13 +288,11 @@ def probe_keys(db: MemoDatabase, dim: int = 8):
 
 
 class TestDatabaseRoundTrips:
-    @pytest.mark.parametrize("value_mode", ["array", "bytes"])
-    def test_trained_db_bit_identical(self, tmp_path, value_mode):
-        db = populated_db(value_mode, n=25)
+    def test_trained_db_bit_identical(self, tmp_path):
+        db = populated_db(n=25)
         assert db.index.is_trained
         save_database(tmp_path / "db", db)
         restored = load_database(tmp_path / "db")
-        assert restored.value_mode == value_mode
         assert len(restored) == len(db)
         assert db.stats.as_dict() == restored.stats.as_dict()
         probes = probe_keys(db)
@@ -304,12 +302,11 @@ class TestDatabaseRoundTrips:
         assert db.stats.as_dict() == restored.stats.as_dict()
         assert sum(o.hit for o in restored.query_batch(probes[:len(db._keys)])) > 0
 
-    @pytest.mark.parametrize("value_mode", ["array", "bytes"])
-    def test_mid_training_db_bit_identical(self, tmp_path, value_mode):
+    def test_mid_training_db_bit_identical(self, tmp_path):
         """Snapshotted before the IVF quantizer trains: the pretrain scan
         must answer identically, and later training must proceed
         identically."""
-        db = populated_db(value_mode, n=4, train_min=32)
+        db = populated_db(n=4, train_min=32)
         assert not db.index.is_trained and len(db._pretrain) == 4
         save_database(tmp_path / "db", db)
         restored = load_database(tmp_path / "db")
@@ -337,12 +334,37 @@ class TestDatabaseRoundTrips:
         outcomes_equal(db.query_batch(probes), restored.query_batch(probes))
         assert all(not o.hit for o in restored.query_batch(probes))
 
-    def test_value_mode_mismatch_rejected(self, tmp_path):
-        db = populated_db("array", n=10)
-        state = db.state_dict()
-        state["config"]["value_mode"] = "bytes"
-        with pytest.raises(ValueError, match="value store"):
+    def test_serialized_value_store_rejected(self):
+        state = populated_db(n=10).state_dict()
+        state["values"] = KVStore().state_dict()
+        with pytest.raises(ValueError, match="'bytes' store"):
             MemoDatabase.from_state(state)
+
+    def test_snapshot_written_with_the_array_tag_still_loads(self, tmp_path):
+        """Snapshots from before the serialized value store was removed
+        carry ``value_mode: "array"`` in every database config."""
+        db = populated_db(n=10)
+        state = db.state_dict()
+        state["config"]["value_mode"] = "array"
+        write_snapshot(tmp_path / "db", state, kind="memo-database")
+        restored = load_database(tmp_path / "db")
+        probes = probe_keys(db)
+        outcomes_equal(db.query_batch(probes), restored.query_batch(probes))
+
+    @pytest.mark.parametrize("kind", ["memo-database", "memo-state"])
+    def test_removed_bytes_tag_fails_as_snapshot_error(self, tmp_path, kind):
+        """...and one written with ``value_mode: "bytes"`` must fail as a
+        snapshot problem naming the value, not a KeyError or a store error
+        deep inside ``from_state``."""
+        state = populated_db(n=4).state_dict()
+        state["config"]["value_mode"] = "bytes"
+        tree = state if kind == "memo-database" else {
+            "layout": "single",
+            "partitions": [{"op": "Fu1D", "location": 0, "db": state}],
+        }
+        write_snapshot(tmp_path / "snap", tree, kind=kind)
+        with pytest.raises(SnapshotError, match="value_mode 'bytes'"):
+            read_snapshot(tmp_path / "snap", expect_kind=kind)
 
     def test_opaque_meta_rejected(self):
         db = MemoDatabase(dim=4, tau=0.9)
@@ -352,6 +374,6 @@ class TestDatabaseRoundTrips:
             db.state_dict()
 
     def test_snapshot_files_exist(self, tmp_path):
-        save_database(tmp_path / "db", populated_db("array", n=10))
+        save_database(tmp_path / "db", populated_db(n=10))
         assert os.path.isfile(tmp_path / "db" / "manifest.json")
         assert os.path.isfile(tmp_path / "db" / "arrays.npz")

@@ -84,14 +84,6 @@ class TestMemoState:
             MLRSolver(geometry, MLRConfig(chunk_size=4, memo=memo,
                                           memo_snapshot=tree), admm=ADMM)
 
-    def test_mismatched_value_mode_fails_fast(self, problem, first_job):
-        geometry, _d1, _d2 = problem
-        tree = first_job.memo_executor.memo_state()
-        memo = MemoConfig(**{**MEMO, "db_value_mode": "bytes"})
-        with pytest.raises(ValueError, match="value_mode"):
-            MLRSolver(geometry, MLRConfig(chunk_size=4, memo=memo,
-                                          memo_snapshot=tree), admm=ADMM)
-
     def test_unknown_op_fails_fast(self, problem, first_job):
         geometry, _d1, _d2 = problem
         tree = first_job.memo_executor.memo_state()
@@ -147,7 +139,7 @@ class TestShardedMemoState:
         router = fresh.memo_executor.router
         src = sharded_job.memo_executor.router
         assert router.entries() == src.entries()
-        assert router.per_shard_entries() == src.per_shard_entries()
+        assert router.shard_stats() == src.shard_stats()
         for a, b in zip(router.shards, src.shards):
             assert a.query_messages == b.query_messages
             assert a.insert_messages == b.insert_messages
