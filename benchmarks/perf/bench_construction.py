@@ -5,9 +5,12 @@ One unit of work is two ready ``ADMMSolver`` s (``DirectExecutor``,
 ``LaminoOperators`` stack: the first pays the plans, the chunk-grid
 Lipschitz pass and the block CSRs it warms, the second reuses all of it.
 The baseline gives each solver its own cold stack — what a per-job stack
-(the scheduler's today) pays.  ``gauges.block_mb`` is the 2-D plan's block
-cache after construction: the sweeps add nothing to it, so it is the
-operator's whole resident size, and ``trend.py`` gates it with the timing.
+(the scheduler's today) pays.  ``gauges.plan_mb`` is the 2-D plan's
+separable tap arrays and ``gauges.block_mb`` its block cache after
+construction (``USFFT2DPlan.nbytes`` before and after the first solver): the
+sweeps add nothing to it (``tests/solvers/test_lipschitz_cache.py``), so the
+two are the Fu2D operator's whole resident size, and ``trend.py`` gates both
+with the timing.
 """
 
 from __future__ import annotations
@@ -26,14 +29,6 @@ def _solver(ops: LaminoOperators) -> ADMMSolver:
     return ADMMSolver(ops, executor=DirectExecutor(ops, chunk_size=CHUNK_SIZE))
 
 
-def block_mb(ops: LaminoOperators) -> float:
-    """Megabytes held by the 2-D plan's cached block operators."""
-    return sum(
-        m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-        for m in ops.plan2d._blocks.values()
-    ) / 1e6
-
-
 def run(quick: bool = True, repeat: int = 3) -> dict:
     h = 16 if quick else 32  # the ledger's service and solver geometries
     geom = LaminoGeometry(vol_shape=(64, h, 64), n_angles=32, det_shape=(h, 64))
@@ -42,21 +37,21 @@ def run(quick: bool = True, repeat: int = 3) -> dict:
         ops = LaminoOperators(geom)
         _solver(ops)
         _solver(ops)
-        return ops
 
     def stack_per_solver():
         _solver(LaminoOperators(geom))
         _solver(LaminoOperators(geom))
 
-    ops = shared_stack()
-    widest = max(stop - start for start, stop, *_ in ops.plan2d._blocks)
-    assert widest <= CHUNK_SIZE, f"construction built a {widest}-row block"
+    ops = LaminoOperators(geom)
+    plan_bytes = ops.plan2d.nbytes  # no block exists yet
+    _solver(ops)
+    block_bytes = ops.plan2d.nbytes - plan_bytes
     entry = pair_entry(
         time_fn(stack_per_solver, repeat=repeat, warmup=0),
         time_fn(shared_stack, repeat=repeat, warmup=0),
         vol_shape=list(geom.vol_shape),
         n_angles=geom.n_angles,
         chunk_size=CHUNK_SIZE,
-        gauges={"block_mb": block_mb(ops)},
+        gauges={"plan_mb": plan_bytes / 1e6, "block_mb": block_bytes / 1e6},
     )
     return {"solver_construction": entry}

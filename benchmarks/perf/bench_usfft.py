@@ -57,16 +57,18 @@ def run(quick: bool = True, repeat: int = 5) -> dict:
     def sweep_1d_type1():
         U.usfft1d_type1(F1, plan1d, axis=1)
 
+    # chunked exactly like the executors: one call per location slab
+    slabs = [
+        slice(lo, min(lo + chunk, plan2d.nslices)) for lo in range(0, plan2d.nslices, chunk)
+    ]
+
     def sweep_2d_type2():
-        # chunked exactly like the executors: one call per location slab
-        for lo in range(0, plan2d.nslices, chunk):
-            hi = min(lo + chunk, plan2d.nslices)
-            U.usfft2d_type2(f2[lo:hi], plan2d, slices=slice(lo, hi))
+        for rows in slabs:
+            U.usfft2d_type2(f2[rows], plan2d, slices=rows)
 
     def sweep_2d_type1():
-        for lo in range(0, plan2d.nslices, chunk):
-            hi = min(lo + chunk, plan2d.nslices)
-            U.usfft2d_type1(F2[lo:hi], plan2d, slices=slice(lo, hi))
+        for rows in slabs:
+            U.usfft2d_type1(F2[rows], plan2d, slices=rows)
 
     out = {}
     for name, fn in [
@@ -79,9 +81,8 @@ def run(quick: bool = True, repeat: int = 5) -> dict:
         with U.reference_kernels():
             ref = time_fn(fn, repeat=repeat)
         out[name] = pair_entry(ref, opt, dtype="complex64")
-    gathers = [
-        m for (_, _, char, scatter), m in plan2d._blocks.items() if char == "F" and not scatter
-    ]
+    # cached by the sweeps above
+    gathers = [plan2d.block_gather(rows.start, rows.stop, np.complex64) for rows in slabs]
     out["usfft2d_type2_sweep"]["gauges"] = {
         "nnz_per_row": sum(m.nnz for m in gathers) / sum(m.shape[0] for m in gathers)
     }

@@ -39,10 +39,11 @@ Algorithm (three steps, type 2):
    the target frequencies: each target gathers its ``2*half_width + 1``
    nearest fine-grid neighbors (per dimension) with Kaiser--Bessel weights.
 
-Step 3 is materialized at plan-construction time — as a small dense matrix
-in 1-D and as one *block-diagonal* CSR sparse matrix per contiguous slice
-range in 2-D — so repeated operator applications (hundreds per ADMM solve)
-are pure BLAS/sparse matvecs; this is the same plan-and-execute structure
+Step 3 is a precomputed linear operator — a small dense matrix in 1-D, and
+in 2-D one *block-diagonal* real CSR sparse matrix per contiguous slice
+range, expanded on first use from the plan's separable per-axis taps — so
+repeated operator applications (hundreds per ADMM solve) are pure
+BLAS/sparse matvecs; this is the same plan-and-execute structure
 CuFFT/FINUFFT use.
 
 Execution discipline (the hot-path contract every executor relies on):
@@ -50,22 +51,28 @@ Execution discipline (the hot-path contract every executor relies on):
 - FFTs run through ``scipy.fft`` (pocketfft) by default, which preserves
   ``complex64`` end to end and accepts a ``workers`` thread count; see
   :func:`configure_fft` / :func:`fft_backend`.
-- dtype-specific casts of the interpolation operator and the space-domain
-  correction are cached *on the plan*, so steady-state sweeps never re-cast
-  a full matrix.
-- the padded/oversampled workspace is preallocated per plan (and per
-  thread), so steady-state sweeps perform no large allocations before the
-  FFT.
-- a chunk's per-slice 2-D interpolations are applied as **one** SpMV with a
-  block-diagonal CSR cached per contiguous row range, instead of a Python
-  loop of ``nslices`` matvecs.
-- complex64 blocks prune taps against one *plan-wide* threshold
+- the 2-D plan stores the tap geometry *separably*: per axis, the fine-grid
+  indices and Kaiser--Bessel weights of each target's ``2*K + 1`` taps.
+  The ``(2*K + 1)**2``-way outer product exists only inside a block.
+- the 2-D interpolation operator of a contiguous row range is **one** real
+  block-diagonal CSR per compute precision (float32 weights for complex64,
+  float64 for complex128), built on first use and cached on the plan: the
+  Kaiser--Bessel weights are real, so nothing complex is ever stored.
+- the type-1 scatter of a range is the *transpose view* of that block
+  (``block_scatter(...)`` is ``block_gather(...).T``, a CSC over the same
+  three arrays): there is no second matrix, and the pair is an exact
+  adjoint by construction.
+- a chunk's interpolation is two real SpMVs per direction — the block
+  applied to the real and to the imaginary plane of the flattened fine
+  spectrum — instead of a Python loop of ``nslices`` complex matvecs.
+- float32 blocks prune taps against one *plan-wide* threshold
   (``TAP_PRUNE_REL`` of the plan's largest tap), so the operator a slice
   gets does not depend on the row range it is applied in: chunked and
   full-range application agree bit for bit, on any chunk grid.
-- the type-1 scatter of a range is the transpose of that range's cached
-  gather (``block_scatter`` never rebuilds the taps), so the pair is an
-  exact adjoint by construction.
+- dtype-specific casts of the space-domain correction (and of the 1-D
+  interpolation matrix) are cached on the plan, and the padded/oversampled
+  workspace is preallocated per plan and per thread, so steady-state sweeps
+  re-cast nothing and allocate nothing large before the FFT.
 - nothing builds blocks ahead of use; the first caller of a range does.
   For a solver that caller is the Lipschitz power iteration of
   ``repro.solvers.lsp``, which runs on the executor's own chunk grid, so
@@ -284,8 +291,9 @@ def centered_ifft2(a: np.ndarray, norm: str = "ortho") -> np.ndarray:
     return np.fft.fftshift(img, axes=(-2, -1))
 
 
-def _tap_geometry(coords: np.ndarray, oversample: int, half_width: int, beta: float, fine_n: int):
-    """Per-target tap indices (wrapped onto the fine grid) and Kaiser--Bessel weights."""
+def _tap_geometry(coords: np.ndarray, oversample: int, half_width: int, beta: float):
+    """Per-target tap positions, in fine-grid nodes relative to the spectrum's
+    center (the caller wraps them into its layout), and Kaiser--Bessel weights."""
     centers = oversample * np.asarray(coords, dtype=np.float64)
     nearest = np.rint(centers).astype(np.int64)
     offsets = np.arange(-half_width, half_width + 1)
@@ -295,7 +303,7 @@ def _tap_geometry(coords: np.ndarray, oversample: int, half_width: int, beta: fl
     # rounding in the radicand can never put a NaN weight into a plan
     r = np.sqrt(np.maximum(1.0 - (t / (half_width + 0.5)) ** 2, 0.0))
     w = special.i0(beta * r) / special.i0(beta)
-    return np.mod(idx + fine_n // 2, fine_n), w
+    return idx, w
 
 
 @dataclass
@@ -342,11 +350,10 @@ class USFFT1DPlan:
         self.fine_n = self.oversample * self.n
         self.beta = _kernel_beta(self.half_width, self.oversample)
         self.corr = _space_correction(self.n, self.fine_n, self.half_width, self.beta)
-        idx, w = _tap_geometry(
-            self.freqs, self.oversample, self.half_width, self.beta, self.fine_n
-        )
+        idx, w = _tap_geometry(self.freqs, self.oversample, self.half_width, self.beta)
         interp = np.zeros((self.ns, self.fine_n), dtype=np.float64)
-        np.add.at(interp, (np.arange(self.ns)[:, None], idx), w)
+        cols = np.mod(idx + self.fine_n // 2, self.fine_n)  # centered layout
+        np.add.at(interp, (np.arange(self.ns)[:, None], cols), w)
         self.interp = interp
 
     @property
@@ -474,14 +481,20 @@ class USFFT2DPlan:
     laminography ``F_u2D`` operator where the in-plane frequency samples
     depend on the detector row frequency.
 
-    The separable window interpolation of slice ``i`` is materialized as a
-    CSR matrix ``interp[i]`` of shape ``(npts, fine0*fine1)`` with
-    ``(2*half_width + 1)**2`` nonzeros per row.  The hot path never applies
-    these one at a time: :meth:`block_gather` / :meth:`block_scatter`
-    assemble (and cache, per contiguous slice range and compute dtype) a
-    block-diagonal CSR over the flattened ``(nslices * fine0 * fine1)``
-    spectrum, so a whole chunk's interpolation — both the type-2 gather and
-    the type-1 scatter — is a single SpMV.
+    The window interpolation is separable, and the plan stores it that way:
+    per axis, the fine-grid index (raw, i.e. unshifted FFT layout — the
+    fftshift is part of the operator) and the Kaiser--Bessel weight of each
+    target's ``2*half_width + 1`` taps, shape ``(nslices, npts, taps)``.
+    :meth:`block_gather` expands them — per contiguous slice range and
+    compute precision, on first use, cached — into one block-diagonal CSR
+    over the flattened ``(nslices * fine0 * fine1)`` spectrum whose ``data``
+    is the *real* weight, so a whole chunk's type-2 interpolation is that
+    matrix applied to the spectrum's real and imaginary planes.
+    :meth:`block_scatter` is its transpose *view*, the CSC over the same
+    three arrays, so the type-1 scatter costs no second matrix.
+    :attr:`nbytes` is what the operator holds resident.  :attr:`interp`
+    (per-slice CSRs in the centered layout) serves the reference kernels
+    only and is built on first access.
     """
 
     shape: tuple[int, int]
@@ -492,10 +505,10 @@ class USFFT2DPlan:
     fine_shape: tuple[int, int] = field(init=False)
     beta: float = field(init=False)
     corr: np.ndarray = field(init=False)
-    interp: list = field(init=False, repr=False)
-    _tap_cols: np.ndarray = field(init=False, repr=False)
-    _tap_data: np.ndarray = field(init=False, repr=False)
+    _tap_idx: tuple = field(init=False, repr=False)
+    _tap_w: tuple = field(init=False, repr=False)
     _prune_floor: float = field(init=False, repr=False)
+    _interp: list | None = field(init=False, default=None, repr=False)
     _casts: dict = field(init=False, default_factory=dict, repr=False)
     _blocks: dict = field(init=False, default_factory=dict, repr=False)
     _scratch: threading.local = field(init=False, default_factory=threading.local, repr=False)
@@ -513,29 +526,20 @@ class USFFT2DPlan:
         c0 = _space_correction(n0, self.fine_shape[0], self.half_width, self.beta)
         c1 = _space_correction(n1, self.fine_shape[1], self.half_width, self.beta)
         self.corr = np.outer(c0, c1)
-        f0, f1 = self.fine_shape
-        nfine = f0 * f1
-        taps = 2 * self.half_width + 1
-        nsl, npts = pts.shape[0], pts.shape[1]
         # tap geometry for every slice at once (no per-slice Python loop)
-        idx0, w0 = _tap_geometry(pts[..., 0], self.oversample, self.half_width, self.beta, f0)
-        idx1, w1 = _tap_geometry(pts[..., 1], self.oversample, self.half_width, self.beta, f1)
-        cols = (idx0[..., :, None] * f1 + idx1[..., None, :]).reshape(nsl, -1)
-        self._tap_cols = cols.astype(np.int32)
-        self._tap_data = (w0[..., :, None] * w1[..., None, :]).reshape(nsl, -1)
+        (idx0, w0), (idx1, w1) = (
+            _tap_geometry(pts[..., ax], self.oversample, self.half_width, self.beta)
+            for ax in (0, 1)
+        )
+        # raw FFT layout: the spectrum's center is node 0
+        f0, f1 = self.fine_shape
+        self._tap_idx = (np.mod(idx0, f0).astype(np.int32), np.mod(idx1, f1).astype(np.int32))
+        self._tap_w = (w0, w1)
         # plan-wide, so the operator a slice gets does not depend on the
-        # chunk range it is applied in
-        self._prune_floor = self.TAP_PRUNE_REL * float(self._tap_data.max())
-        # per-slice CSR views over the shared tap arrays (zero-copy)
-        row_ptr = np.arange(npts + 1, dtype=np.int32) * (taps * taps)
-        self.interp = [
-            sparse.csr_matrix(
-                (self._tap_data[i], self._tap_cols[i], row_ptr),
-                shape=(npts, nfine),
-                copy=False,
-            )
-            for i in range(nsl)
-        ]
+        # chunk range it is applied in; weights are non-negative, so a
+        # target's largest tap is the product of its per-axis maxima
+        largest = (w0.max(axis=-1) * w1.max(axis=-1)).max()
+        self._prune_floor = self.TAP_PRUNE_REL * float(largest)
 
     @property
     def nslices(self) -> int:
@@ -545,15 +549,52 @@ class USFFT2DPlan:
     def npts(self) -> int:
         return int(self.points.shape[1])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes the fast path's interpolation operator holds resident: the
+        separable tap arrays plus every block cached so far (a scatter is a
+        view of its gather and adds nothing)."""
+        return sum(a.nbytes for a in (*self._tap_idx, *self._tap_w)) + sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in self._blocks.values()
+        )
+
+    @property
+    def interp(self) -> list:
+        """Per-slice CSR ``(npts, fine0*fine1)`` over the *centered* fine
+        spectrum, full stencil, float64: the operator the reference kernels
+        loop over.  Built from the separable taps on first access; the fast
+        path never touches it."""
+        if self._interp is None:
+            nfine = self.fine_shape[0] * self.fine_shape[1]
+            row_ptr = np.arange(self.npts + 1, dtype=np.int32) * (2 * self.half_width + 1) ** 2
+            self._interp = [
+                sparse.csr_matrix(
+                    (w.reshape(-1), cols.reshape(-1), row_ptr), shape=(self.npts, nfine)
+                )
+                for cols, w in (self._slice_taps(i, centered=True) for i in range(self.nslices))
+            ]
+        return self._interp
+
+    def _slice_taps(self, i: int, centered: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Slice ``i``'s expanded stencil, ``(npts, taps**2)`` each: flat
+        fine-grid column (raw layout unless ``centered``) and weight."""
+        f0, f1 = self.fine_shape
+        i0, i1 = self._tap_idx[0][i], self._tap_idx[1][i]
+        if centered:
+            i0, i1 = (i0 + f0 // 2) % f0, (i1 + f1 // 2) % f1
+        cols = i0[:, :, None] * f1 + i1[:, None, :]
+        w = self._tap_w[0][i][:, :, None] * self._tap_w[1][i][:, None, :]
+        return cols.reshape(self.npts, -1), w.reshape(self.npts, -1)
+
     # -- cached compute-dtype variants -------------------------------------------------
 
-    #: tap-weight cutoff for complex64 block operators, relative to the
-    #: plan's largest tap (a central weight, ~1): a tap this far below the
-    #: central weight is at single-precision epsilon (1.2e-7) — its
-    #: contribution is unrepresentable against the central tap in complex64
-    #: arithmetic — so the c64 operator drops it (~14% of the square
-    #: stencil, its corners, at the default width).  complex128 blocks keep
-    #: the full stencil.
+    #: tap-weight cutoff for float32 (complex64-compute) block operators,
+    #: relative to the plan's largest tap (a central weight, ~1): a tap this
+    #: far below the central weight is at single-precision epsilon (1.2e-7)
+    #: — its contribution is unrepresentable against the central tap in
+    #: complex64 arithmetic — so the float32 operator drops it (~14% of the
+    #: square stencil, its corners, at the default width).  float64 blocks
+    #: keep the full stencil.
     TAP_PRUNE_REL = 1e-7
 
     def corr_for(self, dtype, direction: str = "plain") -> np.ndarray:
@@ -581,68 +622,62 @@ class USFFT2DPlan:
     def block_gather(self, start: int, stop: int, dtype) -> sparse.csr_matrix:
         """Block-diagonal gather CSR for plan rows ``[start, stop)``.
 
-        Shape ``((stop-start) * npts, (stop-start) * fine0 * fine1)``; one
-        SpMV of the flattened fine spectrum applies every slice's type-2
-        interpolation.  Column indices address the *raw* (unshifted) FFT
-        layout — the fftshift is part of the operator.  Cached per (range,
-        compute dtype) — chunk grids are fixed for a run, so steady-state
-        sweeps build nothing.
+        Shape ``((stop-start) * npts, (stop-start) * fine0 * fine1)``, real
+        ``data`` in the precision of the compute ``dtype`` (float32 for
+        complex64/float32, else float64); applied to the real and imaginary
+        planes of the flattened fine spectrum it performs every slice's
+        type-2 interpolation.  Column indices address the *raw* (unshifted)
+        FFT layout.  Cached per (range, precision) — chunk grids are fixed
+        for a run, so steady-state sweeps build nothing.
         """
-        return self._block(start, stop, dtype, scatter=False)
-
-    def block_scatter(self, start: int, stop: int, dtype) -> sparse.csr_matrix:
-        """Pre-transposed (CSR, not lazy CSC) adjoint of :meth:`block_gather`:
-        the cached gather of the same range, transposed."""
-        return self._block(start, stop, dtype, scatter=True)
-
-    def _block(self, start: int, stop: int, dtype, scatter: bool) -> sparse.csr_matrix:
         if not (0 <= start <= stop <= self.nslices):
             raise ValueError(f"invalid slice range [{start}, {stop})")
-        dt = np.dtype(dtype)
-        key = (start, stop, dt.char, scatter)
+        rdt = _real_dtype(dtype)
+        key = (start, stop, rdt.char)
         mat = self._blocks.get(key)
         if mat is None:
-            if scatter:
-                # the transpose of the same range's cached gather, not a rebuild
-                mat = self.block_gather(start, stop, dt).T.tocsr()
-            else:
-                mat = self._build_gather(start, stop, dt)
-            self._blocks[key] = mat
+            mat = self._blocks[key] = self._build_gather(start, stop, rdt)
         return mat
 
-    def _build_gather(self, start: int, stop: int, dt: np.dtype) -> sparse.csr_matrix:
+    def block_scatter(self, start: int, stop: int, dtype) -> sparse.csc_matrix:
+        """Adjoint of :meth:`block_gather`: the cached gather's transpose, a
+        CSC *view* over the same ``data``/``indices``/``indptr``."""
+        return self.block_gather(start, stop, dtype).T
+
+    def _build_gather(self, start: int, stop: int, rdt: np.dtype) -> sparse.csr_matrix:
         nsl = stop - start
-        f0, f1 = self.fine_shape
-        nfine = f0 * f1
+        nfine = self.fine_shape[0] * self.fine_shape[1]
         taps2 = (2 * self.half_width + 1) ** 2
+        per_slice = self.npts * taps2
         # indptr carries values up to nnz, which dwarfs the column count
-        nnz_max = nsl * self.npts * taps2
-        idx_dtype = np.int32 if max(nsl * nfine, nnz_max) < 2**31 else np.int64
-        # shifted -> raw layout: r = (c + f//2) mod f per axis (the
-        # permutation is self-inverse for even sizes)
-        c = self._tap_cols[start:stop].astype(idx_dtype, copy=False)
-        c0, c1 = c // f1, c % f1
-        raw = ((c0 + f0 // 2) % f0) * f1 + (c1 + f1 // 2) % f1
-        offs = (np.arange(nsl, dtype=idx_dtype) * nfine)[:, None]
-        indices = (raw + offs).reshape(-1)
-        data = self._tap_data[start:stop].reshape(-1)
-        if dt == np.dtype(np.complex64):
-            # prune taps beneath single-precision resolution
-            keep = data >= self._prune_floor
-            counts = keep.reshape(-1, taps2).sum(axis=1)
-            indptr = np.zeros(nsl * self.npts + 1, dtype=idx_dtype)
-            np.cumsum(counts, out=indptr[1:])
-            indices = indices[keep]
-            data = data[keep]
-        else:
-            indptr = np.arange(nsl * self.npts + 1, dtype=idx_dtype) * taps2
-        gather = sparse.csr_matrix(
-            (data.astype(dt), indices, indptr),
-            shape=(nsl * self.npts, nsl * nfine),
-            copy=False,
+        idx_dtype = np.int32 if max(nsl * nfine, nsl * per_slice) < 2**31 else np.int64
+        prune = rdt == np.dtype(np.float32)
+        data = np.empty(nsl * per_slice, dtype=rdt)
+        indices = np.empty(nsl * per_slice, dtype=idx_dtype)
+        counts = np.full((nsl, self.npts), taps2, dtype=idx_dtype)
+        pos = 0
+        # slice by slice, so the expanded temporaries stay one slice wide
+        for j in range(nsl):
+            cols, w = self._slice_taps(start + j)
+            if prune:
+                # drop taps beneath single-precision resolution
+                keep = w >= self._prune_floor
+                counts[j] = keep.sum(axis=1)
+                cols, w = cols[keep], w[keep]
+            end = pos + w.size
+            data[pos:end] = w.reshape(-1)
+            indices[pos:end] = cols.reshape(-1)
+            indices[pos:end] += j * nfine
+            pos = end
+        if pos < data.size:
+            # in place: no second copy of the block, no oversized base kept alive
+            data.resize(pos, refcheck=False)
+            indices.resize(pos, refcheck=False)
+        indptr = np.zeros(nsl * self.npts + 1, dtype=idx_dtype)
+        np.cumsum(counts.reshape(-1), out=indptr[1:])
+        return sparse.csr_matrix(
+            (data, indices, indptr), shape=(nsl * self.npts, nsl * nfine), copy=False
         )
-        gather.sort_indices()
-        return gather
 
     def _workspace(self, nsl: int, cdtype) -> np.ndarray:
         """Preallocated zero-padded fine-grid buffer (per thread); only the
@@ -665,6 +700,16 @@ def _slice_range(plan: USFFT2DPlan, slices: slice | None) -> range:
     if step != 1:
         raise ValueError("only contiguous slice selections are supported")
     return range(start, stop)
+
+
+def _apply_planes(op, x: np.ndarray) -> np.ndarray:
+    """``op @ x.ravel()`` for a real sparse ``op`` and a complex ``x``: one
+    real SpMV per plane, so the weights are neither stored nor streamed as
+    complex numbers."""
+    out = np.empty(op.shape[0], dtype=x.dtype)
+    out.real = op @ np.ascontiguousarray(x.real).reshape(-1)
+    out.imag = op @ np.ascontiguousarray(x.imag).reshape(-1)
+    return out
 
 
 def usfft2d_type2(
@@ -705,10 +750,10 @@ def usfft2d_type2(
     np.multiply(f[:, h0:, :h1], corr[h0:, :h1], out=padded[:, :h0, t1:])
     np.multiply(f[:, h0:, h1:], corr[h0:, h1:], out=padded[:, :h0, :h1])
     with _obs.span("usfft.fft", xform="2d_type2"):
-        spec = _fftn_raw(padded, axes=(-2, -1)).reshape(nsl * f0 * f1)
+        spec = _fftn_raw(padded, axes=(-2, -1))
     gather = plan.block_gather(rows.start, rows.stop, cdtype)
     with _obs.span("usfft.interp", xform="2d_type2"):
-        out = (gather @ spec).reshape(nsl, plan.npts)
+        out = _apply_planes(gather, spec).reshape(nsl, plan.npts)
     return out.astype(cdtype, copy=False)
 
 
@@ -730,9 +775,8 @@ def usfft2d_type1(
     h0, h1 = n0 // 2, n1 // 2
     t0, t1 = f0 - h0, f1 - h1
     scatter = plan.block_scatter(rows.start, rows.stop, cdtype)
-    Fv = np.ascontiguousarray(F, dtype=cdtype).reshape(nsl * plan.npts)
     with _obs.span("usfft.interp", xform="2d_type1"):
-        spec = scatter @ Fv  # the whole chunk's scatter in one SpMV
+        spec = _apply_planes(scatter, F.astype(cdtype, copy=False))
     with _obs.span("usfft.fft", xform="2d_type1"):
         grid = _ifftn_raw(spec.reshape(nsl, f0, f1), axes=(-2, -1), overwrite=True)
     out = np.empty((nsl, n0, n1), dtype=cdtype)

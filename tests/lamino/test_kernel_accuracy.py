@@ -122,7 +122,9 @@ class TestWindowEdges:
             axis=-1,
         )
         plan = U.USFFT2DPlan((n0, n1), pts)
-        assert np.isfinite(plan._tap_data).all()
+        for w in plan._tap_w:  # per axis, (nslices, npts, taps)
+            assert w.shape == (nsl, pts.shape[1], 2 * plan.half_width + 1)
+            assert np.isfinite(w).all() and (w >= 0).all()
         f = _rand_complex(rng, (nsl, n0, n1))
         y = _rand_complex(rng, (nsl, pts.shape[1]))
         got = U.usfft2d_type2(f, plan)

@@ -152,9 +152,11 @@ class TestPlan2D:
     def test_interp_matrices_per_slice(self):
         pts = np.zeros((3, 5, 2))
         plan = U.USFFT2DPlan((8, 8), pts, half_width=3)
+        assert plan.nslices == 3 and plan.npts == 5
+        assert plan._interp is None  # built on first access, for the reference kernels
         assert len(plan.interp) == 3
         assert plan.interp[0].shape == (5, 16 * 16)
-        assert plan.nslices == 3 and plan.npts == 5
+        assert plan.interp[0].nnz == 5 * 7 * 7
 
 
 class TestType2Accuracy2D:

@@ -105,10 +105,13 @@ class TestDtypePreservation:
             plan1d.fine_n,
             plan1d.ns,
         )
-        g = plan2d.block_gather(0, plan2d.nslices, np.complex64)
-        s = plan2d.block_scatter(1, 4, np.complex64)
-        assert g.dtype == np.complex64 and s.dtype == np.complex64
-        assert s.format == "csr"  # pre-transposed, not a lazy CSC view
+        # the Kaiser--Bessel weights are real: a block carries the *real*
+        # dtype of the compute precision, in both directions
+        for cdtype, rdtype in [(np.complex64, np.float32), (np.complex128, np.float64)]:
+            g = plan2d.block_gather(0, plan2d.nslices, cdtype)
+            s = plan2d.block_scatter(1, 4, cdtype)
+            assert g.dtype == rdtype and s.dtype == rdtype
+            assert g.format == "csr" and s.format == "csc"
 
     def test_cast_caches_are_reused(self, plan1d, plan2d):
         assert plan1d.corr_for(np.float32) is plan1d.corr_for(np.float32)
@@ -198,6 +201,69 @@ class TestWorkspaceReuse:
             plan2d.block_gather(3, 2, np.complex64)
         with pytest.raises(ValueError):
             plan2d.block_scatter(0, plan2d.nslices + 1, np.complex64)
+
+
+class TestSplitPlaneOperands:
+    """The 2-D interpolation is a real block applied to the operand's real
+    and imaginary planes; operands that are not C-contiguous complex arrays
+    must come out as if they were."""
+
+    @pytest.mark.parametrize(
+        "real,cplx", [(np.float32, np.complex64), (np.float64, np.complex128)]
+    )
+    def test_type2_takes_real_input(self, plan2d, rng, real, cplx, monkeypatch):
+        seen: list[np.dtype] = []
+        orig = U._fftn_raw
+
+        def spy(a, axes, overwrite=False):
+            out = orig(a, axes, overwrite)
+            seen.extend([a.dtype, out.dtype])
+            return out
+
+        monkeypatch.setattr(U, "_fftn_raw", spy)
+        f = rng.standard_normal((5, 8, 12)).astype(real)
+        got = U.usfft2d_type2(f, plan2d)
+        assert got.dtype == cplx and seen == [cplx, cplx]
+        np.testing.assert_array_equal(got, U.usfft2d_type2(f.astype(cplx), plan2d))
+
+    def test_type2_takes_fortran_ordered_input(self, plan2d, rng):
+        f = _rand_c64(rng, (5, 8, 12))
+        got = U.usfft2d_type2(np.asfortranarray(f), plan2d)
+        assert got.dtype == np.complex64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, U.usfft2d_type2(f, plan2d))
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_type1_takes_strided_input(self, plan2d, rng, dtype):
+        wide = _rand_c64(rng, (5, 2 * plan2d.npts)).astype(dtype)
+        F = wide[:, ::2]
+        assert not F.flags.c_contiguous
+        got = U.usfft2d_type1(F, plan2d)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, U.usfft2d_type1(np.ascontiguousarray(F), plan2d))
+        np.testing.assert_array_equal(F, wide[:, ::2])  # operand untouched
+
+    def test_type1_takes_real_input(self, plan2d, rng):
+        F = rng.standard_normal((5, plan2d.npts)).astype(np.float32)
+        got = U.usfft2d_type1(F, plan2d)
+        assert got.dtype == np.complex64
+        np.testing.assert_array_equal(got, U.usfft2d_type1(F.astype(np.complex64), plan2d))
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_empty_row_range(self, plan2d, dtype):
+        rows = slice(2, 2)
+        F = U.usfft2d_type2(np.zeros((0, 8, 12), dtype), plan2d, slices=rows)
+        assert F.shape == (0, plan2d.npts) and F.dtype == dtype
+        f = U.usfft2d_type1(F, plan2d, slices=rows)
+        assert f.shape == (0, 8, 12) and f.dtype == dtype
+
+    @pytest.mark.parametrize("dtype,tol", [(np.complex64, 1e-4), (np.complex128, 1e-12)])
+    def test_dot_product_on_awkward_operands(self, plan2d, rng, dtype, tol):
+        rows = slice(1, 4)
+        x = np.asfortranarray(_rand_c64(rng, (3, 8, 12)).astype(dtype))
+        y = _rand_c64(rng, (3, 2 * plan2d.npts)).astype(dtype)[:, 1::2]
+        lhs = np.vdot(y, U.usfft2d_type2(x, plan2d, slices=rows))
+        rhs = np.vdot(U.usfft2d_type1(y, plan2d, slices=rows), x)
+        assert abs(lhs - rhs) <= tol * max(abs(lhs), 1.0)
 
 
 class TestAdjointUnderNewBackend:
