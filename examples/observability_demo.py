@@ -268,7 +268,7 @@ def main() -> int:
 
         # -- memo-tier heat, straight off the live daemon state --
         heat_text = render_heat_report(
-            build_heat_report(list(entry_records(daemon.pull_state()))))
+            build_heat_report(list(entry_records(daemon.router.state_dict()))))
 
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)

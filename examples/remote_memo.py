@@ -11,8 +11,8 @@ TCP in one process (in production the daemon runs standalone:
    solver against the same daemon and hits the tier job 1 built.
 2. **Scheduler tier over the wire** — a `ReconstructionScheduler` with
    ``ServiceConfig(memo_transport="tcp")`` seeds a job from the daemon
-   through a `RemoteSnapshotStore` (what a second beamline host's
-   scheduler would do).
+   (its `SharedMemoService` holds the daemon's client as its tier — what a
+   second beamline host's scheduler would do).
 3. **Fail-open** — the daemon is killed mid-reconstruction: the job
    completes on cold compute (degraded queries are counted, nothing
    fails), and once a daemon is back on the address the same client
@@ -92,7 +92,7 @@ def shared_tier_demo(g, scans, admm) -> dict:
         print(f"daemon tier: {daemon.router.entries()} entries, "
               f"{daemon.stats.queries} queries served")
 
-        print("\n== scheduler warm start through RemoteSnapshotStore ==")
+        print("\n== scheduler warm start from the daemon's tier ==")
         sched = ReconstructionScheduler(
             ServiceConfig(n_workers=1, memo_transport="tcp",
                           memo_server=(host, port))

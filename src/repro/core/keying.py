@@ -30,6 +30,7 @@ __all__ = [
     "chunk_to_stack",
     "pool3d",
     "state_digest",
+    "check_fingerprint",
     "PoolKeyEncoder",
     "CNNKeyEncoder",
 ]
@@ -117,6 +118,32 @@ def state_digest(state) -> str:
     h = hashlib.sha256()
     _hash_state(state, h)
     return h.hexdigest()
+
+
+def check_fingerprint(ours: dict | None, theirs: dict | None, how: str) -> None:
+    """One encoder feeds a memo tier: raise ``ValueError`` when two encoder
+    fingerprints (``{"kind", "dim", "weights"}``, see
+    ``MemoizedExecutor._encoder_fingerprint``) name different encoders.
+
+    Keys from different encoders — kinds, key sizes or CNN trainings —
+    never tau-match, so mixing them silently degrades every hit decision;
+    the executor loading a snapshot, the tier taking a push and the daemon
+    admitting a client all fail fast through this one comparison.  ``how``
+    names the side being checked (``"snapshot"``, ``"pushed"``,
+    ``"client"``).  A field either side leaves empty is not compared
+    (bare router trees carry no provenance, the pool encoder no weights).
+    """
+    if not ours or not theirs:
+        return
+    fields = {"kind": "kind", "dim": "key dimensionality", "weights": "weights"}
+    for name, what in fields.items():
+        a, b = ours.get(name), theirs.get(name)
+        if a and b and a != b:
+            raise ValueError(
+                f"{how} keys come from a different encoder ({what}: {b!r} != "
+                f"{a!r}) — one encoder must feed a tier; install the "
+                "snapshot's own encoder (its 'encoder_state') or re-train"
+            )
 
 
 class PoolKeyEncoder:

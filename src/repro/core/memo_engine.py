@@ -47,7 +47,7 @@ from ..obs import runtime as obs
 from ..solvers.executor import SWEEP_KERNELS, DirectExecutor
 from .coalescer import CoalesceStats, KeyCoalescer
 from .config import MemoConfig
-from .keying import CNNKeyEncoder, PoolKeyEncoder
+from .keying import CNNKeyEncoder, PoolKeyEncoder, check_fingerprint
 from .memo_cache import CacheStats, GlobalMemoCache, PrivateMemoCache
 from .memo_db import MemoDatabase, MemoDBStats
 from .memo_shard import MemoShardRouter, ShardInsert, ShardQuery, memo_state_partitions
@@ -231,7 +231,7 @@ class MemoizedExecutor(DirectExecutor):
     def _make_router(self):
         cfg = self.config
         if cfg.transport != "tcp":
-            return MemoShardRouter(self.n_shards, make_db_factory(cfg))
+            return MemoShardRouter(self.n_shards, make_db_factory(cfg), tau=cfg.tau)
         # the shard service lives in MemoServerDaemons (possibly on other
         # hosts): one address gets the TCP client, more (or replication=N)
         # the replication tier over one client each
@@ -617,32 +617,6 @@ class MemoizedExecutor(DirectExecutor):
             return self.encoder.state_dict()
         return None
 
-    def _check_encoder(self, state: dict) -> None:
-        stored = state.get("encoder")
-        if not stored:
-            return  # bare router trees carry no provenance
-        ours = self._encoder_fingerprint()
-        if stored.get("kind") != ours["kind"]:
-            raise ValueError(
-                f"snapshot keys come from a {stored.get('kind')} encoder, "
-                f"this executor uses {ours['kind']} — keys would never match"
-            )
-        if stored.get("dim") and ours["dim"] and stored["dim"] != ours["dim"]:
-            raise ValueError(
-                f"snapshot key dimensionality {stored['dim']} != "
-                f"this executor's {ours['dim']}"
-            )
-        if (
-            stored.get("weights")
-            and ours.get("weights")
-            and stored["weights"] != ours["weights"]
-        ):
-            raise ValueError(
-                "snapshot keys come from a CNN encoder with different weights "
-                "than this executor's — install the snapshot's encoder (its "
-                "'encoder_state' / MLRSolver auto-install) or re-train"
-            )
-
     def memo_state(self) -> dict:
         """The database tier as one restorable state tree, snapshotted per
         shard through the router (each shard contributes its partitions,
@@ -659,9 +633,10 @@ class MemoizedExecutor(DirectExecutor):
         """Warm-start this executor's tier from a snapshot.
 
         Fails fast on a snapshot that would silently change memoization
-        semantics under this executor's configuration (op not memoized
-        here, tau / key-encoder provenance mismatch).  The
-        partitions are validated as raw trees and handed to the tier
+        semantics under this executor's configuration: keys from another
+        encoder and ops not memoized here are refused before anything
+        moves, partitions gated by another tau by the tier itself (its
+        push is all or nothing).  The partitions are handed to the tier
         verbatim: either layout and any shard count load — partitions
         re-route by chunk location — and on a remote transport they travel
         as one snapshot message instead of being rebuilt locally (ANN index
@@ -669,18 +644,12 @@ class MemoizedExecutor(DirectExecutor):
         encoder state rides along so a later pull from a daemon can still
         warm-start a CNN deployment.
         """
-        self._check_encoder(state)
-        cfg = self.config
+        check_fingerprint(self._encoder_fingerprint(), state.get("encoder"), "snapshot")
         for part in memo_state_partitions(state):
-            op, db_cfg = str(part["op"]), part["db"]["config"]
-            if op not in self._state:
+            if str(part["op"]) not in self._state:
                 raise ValueError(
-                    f"snapshot carries op {op!r}, not memoized here "
-                    f"(memo_ops={cfg.memo_ops})"
-                )
-            if float(db_cfg["tau"]) != cfg.tau:
-                raise ValueError(
-                    f"snapshot tau {db_cfg['tau']} != configured tau {cfg.tau}"
+                    f"snapshot carries op {part['op']!r}, not memoized here "
+                    f"(memo_ops={self.config.memo_ops})"
                 )
         self.router.push_state(
             {

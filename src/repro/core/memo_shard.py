@@ -22,10 +22,13 @@ of the reproduction:
   :class:`~repro.core.memo_db.MemoDatabase` partitions it owns (each
   partition bundles its own ANN index and
   :class:`~repro.kvstore.ArrayStore`), served through the batched
-  ``query_batch`` / ``insert_batch`` API,
-- :class:`MemoShardRouter` — the in-process tier: groups a coalesced key
-  batch by owning shard, dispatches the per-shard sub-batches and
-  reassembles outcomes in request order.
+  ``query_batch`` / ``insert_batch`` API under the shard's own lock,
+- :class:`MemoShardRouter` — the in-process tier and the one host of memo
+  partitions: groups a coalesced key batch by owning shard, dispatches the
+  per-shard sub-batches and reassembles outcomes in request order; holds
+  the tier's provenance (tau, key-encoder fingerprint and weights) and
+  the one merge of a pushed tree.  An executor owns one, the memo server
+  daemon is a wire in front of one, the scheduler's cross-job tier is one.
 
 Reuse stays scoped to a chunk location (Section 4.1), so sharding never
 changes *what* is memoized — only which service engine answers.  A single
@@ -34,12 +37,17 @@ shard therefore reproduces the unsharded database bit for bit.
 
 from __future__ import annotations
 
+import threading
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from ..faults import runtime as faults
+from ..obs import runtime as obs
+from .keying import check_fingerprint
 from .memo_db import MemoDatabase, MemoDBStats, QueryOutcome
 
 __all__ = [
@@ -148,8 +156,9 @@ class MemoTier(ABC):
     @abstractmethod
     def push_state(self, tree: dict) -> bool:
         """Merge a ``memo_state()`` tree of either layout into the tier
-        (see :meth:`MemoShardRouter.push_state` for the merge); False when
-        a fail-open remote tier dropped it."""
+        (see :meth:`MemoShardRouter.push_state` for the merge and for what
+        it rejects with ``ValueError``); False when a fail-open remote tier
+        dropped it."""
 
     @abstractmethod
     def close(self) -> None:
@@ -194,22 +203,30 @@ class MemoShard:
     Each partition is a full :class:`MemoDatabase` (ANN index + value
     store), created lazily at first insert/query — so shard membership is
     pure routing, never semantics.
+
+    A shard serialises its own calls: one lock is held for a whole
+    sub-batch, statistics read, snapshot or install.  Callers on any number
+    of threads (the daemon's connection handlers, scheduler workers
+    absorbing jobs) therefore always find a shard at a batch boundary,
+    while traffic for different shards overlaps.
     """
 
     def __init__(self, shard_id: int, make_db) -> None:
         self.shard_id = shard_id
         self._make_db = make_db
-        self._dbs: dict[tuple[str, int], MemoDatabase] = {}
+        self._lock = threading.RLock()  # re-entered by db_for inside a batch
+        self._dbs: dict[tuple[str, int], MemoDatabase] = {}  # guarded-by: self._lock
         #: batched messages this shard serviced (one per sub-batch received)
-        self.query_messages = 0
-        self.insert_messages = 0
+        self.query_messages = 0  # guarded-by: self._lock
+        self.insert_messages = 0  # guarded-by: self._lock
 
     def db_for(self, op: str, location: int, dim: int) -> MemoDatabase:
-        db = self._dbs.get((op, location))
-        if db is None:
-            db = self._make_db(dim)
-            self._dbs[(op, location)] = db
-        return db
+        with self._lock:
+            db = self._dbs.get((op, location))
+            if db is None:
+                db = self._make_db(dim)
+                self._dbs[(op, location)] = db
+            return db
 
     # -- batched service -----------------------------------------------------------
 
@@ -220,91 +237,140 @@ class MemoShard:
         and each group goes through :meth:`MemoDatabase.query_batch` — the
         per-partition batched index lookup the memory node performs.
         """
-        outcomes = _scatter_gather(
-            queries,
-            lambda q: (q.op, q.location),
-            lambda key, group: self.db_for(
-                key[0], key[1], group[0].key.shape[0]
-            ).query_batch([q.key for q in group]),
-        )
-        if queries:
-            self.query_messages += 1
+        with self._lock:
+            outcomes = _scatter_gather(
+                queries,
+                lambda q: (q.op, q.location),
+                lambda key, group: self.db_for(
+                    key[0], key[1], group[0].key.shape[0]
+                ).query_batch([q.key for q in group]),
+            )
+            if queries:
+                self.query_messages += 1
         return outcomes
 
     def insert_batch(self, inserts: list[ShardInsert]) -> list[int]:
-        ids = _scatter_gather(
-            inserts,
-            lambda ins: (ins.op, ins.location),
-            lambda key, group: self.db_for(
-                key[0], key[1], group[0].key.shape[0]
-            ).insert_batch([(ins.key, ins.value, ins.meta) for ins in group]),
-        )
-        if inserts:
-            self.insert_messages += 1
+        with self._lock:
+            ids = _scatter_gather(
+                inserts,
+                lambda ins: (ins.op, ins.location),
+                lambda key, group: self.db_for(
+                    key[0], key[1], group[0].key.shape[0]
+                ).insert_batch([(ins.key, ins.value, ins.meta) for ins in group]),
+            )
+            if inserts:
+                self.insert_messages += 1
         return ids
 
-    def install(self, dbs: dict[tuple[str, int], MemoDatabase]) -> None:
-        """Swap rebuilt ``(op, location)`` partitions in.  An installed
-        partition wins wholesale, but heat is telemetry about *this* tier's
-        traffic: it keeps max(last-hit) and sum(hits) for the entries the
-        partition it replaces also held, so a merge never makes a hot entry
-        look cold to the eviction planner."""
-        for key, db in dbs.items():
-            old = self._dbs.get(key)
-            if old is not None:
-                db.values.merge_heat(old.values)
-            self._dbs[key] = db
+    def install(
+        self, dbs: dict[tuple[str, int], MemoDatabase], messages=None
+    ) -> None:
+        """Swap rebuilt ``(op, location)`` partitions in — the one partition
+        merge of the tier.  An installed partition wins wholesale, but heat
+        is telemetry about *this* tier's traffic: it keeps max(last-hit) and
+        sum(hits) for the entries the partition it replaces also held, so a
+        merge never makes a hot entry look cold to the eviction planner.
+        ``messages`` — ``(query_messages, insert_messages)`` — restores the
+        shard's message counters along with the partitions."""
+        with self._lock:
+            for key, db in dbs.items():
+                old = self._dbs.get(key)
+                if old is not None:
+                    db.values.merge_heat(old.values)
+                self._dbs[key] = db
+            if messages is not None:
+                self.query_messages, self.insert_messages = messages
 
     # -- statistics ----------------------------------------------------------------
 
-    def stats(self, op: str | None = None) -> MemoDBStats:
-        """Aggregated counters over this shard's partitions (optionally one
-        op's).  ``query_batches`` / ``insert_batches`` count the batched
+    def stats_entries(self, op: str | None = None) -> tuple[MemoDBStats, int]:
+        """``(aggregated counters, stored entries)`` over this shard's
+        partitions (optionally one op's), read at one batch boundary.
+        ``query_batches`` / ``insert_batches`` count the batched
         per-partition calls; the shard's ``query_messages`` /
         ``insert_messages`` attributes count the sub-batch messages it
         received."""
-        return MemoDBStats.merged(
-            db.stats for (o, _loc), db in self._dbs.items() if op is None or o == op
-        )
+        with self._lock:
+            dbs = [
+                db for (o, _loc), db in self._dbs.items() if op is None or o == op
+            ]
+            return MemoDBStats.merged(db.stats for db in dbs), sum(map(len, dbs))
+
+    def locations(self, op: str | None = None) -> list[int]:
+        with self._lock:
+            return sorted(loc for (o, loc) in self._dbs if op is None or o == op)
+
+    def heat_records(self) -> list[dict]:
+        """Per-entry ``{op, shard, location, last, hits, nbytes}`` heat
+        records straight off the live value stores (the records
+        :func:`repro.obs.heat.entry_records` derives from a state tree,
+        without building one)."""
+        with self._lock:
+            return [
+                {
+                    "op": op,
+                    "shard": self.shard_id,
+                    "location": loc,
+                    "last": float(last),
+                    "hits": int(hits),
+                    "nbytes": int(nbytes),
+                }
+                for (op, loc), db in self._dbs.items()
+                for _key, last, hits, nbytes in db.values.heat_entries()
+            ]
 
     # -- snapshot hooks ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
         """This shard's partitions plus its message counters."""
-        return {
-            "shard_id": self.shard_id,
-            "query_messages": self.query_messages,
-            "insert_messages": self.insert_messages,
-            "partitions": [
-                {"op": op, "location": int(loc), "db": db.state_dict()}
-                for (op, loc), db in self._dbs.items()
-            ],
-        }
-
-    def entries(self, op: str | None = None) -> int:
-        return sum(
-            len(db) for (o, _loc), db in self._dbs.items() if op is None or o == op
-        )
-
-    def locations(self, op: str | None = None) -> list[int]:
-        return sorted(
-            loc for (o, loc) in self._dbs if op is None or o == op
-        )
+        with self._lock:
+            return {
+                "shard_id": self.shard_id,
+                "query_messages": self.query_messages,
+                "insert_messages": self.insert_messages,
+                "partitions": [
+                    {"op": op, "location": int(loc), "db": db.state_dict()}
+                    for (op, loc), db in self._dbs.items()
+                ],
+            }
 
 
 class MemoShardRouter(MemoTier):
-    """The in-process tier: a router over ``n_shards`` database shards.
+    """The in-process tier, and the only host of memo partitions: a router
+    over ``n_shards`` database shards.  An executor owns one, a
+    :class:`~repro.net.server.MemoServerDaemon` puts a wire in front of
+    one, the scheduler's cross-job tier is one.  Safe to call from any
+    number of threads (see :class:`MemoShard`).
 
     ``make_db`` is the partition factory (``dim -> MemoDatabase``); every
     shard shares it, so all partitions carry identical tau / index
     configuration.
+
+    The router also carries the tier's *provenance* — what must agree for
+    two sets of keys to share a tier: ``tau`` (given, or taken from the
+    first pushed partition), the key ``encoder`` fingerprint (pinned by the
+    first data: an insert through :meth:`check_encoder` or a push) and the
+    ``encoder_state`` weights riding along.  :meth:`push_state` checks a
+    tree against it, :meth:`state_dict` records it.
+
+    ``label`` marks a tier hosted for remote clients (the daemon's name):
+    its shard service is then a fault-injection site and is traced, see
+    :meth:`_serve`.
     """
 
-    def __init__(self, n_shards: int, make_db) -> None:
+    def __init__(
+        self, n_shards: int, make_db, tau: float | None = None,
+        label: str | None = None,
+    ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.n_shards = n_shards
+        self.label = label
         self.shards = [MemoShard(s, make_db) for s in range(n_shards)]
+        self._lock = threading.Lock()
+        self.tau = tau  # guarded-by: self._lock
+        self.encoder: dict | None = None  # guarded-by: self._lock
+        self.encoder_state: dict | None = None  # guarded-by: self._lock
 
     def shard_for(self, location: int) -> MemoShard:
         return self.shards[self.shard_of(location)]
@@ -313,6 +379,26 @@ class MemoShardRouter(MemoTier):
         return self.shard_for(location).db_for(op, location, dim)
 
     # -- batched routing -----------------------------------------------------------
+
+    def _serve(self, call: str, shard_id: int, group: list) -> list:
+        """Hand one sub-batch to its shard — the one place memo traffic
+        touches a shard.  On a hosted tier (``label`` set) this is the
+        slow-shard fault-injection site ``server:<label>:shard<N>``, the
+        ``net_server.shard`` span (the call runs inline on the daemon's
+        handler thread, so it parents under the request span) and the
+        ``net_server_shard_seconds`` histogram."""
+        serve = getattr(self.shards[shard_id], call)
+        if self.label is None:
+            return serve(group)
+        t0 = time.monotonic()
+        try:
+            with obs.span("net_server.shard", shard=shard_id, items=len(group)):
+                faults.maybe_stall(f"server:{self.label}:shard{shard_id}")
+                return serve(group)
+        finally:
+            obs.histogram("net_server_shard_seconds", shard=shard_id).observe(
+                time.monotonic() - t0
+            )
 
     def query_batch(self, queries: list[ShardQuery]) -> list:
         """Route one coalesced key batch shard-wise.
@@ -323,34 +409,58 @@ class MemoShardRouter(MemoTier):
         order.
         """
         return _scatter_gather(
-            queries,
-            lambda q: self.shard_of(q.location),
-            lambda shard_id, group: self.shards[shard_id].query_batch(group),
+            queries, lambda q: self.shard_of(q.location),
+            partial(self._serve, "query_batch"),
         )
 
     def insert_batch(self, inserts: list[ShardInsert]) -> list[int]:
         """Route a batch of insertions shard-wise; ids in request order."""
         return _scatter_gather(
-            inserts,
-            lambda ins: self.shard_of(ins.location),
-            lambda shard_id, group: self.shards[shard_id].insert_batch(group),
+            inserts, lambda ins: self.shard_of(ins.location),
+            partial(self._serve, "insert_batch"),
         )
 
     def shard_stats(self, op: str | None = None) -> list[tuple[MemoDBStats, int]]:
-        return [(shard.stats(op), shard.entries(op)) for shard in self.shards]
+        return [shard.stats_entries(op) for shard in self.shards]
+
+    def heat_records(self) -> list[dict]:
+        """Every stored entry's heat record, shard by shard (what the
+        daemon's ``memo_entry_age_seconds`` scrape is computed from)."""
+        return [rec for shard in self.shards for rec in shard.heat_records()]
+
+    # -- provenance ----------------------------------------------------------------
+
+    def check_encoder(self, fingerprint: dict | None, pin: bool = False) -> None:
+        """Provenance gate for hot-path (query/insert) clients: raise
+        ``ValueError`` for a fingerprint conflicting with the pinned one.
+        Pinning happens only on *data* (``pin=True``: the first insert wins)
+        — a handshake or query against a still-empty tier must not lock
+        every differently-keyed client out forever."""
+        with self._lock:
+            if pin and fingerprint and self.encoder is None:
+                self.encoder = dict(fingerprint)
+            known = self.encoder
+        check_fingerprint(known, fingerprint, "client")
 
     # -- snapshot hooks ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
         """Per-shard snapshot of the whole service (every shard contributes
-        its partitions and message counters)."""
-        return {
+        its partitions and message counters, each read at a batch boundary)
+        plus the key-encoder provenance once one was pinned."""
+        tree = {
             "layout": "sharded",
             "n_shards": self.n_shards,
             "shards": [shard.state_dict() for shard in self.shards],
         }
+        with self._lock:
+            if self.encoder is not None:
+                tree["encoder"] = dict(self.encoder)
+            if self.encoder_state is not None:
+                tree["encoder_state"] = self.encoder_state
+        return tree
 
-    def push_state(self, tree: dict, on_shard=None) -> bool:
+    def push_state(self, tree: dict) -> bool:
         """Merge a ``memo_state()`` tree of either layout into the tier,
         routing every partition by its chunk location; a pushed partition
         replaces a same-keyed one (:meth:`MemoShard.install`).
@@ -360,13 +470,11 @@ class MemoShardRouter(MemoTier):
         restores onto any other: each partition simply lands on the shard
         that owns its location here.  Message counters are per-shard
         observations, so they are only restored when the topology matches.
-        Every database is rebuilt before the first one is installed — a
-        malformed partition raises ``ValueError`` and leaves the tier
-        untouched.
 
-        ``on_shard(shard_id, fn)`` runs ``fn`` where that shard's state may
-        be touched; the memo daemon passes its shard worker threads, the
-        default is inline.
+        All or nothing: every database is rebuilt and the tree's provenance
+        checked before the first partition is installed.  A malformed
+        partition, a partition gated by another ``tau`` or keys from
+        another encoder raise ``ValueError`` and leave the tier untouched.
         """
         by_shard: dict[int, dict[tuple[str, int], MemoDatabase]] = {}
         try:
@@ -375,15 +483,32 @@ class MemoShardRouter(MemoTier):
                 by_shard.setdefault(self.shard_of(loc), {})[(op, loc)] = (
                     MemoDatabase.from_state(p["db"])
                 )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed memo-state partition: {exc!r}") from None
-        run = on_shard or (lambda _sid, install: install())
-        for sid, dbs in by_shard.items():
-            run(sid, partial(self.shards[sid].install, dbs))
-        if tree.get("layout") == "sharded" and int(tree["n_shards"]) == self.n_shards:
-            for shard, shard_state in zip(self.shards, tree["shards"]):
-                shard.query_messages = int(shard_state["query_messages"])
-                shard.insert_messages = int(shard_state["insert_messages"])
+            messages = [None] * self.n_shards
+            if tree.get("layout") == "sharded" and int(tree["n_shards"]) == self.n_shards:
+                messages = [
+                    (int(st["query_messages"]), int(st["insert_messages"]))
+                    for st in tree["shards"]
+                ]
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed memo-state tree: {exc!r}") from None
+        taus = {db.tau for dbs in by_shard.values() for db in dbs.values()}
+        with self._lock:
+            check_fingerprint(self.encoder, tree.get("encoder"), "pushed")
+            tau = self.tau if self.tau is not None else next(iter(taus), None)
+            if taus - {tau}:
+                raise ValueError(
+                    f"pushed partition tau {(taus - {tau}).pop()} != this "
+                    f"tier's tau {tau} — hits would be gated differently"
+                )
+            self.tau = tau
+            if tree.get("encoder"):
+                self.encoder = dict(tree["encoder"])
+            if tree.get("encoder_state"):
+                self.encoder_state = tree["encoder_state"]
+        for shard, counters in zip(self.shards, messages):
+            dbs = by_shard.get(shard.shard_id, {})
+            if dbs or counters is not None:
+                shard.install(dbs, counters)
         return True
 
     def close(self) -> None:

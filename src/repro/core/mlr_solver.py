@@ -19,7 +19,6 @@ installs it in the executor.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +32,6 @@ from .keying import CNNKeyEncoder, chunk_to_image, state_digest
 from .memo_engine import MemoEvent, MemoizedExecutor
 
 __all__ = ["MLRResult", "MLRSolver"]
-
-log = logging.getLogger("repro.core.mlr_solver")
 
 
 @dataclass
@@ -74,10 +71,19 @@ class MLRSolver:
             obs.configure(self.config.obs)
         self.admm_config = admm or ADMMConfig()
         self.ops = ops if ops is not None else LaminoOperators(geometry)
+        snapshot_tree = self.config.memo_snapshot
         #: True when the configured warm-start snapshot failed its checksums
         #: and was quarantined (this run started cold instead of crashing)
         self.snapshot_quarantined = False
-        snapshot_tree = self._resolve_snapshot_safe(self.config.memo_snapshot)
+        if snapshot_tree is not None and not isinstance(snapshot_tree, dict):
+            # construction-time warm start from disk: a corrupt snapshot is
+            # moved aside and the run starts cold; an explicit
+            # load_memo_snapshot() call still raises, since there the
+            # caller asked for *that* snapshot
+            from ..service.snapshot import load_or_quarantine
+
+            snapshot_tree = load_or_quarantine(snapshot_tree, "solver-init")
+            self.snapshot_quarantined = snapshot_tree is None
         if (
             encoder is None
             and self.config.memo.encoder == "cnn"
@@ -111,42 +117,6 @@ class MLRSolver:
 
     # -- warm start / persistence --------------------------------------------------------
 
-    @staticmethod
-    def _resolve_snapshot(snapshot) -> dict | None:
-        """``None`` / state tree / snapshot directory -> state tree."""
-        if snapshot is None or isinstance(snapshot, dict):
-            return snapshot
-        from ..service.snapshot import load_memo_snapshot
-
-        return load_memo_snapshot(snapshot)
-
-    def _resolve_snapshot_safe(self, snapshot) -> dict | None:
-        """Construction-time warm start: a corrupt on-disk snapshot is
-        quarantined (renamed ``.corrupt``) and the run starts cold — warmth
-        is an optimization, and a damaged cache must never take down a
-        reconstruction.  Explicit :meth:`load_memo_snapshot` calls still
-        raise, since there the caller asked for *that* snapshot."""
-        from ..service.snapshot import SnapshotError, quarantine_snapshot
-
-        try:
-            return self._resolve_snapshot(snapshot)
-        except SnapshotError as exc:
-            quarantined = quarantine_snapshot(snapshot)
-            self.snapshot_quarantined = True
-            obs.counter("snapshot_quarantined_total", where="solver-init").inc()
-            obs.flight_dump(
-                "snapshot-quarantine",
-                where="solver-init",
-                snapshot=str(snapshot),
-                error=str(exc),
-            )
-            log.warning(
-                "warm-start snapshot %s corrupt (%s): quarantined to %s, "
-                "starting cold",
-                snapshot, exc, quarantined,
-            )
-            return None
-
     def load_memo_snapshot(self, snapshot) -> None:
         """Warm-start the memoization database tier from ``snapshot`` — a
         directory written by :meth:`save_memo_snapshot` or an in-memory
@@ -157,9 +127,9 @@ class MLRSolver:
         auto-installs them when this solver is configured for the CNN
         encoder and does not already run the exact same weights — so a
         CNN-keyed deployment warm-starts without a re-train."""
-        from ..service.snapshot import install_memo_state
+        from ..service.snapshot import load_memo_snapshot
 
-        tree = self._resolve_snapshot(snapshot)
+        tree = snapshot if isinstance(snapshot, dict) else load_memo_snapshot(snapshot)
         enc_state = tree.get("encoder_state")
         if enc_state and self.config.memo.encoder == "cnn":
             current = self.memo_executor.encoder
@@ -172,7 +142,7 @@ class MLRSolver:
             ):
                 self.memo_executor.encoder = CNNKeyEncoder.from_state(enc_state)
                 self.memo_executor.reset_state()
-        install_memo_state(self.memo_executor, tree)
+        self.memo_executor.load_memo_state(tree)
 
     def save_memo_snapshot(self, path) -> dict:
         """Persist the executor's database tier as a versioned on-disk

@@ -80,13 +80,37 @@ def _memo_config(tau: float = 0.92, **over) -> MemoConfig:
     return MemoConfig(**base)
 
 
-def _run_mlr(spec: DatasetSpec, n_outer: int, tau: float = 0.92, seed: int = 3, **memo_over):
-    geometry, truth, data = build(spec, seed=seed)
-    ops = LaminoOperators(geometry)
-    cfg = MLRConfig(chunk_size=spec.sim_chunk, memo=_memo_config(tau, **memo_over))
-    solver = MLRSolver(geometry, cfg, admm=_admm_config(n_outer), ops=ops)
-    result = solver.reconstruct(data)
-    return geometry, truth, data, ops, solver, result
+class _Problem:
+    """The set-up every numeric experiment starts from: one dataset
+    instantiated (geometry, ground truth, noisy projections), one operator
+    stack, and the two solvers built on it — so solvers compared within an
+    experiment share the stack's plans and Lipschitz estimate."""
+
+    def __init__(self, spec: DatasetSpec) -> None:
+        self.spec = spec
+        self.geometry, self.truth, self.data = build(spec)
+        self.ops = LaminoOperators(self.geometry)
+
+    def admm(self, n_outer: int) -> ADMMSolver:
+        """The un-memoized reference solver."""
+        return ADMMSolver(self.ops, _admm_config(n_outer))
+
+    def mlr(self, n_outer: int, tau: float = 0.92, memo_over=None, **config) -> MLRSolver:
+        """An mLR solver; ``memo_over`` overrides :func:`_memo_config`
+        fields, ``config`` the other :class:`MLRConfig` fields."""
+        cfg = MLRConfig(
+            chunk_size=self.spec.sim_chunk,
+            memo=_memo_config(tau, **(memo_over or {})),
+            **config,
+        )
+        return MLRSolver(self.geometry, cfg, admm=_admm_config(n_outer), ops=self.ops)
+
+
+def _run_mlr(spec: DatasetSpec, n_outer: int, **memo_over):
+    """One default mLR reconstruction of ``spec``: ``(solver, result)``."""
+    problem = _Problem(spec)
+    solver = problem.mlr(n_outer, memo_over=memo_over)
+    return solver, solver.reconstruct(problem.data)
 
 
 def _steady_trace(events: list[MemoEvent], outer: int) -> list[MemoEvent]:
@@ -166,11 +190,10 @@ def fig04_chunk_similarity(
 ) -> SimilarityCensusResult:
     if quick:
         n_outer = min(n_outer, 24)
-    geometry, truth, data = build(spec)
-    ops = LaminoOperators(geometry)
+    problem = _Problem(spec)
     memo = _memo_config(tau, track_similarity_census=True, warmup_iterations=10_000)
-    ex = MemoizedExecutor(ops, config=memo, chunk_size=2)
-    ADMMSolver(ops, _admm_config(n_outer), executor=ex).run(data)
+    ex = MemoizedExecutor(problem.ops, config=memo, chunk_size=2)
+    ADMMSolver(problem.ops, _admm_config(n_outer), executor=ex).run(problem.data)
     census = ex.similarity_census("Fu2D", tau=tau)
     locations = sorted(census)
     picks = {
@@ -215,7 +238,7 @@ def fig08_overall(
     rows = []
     for key in ("small", "medium", "large"):
         spec = DATASETS[key]
-        *_, result = _run_mlr(spec, sim_outer)
+        _solver, result = _run_mlr(spec, sim_outer)
         dims = spec.dims
         orig_iter = simulate_iteration(dims, variant="alg1", n_inner=4).iteration_time
         # replay each simulated outer iteration's trace; extrapolate the
@@ -318,7 +341,7 @@ def fig10_memo_breakdown(
     if quick:
         sim_outer = min(sim_outer, 8)
     data = memo_case_breakdown(spec.dims)
-    *_, result = _run_mlr(spec, sim_outer)
+    _solver, result = _run_mlr(spec, sim_outer)
     counts = {k: v for k, v in result.case_counts.items() if k != "direct"}
     total = sum(counts.values()) or 1
     dist = {k: v / total for k, v in counts.items()}
@@ -399,7 +422,7 @@ def fig12_cache_hitrate(
         n_outer = min(n_outer, 16)
     stats = {}
     for mode in ("private", "global"):
-        _, _, _, _, solver, _result = _run_mlr(spec, n_outer, cache=mode)
+        solver, _result = _run_mlr(spec, n_outer, cache=mode)
         stats[mode] = solver.executor.cache_stats("Fu2D")
     return CacheHitRateResult(
         private_series=stats["private"].hit_rate_series(),
@@ -505,7 +528,7 @@ def fig14_scaling(
 ) -> ScalingResult:
     if quick:
         sim_outer = min(sim_outer, 8)
-    *_, result = _run_mlr(spec, sim_outer)
+    _solver, result = _run_mlr(spec, sim_outer)
     trace = _steady_trace(result.events, sim_outer - 1)
     db_keys = sum(1 for ev in result.events if ev.case == "miss")
     op_times: dict[str, list[float]] = {op: [] for op in ("Fu1D", "Fu1D*", "Fu2D", "Fu2D*")}
@@ -612,16 +635,9 @@ def fig14_sharded(
     """
     if quick:
         sim_outer = min(sim_outer, 8)
-    geometry, truth, data = build(spec)
-    ops = LaminoOperators(geometry)
-    cfg = MLRConfig(
-        chunk_size=spec.sim_chunk,
-        memo=_memo_config(),
-        n_workers=n_workers,
-        n_shards=n_shards,
-    )
-    solver = MLRSolver(geometry, cfg, admm=_admm_config(sim_outer), ops=ops)
-    result = solver.reconstruct(data)
+    problem = _Problem(spec)
+    solver = problem.mlr(sim_outer, n_workers=n_workers, n_shards=n_shards)
+    result = solver.reconstruct(problem.data)
     ex = solver.executor
 
     shard_stats = ex.router.shard_stats()
@@ -700,14 +716,11 @@ def tab01_accuracy(
     if quick:
         n_outer = min(n_outer, 20)
         taus = tuple(taus[::2])
-    geometry, truth, data = build(spec)
-    ops = LaminoOperators(geometry)
-    ref = ADMMSolver(ops, _admm_config(n_outer)).run(data)
+    problem = _Problem(spec)
+    ref = problem.admm(n_outer).run(problem.data)
     accs, memos = [], []
     for tau in taus:
-        cfg = MLRConfig(chunk_size=spec.sim_chunk, memo=_memo_config(tau))
-        solver = MLRSolver(geometry, cfg, admm=_admm_config(n_outer), ops=ops)
-        res = solver.reconstruct(data)
+        res = problem.mlr(n_outer, tau).reconstruct(problem.data)
         accs.append(accuracy(ref.u.real, res.u.real))
         memos.append(res.memoized_fraction)
     return AccuracyResult(taus=list(taus), accuracies=accs, memo_fractions=memos)
@@ -785,21 +798,15 @@ def fig18_pipeline_overlap(
         sim_outer = min(sim_outer, 4)
 
     # -- functional: serial vs pipelined vs streaming, bit for bit --------------
-    geometry, truth, data = build(spec)
-    ops = LaminoOperators(geometry)
+    problem = _Problem(spec)
+    geometry, data = problem.geometry, problem.data
 
-    def make_solver(pipeline: PipelineConfig | None) -> MLRSolver:
-        cfg = MLRConfig(
-            chunk_size=spec.sim_chunk, memo=_memo_config(), pipeline=pipeline
-        )
-        return MLRSolver(geometry, cfg, admm=_admm_config(sim_outer), ops=ops)
-
-    serial_result = make_solver(None).reconstruct(data)
-    piped_solver = make_solver(PipelineConfig(queue_depth=2))
+    serial_result = problem.mlr(sim_outer).reconstruct(data)
+    piped_solver = problem.mlr(sim_outer, pipeline=PipelineConfig(queue_depth=2))
     piped_result = piped_solver.reconstruct(data)
     stats = piped_solver.executor.pipeline_stats()
 
-    streaming_solver = make_solver(None)
+    streaming_solver = problem.mlr(sim_outer)
     ingest = streaming_solver.make_ingest()
 
     from ..pipeline import QueueClosed
@@ -871,8 +878,8 @@ def fig17_convergence(
 ) -> ConvergenceResult:
     if quick:
         n_outer = min(n_outer, 20)
-    geometry, truth, data = build(spec)
-    ops = LaminoOperators(geometry)
+    problem = _Problem(spec)
+    ops, data = problem.ops, problem.data
 
     # The memoized run's internal residuals are themselves approximated, so
     # both curves report the *true* loss of the iterate, evaluated with the
@@ -893,10 +900,8 @@ def fig17_convergence(
     def cb(name):
         return lambda it, u, hist: losses[name].append(true_loss(u))
 
-    ADMMSolver(ops, _admm_config(n_outer)).run(data, callback=cb("ref"))
-    cfg = MLRConfig(chunk_size=spec.sim_chunk, memo=_memo_config(tau))
-    solver = MLRSolver(geometry, cfg, admm=_admm_config(n_outer), ops=ops)
-    solver.solver.run(data, callback=cb("mlr"))
+    problem.admm(n_outer).run(data, callback=cb("ref"))
+    problem.mlr(n_outer, tau).solver.run(data, callback=cb("mlr"))
     return ConvergenceResult(loss_without=losses["ref"], loss_with=losses["mlr"])
 
 
@@ -1044,13 +1049,13 @@ def fig_warmstart(
 
     if quick:
         sim_outer = min(sim_outer, 5)
-    geometry, truth, data1 = build(spec, seed=3)
-    data2 = simulate_data(truth, geometry, noise_level=spec.noise, seed=17)
-    cfg = MLRConfig(chunk_size=spec.sim_chunk, memo=_memo_config(tau))
-    admm = _admm_config(sim_outer)
+    problem = _Problem(spec)
+    geometry, data1 = problem.geometry, problem.data
+    data2 = simulate_data(problem.truth, geometry, noise_level=spec.noise, seed=17)
 
     # control: the second scan on a fresh (cold) database
-    cold = MLRSolver(geometry, cfg, admm=admm)
+    cold = problem.mlr(sim_outer, tau)
+    cfg, admm = cold.config, cold.admm_config
     cold.reconstruct(data2)
     cold_stats = cold.executor.db_stats_total()
 

@@ -31,7 +31,6 @@ __all__ = [
     "KVStore",
     "ArrayStore",
     "heat_now",
-    "merge_heat_states",
 ]
 
 #: wall-clock source for per-entry heat ticks; a module global so tests can
@@ -102,6 +101,10 @@ class KVStore:
         if not isinstance(value, (bytes, bytearray, memoryview)):
             raise TypeError(f"value must be bytes-like, got {type(value).__name__}")
         return bytes(value)
+
+    def _adopt(self, value):
+        """Normalize a value arriving through :meth:`from_state`."""
+        return self._coerce(value)
 
     @staticmethod
     def _value_nbytes(value) -> int:
@@ -180,21 +183,16 @@ class KVStore:
             out.append((key, last, hits, self._value_nbytes(value)))
         return out
 
-    def heat_map(self) -> dict:
-        """``{key: (last_hit, hits)}`` copy, for merging into another store."""
-        return {k: (ent[0], ent[1]) for k, ent in self._heat.items()}
-
-    def merge_heat(self, other: "dict | KVStore") -> None:
+    def merge_heat(self, other: "KVStore") -> None:
         """Fold another replica's heat for the *same* logical entries into
         this store: for keys both sides hold, last-hit takes the max and hit
         counts sum — the partition-level absorb-merge semantics.  Keys only
         the other side holds are ignored (we don't store their values)."""
-        mapping = other.heat_map() if isinstance(other, KVStore) else other
         for key, ent in self._heat.items():
-            theirs = mapping.get(key)
+            theirs = other._heat.get(key)
             if theirs is not None:
-                ent[0] = max(ent[0], float(theirs[0]))
-                ent[1] += int(theirs[1])
+                ent[0] = max(ent[0], theirs[0])
+                ent[1] += theirs[1]
 
     # -- snapshot hooks -----------------------------------------------------------------
 
@@ -253,7 +251,7 @@ class KVStore:
         ):
             tag, key = tagged
             key = int(key) if tag == "i" else str(key)
-            value = store._coerce(value)
+            value = store._adopt(value)
             store._data[key] = value
             store._nbytes += store._value_nbytes(value)
             store._heat[key] = [float(last), int(hits)]
@@ -285,33 +283,23 @@ class ArrayStore(KVStore):
         arr.setflags(write=False)
         return arr
 
+    def _adopt(self, value):
+        """A state tree's value that is already what ``put`` would have made
+        of it — read-only, C-contiguous and owning its buffer, so no one
+        holds a writable alias — is shared, not copied: a tier handing its
+        partitions to a job and taking them back moves no value bytes.
+        A writable or borrowed array (fresh off disk or the wire) is
+        detached exactly as in ``put``."""
+        if (
+            isinstance(value, np.ndarray)
+            and value.flags.owndata
+            and value.flags.c_contiguous
+            and not value.flags.writeable
+        ):
+            return value
+        return self._coerce(value)
+
     @staticmethod
     def _value_nbytes(value) -> int:
         return encoded_nbytes(value)
 
-
-def merge_heat_states(new_state: dict, old_state: dict) -> None:
-    """Entry-level heat union of two value-store *states* holding the same
-    partition (the state-tree mirror of :meth:`KVStore.merge_heat`): for
-    keys both hold, ``new_state`` takes max(last-hit) / sum(hits), in
-    place.  Both sides tolerate the pre-heat schema (missing arrays read as
-    all-cold and contribute nothing)."""
-    old_keys = old_state.get("keys") or []
-    old_last = old_state.get("heat_last") or [0.0] * len(old_keys)
-    old_hits = old_state.get("heat_hits") or [0] * len(old_keys)
-    theirs = {
-        (tagged[0], tagged[1]): (float(last), int(hits))
-        for tagged, last, hits in zip(old_keys, old_last, old_hits)
-    }
-    if not theirs:
-        return
-    keys = new_state.get("keys") or []
-    last = [float(v) for v in (new_state.get("heat_last") or [0.0] * len(keys))]
-    hits = [int(v) for v in (new_state.get("heat_hits") or [0] * len(keys))]
-    for i, tagged in enumerate(keys):
-        got = theirs.get((tagged[0], tagged[1]))
-        if got is not None:
-            last[i] = max(last[i], got[0])
-            hits[i] += got[1]
-    new_state["heat_last"] = last
-    new_state["heat_hits"] = hits

@@ -9,9 +9,9 @@ memo tier:
   framing with typed request/response messages (array payloads reuse the
   kvstore ``encode_array`` codec),
 - :mod:`repro.net.server` — :class:`MemoServerDaemon`, a threaded TCP
-  daemon hosting a :class:`~repro.core.memo_shard.MemoShardRouter` with
-  shards mapped to worker threads (run it with
-  ``python -m repro.net.server``),
+  daemon: the wire in front of a
+  :class:`~repro.core.memo_shard.MemoShardRouter`, which hosts the
+  partitions (run it with ``python -m repro.net.server``),
 - :mod:`repro.net.client` — :class:`RemoteMemoClient`, the
   :class:`~repro.core.memo_shard.MemoTier` over one TCP connection, with
   request pipelining, reconnect-with-backoff, and fail-open degradation to
@@ -20,8 +20,9 @@ memo tier:
 - :mod:`repro.net.replicated` — :class:`ReplicatedMemoClient`, replication
   (insert fan-out, per-shard query failover, circuit breakers, resync) as a
   wrapper over any list of tiers,
-- :mod:`repro.net.snapshot_store` — :class:`RemoteSnapshotStore`, the
-  scheduler-side push/pull tier for cross-host warm starts.
+- :mod:`repro.net.snapshot_store` — :func:`pull_state` /
+  :class:`RemoteSnapshotStore`, reading a tier as whole snapshots for
+  cross-host warm starts (cold told from unreachable, with retries).
 
 The wire carries memo traffic only (queries, inserts, stats, snapshot
 push/pull, heartbeats); a daemon's metrics and spans are read from its
@@ -36,7 +37,7 @@ bit-identical behavior is asserted between the two.
 from .client import NetClientStats, RemoteMemoClient, TransportUnavailable, connect_tier
 from .replicated import ReplicatedMemoClient
 from .server import MemoServerDaemon, ServerStats
-from .snapshot_store import RemoteSnapshotStore
+from .snapshot_store import RemoteSnapshotStore, pull_state
 from .wire import (
     MAX_PAYLOAD_BYTES,
     PROTOCOL_VERSION,
@@ -61,6 +62,7 @@ __all__ = [
     "MemoServerDaemon",
     "ServerStats",
     "RemoteSnapshotStore",
+    "pull_state",
     "MAX_PAYLOAD_BYTES",
     "PROTOCOL_VERSION",
     "ChecksumError",

@@ -48,7 +48,6 @@ from ..faults import runtime as faults
 from ..obs import runtime as obs
 from .policy import RetryPolicy, seed_from_name
 from .wire import (
-    FEATURE_TRACE,
     MESSAGE_NAMES,
     MSG_ERROR,
     MSG_HELLO,
@@ -152,7 +151,6 @@ class RemoteMemoClient(MemoTier):
         self.client_name = client_name
         self.retry_policy = retry_policy or RetryPolicy()
         self.net_stats = NetClientStats()  # guarded-by: self._lock
-        self.server_info: dict | None = None
         self._n_shards = max(1, int(n_shards_hint))
         # fault-injection site keyed by the client NAME, not host:port — the
         # chaos suite replays plans across runs whose daemons sit on fresh
@@ -316,7 +314,6 @@ class RemoteMemoClient(MemoTier):
             return False
         self._sock = sock
         self._reader = reader
-        self.server_info = body
         self._n_shards = max(1, int(body.get("n_shards", self._n_shards)))
         self._backoff_state.reset()
         self._outage_logged = False
@@ -368,17 +365,11 @@ class RemoteMemoClient(MemoTier):
     # -- request plumbing ----------------------------------------------------------------
 
     def _trace_field_locked(self) -> dict | None:
-        """The outgoing request's optional trace-context field.
-
-        Attached only when observability is enabled, a span is open in
-        this context, AND the server advertised :data:`FEATURE_TRACE` at
-        handshake — so old servers never see the key (interop is gated on
-        the handshake, not a protocol-version bump) and tracing-off runs
-        put byte-identical frames on the wire."""
+        """The outgoing request's optional trace-context field: attached
+        only when observability is enabled and a span is open in this
+        context, so tracing-off runs put byte-identical frames on the
+        wire."""
         if not obs.enabled():
-            return None
-        info = self.server_info
-        if not info or FEATURE_TRACE not in (info.get("features") or ()):
             return None
         return trace_ctx_to_wire(obs.current_trace_context())
 
@@ -670,10 +661,10 @@ class RemoteMemoClient(MemoTier):
         return reply["tree"]
 
     def push_state(self, tree: dict) -> bool:
-        """Merge a tier into the server (the router's merge, run on the
-        daemon's shard threads).  Returns False (fail-open) when the server
-        is unreachable; server-side rejections (tau / encoder mismatch, a
-        malformed partition) raise ``ValueError``."""
+        """Merge a tier into the server (its router's own ``push_state``).
+        Returns False (fail-open) when the server is unreachable;
+        server-side rejections (tau / encoder mismatch, a malformed
+        partition) raise ``ValueError``."""
         try:
             reply = self._request_or_none(
                 MSG_SNAP_PUSH, {"tree": tree}, MSG_SNAP_PUSH_OK

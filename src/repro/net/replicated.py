@@ -42,7 +42,7 @@ import threading
 from operator import methodcaller
 
 from ..core.memo_db import MemoDBStats, QueryOutcome
-from ..core.memo_shard import MemoTier
+from ..core.memo_shard import MemoTier, _scatter_gather
 from ..obs import runtime as obs
 from .client import TransportUnavailable
 from .policy import CIRCUIT_OPEN, RetryPolicy
@@ -201,33 +201,25 @@ class ReplicatedMemoClient(MemoTier):
         """Outcomes in request order; per-shard failover across replicas.
         Only when *every* replica fails does the batch degrade to all-miss
         (fail-open) — a single live replica keeps the run warm."""
-        queries = list(queries)
         n_replicas = len(self._tiers)
-        results: list[QueryOutcome | None] = [None] * len(queries)
-        groups: dict[int, list[int]] = {}
-        for i, q in enumerate(queries):
-            groups.setdefault(
-                self.replica_for(self.shard_of(q.location)), []
-            ).append(i)
-        for primary, idxs in groups.items():
-            sub = [queries[i] for i in idxs]
-            ask = methodcaller("query_batch", sub)
-            outcomes = _MISSED
+
+        def ask(primary: int, sub: list) -> list[QueryOutcome]:
+            call = methodcaller("query_batch", sub)
             for k in range(n_replicas):
-                outcomes = self._on_replica((primary + k) % n_replicas, ask)
+                outcomes = self._on_replica((primary + k) % n_replicas, call)
                 if outcomes is not _MISSED:
                     if k > 0:
                         for shard in {self.shard_of(q.location) for q in sub}:
                             obs.counter(
                                 "net_client_failover_total", shard=shard
                             ).inc()
-                    break
-            if outcomes is _MISSED:
-                self._degrade("query_batch")
-                outcomes = [QueryOutcome(None, -2.0, -1, 0) for _ in sub]
-            for i, outcome in zip(idxs, outcomes):
-                results[i] = outcome
-        return results
+                    return outcomes
+            self._degrade("query_batch")
+            return [QueryOutcome(None, -2.0, -1, 0) for _ in sub]
+
+        return _scatter_gather(
+            list(queries), lambda q: self.replica_for(self.shard_of(q.location)), ask
+        )
 
     def _fan_out(self, fn) -> int:
         """A write to every replica; how many took it (the rest go dirty)."""

@@ -1,19 +1,27 @@
 """The memo server daemon: one shared memoization service for many hosts.
 
-:class:`MemoServerDaemon` hosts a :class:`~repro.core.memo_shard.MemoShardRouter`
-behind the TCP wire protocol of :mod:`repro.net.wire`, turning the
-in-process memo service into the multi-host deployment the paper's beamline
-setting implies (detector node, compute nodes, storage nodes sharing one
-memory node):
+:class:`MemoServerDaemon` puts the TCP wire protocol of
+:mod:`repro.net.wire` in front of a
+:class:`~repro.core.memo_shard.MemoShardRouter`, turning the in-process
+memo tier into the multi-host deployment the paper's beamline setting
+implies (detector node, compute nodes, storage nodes sharing one memory
+node).  The router hosts the partitions, serialises access to them and
+holds the tier's provenance (tau, key-encoder fingerprint and weights);
+the daemon is transport and operations around it:
 
-- **shards map to worker threads** — each shard owns a single-thread
-  executor, so traffic for different shards is serviced concurrently while
-  each shard's partitions see strictly serialized access (the same
-  consistency the in-process router gets from the GIL's per-call ordering),
 - **per-connection framing state** — every client connection gets its own
   handler thread and :class:`~repro.net.wire.FrameReader`; a malformed
   frame poisons only that connection (typed error back, then close), never
-  the daemon,
+  the daemon.  A handler calls the router inline: each shard serialises its
+  own sub-batches under its lock, so traffic for different shards overlaps
+  across connections while a shard is always read at a batch boundary,
+- **handshake and request gate** — protocol version, tau advert and the
+  client's encoder fingerprint, re-checked per data request; a ``ValueError``
+  out of the tier is its deterministic rejection of one request (tau /
+  encoder mismatch, malformed tree, wrong key size) and is answered as an
+  error frame on a connection that stays up,
+- **insert-replay dedup** — at-least-once delivery on the wire,
+  at-most-once application to the tier,
 - **snapshot push/pull** — schedulers warm-start from the daemon and merge
   their finished tiers back into it (the router's own ``push_state`` merge:
   partition-level union, newest wins, heat kept), so the shared tier
@@ -33,13 +41,11 @@ Run standalone with ``python -m repro.net.server --port 9876 --shards 4``.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import logging
 import os
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..core.config import MemoConfig
@@ -48,7 +54,6 @@ from ..core.memo_shard import MemoShardRouter
 from ..faults import runtime as faults
 from ..obs import runtime as obs
 from .wire import (
-    FEATURE_TRACE,
     MESSAGE_NAMES,
     MSG_ERROR,
     MSG_HELLO,
@@ -84,11 +89,6 @@ from .wire import (
 __all__ = ["ServerStats", "MemoServerDaemon", "main"]
 
 log = logging.getLogger("repro.net.server")
-
-
-class _AppError(RuntimeError):
-    """Request-level failure (config mismatch, bad snapshot): answered with
-    an MSG_ERROR frame, the connection stays up."""
 
 
 @dataclass
@@ -139,7 +139,9 @@ class MemoServerDaemon:
             raise ValueError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
         self.memo = memo or MemoConfig()
         self.name = name
-        self.router = MemoShardRouter(n_shards, make_db_factory(self.memo))
+        self.router = MemoShardRouter(
+            n_shards, make_db_factory(self.memo), tau=self.memo.tau, label=name
+        )
         self.stats = ServerStats()  # guarded-by: self._lock
         self.snapshot_path = os.fspath(snapshot_path) if snapshot_path else None
         self.snapshot_interval_s = snapshot_interval_s
@@ -148,10 +150,6 @@ class MemoServerDaemon:
         #: clients heartbeat with MSG_PING to stay alive across quiet spans
         self.idle_timeout_s = idle_timeout_s
         self._lock = threading.Lock()
-        # provenance of the stored keys
-        self._encoder_fp: dict | None = None  # guarded-by: self._lock
-        # optional CNN encoder weights
-        self._encoder_state: dict | None = None  # guarded-by: self._lock
         self._stop = threading.Event()
         self._conns: dict[int, socket.socket] = {}  # guarded-by: self._lock
         self._conn_seq = 0  # guarded-by: self._lock
@@ -163,13 +161,6 @@ class MemoServerDaemon:
         # similarities drift off the fault-free run's.
         self._applied_batches: dict[str, None] = {}  # guarded-by: self._lock
         self._dedup_window = 4096
-        # one worker thread per shard: cross-shard concurrency, within-shard
-        # serialization — snapshot/stat reads run on the same threads, so
-        # they always observe a shard at a batch boundary
-        self._shard_pools = [
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{name}-shard{s}")
-            for s in range(n_shards)
-        ]
         if self.snapshot_path:
             self._load_boot_snapshot()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -216,7 +207,7 @@ class MemoServerDaemon:
 
     def close(self) -> None:
         """Graceful shutdown: stop accepting, unblock and join every
-        connection handler, persist a final snapshot, stop shard workers."""
+        connection handler, persist a final snapshot."""
         if self._stop.is_set():
             return
         self._stop.set()
@@ -260,8 +251,6 @@ class MemoServerDaemon:
                 self.save_snapshot()
             except Exception as exc:  # noqa: BLE001 — shutdown must not raise
                 log.warning("final snapshot failed: %s", exc)
-        for pool in self._shard_pools:
-            pool.shutdown(wait=True)
 
     @property
     def running(self) -> bool:
@@ -270,35 +259,16 @@ class MemoServerDaemon:
     # -- persistence ---------------------------------------------------------------------
 
     def _load_boot_snapshot(self) -> None:
-        from ..service.snapshot import SnapshotError, quarantine_snapshot, read_snapshot
+        from ..service.snapshot import load_or_quarantine
 
-        manifest = os.path.join(self.snapshot_path, "manifest.json")
-        if not os.path.isfile(manifest):
+        if not os.path.isfile(os.path.join(self.snapshot_path, "manifest.json")):
             return
-        try:
-            tree = read_snapshot(self.snapshot_path, expect_kind="memo-state")
-        except SnapshotError as exc:
-            # a corrupt snapshot must neither kill the daemon nor be
-            # overwritten by the next periodic save: move it aside
-            # (<path>.corrupt) and cold-start
-            quarantined = quarantine_snapshot(self.snapshot_path)
+        tree = load_or_quarantine(self.snapshot_path, "server-boot", server=self.name)
+        if tree is None:
             with self._lock:
                 self.stats.snapshots_quarantined += 1
-            obs.counter("snapshot_quarantined_total", where="server-boot").inc()
-            obs.flight_dump(
-                "snapshot-quarantine",
-                where="server-boot",
-                server=self.name,
-                snapshot=str(self.snapshot_path),
-                error=str(exc),
-            )
-            log.warning(
-                "boot snapshot at %s unusable (%s) — quarantined to %s, "
-                "starting cold",
-                self.snapshot_path, exc, quarantined,
-            )
             return
-        self.push_state(tree)
+        self.router.push_state(tree)
         log.info(
             "warm-started %d partitions from %s",
             len(memo_state_partitions(tree)),
@@ -311,7 +281,9 @@ class MemoServerDaemon:
 
         if not self.snapshot_path:
             raise ValueError("daemon was started without a snapshot_path")
-        manifest = write_snapshot(self.snapshot_path, self.pull_state(), kind="memo-state")
+        manifest = write_snapshot(
+            self.snapshot_path, self.router.state_dict(), kind="memo-state"
+        )
         with self._lock:
             self.stats.snapshots_persisted += 1
         return manifest
@@ -323,180 +295,7 @@ class MemoServerDaemon:
             except Exception as exc:  # noqa: BLE001 — persistence must not kill serving
                 log.warning("periodic snapshot failed: %s", exc)
 
-    # -- sharded dispatch ----------------------------------------------------------------
-
-    def _route(self, items: list, service) -> list:
-        """Group ``items`` by owning shard, service every group on its
-        shard's worker thread concurrently, reassemble in request order —
-        the server-side mirror of ``MemoShardRouter``'s scatter/gather."""
-        results: list = [None] * len(items)
-        groups: dict[int, list[int]] = {}
-        for i, item in enumerate(items):
-            groups.setdefault(self.router.shard_of(item.location), []).append(i)
-        if faults.installed():
-            inner = service
-
-            def stalled(sid: int, group: list):
-                # slow-shard injection point: the stall runs on the shard's
-                # own worker thread, so one slow shard delays only its group
-                faults.maybe_stall(f"server:{self.name}:shard{sid}")
-                return inner(sid, group)
-
-            service = stalled
-        if obs.enabled():
-            traced = service
-
-            def timed(sid: int, group: list):
-                t0 = time.monotonic()
-                try:
-                    with obs.span("net_server.shard", shard=sid, items=len(group)):
-                        return traced(sid, group)
-                finally:
-                    obs.histogram(
-                        "net_server_shard_seconds", shard=sid
-                    ).observe(time.monotonic() - t0)
-
-            # each submission runs under a fresh copy of this handler
-            # thread's contextvars, so the shard span parents under the
-            # request span even though pool threads start with an empty
-            # context.  One copy per submission: a Context object cannot
-            # be entered concurrently from two threads
-            futures = {
-                sid: self._shard_pools[sid].submit(
-                    contextvars.copy_context().run,
-                    timed,
-                    sid,
-                    [items[i] for i in idxs],
-                )
-                for sid, idxs in groups.items()
-            }
-        else:
-            futures = {
-                sid: self._shard_pools[sid].submit(
-                    service, sid, [items[i] for i in idxs]
-                )
-                for sid, idxs in groups.items()
-            }
-        for sid, idxs in groups.items():
-            for i, res in zip(idxs, futures[sid].result()):
-                results[i] = res
-        return results
-
-    def _on_all_shards(self, fn) -> list:
-        """Run ``fn(shard)`` on every shard's worker thread; results in
-        shard order.  Snapshot and stats reads go through here so they see
-        each shard quiesced at a message boundary."""
-        futures = [
-            pool.submit(fn, shard)
-            for pool, shard in zip(self._shard_pools, self.router.shards)
-        ]
-        return [f.result() for f in futures]
-
-    def serve_query_batch(self, queries) -> list:
-        return self._route(
-            queries, lambda sid, group: self.router.shards[sid].query_batch(group)
-        )
-
-    def serve_insert_batch(self, inserts) -> list[int]:
-        return self._route(
-            inserts, lambda sid, group: self.router.shards[sid].insert_batch(group)
-        )
-
-    # -- snapshot / stats service --------------------------------------------------------
-
-    def pull_state(self) -> dict:
-        """The full tier as a ``memo_state()``-compatible tree (sharded
-        layout), including key-encoder provenance when one was pushed."""
-        shard_states = self._on_all_shards(lambda shard: shard.state_dict())
-        tree = {
-            "layout": "sharded",
-            "n_shards": self.router.n_shards,
-            "shards": shard_states,
-        }
-        with self._lock:
-            if self._encoder_fp is not None:
-                tree["encoder"] = dict(self._encoder_fp)
-            if self._encoder_state is not None:
-                tree["encoder_state"] = self._encoder_state
-        return tree
-
-    def _check_encoder_fp(self, fp: dict | None, how: str, pin: bool) -> None:
-        """One encoder feeds a shared tier: reject a fingerprint conflicting
-        with the pinned one.  Keys from different encoders never tau-match,
-        so mixing them silently poisons every client's hit decisions.
-
-        Pinning happens only on *data* (``pin=True``: inserts, snapshot
-        pushes, boot snapshots) — a handshake or query against a still-empty
-        tier must not lock every differently-keyed client out forever."""
-        if not fp:
-            return
-        with self._lock:
-            known = self._encoder_fp
-            if known is None:
-                if pin:
-                    self._encoder_fp = dict(fp)
-                return
-        for field_name in ("kind", "dim", "weights"):
-            ours, theirs = known.get(field_name), fp.get(field_name)
-            if ours and theirs and ours != theirs:
-                raise _AppError(
-                    f"{how} keys come from a different encoder "
-                    f"({field_name}: {theirs!r} != {ours!r}) — a shared tier "
-                    "must be fed by one encoder"
-                )
-
-    def _check_push(self, tree: dict) -> None:
-        """Reject a pushed tree that would silently change memoization
-        semantics: a tau mismatch, or keys from a different encoder than
-        the tier already holds."""
-        if not isinstance(tree, dict) or "layout" not in tree:
-            raise _AppError("snapshot push payload is not a memo-state tree")
-        try:
-            partitions = memo_state_partitions(tree)
-        except (KeyError, TypeError) as exc:
-            raise _AppError(f"malformed memo-state tree: {exc!r}") from None
-        for part in partitions:
-            try:
-                tau = float(part["db"]["config"]["tau"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _AppError(f"malformed partition in push: {exc!r}") from None
-            if tau != self.memo.tau:
-                raise _AppError(
-                    f"pushed partition tau {tau} != server tau {self.memo.tau}"
-                )
-        self._check_encoder_fp(tree.get("encoder"), "pushed", pin=True)
-
-    def _remember_encoder(self, tree: dict) -> None:
-        with self._lock:
-            if tree.get("encoder"):
-                self._encoder_fp = dict(tree["encoder"])
-            if tree.get("encoder_state"):
-                self._encoder_state = tree["encoder_state"]
-
-    def check_client_encoder(self, fp: dict | None, pin: bool = False) -> None:
-        """Provenance gate for hot-path (query/insert) clients — the
-        snapshot-push check alone would let two hosts with different CNN
-        trainings quietly co-mingle keys in one tier.  Checked at handshake
-        and on every query; checked *and pinned* on every insert (first
-        data wins)."""
-        self._check_encoder_fp(fp, "client", pin=pin)
-
-    def push_state(self, tree: dict) -> int:
-        """Merge a pushed tier into the live router — the router's own
-        :meth:`~repro.core.memo_shard.MemoShardRouter.push_state`, with each
-        shard's install run on that shard's worker thread; returns the
-        number of partitions installed.  A malformed partition is answered
-        as a request-level error and leaves the tier untouched."""
-        self._check_push(tree)
-        try:
-            self.router.push_state(
-                tree,
-                on_shard=lambda sid, fn: self._shard_pools[sid].submit(fn).result(),
-            )
-        except ValueError as exc:
-            raise _AppError(str(exc)) from None
-        self._remember_encoder(tree)
-        return len(memo_state_partitions(tree))
+    # -- operations ----------------------------------------------------------------------
 
     def resync_from(self, peers) -> int:
         """Anti-entropy resync: pull a peer replica's merged tier and merge
@@ -508,8 +307,8 @@ class MemoServerDaemon:
         number of partitions installed (0 when every peer is down or the
         first reachable peer is cold — a rejoin must come up regardless)."""
         from .client import RemoteMemoClient
+        from .snapshot_store import pull_state
 
-        installed = 0
         for host, port in parse_address_list(peers):
             if (host, port) == tuple(self.address):
                 continue  # resyncing from ourselves is a no-op
@@ -520,12 +319,14 @@ class MemoServerDaemon:
                     fail_open=False,
                     client_name=f"{self.name}-resync",
                 ) as peer_client:
-                    tree = peer_client.state_dict()
+                    tree = pull_state(peer_client)
             except (OSError, ProtocolError) as exc:
                 log.info("resync peer %s:%d unreachable: %s", host, port, exc)
                 continue
-            if memo_state_partitions(tree) or tree.get("encoder_state"):
-                installed = self.push_state(tree)
+            installed = 0
+            if tree is not None:  # a cold peer has nothing to give
+                self.router.push_state(tree)
+                installed = len(memo_state_partitions(tree))
             log.info(
                 "resynced %d partitions from peer %s:%d", installed, host, port
             )
@@ -538,40 +339,15 @@ class MemoServerDaemon:
         """Telemetry-plane collect hook: publish the traffic counters as
         ``net_server_*`` gauges (side effect into the registry, picked up
         by the same scrape) and return fresh-per-scrape
-        ``memo_entry_age_seconds`` histogram entries from the per-entry
-        heat metadata.  Runs on the scrape thread; the heat walk hops to
-        each shard's worker thread so stores are read quiesced."""
-        from ..obs.heat import age_histogram_entries, entry_records_from_store
+        ``memo_entry_age_seconds`` histogram entries from the tier's
+        per-entry heat metadata.  Runs on the scrape thread."""
+        from ..obs.heat import age_histogram_entries
 
         with self._lock:
             stats_now = ServerStats(**vars(self.stats))
         # published from the copy: the registry lock never nests under ours
         obs.publish_gauges("net_server", stats_now, server=self.name)
-
-        def walk(shard) -> list[dict]:
-            records: list[dict] = []
-            for (op, loc), db in shard._dbs.items():
-                records.extend(
-                    entry_records_from_store(db.values, op, shard.shard_id, loc)
-                )
-            return records
-
-        all_records = [r for recs in self._on_all_shards(walk) for r in recs]
-        return age_histogram_entries(all_records)
-
-    def serve_stats(self, op: str | None) -> dict:
-        """Per-shard statistics, entries and message counters in one body
-        (the client derives the merged view)."""
-        per_shard = self._on_all_shards(
-            lambda shard: (shard.stats(op), shard.entries(op))
-        )
-        return {
-            "op": op,
-            "per_shard": [stats_to_wire(s) for s, _n in per_shard],
-            "entries": [int(n) for _s, n in per_shard],
-            "query_messages": [int(s.query_messages) for s in self.router.shards],
-            "insert_messages": [int(s.insert_messages) for s in self.router.shards],
-        }
+        return age_histogram_entries(self.router.heat_records())
 
     # -- the connection protocol ---------------------------------------------------------
 
@@ -601,9 +377,9 @@ class MemoServerDaemon:
     def _serve_connection(self, conn: socket.socket, conn_id: int, peer) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if self.idle_timeout_s is not None:
-            # a hung or vanished peer can then never park this handler (or,
-            # through a blocking read, a shard worker) forever: the recv
-            # deadline turns silence into a FrameTimeout we reap below
+            # a hung or vanished peer can then never park this handler
+            # forever: the recv deadline turns silence into a FrameTimeout
+            # we reap below
             conn.settimeout(self.idle_timeout_s)
         conn = faults.wrap_socket(conn, f"server:{self.name}:conn{conn_id}")
         reader = (
@@ -614,7 +390,7 @@ class MemoServerDaemon:
         try:
             try:
                 conn_fp = self._handshake(conn, reader)
-            except _AppError as exc:
+            except ValueError as exc:
                 # rejected client (conflicting encoder): answer clearly, close
                 with self._lock:
                     self.stats.app_errors += 1
@@ -640,7 +416,10 @@ class MemoServerDaemon:
                         "net_server.request", trace_ctx, type=type_name, conn=conn_id
                     ):
                         reply_type, reply = self._dispatch(msg_type, body, conn_fp)
-                except _AppError as exc:
+                except ValueError as exc:
+                    # the tier's deterministic rejection of this one request
+                    # (tau / encoder mismatch, malformed tree, wrong key
+                    # size): answered, and the connection stays up
                     with self._lock:
                         self.stats.app_errors += 1
                     reply_type = MSG_ERROR
@@ -696,7 +475,7 @@ class MemoServerDaemon:
                 f"speaks {PROTOCOL_VERSION} — upgrade the older side"
             )
         conn_fp = body.get("encoder")
-        self.check_client_encoder(conn_fp)
+        self.router.check_encoder(conn_fp)
         send_frame(
             conn,
             MSG_HELLO_OK,
@@ -706,9 +485,6 @@ class MemoServerDaemon:
                 "server": self.name,
                 "n_shards": self.router.n_shards,
                 "tau": self.memo.tau,
-                # capability advert: clients attach trace context only when
-                # the feature is listed, so old servers never see the key
-                "features": [FEATURE_TRACE],
             },
         )
         return conn_fp
@@ -728,51 +504,72 @@ class MemoServerDaemon:
             raise MessageError(f"request body missing {field_name!r}")
         return body[field_name]
 
+    def _claim_batch(self, body) -> bool:
+        """Insert-replay dedup: False when the request's batch tag was
+        already applied.  A tag must be ``str`` or ``int`` — anything else
+        (unhashable or unstable under ``str``) is a malformed message."""
+        tag = body.get("batch") if isinstance(body, dict) else None
+        if tag is None:
+            return True
+        if isinstance(tag, bool) or not isinstance(tag, (str, int)):
+            raise MessageError(
+                f"insert batch tag must be str or int, got {type(tag).__name__}"
+            )
+        tag = str(tag)
+        with self._lock:
+            if tag in self._applied_batches:
+                self.stats.duplicate_insert_batches += 1
+                return False
+            # reserve before applying: a replay racing the original
+            # connection's in-flight application must not apply twice
+            self._applied_batches[tag] = None
+            while len(self._applied_batches) > self._dedup_window:
+                self._applied_batches.pop(next(iter(self._applied_batches)))
+        return True
+
     def _dispatch(self, msg_type: int, body, conn_fp: dict | None = None):
         if msg_type == MSG_QUERY:
             # an unpinned tier answers anyone (it can only miss); once data
             # pinned a provenance, conflicting clients must not read it
-            self.check_client_encoder(conn_fp)
+            self.router.check_encoder(conn_fp)
             queries = queries_from_wire(self._body_field(body, "queries"))
-            outcomes = self.serve_query_batch(queries)
+            outcomes = self.router.query_batch(queries)
             with self._lock:
                 self.stats.query_batches += 1
                 self.stats.queries += len(queries)
             return MSG_QUERY_OK, {"outcomes": outcomes_to_wire(outcomes)}
         if msg_type == MSG_INSERT:
-            self.check_client_encoder(conn_fp, pin=True)  # first data pins
-            batch_tag = body.get("batch") if isinstance(body, dict) else None
-            if batch_tag is not None:
-                with self._lock:
-                    if batch_tag in self._applied_batches:
-                        self.stats.duplicate_insert_batches += 1
-                        obs.counter(
-                            "net_server_duplicate_batches_total", server=self.name
-                        ).inc()
-                        return MSG_INSERT_OK, {"ids": [], "duplicate": True}
-                    # reserve before applying: a replay racing the original
-                    # connection's in-flight application must not apply twice
-                    self._applied_batches[str(batch_tag)] = None
-                    while len(self._applied_batches) > self._dedup_window:
-                        self._applied_batches.pop(next(iter(self._applied_batches)))
+            self.router.check_encoder(conn_fp, pin=True)  # first data pins
+            if not self._claim_batch(body):
+                obs.counter("net_server_duplicate_batches_total", server=self.name).inc()
+                return MSG_INSERT_OK, {"ids": [], "duplicate": True}
             inserts = inserts_from_wire(self._body_field(body, "inserts"))
-            ids = self.serve_insert_batch(inserts)
+            ids = self.router.insert_batch(inserts)
             with self._lock:
                 self.stats.insert_batches += 1
                 self.stats.inserts += len(inserts)
             return MSG_INSERT_OK, {"ids": [int(i) for i in ids]}
         if msg_type == MSG_STATS:
             op = body.get("op") if isinstance(body, dict) else None
+            op = None if op is None else str(op)
+            per_shard = self.router.shard_stats(op)
             with self._lock:
                 self.stats.stats_pulls += 1
-            return MSG_STATS_OK, self.serve_stats(None if op is None else str(op))
+            # per-shard statistics and entries (the client derives the
+            # merged view)
+            return MSG_STATS_OK, {
+                "op": op,
+                "per_shard": [stats_to_wire(s) for s, _n in per_shard],
+                "entries": [int(n) for _s, n in per_shard],
+            }
         if msg_type == MSG_SNAP_PUSH:
-            installed = self.push_state(self._body_field(body, "tree"))
+            tree = self._body_field(body, "tree")
+            self.router.push_state(tree)
             with self._lock:
                 self.stats.snapshot_pushes += 1
-            return MSG_SNAP_PUSH_OK, {"partitions": installed}
+            return MSG_SNAP_PUSH_OK, {"partitions": len(memo_state_partitions(tree))}
         if msg_type == MSG_SNAP_PULL:
-            tree = self.pull_state()
+            tree = self.router.state_dict()
             with self._lock:
                 self.stats.snapshot_pulls += 1
             return MSG_SNAP_PULL_OK, {"tree": tree}
@@ -789,11 +586,21 @@ class MemoServerDaemon:
 def main(argv=None) -> int:
     """``python -m repro.net.server``: run a memo server in the foreground."""
     parser = argparse.ArgumentParser(
-        description="mLR memo server daemon: shared remote memoization service"
+        description=(
+            "mLR memo server daemon: one shared memoization tier for many "
+            "hosts — the TCP wire (handshake, insert-replay dedup, "
+            "persistence, telemetry) in front of a sharded in-process memo "
+            "tier, which hosts the partitions and checks tau / encoder "
+            "provenance"
+        )
     )
     parser.add_argument("--host", default="0.0.0.0", help="bind address")
     parser.add_argument("--port", type=int, default=9876, help="bind port (0 = ephemeral)")
-    parser.add_argument("--shards", type=int, default=4, help="database shards")
+    parser.add_argument(
+        "--shards", type=int, default=4,
+        help="database shards (each serialises its own traffic; requests "
+             "for different shards overlap across connections)",
+    )
     parser.add_argument("--tau", type=float, default=0.92, help="similarity threshold")
     parser.add_argument(
         "--snapshot", default=None,

@@ -59,7 +59,6 @@ __all__ = [
     "MSG_PING_OK",
     "MSG_ERROR",
     "MESSAGE_NAMES",
-    "FEATURE_TRACE",
     "trace_ctx_to_wire",
     "trace_ctx_from_wire",
     "ProtocolError",
@@ -140,13 +139,9 @@ MESSAGE_NAMES = {
 # Distributed tracing rides requests as an OPTIONAL "trace" dict in the
 # message body — never a new header field — so frames without it are
 # byte-identical to pre-trace builds (observability off costs zero wire
-# bytes) and old peers interop: servers advertise FEATURE_TRACE in their
-# HELLO_OK "features" list, and clients only attach the field to servers
-# that advertised it; dict bodies tolerate unknown keys on both sides.
-
-#: HELLO_OK feature token: this server understands the "trace" request
-#: field (its spans are read from its telemetry plane's ``/snapshot``)
-FEATURE_TRACE = "trace"
+# bytes).  Every protocol-version-2 server reads the field (its spans are
+# read from its telemetry plane's ``/snapshot``) and dict bodies tolerate
+# a missing or unknown key on both sides, so nothing is negotiated.
 
 
 def trace_ctx_to_wire(ctx) -> dict | None:

@@ -5,9 +5,10 @@ last-hit tick + hit count, persisted through ``state_dict``/snapshots and
 merged on absorb).  This module turns that raw metadata into the views the
 eviction work (ROADMAP) and capacity planning act on:
 
-- :func:`entry_records` — flatten a memo-state tree (snapshot, wire pull,
-  or live shard walk) into per-entry ``{op, shard, location, last, hits,
-  nbytes}`` records,
+- :func:`entry_records` — flatten a memo-state tree (snapshot or wire
+  pull) into per-entry ``{op, shard, location, last, hits, nbytes}``
+  records (a live tier yields the same records without building a tree:
+  :meth:`repro.core.memo_shard.MemoShardRouter.heat_records`),
 - :func:`build_heat_report` / :func:`render_heat_report` — hit
   distribution by op, by shard and by age decile, the cold-entry fraction,
   and the projected bytes reclaimable at a staleness cutoff
@@ -27,7 +28,6 @@ from .report import _fmt_s, _table
 
 __all__ = [
     "entry_records",
-    "entry_records_from_store",
     "age_histogram_entries",
     "build_heat_report",
     "render_heat_report",
@@ -87,23 +87,6 @@ def entry_records(tree: dict) -> list[dict]:
                 )
             )
     return records
-
-
-def entry_records_from_store(store, op: str, shard: int, location: int) -> list[dict]:
-    """Heat records straight off a live value store (no state_dict copy) —
-    what the daemon's telemetry hook walks, on the shard's own worker
-    thread so the store is quiesced."""
-    return [
-        {
-            "op": op,
-            "shard": shard,
-            "location": location,
-            "last": float(last),
-            "hits": int(hits),
-            "nbytes": int(nbytes),
-        }
-        for _key, last, hits, nbytes in store.heat_entries()
-    ]
 
 
 def age_histogram_entries(records: list[dict], now: float | None = None) -> list[dict]:

@@ -20,7 +20,6 @@ from .snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
     SnapshotError,
-    install_memo_state,
     load_database,
     load_encoder,
     load_index,
@@ -48,7 +47,6 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "SnapshotError",
-    "install_memo_state",
     "load_database",
     "load_encoder",
     "load_index",

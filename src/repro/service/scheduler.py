@@ -20,15 +20,19 @@ Scheduling policy
 
 Cross-job memoization
 ---------------------
-The scheduler owns a :class:`SharedMemoService`: when a job completes, the
-service absorbs the executor's database tier (as a state tree — the same
-format the on-disk snapshots use); when the next job starts, its executor
-is seeded from it.  Job N+1 therefore begins with job N's accumulated
-(key, value) pairs — the cross-run recurrence the paper's within-run
-memoization leaves on the table — and each handle's ``memo_delta``
-isolates the job's own hit/query counters so warm-start gains are
-directly measurable.  The service persists/restores through
-:func:`repro.service.snapshot.write_snapshot`, surviving process restarts.
+The scheduler owns a :class:`SharedMemoService` around one
+:class:`~repro.core.memo_shard.MemoTier` — a
+:class:`~repro.core.memo_shard.MemoShardRouter` in this process, or the
+client of a memo server daemon: when a job completes, its executor's
+database tier is pushed into it (as a state tree — the same format the
+on-disk snapshots use, merged by the tier's own ``push_state``); when the
+next job starts, its executor is seeded from the tier's state.  Job N+1
+therefore begins with job N's accumulated (key, value) pairs — the
+cross-run recurrence the paper's within-run memoization leaves on the
+table — and each handle's ``memo_delta`` isolates the job's own hit/query
+counters so warm-start gains are directly measurable.  The service
+persists/restores through :func:`repro.service.snapshot.write_snapshot`,
+surviving process restarts.
 """
 
 from __future__ import annotations
@@ -38,8 +42,12 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 
-from ..core.memo_engine import memo_state_partitions
+from ..core.memo_db import MemoDatabase
+from ..core.memo_shard import MemoShardRouter, MemoTier, memo_state_partitions
 from ..core.mlr_solver import MLRSolver
+from ..net.client import connect_tier
+from ..net.snapshot_store import pull_state
+from ..net.wire import parse_address, parse_address_list
 from ..obs import runtime as obs
 from .jobs import JobCancelled, JobHandle, JobSpec, JobState
 from .snapshot import read_snapshot, write_snapshot
@@ -80,12 +88,12 @@ class ServiceConfig:
         in this scheduler's memory; ``"tcp"`` backs it with a
         :class:`~repro.net.server.MemoServerDaemon` at ``memo_server``
         (``"host:port"``, ``(host, port)``, a comma-separated replica list
-        or a list of addresses) through a
-        :class:`~repro.net.snapshot_store.RemoteSnapshotStore`, so
-        schedulers on *different hosts* seed from and absorb into one
-        tier.  The store is fail-open: a daemon that stays unreachable
-        past the store's retry policy means cold seeds and dropped
-        absorbs, never failed jobs.
+        or a list of addresses) through
+        :func:`~repro.net.client.connect_tier`, so schedulers on
+        *different hosts* seed from and absorb into one tier.  The remote
+        tier is fail-open: a daemon that stays unreachable past the pull's
+        retry policy means cold seeds and dropped absorbs, never failed
+        jobs.
     telemetry_port / telemetry_host:
         With ``telemetry_port`` set, the scheduler serves the live
         telemetry plane (:class:`~repro.obs.http.TelemetryServer`) on
@@ -119,12 +127,8 @@ class ServiceConfig:
         if self.memo_transport == "tcp":
             if self.memo_server is None:
                 raise ValueError("memo_transport='tcp' requires a memo_server address")
-            from ..net.wire import parse_address_list
-
             parse_address_list(self.memo_server)  # fail fast, naming bad elements
         if self.telemetry_port is not None:
-            from ..net.wire import parse_address
-
             # same validation (and same rejection message) as the memo
             # daemon's bind address
             parse_address((self.telemetry_host, self.telemetry_port))
@@ -145,104 +149,65 @@ class SchedulerStats:
 class SharedMemoService:
     """The scheduler-owned, persistent cross-job memoization tier.
 
-    Holds a database-tier state tree assembled from completed jobs.  A job
-    seeded from the current tier carries every prior partition forward, so
-    sequential jobs chain cleanly; when jobs complete *concurrently*,
-    :meth:`absorb` merges at partition granularity — partitions only the
-    earlier tree holds are kept, and for a partition both trees hold the
-    newest completion wins (per-partition entries are never silently
-    dropped wholesale, but concurrent updates to the *same* chunk location
-    are last-writer-wins).  Thread-safe; snapshot-compatible with
-    :mod:`repro.service.snapshot` for durability across processes.
+    Holds a :class:`~repro.core.memo_shard.MemoTier` and reads and writes
+    it as whole state trees: :meth:`absorb` pushes a finished job's tier
+    into it, :meth:`seed` installs its state into the next job's executor.
+    The merge is the tier's own (``push_state`` ->
+    :meth:`MemoShard.install <repro.core.memo_shard.MemoShard.install>`),
+    at partition granularity: partitions only the tier holds are kept, and
+    for a partition both hold the newest completion wins — so a job seeded
+    from the tier carries every prior partition forward and sequential
+    jobs chain cleanly, while for jobs completing *concurrently*
+    per-partition entries are never silently dropped wholesale, but
+    updates to the *same* chunk location are last-writer-wins.  Per-entry
+    heat is unioned (max last-hit, summed hits).  Thread-safe;
+    snapshot-compatible with :mod:`repro.service.snapshot` for durability
+    across processes.
 
-    With ``store`` set (a :class:`~repro.net.snapshot_store.RemoteSnapshotStore`),
-    the tier lives on a memo server daemon instead of in this process:
-    ``seed`` pulls the daemon's merged tier and ``absorb`` pushes the
-    finished job's tier (the daemon merges, partition-level union) — which
-    is what lets schedulers on different hosts warm-start from one shared
-    tier.  The store is fail-open: an unreachable daemon seeds cold and
-    drops absorbs rather than failing jobs.
+    By default the tier is a router in this process.  Given the client of
+    a memo server daemon (:func:`repro.net.connect_tier`, what
+    ``ServiceConfig(memo_transport="tcp")`` builds), the same calls let
+    schedulers on different hosts warm-start from one shared tier; that
+    tier is fail-open: an unreachable daemon seeds cold and drops absorbs
+    rather than failing jobs.
     """
 
-    _tree: dict | None = None  # guarded-by: self._lock
+    # no job queries this tier, jobs only push: the partitions it holds are
+    # the pushed ones, and its tau is the first pushed partition's
+    tier: MemoTier = field(default_factory=lambda: MemoShardRouter(1, MemoDatabase))
+    #: tier updates taken so far (absorbed jobs, loaded snapshots)
     generation: int = 0  # guarded-by: self._lock
-    store: object | None = None  # RemoteSnapshotStore-shaped: pull()/push()
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def state(self) -> dict | None:
+        """The tier's merged state tree; ``None`` while it is cold (or, for
+        a remote tier, unreachable: see
+        :func:`~repro.net.snapshot_store.pull_state`)."""
+        return pull_state(self.tier)
 
     def seed(self, executor) -> bool:
         """Install the current tier into ``executor``; False when cold."""
-        if self.store is not None:
-            tree = self.store.pull()
-        else:
-            with self._lock:
-                tree = self._tree
+        tree = self.state()
         if tree is None:
             return False
+        # the job counts its hits from zero: what it pushes back is then its
+        # own traffic, and the install merge's summed hit counts are exact
+        # (h + dh for a chained job, h + da + db for concurrent ones)
+        # instead of counting the inherited hits once per absorb
+        for part in memo_state_partitions(tree):
+            values = part["db"]["values"]
+            values["heat_hits"] = [0] * len(values["keys"])
         executor.load_memo_state(tree)
         return True
 
+    def _push(self, tree: dict) -> None:
+        if self.tier.push_state(tree):
+            with self._lock:
+                self.generation += 1
+
     def absorb(self, executor) -> None:
-        """Merge ``executor``'s database tier into the shared state."""
-        tree = executor.memo_state()
-        if self.store is not None:
-            if self.store.push(tree):
-                with self._lock:
-                    self.generation += 1
-            return
-        with self._lock:
-            self._tree = self._merged(self._tree, tree)
-            self.generation += 1
-
-    @staticmethod
-    def _merged(old: dict | None, new: dict) -> dict:
-        """Partition-level union, newest partition first on conflicts.
-
-        When ``new`` subsumes ``old`` (the chained, sequential case), it is
-        kept verbatim — layout and per-shard counters included; otherwise
-        the union falls back to the canonical single layout.
-        """
-        if old is None:
-            return new
-        new_parts = memo_state_partitions(new)
-        seen = {(p["op"], int(p["location"])) for p in new_parts}
-        old_parts = memo_state_partitions(old)
-        missing = [
-            p for p in old_parts
-            if (p["op"], int(p["location"])) not in seen
-        ]
-        if not missing:
-            # new subsumes old: the chained, sequential case — the job was
-            # seeded from this tier, so its partitions already carry the
-            # prior heat plus this run's hits
-            return new
-        # concurrent completions: the newest partition wins wholesale, but
-        # per-entry heat is unioned (max last-hit / summed hits) so the
-        # losing job's traffic still informs the eviction planner
-        from ..kvstore.store import merge_heat_states
-
-        old_by_key = {(p["op"], int(p["location"])): p for p in old_parts}
-        for part in new_parts:
-            prior = old_by_key.get((part["op"], int(part["location"])))
-            if prior is None:
-                continue
-            new_db, old_db = part.get("db"), prior.get("db")
-            if isinstance(new_db, dict) and isinstance(old_db, dict):
-                new_vals = new_db.get("values")
-                old_vals = old_db.get("values")
-                if isinstance(new_vals, dict) and isinstance(old_vals, dict):
-                    merge_heat_states(new_vals, old_vals)
-        return {
-            "layout": "single",
-            "encoder": new.get("encoder"),
-            "encoder_state": new.get("encoder_state") or old.get("encoder_state"),
-            "partitions": new_parts + missing,
-        }
-
-    def state(self) -> dict | None:
-        if self.store is not None:
-            return self.store.pull()
-        with self._lock:
-            return self._tree
+        """Merge ``executor``'s database tier into the shared tier."""
+        self._push(executor.memo_state())
 
     def save(self, path) -> dict:
         """Persist the tier as a versioned on-disk snapshot."""
@@ -252,26 +217,11 @@ class SharedMemoService:
         return write_snapshot(path, tree, kind="memo-state")
 
     def load(self, path) -> None:
-        """Restore the tier from a snapshot directory (pushed to the daemon
-        when the tier is remote)."""
-        tree = read_snapshot(path, expect_kind="memo-state")
-        if self.store is not None:
-            if self.store.push(tree):
-                with self._lock:
-                    self.generation += 1
-            return
-        with self._lock:
-            self._tree = tree
-            self.generation += 1
-
-    def health(self) -> dict:
-        """The remote tier's replica health map (see
-        :meth:`~repro.core.memo_shard.MemoTier.health`); empty in process."""
-        return self.store.health() if self.store is not None else {}
+        """Merge a snapshot directory into the tier."""
+        self._push(read_snapshot(path, expect_kind="memo-state"))
 
     def close(self) -> None:
-        if self.store is not None:
-            self.store.close()
+        self.tier.close()
 
 
 class ReconstructionScheduler:
@@ -286,10 +236,8 @@ class ReconstructionScheduler:
         self._owns_memo_service = memo_service is None
         if memo_service is None:
             if self.config.memo_transport == "tcp":
-                from ..net.snapshot_store import RemoteSnapshotStore
-
                 memo_service = SharedMemoService(
-                    store=RemoteSnapshotStore(self.config.memo_server)
+                    connect_tier(self.config.memo_server, client_name="snapshot-store")
                 )
             else:
                 memo_service = SharedMemoService()
@@ -345,15 +293,13 @@ class ReconstructionScheduler:
             depth = self.config.max_queue_depth
             with self._cond:
                 waiting = self._live_waiting_locked()
-                idle = self.config.n_workers - self._running
+                running = self._running
+                ok = self._admits_locked()
             if depth is None:
                 return True, f"{waiting} waiting (unbounded queue)"
-            # mirror of submit()'s admission test: would one more job wait
-            # beyond the depth limit?  503 here tells a load balancer to
-            # route around us *before* submissions start bouncing
-            would_wait = (waiting + 1) - min(max(idle, 0), waiting + 1)
-            ok = would_wait <= depth
-            detail = f"{waiting} waiting, {self.config.n_workers - max(idle, 0)} running, depth limit {depth}"
+            # submit()'s own admission test: 503 here tells a load balancer
+            # to route around us *before* submissions start bouncing
+            detail = f"{waiting} waiting, {running} running, depth limit {depth}"
             return ok, detail if ok else f"saturated: {detail}"
 
         def memo_tier() -> tuple[bool, str]:
@@ -362,7 +308,7 @@ class ReconstructionScheduler:
             # scheduler out of rotation (those paths fail open)
             circuits = {
                 tag: h.get("circuit")
-                for tag, h in self.memo_service.health().items()
+                for tag, h in self.memo_service.tier.health().items()
             }
             if not circuits:
                 return True, "no replicated tier"
@@ -389,19 +335,13 @@ class ReconstructionScheduler:
         with self._cond:
             if self._shutdown:
                 raise RuntimeError("scheduler is shut down")
-            depth = self.config.max_queue_depth
-            waiting = self._live_waiting_locked()
-            if depth is not None:
-                # a submission an idle worker would grab immediately is
-                # admitted even at depth 0 — the knob bounds *waiting* jobs
-                idle = self.config.n_workers - self._running
-                would_wait = (waiting + 1) - min(max(idle, 0), waiting + 1)
-                if would_wait > depth:
-                    self.stats.rejected += 1
-                    raise AdmissionError(
-                        f"queue depth limit {depth} reached "
-                        f"({waiting} waiting, {self._running} running)"
-                    )
+            if not self._admits_locked():
+                self.stats.rejected += 1
+                raise AdmissionError(
+                    f"queue depth limit {self.config.max_queue_depth} reached "
+                    f"({self._live_waiting_locked()} waiting, "
+                    f"{self._running} running)"
+                )
             handle = JobHandle(spec, job_id=self.stats.submitted)
             self.stats.submitted += 1
             heapq.heappush(self._heap, (-spec.priority, next(self._seq), handle))
@@ -410,6 +350,18 @@ class ReconstructionScheduler:
             self._cond.notify()
         obs.gauge("scheduler_queue_depth").set(depth_now)
         return handle
+
+    def _admits_locked(self) -> bool:
+        """The admission test: would one more job wait beyond
+        ``max_queue_depth``?  A submission an idle worker would grab
+        immediately is admitted even at depth 0 — the knob bounds *waiting*
+        jobs."""
+        depth = self.config.max_queue_depth
+        if depth is None:
+            return True
+        queued = self._live_waiting_locked() + 1
+        idle = max(self.config.n_workers - self._running, 0)
+        return queued - min(idle, queued) <= depth
 
     def _live_waiting_locked(self) -> int:
         """Waiting jobs that will actually run — entries whose handle was
@@ -562,15 +514,11 @@ class ReconstructionScheduler:
             solver = MLRSolver(spec.geometry, spec.config, admm=spec.admm)
             if solver.snapshot_quarantined:
                 # the job's requested warm-start snapshot was corrupt; the
-                # solver quarantined it and started cold — record it where
-                # operators look first (the job's own event log)
+                # solver quarantined it (counted and flight-recorded there)
+                # and started cold — record it where operators look first
+                # (the job's own event log)
                 handle._add_event(
                     "snapshot_quarantined", str(spec.config.memo_snapshot)
-                )
-                obs.flight_dump(
-                    "snapshot-quarantine",
-                    job=spec.name,
-                    snapshot=str(spec.config.memo_snapshot),
                 )
             # an explicit per-job snapshot (already loaded by the solver)
             # takes precedence over the shared tier — seeding on top would

@@ -48,6 +48,7 @@ from ..core.keying import CNNKeyEncoder
 from ..core.memo_db import MemoDatabase
 from ..core.memo_shard import memo_state_partitions
 from ..faults import runtime as faults
+from ..obs import runtime as obs
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -58,7 +59,7 @@ __all__ = [
     "quarantine_snapshot",
     "save_memo_snapshot",
     "load_memo_snapshot",
-    "install_memo_state",
+    "load_or_quarantine",
     "save_database",
     "load_database",
     "save_index",
@@ -358,12 +359,28 @@ def load_memo_snapshot(path) -> dict:
     return tree
 
 
-def install_memo_state(executor, snapshot) -> None:
-    """Warm-start ``executor`` from ``snapshot`` — a snapshot directory or
-    an in-memory ``memo_state()`` tree."""
-    if not isinstance(snapshot, dict):
-        snapshot = load_memo_snapshot(snapshot)
-    executor.load_memo_state(snapshot)
+def load_or_quarantine(path, where: str, **context) -> dict | None:
+    """Boot-time warm start: the memo-state tree at ``path``, or ``None``
+    after moving an unusable snapshot aside (``<path>.corrupt``).  Warmth
+    is an optimization — a damaged snapshot must neither take down the
+    process booting from it nor be overwritten by its next save — so the
+    failure is counted (``snapshot_quarantined_total{where}``),
+    flight-recorded with ``context`` and logged, and the caller starts
+    cold."""
+    try:
+        return load_memo_snapshot(path)
+    except SnapshotError as exc:
+        quarantined = quarantine_snapshot(path)
+        obs.counter("snapshot_quarantined_total", where=where).inc()
+        obs.flight_dump(
+            "snapshot-quarantine", where=where, snapshot=str(path),
+            error=str(exc), **context,
+        )
+        log.warning(
+            "%s: warm-start snapshot %s unusable (%s) — quarantined to %s, "
+            "starting cold", where, path, exc, quarantined,
+        )
+        return None
 
 
 # -- single-component snapshots ----------------------------------------------------------

@@ -661,9 +661,8 @@ class TestSnapshotLayouts:
     @pytest.fixture(scope="class")
     def trees(self, reference):
         """The same tier hand-built in both layouts: ``single`` (what every
-        snapshot written before the executors were unified, and
-        ``SharedMemoService._merged``, contain) and a 3-shard ``sharded``
-        one."""
+        snapshot written before the executors were unified contains) and a
+        3-shard ``sharded`` one."""
         ex, _ = reference
         live = ex.memo_state()
         parts = sorted_partitions(live)

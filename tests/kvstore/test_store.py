@@ -230,6 +230,59 @@ class TestArrayStore:
         a[:] = 7.0
         np.testing.assert_array_equal(st_.get("k"), np.ones(4, dtype=np.float32))
 
+    def test_put_detaches_even_from_an_immutable_source(self, rng):
+        """``put`` never adopts the caller's array, read-only or not — only
+        ``from_state`` may share (below)."""
+        from repro.kvstore import ArrayStore
+
+        a = rng.standard_normal(4).astype(np.float32)
+        a.setflags(write=False)
+        st_ = ArrayStore()
+        st_.put("k", a)
+        assert not np.shares_memory(st_.get("k"), a)
+
+    def test_from_state_shares_immutable_values_and_copies_the_rest(self, rng):
+        """A state tree's value that is read-only and owns its buffer is
+        what a store already holds: ``from_state`` shares it (a tier
+        handing partitions to a job moves no value bytes).  A writable
+        array, or a read-only *view* of someone's writable buffer, is
+        copied — mutating the source afterwards cannot change a stored
+        value."""
+        from repro.kvstore import ArrayStore
+
+        live = ArrayStore()
+        for key in range(3):
+            live.put(key, rng.standard_normal((2, 3)).astype(np.complex64))
+        state = live.state_dict()
+        writable = np.ones(4, dtype=np.float32)
+        base = np.full(6, 2.0, dtype=np.float32)
+        borrowed = base[1:5]
+        borrowed.setflags(write=False)
+        strided = np.asfortranarray(rng.standard_normal((3, 2)))
+        strided.setflags(write=False)
+        state["keys"] += [["s", "writable"], ["s", "borrowed"], ["s", "strided"]]
+        state["vals"] += [writable, borrowed, strided]
+        state["heat_last"] += [0.0] * 3
+        state["heat_hits"] += [0] * 3
+
+        restored = ArrayStore.from_state(state)
+        for key in range(3):
+            assert np.shares_memory(restored.get(key), live.get(key))
+            assert restored.get(key) is live.get(key)
+        for key, source in (("writable", writable), ("borrowed", base),
+                            ("strided", strided)):
+            got = restored.get(key)
+            assert not np.shares_memory(got, source)
+            assert not got.flags.writeable and got.flags.c_contiguous
+        writable[:] = 9.0
+        base[:] = 9.0
+        np.testing.assert_array_equal(restored.get("writable"), np.ones(4, np.float32))
+        np.testing.assert_array_equal(restored.get("borrowed"), np.full(4, 2.0, np.float32))
+        np.testing.assert_array_equal(restored.get("strided"), strided)
+        assert restored.nbytes == sum(
+            encoded_nbytes(v) for v in state["vals"]
+        )
+
     def test_non_array_rejected(self):
         from repro.kvstore import ArrayStore
 

@@ -83,7 +83,7 @@ class TestDeadlineIsOptional:
         )
         with RemoteSnapshotStore(dead, retry_policy=policy) as store:
             assert store.pull() is None
-            assert not store.connected
+            assert not store.tier.connected
 
 
 class TestCircuitBreaker:

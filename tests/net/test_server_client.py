@@ -31,9 +31,13 @@ from repro.net.policy import RetryPolicy
 from repro.net.wire import (
     MSG_ERROR,
     MSG_HELLO,
+    MSG_HELLO_OK,
+    MSG_INSERT,
+    MSG_INSERT_OK,
     PROTOCOL_VERSION,
     FrameReader,
     encode_frame,
+    inserts_to_wire,
     send_frame,
 )
 
@@ -234,6 +238,51 @@ class TestHostileClients:
             send_frame(sock, 99, 5, {"queries": []})
             msg_type, _rid, body = FrameReader(sock).read_frame()
             assert msg_type == MSG_ERROR and body["kind"] == "MessageError"
+
+
+    def _hello(self, sock) -> FrameReader:
+        reader = FrameReader(sock)
+        send_frame(sock, MSG_HELLO, 0, {"version": PROTOCOL_VERSION})
+        assert reader.read_frame()[0] == MSG_HELLO_OK
+        return reader
+
+    def test_non_str_batch_tag_is_still_deduplicated(self, daemon, rng):
+        """The dedup set is keyed by ``str(tag)``: a tag that arrives as an
+        int must be looked up the way it was recorded, or its replay
+        double-inserts."""
+        body = {"inserts": inserts_to_wire(_mk_items(rng, 2)), "batch": 7}
+        with self._raw(daemon) as sock:
+            reader = self._hello(sock)
+            send_frame(sock, MSG_INSERT, 1, body)
+            msg_type, _rid, first = reader.read_frame()
+            assert msg_type == MSG_INSERT_OK and len(first["ids"]) == 2
+            send_frame(sock, MSG_INSERT, 2, body)  # the replay
+            msg_type, _rid, second = reader.read_frame()
+            assert msg_type == MSG_INSERT_OK
+            assert second == {"ids": [], "duplicate": True}
+            # ... and "7" names the same batch
+            send_frame(sock, MSG_INSERT, 3, dict(body, batch="7"))
+            assert reader.read_frame()[2].get("duplicate") is True
+        assert daemon.router.entries() == 2
+        assert daemon.stats.duplicate_insert_batches == 2
+
+    @pytest.mark.parametrize("tag", [["a", 1], {"k": "v"}, 1.5, True])
+    def test_unusable_batch_tag_is_a_typed_message_error(self, daemon, rng, tag):
+        """A tag that cannot key the dedup set (unhashable, or unstable
+        under ``str``) is a malformed message — a typed error, never an
+        "internal server error" — and nothing of the batch is applied."""
+        body = {"inserts": inserts_to_wire(_mk_items(rng, 2)), "batch": tag}
+        with self._raw(daemon) as sock:
+            reader = self._hello(sock)
+            send_frame(sock, MSG_INSERT, 1, body)
+            msg_type, _rid, reply = reader.read_frame()
+            assert msg_type == MSG_ERROR and reply["kind"] == "MessageError"
+            assert "batch tag" in reply["message"]
+            assert sock.recv(1) == b""  # a protocol error closes the stream
+        assert daemon.router.entries() == 0
+        assert daemon.stats.protocol_errors == 1
+        with RemoteMemoClient(daemon.address) as c:  # the daemon serves on
+            assert c.ping()
 
 
 class TestClientResilience:

@@ -8,12 +8,21 @@
   on command (``tests/faults/test_replication.py`` is the daemon-backed
   integration layer),
 - **one merge-on-push** — the in-process router and the daemon install a
-  pushed tree identically: all or nothing, heat unioned.
+  pushed tree identically: all or nothing, heat unioned,
+- **the scheduler's tier** — ``SharedMemoService`` over a router in process
+  and over a loopback daemon, one test body: absorb/seed are the tier's
+  push/state, chained and concurrent jobs merge as ``MemoShard.install``
+  says,
+- **the router is a concurrent object** — threads of mixed traffic end
+  with the serial run's contents, and every snapshot taken on the way sees
+  each shard at a batch boundary.
 """
 
 from __future__ import annotations
 
 import contextlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +40,7 @@ from repro.net import (
 from repro.net.policy import RetryPolicy
 from repro.obs import ObsConfig
 from repro.obs import runtime as obs
+from repro.service import SharedMemoService
 
 MEMO = MemoConfig(index_train_min=4, index_clusters=2, index_nprobe=2)
 N_SHARDS = 2
@@ -379,3 +389,305 @@ class TestMergeOnPush:
             assert tier.push_state(peer.state_dict())
             assert live.entries() == 1
             assert heat_of(live, "Fu1D", 0) == [(2000.0, 4)]  # max(last), sum(hits)
+
+
+# -- the scheduler's tier --------------------------------------------------------------------
+
+
+@pytest.fixture()
+def clock(monkeypatch):
+    """Deterministic heat clock: advance with ``clock[0] = t``."""
+    from repro.kvstore import store
+
+    now = [1000.0]
+    monkeypatch.setattr(store, "_heat_clock", lambda: now[0])
+    return now
+
+
+FINGERPRINT = {"kind": "PoolKeyEncoder", "dim": 12, "weights": None}
+
+
+class Job:
+    """What the service uses of an executor — ``memo_state`` /
+    ``load_memo_state`` — over a real router standing in for its tier."""
+
+    def __init__(self, encoder_state=None) -> None:
+        self.router = router()
+        self.encoder_state = encoder_state
+
+    def memo_state(self) -> dict:
+        return {
+            **self.router.state_dict(),
+            "encoder": FINGERPRINT,
+            "encoder_state": self.encoder_state,
+        }
+
+    def load_memo_state(self, tree: dict) -> None:
+        self.router.push_state(tree)
+
+    def run(self, inserts=(), hits=()) -> "Job":
+        if inserts:
+            self.router.insert_batch(list(inserts))
+        if hits:
+            assert all(o.hit for o in self.router.query_batch(queries_for(hits)))
+        return self
+
+
+@contextlib.contextmanager
+def _service_inproc():
+    service = SharedMemoService()
+    yield service
+    service.close()
+
+
+@contextlib.contextmanager
+def _service_daemon():
+    with MemoServerDaemon(n_shards=N_SHARDS, memo=MEMO) as srv:
+        service = SharedMemoService(connect_tier(srv.address, expect_tau=MEMO.tau))
+        yield service
+        service.close()
+
+
+SERVICES = {"inproc": _service_inproc, "daemon": _service_daemon}
+
+
+def freeze(node):
+    """A state tree as plain comparable data (arrays by dtype/shape/bytes)."""
+    if isinstance(node, dict):
+        return {k: freeze(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [freeze(v) for v in node]
+    if isinstance(node, np.ndarray):
+        return (node.dtype.str, node.shape, node.tobytes())
+    return node
+
+
+def partitions_of(tree: dict) -> dict:
+    return {
+        (p["op"], int(p["location"])): freeze(p["db"])
+        for p in memo_state_partitions(tree)
+    }
+
+
+def heat_in(tree: dict, op: str, loc: int) -> list[tuple]:
+    values = partitions_of(tree)[(op, loc)]["values"]
+    return list(zip(values["heat_last"], values["heat_hits"]))
+
+
+@pytest.mark.parametrize("kind", list(SERVICES))
+class TestSchedulerTier:
+    """``SharedMemoService`` is a tier read and written as whole trees: one
+    body over a router in process and over a loopback daemon."""
+
+    def test_cold_service_seeds_nothing_and_saves_nothing(self, kind, tmp_path):
+        with SERVICES[kind]() as service:
+            assert service.state() is None
+            assert service.seed(Job()) is False
+            with pytest.raises(ValueError, match="cold"):
+                service.save(tmp_path / "m")
+            assert service.generation == 0
+
+    def test_absorb_then_seed_is_push_then_state(self, kind, rng, clock):
+        donor = Job().run(mk_items(rng, 4) + mk_items(rng, 2, op="Fu2D"))
+        donor.run(hits=mk_items(np.random.default_rng(1234), 2))
+        bare = router()
+        bare.push_state(donor.memo_state())
+        want = partitions_of(bare.state_dict())
+        with SERVICES[kind]() as service:
+            service.absorb(donor)
+            assert service.generation == 1
+            assert partitions_of(service.state()) == want
+            seeded = Job()
+            assert service.seed(seeded) is True
+            got = partitions_of(seeded.router.state_dict())
+        # ... except that a job counts its own hits from zero (what it
+        # pushes back is then its own traffic, see the chained test)
+        assert sum(sum(p["values"]["heat_hits"]) for p in want.values()) == 2
+        for part in want.values():
+            part["values"]["heat_hits"] = [0] * len(part["values"]["heat_hits"])
+        assert got == want
+
+    def test_chained_job_subsumes_the_tier(self, kind, rng, clock):
+        first = mk_items(rng, 3)
+        with SERVICES[kind]() as service:
+            service.absorb(Job().run(first, hits=first[:2]))  # hits at t=1000
+            job = Job()
+            service.seed(job)
+            clock[0] = 2000.0
+            added = mk_items(rng, 2, first_loc=1)  # new entries at locations 1, 2
+            job.run(added, hits=first[1:] + added[:1])
+            service.absorb(job)
+            assert service.generation == 2
+            tree = service.state()
+        # the job held everything the tier held: the tier is now the job's
+        # partitions, entry for entry ...
+        mine = partitions_of(job.memo_state())
+        now = partitions_of(tree)
+        assert now.keys() == mine.keys()
+        for key in mine:
+            for field in ("key_ids", "keys", "index", "stats"):
+                assert now[key][field] == mine[key][field], (key, field)
+            assert now[key]["values"]["vals"] == mine[key]["values"]["vals"]
+        # ... and inherited hits are counted once, however long the chain
+        assert heat_in(tree, "Fu1D", 0) == [(1000.0, 1)]
+        assert heat_in(tree, "Fu1D", 1) == [(2000.0, 2), (2000.0, 1)]
+        assert heat_in(tree, "Fu1D", 2) == [(2000.0, 1), (2000.0, 0)]
+
+    def test_concurrent_completions_union_newest_partition_wins(self, kind, rng, clock):
+        """Two jobs that both started cold must not wipe each other's
+        partitions when they absorb: partitions only the earlier job holds
+        are kept, a partition both hold is the newer job's wholesale, with
+        heat unioned (max last-hit, summed hits) for the entries both
+        numbered alike."""
+        a_items = mk_items(rng, 2)  # (Fu1D, 0), (Fu1D, 1)
+        b_items = mk_items(rng, 1, first_loc=1) + mk_items(rng, 1, op="Fu2D", first_loc=2)
+        a = Job().run(a_items, hits=a_items)  # hit at t=1000
+        clock[0] = 4000.0
+        b = Job().run(b_items, hits=b_items)  # hit at t=4000
+        with SERVICES[kind]() as service:
+            service.absorb(a)
+            service.absorb(b)
+            tree = service.state()
+        got = partitions_of(tree)
+        mine_a, mine_b = partitions_of(a.memo_state()), partitions_of(b.memo_state())
+        assert got.keys() == {("Fu1D", 0), ("Fu1D", 1), ("Fu2D", 2)}
+        assert got[("Fu1D", 0)] == mine_a[("Fu1D", 0)]  # only in the earlier job: kept
+        assert got[("Fu2D", 2)] == mine_b[("Fu2D", 2)]
+        # conflict: the newest partition's entries ...
+        assert got[("Fu1D", 1)]["keys"] == mine_b[("Fu1D", 1)]["keys"]
+        assert got[("Fu1D", 1)]["keys"] != mine_a[("Fu1D", 1)]["keys"]
+        # ... with the losing job's traffic still informing the planner
+        assert heat_in(tree, "Fu1D", 1) == [(4000.0, 2)]
+
+    def test_pre_heat_partition_merges_as_all_cold(self, kind, rng, clock):
+        items = mk_items(rng, 1)
+        old = Job().run(items).memo_state()
+        for part in memo_state_partitions(old):  # the schema before heat
+            del part["db"]["values"]["heat_last"], part["db"]["values"]["heat_hits"]
+        clock[0] = 5000.0
+        new = Job().run(items, hits=items)
+        with SERVICES[kind]() as service:
+            assert service.tier.push_state(old)
+            service.absorb(new)
+            assert heat_in(service.state(), "Fu1D", 0) == [(5000.0, 1)]
+
+    def test_encoder_weights_are_carried_forward(self, kind, rng):
+        weights = {"encoder": {"w": np.arange(4, dtype=np.float32)}, "quantized": True}
+        with SERVICES[kind]() as service:
+            service.absorb(Job(encoder_state=weights).run(mk_items(rng, 1)))
+            service.absorb(Job().run(mk_items(rng, 1, first_loc=3)))  # carries none
+            tree = service.state()
+        assert freeze(tree["encoder_state"]) == freeze(weights)
+        assert tree["encoder"] == FINGERPRINT
+
+    def test_save_load_round_trip_merges_into_a_tier(self, kind, rng, tmp_path):
+        with SERVICES[kind]() as service:
+            service.absorb(Job().run(mk_items(rng, 3)))
+            service.save(tmp_path / "m")
+            want = partitions_of(service.state())
+        with SERVICES[kind]() as fresh:
+            fresh.tier.push_state(Job().run(mk_items(rng, 1, op="Fu2D", first_loc=5)).memo_state())
+            fresh.load(tmp_path / "m")
+            got = partitions_of(fresh.state())
+            assert fresh.generation == 1
+        assert got.pop(("Fu2D", 5))  # what the tier held is kept
+        assert got == want
+
+    def test_a_tier_has_one_tau(self, kind, rng):
+        other = MemoShardRouter(1, make_db_factory(MemoConfig(tau=0.5, index_train_min=4)))
+        other.insert_batch(mk_items(rng, 1))
+        with SERVICES[kind]() as service:
+            service.absorb(Job().run(mk_items(rng, 1)))
+            with pytest.raises(ValueError, match="tau"):
+                service.tier.push_state(other.state_dict())
+            assert len(partitions_of(service.state())) == 1
+
+
+# -- the router is a concurrent object -------------------------------------------------------
+
+
+N_THREADS = 8
+BATCH = 3
+
+
+def thread_script(t: int) -> list[tuple]:
+    """Thread ``t``'s operations.  It owns locations ``t`` and
+    ``t + N_THREADS`` (disjoint partitions, on shards it shares with every
+    other thread), so its own order alone determines their contents."""
+    rng = np.random.default_rng(100 + t)
+    donor = router()
+    donor.insert_batch(mk_items(rng, 1, op="Fu2D", first_loc=t + N_THREADS))
+    script = []
+    for round_ in range(6):
+        batch = [
+            ShardInsert(op, loc, rng.normal(size=12).astype(np.float32),
+                        rng.normal(size=(2, 2)).astype(np.complex64), meta=(1.0, 0j))
+            for loc in (t, t + N_THREADS)
+            for op in ("Fu1D",) * BATCH
+        ]
+        script.append(("insert_batch", batch))
+        script.append(("query_batch", queries_for(batch[::2])))
+        script.append(("state_dict",))
+        if round_ == 2:
+            # (single layout: a sharded tree of this topology would also
+            # restore the donor's per-shard message counters)
+            script.append(("push_state", {
+                "layout": "single",
+                "partitions": memo_state_partitions(donor.state_dict()),
+            }))
+        script.append(("shard_stats",))
+    return script
+
+
+def play(tier: MemoShardRouter, script: list[tuple], snapshots: list) -> None:
+    for name, *args in script:
+        result = getattr(tier, name)(*args)
+        if name == "state_dict":
+            snapshots.append(result)
+
+
+class TestRouterIsConcurrent:
+    def test_threads_of_mixed_traffic_end_with_the_serial_contents(self, clock):
+        scripts = [thread_script(t) for t in range(N_THREADS)]
+        serial = router()
+        for script in scripts:
+            play(serial, script, [])
+
+        live, snapshots, errors = router(), [], []
+
+        def worker(script):
+            try:
+                play(live, script, snapshots)
+            except BaseException as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in scripts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings than cores would give
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(th.is_alive() for th in threads)
+
+        assert partitions_of(live.state_dict()) == partitions_of(serial.state_dict())
+        assert live.shard_stats() == serial.shard_stats()
+        assert live.stats().inserts == N_THREADS * (6 * 2 * BATCH + 1)
+        assert [(s.query_messages, s.insert_messages) for s in live.shards] == [
+            (s.query_messages, s.insert_messages) for s in serial.shards
+        ]
+        # every snapshot taken on the way saw each shard between two
+        # sub-batches: no partition is ever caught mid-insert
+        assert len(snapshots) == N_THREADS * 6
+        for tree in snapshots:
+            for part in memo_state_partitions(tree):
+                db = part["db"]
+                if part["op"] == "Fu1D":
+                    assert db["stats"]["inserts"] % BATCH == 0
+                assert (
+                    db["stats"]["inserts"] == len(db["key_ids"])
+                    == len(db["values"]["keys"])
+                )

@@ -4,7 +4,7 @@
   exactly between ``transport="inproc"`` and ``transport="tcp"`` at every
   tested workers x shards layout — and with replication wrapped around
   in-process routers instead of a wire,
-- a scheduler warm-starts through a :class:`RemoteSnapshotStore` (two
+- a scheduler warm-starts through a daemon-backed shared tier (two
   scheduler instances = two hosts sharing one daemon),
 - kill-the-daemon-mid-run fail-open: the job completes on cold compute and
   the client reconnects for the next reconstruction.
@@ -256,20 +256,16 @@ class TestSchedulerRemoteTier:
         stays a tier event (absorb_failed), never a FAILED job."""
         from repro.service import JobState, SharedMemoService
 
-        class _RejectingStore:
-            def pull(self):
-                return None
-
-            def push(self, _tree):
+        class _RejectingTier(MemoShardRouter):
+            def push_state(self, _tree):
                 raise ValueError("pushed keys come from a different encoder")
-
-            def close(self):
-                pass
 
         g, _ops, d = problem
         sched = ReconstructionScheduler(
             ServiceConfig(n_workers=1),
-            memo_service=SharedMemoService(store=_RejectingStore()),
+            memo_service=SharedMemoService(
+                _RejectingTier(1, make_db_factory(memo_cfg()))
+            ),
         )
         job = sched.submit(
             JobSpec("rejected-absorb", g, d,

@@ -13,19 +13,18 @@ import numpy as np
 import pytest
 
 from repro.core.config import MemoConfig
-from repro.core.memo_shard import ShardInsert
+from repro.core.memo_engine import make_db_factory
+from repro.core.memo_shard import MemoShardRouter, ShardInsert, ShardQuery
 from repro.kvstore import store as store_mod
-from repro.kvstore.store import KVStore, merge_heat_states
+from repro.kvstore.store import KVStore
 from repro.net.server import MemoServerDaemon
 from repro.obs.export import to_prometheus
 from repro.obs.heat import (
     age_histogram_entries,
     build_heat_report,
     entry_records,
-    entry_records_from_store,
     render_heat_report,
 )
-from repro.service.scheduler import SharedMemoService
 
 
 @pytest.fixture()
@@ -91,23 +90,6 @@ class TestStoreHeat:
         ours.merge_heat(theirs)
         assert ours.heat("shared") == (3000.0, 3)
 
-    def test_merge_heat_states_on_state_trees(self, clock):
-        a, b = KVStore(), KVStore()
-        a.put("k", b"v")
-        b.put("k", b"v")
-        a.get("k")
-        clock["now"] = 5000.0
-        b.get("k")
-        new_state, old_state = b.state_dict(), a.state_dict()
-        merge_heat_states(new_state, old_state)
-        restored = KVStore.from_state(new_state)
-        assert restored.heat("k") == (5000.0, 2)
-        # pre-heat old side contributes nothing but must not fail
-        bare = a.state_dict()
-        del bare["heat_last"], bare["heat_hits"]
-        merge_heat_states(new_state, bare)
-        assert KVStore.from_state(new_state).heat("k") == (5000.0, 2)
-
 
 MEMO = MemoConfig(index_train_min=4, index_clusters=2, index_nprobe=2)
 
@@ -124,55 +106,29 @@ def _items(rng, n, op="Fu1D"):
 
 
 class TestAbsorbMerges:
+    """The scheduler-side halves of this contract (chained and concurrent
+    absorbs, pre-heat partitions) are pinned against ``SharedMemoService``
+    in ``tests/net/test_tier.py::TestSchedulerTier``."""
+
     def test_daemon_push_merges_partition_heat(self, clock):
         """A pushed partition wins wholesale, but for keys both sides hold
         the installed db keeps max(last-hit) and summed hits."""
         rng = np.random.default_rng(3)
         items = _items(rng, 4)
         with MemoServerDaemon(n_shards=2, memo=MEMO) as daemon:
-            daemon.serve_insert_batch(items)
-            tree = daemon.pull_state()  # both sides now share entry ids
+            tier = daemon.router
+            tier.insert_batch(items)
+            tree = tier.state_dict()  # both sides now share entry ids
             # make the live tier hot at t=2000
             clock["now"] = 2000.0
-            from repro.core.memo_shard import ShardQuery
-
-            daemon.serve_query_batch(
-                [ShardQuery(i.op, i.location, i.key) for i in items]
-            )
-            before = entry_records(daemon.pull_state())
+            tier.query_batch([ShardQuery(i.op, i.location, i.key) for i in items])
+            before = entry_records(tier.state_dict())
             assert sum(r["hits"] for r in before) == len(items)
             # push the cold pre-query tree back: entries must stay hot
-            daemon.push_state(tree)
-            after = entry_records(daemon.pull_state())
+            tier.push_state(tree)
+            after = entry_records(tier.state_dict())
         assert sum(r["hits"] for r in after) == sum(r["hits"] for r in before)
         assert {r["last"] for r in after if r["hits"]} == {2000.0}
-
-    def test_scheduler_merged_unions_heat_on_conflicts(self, clock):
-        a, b = KVStore(), KVStore()
-        a.put("k", b"v")
-        b.put("k", b"v")
-        a.get("k")  # old side hit at t=1000
-        clock["now"] = 4000.0
-        b.get("k")  # new side hit at t=4000
-        old = {
-            "layout": "single", "encoder": None,
-            "partitions": [
-                {"op": "Fu1D", "location": 0, "db": {"values": a.state_dict()}},
-                {"op": "Fu1D", "location": 9, "db": {"values": a.state_dict()}},
-            ],
-        }
-        new = {
-            "layout": "single", "encoder": None,
-            "partitions": [
-                {"op": "Fu1D", "location": 0, "db": {"values": b.state_dict()}},
-            ],
-        }
-        merged = SharedMemoService._merged(old, new)
-        part = next(
-            p for p in merged["partitions"] if int(p["location"]) == 0
-        )
-        restored = KVStore.from_state(part["db"]["values"])
-        assert restored.heat("k") == (4000.0, 2)
 
 
 class TestHeatReport:
@@ -227,19 +183,17 @@ class TestHeatReport:
         text = to_prometheus(entries)
         assert 'memo_entry_age_seconds_bucket{le="+Inf",op="Fu1D",shard="0"} 2' in text
 
-    def test_live_store_records_match_state_records(self, clock):
-        s = KVStore()
-        s.put("a", b"abc")
-        s.get("a")
-        live = entry_records_from_store(s, "Fu1D", 0, 5)
-        via_state = list(
-            entry_records({
-                "layout": "single",
-                "partitions": [{"op": "Fu1D", "location": 5,
-                                "db": {"values": s.state_dict()}}],
-            })
-        )
-        assert live == via_state
+    def test_live_tier_records_match_state_records(self, clock):
+        tier = MemoShardRouter(2, make_db_factory(MEMO))
+        items = _items(np.random.default_rng(5), 3)
+        tier.insert_batch(items)
+        clock["now"] = 1700.0
+        tier.query_batch([ShardQuery(i.op, i.location, i.key) for i in items[:2]])
+        live = tier.heat_records()
+        assert live == entry_records(tier.state_dict())
+        assert sorted((r["shard"], r["location"], r["hits"]) for r in live) == [
+            (0, 0, 1), (0, 2, 0), (1, 1, 1),
+        ]
 
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError, match="layout"):

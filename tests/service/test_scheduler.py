@@ -304,26 +304,6 @@ class TestSharedMemo:
         assert second.db_entries_start == 0
         assert sched.memo_service.state() is None
 
-    def test_absorb_merges_concurrent_completions(self, problem):
-        """Two jobs that both started cold must not wipe each other's
-        partitions when they absorb: the union survives, newest first."""
-        a = {"layout": "single", "encoder": None, "partitions": [
-            {"op": "Fu1D", "location": 0, "db": "A0"},
-            {"op": "Fu1D", "location": 1, "db": "A1"},
-        ]}
-        b = {"layout": "single", "encoder": None, "partitions": [
-            {"op": "Fu1D", "location": 1, "db": "B1"},
-            {"op": "Fu2D", "location": 2, "db": "B2"},
-        ]}
-        merged = SharedMemoService._merged(a, b)
-        got = {(p["op"], p["location"]): p["db"] for p in merged["partitions"]}
-        assert got == {("Fu1D", 0): "A0",   # only in the earlier tree: kept
-                       ("Fu1D", 1): "B1",   # conflict: newest wins
-                       ("Fu2D", 2): "B2"}
-        # the chained case (new subsumes old) keeps the new tree verbatim
-        assert SharedMemoService._merged(a, merged) is merged
-        assert SharedMemoService._merged(None, a) is a
-
     def test_per_job_snapshot_takes_precedence_over_shared_seed(
         self, problem, tmp_path
     ):

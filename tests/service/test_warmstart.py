@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import MemoConfig, MLRConfig, MLRSolver
 from repro.lamino import LaminoGeometry, brain_like, simulate_data
-from repro.service import install_memo_state, load_memo_snapshot, save_memo_snapshot
+from repro.service import load_memo_snapshot, save_memo_snapshot
 from repro.solvers import ADMMConfig
 
 MEMO = dict(tau=0.9, warmup_iterations=1, index_train_min=8,
@@ -178,7 +178,7 @@ class TestShardedMemoState:
         tree = load_memo_snapshot(tmp_path / "m")
         fresh = MLRSolver(sharded_job.geometry, config(n_workers=2, n_shards=2),
                           admm=ADMM)
-        install_memo_state(fresh.memo_executor, tree)
+        fresh.memo_executor.load_memo_state(tree)
         rng = np.random.default_rng(5)
         checked = 0
         for shard, restored_shard in zip(sharded_job.memo_executor.router.shards,
