@@ -11,9 +11,9 @@ end to end:
    and the per-job `MemoDBStats` deltas quantify the gain against a cold
    control run of the same scan.
 2. **Persistence** — the shared tier is saved as a versioned on-disk
-   snapshot (npz + checksummed JSON manifest), loaded back, and probed:
-   the restored databases answer `query_batch` bit-identically to the
-   live ones.
+   snapshot (one checksummed file of the state-tree codec), loaded back,
+   and probed: the restored databases answer `query_batch` bit-identically
+   to the live ones.
 3. **Operations** — a burst of prioritized jobs on a bounded queue shows
    priority ordering, cooperative cancellation and admission control.
 

@@ -620,8 +620,8 @@ class MemoizedExecutor(DirectExecutor):
     def memo_state(self) -> dict:
         """The database tier as one restorable state tree, snapshotted per
         shard through the router (each shard contributes its partitions,
-        keyed by ``(op, location)``, and message counters; a remote router
-        pulls the server's tier), plus the key-encoder fingerprint the keys
+        keyed by ``(op, location)``; a remote router pulls the server's
+        tier), plus the key-encoder fingerprint the keys
         were produced with and — for trained CNN encoders — the encoder
         weights themselves."""
         state = self.router.state_dict()

@@ -216,7 +216,8 @@ class MemoShard:
         self._make_db = make_db
         self._lock = threading.RLock()  # re-entered by db_for inside a batch
         self._dbs: dict[tuple[str, int], MemoDatabase] = {}  # guarded-by: self._lock
-        #: batched messages this shard serviced (one per sub-batch received)
+        #: batched messages this shard serviced (one per sub-batch received):
+        #: a live observation of coalescing, not part of the state tree
         self.query_messages = 0  # guarded-by: self._lock
         self.insert_messages = 0  # guarded-by: self._lock
 
@@ -262,24 +263,18 @@ class MemoShard:
                 self.insert_messages += 1
         return ids
 
-    def install(
-        self, dbs: dict[tuple[str, int], MemoDatabase], messages=None
-    ) -> None:
+    def install(self, dbs: dict[tuple[str, int], MemoDatabase]) -> None:
         """Swap rebuilt ``(op, location)`` partitions in — the one partition
         merge of the tier.  An installed partition wins wholesale, but heat
         is telemetry about *this* tier's traffic: it keeps max(last-hit) and
         sum(hits) for the entries the partition it replaces also held, so a
-        merge never makes a hot entry look cold to the eviction planner.
-        ``messages`` — ``(query_messages, insert_messages)`` — restores the
-        shard's message counters along with the partitions."""
+        merge never makes a hot entry look cold to the eviction planner."""
         with self._lock:
             for key, db in dbs.items():
                 old = self._dbs.get(key)
                 if old is not None:
                     db.values.merge_heat(old.values)
                 self._dbs[key] = db
-            if messages is not None:
-                self.query_messages, self.insert_messages = messages
 
     # -- statistics ----------------------------------------------------------------
 
@@ -322,12 +317,10 @@ class MemoShard:
     # -- snapshot hooks ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """This shard's partitions plus its message counters."""
+        """This shard's partitions."""
         with self._lock:
             return {
                 "shard_id": self.shard_id,
-                "query_messages": self.query_messages,
-                "insert_messages": self.insert_messages,
                 "partitions": [
                     {"op": op, "location": int(loc), "db": db.state_dict()}
                     for (op, loc), db in self._dbs.items()
@@ -446,8 +439,8 @@ class MemoShardRouter(MemoTier):
 
     def state_dict(self) -> dict:
         """Per-shard snapshot of the whole service (every shard contributes
-        its partitions and message counters, each read at a batch boundary)
-        plus the key-encoder provenance once one was pinned."""
+        its partitions, each read at a batch boundary) plus the key-encoder
+        provenance once one was pinned."""
         tree = {
             "layout": "sharded",
             "n_shards": self.n_shards,
@@ -468,8 +461,7 @@ class MemoShardRouter(MemoTier):
         Because shard membership is pure routing (the consistent
         ``shard_of_location`` map), a snapshot taken at any shard count
         restores onto any other: each partition simply lands on the shard
-        that owns its location here.  Message counters are per-shard
-        observations, so they are only restored when the topology matches.
+        that owns its location here.
 
         All or nothing: every database is rebuilt and the tree's provenance
         checked before the first partition is installed.  A malformed
@@ -483,12 +475,6 @@ class MemoShardRouter(MemoTier):
                 by_shard.setdefault(self.shard_of(loc), {})[(op, loc)] = (
                     MemoDatabase.from_state(p["db"])
                 )
-            messages = [None] * self.n_shards
-            if tree.get("layout") == "sharded" and int(tree["n_shards"]) == self.n_shards:
-                messages = [
-                    (int(st["query_messages"]), int(st["insert_messages"]))
-                    for st in tree["shards"]
-                ]
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed memo-state tree: {exc!r}") from None
         taus = {db.tau for dbs in by_shard.values() for db in dbs.values()}
@@ -505,10 +491,8 @@ class MemoShardRouter(MemoTier):
                 self.encoder = dict(tree["encoder"])
             if tree.get("encoder_state"):
                 self.encoder_state = tree["encoder_state"]
-        for shard, counters in zip(self.shards, messages):
-            dbs = by_shard.get(shard.shard_id, {})
-            if dbs or counters is not None:
-                shard.install(dbs, counters)
+        for shard_id, dbs in by_shard.items():
+            self.shards[shard_id].install(dbs)
         return True
 
     def close(self) -> None:

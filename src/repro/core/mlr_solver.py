@@ -146,7 +146,7 @@ class MLRSolver:
 
     def save_memo_snapshot(self, path) -> dict:
         """Persist the executor's database tier as a versioned on-disk
-        snapshot; returns the manifest."""
+        snapshot; returns its header fields."""
         from ..service.snapshot import save_memo_snapshot
 
         return save_memo_snapshot(path, self.memo_executor)

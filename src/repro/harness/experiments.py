@@ -940,8 +940,7 @@ class WarmstartResult:
             f"second-scan hit rate: cold {self.cold_hit_rate:.3f} -> "
             f"warm {self.warm_hit_rate:.3f} (gain +{self.warm_gain:.3f})",
             f"snapshot: {self.snapshot_partitions} partitions, "
-            # MiB: the manifest's float fields make the size wander by ~0.1 KiB
-            f"{self.snapshot_nbytes / 2**20:.1f} MiB on disk, "
+            f"{self.snapshot_nbytes / 1024:.1f} KiB on disk, "
             f"save->load query outcomes bit-identical: "
             f"{self.snapshot_bit_identical}",
         ]

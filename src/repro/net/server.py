@@ -259,9 +259,9 @@ class MemoServerDaemon:
     # -- persistence ---------------------------------------------------------------------
 
     def _load_boot_snapshot(self) -> None:
-        from ..service.snapshot import load_or_quarantine
+        from ..service.snapshot import load_or_quarantine, snapshot_exists
 
-        if not os.path.isfile(os.path.join(self.snapshot_path, "manifest.json")):
+        if not snapshot_exists(self.snapshot_path):
             return
         tree = load_or_quarantine(self.snapshot_path, "server-boot", server=self.name)
         if tree is None:
@@ -281,12 +281,12 @@ class MemoServerDaemon:
 
         if not self.snapshot_path:
             raise ValueError("daemon was started without a snapshot_path")
-        manifest = write_snapshot(
+        header = write_snapshot(
             self.snapshot_path, self.router.state_dict(), kind="memo-state"
         )
         with self._lock:
             self.stats.snapshots_persisted += 1
-        return manifest
+        return header
 
     def _snapshot_loop(self) -> None:
         while not self._stop.wait(self.snapshot_interval_s):

@@ -7,21 +7,24 @@ Every message between a compute host and the memo server travels as one
     | request id (u64) | payload length (u64) | payload crc32 (u32)
     | payload (length bytes)
 
-The header is fixed-size and little-endian; the payload is the recursive
-binary encoding of :func:`pack_obj` — ``None`` / bools / ints / floats /
-complex / str / bytes / lists / dicts, with ndarrays framed by the existing
-:func:`repro.kvstore.serialization.encode_array` codec (so array payloads
-are exactly the store's portable little-endian wire format).  A crc32 over
-the payload catches truncation and corruption before any payload byte is
-interpreted.
+The header is fixed-size and little-endian; the payload is the state-tree
+codec of :mod:`repro.kvstore.serialization` (``encode_tree`` — ``None`` /
+bools / ints / floats / complex / str / bytes / lists / dicts, ndarrays as
+the store's portable little-endian array frame), which this module only
+wraps: :func:`pack_obj` / :func:`unpack_obj` are that codec with its
+``TreeError`` raised as :class:`MessageError`.  A memo-state tree therefore
+has the same bytes in a ``MSG_SNAP_PUSH`` frame and in a snapshot file.  A
+crc32 over the payload catches truncation and corruption before any payload
+byte is interpreted.
 
 Failure behavior is the protocol's core contract: malformed input raises a
 *typed* :class:`ProtocolError` subclass — :class:`FrameError` (bad magic,
 header, or declared length), :class:`TruncatedFrame` (the peer vanished
 mid-frame), :class:`ChecksumError`, :class:`MessageError` (undecodable
-payload), :class:`VersionMismatch` — and never hangs a connection or leaks
-a partial frame into the next read.  A clean EOF *between* frames raises
-:class:`ConnectionClosed`, which callers treat as an orderly goodbye.
+payload, over-deep nesting included), :class:`VersionMismatch` — and never
+hangs a connection or leaks a partial frame into the next read.  A clean EOF
+*between* frames raises :class:`ConnectionClosed`, which callers treat as an
+orderly goodbye.
 
 Request/response pairing is by ``request id``: a server echoes the id of
 the request it is answering, which is what lets clients pipeline requests
@@ -38,7 +41,7 @@ import numpy as np
 
 from ..core.memo_db import MemoDBStats, QueryOutcome
 from ..core.memo_shard import ShardInsert, ShardQuery
-from ..kvstore.serialization import decode_array, encode_array
+from ..kvstore.serialization import TreeError, decode_tree, encode_tree
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -224,161 +227,26 @@ class RemoteError(ProtocolError):
         self.remote_message = message
 
 
-# -- recursive payload codec ---------------------------------------------------------------
+# -- payload codec -------------------------------------------------------------------------
 #
-# One tag byte per node.  Arrays defer to encode_array, so the numeric
-# payloads (keys, values, snapshot blobs) share the store's exact format.
-
-_T_NONE = b"N"
-_T_TRUE = b"T"
-_T_FALSE = b"F"
-_T_INT = b"i"
-_T_FLOAT = b"f"
-_T_COMPLEX = b"c"
-_T_STR = b"s"
-_T_BYTES = b"y"
-_T_ARRAY = b"a"
-_T_LIST = b"l"
-_T_DICT = b"d"
-
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-_C128 = struct.Struct("<dd")
-
-
-def _pack_into(obj, out: bytearray) -> None:
-    if obj is None:
-        out += _T_NONE
-    elif isinstance(obj, (bool, np.bool_)):
-        out += _T_TRUE if obj else _T_FALSE
-    elif isinstance(obj, (int, np.integer)):
-        try:
-            out += _T_INT + _I64.pack(int(obj))
-        except struct.error:
-            raise MessageError(f"integer {obj!r} exceeds the wire's i64 range") from None
-    elif isinstance(obj, (float, np.floating)):
-        out += _T_FLOAT + _F64.pack(float(obj))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        c = complex(obj)
-        out += _T_COMPLEX + _C128.pack(c.real, c.imag)
-    elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out += _T_STR + _U32.pack(len(raw)) + raw
-    elif isinstance(obj, (bytes, bytearray, memoryview)):
-        raw = bytes(obj)
-        out += _T_BYTES + _U64.pack(len(raw)) + raw
-    elif isinstance(obj, np.ndarray):
-        raw = encode_array(obj)
-        out += _T_ARRAY + _U64.pack(len(raw)) + raw
-    elif isinstance(obj, (list, tuple)):
-        out += _T_LIST + _U32.pack(len(obj))
-        for item in obj:
-            _pack_into(item, out)
-    elif isinstance(obj, dict):
-        out += _T_DICT + _U32.pack(len(obj))
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise MessageError(f"message dict keys must be str, got {key!r}")
-            raw = key.encode("utf-8")
-            out += _U32.pack(len(raw)) + raw
-            _pack_into(value, out)
-    else:
-        raise MessageError(f"unserializable message node {type(obj).__name__}")
+# A frame's payload is the state-tree codec of repro.kvstore.serialization —
+# the same bytes a snapshot file holds — under the wire's own error type.
 
 
 def pack_obj(obj) -> bytes:
     """Encode one message object (tree of plain python + ndarrays)."""
-    out = bytearray()
-    _pack_into(obj, out)
-    return bytes(out)
-
-
-def _need(raw: bytes, off: int, n: int) -> None:
-    if off + n > len(raw):
-        raise MessageError("payload ends inside a value")
-
-
-def _unpack_from(raw: bytes, off: int):
-    _need(raw, off, 1)
-    tag = raw[off : off + 1]
-    off += 1
-    if tag == _T_NONE:
-        return None, off
-    if tag == _T_TRUE:
-        return True, off
-    if tag == _T_FALSE:
-        return False, off
-    if tag == _T_INT:
-        _need(raw, off, 8)
-        return _I64.unpack_from(raw, off)[0], off + 8
-    if tag == _T_FLOAT:
-        _need(raw, off, 8)
-        return _F64.unpack_from(raw, off)[0], off + 8
-    if tag == _T_COMPLEX:
-        _need(raw, off, 16)
-        re, im = _C128.unpack_from(raw, off)
-        return complex(re, im), off + 16
-    if tag == _T_STR:
-        _need(raw, off, 4)
-        n = _U32.unpack_from(raw, off)[0]
-        off += 4
-        _need(raw, off, n)
-        try:
-            return raw[off : off + n].decode("utf-8"), off + n
-        except UnicodeDecodeError as exc:
-            raise MessageError(f"invalid utf-8 in string value: {exc}") from None
-    if tag == _T_BYTES:
-        _need(raw, off, 8)
-        n = _U64.unpack_from(raw, off)[0]
-        off += 8
-        _need(raw, off, n)
-        return raw[off : off + n], off + n
-    if tag == _T_ARRAY:
-        _need(raw, off, 8)
-        n = _U64.unpack_from(raw, off)[0]
-        off += 8
-        _need(raw, off, n)
-        try:
-            return decode_array(raw[off : off + n]), off + n
-        except (ValueError, TypeError) as exc:
-            raise MessageError(f"bad array payload: {exc}") from None
-    if tag == _T_LIST:
-        _need(raw, off, 4)
-        n = _U32.unpack_from(raw, off)[0]
-        off += 4
-        items = []
-        for _ in range(n):
-            item, off = _unpack_from(raw, off)
-            items.append(item)
-        return items, off
-    if tag == _T_DICT:
-        _need(raw, off, 4)
-        n = _U32.unpack_from(raw, off)[0]
-        off += 4
-        out = {}
-        for _ in range(n):
-            _need(raw, off, 4)
-            klen = _U32.unpack_from(raw, off)[0]
-            off += 4
-            _need(raw, off, klen)
-            try:
-                key = raw[off : off + klen].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MessageError(f"invalid utf-8 in dict key: {exc}") from None
-            off += klen
-            out[key], off = _unpack_from(raw, off)
-        return out, off
-    raise MessageError(f"unknown payload tag {tag!r}")
+    try:
+        return encode_tree(obj)
+    except TreeError as exc:
+        raise MessageError(str(exc)) from None
 
 
 def unpack_obj(raw: bytes):
     """Decode one :func:`pack_obj` payload; trailing garbage is an error."""
-    obj, off = _unpack_from(raw, 0)
-    if off != len(raw):
-        raise MessageError(f"{len(raw) - off} trailing bytes after message")
-    return obj
+    try:
+        return decode_tree(raw)
+    except TreeError as exc:
+        raise MessageError(str(exc)) from None
 
 
 # -- framing -------------------------------------------------------------------------------

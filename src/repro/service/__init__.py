@@ -2,10 +2,10 @@
 
 The production shell over the mLR solver — named jobs with priorities and
 lifecycle states, a bounded-concurrency scheduler, and a memoization tier
-that persists across jobs and processes (versioned on-disk snapshots of
-databases, ANN indexes, value stores and the key encoder), so repeated
-scans of near-identical samples warm-start from each other's accumulated
-(key, value) pairs.
+that persists across jobs and processes (versioned, checksummed one-file
+snapshots of any ``state_dict()`` tree: databases, ANN indexes, value stores,
+the key encoder), so repeated scans of near-identical samples warm-start
+from each other's accumulated (key, value) pairs.
 """
 
 from .jobs import JobCancelled, JobEvent, JobHandle, JobSpec, JobState
@@ -17,19 +17,13 @@ from .scheduler import (
     SharedMemoService,
 )
 from .snapshot import (
-    SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
     SnapshotError,
-    load_database,
-    load_encoder,
-    load_index,
     load_memo_snapshot,
     quarantine_snapshot,
     read_snapshot,
-    save_database,
-    save_encoder,
-    save_index,
     save_memo_snapshot,
+    snapshot_exists,
     write_snapshot,
 )
 
@@ -44,18 +38,12 @@ __all__ = [
     "SchedulerStats",
     "ServiceConfig",
     "SharedMemoService",
-    "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "SnapshotError",
-    "load_database",
-    "load_encoder",
-    "load_index",
     "load_memo_snapshot",
     "quarantine_snapshot",
     "read_snapshot",
-    "save_database",
-    "save_encoder",
-    "save_index",
     "save_memo_snapshot",
+    "snapshot_exists",
     "write_snapshot",
 ]

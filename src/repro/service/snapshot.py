@@ -7,23 +7,29 @@ motivating workload) is even stronger than recurrence across iterations.
 This module is the persistence boundary: every stateful component exposes a
 ``state_dict()`` / ``from_state()`` hook pair (ANN indexes, key-value
 stores, the memoization database, shard router, executors, the CNN key
-encoder), and the functions here package those state trees into a durable
-directory format:
+encoder), and a snapshot is such a state tree in **one file**:
 
 ```
 <path>/
-  manifest.json   format tag, version, kind, per-array dtype/shape metadata
-                  and SHA-256 content checksums, and the structural tree
-  arrays.npz      every ndarray (and bytes payload) referenced by the tree
+  snapshot.mlr    header | payload
+
+  header   magic (8s) | version (u16) | kind (32s, NUL-padded utf-8)
+           | payload length (u64) | SHA-256 (32s)      little-endian, 82 bytes
+  payload  the tree, as repro.kvstore.serialization.encode_tree writes it
 ```
 
-State trees contain only ndarrays, ``bytes`` and JSON-able scalars /
-lists / dicts, so the disk round trip is structure-preserving: a tree read
-back from disk is interchangeable with one taken live (the scheduler's
-shared memo service passes live trees; ``MLRConfig(memo_snapshot=...)``
-accepts either).  Checksums and dtype/shape metadata are verified on load —
-a corrupted or truncated snapshot fails loudly, never silently degrades
-hit rates.
+The payload is the state-tree codec the memo wire already speaks
+(:mod:`repro.kvstore.serialization`), so a tree has the same bytes in a
+``MSG_SNAP_PUSH`` frame and on disk, and the disk round trip is
+structure-preserving: a tree read back is interchangeable with one taken
+live (the scheduler's shared memo service passes live trees;
+``MLRConfig(memo_snapshot=...)`` accepts either).  The SHA-256 covers the
+header fields before it and every payload byte; format, version, kind,
+length and digest are checked — in that order — before a payload byte is
+interpreted, so a corrupted or truncated snapshot fails loudly, never
+silently degrades hit rates.  One file also means one atomic rename
+publishes a snapshot: a save interrupted anywhere leaves the previous
+snapshot exactly as it was.
 
 The contract, asserted by the test suite: a database restored from a
 snapshot answers ``query`` / ``query_batch`` **bit-identically** to the
@@ -34,124 +40,49 @@ statistics alike — for every ANN index state (trained, mid-training, empty).
 from __future__ import annotations
 
 import hashlib
-import io
-import json
 import logging
 import os
-import zipfile
+import struct
 
-import numpy as np
-
-from ..ann.flat import FlatIndex
-from ..ann.ivf import IVFFlatIndex
-from ..core.keying import CNNKeyEncoder
-from ..core.memo_db import MemoDatabase
-from ..core.memo_shard import memo_state_partitions
 from ..faults import runtime as faults
+from ..kvstore.serialization import TreeError, decode_tree, encode_tree
 from ..obs import runtime as obs
 
 __all__ = [
-    "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "SnapshotError",
     "write_snapshot",
     "read_snapshot",
+    "snapshot_exists",
     "quarantine_snapshot",
     "save_memo_snapshot",
     "load_memo_snapshot",
     "load_or_quarantine",
-    "save_database",
-    "load_database",
-    "save_index",
-    "load_index",
-    "save_encoder",
-    "load_encoder",
 ]
 
 log = logging.getLogger("repro.service.snapshot")
 
-SNAPSHOT_FORMAT = "mlr-snapshot"
-SNAPSHOT_VERSION = 2
+#: 3: one checksummed file holding the state-tree codec's payload.  Versions
+#: 1 and 2 were a JSON manifest beside an npz; no reader for them is kept.
+SNAPSHOT_VERSION = 3
 
-_MANIFEST = "manifest.json"
-_ARRAYS = "arrays.npz"
-
-_INDEX_TYPES = {"flat": FlatIndex, "ivf": IVFFlatIndex}
+_FILE = "snapshot.mlr"
+_LEGACY_MANIFEST = "manifest.json"  # what a version-1/2 directory holds instead
+_MAGIC = b"mLRsnap\0"
+_PREFIX = struct.Struct("<8sH32sQ")  # magic, version, kind, payload length
+_DIGEST_BYTES = hashlib.sha256().digest_size
+_HEADER_BYTES = _PREFIX.size + _DIGEST_BYTES
 
 
 class SnapshotError(RuntimeError):
     """A snapshot is missing, malformed, corrupted, or of the wrong kind."""
 
 
-# -- state-tree packing ------------------------------------------------------------------
-
-
-def _checksum(arr: np.ndarray) -> str:
-    arr = np.ascontiguousarray(arr)
-    h = hashlib.sha256()
-    h.update(arr.dtype.str.encode("ascii"))
-    h.update(str(arr.shape).encode("ascii"))
-    h.update(arr.tobytes())
-    return h.hexdigest()
-
-
-def _pack(node, arrays: dict):
-    """Replace every ndarray/bytes in a state tree with an npz reference,
-    collecting the payloads; everything else must be JSON-able."""
-    if isinstance(node, np.ndarray):
-        name = f"a{len(arrays)}"
-        arrays[name] = node
-        return {"__array__": name}
-    if isinstance(node, (bytes, bytearray, memoryview)):
-        name = f"a{len(arrays)}"
-        arrays[name] = np.frombuffer(bytes(node), dtype=np.uint8)
-        return {"__bytes__": name}
-    if isinstance(node, dict):
-        out = {}
-        for key, value in node.items():
-            if not isinstance(key, str):
-                raise SnapshotError(f"state-tree keys must be str, got {key!r}")
-            out[key] = _pack(value, arrays)
-        return out
-    if isinstance(node, (list, tuple)):
-        return [_pack(v, arrays) for v in node]
-    if isinstance(node, (np.integer,)):
-        return int(node)
-    if isinstance(node, (np.floating,)):
-        return float(node)
-    if node is None or isinstance(node, (bool, int, float, str)):
-        return node
-    raise SnapshotError(f"state tree holds unserializable {type(node).__name__}")
-
-
-def _unpack(node, arrays, meta: dict, verify: bool):
-    if isinstance(node, dict):
-        if "__array__" in node:
-            return _load_array(node["__array__"], arrays, meta, verify)
-        if "__bytes__" in node:
-            return _load_array(node["__bytes__"], arrays, meta, verify).tobytes()
-        return {k: _unpack(v, arrays, meta, verify) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_unpack(v, arrays, meta, verify) for v in node]
-    return node
-
-
-def _load_array(name: str, arrays, meta: dict, verify: bool) -> np.ndarray:
-    try:
-        arr = arrays[name]
-    except KeyError:
-        raise SnapshotError(f"manifest references missing array {name!r}") from None
-    info = meta.get(name)
-    if info is None:
-        raise SnapshotError(f"array {name!r} has no manifest metadata")
-    if arr.dtype.str != info["dtype"] or list(arr.shape) != list(info["shape"]):
-        raise SnapshotError(
-            f"array {name!r}: stored {arr.dtype.str}{arr.shape} does not match "
-            f"manifest {info['dtype']}{tuple(info['shape'])}"
-        )
-    if verify and _checksum(arr) != info["sha256"]:
-        raise SnapshotError(f"array {name!r} failed its checksum — snapshot corrupted")
-    return arr
+def _digest(prefix, payload) -> bytes:
+    """SHA-256 over everything in the file but the digest itself."""
+    h = hashlib.sha256(prefix)
+    h.update(payload)
+    return h.digest()
 
 
 def _write_durable(target: str, raw: bytes) -> None:
@@ -161,14 +92,11 @@ def _write_durable(target: str, raw: bytes) -> None:
     or no file — never a torn one."""
     directory = os.path.dirname(target) or "."
     tmp = f"{target}.tmp.{os.getpid()}"
-    fh = open(tmp, "wb")
     try:
-        fh.write(raw)
-        fh.flush()
-        os.fsync(fh.fileno())
-    finally:
-        fh.close()
-    try:
+        with open(tmp, "wb") as fh:
+            fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, target)
     except OSError:
         try:
@@ -187,119 +115,88 @@ def _write_durable(target: str, raw: bytes) -> None:
 
 def write_snapshot(path, tree: dict, kind: str) -> dict:
     """Persist one state tree under ``path`` (a directory, created as
-    needed); returns the manifest written alongside the arrays."""
+    needed); returns the header fields written in front of it."""
+    kind_raw = kind.encode("utf-8")
+    if not 0 < len(kind_raw) <= 32 or b"\0" in kind_raw:
+        raise SnapshotError(f"snapshot kind must be 1-32 bytes, got {kind!r}")
+    try:
+        payload = encode_tree(tree)
+    except TreeError as exc:
+        raise SnapshotError(f"state tree cannot be snapshotted: {exc}") from None
+    prefix = _PREFIX.pack(_MAGIC, SNAPSHOT_VERSION, kind_raw, len(payload))
+    digest = _digest(prefix, payload)
     os.makedirs(path, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {}
-    packed = _pack(tree, arrays)
-    manifest = {
-        "format": SNAPSHOT_FORMAT,
+    # the whole snapshot is one file behind one atomic rename: a save
+    # interrupted at any step leaves the previous snapshot untouched, or —
+    # on a fresh directory — no file at all, which reads as "no snapshot"
+    raw = faults.on_snapshot_write(str(path), prefix + digest + payload)
+    _write_durable(os.path.join(path, _FILE), raw)
+    return {
         "version": SNAPSHOT_VERSION,
         "kind": kind,
-        "arrays": {
-            name: {
-                "dtype": np.ascontiguousarray(arr).dtype.str,
-                "shape": list(arr.shape),
-                "nbytes": int(arr.nbytes),
-                "sha256": _checksum(arr),
-            }
-            for name, arr in arrays.items()
-        },
-        "tree": packed,
+        "nbytes": len(payload),
+        "sha256": digest.hex(),
     }
-    # whole-manifest self-digest: the per-array checksums only cover the
-    # npz payload, so a bit flip inside the JSON tree itself (scalar lists,
-    # heat metadata, config fields) would otherwise parse cleanly and load
-    manifest["manifest_sha256"] = hashlib.sha256(
-        json.dumps(manifest, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **arrays)
-    # arrays land first: a crash between the two writes leaves the OLD
-    # manifest pointing at old arrays (stale-but-consistent) or — on a
-    # fresh directory — no manifest at all, which reads as "no snapshot"
-    arrays_raw = faults.on_snapshot_write(str(path), buf.getvalue())
-    _write_durable(os.path.join(path, _ARRAYS), arrays_raw)
-    manifest_raw = json.dumps(manifest, indent=1).encode("utf-8")
-    manifest_raw = faults.on_snapshot_write(f"{path}:{_MANIFEST}", manifest_raw)
-    _write_durable(os.path.join(path, _MANIFEST), manifest_raw)
-    return manifest
 
 
-def read_snapshot(path, expect_kind: str | None = None, verify: bool = True) -> dict:
-    """Load a state tree written by :func:`write_snapshot`, verifying the
-    format version, per-array dtype/shape metadata, and content checksums.
-    Every way a snapshot can be broken — missing files, undecodable JSON,
-    a torn npz, checksum drift — surfaces as :class:`SnapshotError`."""
-    manifest_path = os.path.join(path, _MANIFEST)
-    if not os.path.isfile(manifest_path):
-        raise SnapshotError(f"no snapshot at {path!r} (missing {_MANIFEST})")
+def snapshot_exists(path) -> bool:
+    """Whether ``path`` holds something written as a snapshot — of this or
+    an older format version (which :func:`read_snapshot` refuses by name)."""
+    return any(
+        os.path.isfile(os.path.join(path, name)) for name in (_FILE, _LEGACY_MANIFEST)
+    )
+
+
+def read_snapshot(path, expect_kind: str | None = None) -> dict:
+    """Load a state tree written by :func:`write_snapshot`.  Format,
+    version, kind, length and SHA-256 are verified before the payload is
+    decoded, and every way a snapshot can be broken — missing or unreadable
+    file, junk, truncation, a flipped bit anywhere, an undecodable or
+    over-deep payload — surfaces as :class:`SnapshotError`."""
+    target = os.path.join(path, _FILE)
+    if not os.path.isfile(target):
+        if os.path.isfile(os.path.join(path, _LEGACY_MANIFEST)):
+            raise SnapshotError(
+                f"unsupported snapshot version at {path!r}: a version-1/2 "
+                f"manifest directory (this build reads {SNAPSHOT_VERSION})"
+            )
+        raise SnapshotError(f"no snapshot at {path!r} (missing {_FILE})")
     try:
-        with open(manifest_path, "rb") as fh:
-            manifest_raw = fh.read()
-        manifest_raw = faults.on_snapshot_read(f"{path}:{_MANIFEST}", manifest_raw)
-        manifest = json.loads(manifest_raw.decode("utf-8"))
-    except (OSError, ValueError, UnicodeDecodeError) as exc:
-        raise SnapshotError(f"unreadable manifest at {path!r}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise SnapshotError(f"manifest at {path!r} is not a JSON object")
-    if manifest.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotError(f"not an mLR snapshot: format {manifest.get('format')!r}")
-    if manifest.get("version") != SNAPSHOT_VERSION:
+        with open(target, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise SnapshotError(f"unreadable snapshot at {target!r}: {exc}") from exc
+    raw = memoryview(faults.on_snapshot_read(str(path), raw))
+    if len(raw) < _HEADER_BYTES:
         raise SnapshotError(
-            f"unsupported snapshot version {manifest.get('version')!r} "
+            f"snapshot at {target!r} is truncated inside its header "
+            f"({len(raw)} of {_HEADER_BYTES} bytes)"
+        )
+    magic, version, kind_raw, length = _PREFIX.unpack_from(raw)
+    if magic != _MAGIC:
+        raise SnapshotError(f"not an mLR snapshot: magic {magic!r} at {target!r}")
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotError(
+            f"unsupported snapshot version {version!r} "
             f"(this build reads {SNAPSHOT_VERSION})"
         )
-    claimed = manifest.pop("manifest_sha256", None)
-    if verify:
-        if not isinstance(claimed, str):
-            raise SnapshotError(f"manifest at {path!r} carries no self-digest")
-        actual = hashlib.sha256(
-            json.dumps(manifest, sort_keys=True).encode("utf-8")
-        ).hexdigest()
-        if actual != claimed:
-            raise SnapshotError(
-                f"manifest at {path!r} failed its whole-file checksum — "
-                "snapshot corrupted"
-            )
-    if expect_kind is not None and manifest.get("kind") != expect_kind:
+    kind = kind_raw.rstrip(b"\0").decode("utf-8", "replace")
+    if expect_kind is not None and kind != expect_kind:
+        raise SnapshotError(f"snapshot kind {kind!r}, expected {expect_kind!r}")
+    payload = raw[_HEADER_BYTES:]
+    if len(payload) != length:
         raise SnapshotError(
-            f"snapshot kind {manifest.get('kind')!r}, expected {expect_kind!r}"
+            f"snapshot at {target!r} is truncated or padded: holds "
+            f"{len(payload)} payload bytes, header declares {length}"
         )
-    arrays_path = os.path.join(path, _ARRAYS)
+    if _digest(raw[: _PREFIX.size], payload) != raw[_PREFIX.size : _HEADER_BYTES]:
+        raise SnapshotError(
+            f"snapshot at {target!r} failed its checksum — snapshot corrupted"
+        )
     try:
-        with open(arrays_path, "rb") as fh:
-            arrays_raw = fh.read()
-        arrays_raw = faults.on_snapshot_read(str(path), arrays_raw)
-        with np.load(io.BytesIO(arrays_raw)) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError) as exc:
-        raise SnapshotError(f"unreadable arrays at {arrays_path!r}: {exc}") from exc
-    try:
-        tree = _unpack(manifest["tree"], arrays, manifest["arrays"], verify)
-        _reject_serialized_values(tree, manifest.get("kind"))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SnapshotError(f"malformed snapshot tree at {path!r}: {exc!r}") from exc
-    return tree
-
-
-def _reject_serialized_values(tree: dict, kind) -> None:
-    """Databases snapshotted while the serialized value store existed carry
-    a ``value_mode`` tag.  ``"array"`` is the representation that remains
-    (such snapshots load as ever); one holding ``"bytes"`` values cannot be
-    served and must fail as a snapshot problem, not deep inside a store."""
-    if kind == "memo-database":
-        dbs = [tree]
-    elif kind == "memo-state":
-        dbs = [part["db"] for part in memo_state_partitions(tree)]
-    else:
-        return
-    for db in dbs:
-        mode = db["config"].get("value_mode", "array")
-        if mode != "array":
-            raise SnapshotError(
-                f"snapshot stores memo values as value_mode {mode!r}; this "
-                "build reads only 'array' snapshots"
-            )
+        return decode_tree(payload)
+    except TreeError as exc:
+        raise SnapshotError(f"undecodable snapshot payload at {target!r}: {exc}") from exc
 
 
 def quarantine_snapshot(path) -> str | None:
@@ -328,35 +225,16 @@ def quarantine_snapshot(path) -> str | None:
 # -- memoization-tier snapshots ----------------------------------------------------------
 
 
-_ENCODER_DIR = "encoder"
-
-
 def save_memo_snapshot(path, executor) -> dict:
-    """Snapshot an executor's whole database tier (single or sharded — the
-    sharded executor snapshots per shard through its router).
-
-    A trained CNN key encoder rides along twice: embedded in the state tree
-    (``encoder_state``, what warm starts auto-install) and as a standalone
-    :func:`save_encoder` snapshot under ``<path>/encoder/`` so the encoder
-    stays independently loadable."""
-    manifest = write_snapshot(path, executor.memo_state(), kind="memo-state")
-    encoder = getattr(executor, "encoder", None)
-    if isinstance(encoder, CNNKeyEncoder):
-        save_encoder(os.path.join(path, _ENCODER_DIR), encoder)
-    return manifest
+    """Snapshot an executor's whole database tier (every shard's partitions
+    through its router).  A trained CNN key encoder rides in the tree
+    (``encoder_state``, what warm starts auto-install)."""
+    return write_snapshot(path, executor.memo_state(), kind="memo-state")
 
 
 def load_memo_snapshot(path) -> dict:
-    """Read a database-tier state tree back (not yet installed anywhere).
-    Snapshots whose tree predates the embedded ``encoder_state`` fall back
-    to the standalone ``<path>/encoder/`` snapshot when one exists."""
-    tree = read_snapshot(path, expect_kind="memo-state")
-    enc_dir = os.path.join(path, _ENCODER_DIR)
-    if not tree.get("encoder_state") and os.path.isfile(
-        os.path.join(enc_dir, _MANIFEST)
-    ):
-        tree["encoder_state"] = read_snapshot(enc_dir, expect_kind="key-encoder")
-    return tree
+    """Read a database-tier state tree back (not yet installed anywhere)."""
+    return read_snapshot(path, expect_kind="memo-state")
 
 
 def load_or_quarantine(path, where: str, **context) -> dict | None:
@@ -381,45 +259,3 @@ def load_or_quarantine(path, where: str, **context) -> dict | None:
             "starting cold", where, path, exc, quarantined,
         )
         return None
-
-
-# -- single-component snapshots ----------------------------------------------------------
-
-
-def save_database(path, db: MemoDatabase) -> dict:
-    return write_snapshot(path, db.state_dict(), kind="memo-database")
-
-
-def load_database(path) -> MemoDatabase:
-    return MemoDatabase.from_state(read_snapshot(path, expect_kind="memo-database"))
-
-
-def save_index(path, index) -> dict:
-    """Snapshot one ANN index (Flat / IVF — trained or not)."""
-    for tag, cls in _INDEX_TYPES.items():
-        if type(index) is cls:
-            return write_snapshot(
-                path, {"index_type": tag, "state": index.state_dict()}, kind="ann-index"
-            )
-    raise SnapshotError(f"unknown index type {type(index).__name__}")
-
-
-def load_index(path):
-    tree = read_snapshot(path, expect_kind="ann-index")
-    cls = _INDEX_TYPES.get(tree["index_type"])
-    if cls is None:
-        raise SnapshotError(f"unknown index_type {tree['index_type']!r}")
-    return cls.from_state(tree["state"])
-
-
-def save_encoder(path, encoder: CNNKeyEncoder) -> dict:
-    """Snapshot the (INT8-quantized) CNN key encoder."""
-    if not isinstance(encoder, CNNKeyEncoder):
-        raise SnapshotError(
-            f"only CNNKeyEncoder snapshots are supported, got {type(encoder).__name__}"
-        )
-    return write_snapshot(path, encoder.state_dict(), kind="key-encoder")
-
-
-def load_encoder(path) -> CNNKeyEncoder:
-    return CNNKeyEncoder.from_state(read_snapshot(path, expect_kind="key-encoder"))

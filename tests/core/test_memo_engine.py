@@ -681,8 +681,6 @@ class TestSnapshotLayouts:
             "shards": [
                 {
                     "shard_id": s,
-                    "query_messages": 10 + s,
-                    "insert_messages": 20 + s,
                     "partitions": [p for p in parts if int(p["location"]) % 3 == s],
                 }
                 for s in range(3)
@@ -707,16 +705,8 @@ class TestSnapshotLayouts:
         for shard in saved["shards"]:
             for part in shard["partitions"]:
                 assert int(part["location"]) % n_shards == shard["shard_id"]
-        # per-shard message counters are observations of one topology
-        assert all(s["query_messages"] == 0 for s in saved["shards"])
-
-    def test_matching_topology_restores_message_counters(self, problem, trees):
-        g, ops, truth, d = problem
-        _parts, by_layout = trees
-        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4, n_shards=3)
-        ex.load_memo_state(by_layout["sharded"])
-        assert [s.query_messages for s in ex.router.shards] == [10, 11, 12]
-        assert [s.insert_messages for s in ex.router.shards] == [20, 21, 22]
+        # per-shard message counters are live observations, not state
+        assert all(set(s) == {"shard_id", "partitions"} for s in saved["shards"])
 
     def test_mismatched_snapshot_rejected_before_install(self, problem, trees):
         g, ops, truth, d = problem

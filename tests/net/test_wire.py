@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.memo_db import MemoDBStats, QueryOutcome
 from repro.core.memo_shard import ShardInsert, ShardQuery
+from repro.kvstore.serialization import MAX_TREE_DEPTH
 from repro.net.wire import (
     MSG_QUERY,
     PROTOCOL_VERSION,
@@ -197,6 +198,33 @@ class TestFraming:
         )
         with pytest.raises(FrameError, match="exceeds"):
             FrameReader(_StreamSock(header), max_payload=1 << 20).read_frame()
+
+    def test_overdeep_payload_is_a_message_error_and_the_stream_survives(self):
+        """25 KB of nested one-element lists inside a frame with a valid
+        crc: the codec's depth bound answers with the wire's typed error
+        (never ``RecursionError``), and — the frame having been consumed
+        whole — the reader is still aligned on the next one."""
+        payload = b"l\x01\0\0\0" * 5000 + b"N"
+        header = struct.Struct("<4sBBHQQI").pack(
+            b"mLRn", PROTOCOL_VERSION, MSG_QUERY, 0, 7, len(payload),
+            zlib.crc32(payload) & 0xFFFFFFFF,
+        )
+        reader = FrameReader(_StreamSock(header + payload + encode_frame(1, 8, "next")))
+        with pytest.raises(MessageError, match="nests deeper"):
+            reader.read_frame()
+        assert reader.read_frame() == (1, 8, "next")
+
+    def test_nesting_up_to_the_bound_round_trips(self):
+        deep = None
+        for _ in range(MAX_TREE_DEPTH):
+            deep = [deep]
+        assert unpack_obj(pack_obj(deep)) == deep
+        with pytest.raises(MessageError, match="nests deeper"):
+            pack_obj([deep])
+        loop: list = []
+        loop.append(loop)
+        with pytest.raises(MessageError, match="nests deeper"):
+            pack_obj(loop)
 
     def test_garbage_streams_raise_typed_errors(self):
         rng = np.random.default_rng(7)

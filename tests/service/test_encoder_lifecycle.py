@@ -8,6 +8,8 @@ worse, re-trains).  The fingerprint check covers the restored weights.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,8 @@ class TestSnapshotCarriesEncoder:
                            admm=ADMM, ops=ops, encoder=cnn_encoder())
         solver.reconstruct(d)
         save_memo_snapshot(tmp_path / "snap", solver.memo_executor)
-        # save_encoder wrote the standalone encoder snapshot alongside
-        assert (tmp_path / "snap" / "encoder" / "manifest.json").is_file()
+        # the encoder rides inside the one snapshot file, nowhere else
+        assert os.listdir(tmp_path / "snap") == ["snapshot.mlr"]
         tree = load_memo_snapshot(tmp_path / "snap")
         assert tree["encoder_state"] is not None
         # the raw disk tree digests identically to the live encoder — what

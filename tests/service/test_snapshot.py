@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -12,17 +12,26 @@ from repro.ann import FlatIndex, IVFFlatIndex
 from repro.core import CNNKeyEncoder, MemoDatabase
 from repro.kvstore import ArrayStore, KVStore, encode_array
 from repro.nn import ChunkEncoder
-from repro.service import (
-    SnapshotError,
-    load_database,
-    load_encoder,
-    load_index,
-    read_snapshot,
-    save_database,
-    save_encoder,
-    save_index,
-    write_snapshot,
-)
+from repro.service import SNAPSHOT_VERSION, SnapshotError, read_snapshot, write_snapshot
+
+# the file layout, as the module docstring of repro.service.snapshot gives it
+HEADER = struct.Struct("<8sH32sQ32s")  # magic, version, kind, length, sha256
+
+
+def through_disk(path, obj, kind: str):
+    """``obj`` rebuilt from its own state tree after a disk round trip."""
+    write_snapshot(path, obj.state_dict(), kind=kind)
+    return type(obj).from_state(read_snapshot(path, expect_kind=kind))
+
+
+def rewrite_header(path, **fields) -> None:
+    """Overwrite named header fields of the snapshot under ``path``."""
+    target = path / "snapshot.mlr"
+    raw = target.read_bytes()
+    names = ("magic", "version", "kind", "length", "sha256")
+    header = dict(zip(names, HEADER.unpack_from(raw)))
+    header.update(fields)
+    target.write_bytes(HEADER.pack(*(header[n] for n in names)) + raw[HEADER.size:])
 
 
 def rand_keys(n: int, dim: int, seed: int = 0) -> np.ndarray:
@@ -70,12 +79,17 @@ class TestContainer:
         write_snapshot(tmp_path / "s", {"x": 1}, kind="test")
         with pytest.raises(SnapshotError, match="kind"):
             read_snapshot(tmp_path / "s", expect_kind="other")
-        manifest_path = tmp_path / "s" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 99
-        manifest_path.write_text(json.dumps(manifest))
+        rewrite_header(tmp_path / "s", version=99)
         with pytest.raises(SnapshotError, match="version"):
             read_snapshot(tmp_path / "s")
+
+    def test_pre_v3_manifest_directory_is_an_unsupported_version(self, tmp_path):
+        """No reader is kept for the manifest + npz formats: such a
+        directory is refused by version, as a v1 directory always was."""
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "manifest.json").write_text('{"version": 2}')
+        with pytest.raises(SnapshotError, match="unsupported snapshot version"):
+            read_snapshot(tmp_path / "old")
 
     def test_missing_snapshot(self, tmp_path):
         with pytest.raises(SnapshotError, match="no snapshot"):
@@ -83,19 +97,25 @@ class TestContainer:
 
     def test_corruption_detected(self, tmp_path):
         write_snapshot(tmp_path / "s", {"arr": np.arange(128.0)}, kind="test")
-        manifest_path = tmp_path / "s" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        name = next(iter(manifest["arrays"]))
-        manifest["arrays"][name]["sha256"] = "0" * 64
-        manifest_path.write_text(json.dumps(manifest))
+        rewrite_header(tmp_path / "s", sha256=b"\0" * 32)
         with pytest.raises(SnapshotError, match="checksum"):
             read_snapshot(tmp_path / "s")
-        # but verification can be bypassed explicitly
-        assert read_snapshot(tmp_path / "s", verify=False)["arr"].shape == (128,)
 
     def test_unserializable_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match="unserializable"):
             write_snapshot(tmp_path / "s", {"bad": object()}, kind="test")
+        assert not os.path.exists(tmp_path / "s")  # refused before touching disk
+
+    def test_header_reports_what_was_written(self, tmp_path):
+        header = write_snapshot(tmp_path / "s", {"x": np.arange(4)}, kind="test")
+        size = os.path.getsize(tmp_path / "s" / "snapshot.mlr")
+        assert header["version"] == SNAPSHOT_VERSION and header["kind"] == "test"
+        assert header["nbytes"] == size - HEADER.size
+
+    def test_a_snapshot_directory_holds_one_file(self, tmp_path):
+        write_snapshot(tmp_path / "s", {"x": 1}, kind="test")
+        write_snapshot(tmp_path / "s", {"x": 2}, kind="test")  # and a rewrite
+        assert os.listdir(tmp_path / "s") == ["snapshot.mlr"]
 
 
 # -- ANN indexes ------------------------------------------------------------------------
@@ -116,8 +136,7 @@ class TestIndexRoundTrips:
     def test_flat(self, tmp_path):
         ix = FlatIndex(self.dim)
         ix.add(rand_keys(40, self.dim))
-        save_index(tmp_path / "ix", ix)
-        restored = load_index(tmp_path / "ix")
+        restored = through_disk(tmp_path / "ix", ix, "ann-index")
         assert isinstance(restored, FlatIndex)
         assert len(restored) == len(ix)
         assert restored.n_distance_computations == ix.n_distance_computations
@@ -127,8 +146,7 @@ class TestIndexRoundTrips:
         ix = IVFFlatIndex(self.dim, n_clusters=5, nprobe=2)
         ix.train(rand_keys(50, self.dim, seed=1))
         ix.add(rand_keys(80, self.dim, seed=2))
-        save_index(tmp_path / "ix", ix)
-        restored = load_index(tmp_path / "ix")
+        restored = through_disk(tmp_path / "ix", ix, "ann-index")
         assert restored.is_trained and len(restored) == len(ix)
         assert np.array_equal(restored.centroids, ix.centroids)
         assert restored.list_sizes() == ix.list_sizes()
@@ -142,8 +160,7 @@ class TestIndexRoundTrips:
         """An IVF snapshotted before its quantizer is trained restores as
         untrained and trains later exactly like the live instance."""
         ix = IVFFlatIndex(self.dim, n_clusters=4, nprobe=2)
-        save_index(tmp_path / "ix", ix)
-        restored = load_index(tmp_path / "ix")
+        restored = through_disk(tmp_path / "ix", ix, "ann-index")
         assert not restored.is_trained
         with pytest.raises(RuntimeError):
             restored.search(self.queries())
@@ -157,24 +174,9 @@ class TestIndexRoundTrips:
         self.assert_search_identical(ix, restored)
 
     def test_empty_indexes(self, tmp_path):
-        save_index(tmp_path / "e", FlatIndex(4))
-        restored = load_index(tmp_path / "e")
+        restored = through_disk(tmp_path / "e", FlatIndex(4), "ann-index")
         d, i = restored.search(np.zeros((1, 4), dtype=np.float32), k=2)
         assert np.all(np.isinf(d)) and np.all(i == -1)
-
-    def test_unknown_type_rejected(self, tmp_path):
-        with pytest.raises(SnapshotError, match="unknown index type"):
-            save_index(tmp_path / "ix", object())
-
-    def test_removed_hnsw_tag_fails_as_snapshot_error(self, tmp_path):
-        """An index snapshot written while the (never reachable) HNSW index
-        still existed must fail as a snapshot problem, not an import or
-        lookup error."""
-        write_snapshot(
-            tmp_path / "ix", {"index_type": "hnsw", "state": {}}, kind="ann-index"
-        )
-        with pytest.raises(SnapshotError, match="unknown index_type 'hnsw'"):
-            load_index(tmp_path / "ix")
 
 
 # -- key-value stores -------------------------------------------------------------------
@@ -233,8 +235,7 @@ class TestEncoderRoundTrip:
     def test_quantized_cnn_encoder(self, tmp_path):
         enc = CNNKeyEncoder(ChunkEncoder(input_hw=8, embed_dim=10, seed=5),
                             quantized=True)
-        save_encoder(tmp_path / "enc", enc)
-        restored = load_encoder(tmp_path / "enc")
+        restored = through_disk(tmp_path / "enc", enc, "key-encoder")
         assert restored.quantized and restored.dim == enc.dim
         rng = np.random.default_rng(2)
         chunk = (rng.standard_normal((3, 8, 8))
@@ -252,12 +253,7 @@ class TestEncoderRoundTrip:
     def test_float_encoder_flag(self, tmp_path):
         enc = CNNKeyEncoder(ChunkEncoder(input_hw=8, embed_dim=6, seed=1),
                             quantized=False)
-        save_encoder(tmp_path / "enc", enc)
-        assert not load_encoder(tmp_path / "enc").quantized
-
-    def test_wrong_object_rejected(self, tmp_path):
-        with pytest.raises(SnapshotError, match="CNNKeyEncoder"):
-            save_encoder(tmp_path / "enc", ChunkEncoder(input_hw=8))
+        assert not through_disk(tmp_path / "enc", enc, "key-encoder").quantized
 
 
 # -- the memoization database -----------------------------------------------------------
@@ -291,8 +287,7 @@ class TestDatabaseRoundTrips:
     def test_trained_db_bit_identical(self, tmp_path):
         db = populated_db(n=25)
         assert db.index.is_trained
-        save_database(tmp_path / "db", db)
-        restored = load_database(tmp_path / "db")
+        restored = through_disk(tmp_path / "db", db, "memo-database")
         assert len(restored) == len(db)
         assert db.stats.as_dict() == restored.stats.as_dict()
         probes = probe_keys(db)
@@ -308,8 +303,7 @@ class TestDatabaseRoundTrips:
         identically."""
         db = populated_db(n=4, train_min=32)
         assert not db.index.is_trained and len(db._pretrain) == 4
-        save_database(tmp_path / "db", db)
-        restored = load_database(tmp_path / "db")
+        restored = through_disk(tmp_path / "db", db, "memo-database")
         assert not restored.index.is_trained
         assert len(restored._pretrain) == len(db._pretrain)
         probes = probe_keys(db)
@@ -327,8 +321,7 @@ class TestDatabaseRoundTrips:
 
     def test_empty_db_round_trip(self, tmp_path):
         db = MemoDatabase(dim=8, tau=0.92)
-        save_database(tmp_path / "db", db)
-        restored = load_database(tmp_path / "db")
+        restored = through_disk(tmp_path / "db", db, "memo-database")
         assert len(restored) == 0
         probes = [np.ones(8, dtype=np.float32), np.zeros(8, dtype=np.float32)]
         outcomes_equal(db.query_batch(probes), restored.query_batch(probes))
@@ -340,40 +333,9 @@ class TestDatabaseRoundTrips:
         with pytest.raises(ValueError, match="'bytes' store"):
             MemoDatabase.from_state(state)
 
-    def test_snapshot_written_with_the_array_tag_still_loads(self, tmp_path):
-        """Snapshots from before the serialized value store was removed
-        carry ``value_mode: "array"`` in every database config."""
-        db = populated_db(n=10)
-        state = db.state_dict()
-        state["config"]["value_mode"] = "array"
-        write_snapshot(tmp_path / "db", state, kind="memo-database")
-        restored = load_database(tmp_path / "db")
-        probes = probe_keys(db)
-        outcomes_equal(db.query_batch(probes), restored.query_batch(probes))
-
-    @pytest.mark.parametrize("kind", ["memo-database", "memo-state"])
-    def test_removed_bytes_tag_fails_as_snapshot_error(self, tmp_path, kind):
-        """...and one written with ``value_mode: "bytes"`` must fail as a
-        snapshot problem naming the value, not a KeyError or a store error
-        deep inside ``from_state``."""
-        state = populated_db(n=4).state_dict()
-        state["config"]["value_mode"] = "bytes"
-        tree = state if kind == "memo-database" else {
-            "layout": "single",
-            "partitions": [{"op": "Fu1D", "location": 0, "db": state}],
-        }
-        write_snapshot(tmp_path / "snap", tree, kind=kind)
-        with pytest.raises(SnapshotError, match="value_mode 'bytes'"):
-            read_snapshot(tmp_path / "snap", expect_kind=kind)
-
     def test_opaque_meta_rejected(self):
         db = MemoDatabase(dim=4, tau=0.9)
         db.insert(np.ones(4, dtype=np.float32), np.ones(2, dtype=np.complex64),
                   meta=object())
         with pytest.raises(TypeError, match="pair"):
             db.state_dict()
-
-    def test_snapshot_files_exist(self, tmp_path):
-        save_database(tmp_path / "db", populated_db(n=10))
-        assert os.path.isfile(tmp_path / "db" / "manifest.json")
-        assert os.path.isfile(tmp_path / "db" / "arrays.npz")

@@ -1,22 +1,28 @@
 """Crash-safe snapshot I/O: corruption detection, quarantine, cold start.
 
-The robustness contract: every way a snapshot can rot on disk — truncated
-arrays, a bit-flipped manifest, a vanished partition file — surfaces as
-:class:`SnapshotError` on read; warm-start consumers (the solver, the
-scheduler, the server daemon) quarantine the evidence to ``<path>.corrupt``
-and cold-start instead of dying or silently serving a damaged tier.
+The robustness contract: every way a snapshot can rot on disk — a truncated
+file, a bit flipped in the header or the payload, junk, a vanished file —
+surfaces as :class:`SnapshotError` on read; a save interrupted at any step
+leaves the previous snapshot as it was; warm-start consumers (the solver,
+the scheduler, the server daemon) quarantine the evidence to
+``<path>.corrupt`` and cold-start instead of dying or silently serving a
+damaged tier.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import struct
 
 import pytest
 
+import repro.service.snapshot as snapshot_module
 from repro.core import MemoConfig, MLRConfig, MLRSolver
 from repro.core.memo_engine import memo_state_partitions
 from repro.faults import FaultPlan, FaultRule
 from repro.faults import runtime as faults
+from repro.kvstore.serialization import encode_tree
 from repro.lamino import LaminoGeometry, brain_like, simulate_data
 from repro.net import MemoServerDaemon
 from repro.obs import ObsConfig
@@ -30,7 +36,6 @@ from repro.service import (
     load_memo_snapshot,
     quarantine_snapshot,
     read_snapshot,
-    save_memo_snapshot,
     write_snapshot,
 )
 from repro.solvers import ADMMConfig
@@ -83,46 +88,71 @@ def counter_total(name: str) -> float:
     return sum(e["value"] for e in obs.snapshot() if e["name"] == name)
 
 
+HEADER_BYTES = 82  # magic 8 | version 2 | kind 32 | length 8 | sha256 32
+
+
+def damage(snapshot_dir, edit) -> None:
+    """Rewrite the snapshot's one file through ``edit(raw) -> raw``."""
+    target = snapshot_dir / "snapshot.mlr"
+    target.write_bytes(bytes(edit(bytearray(target.read_bytes()))))
+
+
+def flip(offset: int):
+    def edit(raw: bytearray) -> bytearray:
+        raw[offset] ^= 0x40
+        return raw
+
+    return edit
+
+
 class TestReadDetectsCorruption:
-    def test_truncated_arrays(self, snapshot_dir):
-        arrays = snapshot_dir / "arrays.npz"
-        raw = arrays.read_bytes()
-        arrays.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(SnapshotError, match="arrays"):
+    def test_truncated_file(self, snapshot_dir):
+        damage(snapshot_dir, lambda raw: raw[: len(raw) // 2])
+        with pytest.raises(SnapshotError, match="truncated"):
             read_snapshot(snapshot_dir, expect_kind="memo-state")
 
-    def test_bitflipped_manifest(self, snapshot_dir):
-        manifest = snapshot_dir / "manifest.json"
-        raw = bytearray(manifest.read_bytes())
-        raw[len(raw) // 2] ^= 0x40
-        manifest.write_bytes(bytes(raw))
+    def test_bitflipped_header(self, snapshot_dir):
+        damage(snapshot_dir, flip(HEADER_BYTES // 2))
         with pytest.raises(SnapshotError):
             read_snapshot(snapshot_dir, expect_kind="memo-state")
 
-    def test_checksum_drift_in_arrays(self, snapshot_dir):
-        """A payload bit-flip that keeps the zip container readable is
-        still caught by the per-array SHA-256 checksums."""
-        manifest = snapshot_dir / "manifest.json"
-        text = manifest.read_text()
-        # corrupt one stored checksum: content vs manifest now disagree
-        import json
-
-        doc = json.loads(text)
-        name = next(iter(doc["arrays"]))
-        doc["arrays"][name]["sha256"] = "0" * 64
-        manifest.write_text(json.dumps(doc))
+    def test_bitflipped_payload(self, snapshot_dir):
+        """A flipped payload bit leaves a file of the right format, version,
+        kind and length — only the SHA-256 over its bytes can tell."""
+        size = os.path.getsize(snapshot_dir / "snapshot.mlr")
+        damage(snapshot_dir, flip((HEADER_BYTES + size) // 2))
         with pytest.raises(SnapshotError, match="checksum"):
             read_snapshot(snapshot_dir, expect_kind="memo-state")
 
-    def test_deleted_partition_file(self, snapshot_dir):
-        os.unlink(snapshot_dir / "arrays.npz")
-        with pytest.raises(SnapshotError, match="arrays"):
+    def test_stored_digest_disagrees_with_content(self, snapshot_dir):
+        def zero_digest(raw: bytearray) -> bytearray:
+            raw[HEADER_BYTES - 32 : HEADER_BYTES] = bytes(32)
+            return raw
+
+        damage(snapshot_dir, zero_digest)
+        with pytest.raises(SnapshotError, match="checksum"):
             read_snapshot(snapshot_dir, expect_kind="memo-state")
 
-    def test_missing_manifest_reads_as_no_snapshot(self, snapshot_dir):
-        os.unlink(snapshot_dir / "manifest.json")
+    def test_junk_bytes(self, snapshot_dir):
+        damage(snapshot_dir, lambda raw: b"not a snapshot at all" * 8)
+        with pytest.raises(SnapshotError, match="not an mLR snapshot"):
+            read_snapshot(snapshot_dir, expect_kind="memo-state")
+
+    def test_missing_file_reads_as_no_snapshot(self, snapshot_dir):
+        os.unlink(snapshot_dir / "snapshot.mlr")
         with pytest.raises(SnapshotError, match="missing"):
             read_snapshot(snapshot_dir)
+
+    def test_overdeep_payload_is_a_snapshot_error(self, snapshot_dir):
+        """A well-formed, correctly checksummed file whose payload nests
+        5000 lists deep: refused by the codec's depth bound, typed — never
+        a ``RecursionError`` out of a boot path."""
+        payload = b"l\x01\0\0\0" * 5000 + b"N"
+        prefix = struct.pack("<8sH32sQ", b"mLRsnap\0", 3, b"memo-state", len(payload))
+        digest = hashlib.sha256(prefix + payload).digest()
+        damage(snapshot_dir, lambda raw: prefix + digest + payload)
+        with pytest.raises(SnapshotError, match="nests deeper"):
+            read_snapshot(snapshot_dir, expect_kind="memo-state")
 
     def test_fault_injected_write_corruption_is_caught(
         self, snapshot_tree, tmp_path
@@ -137,16 +167,124 @@ class TestReadDetectsCorruption:
         with pytest.raises(SnapshotError):
             read_snapshot(path, expect_kind="memo-state")
 
+    def test_fault_injected_read_corruption_is_caught(self, snapshot_dir):
+        plan = FaultPlan(5, (FaultRule("snapshot:read:*", "bitflip"),))
+        with faults.injected_faults(plan):
+            with pytest.raises(SnapshotError):
+                read_snapshot(snapshot_dir, expect_kind="memo-state")
+        assert plan.trace, "the read-path fault never fired"
+        read_snapshot(snapshot_dir, expect_kind="memo-state")  # disk is intact
+
+
+class _Crash(BaseException):
+    """The process dying mid-save: no ``except OSError`` clean-up runs."""
+
+
+class _Interrupted:
+    """Stand-in for one primitive of the durable write that raises
+    ``failure`` on its ``nth`` call (never, for ``nth=None``)."""
+
+    def __init__(self, real, failure=None, nth=None) -> None:
+        self.real, self.failure, self.nth = real, failure, nth
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.nth:
+            raise self.failure(f"interrupted at call {self.nth}")
+        return self.real(*args, **kwargs)
+
+
+class _TornFile:
+    """A file open for writing whose ``write`` goes through ``step`` and,
+    when that raises, has already put half the bytes on disk."""
+
+    def __init__(self, fh, step) -> None:
+        self.fh, self.step = fh, step
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, raw) -> None:
+        try:
+            self.step()
+        except BaseException:
+            self.fh.write(raw[: len(raw) // 2])
+            raise
+        self.fh.write(raw)
+
 
 class TestDurableWrite:
     def test_no_temp_files_left_behind(self, snapshot_dir):
-        leftovers = [f for f in os.listdir(snapshot_dir) if ".tmp." in f]
-        assert leftovers == []
+        assert os.listdir(snapshot_dir) == ["snapshot.mlr"]
 
     def test_rewrite_over_existing_snapshot(self, snapshot_tree, snapshot_dir):
         write_snapshot(snapshot_dir, snapshot_tree, kind="memo-state")
         tree = read_snapshot(snapshot_dir, expect_kind="memo-state")
         assert memo_state_partitions(tree)
+
+    def save_interrupted(self, monkeypatch, path, tree, step, failure, nth):
+        """Save ``tree`` with the ``nth`` call of one durable-write
+        primitive raising ``failure``; returns ``(calls made, renamed)``."""
+        interrupt = _Interrupted(
+            (lambda: None) if step == "write" else getattr(os, step), failure, nth
+        )
+        real_replace, renamed = os.replace, []
+
+        def replace(src, dst):
+            (interrupt if step == "replace" else real_replace)(src, dst)
+            renamed.append(dst)
+
+        with monkeypatch.context() as patch:
+            if step == "write":
+                patch.setattr(
+                    snapshot_module, "open",
+                    lambda name, mode: _TornFile(open(name, mode), interrupt)
+                    if "w" in mode else open(name, mode),
+                    raising=False,
+                )
+            elif step == "fsync":
+                patch.setattr(os, "fsync", interrupt)
+            patch.setattr(os, "replace", replace)
+            try:
+                write_snapshot(path, tree, kind="memo-state")
+            except failure:
+                pass
+        return interrupt.calls, bool(renamed)
+
+    @pytest.mark.parametrize("failure", [OSError, _Crash])
+    @pytest.mark.parametrize("step", ["write", "fsync", "replace"])
+    def test_interrupted_save_leaves_a_whole_snapshot(
+        self, snapshot_tree, tmp_path, monkeypatch, step, failure
+    ):
+        """Interrupt a save over an existing snapshot at every call of
+        every primitive of the durable write — half-way through the temp
+        file, at an fsync, at the rename: the directory then reads back as
+        exactly the previous tree, bit for bit, or (interrupted after the
+        rename) exactly the new one — never an error, never a mix."""
+        path = tmp_path / "tier"
+        newer = {"layout": "single", "partitions": [], "note": "the newer tree"}
+        clean_calls, renamed = self.save_interrupted(
+            monkeypatch, tmp_path / "dry-run", newer, step, failure, None
+        )
+        assert clean_calls > 0 and renamed
+        for nth in range(1, clean_calls + 1):
+            write_snapshot(path, snapshot_tree, kind="memo-state")
+            before = read_snapshot(path, expect_kind="memo-state")
+            _, renamed = self.save_interrupted(
+                monkeypatch, path, newer, step, failure, nth
+            )
+            # one tree has one encoding: equal bytes is node-for-node equal
+            after = read_snapshot(path, expect_kind="memo-state")
+            assert encode_tree(after) == encode_tree(newer if renamed else before)
+            if failure is OSError:  # survivable: the temp file is cleaned up
+                assert os.listdir(path) == ["snapshot.mlr"]
 
 
 class TestQuarantine:
@@ -168,7 +306,7 @@ class TestSolverColdStart:
     ):
         obs.configure(ObsConfig())
         geometry, data = problem
-        (snapshot_dir / "arrays.npz").write_bytes(b"not a zip at all")
+        (snapshot_dir / "snapshot.mlr").write_bytes(b"not a snapshot at all")
         solver = MLRSolver(
             geometry, config(memo_snapshot=str(snapshot_dir)), admm=ADMM
         )
@@ -192,7 +330,7 @@ class TestSolverColdStart:
     def test_explicit_load_still_raises(self, snapshot_dir):
         """Only the warm-start path degrades; a direct load call is an
         explicit request and keeps failing loudly."""
-        (snapshot_dir / "arrays.npz").write_bytes(b"junk")
+        (snapshot_dir / "snapshot.mlr").write_bytes(b"junk")
         with pytest.raises(SnapshotError):
             load_memo_snapshot(snapshot_dir)
 
@@ -206,7 +344,7 @@ class TestSchedulerEvents:
         )
 
     def test_job_records_snapshot_quarantined_event(self, problem, snapshot_dir):
-        (snapshot_dir / "arrays.npz").write_bytes(b"junk")
+        (snapshot_dir / "snapshot.mlr").write_bytes(b"junk")
         with ReconstructionScheduler(ServiceConfig(n_workers=1)) as sched:
             handle = sched.submit(
                 self.job(problem, "corrupt-snap", memo_snapshot=str(snapshot_dir))
@@ -246,10 +384,32 @@ class TestServerBoot:
     def test_daemon_quarantines_corrupt_boot_snapshot(
         self, snapshot_dir, snapshot_tree
     ):
-        (snapshot_dir / "arrays.npz").write_bytes(b"junk")
+        (snapshot_dir / "snapshot.mlr").write_bytes(b"junk")
         with MemoServerDaemon(
             memo=MemoConfig(**MEMO), snapshot_path=str(snapshot_dir)
         ) as srv:
             assert srv.stats.snapshots_quarantined == 1
             assert srv.router.entries() == 0  # cold boot
         assert os.path.isdir(f"{snapshot_dir}.corrupt")
+
+    def test_daemon_quarantines_a_pre_v3_directory(self, tmp_path):
+        """A manifest + npz directory is a snapshot this build cannot read:
+        moved aside whole like any other unusable one, so the daemon's own
+        saves land in a directory that holds exactly one file."""
+        old = tmp_path / "tier"
+        old.mkdir()
+        (old / "manifest.json").write_text('{"format": "mlr-snapshot", "version": 2}')
+        (old / "arrays.npz").write_bytes(b"PK")
+        with MemoServerDaemon(
+            memo=MemoConfig(**MEMO), snapshot_path=str(old)
+        ) as srv:
+            assert srv.stats.snapshots_quarantined == 1
+        assert sorted(os.listdir(f"{old}.corrupt")) == ["arrays.npz", "manifest.json"]
+        assert os.listdir(old) == ["snapshot.mlr"]  # the shutdown save
+
+    def test_daemon_boots_cold_where_nothing_was_saved(self, tmp_path):
+        with MemoServerDaemon(
+            memo=MemoConfig(**MEMO), snapshot_path=str(tmp_path / "fresh")
+        ) as srv:
+            assert srv.stats.snapshots_quarantined == 0
+        assert counter_total("snapshot_quarantined_total") == 0

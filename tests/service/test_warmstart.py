@@ -129,9 +129,10 @@ class TestShardedMemoState:
         for shard_state, shard in zip(tree["shards"],
                                       sharded_job.memo_executor.router.shards):
             assert len(shard_state["partitions"]) == len(shard._dbs)
-            assert shard_state["query_messages"] == shard.query_messages
+            # message counters are live observations, not persisted state
+            assert set(shard_state) == {"shard_id", "partitions"}
 
-    def test_sharded_restore_with_counters(self, problem, sharded_job):
+    def test_sharded_restore_keeps_entries_and_stats(self, problem, sharded_job):
         geometry, _d1, _d2 = problem
         tree = sharded_job.memo_executor.memo_state()
         fresh = MLRSolver(geometry, config(n_workers=2, n_shards=2,
@@ -140,9 +141,6 @@ class TestShardedMemoState:
         src = sharded_job.memo_executor.router
         assert router.entries() == src.entries()
         assert router.shard_stats() == src.shard_stats()
-        for a, b in zip(router.shards, src.shards):
-            assert a.query_messages == b.query_messages
-            assert a.insert_messages == b.insert_messages
 
     def test_cross_layout_and_reshard(self, problem, sharded_job):
         """Partitions are keyed by (op, location), so a sharded snapshot
@@ -157,9 +155,6 @@ class TestShardedMemoState:
         resharded = MLRSolver(geometry, config(n_workers=1, n_shards=3,
                                                memo_snapshot=tree), admm=ADMM)
         assert resharded.memo_executor.db_entries_total() == entries
-        # counters are shard observations: not carried across topologies
-        assert all(s.query_messages == 0
-                   for s in resharded.memo_executor.router.shards)
         # and the resharded warm start actually hits
         baseline = resharded.executor.db_stats_total()
         resharded.reconstruct(d2)
