@@ -25,11 +25,6 @@ def test_fig_warmstart(benchmark, warmstart):
     # cross-job recurrence is real signal, not just within-run reuse
     assert result.warm_hit_rate > result.first_job_hit_rate
 
-    # the persistence guarantee: save -> load answers bit-identically
-    assert result.snapshot_bit_identical
-    assert result.snapshot_partitions > 0
-    assert result.snapshot_nbytes > 0
-
 
 def test_fig_warmstart_traffic_sane(warmstart):
     rows = {(r[0], r[1]): r for r in warmstart.job_rows}

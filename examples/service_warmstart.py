@@ -10,10 +10,11 @@ end to end:
    scheduler's shared memo service seeds job 2 from job 1's database tier,
    and the per-job `MemoDBStats` deltas quantify the gain against a cold
    control run of the same scan.
-2. **Persistence** — the shared tier is saved as a versioned on-disk
-   snapshot (one checksummed file of the state-tree codec), loaded back,
-   and probed: the restored databases answer `query_batch` bit-identically
-   to the live ones.
+2. **Persistence** — the cold control's database tier is saved as a
+   versioned on-disk snapshot (one checksummed file of the state-tree
+   codec) and kept as an artifact; that restored databases answer
+   `query_batch` bit-identically is the test suite's job
+   (`tests/service/test_warmstart.py`).
 3. **Operations** — a burst of prioritized jobs on a bounded queue shows
    priority ordering, cooperative cancellation and admission control.
 
@@ -50,15 +51,14 @@ def warmstart_demo(out_dir: str, quick: bool) -> dict:
     assert result.warm_hit_rate > result.cold_hit_rate, (
         "warm-started job must beat its cold run"
     )
-    assert result.snapshot_bit_identical, "snapshot round trip must be bit-identical"
+    snapshot_nbytes = os.path.getsize(os.path.join(snapshot_dir, "snapshot.mlr"))
+    print(f"snapshot: {snapshot_nbytes / 1024:.1f} KiB on disk")
     return {
         "cold_hit_rate": result.cold_hit_rate,
         "warm_hit_rate": result.warm_hit_rate,
         "warm_gain": result.warm_gain,
         "first_job_hit_rate": result.first_job_hit_rate,
-        "snapshot_bit_identical": result.snapshot_bit_identical,
-        "snapshot_partitions": result.snapshot_partitions,
-        "snapshot_nbytes": result.snapshot_nbytes,
+        "snapshot_nbytes": snapshot_nbytes,
         "jobs": [
             dict(zip(["job", "mode", "queries", "hits", "hit_rate",
                       "entries_at_start"], row))

@@ -1,7 +1,7 @@
 """Growable contiguous row storage for incremental index structures.
 
-The ANN indexes (and the memoization database's cold-path buffer) grow one
-vector at a time for the lifetime of a reconstruction.  Holding those rows
+The ANN indexes (and the memoization database's columns) grow one
+row at a time for the lifetime of a reconstruction.  Holding those rows
 in a Python list forces every search to re-``np.stack`` the whole
 collection — an O(n) copy per query that dominates once databases reach
 thousands of entries.  :class:`GrowableRows` keeps the rows in one
@@ -42,6 +42,15 @@ class GrowableRows:
         self._buf = np.empty((int(capacity), *row_shape), dtype=dtype)
         self._n = 0
 
+    @classmethod
+    def adopting(cls, rows: np.ndarray) -> "GrowableRows":
+        """A full buffer whose rows *are* ``rows``, not a copy: with no
+        spare capacity the first append moves everything to a fresh buffer,
+        so ``rows`` is never written through this object."""
+        self = cls.__new__(cls)
+        self._buf, self._n = rows, len(rows)
+        return self
+
     def __len__(self) -> int:
         return self._n
 
@@ -67,6 +76,7 @@ class GrowableRows:
         cap = self._buf.shape[0]
         if need <= cap:
             return
+        cap = max(cap, 1)  # an adopted buffer may hold no rows at all
         while cap < need:
             cap *= 2
         buf = np.empty((cap, *self._buf.shape[1:]), dtype=self._buf.dtype)
@@ -90,7 +100,3 @@ class GrowableRows:
         self._reserve(m)
         self._buf[self._n : self._n + m] = rows
         self._n += m
-
-    def clear(self) -> None:
-        """Drop all rows (capacity is retained)."""
-        self._n = 0

@@ -44,31 +44,6 @@ class FlatIndex:
         self._norms2.extend(np.sum(vecs**2, axis=1))
         self._ids.extend(ids.astype(np.int64))
 
-    # -- snapshot hooks ---------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Complete, restorable state (arrays + JSON-able scalars only)."""
-        return {
-            "dim": self.dim,
-            "vecs": np.array(self._vecs.view, copy=True),
-            "norms2": np.array(self._norms2.view, copy=True),
-            "ids": np.array(self._ids.view, copy=True),
-            "ndis": self.n_distance_computations,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "FlatIndex":
-        """Rebuild an index that answers ``search`` bit-identically to the
-        instance that produced ``state``."""
-        ix = cls(int(state["dim"]))
-        vecs = np.asarray(state["vecs"], dtype=np.float32)
-        if len(vecs):
-            ix._vecs.extend(vecs)
-            ix._norms2.extend(np.asarray(state["norms2"], dtype=np.float32))
-            ix._ids.extend(np.asarray(state["ids"], dtype=np.int64))
-        ix.n_distance_computations = int(state["ndis"])
-        return ix
-
     def search(self, queries: np.ndarray, k: int = 1):
         """Return ``(distances, ids)`` of the ``k`` nearest stored vectors.
 

@@ -13,6 +13,11 @@ maintained at insert time (:class:`~repro.ann.buffer.GrowableRows`), so the
 candidate scan of a query is pure vector arithmetic over contiguous memory
 — the per-query ``np.stack`` over a Python list (an O(list) copy per probe)
 is gone.
+
+The list rows are the index's working copy, not its state: ``state_dict``
+carries the centroids and each list's ids, and ``from_state`` regathers the
+rows from the matrix its owner keeps (a memo partition's key column), so a
+serialized partition holds every vector once.
 """
 
 from __future__ import annotations
@@ -66,6 +71,10 @@ class IVFFlatIndex:
         self.nprobe = min(self.nprobe, k)
         self.centroids = centers.astype(np.float32)
         self._cent_norms2 = np.sum(self.centroids**2, axis=1)
+        self._new_lists()
+
+    def _new_lists(self) -> None:
+        k = self.n_clusters
         self._lists = [GrowableRows((self.dim,), np.float32) for _ in range(k)]
         self._list_norms2 = [GrowableRows((), np.float32) for _ in range(k)]
         self._list_ids = [GrowableRows((), np.int64) for _ in range(k)]
@@ -73,69 +82,78 @@ class IVFFlatIndex:
     # -- snapshot hooks ----------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Complete, restorable state — valid both before and after training.
+        """Restorable state — valid both before and after training — minus
+        the vectors, which the owner of the index keeps (once).
 
         An untrained index (the coarse quantizer not yet fitted) serializes
         as configuration only; a trained one carries the centroids and every
-        inverted list (vectors, maintained squared norms, ids).
+        inverted list's ids, in list order.
         """
         state = {
             "dim": self.dim,
             "n_clusters": self.n_clusters,
             "nprobe": self.nprobe,
-            "next_id": self._next_id,
             "ndis": self.n_distance_computations,
             "trained": self.is_trained,
         }
         if self.is_trained:
             state["centroids"] = np.array(self.centroids, copy=True)
-            state["lists"] = [
-                {
-                    "vecs": np.array(self._lists[c].view, copy=True),
-                    "norms2": np.array(self._list_norms2[c].view, copy=True),
-                    "ids": np.array(self._list_ids[c].view, copy=True),
-                }
-                for c in range(self.n_clusters)
-            ]
+            state["list_ids"] = [np.array(ids.view, copy=True) for ids in self._list_ids]
         return state
 
     @classmethod
-    def from_state(cls, state: dict) -> "IVFFlatIndex":
+    def from_state(cls, state: dict, vecs: np.ndarray) -> "IVFFlatIndex":
         """Rebuild an index that answers ``search`` bit-identically to the
-        instance that produced ``state`` (training state included)."""
+        instance that produced ``state`` (training state included).
+
+        ``vecs`` is the matrix the index was filled from, row ``i`` the
+        vector of id ``i``: list rows are regathered from it and their
+        squared norms recomputed (a row's norm does not depend on the batch
+        it was added in).  The list ids of a trained index must partition
+        ``[0, len(vecs))`` — anything else is a ``ValueError``.
+        """
         ix = cls(
             int(state["dim"]),
             n_clusters=int(state["n_clusters"]),
             nprobe=int(state["nprobe"]),
         )
         if state["trained"]:
+            vecs = np.asarray(vecs, dtype=np.float32)
             ix.centroids = np.asarray(state["centroids"], dtype=np.float32)
+            list_ids = [np.asarray(ids, dtype=np.int64) for ids in state["list_ids"]]
+            if (
+                ix.centroids.shape != (ix.n_clusters, ix.dim)
+                or vecs.shape != (len(vecs), ix.dim)
+                or len(list_ids) != ix.n_clusters
+                or not np.array_equal(
+                    np.sort(np.concatenate(list_ids)), np.arange(len(vecs))
+                )
+            ):
+                raise ValueError(
+                    f"IVF state is not {ix.n_clusters} lists partitioning the "
+                    f"ids [0, {len(vecs)}) of {ix.dim}-dim vectors"
+                )
             ix._cent_norms2 = np.sum(ix.centroids**2, axis=1)
-            k = ix.n_clusters
-            ix._lists = [GrowableRows((ix.dim,), np.float32) for _ in range(k)]
-            ix._list_norms2 = [GrowableRows((), np.float32) for _ in range(k)]
-            ix._list_ids = [GrowableRows((), np.int64) for _ in range(k)]
-            for c, lst in enumerate(state["lists"]):
-                vecs = np.asarray(lst["vecs"], dtype=np.float32)
-                if len(vecs):
-                    ix._lists[c].extend(vecs)
-                    ix._list_norms2[c].extend(np.asarray(lst["norms2"], dtype=np.float32))
-                    ix._list_ids[c].extend(np.asarray(lst["ids"], dtype=np.int64))
-        ix._next_id = int(state["next_id"])
+            ix._new_lists()
+            for c, ids in enumerate(list_ids):
+                rows = vecs[ids]
+                ix._lists[c].extend(rows)
+                ix._list_norms2[c].extend(np.sum(rows**2, axis=1))
+                ix._list_ids[c].extend(ids)
+            ix._next_id = len(vecs)
         ix.n_distance_computations = int(state["ndis"])
         return ix
 
     # -- insertion ---------------------------------------------------------------------
 
-    def add(self, vecs: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
-        """Dynamic insertion: O(1) append to the nearest cluster's list."""
+    def add(self, vecs: np.ndarray) -> np.ndarray:
+        """Dynamic insertion: O(1) append to the nearest cluster's list.
+        Returns the ids given — dense, in insertion order from 0."""
         if not self.is_trained:
             raise RuntimeError("index must be trained before adding vectors")
         vecs = np.atleast_2d(np.asarray(vecs, dtype=np.float32))
-        if ids is None:
-            ids = np.arange(self._next_id, self._next_id + len(vecs))
-        ids = np.asarray(ids, dtype=np.int64)
-        self._next_id = max(self._next_id, int(ids.max()) + 1)
+        ids = np.arange(self._next_id, self._next_id + len(vecs), dtype=np.int64)
+        self._next_id += len(vecs)
         cl = self._nearest_clusters(vecs, 1)[:, 0]
         norms2 = np.sum(vecs**2, axis=1)
         if len(vecs) == 1:

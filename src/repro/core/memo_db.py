@@ -1,15 +1,24 @@
 """The distributed memoization database (paper Section 4.3.2, Figure 6).
 
-Two cooperating stores on the (simulated) memory node:
+Two cooperating stores on the (simulated) memory node that meet at an entry
+id:
 
 - an **index database** organizing keys by similarity — an IVF ANN index
   (:class:`~repro.ann.IVFFlatIndex`), trained lazily on the first keys and
   supporting O(1) dynamic insertion,
 - a **value database** holding the FFT-operation outputs under integer
-  ids: an :class:`~repro.kvstore.ArrayStore`, which keeps the ndarrays in
+  ids: a :class:`~repro.kvstore.KVStore`, which keeps the ndarrays in
   memory — zero-copy hits — while *accounting* every byte as the
   serialized frame (:func:`~repro.kvstore.encode_array`) the wire and the
   spill/offload paths would carry.
+
+A :class:`MemoDatabase` is one partition of it, kept as **one table with one
+row per entry**: the row index is the id, the key matrix holds every key
+once (the cold scan's candidates before training, the index's source
+after, the Eq. 3 gate's operand throughout), the reuse metadata are
+columns beside it and the value store is the value column.  Its state tree
+says the same — columns of one length, the index referring to rows by id —
+and ``from_state`` checks exactly that.
 
 A query encodes nothing itself: it receives a key vector, finds the nearest
 stored key, gates on the paper's Eq. 3 cosine-similarity threshold tau, and
@@ -20,11 +29,11 @@ The service API (Section 4.3.3) is a *true* batch: one coalesced key
 message becomes one stacked ``index.search`` (a single GEMM against the
 probed inverted lists) instead of a Python loop of scalar searches, and a
 batched insert trains/extends the index with stacked vectors.  Every
-per-key decision — the cold-database pretrain scan (vectorized over
-candidates) and the Eq. 3 gate — is independent of the batch it travels
-in, so a batch returns bit-identical outcomes and byte counters to the
-same keys sent one per message, on trained and cold databases alike;
-``query`` / ``insert`` are exactly that one-item message.
+per-key decision — the cold-database scan (vectorized over candidates) and
+the Eq. 3 gate — is independent of the batch it travels in, so a batch
+returns bit-identical outcomes and byte counters to the same keys sent one
+per message, on trained and cold databases alike; ``query`` / ``insert``
+are exactly that one-item message.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import numpy as np
 from ..ann.buffer import GrowableRows
 from ..ann.ivf import IVFFlatIndex
 from ..kvstore.serialization import encoded_nbytes
-from ..kvstore.store import ArrayStore
+from ..kvstore.store import KVStore
 from ..obs import runtime as obs
 
 __all__ = ["MemoDBStats", "QueryOutcome", "MemoDatabase"]
@@ -114,11 +123,13 @@ class QueryOutcome:
 
 @dataclass
 class MemoDatabase:
-    """Index + value store for one FFT operation's memoization table.
+    """One FFT operation's memoization table at one chunk location: a
+    partition, one row per entry.
 
-    Values are kept as read-only in-memory ndarrays: hits return the stored
-    array without a decode copy, while all byte statistics report the
-    serialized frame size (what Figures 10/11/15 count).
+    The row index *is* the entry id (ids are dense by construction: cold
+    inserts number themselves by position, then the index continues from
+    there).  All byte statistics report the serialized frame size of a
+    value (what Figures 10/11/15 count).
     """
 
     dim: int
@@ -128,11 +139,16 @@ class MemoDatabase:
     train_min: int = 32
 
     index: IVFFlatIndex = field(init=False)
-    values: ArrayStore = field(init=False)
+    values: KVStore = field(init=False)
     stats: MemoDBStats = field(init=False)
-    _pretrain: GrowableRows = field(init=False, repr=False)
-    _keys: dict = field(init=False, default_factory=dict)
-    _meta: dict = field(init=False, default_factory=dict)
+    #: the key column: the cold scan's candidate set until ``train_min``
+    #: rows exist, what the index is trained and filled from, and what the
+    #: Eq. 3 gate reads
+    _keys: GrowableRows = field(init=False, repr=False)
+    #: the reuse-metadata columns: whether a row has any, its AC norm, its DC
+    _meta_has: GrowableRows = field(init=False, repr=False)
+    _meta_ac: GrowableRows = field(init=False, repr=False)
+    _meta_dc: GrowableRows = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tau <= 1.0):
@@ -140,9 +156,14 @@ class MemoDatabase:
         self.index = IVFFlatIndex(
             self.dim, n_clusters=self.index_clusters, nprobe=self.index_nprobe
         )
-        self.values = ArrayStore()
+        self.values = KVStore()
         self.stats = MemoDBStats()
-        self._pretrain = GrowableRows((self.dim,), np.float32)
+        self._keys = GrowableRows((self.dim,), np.float32)
+        self._meta_has = GrowableRows((), np.uint8)
+        self._meta_ac = GrowableRows((), np.float64)
+        # the DC term is kept at storage precision, off the hot path
+        # analysis: ignore[dtype-widen]
+        self._meta_dc = GrowableRows((), np.complex128)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -155,17 +176,18 @@ class MemoDatabase:
             raise ValueError(f"key dim {key.shape[0]} != {self.dim}")
         return key
 
-    def _index_key(self, key: np.ndarray) -> int:
-        """Register one key with the (possibly still cold) index; returns id."""
-        if self.index.is_trained:
-            return int(self.index.add(key[None])[0])
-        self._pretrain.append(key)
-        if len(self._pretrain) >= self.train_min:
-            self.index.train(self._pretrain.view)
-            ids = self.index.add(self._pretrain.view)
-            self._pretrain.clear()
-            return int(ids[-1])
-        return len(self._pretrain) - 1
+    @staticmethod
+    def _meta_row(meta) -> tuple[int, float, complex]:
+        """One item's reuse metadata as its ``(has, ac, dc)`` column cells:
+        ``None`` or an ``(ac_norm, dc)`` pair (what the memoization engine
+        stores); anything else is a ``TypeError``."""
+        if meta is None:
+            return 0, 0.0, 0j
+        try:
+            ac, dc = meta
+            return 1, float(ac), complex(dc)
+        except (TypeError, ValueError):
+            raise TypeError(f"metadata is not a (ac, dc) pair: {meta!r}") from None
 
     def insert(self, key: np.ndarray, value: np.ndarray, meta=None) -> int:
         """DB.Put of one pair: a one-item :meth:`insert_batch` message."""
@@ -176,28 +198,40 @@ class MemoDatabase:
         (key, value) pair plus the reuse metadata (input-chunk DC and AC
         norm); ids in item order.
 
-        Keys destined for a trained index are stacked and added in one call
-        (one cluster-assignment GEMM); the pretrain buffer (training the
-        coarse quantizer once enough keys accumulated) and value puts
-        proceed item by item, so the resulting database state is identical
-        to inserting one item at a time.
+        The rows are appended first; a cold index is then trained on the
+        prefix that reaches ``train_min`` rows and filled with it, and the
+        rows past it are added in one call (one cluster-assignment GEMM) —
+        so the resulting database state is identical to inserting one item
+        at a time.  Value puts proceed item by item; keys, metadata and
+        values are all checked before the first row is appended, so a
+        refused batch leaves every column as it was.
         """
         items = list(items)
         if not items:
             return []
-        keys = [self._check_key(k) for k, _v, _m in items]
-        ids: list[int] = []
-        i = 0
-        # cold prefix: fill the pretrain buffer (training once it fills)
-        while i < len(items) and not self.index.is_trained:
-            ids.append(self._index_key(keys[i]))
-            i += 1
-        # trained remainder: one stacked dynamic insertion
-        if i < len(items):
-            ids.extend(int(x) for x in self.index.add(np.stack(keys[i:])))
-        for new_id, key, (_k, value, meta) in zip(ids, keys, items):
-            self._keys[new_id] = key
-            self._meta[new_id] = meta
+        keys = np.stack([self._check_key(k) for k, _v, _m in items])
+        metas = [self._meta_row(m) for _k, _v, m in items]
+        for _k, value, _m in items:
+            if not isinstance(value, np.ndarray):  # what ``values.put`` refuses
+                raise TypeError(f"value must be an ndarray, got {type(value).__name__}")
+        first = len(self._keys)
+        self._keys.extend(keys)
+        for has, ac, dc in metas:
+            self._meta_has.append(has)
+            self._meta_ac.append(ac)
+            self._meta_dc.append(dc)
+        rows = self._keys.view
+        added = first
+        if not self.index.is_trained:
+            # the cold scan's rows stay candidates until train_min of them exist
+            added = max(self.train_min, first + 1)
+            if len(rows) >= added:
+                self.index.train(rows[:added])
+                self.index.add(rows[:added])
+        if self.index.is_trained and added < len(rows):
+            self.index.add(rows[added:])
+        ids = list(range(first, len(rows)))
+        for new_id, (_k, value, _m) in zip(ids, items):
             self.stats.inserts += 1
             self.values.put(new_id, value)
             self.stats.bytes_inserted += encoded_nbytes(value)
@@ -207,9 +241,10 @@ class MemoDatabase:
     # -- lookup ------------------------------------------------------------------------
 
     def _cold_best(self, key: np.ndarray) -> tuple[int, float]:
-        """Vectorized linear scan of the pretrain buffer: ``(best_id, best
-        similarity)``; first maximum wins, matching the scalar-scan order."""
-        cands = self._pretrain.view
+        """Vectorized linear scan of the rows of a still-untrained
+        partition: ``(best_id, best similarity)``; first maximum wins,
+        matching the scalar-scan order."""
+        cands = self._keys.view
         if not len(cands):
             return -1, -2.0
         na = float(np.linalg.norm(key))
@@ -220,21 +255,21 @@ class MemoDatabase:
         best = int(np.argmax(sims))
         return best, float(sims[best])
 
-    def _gate_rows(self, Q: np.ndarray, matched) -> np.ndarray:
+    def _gate_rows(self, Q: np.ndarray, matched: np.ndarray) -> np.ndarray:
         """Eq. 3 gate for row-aligned (query, matched-id) pairs, vectorized.
 
         Cosine similarity (:func:`~repro.solvers.metrics.cosine_similarity`
         semantics: zero-norm operands gate to 0) computed in float64 with
         einsum row reductions, which are independent of batch size — so a
-        1-row call is bit-identical to the same row inside a batch.  Ids
-        without a stored key gate to -2.
+        1-row call is bit-identical to the same row inside a batch.  A
+        query the index found no neighbour for (id -1) gates to -2.
         """
         sims = np.full(len(matched), -2.0)
-        rows = [i for i, mid in enumerate(matched) if self._keys.get(int(mid)) is not None]
-        if not rows:
+        rows = np.flatnonzero(matched >= 0)
+        if not len(rows):
             return sims
         Qd = Q[rows].astype(np.float64)
-        Kd = np.stack([self._keys[int(matched[i])] for i in rows]).astype(np.float64)
+        Kd = self._keys.view[matched[rows]].astype(np.float64)
         dots = np.einsum("ij,ij->i", Qd, Kd)
         denom = np.sqrt(np.einsum("ij,ij->i", Qd, Qd)) * np.sqrt(
             np.einsum("ij,ij->i", Kd, Kd)
@@ -251,7 +286,13 @@ class MemoDatabase:
             if value is not None:
                 self.stats.hits += 1
                 self.stats.bytes_fetched += encoded_nbytes(value)
-                return QueryOutcome(value, sim, matched, n, self._meta.get(matched))
+                meta = None
+                if self._meta_has.view[matched]:
+                    meta = (
+                        float(self._meta_ac.view[matched]),
+                        complex(self._meta_dc.view[matched]),
+                    )
+                return QueryOutcome(value, sim, matched, n, meta)
         if not self.index.is_trained:
             # cold-database misses never expose the scan's candidate id
             return QueryOutcome(None, sim, -1, n)
@@ -298,38 +339,12 @@ class MemoDatabase:
     # -- snapshot hooks ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Complete, restorable state: configuration, the ANN index (trained
-        or still cold), the value store, the gate's key table, the reuse
-        metadata, the pretrain buffer, and the traffic statistics.
-
-        Reuse metadata entries must be ``None`` or ``(ac_norm, dc)`` pairs
-        (what the memoization engine stores); anything else is not
-        snapshot-serializable and raises ``TypeError``.
-        """
-        ids = list(self._keys)
-        keys = (
-            np.stack([self._keys[i] for i in ids])
-            if ids
-            else np.zeros((0, self.dim), dtype=np.float32)
-        )
-        meta_has = np.zeros(len(ids), dtype=np.uint8)
-        meta_ac = np.zeros(len(ids), dtype=np.float64)
-        # snapshot metadata keeps the DC term at storage precision, off the hot path
-        # analysis: ignore[dtype-widen]
-        meta_dc = np.zeros(len(ids), dtype=np.complex128)
-        for row, i in enumerate(ids):
-            meta = self._meta.get(i)
-            if meta is None:
-                continue
-            try:
-                ac, dc = meta
-            except (TypeError, ValueError):
-                raise TypeError(
-                    f"metadata for id {i} is not a (ac, dc) pair: {meta!r}"
-                ) from None
-            meta_has[row] = 1
-            meta_ac[row] = float(ac)
-            meta_dc[row] = complex(dc)
+        """Complete, restorable state as one table: columns of one length
+        ``n`` — ``key_ids``, ``keys (n, dim)``, ``meta_has`` / ``meta_ac`` /
+        ``meta_dc`` and the value store's (``values``) — beside the
+        configuration, the traffic statistics and the ANN index (trained or
+        still cold), which refers to rows by id and holds no vectors of its
+        own."""
         return {
             "config": {
                 "dim": self.dim,
@@ -341,18 +356,31 @@ class MemoDatabase:
             "index": self.index.state_dict(),
             "values": self.values.state_dict(),
             "stats": self.stats.as_dict(),
-            "pretrain": np.array(self._pretrain.view, copy=True),
-            "key_ids": np.asarray(ids, dtype=np.int64),
-            "keys": keys,
-            "meta_has": meta_has,
-            "meta_ac": meta_ac,
-            "meta_dc": meta_dc,
+            "key_ids": np.arange(len(self._keys), dtype=np.int64),
+            "keys": np.array(self._keys.view, copy=True),
+            "meta_has": np.array(self._meta_has.view, copy=True),
+            "meta_ac": np.array(self._meta_ac.view, copy=True),
+            "meta_dc": np.array(self._meta_dc.view, copy=True),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "MemoDatabase":
         """Rebuild a database that answers ``query``/``query_batch``
-        bit-identically to the instance that produced ``state``."""
+        bit-identically to the instance that produced ``state``.
+
+        What crosses the boundary is validated once, by shape: every column
+        has the length ``n`` of ``key_ids``, ``keys`` is ``(n, dim)``,
+        ``key_ids`` is ``arange(n)``, the value store holds exactly those
+        ids (nothing evicts from a partition's store yet: the day something
+        does, this becomes "a subset"), and a trained index's lists
+        partition them.  Anything else is a ``ValueError``.
+
+        The columns are adopted, not copied (the values already are, see
+        :meth:`KVStore.from_state`): rows are only ever appended and an
+        adopted column is full, so the first insert moves the partition to
+        buffers of its own and the tree's arrays are never written — a tier
+        handing its partitions to a job and taking them back copies each
+        key once (in ``state_dict``)."""
         cfg = state["config"]
         db = cls(
             dim=int(cfg["dim"]),
@@ -361,20 +389,29 @@ class MemoDatabase:
             index_nprobe=int(cfg["index_nprobe"]),
             train_min=int(cfg["train_min"]),
         )
-        db.index = IVFFlatIndex.from_state(state["index"])
-        db.values = ArrayStore.from_state(state["values"])
+        key_ids = np.asarray(state["key_ids"], dtype=np.int64)
+        n = len(key_ids)
+        for name in ("keys", "meta_has", "meta_ac", "meta_dc"):
+            rows = getattr(db, f"_{name}")
+            column = np.require(state[name], dtype=rows.dtype, requirements="C")
+            if column.shape != (n, *rows.row_shape):
+                raise ValueError(
+                    f"partition column {name!r} is {column.shape}, "
+                    f"not {(n, *rows.row_shape)}"
+                )
+            setattr(db, f"_{name}", GrowableRows.adopting(column))
+        db.values = KVStore.from_state(state["values"])
+        if not np.array_equal(key_ids, np.arange(n)) or sorted(
+            db.values.keys()
+        ) != list(range(n)):
+            raise ValueError(f"partition ids are not the rows [0, {n}) on every column")
+        db.index = IVFFlatIndex.from_state(state["index"], db._keys.view)
         db.stats = MemoDBStats(**{k: int(v) for k, v in state["stats"].items()})
-        pretrain = np.asarray(state["pretrain"], dtype=np.float32)
-        if len(pretrain):
-            db._pretrain.extend(pretrain)
-        keys = np.asarray(state["keys"], dtype=np.float32)
-        meta_has = np.asarray(state["meta_has"])
-        meta_ac = np.asarray(state["meta_ac"])
-        meta_dc = np.asarray(state["meta_dc"])
-        for row, i in enumerate(np.asarray(state["key_ids"], dtype=np.int64)):
-            i = int(i)
-            db._keys[i] = np.ascontiguousarray(keys[row])
-            db._meta[i] = (
-                (float(meta_ac[row]), complex(meta_dc[row])) if meta_has[row] else None
-            )
         return db
+
+    @staticmethod
+    def zero_hit_counts(state: dict) -> None:
+        """Reset every entry's heat hit count in a partition ``state`` (the
+        last-hit ticks stay): whoever is seeded from it counts its own hits."""
+        hits = state["values"]["heat_hits"]
+        state["values"]["heat_hits"] = np.zeros_like(hits)

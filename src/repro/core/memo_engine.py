@@ -618,12 +618,11 @@ class MemoizedExecutor(DirectExecutor):
         return None
 
     def memo_state(self) -> dict:
-        """The database tier as one restorable state tree, snapshotted per
-        shard through the router (each shard contributes its partitions,
-        keyed by ``(op, location)``; a remote router pulls the server's
-        tier), plus the key-encoder fingerprint the keys
-        were produced with and — for trained CNN encoders — the encoder
-        weights themselves."""
+        """The database tier as one restorable state tree, snapshotted
+        through the router (a flat list of ``(op, location)`` partitions; a
+        remote router pulls the server's tier), plus the key-encoder
+        fingerprint the keys were produced with and — for trained CNN
+        encoders — the encoder weights themselves."""
         state = self.router.state_dict()
         state["encoder"] = self._encoder_fingerprint()
         state["encoder_state"] = self._encoder_state()
@@ -637,7 +636,7 @@ class MemoizedExecutor(DirectExecutor):
         encoder and ops not memoized here are refused before anything
         moves, partitions gated by another tau by the tier itself (its
         push is all or nothing).  The partitions are handed to the tier
-        verbatim: either layout and any shard count load — partitions
+        verbatim: a tree taken at any shard count loads — partitions
         re-route by chunk location — and on a remote transport they travel
         as one snapshot message instead of being rebuilt locally (ANN index
         included) only to be re-serialized for the wire.  The executor's

@@ -20,9 +20,9 @@ of the reproduction:
   wrapper replicates over *any* list of tiers,
 - :class:`MemoShard` — one shard: the per ``(op, location)``
   :class:`~repro.core.memo_db.MemoDatabase` partitions it owns (each
-  partition bundles its own ANN index and
-  :class:`~repro.kvstore.ArrayStore`), served through the batched
-  ``query_batch`` / ``insert_batch`` API under the shard's own lock,
+  partition one table of entries with its own ANN index), served through
+  the batched ``query_batch`` / ``insert_batch`` API under the shard's own
+  lock,
 - :class:`MemoShardRouter` — the in-process tier and the one host of memo
   partitions: groups a coalesced key batch by owning shard, dispatches the
   per-shard sub-batches and reassembles outcomes in request order; holds
@@ -33,6 +33,22 @@ of the reproduction:
 Reuse stays scoped to a chunk location (Section 4.1), so sharding never
 changes *what* is memoized — only which service engine answers.  A single
 shard therefore reproduces the unsharded database bit for bit.
+
+**The memo-state tree** — what ``state_dict`` returns, ``push_state``
+takes, a ``MSG_SNAP_PUSH`` frame carries and a snapshot file holds — has
+one layout, flat because shard membership is pure routing::
+
+    {"n_shards": int,                       # of the tier that wrote it
+     "partitions": [{"op": str, "location": int, "db": <partition>}, ...],
+     "encoder": {...} | absent,             # key-encoder fingerprint
+     "encoder_state": {...} | None | absent}
+
+A ``<partition>`` is :meth:`MemoDatabase.state_dict
+<repro.core.memo_db.MemoDatabase.state_dict>`'s table.  This module owns
+the tree and the helpers others read it through
+(:func:`memo_state_partitions`, :func:`empty_memo_state`); the levels below
+belong to ``MemoDatabase``, :class:`~repro.ann.IVFFlatIndex` and
+:class:`~repro.kvstore.KVStore`.
 """
 
 from __future__ import annotations
@@ -53,6 +69,7 @@ from .memo_db import MemoDatabase, MemoDBStats, QueryOutcome
 __all__ = [
     "shard_of_location",
     "memo_state_partitions",
+    "empty_memo_state",
     "ShardQuery",
     "ShardInsert",
     "MemoTier",
@@ -74,11 +91,14 @@ def shard_of_location(location: int, n_shards: int) -> int:
 
 
 def memo_state_partitions(state: dict) -> list[dict]:
-    """Flat partition list of a ``memo_state()`` tree, layout-independent
-    (the sharded layout nests partitions per shard)."""
-    if state.get("layout") == "sharded":
-        return [p for s in state["shards"] for p in s["partitions"]]
-    return list(state["partitions"])
+    """The ``{op, location, db}`` partitions of a memo-state tree."""
+    return state["partitions"]
+
+
+def empty_memo_state(n_shards: int) -> dict:
+    """The tree of a tier that holds nothing: a cold router's, and what a
+    fail-open remote tier answers while its daemon is unreachable."""
+    return {"n_shards": n_shards, "partitions": []}
 
 
 def _scatter_gather(items: list, key_of, service) -> list:
@@ -155,7 +175,7 @@ class MemoTier(ABC):
 
     @abstractmethod
     def push_state(self, tree: dict) -> bool:
-        """Merge a ``memo_state()`` tree of either layout into the tier
+        """Merge a ``memo_state()`` tree into the tier
         (see :meth:`MemoShardRouter.push_state` for the merge and for what
         it rejects with ``ValueError``); False when a fail-open remote tier
         dropped it."""
@@ -297,9 +317,9 @@ class MemoShard:
 
     def heat_records(self) -> list[dict]:
         """Per-entry ``{op, shard, location, last, hits, nbytes}`` heat
-        records straight off the live value stores (the records
-        :func:`repro.obs.heat.entry_records` derives from a state tree,
-        without building one)."""
+        records straight off the live value stores — the one producer of
+        heat records (:func:`repro.obs.heat.entry_records` installs a tree
+        into a scratch router to read them)."""
         with self._lock:
             return [
                 {
@@ -316,16 +336,13 @@ class MemoShard:
 
     # -- snapshot hooks ------------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """This shard's partitions."""
+    def partition_states(self) -> list[dict]:
+        """This shard's partitions as ``{op, location, db}`` tree nodes."""
         with self._lock:
-            return {
-                "shard_id": self.shard_id,
-                "partitions": [
-                    {"op": op, "location": int(loc), "db": db.state_dict()}
-                    for (op, loc), db in self._dbs.items()
-                ],
-            }
+            return [
+                {"op": op, "location": int(loc), "db": db.state_dict()}
+                for (op, loc), db in self._dbs.items()
+            ]
 
 
 class MemoShardRouter(MemoTier):
@@ -438,14 +455,12 @@ class MemoShardRouter(MemoTier):
     # -- snapshot hooks ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Per-shard snapshot of the whole service (every shard contributes
+        """The whole tier as one memo-state tree (every shard contributes
         its partitions, each read at a batch boundary) plus the key-encoder
         provenance once one was pinned."""
-        tree = {
-            "layout": "sharded",
-            "n_shards": self.n_shards,
-            "shards": [shard.state_dict() for shard in self.shards],
-        }
+        tree = empty_memo_state(self.n_shards)
+        for shard in self.shards:
+            tree["partitions"].extend(shard.partition_states())
         with self._lock:
             if self.encoder is not None:
                 tree["encoder"] = dict(self.encoder)
@@ -454,9 +469,9 @@ class MemoShardRouter(MemoTier):
         return tree
 
     def push_state(self, tree: dict) -> bool:
-        """Merge a ``memo_state()`` tree of either layout into the tier,
-        routing every partition by its chunk location; a pushed partition
-        replaces a same-keyed one (:meth:`MemoShard.install`).
+        """Merge a ``memo_state()`` tree into the tier, routing every
+        partition by its chunk location; a pushed partition replaces a
+        same-keyed one (:meth:`MemoShard.install`).
 
         Because shard membership is pure routing (the consistent
         ``shard_of_location`` map), a snapshot taken at any shard count

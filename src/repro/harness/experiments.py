@@ -919,9 +919,6 @@ class WarmstartResult:
     first_job_hit_rate: float
     cold_hit_rate: float  # second scan on a fresh database
     warm_hit_rate: float  # second scan warm-started from the first job's db
-    snapshot_bit_identical: bool
-    snapshot_partitions: int
-    snapshot_nbytes: int
 
     @property
     def warm_gain(self) -> float:
@@ -939,86 +936,8 @@ class WarmstartResult:
             "",
             f"second-scan hit rate: cold {self.cold_hit_rate:.3f} -> "
             f"warm {self.warm_hit_rate:.3f} (gain +{self.warm_gain:.3f})",
-            f"snapshot: {self.snapshot_partitions} partitions, "
-            f"{self.snapshot_nbytes / 1024:.1f} KiB on disk, "
-            f"save->load query outcomes bit-identical: "
-            f"{self.snapshot_bit_identical}",
         ]
         return "\n".join(lines)
-
-
-def _outcomes_identical(a, b) -> bool:
-    """Bit-exact equality of two query_batch outcome lists."""
-    import numpy as np
-
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if (
-            x.similarity != y.similarity
-            or x.matched_id != y.matched_id
-            or x.n_entries != y.n_entries
-            or (x.value is None) != (y.value is None)
-            or x.stored_meta != y.stored_meta
-        ):
-            return False
-        if x.value is not None and not (
-            x.value.dtype == y.value.dtype
-            and x.value.shape == y.value.shape
-            and np.array_equal(x.value, y.value)
-        ):
-            return False
-    return True
-
-
-def _snapshot_proof(executor, snapshot_dir: str | None) -> tuple[bool, int, int]:
-    """Persist ``executor``'s database tier, load it back, and probe every
-    partition: the loaded database must answer ``query_batch`` on stored,
-    perturbed and adversarial keys bit-identically to the live one.
-
-    Returns ``(bit_identical, n_partitions, snapshot_nbytes)``.
-    """
-    import os
-    import tempfile
-
-    import numpy as np
-
-    from ..core.memo_db import MemoDatabase
-    from ..core.memo_shard import memo_state_partitions
-    from ..service.snapshot import load_memo_snapshot, save_memo_snapshot
-
-    own_tmp = snapshot_dir is None
-    path = tempfile.mkdtemp(prefix="mlr-snapshot-") if own_tmp else snapshot_dir
-    try:
-        save_memo_snapshot(path, executor)
-        nbytes = sum(
-            os.path.getsize(os.path.join(path, f)) for f in os.listdir(path)
-        )
-        loaded = {
-            (p["op"], int(p["location"])): MemoDatabase.from_state(p["db"])
-            for p in memo_state_partitions(load_memo_snapshot(path))
-        }
-        rng = np.random.default_rng(0)
-        identical, n_parts = True, 0
-        for shard in executor.router.shards:
-            for (op, loc), live in shard._dbs.items():
-                probes = [k.copy() for k in live._keys.values()]
-                probes += [k + rng.normal(0, 1e-3, k.shape).astype(np.float32)
-                           for k in probes[:8]]
-                probes.append(np.zeros(live.dim, dtype=np.float32))
-                n_parts += 1
-                restored = loaded.pop((op, int(loc)))
-                if not _outcomes_identical(
-                    live.query_batch(probes), restored.query_batch(probes)
-                ):
-                    identical = False
-        identical = identical and not loaded  # no extra partitions either
-        return identical, n_parts, nbytes
-    finally:
-        if own_tmp:
-            import shutil
-
-            shutil.rmtree(path, ignore_errors=True)
 
 
 def fig_warmstart(
@@ -1039,9 +958,8 @@ def fig_warmstart(
     - ``scan-2 (cold)`` runs standalone on a fresh database — the control
       the warm hit rate is measured against.
 
-    The cold solver's live database tier is then snapshotted to disk,
-    loaded back, and probed for bit-identical ``query_batch`` outcomes —
-    the persistence guarantee the service's durability rests on.
+    With ``snapshot_dir`` the cold solver's database tier is also saved
+    there as an on-disk snapshot (the artifact the service example keeps).
     """
     from ..lamino.projector import simulate_data
     from ..service import JobSpec, ReconstructionScheduler, ServiceConfig
@@ -1073,7 +991,8 @@ def fig_warmstart(
             if handle.error is not None:
                 raise handle.error
 
-    identical, n_parts, nbytes = _snapshot_proof(cold.memo_executor, snapshot_dir)
+    if snapshot_dir is not None:
+        cold.save_memo_snapshot(snapshot_dir)
 
     def row(name, mode, stats, entries):
         return [name, mode, stats.queries, stats.hits,
@@ -1089,7 +1008,4 @@ def fig_warmstart(
         first_job_hit_rate=h1.memo_delta.hit_rate,
         cold_hit_rate=cold_stats.hit_rate,
         warm_hit_rate=h2.memo_delta.hit_rate,
-        snapshot_bit_identical=identical,
-        snapshot_partitions=n_parts,
-        snapshot_nbytes=nbytes,
     )

@@ -1,10 +1,9 @@
 """Value-database substrate (Redis substitute)."""
 
 from .serialization import decode_array, encode_array, encoded_nbytes
-from .store import ArrayStore, KVStats, KVStore
+from .store import KVStats, KVStore
 
 __all__ = [
-    "ArrayStore",
     "decode_array",
     "encode_array",
     "encoded_nbytes",

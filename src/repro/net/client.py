@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..core.memo_db import MemoDBStats, QueryOutcome
-from ..core.memo_shard import MemoTier
+from ..core.memo_shard import MemoTier, empty_memo_state
 from ..faults import runtime as faults
 from ..obs import runtime as obs
 from .policy import RetryPolicy, seed_from_name
@@ -651,11 +651,11 @@ class RemoteMemoClient(MemoTier):
 
     def state_dict(self) -> dict:
         """Pull the server's full tier (``memo_state()``-compatible tree).
-        Fail-open returns an *empty* single-layout tree when the server is
-        unreachable — callers persisting it will persist a cold tier."""
+        Fail-open returns an *empty* tree when the server is unreachable —
+        callers persisting it will persist a cold tier."""
         reply = self._request_or_none(MSG_SNAP_PULL, {}, MSG_SNAP_PULL_OK)
         if reply is None:
-            return {"layout": "single", "partitions": []}
+            return empty_memo_state(self.n_shards)
         if not isinstance(reply.get("tree"), dict):
             raise MessageError("snapshot pull returned no tree")
         return reply["tree"]

@@ -42,7 +42,7 @@ import threading
 from operator import methodcaller
 
 from ..core.memo_db import MemoDBStats, QueryOutcome
-from ..core.memo_shard import MemoTier, _scatter_gather
+from ..core.memo_shard import MemoTier, _scatter_gather, empty_memo_state
 from ..obs import runtime as obs
 from .client import TransportUnavailable
 from .policy import CIRCUIT_OPEN, RetryPolicy
@@ -281,7 +281,7 @@ class ReplicatedMemoClient(MemoTier):
         tree = self._first_live(lambda t: t.state_dict())
         if tree is _MISSED:
             self._degrade("snapshot_pull")
-            return {"layout": "single", "partitions": []}
+            return empty_memo_state(self.n_shards)
         return tree
 
     def push_state(self, tree: dict) -> bool:

@@ -92,8 +92,11 @@ __all__ = [
 
 #: 2: the wire carries memo traffic only — the telemetry pulls (message
 #: types 13/14 and 17/18) are gone, served by the HTTP plane instead — and
-#: HELLO_OK / the stats reply shed the fields that went with them
-PROTOCOL_VERSION = 2
+#: HELLO_OK / the stats reply shed the fields that went with them.
+#: 3: the snapshot messages carry the flat memo-state tree (one table per
+#: partition, see :mod:`repro.core.memo_shard`); query / insert frames are
+#: unchanged
+PROTOCOL_VERSION = 3
 
 #: refuse to allocate for absurd declared lengths (corrupt or hostile frames)
 MAX_PAYLOAD_BYTES = 1 << 33  # 8 GiB

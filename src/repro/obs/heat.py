@@ -1,14 +1,15 @@
 """Memo-tier heat analytics: per-entry last-hit/hit-count roll-ups.
 
-The value stores track per-entry heat metadata (``KVStore._heat``:
-last-hit tick + hit count, persisted through ``state_dict``/snapshots and
-merged on absorb).  This module turns that raw metadata into the views the
-eviction work (ROADMAP) and capacity planning act on:
+The value stores track per-entry heat metadata (last-hit tick + hit count
+beside each value of a :class:`~repro.kvstore.KVStore`, persisted through
+``state_dict``/snapshots and merged on absorb).  The per-entry
+``{op, shard, location, last, hits, nbytes}`` records have one producer,
+:meth:`repro.core.memo_shard.MemoShardRouter.heat_records` on a live tier;
+this module turns them into the views the eviction work (ROADMAP) and
+capacity planning act on:
 
-- :func:`entry_records` — flatten a memo-state tree (snapshot or wire
-  pull) into per-entry ``{op, shard, location, last, hits, nbytes}``
-  records (a live tier yields the same records without building a tree:
-  :meth:`repro.core.memo_shard.MemoShardRouter.heat_records`),
+- :func:`entry_records` — the same records for a memo-state tree
+  (snapshot or wire pull), by installing it into a scratch router,
 - :func:`build_heat_report` / :func:`render_heat_report` — hit
   distribution by op, by shard and by age decile, the cold-entry fraction,
   and the projected bytes reclaimable at a staleness cutoff
@@ -38,55 +39,21 @@ __all__ = [
 AGE_EDGES = log_bucket_edges(1.0, 1e6, 1)
 
 
-def _value_nbytes(store_type: str, value) -> int:
-    if store_type == "array":
-        from ..kvstore.serialization import encoded_nbytes
-
-        return int(encoded_nbytes(value))
-    return len(value)
-
-
-def _records_from_values_state(vals_state: dict, op: str, shard: int, loc: int):
-    keys = vals_state.get("keys") or []
-    values = vals_state.get("vals") or []
-    heat_last = vals_state.get("heat_last") or [0.0] * len(keys)
-    heat_hits = vals_state.get("heat_hits") or [0] * len(keys)
-    store_type = str(vals_state.get("store_type", "bytes"))
-    for value, last, hits in zip(values, heat_last, heat_hits):
-        yield {
-            "op": op,
-            "shard": shard,
-            "location": loc,
-            "last": float(last),
-            "hits": int(hits),
-            "nbytes": _value_nbytes(store_type, value),
-        }
-
-
 def entry_records(tree: dict) -> list[dict]:
-    """Per-entry heat records for every partition of a memo-state tree
-    (either layout; shard attribution kept for sharded trees, single-layout
-    partitions count as shard 0).  Pre-heat-schema partitions yield
-    all-cold records rather than failing."""
-    if not isinstance(tree, dict) or "layout" not in tree:
-        raise ValueError("not a memo-state tree (missing 'layout')")
-    if tree.get("layout") == "sharded":
-        groups = [
-            (int(s.get("shard_id", i)), s.get("partitions") or [])
-            for i, s in enumerate(tree.get("shards") or [])
-        ]
-    else:
-        groups = [(0, tree.get("partitions") or [])]
-    records: list[dict] = []
-    for shard, parts in groups:
-        for part in parts:
-            vals = (part.get("db") or {}).get("values") or {}
-            records.extend(
-                _records_from_values_state(
-                    vals, str(part["op"]), shard, int(part["location"])
-                )
-            )
-    return records
+    """Per-entry heat records for every partition of a memo-state tree:
+    the tree is installed into a scratch router of its own shard count
+    (values by reference where a store would share them anyway) and read
+    back through the one producer of heat records, so shard attribution is
+    ``shard_of_location(location, n_shards)``."""
+    # function-level: obs is imported by core, not the other way round
+    from ..core.memo_db import MemoDatabase
+    from ..core.memo_shard import MemoShardRouter
+
+    if not isinstance(tree, dict) or not {"n_shards", "partitions"} <= tree.keys():
+        raise ValueError("not a memo-state tree (needs 'n_shards' and 'partitions')")
+    scratch = MemoShardRouter(int(tree["n_shards"]), MemoDatabase)
+    scratch.push_state(tree)
+    return scratch.heat_records()
 
 
 def age_histogram_entries(records: list[dict], now: float | None = None) -> list[dict]:

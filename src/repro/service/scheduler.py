@@ -195,8 +195,7 @@ class SharedMemoService:
         # (h + dh for a chained job, h + da + db for concurrent ones)
         # instead of counting the inherited hits once per absorb
         for part in memo_state_partitions(tree):
-            values = part["db"]["values"]
-            values["heat_hits"] = [0] * len(values["keys"])
+            MemoDatabase.zero_hit_counts(part["db"])
         executor.load_memo_state(tree)
         return True
 

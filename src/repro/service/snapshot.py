@@ -20,7 +20,10 @@ encoder), and a snapshot is such a state tree in **one file**:
 
 The payload is the state-tree codec the memo wire already speaks
 (:mod:`repro.kvstore.serialization`), so a tree has the same bytes in a
-``MSG_SNAP_PUSH`` frame and on disk, and the disk round trip is
+``MSG_SNAP_PUSH`` frame and on disk (format version 4 with wire protocol 3:
+the flat memo-state tree of :mod:`repro.core.memo_shard`, one table per
+partition; an older version is refused by number, there is no reader for
+it), and the disk round trip is
 structure-preserving: a tree read back is interchangeable with one taken
 live (the scheduler's shared memo service passes live trees;
 ``MLRConfig(memo_snapshot=...)`` accepts either).  The SHA-256 covers the
@@ -62,9 +65,9 @@ __all__ = [
 
 log = logging.getLogger("repro.service.snapshot")
 
-#: 3: one checksummed file holding the state-tree codec's payload.  Versions
-#: 1 and 2 were a JSON manifest beside an npz; no reader for them is kept.
-SNAPSHOT_VERSION = 3
+#: 3 was the same checksummed file around the per-shard tree with every key
+#: stored twice; 1 and 2 were a JSON manifest beside an npz
+SNAPSHOT_VERSION = 4
 
 _FILE = "snapshot.mlr"
 _LEGACY_MANIFEST = "manifest.json"  # what a version-1/2 directory holds instead

@@ -171,21 +171,28 @@ class TestGrowableRows:
         with pytest.raises(ValueError):
             g.extend(np.zeros((2, 5), dtype=np.float32))
 
-    def test_clear_keeps_capacity(self):
-        from repro.ann import GrowableRows
-
-        g = GrowableRows((2,), np.float32)
-        g.extend(np.ones((5, 2), dtype=np.float32))
-        g.clear()
-        assert len(g) == 0 and g.view.shape == (0, 2)
-        g.append(np.zeros(2, dtype=np.float32))
-        assert len(g) == 1
-
     def test_invalid_capacity(self):
         from repro.ann import GrowableRows
 
         with pytest.raises(ValueError):
             GrowableRows((2,), capacity=0)
+
+    def test_adopted_rows_are_shared_and_never_written(self):
+        from repro.ann import GrowableRows
+
+        rows = np.arange(6, dtype=np.float32).reshape(3, 2)
+        rows.setflags(write=False)  # a write through the buffer would raise
+        g = GrowableRows.adopting(rows)
+        assert len(g) == 3 and g.row_shape == (2,) and g.dtype == np.float32
+        assert np.shares_memory(g.view, rows)  # not a copy ...
+        g.append([6.0, 7.0])  # ... and full: growing moves to a fresh buffer
+        g.extend(np.full((5, 2), 9, dtype=np.float32))
+        assert len(g) == 9 and not np.shares_memory(g.view, rows)
+        np.testing.assert_array_equal(g.view[:4].ravel(), np.arange(8))
+        np.testing.assert_array_equal(rows.ravel(), np.arange(6))
+        empty = GrowableRows.adopting(rows[:0])  # no rows to adopt: still grows
+        empty.append([1.0, 2.0])
+        assert empty.view.tolist() == [[1.0, 2.0]]
 
 
 class TestIncrementalBuffers:

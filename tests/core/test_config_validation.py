@@ -44,7 +44,7 @@ class TestMLRConfig:
     def test_memo_snapshot_types(self):
         MLRConfig(memo_snapshot=None)
         MLRConfig(memo_snapshot="/some/path")
-        MLRConfig(memo_snapshot={"layout": "single", "partitions": []})
+        MLRConfig(memo_snapshot={"n_shards": 1, "partitions": []})
         with pytest.raises(ValueError, match="memo_snapshot"):
             MLRConfig(memo_snapshot=42)
 

@@ -79,7 +79,7 @@ class TestQueryBatchEquivalence:
         db_b, db_s = populated_pair(rng, n=48, train_min=16)
         assert db_b.index.is_trained
         probes = np.concatenate(
-            [make_keys(rng, 16), db_b._keys[3][None], db_b._keys[7][None]]
+            [make_keys(rng, 16), db_b._keys.view[3][None], db_b._keys.view[7][None]]
         )
         batched = db_b.query_batch(list(probes))
         scalar = [db_s.query(k) for k in probes]
@@ -91,7 +91,7 @@ class TestQueryBatchEquivalence:
     def test_cold_batch_equals_scalar_loop(self, rng):
         db_b, db_s = populated_pair(rng, n=10, train_min=100)
         assert not db_b.index.is_trained
-        probes = np.concatenate([make_keys(rng, 6), db_b._keys[2][None]])
+        probes = np.concatenate([make_keys(rng, 6), db_b._keys.view[2][None]])
         batched = db_b.query_batch(list(probes))
         scalar = [db_s.query(k) for k in probes]
         assert any(o.hit for o in batched)
@@ -124,7 +124,7 @@ class TestInsertBatchEquivalence:
         """Including train_min mid-batch: the quantizer trains at the same
         item either way, so ids and final state coincide."""
         keys, values = make_keys(rng, 14), make_values(rng, 14)
-        items = [(k, v, ("m", i)) for i, (k, v) in enumerate(zip(keys, values))]
+        items = [(k, v, (float(i), 1j * i)) for i, (k, v) in enumerate(zip(keys, values))]
         db_b = MemoDatabase(dim=8, tau=0.9, train_min=train_min)
         db_s = MemoDatabase(dim=8, tau=0.9, train_min=train_min)
         ids_b = db_b.insert_batch(items)
@@ -144,6 +144,30 @@ class TestInsertBatchEquivalence:
             db.insert_batch([(np.ones(5, dtype=np.float32), np.zeros(2), None)])
         # nothing was half-committed
         assert len(db) == 0 and db.stats.inserts == 0
+
+    @pytest.mark.parametrize("train_min", [4, 100])
+    def test_a_refused_item_leaves_every_column_as_it_was(self, rng, train_min):
+        """A bad value, metadata or key anywhere in a batch is refused before
+        the first row is appended: no column outgrows the value column, so
+        the state still loads (``from_state`` refuses ragged columns)."""
+        keys, values = make_keys(rng, 6), make_values(rng, 6)
+        db = MemoDatabase(dim=8, tau=0.9, train_min=train_min)
+        db.insert_batch([(k, v, None) for k, v in zip(keys[:5], values[:5])])
+        good = (keys[5], values[5], (1.0, 2j))
+        for bad, error in [
+            ((keys[5], values[5].tobytes(), None), TypeError),  # not an ndarray
+            ((keys[5], values[5], "meta"), TypeError),
+            ((keys[5][:3], values[5], None), ValueError),
+        ]:
+            with pytest.raises(error):
+                db.insert_batch([good, bad])
+            assert len(db._keys) == len(db._meta_has) == len(db) == 5
+            assert len(db.index) == (5 if db.index.is_trained else 0)
+            assert db.stats.inserts == 5 and db.stats.insert_batches == 1
+        restored = MemoDatabase.from_state(db.state_dict())
+        assert_outcomes_identical(
+            [restored.query(k) for k in keys], [db.query(k) for k in keys]
+        )
 
 
 class TestValueStore:

@@ -20,7 +20,7 @@ from repro.core import (
     PipelineConfig,
     shard_of_location,
 )
-from repro.core.memo_engine import make_db_factory, memo_state_partitions
+from repro.core.memo_engine import make_db_factory
 from repro.core.memo_shard import MemoTier
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
 from repro.lamino.chunking import Chunk
@@ -630,94 +630,28 @@ class TestTierSeam:
             assert [router.shard_of(loc) for loc in range(4)] == [0, 1, 0, 1]
 
 
-# -- snapshot layouts -----------------------------------------------------------------------
+# -- a snapshot the executor must refuse ----------------------------------------------------
+# (that a tree loads onto any worker x shard count is pinned on generated trees in
+# tests/service/test_state_tree_properties.py and on solver partitions in test_warmstart.py)
 
 
-def assert_tree_equal(a, b, path="tree"):
-    assert type(a) is type(b) or (
-        isinstance(a, (list, tuple)) and isinstance(b, (list, tuple))
-    ), path
-    if isinstance(a, dict):
-        assert a.keys() == b.keys(), path
-        for k in a:
-            assert_tree_equal(a[k], b[k], f"{path}.{k}")
-    elif isinstance(a, (list, tuple)):
-        assert len(a) == len(b), path
-        for i, (x, y) in enumerate(zip(a, b)):
-            assert_tree_equal(x, y, f"{path}[{i}]")
-    elif isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and np.array_equal(a, b), path
-    else:
-        assert a == b, path
-
-
-def sorted_partitions(state):
-    return sorted(
-        memo_state_partitions(state), key=lambda p: (p["op"], int(p["location"]))
-    )
-
-
-class TestSnapshotLayouts:
+class TestSnapshotRefusal:
     @pytest.fixture(scope="class")
-    def trees(self, reference):
-        """The same tier hand-built in both layouts: ``single`` (what every
-        snapshot written before the executors were unified contains) and a
-        3-shard ``sharded`` one."""
+    def tree(self, reference):
         ex, _ = reference
         live = ex.memo_state()
-        parts = sorted_partitions(live)
-        assert len(parts) == 16  # 4 ops x 4 locations
-        single = {
-            "layout": "single",
-            "encoder": live["encoder"],
-            "encoder_state": None,
-            "partitions": parts,
-        }
-        sharded = {
-            "layout": "sharded",
-            "n_shards": 3,
-            "encoder": live["encoder"],
-            "encoder_state": None,
-            "shards": [
-                {
-                    "shard_id": s,
-                    "partitions": [p for p in parts if int(p["location"]) % 3 == s],
-                }
-                for s in range(3)
-            ],
-        }
-        return parts, {"single": single, "sharded": sharded}
+        assert len(live["partitions"]) == 16  # 4 ops x 4 locations
+        return live
 
-    @pytest.mark.parametrize("layout", ["single", "sharded"])
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
-    def test_either_layout_loads_into_any_shape(self, problem, trees, layout, shape):
+    def test_mismatched_snapshot_rejected_before_install(self, problem, tree):
         g, ops, truth, d = problem
-        parts, by_layout = trees
-        n_workers, n_shards = shape
-        ex = MemoizedExecutor(
-            ops, config=memo_cfg(), chunk_size=4, n_workers=n_workers,
-            n_shards=n_shards,
-        )
-        ex.load_memo_state(by_layout[layout])
-        saved = ex.memo_state()
-        assert (saved["layout"], saved["n_shards"]) == ("sharded", n_shards)
-        assert_tree_equal(sorted_partitions(saved), parts)
-        for shard in saved["shards"]:
-            for part in shard["partitions"]:
-                assert int(part["location"]) % n_shards == shard["shard_id"]
-        # per-shard message counters are live observations, not state
-        assert all(set(s) == {"shard_id", "partitions"} for s in saved["shards"])
-
-    def test_mismatched_snapshot_rejected_before_install(self, problem, trees):
-        g, ops, truth, d = problem
-        _parts, by_layout = trees
         for over, match in (
             (dict(tau=0.95), "tau"),
             (dict(memo_ops=("Fu2D", "Fu2D*")), "not memoized here"),
         ):
             ex = MemoizedExecutor(ops, config=memo_cfg(**over), chunk_size=4)
             with pytest.raises(ValueError, match=match):
-                ex.load_memo_state(by_layout["single"])
+                ex.load_memo_state(tree)
             assert ex.router.entries() == 0
 
 

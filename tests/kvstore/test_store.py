@@ -1,4 +1,4 @@
-"""KV store semantics: eviction, stats, serialization round-trips."""
+"""KV store semantics: eviction, stats, stored values, state columns; array frames."""
 
 from __future__ import annotations
 
@@ -11,71 +11,83 @@ from hypothesis.extra import numpy as hnp
 from repro.kvstore import KVStore, decode_array, encode_array, encoded_nbytes
 
 
+def blob(n: int, fill: int = 0) -> np.ndarray:
+    """A value whose accounted (serialized-frame) size is ``n + HEADER``."""
+    return np.full(n, fill, dtype=np.uint8)
+
+
+#: what ``encoded_nbytes`` adds to a 1-d uint8 array's payload
+HEADER = encoded_nbytes(blob(0))
+
+
 class TestPutGet:
     def test_roundtrip(self):
         kv = KVStore()
-        kv.put("a", b"hello")
-        assert kv.get("a") == b"hello"
+        kv.put(1, blob(5, 7))
+        np.testing.assert_array_equal(kv.get(1), blob(5, 7))
 
     def test_miss_returns_none_and_counts(self):
         kv = KVStore()
-        assert kv.get("nope") is None
+        assert kv.get(404) is None
         assert kv.stats.misses == 1
 
     def test_overwrite_replaces_bytes(self):
         kv = KVStore()
-        kv.put("k", b"xxxx")
-        kv.put("k", b"yy")
-        assert kv.get("k") == b"yy"
-        assert kv.nbytes == 2
+        kv.put(1, blob(4, 1))
+        kv.put(1, blob(2, 2))
+        np.testing.assert_array_equal(kv.get(1), blob(2, 2))
+        assert kv.nbytes == HEADER + 2
 
-    def test_non_bytes_rejected(self):
+    def test_non_array_rejected(self):
         kv = KVStore()
-        with pytest.raises(TypeError):
-            kv.put("k", 123)
+        for value in (123, b"bytes", [1.0, 2.0]):
+            with pytest.raises(TypeError):
+                kv.put(1, value)
+        assert len(kv) == 0 and kv.nbytes == 0
 
     def test_delete(self):
         kv = KVStore()
-        kv.put("k", b"v")
-        assert kv.delete("k") is True
-        assert kv.delete("k") is False
+        kv.put(1, blob(1))
+        assert kv.delete(1) is True
+        assert kv.delete(1) is False
         assert kv.nbytes == 0
 
     def test_contains_and_len(self):
         kv = KVStore()
-        kv.put(1, b"a")
-        kv.put(2, b"b")
+        kv.put(1, blob(1))
+        kv.put(2, blob(1))
         assert 1 in kv and 3 not in kv
         assert len(kv) == 2
 
     def test_clear(self):
         kv = KVStore()
-        kv.put("k", b"v")
+        kv.put(1, blob(1))
         kv.clear()
         assert len(kv) == 0 and kv.nbytes == 0
 
 
 class TestEviction:
     def test_fifo_evicts_oldest(self):
-        kv = KVStore(capacity_bytes=10, eviction="fifo")
-        kv.put("a", b"12345")
-        kv.put("b", b"12345")
-        kv.put("c", b"1")  # evicts a
-        assert "a" not in kv and "b" in kv and "c" in kv
+        kv = KVStore(capacity_bytes=2 * (HEADER + 5), eviction="fifo")
+        kv.put(1, blob(5))
+        kv.put(2, blob(5))
+        kv.put(3, blob(1))  # evicts 1
+        assert 1 not in kv and 2 in kv and 3 in kv
         assert kv.stats.evictions == 1
 
     def test_lru_protects_recently_used(self):
-        kv = KVStore(capacity_bytes=10, eviction="lru")
-        kv.put("a", b"12345")
-        kv.put("b", b"12345")
-        kv.get("a")  # refresh a
-        kv.put("c", b"1")  # must evict b, not a
-        assert "a" in kv and "b" not in kv
+        kv = KVStore(capacity_bytes=2 * (HEADER + 5), eviction="lru")
+        kv.put(1, blob(5))
+        kv.put(2, blob(5))
+        kv.get(1)  # refresh 1
+        kv.put(3, blob(1))  # must evict 2, not 1
+        assert 1 in kv and 2 not in kv
 
-    def test_oversized_value_rejected(self):
-        kv = KVStore(capacity_bytes=4)
+    def test_oversized_value_rejected(self, rng):
         with pytest.raises(ValueError):
-            kv.put("k", b"12345")
+            KVStore(capacity_bytes=HEADER + 4).put(1, blob(5))
+        with pytest.raises(ValueError):
+            KVStore(capacity_bytes=64).put(1, rng.standard_normal(100))
 
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
@@ -86,10 +98,20 @@ class TestEviction:
             KVStore(capacity_bytes=0)
 
     def test_nbytes_never_exceeds_capacity(self):
-        kv = KVStore(capacity_bytes=16)
+        cap = 3 * HEADER + 16
+        kv = KVStore(capacity_bytes=cap)
         for i in range(50):
-            kv.put(i, bytes(i % 7 + 1))
-            assert kv.nbytes <= 16
+            kv.put(i, blob(i % 7 + 1))
+            assert kv.nbytes <= cap
+
+    def test_eviction_by_encoded_size(self, rng):
+        a = rng.standard_normal(8).astype(np.float32)
+        kv = KVStore(capacity_bytes=2 * encoded_nbytes(a) + 1)
+        kv.put(0, a)
+        kv.put(1, a)
+        kv.put(2, a)  # must evict the FIFO-oldest entry
+        assert kv.stats.evictions == 1
+        assert 0 not in kv and 1 in kv and 2 in kv
 
 
 class TestOverwriteAccounting:
@@ -98,73 +120,87 @@ class TestOverwriteAccounting:
 
     @staticmethod
     def _live_bytes(kv: KVStore) -> int:
-        return sum(len(kv.get(k)) for k in kv.keys())
+        return sum(encoded_nbytes(kv.get(k)) for k in kv.keys())
 
     def test_overwrite_grow_forces_eviction_and_stays_consistent(self):
-        kv = KVStore(capacity_bytes=10, eviction="fifo")
-        kv.put("a", b"1234")
-        kv.put("b", b"1234")
-        # growing "a" to 9 bytes must drop the old "a" (4) and evict "b"
-        kv.put("a", b"123456789")
-        assert "b" not in kv and "a" in kv
-        assert kv.nbytes == 9 == self._live_bytes(kv)
+        kv = KVStore(capacity_bytes=2 * HEADER + 10, eviction="fifo")
+        kv.put(1, blob(4))
+        kv.put(2, blob(4))
+        # growing 1 to HEADER + 9 bytes must drop the old 1 and evict 2
+        kv.put(1, blob(HEADER + 9))
+        assert 2 not in kv and 1 in kv
+        assert kv.nbytes == 2 * HEADER + 9 == self._live_bytes(kv)
         assert kv.stats.evictions == 1
 
     def test_overwrite_shrink_releases_bytes(self):
-        kv = KVStore(capacity_bytes=10)
-        kv.put("a", b"12345678")
-        kv.put("a", b"12")
-        assert kv.nbytes == 2 == self._live_bytes(kv)
+        kv = KVStore(capacity_bytes=2 * HEADER + 10)
+        kv.put(1, blob(8))
+        kv.put(1, blob(2))
+        assert kv.nbytes == HEADER + 2 == self._live_bytes(kv)
         # the freed space is genuinely reusable without eviction
-        kv.put("b", b"12345678")
+        kv.put(2, blob(8))
         assert kv.stats.evictions == 0
-        assert kv.nbytes == 10 == self._live_bytes(kv)
+        assert kv.nbytes == 2 * HEADER + 10 == self._live_bytes(kv)
 
     def test_overwrite_same_size_is_neutral(self):
-        kv = KVStore(capacity_bytes=8)
-        kv.put("a", b"1234")
-        kv.put("b", b"1234")
-        kv.put("a", b"abcd")
-        assert "b" in kv and kv.get("a") == b"abcd"
-        assert kv.nbytes == 8 == self._live_bytes(kv)
+        kv = KVStore(capacity_bytes=2 * (HEADER + 4))
+        kv.put(1, blob(4, 1))
+        kv.put(2, blob(4, 2))
+        kv.put(1, blob(4, 3))
+        assert 2 in kv
+        np.testing.assert_array_equal(kv.get(1), blob(4, 3))
+        assert kv.nbytes == 2 * (HEADER + 4) == self._live_bytes(kv)
         assert kv.stats.evictions == 0
 
     def test_overwrite_never_self_evicts_fresh_value(self):
-        """Overwriting the only key with a capacity-sized value must not
+        """Overwriting the only id with a capacity-sized value must not
         evict anything (the old bytes are released first)."""
-        kv = KVStore(capacity_bytes=8)
-        kv.put("a", b"12345678")
-        kv.put("a", b"abcdefgh")
-        assert kv.get("a") == b"abcdefgh"
-        assert kv.nbytes == 8 == self._live_bytes(kv)
+        kv = KVStore(capacity_bytes=HEADER + 8)
+        kv.put(1, blob(8, 1))
+        kv.put(1, blob(8, 2))
+        np.testing.assert_array_equal(kv.get(1), blob(8, 2))
+        assert kv.nbytes == HEADER + 8 == self._live_bytes(kv)
         assert kv.stats.evictions == 0
 
     def test_delete_after_overwrite_accounting(self):
-        kv = KVStore(capacity_bytes=20)
-        kv.put("a", b"123")
-        kv.put("a", b"1234567")
-        assert kv.delete("a") is True
+        kv = KVStore(capacity_bytes=2 * HEADER + 20)
+        kv.put(1, blob(3))
+        kv.put(1, blob(7))
+        assert kv.delete(1) is True
         assert kv.nbytes == 0 and len(kv) == 0
 
 
 class TestStats:
     def test_hit_rate(self):
         kv = KVStore()
-        kv.put("k", b"v")
-        kv.get("k")
-        kv.get("k")
-        kv.get("missing")
+        kv.put(1, blob(1))
+        kv.get(1)
+        kv.get(1)
+        kv.get(404)
         assert kv.stats.hit_rate == pytest.approx(2 / 3)
 
     def test_empty_hit_rate_zero(self):
         assert KVStore().stats.hit_rate == 0.0
 
-    def test_byte_accounting(self):
+    def test_byte_accounting_is_the_serialized_frame(self, rng):
+        """Every byte counter is the length of the ``encode_array`` frame of
+        the value — what a serialized store would have held."""
+        arrays = [
+            rng.standard_normal((4, 3)).astype(np.complex64),
+            rng.standard_normal(7).astype(np.float32),
+            rng.standard_normal((2, 2, 2)),
+        ]
+        frames = [len(encode_array(a)) for a in arrays]
         kv = KVStore()
-        kv.put("k", b"abcd")
-        kv.get("k")
-        assert kv.stats.bytes_in == 4
-        assert kv.stats.bytes_out == 4
+        for i, a in enumerate(arrays):
+            kv.put(i, a)
+        kv.get(0)
+        kv.get(99)
+        assert kv.nbytes == kv.stats.bytes_in == sum(frames)
+        assert kv.stats.bytes_out == frames[0]
+        assert (kv.stats.hits, kv.stats.misses, kv.stats.puts) == (1, 1, 3)
+        kv.delete(1)
+        assert kv.nbytes == frames[0] + frames[2]
 
 
 class TestSerialization:
@@ -199,47 +235,36 @@ class TestSerialization:
         with pytest.raises(ValueError):
             decode_array(b"mL")
 
-    def test_store_integration(self, rng):
-        kv = KVStore()
-        a = rng.standard_normal((3, 4)).astype(np.float32)
-        kv.put("arr", encode_array(a))
-        np.testing.assert_array_equal(decode_array(kv.get("arr")), a)
 
 
-class TestArrayStore:
-    """Zero-copy ndarray store: same accounting as serialized bytes."""
+class TestStoredValues:
+    """Zero-copy ndarray values: read-only, detached, shared on restore."""
 
     def test_get_returns_stored_array_read_only(self, rng):
-        from repro.kvstore import ArrayStore
-
-        st_ = ArrayStore()
+        st_ = KVStore()
         a = rng.standard_normal((3, 4)).astype(np.complex64)
-        st_.put("k", a)
-        got = st_.get("k")
+        st_.put(0, a)
+        got = st_.get(0)
         assert isinstance(got, np.ndarray)
         assert not got.flags.writeable
-        assert st_.get("k") is got  # zero-copy: the stored array itself
+        assert st_.get(0) is got  # zero-copy: the stored array itself
         np.testing.assert_array_equal(got, a)
 
     def test_put_detaches_from_caller_buffer(self, rng):
-        from repro.kvstore import ArrayStore
-
-        st_ = ArrayStore()
+        st_ = KVStore()
         a = np.ones(4, dtype=np.float32)
-        st_.put("k", a)
+        st_.put(0, a)
         a[:] = 7.0
-        np.testing.assert_array_equal(st_.get("k"), np.ones(4, dtype=np.float32))
+        np.testing.assert_array_equal(st_.get(0), np.ones(4, dtype=np.float32))
 
     def test_put_detaches_even_from_an_immutable_source(self, rng):
         """``put`` never adopts the caller's array, read-only or not — only
         ``from_state`` may share (below)."""
-        from repro.kvstore import ArrayStore
-
         a = rng.standard_normal(4).astype(np.float32)
         a.setflags(write=False)
-        st_ = ArrayStore()
-        st_.put("k", a)
-        assert not np.shares_memory(st_.get("k"), a)
+        st_ = KVStore()
+        st_.put(0, a)
+        assert not np.shares_memory(st_.get(0), a)
 
     def test_from_state_shares_immutable_values_and_copies_the_rest(self, rng):
         """A state tree's value that is read-only and owns its buffer is
@@ -248,9 +273,7 @@ class TestArrayStore:
         array, or a read-only *view* of someone's writable buffer, is
         copied — mutating the source afterwards cannot change a stored
         value."""
-        from repro.kvstore import ArrayStore
-
-        live = ArrayStore()
+        live = KVStore()
         for key in range(3):
             live.put(key, rng.standard_normal((2, 3)).astype(np.complex64))
         state = live.state_dict()
@@ -260,75 +283,67 @@ class TestArrayStore:
         borrowed.setflags(write=False)
         strided = np.asfortranarray(rng.standard_normal((3, 2)))
         strided.setflags(write=False)
-        state["keys"] += [["s", "writable"], ["s", "borrowed"], ["s", "strided"]]
+        WRITABLE, BORROWED, STRIDED = 10, 11, 12
+        state["ids"] = np.append(state["ids"], [WRITABLE, BORROWED, STRIDED])
         state["vals"] += [writable, borrowed, strided]
-        state["heat_last"] += [0.0] * 3
-        state["heat_hits"] += [0] * 3
+        state["heat_last"] = np.append(state["heat_last"], [0.0] * 3)
+        state["heat_hits"] = np.append(state["heat_hits"], [0] * 3)
 
-        restored = ArrayStore.from_state(state)
+        restored = KVStore.from_state(state)
         for key in range(3):
             assert np.shares_memory(restored.get(key), live.get(key))
             assert restored.get(key) is live.get(key)
-        for key, source in (("writable", writable), ("borrowed", base),
-                            ("strided", strided)):
+        for key, source in ((WRITABLE, writable), (BORROWED, base), (STRIDED, strided)):
             got = restored.get(key)
             assert not np.shares_memory(got, source)
             assert not got.flags.writeable and got.flags.c_contiguous
         writable[:] = 9.0
         base[:] = 9.0
-        np.testing.assert_array_equal(restored.get("writable"), np.ones(4, np.float32))
-        np.testing.assert_array_equal(restored.get("borrowed"), np.full(4, 2.0, np.float32))
-        np.testing.assert_array_equal(restored.get("strided"), strided)
+        np.testing.assert_array_equal(restored.get(WRITABLE), np.ones(4, np.float32))
+        np.testing.assert_array_equal(restored.get(BORROWED), np.full(4, 2.0, np.float32))
+        np.testing.assert_array_equal(restored.get(STRIDED), strided)
         assert restored.nbytes == sum(
             encoded_nbytes(v) for v in state["vals"]
         )
 
-    def test_non_array_rejected(self):
-        from repro.kvstore import ArrayStore
 
-        with pytest.raises(TypeError):
-            ArrayStore().put("k", b"bytes")
+class TestStateColumns:
+    def test_state_is_columns_of_one_length(self, rng):
+        kv = KVStore(capacity_bytes=10_000, eviction="lru")
+        for key in (5, 2, 9):
+            kv.put(key, rng.standard_normal(3))
+        kv.get(5)  # LRU: 5 moves to the back
+        state = kv.state_dict()
+        assert set(state) == {"capacity_bytes", "eviction", "ids", "vals",
+                              "heat_last", "heat_hits", "stats"}
+        assert state["ids"].dtype == np.int64 and state["ids"].tolist() == [2, 9, 5]
+        assert state["heat_last"].dtype == np.float64
+        assert state["heat_hits"].dtype == np.int64
+        assert state["heat_hits"].tolist() == [0, 0, 1]
+        assert [v is kv.get(k) for k, v in zip((2, 9, 5), state["vals"])] == [True] * 3
 
-    def test_accounting_matches_serialized_kvstore(self, rng):
-        """Every byte counter must equal a KVStore holding encode_array
-        payloads of the same values — the property that keeps the traffic
-        figures identical across value modes."""
-        from repro.kvstore import ArrayStore
+    @pytest.mark.parametrize("column", ["ids", "heat_last", "heat_hits", "vals"])
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_columns_of_unequal_length_are_rejected(self, rng, column, edit):
+        kv = KVStore()
+        for key in range(4):
+            kv.put(key, rng.standard_normal(2))
+        state = kv.state_dict()
+        col = state[column]
+        state[column] = col[:2] if edit == "short" else list(col) + list(col[:1])
+        with pytest.raises(ValueError, match="columns disagree"):
+            KVStore.from_state(state)
 
-        arrays = [
-            rng.standard_normal((4, 3)).astype(np.complex64),
-            rng.standard_normal(7).astype(np.float32),
-            rng.standard_normal((2, 2, 2)),
-        ]
-        st_a, st_b = ArrayStore(), KVStore()
-        for i, a in enumerate(arrays):
-            st_a.put(i, a)
-            st_b.put(i, encode_array(a))
-        st_a.get(0)
-        st_b.get(0)
-        st_a.get(99)
-        st_b.get(99)
-        assert st_a.nbytes == st_b.nbytes
-        assert st_a.stats == st_b.stats
-        st_a.delete(1)
-        st_b.delete(1)
-        assert st_a.nbytes == st_b.nbytes
+    @pytest.mark.parametrize("key", ["a", 1.5, True, (1, 2)])
+    def test_an_id_that_is_not_an_int_is_refused_by_state_dict(self, key):
+        kv = KVStore()
+        kv.put(key, blob(1))
+        with pytest.raises(TypeError, match="id type"):
+            kv.state_dict()
 
-    def test_eviction_by_encoded_size(self, rng):
-        from repro.kvstore import ArrayStore
-
-        a = rng.standard_normal(8).astype(np.float32)
-        cap = 2 * encoded_nbytes(a) + 1
-        st_ = ArrayStore(capacity_bytes=cap)
-        st_.put(0, a)
-        st_.put(1, a)
-        st_.put(2, a)  # must evict the FIFO-oldest entry
-        assert st_.stats.evictions == 1
-        assert 0 not in st_ and 1 in st_ and 2 in st_
-
-    def test_oversized_value_rejected(self, rng):
-        from repro.kvstore import ArrayStore
-
-        a = rng.standard_normal(100).astype(np.float64)
-        with pytest.raises(ValueError):
-            ArrayStore(capacity_bytes=64).put("k", a)
+    def test_a_non_array_value_in_a_state_is_a_type_error(self):
+        state = KVStore().state_dict()
+        state.update(ids=np.array([0]), vals=[b"raw"], heat_last=np.zeros(1),
+                     heat_hits=np.zeros(1, dtype=np.int64))
+        with pytest.raises(TypeError, match="ndarray"):
+            KVStore.from_state(state)

@@ -97,7 +97,7 @@ class TestService:
         inserts = _mk_items(rng, 5)
         client.insert_batch(inserts)
         tree = client.state_dict()
-        assert tree["layout"] == "sharded" and tree["n_shards"] == 2
+        assert tree["n_shards"] == 2 and len(tree["partitions"]) == 5
 
         with MemoServerDaemon(n_shards=3, memo=MEMO) as other:
             c2 = RemoteMemoClient(other.address)
@@ -113,12 +113,11 @@ class TestService:
         local = MemoShardRouter(1, make_db_factory(mismatched))
         local.db_for("Fu1D", 0, 4)
         tree = local.state_dict()
-        tree["layout"] = "sharded"  # state_dict already carries it
         with pytest.raises(ValueError, match="tau"):
             client.push_state(tree)
 
     def test_push_from_conflicting_encoder_rejected(self, daemon, client):
-        base = {"layout": "single", "partitions": [],
+        base = {"n_shards": 1, "partitions": [],
                 "encoder": {"kind": "CNNKeyEncoder", "dim": 60, "weights": "aaa"}}
         assert client.push_state(base)
         conflicting = dict(base, encoder={"kind": "CNNKeyEncoder", "dim": 60,
@@ -309,7 +308,7 @@ class TestClientResilience:
         assert c.insert_batch(_mk_items(rng, 2)) == [-1, -1]
         assert c.stats().queries == 0
         assert c.state_dict()["partitions"] == []
-        assert not c.push_state({"layout": "single", "partitions": []})
+        assert not c.push_state({"n_shards": 1, "partitions": []})
         ns = c.net_stats
         assert ns.degraded_query_batches == 1
         assert ns.degraded_queries == 5
@@ -414,6 +413,6 @@ class TestClientResilience:
 
     def test_remote_app_error_does_not_drop_connection(self, daemon, client):
         with pytest.raises(ValueError):
-            client.push_state({"layout": "bogus"})
+            client.push_state({"n_shards": 2})  # no partitions: not a tree
         assert client.connected
         assert client.entries() == 0  # connection still serviceable

@@ -21,6 +21,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import sys
 import threading
 
@@ -29,7 +30,13 @@ import pytest
 
 from repro.core import MemoConfig, MemoShardRouter
 from repro.core.memo_engine import make_db_factory
-from repro.core.memo_shard import MemoTier, ShardInsert, ShardQuery, memo_state_partitions
+from repro.core.memo_shard import (
+    MemoTier,
+    ShardInsert,
+    ShardQuery,
+    empty_memo_state,
+    memo_state_partitions,
+)
 from repro.net import (
     MemoServerDaemon,
     RemoteMemoClient,
@@ -68,6 +75,17 @@ def mk_items(rng, n, op="Fu1D", first_loc=0):
 
 def queries_for(inserts):
     return [ShardQuery(i.op, i.location, i.key) for i in inserts]
+
+
+def freeze(node):
+    """A state tree as plain comparable data (arrays by dtype/shape/bytes)."""
+    if isinstance(node, dict):
+        return {k: freeze(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [freeze(v) for v in node]
+    if isinstance(node, np.ndarray):
+        return (node.dtype.str, node.shape, node.tobytes())
+    return node
 
 
 # -- conformance ----------------------------------------------------------------------------
@@ -145,6 +163,55 @@ def _round_trip(tier: MemoTier, rng) -> dict:
     }
 
 
+def _append(column, value):
+    return np.append(column, np.asarray([value], dtype=column.dtype), axis=0)
+
+
+#: every way a partition table can disagree with itself: name -> edit of a
+#: trained six-entry partition's ``db`` state (dim 12, ids 0..5)
+MALFORMATIONS = {
+    "short heat column": lambda db: db["values"].update(
+        heat_last=db["values"]["heat_last"][:3]),
+    "long heat column": lambda db: db["values"].update(
+        heat_hits=_append(db["values"]["heat_hits"], 0)),
+    "short vals": lambda db: db["values"].update(vals=db["values"]["vals"][:5]),
+    "short metadata column": lambda db: db.update(meta_ac=db["meta_ac"][:5]),
+    "long metadata column": lambda db: db.update(meta_has=_append(db["meta_has"], 1)),
+    "short keys": lambda db: db.update(keys=db["keys"][:5]),
+    "keys of another dim": lambda db: db.update(keys=db["keys"][:, :11]),
+    "flat keys": lambda db: db.update(keys=db["keys"].ravel()),
+    "key_ids with a hole": lambda db: db.update(
+        key_ids=np.array([0, 1, 2, 3, 4, 99])),
+    "store ids another set": lambda db: db["values"].update(
+        ids=np.array([0, 1, 2, 3, 4, 99])),
+    "IVF id outside [0, n)": lambda db: db["index"]["list_ids"][0].__setitem__(0, 99),
+    "IVF id twice": lambda db: db["index"]["list_ids"].__setitem__(
+        0, _append(db["index"]["list_ids"][0], 0)),
+    "IVF list missing": lambda db: db["index"]["list_ids"].pop(),
+}
+
+
+def malformed_trees(rng) -> dict:
+    """name -> a tree whose first partition is sound and whose second is
+    malformed in exactly one way."""
+    donor = router()
+    donor.insert_batch(mk_items(rng, 1, op="Fu2D", first_loc=7))
+    donor.insert_batch([
+        ShardInsert("Fu2D", 8, ins.key, ins.value, ins.meta) for ins in mk_items(rng, 6)
+    ])
+    sound, trained = sorted(
+        memo_state_partitions(donor.state_dict()), key=lambda p: p["location"]
+    )
+    assert trained["db"]["index"]["trained"] and len(trained["db"]["key_ids"]) == 6
+    trees = {}
+    for name, edit in MALFORMATIONS.items():
+        bad = copy.deepcopy(trained)
+        edit(bad["db"])
+        trees[name] = {"n_shards": N_SHARDS, "partitions": [sound, bad]}
+    assert router().push_state({"n_shards": N_SHARDS, "partitions": [sound, trained]})
+    return trees
+
+
 class TestTierConformance:
     def test_same_round_trip_over_every_topology(self):
         results = {}
@@ -155,6 +222,24 @@ class TestTierConformance:
         assert want["entries"] == (9, 3) and sum(o[0] for o in want["outcomes"]) == 9
         for name, got in results.items():
             assert got == want, name
+
+    @pytest.mark.parametrize("topology", list(TOPOLOGIES))
+    def test_a_malformed_push_is_a_value_error_and_changes_nothing(self, topology, rng):
+        """``push_state`` validates every partition's columns before it
+        installs the first: whatever the disagreement and whichever tier
+        takes the push, it is a ``ValueError`` and the tier reads exactly as
+        before — the sound partition travelling with it included."""
+        trees = malformed_trees(rng)
+        with TOPOLOGIES[topology]() as tier:
+            tier.insert_batch(mk_items(rng, 3, op="Fu2D", first_loc=6))
+            tier.flush()
+            before = (tier.entries(), tier.shard_stats(), freeze(tier.state_dict()))
+            for name, tree in trees.items():
+                with pytest.raises(ValueError):
+                    tier.push_state(tree)
+                after = (tier.entries(), tier.shard_stats(), freeze(tier.state_dict()))
+                assert after == before, name
+            assert all(h["circuit"] == "closed" for h in tier.health().values())
 
 
 # -- replication semantics over in-process tiers ---------------------------------------------
@@ -285,8 +370,8 @@ class TestReplicationOverInprocTiers:
             assert [o.hit for o in tier.query_batch(probe)] == [False, False]
             assert tier.insert_batch(mk_items(rng, 2)) == [-1, -1]
             assert tier.stats().queries == 0 and tier.entries() == 0
-            assert tier.state_dict() == {"layout": "single", "partitions": []}
-            assert tier.push_state({"layout": "single", "partitions": []}) is False
+            assert tier.state_dict() == empty_memo_state(N_SHARDS)
+            assert tier.push_state(empty_memo_state(N_SHARDS)) is False
             assert counter_total("net_client_degraded_total") >= 5
         with ReplicatedMemoClient([a, b], retry_policy=POLICY, fail_open=False) as strict:
             with pytest.raises(TransportUnavailable):
@@ -296,7 +381,7 @@ class TestReplicationOverInprocTiers:
 
     def test_deterministic_rejection_is_not_a_replica_failure(self, trio):
         tier, a, b = trio
-        bad = {"layout": "single", "partitions": [{"op": "Fu1D", "location": 0, "db": {}}]}
+        bad = {"n_shards": 1, "partitions": [{"op": "Fu1D", "location": 0, "db": {}}]}
         with pytest.raises(ValueError, match="malformed"):
             tier.push_state(bad)
         assert tier.health()["replica0"]["circuit"] == "closed"
@@ -451,17 +536,6 @@ def _service_daemon():
 SERVICES = {"inproc": _service_inproc, "daemon": _service_daemon}
 
 
-def freeze(node):
-    """A state tree as plain comparable data (arrays by dtype/shape/bytes)."""
-    if isinstance(node, dict):
-        return {k: freeze(v) for k, v in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [freeze(v) for v in node]
-    if isinstance(node, np.ndarray):
-        return (node.dtype.str, node.shape, node.tobytes())
-    return node
-
-
 def partitions_of(tree: dict) -> dict:
     return {
         (p["op"], int(p["location"])): freeze(p["db"])
@@ -470,8 +544,11 @@ def partitions_of(tree: dict) -> dict:
 
 
 def heat_in(tree: dict, op: str, loc: int) -> list[tuple]:
-    values = partitions_of(tree)[(op, loc)]["values"]
-    return list(zip(values["heat_last"], values["heat_hits"]))
+    (values,) = [
+        p["db"]["values"] for p in memo_state_partitions(tree)
+        if (p["op"], int(p["location"])) == (op, loc)
+    ]
+    return list(zip(values["heat_last"].tolist(), values["heat_hits"].tolist()))
 
 
 @pytest.mark.parametrize("kind", list(SERVICES))
@@ -502,9 +579,10 @@ class TestSchedulerTier:
             got = partitions_of(seeded.router.state_dict())
         # ... except that a job counts its own hits from zero (what it
         # pushes back is then its own traffic, see the chained test)
-        assert sum(sum(p["values"]["heat_hits"]) for p in want.values()) == 2
-        for part in want.values():
-            part["values"]["heat_hits"] = [0] * len(part["values"]["heat_hits"])
+        hits = {key: heat_in(bare.state_dict(), *key) for key in want}
+        assert sum(h for rows in hits.values() for _last, h in rows) == 2
+        for key, part in want.items():
+            part["values"]["heat_hits"] = freeze(np.zeros(len(hits[key]), dtype=np.int64))
         assert got == want
 
     def test_chained_job_subsumes_the_tier(self, kind, rng, clock):
@@ -558,18 +636,6 @@ class TestSchedulerTier:
         assert got[("Fu1D", 1)]["keys"] != mine_a[("Fu1D", 1)]["keys"]
         # ... with the losing job's traffic still informing the planner
         assert heat_in(tree, "Fu1D", 1) == [(4000.0, 2)]
-
-    def test_pre_heat_partition_merges_as_all_cold(self, kind, rng, clock):
-        items = mk_items(rng, 1)
-        old = Job().run(items).memo_state()
-        for part in memo_state_partitions(old):  # the schema before heat
-            del part["db"]["values"]["heat_last"], part["db"]["values"]["heat_hits"]
-        clock[0] = 5000.0
-        new = Job().run(items, hits=items)
-        with SERVICES[kind]() as service:
-            assert service.tier.push_state(old)
-            service.absorb(new)
-            assert heat_in(service.state(), "Fu1D", 0) == [(5000.0, 1)]
 
     def test_encoder_weights_are_carried_forward(self, kind, rng):
         weights = {"encoder": {"w": np.arange(4, dtype=np.float32)}, "quantized": True}
@@ -629,12 +695,7 @@ def thread_script(t: int) -> list[tuple]:
         script.append(("query_batch", queries_for(batch[::2])))
         script.append(("state_dict",))
         if round_ == 2:
-            # (single layout: a sharded tree of this topology would also
-            # restore the donor's per-shard message counters)
-            script.append(("push_state", {
-                "layout": "single",
-                "partitions": memo_state_partitions(donor.state_dict()),
-            }))
+            script.append(("push_state", donor.state_dict()))
         script.append(("shard_stats",))
     return script
 
@@ -689,5 +750,5 @@ class TestRouterIsConcurrent:
                     assert db["stats"]["inserts"] % BATCH == 0
                 assert (
                     db["stats"]["inserts"] == len(db["key_ids"])
-                    == len(db["values"]["keys"])
+                    == len(db["values"]["ids"])
                 )

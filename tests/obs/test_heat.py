@@ -1,10 +1,9 @@
 """Memo-tier heat analytics: per-entry last-hit/hit-count metadata.
 
 Satellite contract: heat survives ``state_dict``/``from_state`` round
-trips, partition-level absorb merges take max(last-hit) / sum(hits), and
-a pre-heat-schema snapshot loads with zeroed heat fields.  Acceptance:
-the heat report's projected-reclaimable-bytes matches an independent
-ground-truth recount of the per-entry metadata.
+trips and partition-level absorb merges take max(last-hit) / sum(hits).
+Acceptance: the heat report's projected-reclaimable-bytes matches an
+independent ground-truth recount of the per-entry metadata.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import pytest
 from repro.core.config import MemoConfig
 from repro.core.memo_engine import make_db_factory
 from repro.core.memo_shard import MemoShardRouter, ShardInsert, ShardQuery
+from repro.kvstore import encoded_nbytes
 from repro.kvstore import store as store_mod
 from repro.kvstore.store import KVStore
 from repro.net.server import MemoServerDaemon
@@ -35,63 +35,61 @@ def clock(monkeypatch):
     return state
 
 
+V = np.zeros(3, dtype=np.uint8)  # any value: heat is about touches
+
+
 class TestStoreHeat:
     def test_hits_refresh_and_count(self, clock):
         s = KVStore()
-        s.put("k", b"abc")
-        assert s.heat("k") == (1000.0, 0)
+        s.put(1, V)
+        assert s.heat(1) == (1000.0, 0)
         clock["now"] = 1500.0
-        s.get("k")
-        s.get("k")
-        assert s.heat("k") == (1500.0, 2)
-        assert s.get("missing") is None  # a miss touches nothing
-        assert s.heat("missing") is None
+        s.get(1)
+        s.get(1)
+        assert s.heat(1) == (1500.0, 2)
+        assert s.get(404) is None  # a miss touches nothing
+        assert s.heat(404) is None
 
     def test_roundtrip_through_state_dict(self, clock):
         s = KVStore()
-        s.put("a", b"xx")
-        s.put(7, b"yyyy")
+        s.put(1, V)
+        s.put(7, V)
         clock["now"] = 1200.0
-        s.get("a")
+        s.get(1)
         restored = KVStore.from_state(s.state_dict())
-        assert restored.heat("a") == (1200.0, 1)
+        assert restored.heat(1) == (1200.0, 1)
         assert restored.heat(7) == (1000.0, 0)
         # restored stores keep accounting heat identically
         clock["now"] = 1300.0
         restored.get(7)
         assert restored.heat(7) == (1300.0, 1)
 
-    def test_pre_heat_snapshot_loads_zeroed(self, clock):
-        s = KVStore()
-        s.put("a", b"xx")
-        s.get("a")
-        state = s.state_dict()
-        del state["heat_last"], state["heat_hits"]  # pre-heat schema
-        restored = KVStore.from_state(state)
-        assert restored.heat("a") == (0.0, 0)  # maximally cold, never lossy
-
     def test_overwrite_resets_heat(self, clock):
         s = KVStore()
-        s.put("a", b"old")
-        s.get("a")
+        s.put(1, V)
+        s.get(1)
         clock["now"] = 2000.0
-        s.put("a", b"new")
-        assert s.heat("a") == (2000.0, 0)
+        s.put(1, V + 1)
+        assert s.heat(1) == (2000.0, 0)
 
     def test_merge_heat_takes_max_last_and_sums_hits(self, clock):
         ours, theirs = KVStore(), KVStore()
-        for s in (ours, theirs):
-            s.put("shared", b"v")
-            s.put(f"only-{id(s)}", b"w")
-        ours.get("shared")  # ours: (1000, 1)
+        SHARED = 0
+        for only, s in enumerate((ours, theirs), start=1):
+            s.put(SHARED, V)
+            s.put(only, V)
+        ours.get(SHARED)  # ours: (1000, 1)
         clock["now"] = 3000.0
-        theirs.get("shared")
-        theirs.get("shared")  # theirs: (3000, 2)
+        theirs.get(SHARED)
+        theirs.get(SHARED)  # theirs: (3000, 2)
         ours.merge_heat(theirs)
-        assert ours.heat("shared") == (3000.0, 3)
+        assert ours.heat(SHARED) == (3000.0, 3)
+        assert ours.heat(1) == (1000.0, 0) and ours.heat(2) is None
 
 
 MEMO = MemoConfig(index_train_min=4, index_clusters=2, index_nprobe=2)
+#: what the serialized frame adds to a 1-d uint8 value's payload
+H = encoded_nbytes(np.zeros(0, dtype=np.uint8))
 
 
 def _items(rng, n, op="Fu1D"):
@@ -107,8 +105,8 @@ def _items(rng, n, op="Fu1D"):
 
 class TestAbsorbMerges:
     """The scheduler-side halves of this contract (chained and concurrent
-    absorbs, pre-heat partitions) are pinned against ``SharedMemoService``
-    in ``tests/net/test_tier.py::TestSchedulerTier``."""
+    absorbs) are pinned against ``SharedMemoService`` in
+    ``tests/net/test_tier.py::TestSchedulerTier``."""
 
     def test_daemon_push_merges_partition_heat(self, clock):
         """A pushed partition wins wholesale, but for keys both sides hold
@@ -132,50 +130,48 @@ class TestAbsorbMerges:
 
 
 class TestHeatReport:
-    def _tree(self):
-        return {
-            "layout": "sharded",
-            "n_shards": 2,
-            "shards": [
-                {"shard_id": 0, "partitions": [
-                    {"op": "Fu1D", "location": 0, "db": {"values": {
-                        "store_type": "bytes",
-                        "keys": [["s", "a"], ["s", "b"]],
-                        "vals": [b"x" * 10, b"y" * 30],
-                        "heat_last": [9000.0, 1000.0],
-                        "heat_hits": [4, 0],
-                    }}},
-                ]},
-                {"shard_id": 1, "partitions": [
-                    {"op": "Fu2D", "location": 3, "db": {"values": {
-                        "store_type": "bytes",
-                        "keys": [["s", "c"]],
-                        "vals": [b"z" * 50],
-                    }}},  # pre-heat partition: reads as maximally cold
-                ]},
-            ],
-        }
+    def _tree(self, clock):
+        """A 2-shard tier: two ``Fu1D`` entries at location 0 (shard 0) — one
+        hit four times, last at t=9000, one never hit since t=1000 — and one
+        never-hit ``Fu2D`` entry at location 3 (shard 1)."""
+        tier = MemoShardRouter(2, make_db_factory(MEMO))
+        rng = np.random.default_rng(9)
 
-    def test_reclaimable_bytes_matches_ground_truth_recount(self):
-        records = entry_records(self._tree())
+        def insert(op, loc, n):
+            key = rng.normal(size=12).astype(np.float32)
+            tier.insert_batch([ShardInsert(op, loc, key, np.zeros(n, np.uint8))])
+            return ShardQuery(op, loc, key)
+
+        hot = insert("Fu1D", 0, 10)
+        insert("Fu1D", 0, 30)
+        insert("Fu2D", 3, 50)
+        clock["now"] = 9000.0
+        assert all(o.hit for o in tier.query_batch([hot] * 4))
+        return tier.state_dict()
+
+    def test_reclaimable_bytes_matches_ground_truth_recount(self, clock):
+        records = entry_records(self._tree(clock))
         now, cutoff = 10000.0, 3600.0
         report = build_heat_report(records, now=now, stale_after=cutoff)
         # independent recount straight off the per-entry metadata
         expected = sum(
             r["nbytes"] for r in records if now - r["last"] >= cutoff
         )
-        assert report["reclaimable_bytes"] == expected == 30 + 50
-        assert report["entries"] == 3 and report["nbytes"] == 90
+        assert report["reclaimable_bytes"] == expected == (H + 30) + (H + 50)
+        assert report["entries"] == 3 and report["nbytes"] == 3 * H + 90
         assert report["cold_entries"] == 2
         assert report["cold_fraction"] == pytest.approx(2 / 3)
         by_op = {g["op"]: g for g in report["by_op"]}
-        assert by_op["Fu1D"]["reclaimable"] == 30
-        assert by_op["Fu2D"]["reclaimable"] == 50
+        assert by_op["Fu1D"]["reclaimable"] == H + 30
+        assert by_op["Fu2D"]["reclaimable"] == H + 50
+        assert [(g["shard"], g["entries"], g["hits"]) for g in report["by_shard"]] == [
+            (0, 2, 4), (1, 1, 0),
+        ]
         text = render_heat_report(report)
         assert "projected reclaimable" in text and "by shard" in text
 
-    def test_age_histograms_are_prometheus_renderable(self):
-        records = entry_records(self._tree())
+    def test_age_histograms_are_prometheus_renderable(self, clock):
+        records = entry_records(self._tree(clock))
         entries = age_histogram_entries(records, now=10000.0)
         assert {e["labels"]["op"] for e in entries} == {"Fu1D", "Fu2D"}
         for e in entries:
@@ -196,5 +192,14 @@ class TestHeatReport:
         ]
 
     def test_rejects_non_tree(self):
-        with pytest.raises(ValueError, match="layout"):
-            entry_records({"partitions": []})
+        for not_a_tree in ({"partitions": []}, {"n_shards": 2}, [], None):
+            with pytest.raises(ValueError, match="not a memo-state tree"):
+                entry_records(not_a_tree)
+
+    def test_a_malformed_partition_is_a_value_error_not_a_cold_record(self, clock):
+        """The tree is read by installing it, so it is held to the same
+        contract as any pushed tree."""
+        tree = self._tree(clock)
+        tree["partitions"][0]["db"]["values"]["heat_last"] = np.zeros(1)
+        with pytest.raises(ValueError, match="columns disagree"):
+            entry_records(tree)

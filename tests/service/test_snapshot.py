@@ -8,9 +8,10 @@ import struct
 import numpy as np
 import pytest
 
-from repro.ann import FlatIndex, IVFFlatIndex
+from repro.ann import IVFFlatIndex
 from repro.core import CNNKeyEncoder, MemoDatabase
-from repro.kvstore import ArrayStore, KVStore, encode_array
+from repro.kvstore import KVStore, encode_array
+from repro.kvstore.serialization import encode_tree
 from repro.nn import ChunkEncoder
 from repro.service import SNAPSHOT_VERSION, SnapshotError, read_snapshot, write_snapshot
 
@@ -18,10 +19,11 @@ from repro.service import SNAPSHOT_VERSION, SnapshotError, read_snapshot, write_
 HEADER = struct.Struct("<8sH32sQ32s")  # magic, version, kind, length, sha256
 
 
-def through_disk(path, obj, kind: str):
-    """``obj`` rebuilt from its own state tree after a disk round trip."""
+def through_disk(path, obj, kind: str, *inputs):
+    """``obj`` rebuilt from its own state tree after a disk round trip
+    (``inputs``: what its ``from_state`` takes besides the tree)."""
     write_snapshot(path, obj.state_dict(), kind=kind)
-    return type(obj).from_state(read_snapshot(path, expect_kind=kind))
+    return type(obj).from_state(read_snapshot(path, expect_kind=kind), *inputs)
 
 
 def rewrite_header(path, **fields) -> None:
@@ -133,23 +135,22 @@ class TestIndexRoundTrips:
         assert np.array_equal(d1, d2) and d1.dtype == d2.dtype
         assert np.array_equal(i1, i2)
 
-    def test_flat(self, tmp_path):
-        ix = FlatIndex(self.dim)
-        ix.add(rand_keys(40, self.dim))
-        restored = through_disk(tmp_path / "ix", ix, "ann-index")
-        assert isinstance(restored, FlatIndex)
-        assert len(restored) == len(ix)
-        assert restored.n_distance_computations == ix.n_distance_computations
-        self.assert_search_identical(ix, restored)
-
     def test_ivf_trained(self, tmp_path):
         ix = IVFFlatIndex(self.dim, n_clusters=5, nprobe=2)
         ix.train(rand_keys(50, self.dim, seed=1))
-        ix.add(rand_keys(80, self.dim, seed=2))
-        restored = through_disk(tmp_path / "ix", ix, "ann-index")
+        vecs = rand_keys(80, self.dim, seed=2)
+        for lo, hi in ((0, 1), (1, 30), (30, 31), (31, 80)):  # mixed batch sizes
+            ix.add(vecs[lo:hi])
+        restored = through_disk(tmp_path / "ix", ix, "ann-index", vecs)
         assert restored.is_trained and len(restored) == len(ix)
         assert np.array_equal(restored.centroids, ix.centroids)
         assert restored.list_sizes() == ix.list_sizes()
+        # the list rows are regathered and their norms recomputed: same bits
+        # as the ones kept incrementally, whatever batch a row arrived in
+        for c in range(ix.n_clusters):
+            assert np.array_equal(restored._lists[c].view, ix._lists[c].view)
+            assert np.array_equal(restored._list_norms2[c].view, ix._list_norms2[c].view)
+            assert np.array_equal(restored._list_ids[c].view, ix._list_ids[c].view)
         self.assert_search_identical(ix, restored)
         # dynamic insertion continues identically (same ids, same lists)
         more = rand_keys(7, self.dim, seed=3)
@@ -160,7 +161,8 @@ class TestIndexRoundTrips:
         """An IVF snapshotted before its quantizer is trained restores as
         untrained and trains later exactly like the live instance."""
         ix = IVFFlatIndex(self.dim, n_clusters=4, nprobe=2)
-        restored = through_disk(tmp_path / "ix", ix, "ann-index")
+        restored = through_disk(tmp_path / "ix", ix, "ann-index",
+                                np.zeros((0, self.dim), dtype=np.float32))
         assert not restored.is_trained
         with pytest.raises(RuntimeError):
             restored.search(self.queries())
@@ -173,35 +175,41 @@ class TestIndexRoundTrips:
         restored.add(added)
         self.assert_search_identical(ix, restored)
 
-    def test_empty_indexes(self, tmp_path):
-        restored = through_disk(tmp_path / "e", FlatIndex(4), "ann-index")
-        d, i = restored.search(np.zeros((1, 4), dtype=np.float32), k=2)
-        assert np.all(np.isinf(d)) and np.all(i == -1)
+    def test_the_state_holds_no_vectors(self):
+        ix = IVFFlatIndex(self.dim, n_clusters=3, nprobe=2)
+        ix.train(rand_keys(20, self.dim, seed=1))
+        ix.add(rand_keys(20, self.dim, seed=1))
+        state = ix.state_dict()
+        assert set(state) == {"dim", "n_clusters", "nprobe", "ndis", "trained",
+                              "centroids", "list_ids"}
+        assert [ids.dtype for ids in state["list_ids"]] == [np.int64] * 3
+        assert sorted(np.concatenate(state["list_ids"]).tolist()) == list(range(20))
 
 
 # -- key-value stores -------------------------------------------------------------------
 
 
 class TestStoreRoundTrips:
-    def test_bytes_store(self):
-        store = KVStore(capacity_bytes=64, eviction="lru")
-        store.put(1, b"abc")
-        store.put("two", b"d" * 10)
+    def test_lru_store_with_traffic(self):
+        store = KVStore(capacity_bytes=4096, eviction="lru")
+        store.put(1, np.arange(3, dtype=np.uint8))
+        store.put(2, np.full(10, 7, dtype=np.uint8))
         store.get(1)
-        store.get("missing")
+        store.get(404)
         restored = KVStore.from_state(store.state_dict())
-        assert type(restored) is KVStore
-        assert restored.keys() == store.keys()
+        assert restored.keys() == store.keys() == [2, 1]
         assert restored.nbytes == store.nbytes
-        assert restored.get(1) == b"abc" and restored.get("two") == b"d" * 10
+        assert (restored.capacity_bytes, restored.eviction) == (4096, "lru")
+        assert restored.stats == store.stats
+        assert np.array_equal(restored.get(1), np.arange(3, dtype=np.uint8))
+        assert np.array_equal(restored.get(2), np.full(10, 7, dtype=np.uint8))
         assert restored.stats.hits == store.stats.hits + 2
 
-    def test_array_store_values_read_only(self):
-        store = ArrayStore()
+    def test_restored_values_read_only(self):
+        store = KVStore()
         a = np.arange(6, dtype=np.complex64).reshape(2, 3)
         store.put(0, a)
-        restored = ArrayStore.from_state(store.state_dict())
-        assert isinstance(restored, ArrayStore)
+        restored = KVStore.from_state(store.state_dict())
         got = restored.get(0)
         assert np.array_equal(got, a) and got.dtype == a.dtype
         assert not got.flags.writeable
@@ -209,23 +217,15 @@ class TestStoreRoundTrips:
 
     def test_eviction_order_preserved(self):
         """Entry order *is* the FIFO eviction order; a restored store must
-        evict the same keys the live one would."""
-        payload = b"x" * 10
-        live = KVStore(capacity_bytes=30)
+        evict the same ids the live one would."""
+        payload = np.zeros(10, dtype=np.uint8)
+        live = KVStore(capacity_bytes=3 * len(encode_array(payload)))
         for k in range(3):
             live.put(k, payload)
         restored = KVStore.from_state(live.state_dict())
         live.put(99, payload)
         restored.put(99, payload)
         assert live.keys() == restored.keys() == [1, 2, 99]
-
-    def test_wrong_type_tag_rejected(self):
-        state = ArrayStore().state_dict()
-        with pytest.raises(ValueError, match="store"):
-            KVStore.from_state(state)
-        state["store_type"] = "martian"
-        with pytest.raises(ValueError, match="'martian' store"):
-            ArrayStore.from_state(state)
 
 
 # -- the INT8-quantized key encoder -----------------------------------------------------
@@ -275,7 +275,7 @@ def populated_db(n: int, dim: int = 8, train_min: int = 6):
 
 def probe_keys(db: MemoDatabase, dim: int = 8):
     rng = np.random.default_rng(13)
-    probes = [np.array(k, copy=True) for k in db._keys.values()]
+    probes = list(np.array(db._keys.view, copy=True))
     probes += [k + rng.normal(0, 1e-3, k.shape).astype(np.float32)
                for k in probes[:6]]
     probes += [rng.standard_normal(dim).astype(np.float32) for _ in range(6)]
@@ -297,15 +297,52 @@ class TestDatabaseRoundTrips:
         assert db.stats.as_dict() == restored.stats.as_dict()
         assert sum(o.hit for o in restored.query_batch(probes[:len(db._keys)])) > 0
 
+    @pytest.mark.parametrize("n", [25, 4])  # trained, cold
+    def test_the_state_holds_every_key_once_in_arrays(self, n):
+        """One table: besides ``keys`` the only array with ``dim`` columns
+        is the index's centroids, and no per-entry python list or boxed
+        scalar remains — ids, heat and metadata are arrays of length n."""
+        db = populated_db(n=n, train_min=6)
+        assert db.index.is_trained == (n == 25)
+        state = db.state_dict()
+        with_dim_columns, per_entry_lists = [], []
+
+        def walk(node, path):
+            if isinstance(node, dict):
+                for key, child in node.items():
+                    walk(child, f"{path}.{key}")
+            elif isinstance(node, list):
+                if len(node) == n and path != "db.values.vals":
+                    per_entry_lists.append(path)
+                for i, child in enumerate(node):
+                    walk(child, f"{path}[{i}]")
+            elif isinstance(node, np.ndarray) and node.ndim == 2 and node.shape[1] == db.dim:
+                with_dim_columns.append(path)
+
+        walk(state, "db")
+        assert with_dim_columns == (
+            ["db.index.centroids", "db.keys"] if db.index.is_trained else ["db.keys"]
+        )
+        assert per_entry_lists == []
+        for column, dtype in (("key_ids", np.int64), ("meta_has", np.uint8),
+                              ("meta_ac", np.float64), ("meta_dc", np.complex128)):
+            assert state[column].shape == (n,) and state[column].dtype == dtype
+        assert state["keys"].shape == (n, db.dim) and state["keys"].dtype == np.float32
+        values = state["values"]
+        assert values["ids"].tolist() == list(range(n)) == state["key_ids"].tolist()
+        assert values["heat_last"].shape == values["heat_hits"].shape == (n,)
+        assert len(values["vals"]) == n
+        assert all(isinstance(v, np.ndarray) for v in values["vals"])
+
     def test_mid_training_db_bit_identical(self, tmp_path):
-        """Snapshotted before the IVF quantizer trains: the pretrain scan
+        """Snapshotted before the IVF quantizer trains: the cold scan
         must answer identically, and later training must proceed
         identically."""
         db = populated_db(n=4, train_min=32)
-        assert not db.index.is_trained and len(db._pretrain) == 4
+        assert not db.index.is_trained and len(db._keys) == 4
         restored = through_disk(tmp_path / "db", db, "memo-database")
         assert not restored.index.is_trained
-        assert len(restored._pretrain) == len(db._pretrain)
+        assert len(restored._keys) == len(db._keys)
         probes = probe_keys(db)
         outcomes_equal(db.query_batch(probes), restored.query_batch(probes))
         # inserting up to train_min trains both identically
@@ -319,6 +356,26 @@ class TestDatabaseRoundTrips:
         assert db.index.is_trained and restored.index.is_trained
         outcomes_equal(db.query_batch(probes), restored.query_batch(probes))
 
+    @pytest.mark.parametrize("n", [25, 4])  # trained, cold
+    def test_restored_columns_are_the_trees_and_stay_untouched(self, n, monkeypatch):
+        """Like the values, the key and metadata columns cross
+        ``from_state`` by reference: a restored partition is full, so its
+        first insert moves to buffers of its own and neither the tree nor a
+        second partition restored from it ever changes."""
+        monkeypatch.setattr("repro.kvstore.store._heat_clock", lambda: 1000.0)
+        db = populated_db(n=n)
+        state = db.state_dict()
+        frozen = encode_tree(state)
+        a, b = MemoDatabase.from_state(state), MemoDatabase.from_state(state)
+        assert np.shares_memory(a._keys.view, state["keys"])
+        probes = probe_keys(db)
+        item = (np.ones(8, dtype=np.float32), np.ones(2, dtype=np.complex64), (1.0, 2j))
+        assert a.insert_batch([item] * 9) == db.insert_batch([item] * 9)
+        outcomes_equal(a.query_batch(probes), db.query_batch(probes))
+        assert encode_tree(a.state_dict()) == encode_tree(db.state_dict())
+        assert encode_tree(state) == frozen
+        assert encode_tree(b.state_dict()) == frozen
+
     def test_empty_db_round_trip(self, tmp_path):
         db = MemoDatabase(dim=8, tau=0.92)
         restored = through_disk(tmp_path / "db", db, "memo-database")
@@ -327,15 +384,11 @@ class TestDatabaseRoundTrips:
         outcomes_equal(db.query_batch(probes), restored.query_batch(probes))
         assert all(not o.hit for o in restored.query_batch(probes))
 
-    def test_serialized_value_store_rejected(self):
-        state = populated_db(n=10).state_dict()
-        state["values"] = KVStore().state_dict()
-        with pytest.raises(ValueError, match="'bytes' store"):
-            MemoDatabase.from_state(state)
-
     def test_opaque_meta_rejected(self):
+        """Reuse metadata is a column: ``None`` or an ``(ac, dc)`` pair,
+        refused at insert before anything is stored."""
         db = MemoDatabase(dim=4, tau=0.9)
-        db.insert(np.ones(4, dtype=np.float32), np.ones(2, dtype=np.complex64),
-                  meta=object())
         with pytest.raises(TypeError, match="pair"):
-            db.state_dict()
+            db.insert(np.ones(4, dtype=np.float32), np.ones(2, dtype=np.complex64),
+                      meta=object())
+        assert len(db) == 0 and len(db.state_dict()["keys"]) == 0

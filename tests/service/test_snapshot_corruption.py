@@ -148,7 +148,10 @@ class TestReadDetectsCorruption:
         5000 lists deep: refused by the codec's depth bound, typed — never
         a ``RecursionError`` out of a boot path."""
         payload = b"l\x01\0\0\0" * 5000 + b"N"
-        prefix = struct.pack("<8sH32sQ", b"mLRsnap\0", 3, b"memo-state", len(payload))
+        prefix = struct.pack(
+            "<8sH32sQ", b"mLRsnap\0", snapshot_module.SNAPSHOT_VERSION,
+            b"memo-state", len(payload),
+        )
         digest = hashlib.sha256(prefix + payload).digest()
         damage(snapshot_dir, lambda raw: prefix + digest + payload)
         with pytest.raises(SnapshotError, match="nests deeper"):
@@ -269,7 +272,7 @@ class TestDurableWrite:
         exactly the previous tree, bit for bit, or (interrupted after the
         rename) exactly the new one — never an error, never a mix."""
         path = tmp_path / "tier"
-        newer = {"layout": "single", "partitions": [], "note": "the newer tree"}
+        newer = {"n_shards": 1, "partitions": [], "note": "the newer tree"}
         clean_calls, renamed = self.save_interrupted(
             monkeypatch, tmp_path / "dry-run", newer, step, failure, None
         )
@@ -390,6 +393,20 @@ class TestServerBoot:
         ) as srv:
             assert srv.stats.snapshots_quarantined == 1
             assert srv.router.entries() == 0  # cold boot
+        assert os.path.isdir(f"{snapshot_dir}.corrupt")
+
+    def test_daemon_quarantines_a_previous_version_file(self, snapshot_dir):
+        """A version-3 file (the per-shard tree) has no reader here: it is
+        refused by version — before its checksum or a payload byte is
+        looked at — and takes the quarantine -> cold-start path."""
+        damage(snapshot_dir, lambda raw: raw[:8] + struct.pack("<H", 3) + raw[10:])
+        with pytest.raises(SnapshotError, match="unsupported snapshot version 3"):
+            read_snapshot(snapshot_dir, expect_kind="memo-state")
+        with MemoServerDaemon(
+            memo=MemoConfig(**MEMO), snapshot_path=str(snapshot_dir)
+        ) as srv:
+            assert srv.stats.snapshots_quarantined == 1
+            assert srv.router.entries() == 0
         assert os.path.isdir(f"{snapshot_dir}.corrupt")
 
     def test_daemon_quarantines_a_pre_v3_directory(self, tmp_path):

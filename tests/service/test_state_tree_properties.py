@@ -8,10 +8,19 @@ dtype, shape, bytes) through the codec itself, through a wire frame, and
 through a snapshot file.  A second property damages a snapshot file at a
 generated place: any truncation and any single bit flip is a
 :class:`SnapshotError`, never another exception and never a tree.
+
+The last section sends *component* states through the same three
+boundaries: a generated script of inserts, queries and hits on a
+:class:`MemoDatabase` (empty, cold, exactly-at-training and trained
+partitions all occur), a bounded FIFO / LRU :class:`KVStore`, and a router
+whose tree is pushed into another shard count.  What comes back answers
+bit-identically, keeps evolving identically and re-serialises to the same
+bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import struct
 import tempfile
@@ -22,6 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import MemoDatabase, MemoShardRouter
+from repro.core.memo_shard import ShardInsert
+from repro.kvstore import KVStore
+from repro.kvstore import store as store_module
 from repro.kvstore.serialization import decode_tree, encode_tree
 from repro.net.wire import MSG_SNAP_PUSH, FrameReader, encode_frame
 from repro.service import SnapshotError, read_snapshot, write_snapshot
@@ -168,3 +181,218 @@ def test_any_truncation_or_bit_flip_is_a_snapshot_error(tree, data):
             fh.write(raw)
         with pytest.raises(SnapshotError):
             read_snapshot(tmp)  # no expect_kind: the digest alone must tell
+
+
+# -- component states through the same boundaries ------------------------------------------
+
+BOUNDARIES = [through_codec, through_wire_frame, through_snapshot_file]
+
+
+@contextlib.contextmanager
+def heat_clock():
+    """The stores' heat tick under the test's control: ``now[0]``."""
+    now, real = [1000.0], store_module._heat_clock
+    store_module._heat_clock = lambda: now[0]
+    try:
+        yield now
+    finally:
+        store_module._heat_clock = real
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+metas = st.one_of(
+    st.none(),
+    st.tuples(st.floats(0, 1e6, **finite),
+              st.complex_numbers(max_magnitude=1e6, **finite)),
+)
+values = hnp.arrays(np.complex64, st.integers(0, 3).map(lambda n: (n,)))
+
+
+@st.composite
+def db_scripts(draw):
+    """``(database config, steps, probes, later steps)``: keys come from a
+    small pool (and multiples of it: cosine +-1 to the original), so
+    queries hit; ``train_min`` against the number of inserts decides
+    whether the partition ends empty, cold, exactly at training or past
+    it."""
+    dim = draw(st.integers(1, 5))
+    pool = draw(st.lists(
+        hnp.arrays(np.float32, (dim,), elements=st.floats(-4, 4, width=32)),
+        min_size=1, max_size=6,
+    ))
+    keys = st.builds(
+        lambda i, scale: pool[i] * np.float32(scale),
+        st.integers(0, len(pool) - 1), st.sampled_from([1.0, 1.0, 0.5, 3.0, -1.0]),
+    )
+    config = dict(
+        dim=dim,
+        tau=draw(st.sampled_from([0.5, 0.92, 0.9999])),
+        index_clusters=draw(st.integers(1, 3)),
+        index_nprobe=draw(st.integers(1, 3)),
+        train_min=draw(st.integers(1, 8)),
+    )
+    step = st.one_of(
+        st.tuples(st.just("insert_batch"),
+                  st.lists(st.tuples(keys, values, metas), min_size=1, max_size=5)),
+        st.tuples(st.just("query_batch"), st.lists(keys, min_size=1, max_size=4)),
+    )
+    return (
+        config,
+        draw(st.lists(step, max_size=6)),
+        draw(st.lists(keys, min_size=1, max_size=6)),
+        draw(st.lists(step, max_size=3)),
+    )
+
+
+def play(db: MemoDatabase, steps, now) -> None:
+    for name, payload in steps:
+        now[0] += 1.0
+        getattr(db, name)(payload)
+
+
+def outcome_data(outcomes) -> list[tuple]:
+    return [
+        (o.hit, o.similarity, o.matched_id, o.n_entries, o.stored_meta,
+         None if o.value is None else (o.value.dtype.str, o.value.shape, o.value.tobytes()))
+        for o in outcomes
+    ]
+
+
+def same_database(restored: MemoDatabase, live: MemoDatabase, probes) -> None:
+    """Bit-identical answers to a probe batch (value bytes, similarity,
+    matched id, ``n_entries``, ``stored_meta``), then equal statistics,
+    heat and serialised bytes."""
+    assert outcome_data(restored.query_batch(probes)) == outcome_data(
+        live.query_batch(probes)
+    )
+    assert restored.stats == live.stats and len(restored) == len(live)
+    assert restored.values.stats == live.values.stats
+    assert restored.values.heat_entries() == live.values.heat_entries()
+    assert encode_tree(restored.state_dict()) == encode_tree(live.state_dict())
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@settings(max_examples=60, deadline=None)
+@given(script=db_scripts())
+def test_a_scripted_memo_database_round_trips(boundary, script):
+    config, steps, probes, later = script
+    with heat_clock() as now:
+        live = MemoDatabase(**config)
+        play(live, steps, now)
+        state = live.state_dict()
+        got = boundary(state)
+        assert_round_tripped(state, got)
+        restored = MemoDatabase.from_state(got)
+        assert encode_tree(restored.state_dict()) == encode_tree(state)
+        assert restored.index.is_trained == live.index.is_trained
+        now[0] = 5000.0
+        same_database(restored, live, probes)
+        # ... and both keep evolving identically (training later, if cold)
+        for db in (live, restored):
+            now[0] = 6000.0
+            play(db, later, now)
+        same_database(restored, live, probes)
+
+
+def test_the_generated_databases_cover_every_training_state():
+    """The script strategy reaches empty, cold, exactly-at-training and
+    trained partitions (checked on a fixed sample of it, so a change to the
+    strategy cannot silently stop testing one of them)."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(script=db_scripts())
+    def sample(script):
+        config, steps, _probes, _later = script
+        with heat_clock() as now:
+            db = MemoDatabase(**config)
+            play(db, steps, now)
+        n = len(db._keys)
+        seen.add(
+            "empty" if n == 0 else "cold" if not db.index.is_trained
+            else "at-training" if n == config["train_min"] else "trained"
+        )
+
+    sample()
+    assert seen == {"empty", "cold", "at-training", "trained"}
+
+
+# a bounded store: ids from a small range so overwrites, evictions and LRU
+# reorderings all happen
+store_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 7),
+                  st.integers(0, 12).map(lambda n: np.full(n, n, dtype=np.uint8))),
+        st.tuples(st.just("get"), st.integers(0, 7)),
+        st.tuples(st.just("delete"), st.integers(0, 7)),
+    ),
+    max_size=24,
+)
+
+
+def play_store(store: KVStore, steps, now) -> None:
+    for name, *args in steps:
+        now[0] += 1.0
+        getattr(store, name)(*args)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("eviction", ["fifo", "lru"])
+@settings(max_examples=40, deadline=None)
+@given(steps=store_steps, later=store_steps, capacity=st.integers(40, 120))
+def test_a_bounded_store_round_trips_in_eviction_order(
+    boundary, eviction, steps, later, capacity
+):
+    with heat_clock() as now:
+        live = KVStore(capacity_bytes=capacity, eviction=eviction)
+        play_store(live, steps, now)
+        state = live.state_dict()
+        got = boundary(state)
+        assert_round_tripped(state, got)
+        restored = KVStore.from_state(got)
+        for store in (live, restored):
+            now[0] = 5000.0
+            play_store(store, later, now)  # the same entries get evicted
+        assert restored.keys() == live.keys()
+        assert restored.nbytes == live.nbytes <= capacity
+        assert restored.stats == live.stats
+        assert restored.heat_entries() == live.heat_entries()
+        assert encode_tree(restored.state_dict()) == encode_tree(live.state_dict())
+
+
+router_inserts = st.lists(
+    st.tuples(st.sampled_from(["Fu1D", "Fu2D"]), st.integers(0, 7),
+              hnp.arrays(np.float32, (3,), elements=st.floats(-4, 4, width=32)),
+              values, metas),
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inserts=router_inserts, taken_at=st.integers(1, 4), pushed_into=st.integers(1, 4))
+def test_a_tree_restores_onto_any_shard_count(inserts, taken_at, pushed_into):
+    """Shard membership is routing: a tree taken at one shard count pushed
+    into another has equal ``entries()`` and, partition for partition,
+    equal states."""
+
+    def make_db(dim):
+        return MemoDatabase(dim, train_min=3, index_clusters=2)
+
+    source = MemoShardRouter(taken_at, make_db)
+    source.insert_batch([ShardInsert(*item) for item in inserts])
+    tree = through_codec(source.state_dict())
+    target = MemoShardRouter(pushed_into, make_db)
+    assert target.push_state(tree)
+    assert target.entries() == source.entries() == len(inserts)
+
+    def partitions(router):
+        return {
+            (p["op"], p["location"]): encode_tree(p["db"])
+            for p in router.state_dict()["partitions"]
+        }
+
+    assert partitions(target) == partitions(source)
+    for shard in target.shards:
+        assert all(
+            p["location"] % pushed_into == shard.shard_id for p in shard.partition_states()
+        )

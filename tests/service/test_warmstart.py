@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import MemoConfig, MLRConfig, MLRSolver
+from repro.kvstore.serialization import encode_tree
 from repro.lamino import LaminoGeometry, brain_like, simulate_data
 from repro.service import load_memo_snapshot, save_memo_snapshot
 from repro.solvers import ADMMConfig
@@ -23,6 +24,11 @@ def problem():
     d1 = simulate_data(truth, geometry, noise_level=0.02, seed=1)
     d2 = simulate_data(truth, geometry, noise_level=0.02, seed=2)
     return geometry, d1, d2
+
+
+def by_partition(tree: dict) -> dict:
+    """``(op, location) -> db state`` as its one byte representation."""
+    return {(p["op"], int(p["location"])): encode_tree(p["db"]) for p in tree["partitions"]}
 
 
 def config(**over) -> MLRConfig:
@@ -43,8 +49,8 @@ class TestMemoState:
         executor = first_job.memo_executor
         save_memo_snapshot(tmp_path / "m", executor)
         tree = load_memo_snapshot(tmp_path / "m")
-        assert (tree["layout"], tree["n_shards"]) == ("sharded", 1)
-        assert len(tree["shards"][0]["partitions"]) == 16  # 4 ops x 4 locations
+        assert tree["n_shards"] == 1
+        assert len(tree["partitions"]) == 16  # 4 ops x 4 locations
         fresh = MLRSolver(first_job.geometry, config(), admm=ADMM)
         fresh.memo_executor.load_memo_state(tree)
         assert fresh.memo_executor.db_entries_total() == executor.db_entries_total()
@@ -121,17 +127,6 @@ class TestShardedMemoState:
         solver.reconstruct(d1)
         return solver
 
-    def test_per_shard_snapshot_layout(self, sharded_job, tmp_path):
-        save_memo_snapshot(tmp_path / "m", sharded_job.memo_executor)
-        tree = load_memo_snapshot(tmp_path / "m")
-        assert tree["layout"] == "sharded" and tree["n_shards"] == 2
-        assert len(tree["shards"]) == 2
-        for shard_state, shard in zip(tree["shards"],
-                                      sharded_job.memo_executor.router.shards):
-            assert len(shard_state["partitions"]) == len(shard._dbs)
-            # message counters are live observations, not persisted state
-            assert set(shard_state) == {"shard_id", "partitions"}
-
     def test_sharded_restore_keeps_entries_and_stats(self, problem, sharded_job):
         geometry, _d1, _d2 = problem
         tree = sharded_job.memo_executor.memo_state()
@@ -142,31 +137,30 @@ class TestShardedMemoState:
         assert router.entries() == src.entries()
         assert router.shard_stats() == src.shard_stats()
 
-    def test_cross_layout_and_reshard(self, problem, sharded_job):
-        """Partitions are keyed by (op, location), so a sharded snapshot
-        loads into a single-layout executor and onto any shard count."""
+    def test_a_resharded_warm_start_hits(self, problem, first_job, sharded_job):
+        """Partitions are keyed by (op, location) and shard membership is
+        routing, so real solver partitions taken at one shard count land
+        whole on any other — entry for entry, byte for byte (generated
+        trees: ``test_state_tree_properties.py::
+        test_a_tree_restores_onto_any_shard_count``) — and the resharded
+        warm start actually hits."""
         geometry, _d1, d2 = problem
-        tree = sharded_job.memo_executor.memo_state()
-        entries = sharded_job.memo_executor.db_entries_total()
-
-        single = MLRSolver(geometry, config(memo_snapshot=tree), admm=ADMM)
-        assert single.memo_executor.db_entries_total() == entries
-
-        resharded = MLRSolver(geometry, config(n_workers=1, n_shards=3,
-                                               memo_snapshot=tree), admm=ADMM)
-        assert resharded.memo_executor.db_entries_total() == entries
-        # and the resharded warm start actually hits
+        for source, shape in [
+            (first_job, dict(n_workers=1, n_shards=2)),
+            (sharded_job, dict()),  # two shards onto 1 x 1
+            (sharded_job, dict(n_workers=1, n_shards=3)),
+        ]:
+            tree = source.memo_executor.memo_state()
+            resharded = MLRSolver(geometry, config(memo_snapshot=tree, **shape), admm=ADMM)
+            executor = resharded.memo_executor
+            assert executor.db_entries_total() == source.memo_executor.db_entries_total()
+            saved = executor.memo_state()
+            assert set(saved) == {"n_shards", "partitions", "encoder", "encoder_state"}
+            assert saved["n_shards"] == shape.get("n_shards", 1)
+            assert by_partition(saved) == by_partition(tree)
         baseline = resharded.executor.db_stats_total()
         resharded.reconstruct(d2)
         assert resharded.executor.db_stats_total().delta(baseline).hits > 0
-
-    def test_single_snapshot_into_sharded(self, problem, first_job):
-        geometry, _d1, _d2 = problem
-        tree = first_job.memo_executor.memo_state()
-        sharded = MLRSolver(geometry, config(n_workers=1, n_shards=2,
-                                             memo_snapshot=tree), admm=ADMM)
-        assert (sharded.memo_executor.db_entries_total()
-                == first_job.memo_executor.db_entries_total())
 
     def test_loaded_partitions_answer_bit_identically(self, sharded_job, tmp_path):
         save_memo_snapshot(tmp_path / "m", sharded_job.memo_executor)
@@ -180,7 +174,7 @@ class TestShardedMemoState:
                                          fresh.memo_executor.router.shards):
             for key_id, live in shard._dbs.items():
                 restored = restored_shard._dbs[key_id]
-                probes = [np.array(k, copy=True) for k in live._keys.values()][:4]
+                probes = list(np.array(live._keys.view[:4], copy=True))
                 probes += [p + rng.normal(0, 1e-3, p.shape).astype(np.float32)
                            for p in probes[:2]]
                 if not probes:
@@ -189,6 +183,8 @@ class TestShardedMemoState:
                                 restored.query_batch(probes)):
                     assert a.similarity == b.similarity
                     assert a.matched_id == b.matched_id
+                    assert a.n_entries == b.n_entries
+                    assert a.stored_meta == b.stored_meta
                     assert (a.value is None) == (b.value is None)
                     if a.value is not None:
                         assert np.array_equal(a.value, b.value)
