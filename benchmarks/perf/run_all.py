@@ -52,7 +52,10 @@ def main(argv=None) -> int:
     benchmarks.update(bench_memo.run(quick=args.quick, repeat=repeat))
     print("[perf] remote transport round-trip overhead (loopback tcp vs inproc)...")
     benchmarks.update(bench_net.run(quick=args.quick, repeat=repeat))
-    print("[perf] solver construction (one shared stack vs a cold stack per solver)...")
+    print(
+        "[perf] solver construction (shared stack / fresh stack of a known geometry"
+        " vs a cold stack per solver)..."
+    )
     benchmarks.update(bench_construction.run(quick=args.quick, repeat=repeat))
 
     payload = {

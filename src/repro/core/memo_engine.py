@@ -121,7 +121,6 @@ class _OpState:
 
     key_history: dict = field(default_factory=dict)  # location -> [keys]
     consecutive_serves: dict = field(default_factory=dict)  # location -> int
-    dc_basis: dict = field(default_factory=dict)  # location -> op(all-ones chunk)
 
 
 @dataclass
@@ -324,15 +323,19 @@ class MemoizedExecutor(DirectExecutor):
         return kernel
 
     def _basis(self, op: str, chunk, shape: tuple[int, ...]) -> np.ndarray:
-        """``op`` applied to the all-ones chunk at this location (computed
-        once, like a plan): the exact image of the DC component."""
-        state = self._state[op]
-        basis = state.dc_basis.get(chunk.index)
-        if basis is None:
-            ones = np.ones(shape, dtype=np.complex64)
-            basis = self._raw_kernel(op)(chunk, ones)
-            state.dc_basis[chunk.index] = basis
-        return basis
+        """``op`` applied to the all-ones chunk at this location: the exact
+        image of the DC component.  Geometry-only, so it lives on the
+        operator stack like a plan (``ops.once``) — computed by the first
+        executor that needs it, read by every later one — keyed by the
+        chunk's *range*, not its index: executors on different chunk grids
+        may share a stack.  Read-only: every holder sees the same array."""
+
+        def compute() -> np.ndarray:
+            basis = self._raw_kernel(op)(chunk, np.ones(shape, dtype=np.complex64))
+            basis.setflags(write=False)
+            return basis
+
+        return self.ops.once(("dc_basis", op, chunk.lo, chunk.hi, shape), compute)
 
     def sweep_stream(self, op, items, n_chunks=None):
         """Streaming multi-worker sweep: consume ``(chunk, payload)`` in
@@ -444,6 +447,7 @@ class MemoizedExecutor(DirectExecutor):
                         out = compute(chunk, x)
                         if memoized_op:
                             # warmup still populates the database so later iterations hit
+                            out.setflags(write=False)  # the tier and the consumer share it
                             key = self.encoder.encode(x)
                             inserts.append(
                                 ShardInsert(op, loc, key, out, self._chunk_meta(x))
@@ -473,6 +477,10 @@ class MemoizedExecutor(DirectExecutor):
                         # miss (or forced refresh): original computation,
                         # batched insertion, local-cache refresh
                         out = compute(chunk, x)
+                        # one array goes to the cache, the tier and the
+                        # consumer: frozen, so a consumer writing into its
+                        # chunk cannot change what the other two serve
+                        out.setflags(write=False)
                         state.consecutive_serves[loc] = 0
                         inserts.append(ShardInsert(op, loc, slot.key, out, slot.meta))
                         if cache is not None:

@@ -9,10 +9,12 @@ Latency is *not* modeled here — the discrete-event cluster simulation
 (:mod:`repro.cluster`) owns all timing; this class is purely functional so
 it can also run inside the DES.
 
-Values are kept as read-only contiguous ndarrays — a ``put`` copies the
-caller's array once (detaching it from any buffer the caller may reuse), a
-hit returns the stored array itself, no ``encode_array``/``decode_array``
-round trip — while every byte is *accounted* as the serialized frame
+Values are kept as read-only contiguous ndarrays that own their buffer — a
+``put`` copies the caller's array once (detaching it from any buffer the
+caller may reuse) unless it already is one, in which case nobody can write
+it and it is shared; a hit returns the stored array itself, no
+``encode_array``/``decode_array`` round trip — while every byte is
+*accounted* as the serialized frame
 (:func:`~repro.kvstore.serialization.encoded_nbytes`) the wire and a real
 Redis would carry, so traffic statistics are those of a serialized store.
 
@@ -42,11 +44,16 @@ __all__ = [
 _heat_clock = time.time
 
 
-def _detached(value) -> np.ndarray:
-    """A read-only C-contiguous copy of ``value`` that owns its buffer —
-    what the store keeps, whoever else holds the original."""
+def _stored(value) -> np.ndarray:
+    """``value`` as the store keeps it: read-only, C-contiguous and owning
+    its buffer.  An array that already is all three has no writable alias
+    anywhere, so it is shared; a writable or borrowed one (a caller's
+    scratch buffer, a view, bytes fresh off disk or the wire) is copied
+    once — detached from whoever else holds the original."""
     if not isinstance(value, np.ndarray):
         raise TypeError(f"value must be an ndarray, got {type(value).__name__}")
+    if value.flags.owndata and value.flags.c_contiguous and not value.flags.writeable:
+        return value
     value = np.array(value, order="C", copy=True)
     value.setflags(write=False)
     return value
@@ -109,7 +116,7 @@ class KVStore:
     def put(self, key, value) -> None:
         """Insert/overwrite; evicts oldest (FIFO) or least-recent (LRU) entries
         until the new value fits."""
-        value = _detached(value)
+        value = _stored(value)
         size = encoded_nbytes(value)
         if self.capacity_bytes is not None and size > self.capacity_bytes:
             raise ValueError("value larger than store capacity")
@@ -205,12 +212,11 @@ class KVStore:
         bit-identical to the instance that produced ``state``; columns of
         unequal length are a ``ValueError``.
 
-        A value that is already what ``put`` would have made of it —
-        read-only, C-contiguous and owning its buffer, so no one holds a
-        writable alias — is shared, not copied: a tier handing its
-        partitions to a job and taking them back moves no value bytes.  A
-        writable or borrowed array (fresh off disk or the wire) is detached
-        exactly as in ``put``."""
+        Values go through ``put``'s rule (:func:`_stored`): one that is
+        already read-only, C-contiguous and owning its buffer is shared, not
+        copied — a tier handing its partitions to a job and taking them
+        back moves no value bytes — and a writable or borrowed array (fresh
+        off disk or the wire) is detached."""
         cap = state["capacity_bytes"]
         store = cls(
             capacity_bytes=None if cap is None else int(cap),
@@ -228,13 +234,7 @@ class KVStore:
         for key, value, last, hits in zip(
             ids.tolist(), vals, heat_last.tolist(), heat_hits.tolist()
         ):
-            if not (
-                isinstance(value, np.ndarray)
-                and value.flags.owndata
-                and value.flags.c_contiguous
-                and not value.flags.writeable
-            ):
-                value = _detached(value)
+            value = _stored(value)
             store._data[key] = [value, last, hits]
             store._nbytes += encoded_nbytes(value)
         store.stats = KVStats(**{k: int(v) for k, v in state["stats"].items()})

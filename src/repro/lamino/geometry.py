@@ -57,6 +57,10 @@ class LaminoGeometry:
     tilt_deg: float = 61.0
 
     def __post_init__(self) -> None:
+        # hashable whatever sequence the caller passed: equal geometries key
+        # what equal operator stacks share (``LaminoOperators.once``)
+        object.__setattr__(self, "vol_shape", tuple(self.vol_shape))
+        object.__setattr__(self, "det_shape", tuple(self.det_shape))
         n1, n0, n2 = self.vol_shape
         h, w = self.det_shape
         for name, v in (("n1", n1), ("n0", n0), ("n2", n2), ("h", h), ("w", w)):

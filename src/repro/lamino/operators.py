@@ -25,6 +25,7 @@ Shapes follow the paper::
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,13 @@ OP_NAMES = ("Fu1D", "Fu2D", "F2D*", "F2D", "Fu2D*", "Fu1D*")
 #: The four operations that survive cancellation (Algorithm 2) and that the
 #: memoization engine replaces.
 MEMOIZABLE_OPS = ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")
+
+#: Floats that are functions of the operator alone, shared by every stack
+#: that is the same operator: ``(geometry, half_width, oversample, key)`` ->
+#: value, least recently used first.  Never taken with a stack's lock held.
+_SHARED_LOCK = threading.Lock()
+_SHARED: OrderedDict = OrderedDict()  # guarded-by: _SHARED_LOCK
+_SHARED_MAX = 64
 
 
 class LaminoOperators:
@@ -84,20 +92,44 @@ class LaminoOperators:
             half_width=half_width,
             oversample=oversample,
         )
-        self._lipschitz_lock = threading.Lock()
-        self._lipschitz: dict = {}  # guarded-by: self._lipschitz_lock
+        self._operator_key = (geometry, half_width, oversample)
+        self._once_lock = threading.Lock()
+        self._once: dict = {}  # guarded-by: self._once_lock
 
-    def lipschitz_once(self, key, estimate: Callable[[], float]) -> float:
-        """``estimate()`` for ``key``, run once in this stack's lifetime.
+    def once(self, key, compute: Callable[[], object], shared: bool = False):
+        """``compute()`` for ``key``, run once: the stack's memo of results
+        that depend on nothing but the geometry.
 
-        ``lambda_max(L* L)`` depends on nothing but the geometry, so every
-        solver built on the stack shares one estimate; concurrent builders
-        wait for the first rather than racing it.
+        By default the result is this stack's (a DC basis is an array over
+        its plans' memory) and concurrent callers wait for the first rather
+        than racing it.  ``shared=True`` declares the result a function of
+        the *operator* alone — a float every stack of equal ``(geometry,
+        half_width, oversample)`` would compute to the last bit, like
+        ``lambda_max(L* L)`` — and keeps it in one process-wide registry
+        instead, so builders of equal stacks wait for one ``compute`` the
+        same way and every later equal stack reads the value.  The registry
+        holds floats only (``TypeError`` otherwise) and its ``_SHARED_MAX``
+        most recently used keys.
         """
-        with self._lipschitz_lock:
-            if key not in self._lipschitz:
-                self._lipschitz[key] = estimate()
-            return self._lipschitz[key]
+        if not shared:
+            with self._once_lock:
+                if key not in self._once:
+                    self._once[key] = compute()
+                return self._once[key]
+        key = (*self._operator_key, key)
+        with _SHARED_LOCK:
+            if key in _SHARED:
+                _SHARED.move_to_end(key)
+                return _SHARED[key]
+            value = compute()
+            if not isinstance(value, float):
+                raise TypeError(
+                    f"a shared result must be a float, got {type(value).__name__}"
+                )
+            _SHARED[key] = value
+            if len(_SHARED) > _SHARED_MAX:
+                _SHARED.popitem(last=False)
+            return value
 
     # -- the six FFT operations ---------------------------------------------------
 
@@ -117,19 +149,19 @@ class LaminoOperators:
         """
         g = self.geometry
         sl = rows if rows is not None else slice(0, g.det_shape[0])
-        slabs = np.ascontiguousarray(np.moveaxis(u1, 1, 0))  # (h_c, n1, n2)
+        slabs = np.ascontiguousarray(u1.transpose(1, 0, 2))  # (h_c, n1, n2)
         flat = usfft2d_type2(slabs, self.plan2d, slices=sl)  # (h_c, ntheta*w)
         out = flat.reshape(slabs.shape[0], g.n_angles, g.det_shape[1])
-        return np.ascontiguousarray(np.moveaxis(out, 0, 1))  # (ntheta, h_c, w)
+        return np.ascontiguousarray(out.transpose(1, 0, 2))  # (ntheta, h_c, w)
 
     def fu2d_adj(self, u2: np.ndarray, rows: slice | None = None) -> np.ndarray:
         """``F*_u2D``: ``(n_angles, h_c, w) -> (n1, h_c, n2)``."""
         g = self.geometry
         sl = rows if rows is not None else slice(0, g.det_shape[0])
         h_c = u2.shape[1]
-        flat = np.ascontiguousarray(np.moveaxis(u2, 1, 0)).reshape(h_c, -1)
+        flat = np.ascontiguousarray(u2.transpose(1, 0, 2)).reshape(h_c, -1)
         slabs = usfft2d_type1(flat, self.plan2d, slices=sl)  # (h_c, n1, n2)
-        return np.ascontiguousarray(np.moveaxis(slabs, 0, 1))
+        return np.ascontiguousarray(slabs.transpose(1, 0, 2))
 
     @staticmethod
     def f2d(d: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from repro.core import (
     shard_of_location,
 )
 from repro.core.memo_engine import make_db_factory
-from repro.core.memo_shard import MemoTier
+from repro.core.memo_shard import MemoTier, memo_state_partitions
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
 from repro.lamino.chunking import Chunk
 from repro.solvers import ADMMConfig, ADMMSolver, DirectExecutor, accuracy
@@ -375,6 +375,133 @@ class TestReconstructEdgeCases:
         out = ex._reconstruct("Fu1D", chunk, value, value, None, (1.0, 0j))
         np.testing.assert_array_equal(out, value)
         assert out is not value
+
+
+class TestMissOutputIsFrozen:
+    """A miss's output is one array in three places — the private cache,
+    the pending tier insert and the consumer's hands — so it is read-only
+    before it reaches any of them."""
+
+    N = 16
+
+    def _run(self, ops, consume):
+        """A sweep of misses then a sweep of hits, per op, through the
+        public seam; ``consume`` sees every chunk the miss sweep yields."""
+        cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
+        ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
+        ex.begin_outer(1)
+        chunks = list(ex._chunks(self.N))
+        u, r = rand_chunk(3, (self.N,) * 3), rand_chunk(4, ops.geometry.data_shape)
+        operands = {  # a kernel that returns a view, and one that owns its output
+            "Fu1D": lambda c, s: (s * u[c.slice]).astype(np.complex64),
+            "Fu2D*": lambda c, s: (s * r[:, c.slice, :]).astype(np.complex64),
+        }
+        yielded = []
+        for op, operand in operands.items():
+            for scale in (1.0, 1.5):
+                items = [(c, operand(c, scale)) for c in chunks]
+                for _chunk, out in ex.sweep_stream(op, items, n_chunks=len(chunks)):
+                    yielded.append(out.copy())
+                    if scale == 1.0:
+                        consume(out)
+        assert Counter(ev.case for ev in ex.events) == {"miss": 8, "cache_hit": 8}
+        return ex, yielded
+
+    @staticmethod
+    def _tier_values(ex):
+        return [
+            v
+            for part in memo_state_partitions(ex.memo_state())
+            for v in part["db"]["values"]["vals"]
+        ]
+
+    def test_a_consumer_cannot_write_what_the_cache_and_the_tier_hold(self, problem):
+        g, ops, truth, d = problem
+        refused = []
+
+        def scribble(out):
+            assert not out.flags.writeable
+            try:
+                out[...] = 0
+            except ValueError as exc:
+                refused.append(exc)
+
+        clean, clean_out = self._run(ops, lambda out: None)
+        dirty, dirty_out = self._run(ops, scribble)
+        assert len(refused) == 8  # every miss chunk, view or owner
+        for a, b in zip(clean_out, dirty_out, strict=True):
+            np.testing.assert_array_equal(a, b)  # later hits included
+        for a, b in zip(self._tier_values(clean), self._tier_values(dirty), strict=True):
+            np.testing.assert_array_equal(a, b)
+        for op in ("Fu1D", "Fu2D*"):
+            ca, cb = (e.workers[0].caches[op]._items for e in (clean, dirty))
+            assert ca.keys() == cb.keys()
+            for loc in ca:
+                np.testing.assert_array_equal(ca[loc][1], cb[loc][1])
+
+    def test_the_in_process_tier_keeps_an_owning_output_without_a_copy(self, problem):
+        g, ops, truth, d = problem
+        held = []
+        ex, _ = self._run(ops, held.append)
+        stored = self._tier_values(ex)
+        shared = [any(v is out for v in stored) for out in held]
+        # Fu1D's kernel returns a transposed view (borrowed: detached),
+        # Fu2D*'s an array that owns its buffer (shared)
+        assert shared == [False] * 4 + [True] * 4
+
+
+class TestGeometryOnlyStateOnTheStack:
+    """The DC bases are geometry-only, so they live on the operator stack
+    (``ops.once``): computed by the first executor that needs one, keyed by
+    chunk *range* so two chunk grids on one stack never collide."""
+
+    @staticmethod
+    def _bases(ops):
+        return {k: v for k, v in ops._once.items() if k[0] == "dc_basis"}
+
+    def _solve(self, g, d, ops, chunk):
+        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=chunk)
+        res = ADMMSolver(ops, ADMM, executor=ex).run(d)
+        return res.u, event_trace(ex.events)
+
+    def test_two_chunk_grids_on_one_stack_get_their_own_bases(self, problem):
+        g, _ops, truth, d = problem
+        shared = LaminoOperators(g)
+        got = {c: self._solve(g, d, shared, c) for c in (4, 8)}
+        bases = self._bases(shared)
+        assert bases and all(not b.flags.writeable for b in bases.values())
+        widths = {hi - lo for (_tag, _op, lo, hi, _shape) in bases}
+        assert widths == {4, 8}
+        # location 0 of both grids: same index, different range and image
+        first = {k[3]: v for k, v in bases.items() if k[1] == "Fu1D" and k[2] == 0}
+        assert set(first) == {4, 8} and first[4].shape != first[8].shape
+        for c in (4, 8):
+            u, trace = self._solve(g, d, LaminoOperators(g), c)  # a private stack
+            np.testing.assert_array_equal(got[c][0], u)
+            assert got[c][1] == trace
+
+    def test_a_second_job_on_the_stack_computes_no_basis(self, problem, monkeypatch):
+        g, _ops, truth, d = problem
+        ops = LaminoOperators(g)
+        calls = Counter()
+        for name in ("fu1d", "fu1d_adj", "fu2d", "fu2d_adj"):
+            real = getattr(ops, name)
+            monkeypatch.setattr(
+                ops, name,
+                lambda *a, _n=name, _r=real, **kw: calls.update([_n]) or _r(*a, **kw),
+            )
+        results = []
+        for _job in range(2):
+            solver = MLRSolver(g, MLRConfig(chunk_size=4, memo=memo_cfg()), admm=ADMM, ops=ops)
+            calls.clear()  # construction (the first job's Lipschitz passes) is not the run
+            res = solver.reconstruct(d)
+            computed = res.case_counts.get("miss", 0) + res.case_counts.get("direct", 0)
+            results.append((res, sum(calls.values()) - computed, len(self._bases(ops))))
+        (first, first_extra, n_bases), (second, second_extra, n_after) = results
+        assert first_extra == n_bases > 0  # one raw-kernel call per basis, no more
+        assert second_extra == 0 and n_after == n_bases
+        np.testing.assert_array_equal(first.u, second.u)
+        assert first.case_counts == second.case_counts
 
 
 class TestSimilarityCensusVectorized:

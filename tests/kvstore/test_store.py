@@ -238,7 +238,8 @@ class TestSerialization:
 
 
 class TestStoredValues:
-    """Zero-copy ndarray values: read-only, detached, shared on restore."""
+    """Zero-copy ndarray values: read-only, owning; shared when already so,
+    detached otherwise — by ``put`` and by ``from_state`` alike."""
 
     def test_get_returns_stored_array_read_only(self, rng):
         st_ = KVStore()
@@ -257,54 +258,66 @@ class TestStoredValues:
         a[:] = 7.0
         np.testing.assert_array_equal(st_.get(0), np.ones(4, dtype=np.float32))
 
-    def test_put_detaches_even_from_an_immutable_source(self, rng):
-        """``put`` never adopts the caller's array, read-only or not — only
-        ``from_state`` may share (below)."""
-        a = rng.standard_normal(4).astype(np.float32)
-        a.setflags(write=False)
-        st_ = KVStore()
-        st_.put(0, a)
-        assert not np.shares_memory(st_.get(0), a)
+    def test_put_refuses_a_non_array(self):
+        with pytest.raises(TypeError, match="ndarray"):
+            KVStore().put(0, [1.0, 2.0])
 
-    def test_from_state_shares_immutable_values_and_copies_the_rest(self, rng):
-        """A state tree's value that is read-only and owns its buffer is
-        what a store already holds: ``from_state`` shares it (a tier
-        handing partitions to a job moves no value bytes).  A writable
-        array, or a read-only *view* of someone's writable buffer, is
-        copied — mutating the source afterwards cannot change a stored
-        value."""
-        live = KVStore()
-        for key in range(3):
-            live.put(key, rng.standard_normal((2, 3)).astype(np.complex64))
-        state = live.state_dict()
+    @staticmethod
+    def _via_put(values: dict) -> KVStore:
+        store = KVStore()
+        for key, value in values.items():
+            store.put(key, value)
+        return store
+
+    @staticmethod
+    def _via_from_state(values: dict) -> KVStore:
+        state = KVStore().state_dict()
+        state["ids"] = np.array(list(values), dtype=np.int64)
+        state["vals"] = list(values.values())
+        state["heat_last"] = np.zeros(len(values))
+        state["heat_hits"] = np.zeros(len(values), dtype=np.int64)
+        return KVStore.from_state(state)
+
+    @pytest.mark.parametrize("install", ["_via_put", "_via_from_state"])
+    def test_immutable_owning_values_are_shared_and_the_rest_detached(self, rng, install):
+        """One rule on both ways in: a value that is read-only, C-contiguous
+        and owns its buffer has no writable alias anywhere, so the store
+        keeps *it* (a miss's frozen output enters the tier without a copy; a
+        tier handing partitions to a job moves no value bytes).  A writable
+        array, a read-only *view* of someone's writable buffer, or a
+        non-contiguous one is copied — mutating the source afterwards cannot
+        change a stored value."""
+        frozen = rng.standard_normal((2, 3)).astype(np.complex64)
+        frozen.setflags(write=False)
         writable = np.ones(4, dtype=np.float32)
         base = np.full(6, 2.0, dtype=np.float32)
         borrowed = base[1:5]
         borrowed.setflags(write=False)
         strided = np.asfortranarray(rng.standard_normal((3, 2)))
         strided.setflags(write=False)
-        WRITABLE, BORROWED, STRIDED = 10, 11, 12
-        state["ids"] = np.append(state["ids"], [WRITABLE, BORROWED, STRIDED])
-        state["vals"] += [writable, borrowed, strided]
-        state["heat_last"] = np.append(state["heat_last"], [0.0] * 3)
-        state["heat_hits"] = np.append(state["heat_hits"], [0] * 3)
+        FROZEN, WRITABLE, BORROWED, STRIDED = 9, 10, 11, 12
+        values = {FROZEN: frozen, WRITABLE: writable, BORROWED: borrowed, STRIDED: strided}
 
-        restored = KVStore.from_state(state)
-        for key in range(3):
-            assert np.shares_memory(restored.get(key), live.get(key))
-            assert restored.get(key) is live.get(key)
+        store = getattr(self, install)(values)
+        assert store.get(FROZEN) is frozen
         for key, source in ((WRITABLE, writable), (BORROWED, base), (STRIDED, strided)):
-            got = restored.get(key)
+            got = store.get(key)
             assert not np.shares_memory(got, source)
-            assert not got.flags.writeable and got.flags.c_contiguous
+            assert not got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
         writable[:] = 9.0
         base[:] = 9.0
-        np.testing.assert_array_equal(restored.get(WRITABLE), np.ones(4, np.float32))
-        np.testing.assert_array_equal(restored.get(BORROWED), np.full(4, 2.0, np.float32))
-        np.testing.assert_array_equal(restored.get(STRIDED), strided)
-        assert restored.nbytes == sum(
-            encoded_nbytes(v) for v in state["vals"]
-        )
+        np.testing.assert_array_equal(store.get(WRITABLE), np.ones(4, np.float32))
+        np.testing.assert_array_equal(store.get(BORROWED), np.full(4, 2.0, np.float32))
+        np.testing.assert_array_equal(store.get(STRIDED), strided)
+        assert store.nbytes == sum(encoded_nbytes(v) for v in values.values())
+
+    def test_a_restored_store_shares_the_live_stores_values(self, rng):
+        live = KVStore()
+        for key in range(3):
+            live.put(key, rng.standard_normal((2, 3)).astype(np.complex64))
+        restored = KVStore.from_state(live.state_dict())
+        for key in range(3):
+            assert restored.get(key) is live.get(key)
 
 
 class TestStateColumns:
