@@ -253,8 +253,3 @@ class IVFFlatIndex:
         dists[:, :kk] = np.where(found, np.sqrt(np.where(found, best, 0.0)), np.inf)
         ids[:, :kk] = np.where(found, cand_ids[order], -1)
         return dists, ids
-
-    # -- introspection ------------------------------------------------------------------
-
-    def list_sizes(self) -> list[int]:
-        return [len(lst) for lst in self._list_ids]

@@ -55,10 +55,6 @@ class ProblemDims:
         """COMPLEX64 chunk payload."""
         return 8 * self.chunk_elems
 
-    @property
-    def volume_bytes(self) -> int:
-        return 8 * self.n**3
-
 
 @dataclass
 class CostModel:

@@ -147,9 +147,6 @@ class Timeline:
         """Latency (end - release) of all tasks whose name matches the prefix."""
         return [t.latency for t in self.tasks if t.name.startswith(name_prefix)]
 
-    def tasks_named(self, name_prefix: str) -> list[Task]:
-        return [t for t in self.tasks if t.name.startswith(name_prefix)]
-
     def busy_between(self, resource: Resource | str, t0: float, t1: float) -> float:
         """Busy time of a resource's tasks overlapping the window [t0, t1]."""
         res = self.resources[resource] if isinstance(resource, str) else resource

@@ -105,8 +105,5 @@ class ClusterModel:
     def cpu_of(self, gpu: GPUHandle) -> Resource:
         return self.node_cpus[gpu.node]
 
-    def ssd_of(self, gpu: GPUHandle) -> Resource:
-        return self.node_ssds[gpu.node]
-
     def crosses_node(self, a: GPUHandle, b: GPUHandle) -> bool:
         return a.node != b.node

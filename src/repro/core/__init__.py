@@ -39,10 +39,8 @@ from .perfsim import (
     PipelinePerf,
     coalesce_comparison,
     memo_case_breakdown,
-    phase_times,
     simulate_iteration,
     simulate_pipeline,
-    total_runtime,
 )
 from .scaling import GPUAssignment, distribute_chunks
 
@@ -90,10 +88,8 @@ __all__ = [
     "PipelinePerf",
     "coalesce_comparison",
     "memo_case_breakdown",
-    "phase_times",
     "simulate_iteration",
     "simulate_pipeline",
-    "total_runtime",
     "GPUAssignment",
     "distribute_chunks",
 ]

@@ -38,11 +38,6 @@ class CacheStats:
     comparisons: int = 0
     per_iteration: dict = field(default_factory=dict)  # iteration -> [hits, lookups]
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def record(self, iteration: int, hit: bool) -> None:
         bucket = self.per_iteration.setdefault(iteration, [0, 0])
         bucket[0] += int(hit)
@@ -104,10 +99,6 @@ class PrivateMemoCache:
         )
 
     def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def total_entries(self) -> int:
         return len(self._items)
 
 

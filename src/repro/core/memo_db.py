@@ -279,8 +279,9 @@ class MemoDatabase:
         )
         return sims
 
-    def _resolve(self, key: np.ndarray, matched: int, sim: float, n: int) -> QueryOutcome:
-        """Shared hit/miss resolution once the nearest candidate is known."""
+    def _resolve(self, matched: int, sim: float, n: int) -> QueryOutcome:
+        """Shared hit/miss resolution once the nearest candidate is known
+        (``matched = -1``: the probed lists held no candidate at all)."""
         if matched >= 0 and sim > self.tau:
             value = self.values.get(matched)
             if value is not None:
@@ -320,19 +321,15 @@ class MemoDatabase:
         if not self.index.is_trained:
             for key in keys:
                 matched, sim = self._cold_best(key)
-                outcomes.append(self._resolve(key, matched, sim, n))
+                outcomes.append(self._resolve(matched, sim, n))
         else:
             Q = np.stack(keys)
             with obs.span("memo.ann_query", n=len(keys)):
                 _dists, ids = self.index.search(Q, k=1)
                 matched = ids[:, 0]
                 sims = self._gate_rows(Q, matched)  # one vectorized Eq. 3 gate
-            for key, mid, sim in zip(keys, matched, sims):
-                mid = int(mid)
-                if mid < 0:
-                    outcomes.append(QueryOutcome(None, -2.0, -1, n))
-                else:
-                    outcomes.append(self._resolve(key, mid, float(sim), n))
+            for mid, sim in zip(matched, sims):
+                outcomes.append(self._resolve(int(mid), float(sim), n))
         self.stats.query_batches += 1
         return outcomes
 

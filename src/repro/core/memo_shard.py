@@ -311,10 +311,6 @@ class MemoShard:
             ]
             return MemoDBStats.merged(db.stats for db in dbs), sum(map(len, dbs))
 
-    def locations(self, op: str | None = None) -> list[int]:
-        with self._lock:
-            return sorted(loc for (o, loc) in self._dbs if op is None or o == op)
-
     def heat_records(self) -> list[dict]:
         """Per-entry ``{op, shard, location, last, hits, nbytes}`` heat
         records straight off the live value stores — the one producer of
@@ -381,12 +377,6 @@ class MemoShardRouter(MemoTier):
         self.tau = tau  # guarded-by: self._lock
         self.encoder: dict | None = None  # guarded-by: self._lock
         self.encoder_state: dict | None = None  # guarded-by: self._lock
-
-    def shard_for(self, location: int) -> MemoShard:
-        return self.shards[self.shard_of(location)]
-
-    def db_for(self, op: str, location: int, dim: int) -> MemoDatabase:
-        return self.shard_for(location).db_for(op, location, dim)
 
     # -- batched routing -----------------------------------------------------------
 

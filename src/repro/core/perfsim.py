@@ -32,8 +32,6 @@ __all__ = [
     "PipelinePerf",
     "simulate_iteration",
     "simulate_pipeline",
-    "phase_times",
-    "total_runtime",
     "memo_case_breakdown",
     "coalesce_comparison",
 ]
@@ -449,25 +447,6 @@ def _cpu_phase_durations(dims: ProblemDims, cost: CostModel) -> dict[str, float]
         "lambda_update": 6.0 * vol / cpu,
         "penalty_update": 4.0 * vol / cpu,
     }
-
-
-def phase_times(dims: ProblemDims, cost: CostModel | None = None, **kwargs) -> dict[str, float]:
-    """Per-phase durations of one iteration (Figure 2's LSP-dominance data)."""
-    perf = simulate_iteration(dims, cost, **kwargs)
-    return dict(perf.phase_durations)
-
-
-def total_runtime(
-    dims: ProblemDims,
-    n_outer: int,
-    cost: CostModel | None = None,
-    **kwargs,
-) -> float:
-    """End-to-end runtime: the steady-state iteration replayed ``n_outer``
-    times (the memoization trace already reflects warmup/hit evolution when
-    the caller aggregates per-iteration traces)."""
-    perf = simulate_iteration(dims, cost, **kwargs)
-    return n_outer * perf.iteration_time
 
 
 def memo_case_breakdown(

@@ -29,10 +29,6 @@ class GPUAssignment:
                 owners[chunk] = gpu
         object.__setattr__(self, "_owners", owners)
 
-    @property
-    def n_gpus(self) -> int:
-        return len(self.per_gpu)
-
     def owner_of(self, chunk: int) -> int:
         gpu = self._owners.get(chunk)
         if gpu is None:

@@ -577,10 +577,6 @@ class ShardedScalingResult:
     lsp_times: dict[tuple[int, int], float]
     query_p50: dict[tuple[int, int], float]
 
-    def speedup(self, workers: int, shards: int) -> float:
-        base = self.lsp_times[(self.grid_workers[0], self.grid_shards[0])]
-        return base / self.lsp_times[(workers, shards)]
-
     def report(self) -> str:
         rows = [
             [s, self.shard_queries[s], self.shard_hit_rates[s], self.shard_entries[s]]
@@ -751,9 +747,6 @@ class PipelineOverlapResult:
     @property
     def serial_time(self) -> float:
         return next(iter(self.perfs.values())).serial_time
-
-    def speedup(self, queue_depth: int, workers: int) -> float:
-        return self.perfs[(queue_depth, workers)].speedup
 
     def report(self) -> str:
         rows = []

@@ -1,8 +1,8 @@
-"""Plain-text rendering of experiment results (tables and series)."""
+"""Plain-text rendering of experiment results (tables and CDF rows)."""
 
 from __future__ import annotations
 
-__all__ = ["table", "series", "cdf_rows"]
+__all__ = ["table", "cdf_rows"]
 
 
 def table(headers: list[str], rows: list[list], title: str = "") -> str:
@@ -20,11 +20,6 @@ def table(headers: list[str], rows: list[list], title: str = "") -> str:
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def series(name: str, xs, ys, xlabel: str = "x", ylabel: str = "y") -> str:
-    """A named (x, y) series as rows — the textual form of a figure curve."""
-    return table([xlabel, ylabel], [[x, y] for x, y in zip(xs, ys)], title=name)
 
 
 def cdf_rows(values, quantiles=(0.25, 0.5, 0.75, 0.9, 0.99)) -> list[list]:

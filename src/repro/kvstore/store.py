@@ -104,9 +104,6 @@ class KVStore:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
     @property
     def nbytes(self) -> int:
         return self._nbytes
@@ -155,16 +152,7 @@ class KVStore:
     def keys(self):
         return list(self._data.keys())
 
-    def clear(self) -> None:
-        self._data.clear()
-        self._nbytes = 0
-
     # -- heat metadata -------------------------------------------------------------------
-
-    def heat(self, key) -> tuple[float, int] | None:
-        """``(last_hit_unix_s, hit_count)`` of a stored entry, or ``None``."""
-        entry = self._data.get(key)
-        return None if entry is None else (entry[1], entry[2])
 
     def heat_entries(self) -> list[tuple]:
         """``(key, last_hit_unix_s, hit_count, accounted_nbytes)`` for every

@@ -56,9 +56,6 @@ class PhaseTrace:
 
     # -- planner-facing queries --------------------------------------------------------
 
-    def iterations(self) -> list[int]:
-        return sorted({a.iteration for a in self.accesses})
-
     def phases(self, iteration: int) -> list[str]:
         seen: list[str] = []
         for a in self.accesses:
@@ -68,11 +65,6 @@ class PhaseTrace:
 
     def variables(self) -> list[str]:
         return sorted({a.variable for a in self.accesses})
-
-    def accesses_in(self, iteration: int, phase: str) -> list[Access]:
-        return [
-            a for a in self.accesses if a.iteration == iteration and a.phase == phase
-        ]
 
     def phase_access_map(self, iteration: int) -> dict[str, set[str]]:
         """phase -> set of variables it touches, for one iteration."""

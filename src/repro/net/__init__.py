@@ -20,9 +20,9 @@ memo tier:
 - :mod:`repro.net.replicated` — :class:`ReplicatedMemoClient`, replication
   (insert fan-out, per-shard query failover, circuit breakers, resync) as a
   wrapper over any list of tiers,
-- :mod:`repro.net.snapshot_store` — :func:`pull_state` /
-  :class:`RemoteSnapshotStore`, reading a tier as whole snapshots for
-  cross-host warm starts (cold told from unreachable, with retries).
+- :mod:`repro.net.snapshot_store` — :func:`pull_state`, reading a tier as
+  a whole snapshot for cross-host warm starts (cold told from unreachable,
+  with retries).
 
 The wire carries memo traffic only (queries, inserts, stats, snapshot
 push/pull, heartbeats); a daemon's metrics and spans are read from its
@@ -36,8 +36,7 @@ bit-identical behavior is asserted between the two.
 
 from .client import NetClientStats, RemoteMemoClient, TransportUnavailable, connect_tier
 from .replicated import ReplicatedMemoClient
-from .server import MemoServerDaemon, ServerStats
-from .snapshot_store import RemoteSnapshotStore, pull_state
+from .snapshot_store import pull_state
 from .wire import (
     MAX_PAYLOAD_BYTES,
     PROTOCOL_VERSION,
@@ -61,7 +60,6 @@ __all__ = [
     "connect_tier",
     "MemoServerDaemon",
     "ServerStats",
-    "RemoteSnapshotStore",
     "pull_state",
     "MAX_PAYLOAD_BYTES",
     "PROTOCOL_VERSION",
@@ -76,3 +74,14 @@ __all__ = [
     "VersionMismatch",
     "parse_address",
 ]
+
+
+def __getattr__(name: str):
+    # ``server`` is imported on first use, not here: ``python -m
+    # repro.net.server`` imports this package first, and runpy warns when
+    # the module it is about to run is already in ``sys.modules``
+    if name in ("MemoServerDaemon", "ServerStats"):
+        from . import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -79,7 +79,6 @@ from .wire import (
     VersionMismatch,
     inserts_from_wire,
     outcomes_to_wire,
-    parse_address_list,
     queries_from_wire,
     send_frame,
     stats_to_wire,
@@ -296,44 +295,6 @@ class MemoServerDaemon:
                 log.warning("periodic snapshot failed: %s", exc)
 
     # -- operations ----------------------------------------------------------------------
-
-    def resync_from(self, peers) -> int:
-        """Anti-entropy resync: pull a peer replica's merged tier and merge
-        it into this daemon (partition-level union, peer's partitions win
-        for conflicts — the rejoining side is the stale one by definition).
-
-        ``peers`` is anything :func:`parse_address_list` accepts; peers are
-        tried in order and the first reachable one is used.  Returns the
-        number of partitions installed (0 when every peer is down or the
-        first reachable peer is cold — a rejoin must come up regardless)."""
-        from .client import RemoteMemoClient
-        from .snapshot_store import pull_state
-
-        for host, port in parse_address_list(peers):
-            if (host, port) == tuple(self.address):
-                continue  # resyncing from ourselves is a no-op
-            try:
-                with RemoteMemoClient(
-                    (host, port),
-                    expect_tau=self.memo.tau,
-                    fail_open=False,
-                    client_name=f"{self.name}-resync",
-                ) as peer_client:
-                    tree = pull_state(peer_client)
-            except (OSError, ProtocolError) as exc:
-                log.info("resync peer %s:%d unreachable: %s", host, port, exc)
-                continue
-            installed = 0
-            if tree is not None:  # a cold peer has nothing to give
-                self.router.push_state(tree)
-                installed = len(memo_state_partitions(tree))
-            log.info(
-                "resynced %d partitions from peer %s:%d", installed, host, port
-            )
-            obs.counter("net_server_resync_total", server=self.name).inc()
-            return installed
-        log.info("%s: no reachable resync peer — serving cold", self.name)
-        return 0
 
     def _telemetry_collect(self) -> list[dict]:
         """Telemetry-plane collect hook: publish the traffic counters as
@@ -616,15 +577,10 @@ def main(argv=None) -> int:
              "with MSG_PING; default: never reap)",
     )
     parser.add_argument(
-        "--peer", default=None, metavar="HOST:PORT[,HOST:PORT...]",
-        help="replica peer(s) to anti-entropy resync from at boot "
-             "(first reachable peer wins; unreachable peers are skipped)",
-    )
-    parser.add_argument(
         "--telemetry-port", type=int, default=None, metavar="PORT",
         help="serve /metrics /healthz /readyz /snapshot on this HTTP port — "
              "the daemon's only telemetry egress: scrape it, or point "
-             "`python -m repro.obs report|top` at it "
+             "`python -m repro.obs report` at it "
              "(0 = ephemeral; default: no telemetry server)",
     )
     parser.add_argument(
@@ -632,10 +588,6 @@ def main(argv=None) -> int:
         help="bind address for --telemetry-port (default: 127.0.0.1)",
     )
     args = parser.parse_args(argv)
-    if args.peer is not None:
-        # fail fast on a malformed list (the error names the bad element)
-        # before binding a port the operator then has to clean up
-        parse_address_list(args.peer)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     daemon = MemoServerDaemon(
         host=args.host,
@@ -648,11 +600,6 @@ def main(argv=None) -> int:
         telemetry_port=args.telemetry_port,
         telemetry_host=args.telemetry_host,
     )
-    if args.peer is not None:
-        try:
-            daemon.resync_from(args.peer)
-        except Exception as exc:  # noqa: BLE001 — a failed resync must not kill boot
-            log.warning("peer resync failed (%s) — serving with local state", exc)
     host, port = daemon.address
     log.info(
         "memo server listening on %s:%d (%d shards, tau=%g)",

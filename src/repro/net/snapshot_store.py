@@ -12,11 +12,9 @@ tier did) — but seeding from a daemon that was restarting costs seconds
 while a cold reconstruction costs the whole warm fraction, so the pull
 retries under a :class:`~repro.net.policy.RetryPolicy` (jittered backoff,
 bounded by the policy deadline) before it gives up.  Semantic rejections
-(tau / encoder mismatch against the daemon) still raise.
-
-:class:`RemoteSnapshotStore` is that pull over the tier
-:func:`~repro.net.client.connect_tier` builds for an address list (more
-than one address: the replicated tier, whose pulls fail over).
+(tau / encoder mismatch against the daemon) still raise.  Over TCP the
+tier is what :func:`~repro.net.client.connect_tier` builds for an address
+list (more than one address: the replicated tier, whose pulls fail over).
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ import logging
 import time
 
 from ..core.memo_shard import MemoTier, memo_state_partitions
-from .client import connect_tier
 from .policy import RetryPolicy
 
-__all__ = ["RemoteSnapshotStore", "pull_state"]
+__all__ = ["pull_state"]
 
 log = logging.getLogger("repro.net.snapshot_store")
 
@@ -67,35 +64,3 @@ def pull_state(tier: MemoTier, policy: RetryPolicy | None = None) -> dict | None
                 policy.max_attempts)
     return None
 
-
-class RemoteSnapshotStore:
-    """Pull memo-state trees from one or more memo server daemons
-    (``store.tier`` is the tier itself, for everything else)."""
-
-    def __init__(
-        self,
-        address,
-        fail_open: bool = True,
-        client_name: str = "snapshot-store",
-        retry_policy: RetryPolicy | None = None,
-    ) -> None:
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.tier = connect_tier(
-            address,
-            fail_open=fail_open,
-            client_name=client_name,
-            retry_policy=self.retry_policy,
-        )
-
-    def pull(self) -> dict | None:
-        """:func:`pull_state` of the store's tier under its retry policy."""
-        return pull_state(self.tier, self.retry_policy)
-
-    def close(self) -> None:
-        self.tier.close()
-
-    def __enter__(self) -> "RemoteSnapshotStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

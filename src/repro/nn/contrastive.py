@@ -61,10 +61,6 @@ class TrainReport:
 
     losses: list[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
 
 def make_pairs(images: np.ndarray, n_pairs: int, rng: np.random.Generator):
     """Sample index pairs and their chunk-space L2 labels."""

@@ -15,27 +15,17 @@ All of it is free while disabled (the default): enable with
 with :func:`to_prometheus` / :func:`dump_jsonl`; inspect dumps with
 ``python -m repro.obs report``.  The live telemetry plane —
 :class:`~repro.obs.http.TelemetryServer` (``/metrics`` / ``/healthz`` /
-``/readyz`` / ``/snapshot``), the span-attributed
-:class:`~repro.obs.profiler.SamplingProfiler`, and the memo-tier heat
-analytics (:mod:`repro.obs.heat`, ``python -m repro.obs heat`` /
-``top``) — rides on the same registry.  ``http`` stays a lazy submodule
-import here (it reaches into :mod:`repro.net` for address parsing, which
-imports this package back).
+``/readyz`` / ``/snapshot``) and the memo-tier heat analytics
+(:mod:`repro.obs.heat`, ``python -m repro.obs heat``) — rides on the same
+registry.  ``http`` stays a lazy submodule import here (it reaches into
+:mod:`repro.net` for address parsing, which imports this package back).
 """
 
 from .config import ObsConfig
 from .export import dump_jsonl, dump_lines, load_jsonl, to_prometheus
-from .profiler import SamplingProfiler
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, log_bucket_edges
-from .report import (
-    build_report,
-    merge_dumps,
-    render_profile,
-    render_report,
-    report_from_file,
-)
+from .report import build_report, merge_dumps, render_report, report_from_file
 from .runtime import (
-    collector,
     configure,
     counter,
     drain_spans,
@@ -45,8 +35,6 @@ from .runtime import (
     gauge,
     histogram,
     peek_spans,
-    profile_snapshot,
-    profiler,
     publish_gauges,
     registry,
     reset,
@@ -55,14 +43,7 @@ from .runtime import (
     span,
     telemetry_server,
 )
-from .spans import (
-    Span,
-    SpanCollector,
-    active_span_path,
-    current_span_id,
-    current_trace_context,
-    current_trace_id,
-)
+from .spans import Span, SpanCollector, current_span_id, current_trace_context
 
 __all__ = [
     "ObsConfig",
@@ -73,11 +54,8 @@ __all__ = [
     "log_bucket_edges",
     "Span",
     "SpanCollector",
-    "SamplingProfiler",
     "current_span_id",
-    "current_trace_id",
     "current_trace_context",
-    "active_span_path",
     "configure",
     "enabled",
     "counter",
@@ -87,14 +65,11 @@ __all__ = [
     "span",
     "server_span",
     "registry",
-    "collector",
     "snapshot",
     "drain_spans",
     "peek_spans",
     "flight_dir",
     "flight_dump",
-    "profiler",
-    "profile_snapshot",
     "telemetry_server",
     "reset",
     "to_prometheus",
@@ -104,6 +79,5 @@ __all__ = [
     "build_report",
     "merge_dumps",
     "render_report",
-    "render_profile",
     "report_from_file",
 ]

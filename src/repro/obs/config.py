@@ -49,11 +49,6 @@ class ObsConfig:
         :func:`repro.obs.runtime.telemetry_server`).  The zero-code
         equivalent is ``REPRO_OBS_HTTP=<port>`` in the environment, which
         also implies ``REPRO_OBS=1``.
-    profile_hz:
-        Sampling rate of the span-attributed profiler
-        (:class:`~repro.obs.profiler.SamplingProfiler`); 0 (default) means
-        no profiler thread at all.  ``REPRO_OBS_PROFILE_HZ=<hz>`` is the
-        environment route.
     """
 
     enabled: bool = True
@@ -64,16 +59,11 @@ class ObsConfig:
     flight_dir: str | None = None
     http_port: int | None = None
     http_host: str = "127.0.0.1"
-    profile_hz: float = 0.0
 
     def __post_init__(self) -> None:
         if self.http_port is not None and not (0 <= self.http_port <= 65535):
             raise ValueError(
                 f"http_port must be in [0, 65535] or None, got {self.http_port}"
-            )
-        if not (0.0 <= self.profile_hz <= 1000.0):
-            raise ValueError(
-                f"profile_hz must be in [0, 1000], got {self.profile_hz}"
             )
         if self.span_buffer < 1:
             raise ValueError(f"span_buffer must be >= 1, got {self.span_buffer}")

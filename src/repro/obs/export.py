@@ -6,9 +6,7 @@ discriminated by a ``"rec"`` key —
 
 - ``{"rec": "meta", ...}`` — one header line (version, drop counts),
 - ``{"rec": "metric", ...}`` — one per metric, the registry snapshot entry,
-- ``{"rec": "span", ...}`` — one per finished span record,
-- ``{"rec": "profile", ...}`` — at most one: the sampling profiler's
-  aggregated buckets (only written while a profiler is running).
+- ``{"rec": "span", ...}`` — one per finished span record.
 """
 
 from __future__ import annotations
@@ -91,15 +89,8 @@ def dump_lines(
     snapshot: list[dict] | None = None,
     spans: list[dict] | None = None,
     dropped_spans: int = 0,
-    profile: dict | None = None,
 ) -> list[str]:
-    """The JSONL dump as a list of serialized lines (no trailing newlines).
-
-    ``profile`` defaults to the active sampling profiler's snapshot when
-    the dump is taken from the live runtime (both ``snapshot`` and
-    ``spans`` left to default); pass it explicitly otherwise."""
-    if profile is None and snapshot is None and spans is None:
-        profile = runtime.profile_snapshot()
+    """The JSONL dump as a list of serialized lines (no trailing newlines)."""
     if snapshot is None:
         snapshot = runtime.snapshot()
     if spans is None:
@@ -117,10 +108,6 @@ def dump_lines(
     for record in spans:
         rec = {"rec": "span"}
         rec.update(record)
-        lines.append(json.dumps(rec, sort_keys=True))
-    if profile is not None:
-        rec = {"rec": "profile"}
-        rec.update(profile)
         lines.append(json.dumps(rec, sort_keys=True))
     return lines
 
@@ -140,12 +127,10 @@ def dump_jsonl(
 
 def load_jsonl(path: str) -> dict:
     """Parse a dump back into ``{"meta": ..., "metrics": [...], "spans":
-    [...], "profile": ...}`` (``profile`` is ``None`` unless the dumping
-    process ran the sampling profiler)."""
+    [...]}``."""
     meta: dict = {"version": DUMP_VERSION, "dropped_spans": 0}
     metrics: list[dict] = []
     spans: list[dict] = []
-    profile: dict | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             raw = raw.strip()
@@ -159,8 +144,6 @@ def load_jsonl(path: str) -> dict:
                 metrics.append(rec)
             elif kind == "span":
                 spans.append(rec)
-            elif kind == "profile":
-                profile = rec
-            else:
+            elif kind != "profile":  # older dumps carry one; nothing reads it
                 raise ValueError(f"unknown record type {kind!r} in {path}")
-    return {"meta": meta, "metrics": metrics, "spans": spans, "profile": profile}
+    return {"meta": meta, "metrics": metrics, "spans": spans}

@@ -13,10 +13,10 @@ needs — and is the only way telemetry leaves a memo daemon:
   passes (daemon accepting / scheduler not saturated / not all replica
   breakers open), 503 with a JSON body naming the failing probe otherwise,
 - ``GET /snapshot`` — the full JSON observability view: registry
-  snapshot, a non-destructive span-ring peek, and the sampling profiler's
-  buckets — the same shape :func:`~repro.obs.export.load_jsonl` produces,
-  so ``build_report`` consumes it directly (this is what ``python -m
-  repro.obs top`` polls).
+  snapshot and a non-destructive span-ring peek — the same shape
+  :func:`~repro.obs.export.load_jsonl` produces, so ``build_report``
+  consumes it directly (this is what ``python -m repro.obs report
+  HOST:PORT`` reads).
 
 Attachment points: ``MemoServerDaemon(telemetry_port=...)`` /
 ``--telemetry-port``, ``ServiceConfig(telemetry_port=...)``, and
@@ -50,7 +50,7 @@ class TelemetryServer:
 
     ``address`` is anything :func:`~repro.net.wire.parse_address` accepts
     (``"host:port"`` or a ``(host, port)`` pair); port 0 binds ephemerally
-    — read :attr:`port` / :attr:`address` after construction.
+    — read :attr:`address` / :attr:`url` after construction.
 
     ``collect`` hooks run on every /metrics and /snapshot request; each may
     publish gauges into the process registry (the usual ``publish()`` seam)
@@ -68,7 +68,6 @@ class TelemetryServer:
         *,
         collect=(),
         readiness=(),
-        profile=None,
         name: str = "telemetry",
     ) -> None:
         # local import: repro.net pulls repro.obs in at package load, so
@@ -79,7 +78,6 @@ class TelemetryServer:
         self.name = name
         self._collect = list(collect)
         self._readiness = list(readiness)
-        self._profile = profile if profile is not None else runtime.profile_snapshot
         self._lock = threading.Lock()
         self._scrapes = 0  # guarded-by: self._lock
         self._hook_errors = 0  # guarded-by: self._lock
@@ -109,10 +107,6 @@ class TelemetryServer:
         self._thread.start()
 
     # -- lifecycle -----------------------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        return self.address[1]
 
     @property
     def url(self) -> str:
@@ -197,7 +191,6 @@ class TelemetryServer:
                 },
                 "metrics": self._entries(),
                 "spans": spans,
-                "profile": self._profile(),
             }
             body = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
             self._reply(req, 200, body, "application/json")

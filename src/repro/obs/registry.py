@@ -104,22 +104,6 @@ class Gauge:
             if self._value > self._max:
                 self._max = self._value
 
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-            if self._value > self._max:
-                self._max = self._value
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    @property
-    def max_value(self) -> float:
-        with self._lock:
-            return self._max
-
     def snapshot(self) -> dict:
         with self._lock:
             return {
@@ -166,16 +150,6 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
 
     def quantile(self, q: float) -> float:
         """Approximate q-quantile from the bucket counts (log-interpolated

@@ -31,7 +31,6 @@ __all__ = [
     "build_report",
     "build_trace",
     "merge_dumps",
-    "render_profile",
     "render_report",
     "report_from_file",
 ]
@@ -81,16 +80,12 @@ def merge_dumps(datas) -> dict:
         },
         "metrics": [],
         "spans": [],
-        "profile": None,
     }
     for data in datas:
         meta = data.get("meta") or {}
         merged["meta"]["dropped_spans"] += int(meta.get("dropped_spans") or 0)
         merged["metrics"].extend(data.get("metrics") or [])
         merged["spans"].extend(data.get("spans") or [])
-        # profiles are per-process samplers; keep the first one recorded
-        if merged["profile"] is None:
-            merged["profile"] = data.get("profile")
     return merged
 
 
@@ -314,7 +309,6 @@ def build_report(data: dict) -> dict:
         "spans": span_rows,
         "histograms": hist_rows,
         "scalars": scalar_rows,
-        "profile": data.get("profile"),
     }
 
 
@@ -332,36 +326,7 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return out
 
 
-def render_profile(profile: dict) -> list[str]:
-    """The sampling profiler's self-time table: top buckets by weight plus
-    the span-attribution fraction (the health number for instrumentation
-    coverage — unattributed ``frame:`` rows are spans waiting to exist)."""
-    total = max(int(profile.get("samples") or 0), 1)
-    rows = []
-    for r in (profile.get("buckets") or [])[:24]:
-        rows.append(
-            [
-                r["kind"],
-                r["name"],
-                str(r["samples"]),
-                _fmt_s(float(r["self_s"])),
-                f"{100.0 * r['samples'] / total:.1f}%",
-            ]
-        )
-    lines = [
-        "== profile (sampled self-time, "
-        f"{profile.get('hz', 0):g} Hz, {profile.get('samples', 0)} samples, "
-        f"{100.0 * float(profile.get('span_fraction') or 0.0):.0f}% "
-        "span-attributed) ==",
-    ]
-    if rows:
-        lines.extend(_table(["kind", "bucket", "samples", "self", "share"], rows))
-    else:
-        lines.append("(no samples recorded)")
-    return lines
-
-
-def render_report(report: dict, include_profile: bool = False) -> str:
+def render_report(report: dict) -> str:
     lines: list[str] = []
     dropped = report.get("meta", {}).get("dropped_spans", 0)
     if dropped:
@@ -484,15 +449,6 @@ def render_report(report: dict, include_profile: bool = False) -> str:
                 value += f" (max {r['max']:g})"
             rows.append([r["name"], _fmt_labels(r["labels"]), r["kind"], value])
         lines.extend(_table(["name", "labels", "kind", "value"], rows))
-        lines.append("")
-
-    if include_profile:
-        profile = report.get("profile")
-        if profile:
-            lines.extend(render_profile(profile))
-        else:
-            lines.append("(no profile records in this dump — run with "
-                         "ObsConfig(profile_hz=...) or REPRO_OBS_PROFILE_HZ)")
         lines.append("")
 
     if len(lines) == 0:

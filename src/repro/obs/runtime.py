@@ -26,13 +26,7 @@ import time
 
 from .config import ObsConfig
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, log_bucket_edges
-from .spans import (
-    NULL_SPAN,
-    Span,
-    SpanCollector,
-    current_trace_context,
-    current_trace_id,
-)
+from .spans import NULL_SPAN, Span, SpanCollector, current_trace_context
 
 __all__ = [
     "configure",
@@ -44,16 +38,12 @@ __all__ = [
     "span",
     "server_span",
     "current_trace_context",
-    "current_trace_id",
     "registry",
-    "collector",
     "snapshot",
     "drain_spans",
     "peek_spans",
     "flight_dir",
     "flight_dump",
-    "profiler",
-    "profile_snapshot",
     "telemetry_server",
     "reset",
 ]
@@ -75,21 +65,14 @@ class _NullCounter:
 class _NullGauge:
     __slots__ = ()
     kind = "gauge"
-    value = 0.0
-    max_value = 0.0
 
     def set(self, value: float) -> None:
-        return None
-
-    def add(self, delta: float) -> None:
         return None
 
 
 class _NullHistogram:
     __slots__ = ()
     kind = "histogram"
-    count = 0
-    sum = 0.0
 
     def observe(self, value: float) -> None:
         return None
@@ -133,39 +116,22 @@ def _env_http_port() -> int | None:
     return port
 
 
-def _env_profile_hz() -> float:
-    raw = os.environ.get("REPRO_OBS_PROFILE_HZ", "")
-    if not raw:
-        return 0.0
-    try:
-        hz = float(raw)
-    except ValueError:
-        log.warning("REPRO_OBS_PROFILE_HZ=%r is not a rate — ignored", raw)
-        return 0.0
-    if not (0.0 <= hz <= 1000.0):
-        log.warning("REPRO_OBS_PROFILE_HZ=%g out of range — ignored", hz)
-        return 0.0
-    return hz
-
-
 _ENV_HTTP_PORT = _env_http_port()
-_ENV_PROFILE_HZ = _env_profile_hz()
 
 # REPRO_FLIGHT_DIR alone also enables the runtime: a flight recorder with
 # nothing in its rings would dump empty evidence, which defeats its point.
-# So do REPRO_OBS_HTTP / REPRO_OBS_PROFILE_HZ: a telemetry endpoint over an
-# empty registry, or a profiler with no spans to bill, would be pointless.
+# So does REPRO_OBS_HTTP: a telemetry endpoint over an empty registry would
+# be pointless.
 _ENV_ENABLED = (
     os.environ.get("REPRO_OBS", "") not in ("", "0")
     or bool(os.environ.get("REPRO_FLIGHT_DIR"))
     or _ENV_HTTP_PORT is not None
-    or _ENV_PROFILE_HZ > 0.0
 )
 
 
 def _env_config() -> ObsConfig:
     """The default config the env gate implies (what :func:`reset` restores)."""
-    return ObsConfig(http_port=_ENV_HTTP_PORT, profile_hz=_ENV_PROFILE_HZ)
+    return ObsConfig(http_port=_ENV_HTTP_PORT)
 
 
 # Swapped atomically as a whole dict by configure()/reset(); readers grab
@@ -174,20 +140,16 @@ def _env_config() -> ObsConfig:
 _STATE = _fresh_state(_env_config(), _ENV_ENABLED)
 _CONFIGURE_LOCK = threading.Lock()
 
-# Sidecars owned by the active configuration: the sampling profiler thread
-# and the HTTP telemetry endpoint.  Started/stopped under _CONFIGURE_LOCK
-# whenever the runtime generation changes; read lock-free.
-_PROFILER = None
+# The sidecar owned by the active configuration: the HTTP telemetry
+# endpoint.  Started/stopped under _CONFIGURE_LOCK whenever the runtime
+# generation changes; read lock-free.
 _HTTP = None
 
 
 def _restart_sidecars_locked(state: dict) -> None:
-    """Stop the old generation's profiler/HTTP server, start the new
-    config's (if any).  Caller holds ``_CONFIGURE_LOCK``."""
-    global _PROFILER, _HTTP
-    if _PROFILER is not None:
-        _PROFILER.stop()
-        _PROFILER = None
+    """Stop the old generation's HTTP server, start the new config's (if
+    any).  Caller holds ``_CONFIGURE_LOCK``."""
+    global _HTTP
     if _HTTP is not None:
         try:
             _HTTP.close()
@@ -197,11 +159,6 @@ def _restart_sidecars_locked(state: dict) -> None:
     cfg: ObsConfig = state["config"]
     if not state["enabled"]:
         return
-    if cfg.profile_hz > 0.0:
-        # local import: profiler pulls .spans, keep runtime's import lean
-        from .profiler import SamplingProfiler
-
-        _PROFILER = SamplingProfiler(hz=cfg.profile_hz).start()
     if cfg.http_port is not None:
         # local import: http imports this module at load time, so the
         # reverse edge must stay function-scoped
@@ -219,8 +176,8 @@ def configure(cfg: ObsConfig | None = None) -> None:
     A fresh registry and span collector are created (sized per ``cfg``);
     previously handed-out metric objects keep working but belong to the
     old generation and no longer appear in :func:`snapshot`.  The config's
-    sidecars — profiler thread, HTTP telemetry server — are (re)started to
-    match; the previous generation's are stopped.
+    HTTP telemetry server is (re)started to match; the previous
+    generation's is stopped.
     """
     global _STATE
     cfg = cfg if cfg is not None else ObsConfig()
@@ -243,16 +200,8 @@ def enabled() -> bool:
     return _STATE["enabled"]
 
 
-def config() -> ObsConfig:
-    return _STATE["config"]
-
-
 def registry() -> MetricsRegistry:
     return _STATE["registry"]
-
-
-def collector() -> SpanCollector:
-    return _STATE["collector"]
 
 
 def counter(name: str, **labels) -> Counter:
@@ -340,18 +289,6 @@ def peek_spans() -> tuple[list[dict], int]:
     return _STATE["collector"].peek()
 
 
-def profiler():
-    """The active :class:`~repro.obs.profiler.SamplingProfiler`, or ``None``
-    when the current config runs without one."""
-    return _PROFILER
-
-
-def profile_snapshot() -> dict | None:
-    """The active profiler's aggregated buckets, or ``None`` without one."""
-    p = _PROFILER
-    return None if p is None else p.snapshot()
-
-
 def telemetry_server():
     """The runtime-owned :class:`~repro.obs.http.TelemetryServer` (the
     ``ObsConfig(http_port=...)`` / ``REPRO_OBS_HTTP`` one), or ``None``."""
@@ -417,12 +354,12 @@ def flight_dump(reason: str, **attrs) -> str | None:
     return path
 
 
-# the zero-code env routes (REPRO_OBS_HTTP / REPRO_OBS_PROFILE_HZ) start
-# their sidecars at import, mirroring how REPRO_OBS enables the runtime;
-# a failure here degrades to no sidecar, never a broken import
-if _ENV_HTTP_PORT is not None or _ENV_PROFILE_HZ > 0.0:
+# the zero-code env route (REPRO_OBS_HTTP) starts its sidecar at import,
+# mirroring how REPRO_OBS enables the runtime; a failure here degrades to
+# no sidecar, never a broken import
+if _ENV_HTTP_PORT is not None:
     try:
         with _CONFIGURE_LOCK:
             _restart_sidecars_locked(_STATE)
     except Exception as exc:  # noqa: BLE001 — import-time side effect
-        log.warning("env-configured telemetry sidecars failed to start: %s", exc)
+        log.warning("env-configured telemetry server failed to start: %s", exc)

@@ -35,10 +35,7 @@ __all__ = [
     "SpanCollector",
     "Span",
     "current_span_id",
-    "current_trace_id",
     "current_trace_context",
-    "active_span_path",
-    "active_thread_ids",
     "PROC_TAG",
 ]
 
@@ -68,51 +65,6 @@ def _new_span_id() -> int:
     return (_PROC_SALT << 32) | next(_IDS)
 
 
-#: per-OS-thread stack of open span names, keyed by thread ident — the
-#: sampling profiler's attribution surface.  Unlike the contextvars above
-#: (which follow *logical* flow into pipeline stage threads), this tracks
-#: which spans are open on each *physical* thread, which is what a stack
-#: sample of that thread should be billed to.  Mutated only by Span
-#: enter/exit on the owning thread; the profiler reads it cross-thread
-#: without locks — list append/pop and dict item assignment are atomic
-#: under the GIL, and a torn read merely misattributes one sample.
-_THREAD_SPANS: dict[int, list] = {}
-
-
-def _push_thread_span(name: str) -> None:
-    ident = threading.get_ident()
-    stack = _THREAD_SPANS.get(ident)
-    if stack is None:
-        stack = _THREAD_SPANS[ident] = []
-    stack.append(name)
-
-
-def _pop_thread_span() -> None:
-    ident = threading.get_ident()
-    stack = _THREAD_SPANS.get(ident)
-    if stack:
-        stack.pop()
-        if not stack:
-            # drop empty stacks so dead threads don't accumulate entries
-            _THREAD_SPANS.pop(ident, None)
-
-
-def active_span_path(thread_ident: int) -> str | None:
-    """``"outer/inner"`` name path of the spans currently open on an OS
-    thread, or ``None`` when that thread has none — how the profiler bills
-    a stack sample.  Best-effort by design: a sample racing an enter/exit
-    lands on either side of it."""
-    stack = _THREAD_SPANS.get(thread_ident)
-    if not stack:
-        return None
-    return "/".join(stack[:8])
-
-
-def active_thread_ids() -> list[int]:
-    """Thread idents that currently have (or ever had) open spans."""
-    return [ident for ident, stack in list(_THREAD_SPANS.items()) if stack]
-
-
 def _new_trace_id() -> int:
     return uuid.uuid4().int & 0x7FFF_FFFF_FFFF_FFFF
 
@@ -120,11 +72,6 @@ def _new_trace_id() -> int:
 def current_span_id() -> int | None:
     """The innermost open span's id in this context, if any."""
     return _CURRENT.get()
-
-
-def current_trace_id() -> int | None:
-    """The enclosing trace's id in this context, if any."""
-    return _TRACE.get()
 
 
 def current_trace_context() -> tuple[int, int] | None:
@@ -229,9 +176,6 @@ class SpanCollector:
         records.sort(key=lambda r: r["t0"])
         return records, dropped
 
-    def clear(self) -> None:
-        self.drain()
-
 
 class Span:
     """One timed region; reusable only as a context manager, not re-entrant.
@@ -279,13 +223,11 @@ class Span:
                 self._trace_token = None
             self._trace_id = trace_id
         self._token = _CURRENT.set(self.span_id)
-        _push_thread_span(self.name)
         self._t0 = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         dur = time.monotonic() - self._t0
-        _pop_thread_span()
         _CURRENT.reset(self._token)
         if self._trace_token is not None:
             _TRACE.reset(self._trace_token)

@@ -174,10 +174,6 @@ class JobHandle:
             return self._state
 
     @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    @property
     def cancel_requested(self) -> bool:
         return self._cancel.is_set()
 

@@ -101,7 +101,7 @@ class ServiceConfig:
         own gauges — a remote tier's daemons serve theirs from their own
         planes), ``/healthz``, ``/readyz`` (accepting / queue-not-saturated
         / not every replica breaker open) and ``/snapshot``.  Port 0 binds
-        ephemerally — read ``scheduler.telemetry.port`` back.
+        ephemerally — read ``scheduler.telemetry.address`` back.
     """
 
     n_workers: int = 2
@@ -371,10 +371,6 @@ class ReconstructionScheduler:
     def queue_depth(self) -> int:
         with self._cond:
             return self._live_waiting_locked()
-
-    def running_count(self) -> int:
-        with self._cond:
-            return self._running
 
     # -- lifecycle -----------------------------------------------------------------------
 

@@ -84,10 +84,6 @@ class ADMMResult:
     history: dict[str, list[float]] = field(default_factory=dict)
     op_counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def loss(self) -> list[float]:
-        return self.history.get("loss", [])
-
 
 class ADMMSolver:
     """ADMM-FFT with pluggable operation executor (the mLR insertion point)."""

@@ -29,6 +29,7 @@ class TestFlat:
     def test_k_larger_than_index(self, rng):
         idx = FlatIndex(4)
         idx.add(rng.standard_normal((2, 4)).astype(np.float32))
+        assert len(idx) == 2
         d, i = idx.search(np.zeros((1, 4)), k=5)
         assert (i[0, :2] >= 0).all() and (i[0, 2:] == -1).all()
 
@@ -96,9 +97,9 @@ class TestIVF:
         ivf = IVFFlatIndex(8, n_clusters=4)
         ivf.train(vecs)
         ivf.add(vecs[:32])
-        before = ivf.list_sizes()
+        before = [len(ids) for ids in ivf.state_dict()["list_ids"]]
         ivf.add(vecs[32:])
-        after = ivf.list_sizes()
+        after = [len(ids) for ids in ivf.state_dict()["list_ids"]]
         assert sum(after) - sum(before) == 32
         assert all(a >= b for a, b in zip(after, before))
 

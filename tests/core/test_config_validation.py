@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MemoConfig, MLRConfig, PipelineConfig
+from repro.core import MemoConfig, MLRConfig, ObsConfig, PipelineConfig
+from repro.service import ServiceConfig
 from repro.solvers import ADMMConfig
 
 
@@ -107,3 +108,51 @@ class TestADMMConfig:
     def test_fusion_requires_cancellation(self):
         with pytest.raises(ValueError, match="fusion"):
             ADMMConfig(fusion=True, cancellation=False)
+
+
+class TestTransportOptions:
+    """Options that select a transport or a port: each rejection names the
+    field, at construction, whichever config carries it."""
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: MemoConfig(transport="udp"), "transport"),
+            (lambda: MemoConfig(transport="tcp"), "server_address"),
+            (lambda: MemoConfig(server_address="h:1", replication=1.0), "replication must be an int"),
+            (lambda: MemoConfig(server_address="h:1", replication=True), "replication must be an int"),
+            (lambda: MemoConfig(server_address="h:1,g:2", replication=0), "replication=0"),
+            (lambda: MemoConfig(server_address="h:1,g:2", replication=3), "replication=3"),
+            (lambda: MemoConfig(replication=2), "replication requires server_address"),
+            (lambda: MemoConfig(server_address="h:1,nope"), "nope"),
+            (lambda: MemoConfig(heartbeat_interval_s=0), "heartbeat_interval_s"),
+            (lambda: MemoConfig(heartbeat_interval_s=-1.0), "heartbeat_interval_s"),
+            (lambda: ServiceConfig(memo_transport="udp"), "memo_transport"),
+            (lambda: ServiceConfig(memo_transport="tcp"), "memo_server"),
+            (lambda: ServiceConfig(memo_transport="tcp", memo_server="h:1,nope"), "nope"),
+            (lambda: ObsConfig(http_port=70000), "http_port"),
+            (lambda: ObsConfig(http_port=-1), "http_port"),
+        ],
+    )
+    def test_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    def test_accepted(self):
+        MemoConfig(transport="tcp", server_address="h:1,g:2", replication=2,
+                   heartbeat_interval_s=0.5)
+        ServiceConfig(memo_transport="tcp", memo_server=[("h", 1), "g:2"])
+        ObsConfig(http_port=0)
+
+    @pytest.mark.parametrize(
+        "raw, port, warned",
+        [("", None, False), ("0", 0, False), ("9100", 9100, False),
+         ("metrics", None, True), ("65536", None, True), ("-1", None, True)],
+    )
+    def test_obs_http_env(self, monkeypatch, caplog, raw, port, warned):
+        from repro.obs.runtime import _env_http_port
+
+        monkeypatch.setenv("REPRO_OBS_HTTP", raw)
+        with caplog.at_level("WARNING", logger="repro.obs"):
+            assert _env_http_port() == port
+        assert bool(caplog.records) == warned

@@ -64,6 +64,22 @@ class TestMemoDatabase:
         out = db.query(k)
         assert out.hit
 
+    def test_probe_of_empty_lists_is_a_miss_with_no_candidate(self):
+        """A trained index can hold an empty inverted list (duplicate keys
+        train duplicate centroids); a query whose probed lists are all empty
+        finds no candidate: a miss with id -1 and the no-neighbour gate -2."""
+        a = np.array([1, 0, 0, 0], dtype=np.float32)
+        live = MemoDatabase(dim=4, tau=0.9, train_min=2, index_clusters=2, index_nprobe=1)
+        live.insert_batch([(a, np.zeros(2, np.complex64), None)] * 2)
+        state = live.state_dict()
+        assert [len(ids) for ids in state["index"]["list_ids"]] == [2, 0]
+        state["index"]["centroids"][1] = -a  # the empty list now has a region of its own
+        db = MemoDatabase.from_state(state)
+        near_empty, near_full = db.query_batch([-a, a])
+        assert (near_empty.value, near_empty.similarity, near_empty.matched_id) == (None, -2.0, -1)
+        assert near_full.hit and near_full.matched_id == 0
+        assert (db.stats.queries, db.stats.hits) == (2, 1)
+
     def test_values_roundtrip_dtype_and_shape(self, rng):
         db = MemoDatabase(dim=8, tau=0.5, train_min=1)
         v = (rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))).astype(

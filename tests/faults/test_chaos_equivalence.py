@@ -155,6 +155,43 @@ class TestChaosEquivalence:
         assert signatures[0] != signatures[1]
 
 
+@pytest.fixture(scope="module")
+def fault_free(problem):
+    with MemoServerDaemon(n_shards=2, memo=memo_cfg()) as srv:
+        return run_tcp(problem, srv.address)[0]
+
+
+class TestEveryWireFaultKindFires:
+    """One certain fault of each kind the socket seam can inject, past the
+    handshake: the seeded plans above fire their rare kinds under some
+    seeds only, so a kind could rot unexercised."""
+
+    @pytest.mark.parametrize(
+        "direction, kind",
+        [("send", "delay"), ("send", "truncate"), ("send", "bitflip"),
+         ("recv", "truncate"), ("recv", "bitflip")],
+    )
+    def test_one_certain_fault_is_recovered(self, problem, fault_free, direction, kind):
+        rule = FaultRule(f"client:*:{direction}", kind, prob=1.0, after=4, max_times=1,
+                         delay_s=0.002 if kind == "delay" else 0.0)
+        plan = FaultPlan(9, (rule,))
+        with MemoServerDaemon(n_shards=2, memo=memo_cfg()) as srv:
+            with faults.injected_faults(plan):
+                res, net = run_tcp(problem, srv.address)
+            server_checksum_errors = srv.stats.protocol_errors
+        maybe_dump_trace(plan, f"certain-{direction}-{kind}")
+        assert {(e.kind, e.site.rsplit(":", 1)[1]) for e in plan.trace} == {(kind, direction)}
+        # recovered, never served or degraded past: a flipped bit must die
+        # at the crc32 and come back as reconnect + replay
+        np.testing.assert_array_equal(fault_free.u, res.u)
+        assert event_view(fault_free) == event_view(res)
+        assert net.degraded_queries == 0
+        # the fault lands on a request (retried) or a pipelined insert (replayed)
+        assert (net.retries + net.replayed_insert_batches > 0) == (kind != "delay")
+        if (direction, kind) == ("send", "bitflip"):
+            assert server_checksum_errors > 0  # the daemon's reader refused the frame
+
+
 class TestReplicaKillMidRun:
     def test_kill_one_of_two_completes_warm_with_failover(self, problem):
         obs.configure(ObsConfig())

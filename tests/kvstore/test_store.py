@@ -52,18 +52,12 @@ class TestPutGet:
         assert kv.delete(1) is False
         assert kv.nbytes == 0
 
-    def test_contains_and_len(self):
+    def test_keys_and_len(self):
         kv = KVStore()
         kv.put(1, blob(1))
         kv.put(2, blob(1))
-        assert 1 in kv and 3 not in kv
+        assert kv.keys() == [1, 2]
         assert len(kv) == 2
-
-    def test_clear(self):
-        kv = KVStore()
-        kv.put(1, blob(1))
-        kv.clear()
-        assert len(kv) == 0 and kv.nbytes == 0
 
 
 class TestEviction:
@@ -72,7 +66,7 @@ class TestEviction:
         kv.put(1, blob(5))
         kv.put(2, blob(5))
         kv.put(3, blob(1))  # evicts 1
-        assert 1 not in kv and 2 in kv and 3 in kv
+        assert 1 not in kv.keys() and 2 in kv.keys() and 3 in kv.keys()
         assert kv.stats.evictions == 1
 
     def test_lru_protects_recently_used(self):
@@ -81,7 +75,7 @@ class TestEviction:
         kv.put(2, blob(5))
         kv.get(1)  # refresh 1
         kv.put(3, blob(1))  # must evict 2, not 1
-        assert 1 in kv and 2 not in kv
+        assert 1 in kv.keys() and 2 not in kv.keys()
 
     def test_oversized_value_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -111,7 +105,7 @@ class TestEviction:
         kv.put(1, a)
         kv.put(2, a)  # must evict the FIFO-oldest entry
         assert kv.stats.evictions == 1
-        assert 0 not in kv and 1 in kv and 2 in kv
+        assert 0 not in kv.keys() and 1 in kv.keys() and 2 in kv.keys()
 
 
 class TestOverwriteAccounting:
@@ -128,7 +122,7 @@ class TestOverwriteAccounting:
         kv.put(2, blob(4))
         # growing 1 to HEADER + 9 bytes must drop the old 1 and evict 2
         kv.put(1, blob(HEADER + 9))
-        assert 2 not in kv and 1 in kv
+        assert 2 not in kv.keys() and 1 in kv.keys()
         assert kv.nbytes == 2 * HEADER + 9 == self._live_bytes(kv)
         assert kv.stats.evictions == 1
 
@@ -147,7 +141,7 @@ class TestOverwriteAccounting:
         kv.put(1, blob(4, 1))
         kv.put(2, blob(4, 2))
         kv.put(1, blob(4, 3))
-        assert 2 in kv
+        assert 2 in kv.keys()
         np.testing.assert_array_equal(kv.get(1), blob(4, 3))
         assert kv.nbytes == 2 * (HEADER + 4) == self._live_bytes(kv)
         assert kv.stats.evictions == 0

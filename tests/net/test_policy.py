@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.client import connect_tier
 from repro.net.policy import (
     CIRCUIT_CLOSED,
     CIRCUIT_HALF_OPEN,
@@ -19,7 +20,7 @@ from repro.net.policy import (
     RetryPolicy,
     seed_from_name,
 )
-from repro.net.snapshot_store import RemoteSnapshotStore
+from repro.net.snapshot_store import pull_state
 from repro.net.wire import parse_address, parse_address_list
 
 
@@ -69,21 +70,26 @@ class TestBackoff:
 
 
 class TestDeadlineIsOptional:
-    def test_store_pull_without_a_deadline_is_bounded_by_attempts(self):
+    @pytest.mark.parametrize("n_daemons", [1, 2])
+    def test_pull_without_a_deadline_is_bounded_by_attempts(self, n_daemons):
         """``deadline_s=None`` is a documented policy ("only ``max_attempts``
-        bounds it"): a pull against a dead address must give up cold after
-        its attempts, not trip over ``monotonic() + None``."""
+        bounds it"): a pull against dead addresses must give up cold after
+        its attempts, not trip over ``monotonic() + None`` — over one
+        client and over the replicated tier two addresses make (which is
+        disconnected only when every replica is)."""
         import socket
 
-        with socket.socket() as s:  # a port nothing listens on
-            s.bind(("127.0.0.1", 0))
-            dead = s.getsockname()
+        dead = []
+        for _ in range(n_daemons):
+            with socket.socket() as s:  # a port nothing listens on
+                s.bind(("127.0.0.1", 0))
+                dead.append(s.getsockname())
         policy = RetryPolicy(
             max_attempts=2, deadline_s=None, backoff_initial_s=0.0, backoff_max_s=0.01
         )
-        with RemoteSnapshotStore(dead, retry_policy=policy) as store:
-            assert store.pull() is None
-            assert not store.tier.connected
+        with connect_tier(dead, retry_policy=policy) as tier:
+            assert pull_state(tier, policy) is None
+            assert not tier.connected
 
 
 class TestCircuitBreaker:

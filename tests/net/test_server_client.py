@@ -11,6 +11,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -18,7 +19,12 @@ import pytest
 
 from repro.core.config import MemoConfig
 from repro.core.memo_engine import make_db_factory
-from repro.core.memo_shard import MemoShardRouter, ShardInsert, ShardQuery
+from repro.core.memo_shard import (
+    MemoShardRouter,
+    ShardInsert,
+    ShardQuery,
+    memo_state_partitions,
+)
 from repro.net import (
     MemoServerDaemon,
     ProtocolError,
@@ -40,6 +46,7 @@ from repro.net.wire import (
     inserts_to_wire,
     send_frame,
 )
+from repro.service.snapshot import read_snapshot, snapshot_exists
 
 MEMO = MemoConfig(index_train_min=4, index_clusters=2, index_nprobe=2)
 
@@ -111,7 +118,7 @@ class TestService:
     def test_push_with_wrong_tau_rejected(self, daemon, client):
         mismatched = MemoConfig(tau=0.5, index_train_min=4, index_clusters=2)
         local = MemoShardRouter(1, make_db_factory(mismatched))
-        local.db_for("Fu1D", 0, 4)
+        local.query_batch([ShardQuery("Fu1D", 0, np.zeros(4, np.float32))])  # one empty partition
         tree = local.state_dict()
         with pytest.raises(ValueError, match="tau"):
             client.push_state(tree)
@@ -416,3 +423,117 @@ class TestClientResilience:
             client.push_state({"n_shards": 2})  # no partitions: not a tree
         assert client.connected
         assert client.entries() == 0  # connection still serviceable
+
+
+def _until(condition, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestPeriodicSnapshot:
+    """``snapshot_interval_s``: the tier becomes durable while the daemon
+    serves, not only when it is closed."""
+
+    def test_snapshot_appears_without_close(self, tmp_path, rng):
+        snap = tmp_path / "tier"
+        with MemoServerDaemon(n_shards=2, memo=MEMO, snapshot_path=snap,
+                              snapshot_interval_s=0.05) as srv:
+            with RemoteMemoClient(srv.address) as c:
+                c.insert_batch(_mk_items(rng, 4))
+                c.flush()
+
+            def persisted() -> int:
+                if not snapshot_exists(snap):
+                    return 0
+                return len(memo_state_partitions(read_snapshot(snap, "memo-state")))
+
+            assert _until(lambda: persisted() == 4), "no periodic snapshot of the inserts"
+            assert srv.running and srv._snapshot_thread.is_alive()
+        assert not srv._snapshot_thread.is_alive()  # close() joined the loop
+
+    def test_failing_save_does_not_stop_serving_or_the_loop(self, tmp_path, rng, monkeypatch):
+        from repro.service import snapshot as snapshot_mod
+
+        real_write = snapshot_mod.write_snapshot
+        failures = []
+
+        def full_disk(*args, **kwargs):
+            failures.append(1)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(snapshot_mod, "write_snapshot", full_disk)
+        snap = tmp_path / "tier"
+        with MemoServerDaemon(n_shards=1, memo=MEMO, snapshot_path=snap,
+                              snapshot_interval_s=0.02) as srv:
+            with RemoteMemoClient(srv.address) as c:
+                c.insert_batch(_mk_items(rng, 2))
+                c.flush()
+                assert _until(lambda: len(failures) >= 2)
+                assert c.entries() == 2 and c.ping()  # still serving
+                assert srv.stats.snapshots_persisted == 0 and not snapshot_exists(snap)
+                monkeypatch.setattr(snapshot_mod, "write_snapshot", real_write)
+                assert _until(lambda: srv.stats.snapshots_persisted >= 1)  # the loop lived on
+        assert len(memo_state_partitions(read_snapshot(snap, "memo-state"))) == 2
+
+
+class TestIdleReaping:
+    """``idle_timeout_s``: a silent peer cannot park a handler thread."""
+
+    IDLE = 0.15
+
+    @pytest.fixture()
+    def reaper(self):
+        with MemoServerDaemon(n_shards=1, memo=MEMO, idle_timeout_s=self.IDLE) as srv:
+            yield srv
+
+    def _hello(self, sock) -> FrameReader:
+        reader = FrameReader(sock)
+        send_frame(sock, MSG_HELLO, 0, {"version": PROTOCOL_VERSION})
+        assert reader.read_frame()[0] == MSG_HELLO_OK
+        return reader
+
+    def test_rejects_a_non_positive_timeout(self):
+        with pytest.raises(ValueError, match="idle_timeout_s"):
+            MemoServerDaemon(idle_timeout_s=0)
+
+    def test_silence_between_frames_is_reaped(self, reaper):
+        with socket.create_connection(reaper.address, timeout=5.0) as sock:
+            reader = self._hello(sock)
+            msg_type, _rid, body = reader.read_frame()  # the server speaks first
+            assert msg_type == MSG_ERROR and body["kind"] == "FrameTimeout"
+            assert "between frames" in body["message"]
+            assert sock.recv(1) == b""
+        assert _until(lambda: reaper.stats.active_connections == 0)
+        assert reaper.stats.idle_reaped == 1 and reaper.stats.protocol_errors == 0
+
+    def test_silence_inside_a_frame_is_reaped(self, reaper):
+        frame = encode_frame(MSG_INSERT, 1, {"inserts": []})
+        with socket.create_connection(reaper.address, timeout=5.0) as sock:
+            reader = self._hello(sock)
+            sock.sendall(frame[: len(frame) - 3])
+            msg_type, _rid, body = reader.read_frame()
+            assert msg_type == MSG_ERROR and body["kind"] == "FrameTimeout"
+            assert "mid-frame" in body["message"]
+            assert sock.recv(1) == b""
+        assert _until(lambda: reaper.stats.idle_reaped == 1)
+
+    def test_a_pinging_client_is_not_reaped(self, reaper):
+        with RemoteMemoClient(reaper.address) as c:
+            stop = time.monotonic() + 4 * self.IDLE
+            while time.monotonic() < stop:
+                assert c.ping()
+                time.sleep(self.IDLE / 5)
+            assert reaper.stats.idle_reaped == 0 and reaper.stats.connections == 1
+            assert reaper.stats.pings >= 4
+
+    def test_a_reaped_client_reconnects_on_demand(self, reaper, rng):
+        with RemoteMemoClient(reaper.address) as c:
+            c.insert_batch(_mk_items(rng, 2))
+            c.flush()
+            assert _until(lambda: reaper.stats.idle_reaped == 1)
+            assert c.entries() == 2  # a fresh connection, the tier untouched
+            assert reaper.stats.connections == 2

@@ -433,7 +433,8 @@ MERGE_TIERS = {"router": _router_tier, "daemon": _daemon_tier}
 
 
 def heat_of(live: MemoShardRouter, op: str, loc: int) -> list[tuple]:
-    return [tuple(e[1:3]) for e in live.shard_for(loc)._dbs[(op, loc)].values.heat_entries()]
+    return [(r["last"], r["hits"]) for r in live.heat_records()
+            if (r["op"], r["location"]) == (op, loc)]
 
 
 @pytest.mark.parametrize("kind", list(MERGE_TIERS))

@@ -21,8 +21,9 @@ from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_d
 from repro.net import (
     MemoServerDaemon,
     RemoteMemoClient,
-    RemoteSnapshotStore,
     ReplicatedMemoClient,
+    connect_tier,
+    pull_state,
 )
 from repro.service import JobSpec, ReconstructionScheduler, ServiceConfig
 from repro.solvers import ADMMConfig
@@ -199,17 +200,16 @@ class TestSchedulerRemoteTier:
         assert warm_rate > cold_rate, (warm_rate, cold_rate)
 
     def test_remote_store_pull_seeds_solver_config(self, problem):
-        """RemoteSnapshotStore.pull feeds MLRConfig(memo_snapshot=...) — the
-        cross-host warm start without any scheduler at all."""
+        """pull_state of a connected tier feeds MLRConfig(memo_snapshot=...)
+        — the cross-host warm start without any scheduler at all."""
         g, ops, d = problem
         with MemoServerDaemon(n_shards=1, memo=memo_cfg()) as srv:
             solver, _ = run_solver(
                 g, ops, d, memo_cfg(transport="tcp", server_address=srv.address)
             )
-            store = RemoteSnapshotStore(srv.address)
-            tree = store.pull()
+            with connect_tier(srv.address) as tier:
+                tree = pull_state(tier)
             assert tree is not None
-            store.close()
         warm = MLRSolver(
             g, MLRConfig(chunk_size=4, memo=memo_cfg(), memo_snapshot=tree),
             admm=ADMM, ops=ops,

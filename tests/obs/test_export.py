@@ -95,6 +95,16 @@ class TestJsonlRoundTrip:
         else:
             raise AssertionError("expected ValueError")
 
+    def test_profile_record_of_an_older_dump_is_ignored(self, enabled, tmp_path):
+        populate()
+        path = tmp_path / "old.jsonl"
+        dump_jsonl(str(path))
+        with open(path, "a") as fh:
+            fh.write('{"rec": "profile", "hz": 67.0, "samples": 3, "buckets": []}\n')
+        data = load_jsonl(str(path))
+        assert set(data) == {"meta", "metrics", "spans"}
+        assert "sweep.Fu1D" in render_report(build_report(data))
+
 
 class TestReport:
     def test_build_report_aggregates_spans_and_histograms(self, enabled, tmp_path):

@@ -38,17 +38,22 @@ def clock(monkeypatch):
 V = np.zeros(3, dtype=np.uint8)  # any value: heat is about touches
 
 
+def heat(store: KVStore, key) -> tuple[float, int] | None:
+    """``(last_hit, hits)`` of one entry, read off ``heat_entries()``."""
+    return {k: (last, hits) for k, last, hits, _n in store.heat_entries()}.get(key)
+
+
 class TestStoreHeat:
     def test_hits_refresh_and_count(self, clock):
         s = KVStore()
         s.put(1, V)
-        assert s.heat(1) == (1000.0, 0)
+        assert heat(s, 1) == (1000.0, 0)
         clock["now"] = 1500.0
         s.get(1)
         s.get(1)
-        assert s.heat(1) == (1500.0, 2)
+        assert heat(s, 1) == (1500.0, 2)
         assert s.get(404) is None  # a miss touches nothing
-        assert s.heat(404) is None
+        assert heat(s, 404) is None
 
     def test_roundtrip_through_state_dict(self, clock):
         s = KVStore()
@@ -57,12 +62,12 @@ class TestStoreHeat:
         clock["now"] = 1200.0
         s.get(1)
         restored = KVStore.from_state(s.state_dict())
-        assert restored.heat(1) == (1200.0, 1)
-        assert restored.heat(7) == (1000.0, 0)
+        assert heat(restored, 1) == (1200.0, 1)
+        assert heat(restored, 7) == (1000.0, 0)
         # restored stores keep accounting heat identically
         clock["now"] = 1300.0
         restored.get(7)
-        assert restored.heat(7) == (1300.0, 1)
+        assert heat(restored, 7) == (1300.0, 1)
 
     def test_overwrite_resets_heat(self, clock):
         s = KVStore()
@@ -70,7 +75,7 @@ class TestStoreHeat:
         s.get(1)
         clock["now"] = 2000.0
         s.put(1, V + 1)
-        assert s.heat(1) == (2000.0, 0)
+        assert heat(s, 1) == (2000.0, 0)
 
     def test_merge_heat_takes_max_last_and_sums_hits(self, clock):
         ours, theirs = KVStore(), KVStore()
@@ -83,8 +88,8 @@ class TestStoreHeat:
         theirs.get(SHARED)
         theirs.get(SHARED)  # theirs: (3000, 2)
         ours.merge_heat(theirs)
-        assert ours.heat(SHARED) == (3000.0, 3)
-        assert ours.heat(1) == (1000.0, 0) and ours.heat(2) is None
+        assert heat(ours, SHARED) == (3000.0, 3)
+        assert heat(ours, 1) == (1000.0, 0) and heat(ours, 2) is None
 
 
 MEMO = MemoConfig(index_train_min=4, index_clusters=2, index_nprobe=2)

@@ -196,9 +196,8 @@ class TestRuntimeLifecycle:
             urllib.request.urlopen(url + "/healthz", timeout=1.0)
 
     def test_disabled_runtime_starts_nothing(self):
-        obs.configure(ObsConfig(enabled=False, http_port=0, profile_hz=10.0))
+        obs.configure(ObsConfig(enabled=False, http_port=0))
         assert obs.telemetry_server() is None
-        assert obs.profiler() is None
 
     def test_reconfigure_replaces_server(self):
         obs.configure(ObsConfig(enabled=True, http_port=0))

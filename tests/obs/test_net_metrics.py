@@ -87,6 +87,20 @@ class TestDaemonTelemetryPlane:
         assert daemon.stats.stats_pulls == 0
 
 
+    def test_readyz_follows_the_accept_loop(self, enabled, daemon):
+        assert json.loads(scrape(daemon, "/readyz"))["probes"]["accepting"]["ok"] is True
+
+    def test_an_idle_reap_is_counted_on_the_plane(self, enabled):
+        import socket
+
+        with MemoServerDaemon(memo=memo_cfg(), idle_timeout_s=0.05, telemetry_port=0) as d:
+            with socket.create_connection(d.address, timeout=5.0) as sock:
+                assert sock.recv(1 << 16)  # says nothing: the typed error, then EOF
+            out = scrape(d, "/metrics")
+        assert 'net_server_idle_reaped_total{server="memo-server"} 1' in out
+        assert 'net_server_idle_reaped{server="memo-server"} 1' in out
+
+
 class TestClientSide:
     def test_client_latency_histograms_by_message_type(self, enabled, daemon, rng):
         with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:

@@ -40,13 +40,13 @@ def _admm(n_outer=4):
     return ADMMConfig(n_outer=n_outer, n_inner=3, step_max_rel=4.0)
 
 
-def _solve(problem, pipeline=None, n_workers=1, n_shards=1, n_outer=4):
+def _solve(problem, pipeline=None, n_workers=1, n_shards=1, n_outer=4, admm=None):
     geometry, ops, data = problem
     cfg = MLRConfig(
         chunk_size=4, memo=_memo(), pipeline=pipeline,
         n_workers=n_workers, n_shards=n_shards,
     )
-    solver = MLRSolver(geometry, cfg, admm=_admm(n_outer), ops=ops)
+    solver = MLRSolver(geometry, cfg, admm=admm or _admm(n_outer), ops=ops)
     return solver, solver.reconstruct(data)
 
 
@@ -64,6 +64,16 @@ class TestPipelineEquivalence:
         assert serial.case_counts == result.case_counts
         stats = solver.executor.pipeline_stats()
         assert stats.items > 0 and stats.sweeps > 0
+
+    def test_bit_identical_without_cancellation(self, problem):
+        """Algorithm 1's space-domain residual runs all six operations —
+        ``F2D`` / ``F2D*`` included — through the pipeline."""
+        admm = ADMMConfig(n_outer=2, n_inner=2, step_max_rel=4.0, cancellation=False, fusion=False)
+        _, plain = _solve(problem, admm=admm)
+        solver, piped = _solve(problem, pipeline=PipelineConfig(queue_depth=2), admm=admm)
+        assert np.array_equal(plain.u, piped.u)
+        assert plain.events == piped.events
+        assert {"F2D", "F2D*"} <= set(solver.executor.stats)
 
     @pytest.mark.parametrize("n_workers,n_shards", [(2, 1), (2, 2), (3, 2)])
     def test_bit_identical_distributed_shapes(self, problem, serial, n_workers, n_shards):
