@@ -324,11 +324,12 @@ class MemoizedExecutor(DirectExecutor):
 
     def _basis(self, op: str, chunk, shape: tuple[int, ...]) -> np.ndarray:
         """``op`` applied to the all-ones chunk at this location: the exact
-        image of the DC component.  Geometry-only, so it lives on the
-        operator stack like a plan (``ops.once``) — computed by the first
-        executor that needs it, read by every later one — keyed by the
-        chunk's *range*, not its index: executors on different chunk grids
-        may share a stack.  Read-only: every holder sees the same array."""
+        image of the DC component.  Geometry-only, so it lives in the
+        operator state beside the plans (``ops.once``) — computed by the
+        first executor of any equal stack that needs it, read by every later
+        one, a later scheduler job's included — keyed by the chunk's
+        *range*, not its index: executors on different chunk grids share
+        the state.  Read-only: every holder sees the same array."""
 
         def compute() -> np.ndarray:
             basis = self._raw_kernel(op)(chunk, np.ones(shape, dtype=np.complex64))

@@ -52,21 +52,77 @@ OP_NAMES = ("Fu1D", "Fu2D", "F2D*", "F2D", "Fu2D*", "Fu1D*")
 #: memoization engine replaces.
 MEMOIZABLE_OPS = ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")
 
-#: Floats that are functions of the operator alone, shared by every stack
-#: that is the same operator: ``(geometry, half_width, oversample, key)`` ->
-#: value, least recently used first.  Never taken with a stack's lock held.
-_SHARED_LOCK = threading.Lock()
-_SHARED: OrderedDict = OrderedDict()  # guarded-by: _SHARED_LOCK
-_SHARED_MAX = 64
+#: Operator states the process keeps, least recently used evicted first.
+#: A state pins its two plans, every block CSR its stacks have built and its
+#: memo: ``USFFT2DPlan.nbytes`` after a sweep reads 25.6 MB at the ledger's
+#: service geometry (64,16,64)/32, chunk 4, and 51.1 MB at its solver
+#: geometry (64,32,64)/32, chunk 8, blocks included; the DC bases add 1.8 /
+#: 3.7 MB and the 1-D plan under 0.1 MB.  Four states of the larger one pin
+#: ~220 MB.
+_STATES_MAX = 4
+
+#: ``(geometry, half_width, oversample)`` -> :class:`_OperatorState`.
+#:
+#: Lock order: ``_STATES_LOCK`` is held only to find or insert a state and
+#: is never held while a state's lock is taken; a state's ``lock`` is held
+#: across its ``once`` computes (the plan build included), which apply the
+#: operator and so take the plans' ``_lock``; a plan's ``_lock`` is a leaf.
+_STATES_LOCK = threading.Lock()
+_STATES: OrderedDict = OrderedDict()  # guarded-by: _STATES_LOCK
+
+
+class _OperatorState:
+    """What a stack derives from ``(geometry, half_width, oversample)``
+    alone, in one memo: the two USFFT plans (and with them every cached
+    block CSR and dtype cast), the Lipschitz estimate, the DC bases.  One
+    per operator in the process (:data:`_STATES`); every equal stack holds
+    the same one.  An evicted state stays valid for the stacks that hold
+    it, and rebuilding it yields the same plans, to the last bit."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.memo: dict = {}  # guarded-by: self.lock
+
+    def once(self, key, compute: Callable[[], object]):
+        with self.lock:
+            if key not in self.memo:
+                self.memo[key] = compute()
+            return self.memo[key]
+
+
+def _state_for(key: tuple) -> _OperatorState:
+    """The registry's state for ``key``, inserted (empty) if absent."""
+    with _STATES_LOCK:
+        state = _STATES.get(key)
+        if state is None:
+            state = _STATES[key] = _OperatorState()
+            if len(_STATES) > _STATES_MAX:
+                _STATES.popitem(last=False)
+        else:
+            _STATES.move_to_end(key)
+        return state
+
+
+def _build_plans(geometry, half_width, oversample) -> tuple[USFFT1DPlan, USFFT2DPlan]:
+    n1, n0, n2 = geometry.vol_shape
+    return (
+        USFFT1DPlan(n0, geometry.z_freqs(), half_width=half_width, oversample=oversample),
+        USFFT2DPlan(
+            (n1, n2), geometry.inplane_points(), half_width=half_width, oversample=oversample
+        ),
+    )
 
 
 class LaminoOperators:
     """Plan-carrying implementation of the laminography FFT operations.
 
-    Building an instance precomputes the USFFT gridding plans for the given
-    geometry; individual operator applications then run entirely from the
-    plans.  Chunked application (the unit the memoization engine works on) is
-    supported through the ``rows`` arguments, which select a slab of the
+    Building an instance finds the process's operator state for
+    ``(geometry, half_width, oversample)`` — or builds its USFFT gridding
+    plans, once, if the process has not seen that operator — so every
+    equal stack reads the same plans, block CSRs and geometry-only results
+    (:meth:`once`).  Individual operator applications run entirely from the
+    plans.  Chunked application (the unit the memoization engine works on)
+    is supported through the ``rows`` arguments, which select a slab of the
     relevant partition axis:
 
     - ``fu1d`` / ``fu1d_adj`` chunk along the volume x-axis (``n1``),
@@ -82,54 +138,23 @@ class LaminoOperators:
         oversample: int = 2,
     ) -> None:
         self.geometry = geometry
-        n1, n0, n2 = geometry.vol_shape
-        self.plan1d = USFFT1DPlan(
-            n0, geometry.z_freqs(), half_width=half_width, oversample=oversample
+        self._state = _state_for((geometry, half_width, oversample))
+        self.plan1d, self.plan2d = self.once(
+            "plans", lambda: _build_plans(geometry, half_width, oversample)
         )
-        self.plan2d = USFFT2DPlan(
-            (n1, n2),
-            geometry.inplane_points(),
-            half_width=half_width,
-            oversample=oversample,
-        )
-        self._operator_key = (geometry, half_width, oversample)
-        self._once_lock = threading.Lock()
-        self._once: dict = {}  # guarded-by: self._once_lock
 
-    def once(self, key, compute: Callable[[], object], shared: bool = False):
-        """``compute()`` for ``key``, run once: the stack's memo of results
-        that depend on nothing but the geometry.
-
-        By default the result is this stack's (a DC basis is an array over
-        its plans' memory) and concurrent callers wait for the first rather
-        than racing it.  ``shared=True`` declares the result a function of
-        the *operator* alone — a float every stack of equal ``(geometry,
-        half_width, oversample)`` would compute to the last bit, like
-        ``lambda_max(L* L)`` — and keeps it in one process-wide registry
-        instead, so builders of equal stacks wait for one ``compute`` the
-        same way and every later equal stack reads the value.  The registry
-        holds floats only (``TypeError`` otherwise) and its ``_SHARED_MAX``
-        most recently used keys.
+    def once(self, key, compute: Callable[[], object]):
+        """``compute()`` for ``key``, run once per operator: the memo of
+        results that depend on nothing but ``(geometry, half_width,
+        oversample)`` — the plans (key ``"plans"``), the Lipschitz estimate,
+        the memoized executor's DC bases.  It lives on the operator state, so
+        every equal stack of the process reads the same value, and
+        concurrent callers wait for the first ``compute`` rather than racing
+        it (the state's lock is held across it).  A result may be any
+        object; an array is shared by every holder, so it should be
+        read-only.
         """
-        if not shared:
-            with self._once_lock:
-                if key not in self._once:
-                    self._once[key] = compute()
-                return self._once[key]
-        key = (*self._operator_key, key)
-        with _SHARED_LOCK:
-            if key in _SHARED:
-                _SHARED.move_to_end(key)
-                return _SHARED[key]
-            value = compute()
-            if not isinstance(value, float):
-                raise TypeError(
-                    f"a shared result must be a float, got {type(value).__name__}"
-                )
-            _SHARED[key] = value
-            if len(_SHARED) > _SHARED_MAX:
-                _SHARED.popitem(last=False)
-            return value
+        return self._state.once(key, compute)
 
     # -- the six FFT operations ---------------------------------------------------
 

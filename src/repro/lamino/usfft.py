@@ -74,13 +74,16 @@ Execution discipline (the hot-path contract every executor relies on):
   workspace is preallocated per plan and per thread, so steady-state sweeps
   re-cast nothing and allocate nothing large before the FFT.
 - nothing builds blocks ahead of use; the first caller of a range does.
-  For the first stack of a geometry in a process that caller is the
-  Lipschitz power iteration of ``repro.solvers.lsp``, which runs on the
-  executor's own chunk grid, so construction leaves exactly the blocks the
-  sweeps reuse and the sweeps build none.  Every later equal stack reads
-  the estimate (it is a function of the operator alone) and runs no pass
-  at construction, so its first sweep is the first caller: the same
-  blocks, the same total work, inside the run instead of before it.
+  A plan is shared by every equal operator stack of the process
+  (``repro.lamino.operators`` keeps one per ``(geometry, half_width,
+  oversample)``), so its lazy fills — blocks, casts, the reference
+  ``interp`` — are built under the plan's lock, once, however many
+  threads ask; a lookup of a built one takes no lock.  For the first stack
+  of a geometry the first caller is the Lipschitz power iteration of
+  ``repro.solvers.lsp``, which runs on the executor's own chunk grid, so
+  construction leaves exactly the blocks the sweeps reuse; every later
+  equal stack finds them built, and neither its construction nor its
+  sweeps build any.
 
 :func:`reference_kernels` switches the module to the pre-vectorization
 kernels (``numpy.fft``, per-slice interpolation loops, per-call dtype
@@ -331,7 +334,8 @@ class USFFT1DPlan:
     around an FFT.  Compute-dtype casts of ``interp``/``corr`` are cached on
     the plan (:meth:`interp_for` / :meth:`corr_for`) and the padded
     oversampled workspace is preallocated per thread, so steady-state calls
-    re-cast and re-allocate nothing.
+    re-cast and re-allocate nothing.  A cast is built under the plan's lock
+    (plans are shared across threads), so it is built once.
     """
 
     n: int
@@ -343,7 +347,8 @@ class USFFT1DPlan:
     beta: float = field(init=False)
     corr: np.ndarray = field(init=False)
     interp: np.ndarray = field(init=False)
-    _casts: dict = field(init=False, default_factory=dict, repr=False)
+    _lock: threading.Lock = field(init=False, default_factory=threading.Lock, repr=False)
+    _casts: dict = field(init=False, default_factory=dict, repr=False)  # guarded-by: _lock
     _scratch: threading.local = field(init=False, default_factory=threading.local, repr=False)
 
     def __post_init__(self) -> None:
@@ -376,14 +381,17 @@ class USFFT1DPlan:
         key = ("corr", np.dtype(dtype).char, direction)
         out = self._casts.get(key)
         if out is None:
-            base = self.corr
-            if direction == "type2":
-                base = base / math.sqrt(self.n)
-            elif direction == "type1":
-                base = base * (self.fine_n / math.sqrt(self.n))
-            out = base.astype(dtype)
-            out.setflags(write=False)
-            self._casts[key] = out
+            with self._lock:
+                out = self._casts.get(key)
+                if out is None:
+                    base = self.corr
+                    if direction == "type2":
+                        base = base / math.sqrt(self.n)
+                    elif direction == "type1":
+                        base = base * (self.fine_n / math.sqrt(self.n))
+                    out = base.astype(dtype)
+                    out.setflags(write=False)
+                    self._casts[key] = out
         return out
 
     def interp_for(self, dtype, transpose: bool = False, raw: bool = False) -> np.ndarray:
@@ -398,14 +406,17 @@ class USFFT1DPlan:
         key = ("interp", np.dtype(dtype).char, transpose, raw)
         out = self._casts.get(key)
         if out is None:
-            base = self.interp
-            if raw:
-                base = np.roll(base, self.fine_n // 2, axis=1)
-            if transpose:
-                base = base.T
-            out = np.ascontiguousarray(base.astype(dtype))
-            out.setflags(write=False)
-            self._casts[key] = out
+            with self._lock:
+                out = self._casts.get(key)
+                if out is None:
+                    base = self.interp
+                    if raw:
+                        base = np.roll(base, self.fine_n // 2, axis=1)
+                    if transpose:
+                        base = base.T
+                    out = np.ascontiguousarray(base.astype(dtype))
+                    out.setflags(write=False)
+                    self._casts[key] = out
         return out
 
     def _workspace(self, lead_shape: tuple[int, ...], cdtype) -> np.ndarray:
@@ -511,7 +522,9 @@ class USFFT2DPlan:
     three arrays, so the type-1 scatter costs no second matrix.
     :attr:`nbytes` is what the operator holds resident.  :attr:`interp`
     (per-slice CSRs in the centered layout) serves the reference kernels
-    only and is built on first access.
+    only and is built on first access.  Every lazy fill (blocks, casts,
+    ``interp``) is built under the plan's ``_lock``, so threads sharing the
+    plan build each one once.
     """
 
     shape: tuple[int, int]
@@ -525,9 +538,10 @@ class USFFT2DPlan:
     _tap_idx: tuple = field(init=False, repr=False)
     _tap_w: tuple = field(init=False, repr=False)
     _prune_floor: float = field(init=False, repr=False)
-    _interp: list | None = field(init=False, default=None, repr=False)
-    _casts: dict = field(init=False, default_factory=dict, repr=False)
-    _blocks: dict = field(init=False, default_factory=dict, repr=False)
+    _lock: threading.Lock = field(init=False, default_factory=threading.Lock, repr=False)
+    _interp: list | None = field(init=False, default=None, repr=False)  # guarded-by: _lock
+    _casts: dict = field(init=False, default_factory=dict, repr=False)  # guarded-by: _lock
+    _blocks: dict = field(init=False, default_factory=dict, repr=False)  # guarded-by: _lock
     _scratch: threading.local = field(init=False, default_factory=threading.local, repr=False)
 
     def __post_init__(self) -> None:
@@ -571,8 +585,10 @@ class USFFT2DPlan:
         """Bytes the fast path's interpolation operator holds resident: the
         separable tap arrays plus every block cached so far (a scatter is a
         view of its gather and adds nothing)."""
+        with self._lock:
+            blocks = list(self._blocks.values())
         return sum(a.nbytes for a in (*self._tap_idx, *self._tap_w)) + sum(
-            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in self._blocks.values()
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks
         )
 
     @property
@@ -582,14 +598,20 @@ class USFFT2DPlan:
         loop over.  Built from the separable taps on first access; the fast
         path never touches it."""
         if self._interp is None:
-            nfine = self.fine_shape[0] * self.fine_shape[1]
-            row_ptr = np.arange(self.npts + 1, dtype=np.int32) * (2 * self.half_width + 1) ** 2
-            self._interp = [
-                sparse.csr_matrix(
-                    (w.reshape(-1), cols.reshape(-1), row_ptr), shape=(self.npts, nfine)
-                )
-                for cols, w in (self._slice_taps(i, centered=True) for i in range(self.nslices))
-            ]
+            with self._lock:
+                if self._interp is None:
+                    nfine = self.fine_shape[0] * self.fine_shape[1]
+                    row_ptr = (
+                        np.arange(self.npts + 1, dtype=np.int32) * (2 * self.half_width + 1) ** 2
+                    )
+                    self._interp = [
+                        sparse.csr_matrix(
+                            (w.reshape(-1), cols.reshape(-1), row_ptr), shape=(self.npts, nfine)
+                        )
+                        for cols, w in (
+                            self._slice_taps(i, centered=True) for i in range(self.nslices)
+                        )
+                    ]
         return self._interp
 
     def _slice_taps(self, i: int, centered: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -624,16 +646,19 @@ class USFFT2DPlan:
         key = ("corr", np.dtype(dtype).char, direction)
         out = self._casts.get(key)
         if out is None:
-            n0, n1 = self.shape
-            base = self.corr
-            if direction == "type2":
-                base = base / math.sqrt(n0 * n1)
-            elif direction == "type1":
-                f0, f1 = self.fine_shape
-                base = base * (f0 * f1 / math.sqrt(n0 * n1))
-            out = base.astype(dtype)
-            out.setflags(write=False)
-            self._casts[key] = out
+            with self._lock:
+                out = self._casts.get(key)
+                if out is None:
+                    n0, n1 = self.shape
+                    base = self.corr
+                    if direction == "type2":
+                        base = base / math.sqrt(n0 * n1)
+                    elif direction == "type1":
+                        f0, f1 = self.fine_shape
+                        base = base * (f0 * f1 / math.sqrt(n0 * n1))
+                    out = base.astype(dtype)
+                    out.setflags(write=False)
+                    self._casts[key] = out
         return out
 
     def block_gather(self, start: int, stop: int, dtype) -> sparse.csr_matrix:
@@ -645,7 +670,9 @@ class USFFT2DPlan:
         planes of the flattened fine spectrum it performs every slice's
         type-2 interpolation.  Column indices address the *raw* (unshifted)
         FFT layout.  Cached per (range, precision) — chunk grids are fixed
-        for a run, so steady-state sweeps build nothing.
+        for a run, so steady-state sweeps build nothing — and built under
+        the plan's lock, so concurrent first callers of a range wait for
+        one build.
         """
         if not (0 <= start <= stop <= self.nslices):
             raise ValueError(f"invalid slice range [{start}, {stop})")
@@ -653,7 +680,10 @@ class USFFT2DPlan:
         key = (start, stop, rdt.char)
         mat = self._blocks.get(key)
         if mat is None:
-            mat = self._blocks[key] = self._build_gather(start, stop, rdt)
+            with self._lock:
+                mat = self._blocks.get(key)
+                if mat is None:
+                    mat = self._blocks[key] = self._build_gather(start, stop, rdt)
         return mat
 
     def block_scatter(self, start: int, stop: int, dtype) -> sparse.csc_matrix:

@@ -42,21 +42,20 @@ def estimate_normal_lipschitz(
 ) -> float:
     """Power-iteration estimate of ``lambda_max(L* L)`` for step sizing.
 
-    A function of the operator alone, so it is computed once per process for
-    each ``(geometry, half_width, oversample, n_iters, seed)``: the first
-    stack of a geometry runs the passes, every equal stack after it reads
-    the same float (``LaminoOperators.once(..., shared=True)``).  The 2-D
-    stage runs in row chunks of ``chunk_size`` — the grid the sweeps will
-    use, so the pass that does run builds exactly the block operators they
-    reuse (a stack that reads the value builds its blocks in its first
-    sweep instead); the value does not depend on the grid (``USFFT2DPlan``
+    A function of the operator alone, so it is computed once per operator
+    state for each ``(n_iters, seed)``: it lives in the state every stack of
+    equal ``(geometry, half_width, oversample)`` shares
+    (``LaminoOperators.once``), so the first stack of a geometry runs the
+    passes and every later one reads the same float.  The 2-D stage runs in
+    row chunks of ``chunk_size`` — the grid the sweeps will use, so the pass
+    builds exactly the block operators they reuse, on the plans every equal
+    stack shares; the value does not depend on the grid (``USFFT2DPlan``
     prunes against a plan-wide floor), which is why the grid is not in the
     key.
     """
     return ops.once(
         ("normal_lipschitz", n_iters, seed),
         lambda: _power_iteration(ops, n_iters, seed, chunk_size),
-        shared=True,
     )
 
 

@@ -2,6 +2,11 @@
 
 Operator construction builds USFFT plans, so the expensive fixtures are
 session-scoped; tests must not mutate them.
+
+Equal stacks share one process-wide operator state (plans, block CSRs,
+geometry-only results), so every test starts with an empty registry of
+them: a stack a test builds shares state only with the stacks that same
+test builds.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from repro.analysis import lockwitness
 if lockwitness.enabled_from_env():
     lockwitness.install()
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -25,6 +32,17 @@ from repro.lamino import (
     brain_like,
     simulate_data,
 )
+from repro.lamino import operators as operators_module
+
+
+@pytest.fixture(autouse=True)
+def operator_registry(monkeypatch) -> OrderedDict:
+    """An empty registry of operator states for the test: a process that
+    knows no geometry.  A stack a longer-lived fixture built keeps the
+    state it was built with."""
+    registry = OrderedDict()
+    monkeypatch.setattr(operators_module, "_STATES", registry)
+    return registry
 
 
 @pytest.fixture(scope="session")

@@ -450,21 +450,24 @@ class TestMissOutputIsFrozen:
         assert shared == [False] * 4 + [True] * 4
 
 
-class TestGeometryOnlyStateOnTheStack:
-    """The DC bases are geometry-only, so they live on the operator stack
-    (``ops.once``): computed by the first executor that needs one, keyed by
-    chunk *range* so two chunk grids on one stack never collide."""
+class TestGeometryOnlyStateOnTheOperator:
+    """The DC bases are geometry-only, so they live in the operator state
+    beside the plans (``ops.once``): computed by the first executor of any
+    equal stack that needs one, keyed by chunk *range* so two chunk grids
+    on one operator never collide."""
 
     @staticmethod
     def _bases(ops):
-        return {k: v for k, v in ops._once.items() if k[0] == "dc_basis"}
+        return {k: v for k, v in ops._state.memo.items() if k[0] == "dc_basis"}
 
     def _solve(self, g, d, ops, chunk):
         ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=chunk)
         res = ADMMSolver(ops, ADMM, executor=ex).run(d)
         return res.u, event_trace(ex.events)
 
-    def test_two_chunk_grids_on_one_stack_get_their_own_bases(self, problem):
+    def test_two_chunk_grids_on_one_operator_get_their_own_bases(
+        self, problem, operator_registry
+    ):
         g, _ops, truth, d = problem
         shared = LaminoOperators(g)
         got = {c: self._solve(g, d, shared, c) for c in (4, 8)}
@@ -476,30 +479,35 @@ class TestGeometryOnlyStateOnTheStack:
         first = {k[3]: v for k, v in bases.items() if k[1] == "Fu1D" and k[2] == 0}
         assert set(first) == {4, 8} and first[4].shape != first[8].shape
         for c in (4, 8):
-            u, trace = self._solve(g, d, LaminoOperators(g), c)  # a private stack
+            operator_registry.clear()  # a fresh registry: nothing shared
+            fresh = LaminoOperators(g)
+            assert fresh._state is not shared._state
+            u, trace = self._solve(g, d, fresh, c)
             np.testing.assert_array_equal(got[c][0], u)
             assert got[c][1] == trace
 
-    def test_a_second_job_on_the_stack_computes_no_basis(self, problem, monkeypatch):
+    def test_a_second_job_on_an_equal_stack_computes_no_basis(self, problem, monkeypatch):
         g, _ops, truth, d = problem
-        ops = LaminoOperators(g)
         calls = Counter()
         for name in ("fu1d", "fu1d_adj", "fu2d", "fu2d_adj"):
-            real = getattr(ops, name)
+            real = getattr(LaminoOperators, name)
             monkeypatch.setattr(
-                ops, name,
-                lambda *a, _n=name, _r=real, **kw: calls.update([_n]) or _r(*a, **kw),
+                LaminoOperators, name,
+                lambda self, *a, _n=name, _r=real, **kw: calls.update([_n]) or _r(self, *a, **kw),
             )
         results = []
         for _job in range(2):
+            ops = LaminoOperators(g)  # a stack per job, as the scheduler builds
             solver = MLRSolver(g, MLRConfig(chunk_size=4, memo=memo_cfg()), admm=ADMM, ops=ops)
             calls.clear()  # construction (the first job's Lipschitz passes) is not the run
             res = solver.reconstruct(d)
             computed = res.case_counts.get("miss", 0) + res.case_counts.get("direct", 0)
-            results.append((res, sum(calls.values()) - computed, len(self._bases(ops))))
-        (first, first_extra, n_bases), (second, second_extra, n_after) = results
-        assert first_extra == n_bases > 0  # one raw-kernel call per basis, no more
-        assert second_extra == 0 and n_after == n_bases
+            results.append((res, sum(calls.values()) - computed, self._bases(ops)))
+        (first, first_extra, bases), (second, second_extra, after) = results
+        assert first_extra == len(bases) > 0  # one raw-kernel call per basis, no more
+        assert second_extra == 0
+        assert after.keys() == bases.keys()
+        assert all(after[k] is bases[k] for k in bases)  # the same arrays, read
         np.testing.assert_array_equal(first.u, second.u)
         assert first.case_counts == second.case_counts
 

@@ -1,8 +1,13 @@
 """Geometry-only 2-D plan state: the block operators do not depend on the
 chunk grid they are built for, the scatter is the gather's transpose view,
-and the operator's resident size is one real block per range."""
+the operator's resident size is one real block per range, and threads that
+share a plan build each lazy fill once."""
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -77,7 +82,9 @@ class TestScatterFromGather:
 
 class TestResidentSize:
     """The Fu2D operator's bytes: separable taps in the plan, one real block
-    per (range, precision), nothing per direction."""
+    per (range, precision), nothing per direction.  Each test builds its
+    stack on a fresh registry (``conftest.operator_registry``), so the plan
+    starts with no block."""
 
     CHUNK = 8
 
@@ -150,3 +157,66 @@ class TestReferenceOperatorIsLazy:
             raw = np.roll(centered, (f0 // 2, f1 // 2), axis=(1, 2)).reshape(plan.npts, -1)
             block = plan.block_gather(i, i + 1, np.complex128)
             np.testing.assert_array_equal(raw, block.toarray())
+
+
+def _race(n_threads, fn):
+    """``fn()`` from ``n_threads`` threads released together; the results."""
+    start = threading.Barrier(n_threads)
+    results, errors = [None] * n_threads, []
+
+    def run(i):
+        try:
+            start.wait(timeout=10)
+            results[i] = fn()
+        except Exception as exc:  # surfaced below, not lost with the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    return results
+
+
+class TestLazyFillsUnderThePlanLock:
+    """A plan is shared by every equal stack of the process, so concurrent
+    first callers of a lazy fill must wait for one build, not race it."""
+
+    N = 8
+
+    def test_a_cold_row_range_is_built_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        plan = U.USFFT2DPlan((8, 12), rng.uniform(-4, 4, size=(5, 17, 2)))
+        built = []
+        real = U.USFFT2DPlan._build_gather
+
+        def slow_build(self, start, stop, rdt):
+            built.append((start, stop))
+            time.sleep(0.02)  # a window every other thread reaches
+            return real(self, start, stop, rdt)
+
+        monkeypatch.setattr(U.USFFT2DPlan, "_build_gather", slow_build)
+        got = _race(self.N, lambda: plan.block_gather(1, 4, np.complex64))
+        assert built == [(1, 4)]
+        assert all(m is got[0] for m in got)
+
+    def test_casts_and_the_reference_operator_are_built_once(self):
+        rng = np.random.default_rng(4)
+        plan1d = U.USFFT1DPlan(16, rng.uniform(-8, 8, size=11))
+        plan2d = U.USFFT2DPlan((8, 12), rng.uniform(-4, 4, size=(5, 17, 2)))
+        fills = [
+            lambda: plan1d.corr_for(np.float32, "type2"),
+            lambda: plan1d.interp_for(np.complex64, transpose=True, raw=True),
+            lambda: plan2d.corr_for(np.float32, "type1"),
+            lambda: plan2d.interp,
+        ]
+        for fill in fills:
+            got = _race(self.N, fill)
+            assert all(x is got[0] for x in got)  # a second build would return its own

@@ -9,7 +9,8 @@ import pytest
 
 from repro.core import MemoConfig, MLRConfig
 from repro.core.memo_engine import memo_state_partitions
-from repro.lamino import LaminoGeometry, brain_like, simulate_data
+from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
+from repro.lamino import operators as operators_module
 from repro.service import (
     AdmissionError,
     JobSpec,
@@ -347,6 +348,32 @@ class TestSharedMemo:
             assert warm.wait(WAIT)
         assert warm.db_entries_start > 0
         assert warm.memo_delta.hits > 0
+
+
+class TestOperatorStatePerGeometry:
+    def test_a_job_on_a_known_geometry_rebuilds_nothing(self, problem, monkeypatch):
+        """Each job builds its own stack, but a stack of a geometry the
+        process knows reads its operator state: the second job runs no DC
+        basis kernel (nor the Lipschitz passes) and builds no block."""
+        geometry, _data = problem
+        computed = []
+        once = operators_module._OperatorState.once
+
+        def counting_once(state, key, compute):
+            return once(state, key, lambda: computed.append(key[0]) or compute())
+
+        monkeypatch.setattr(operators_module._OperatorState, "once", counting_once)
+        with ReconstructionScheduler(ServiceConfig(n_workers=1)) as sched:
+            first = sched.submit(spec(problem, "first"))
+            assert first.wait(WAIT)
+            assert "dc_basis" in computed and "normal_lipschitz" in computed
+            plan2d = LaminoOperators(geometry).plan2d  # the jobs' plan: a registry hit
+            nbytes, n_computed = plan2d.nbytes, len(computed)
+            second = sched.submit(spec(problem, "second"))
+            assert second.wait(WAIT)
+        assert first.state is second.state is JobState.DONE
+        assert len(computed) == n_computed  # no basis, no estimate
+        assert plan2d.nbytes == nbytes  # no block
 
 
 class TestValidation:

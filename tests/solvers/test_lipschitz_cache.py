@@ -1,11 +1,11 @@
 """One Lipschitz estimate per *operator* — shared by every equal stack of
-the process — run on the sweep's chunk grid by the stack that computes it."""
+the process through its operator state — run on the sweep's chunk grid by
+the stack that computes it."""
 
 from __future__ import annotations
 
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -14,25 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.lamino import LaminoGeometry, LaminoOperators
-from repro.lamino import operators as operators_module
 from repro.obs import ObsConfig
 from repro.obs import runtime as obs
 from repro.solvers import ADMMConfig, ADMMSolver, DirectExecutor, estimate_normal_lipschitz
 from repro.solvers import lsp as lsp_module
 
 
-@pytest.fixture(autouse=True)
-def empty_registry(monkeypatch):
-    """Every test starts in a process that knows no geometry: the tests
-    below count passes and inspect ``_blocks`` after construction."""
-    registry = OrderedDict()
-    monkeypatch.setattr(operators_module, "_SHARED", registry)
-    return registry
-
-
 @pytest.fixture()
 def tiny_stack(tiny_geometry):
-    """Factory of equal stacks: every call builds its own plans and memo."""
+    """Factory of equal stacks: every call is a new stack on the test's one
+    operator state (``conftest.operator_registry`` starts each test empty)."""
     return lambda: LaminoOperators(tiny_geometry)
 
 
@@ -114,9 +105,9 @@ class TestOneEstimatePerOperator:
     )
     @given(which=st.sampled_from(sorted(_DIFFERENCES)))
     def test_a_stack_differing_in_one_parameter_does_not_share(
-        self, tiny_geometry, empty_registry, power_iterations, which
+        self, tiny_geometry, operator_registry, power_iterations, which
     ):
-        empty_registry.clear()  # per example, not per test
+        operator_registry.clear()  # per example, not per test
         power_iterations.clear()
         base = estimate_normal_lipschitz(LaminoOperators(tiny_geometry))
         geometry, stack_kw, estimate_kw = tiny_geometry, {}, {}
@@ -129,31 +120,15 @@ class TestOneEstimatePerOperator:
         other = estimate_normal_lipschitz(LaminoOperators(geometry, **stack_kw), **estimate_kw)
         assert len(power_iterations) == 2, which
         assert other != base, which
-        # ... and neither displaced the other
+        # ... and neither displaced the other: a different estimate is a
+        # second key of one state, a different operator a second state
         assert estimate_normal_lipschitz(LaminoOperators(tiny_geometry)) == base
-        assert len(power_iterations) == 2 and len(empty_registry) == 2
-
-    def test_the_registry_keeps_the_64_most_recently_used(
-        self, tiny_stack, empty_registry
-    ):
-        ops = tiny_stack()
-        calls = []
-
-        def value_of(k):
-            return ops.once(("t", k), lambda: calls.append(k) or float(k), shared=True)
-
-        for k in range(64):
-            assert value_of(k) == float(k)
-        assert value_of(0) == 0.0 and len(calls) == 64  # a hit: 0 is now the newest
-        assert value_of(64) == 64.0  # the 65th key evicts the oldest, which is 1
-        assert len(empty_registry) == 64
-        assert value_of(0) == 0.0 and len(calls) == 65
-        assert value_of(1) == 1.0 and calls[-1] == 1  # recomputed
-        assert len(empty_registry) == 64
+        assert len(power_iterations) == 2
+        assert len(operator_registry) == (1 if which in ("n_iters", "seed") else 2)
 
     def test_many_threads_on_equal_stacks_compute_each_key_once(self, tiny_stack):
         stacks = [tiny_stack() for _ in range(3)]
-        n_threads, n_keys, rounds = 8, 32, 40  # more threads than cores, fewer keys than 64
+        n_threads, n_keys, rounds = 8, 32, 40  # more threads than cores
         computed, wrong, errors = [], [], []
         start = threading.Barrier(n_threads)
 
@@ -163,7 +138,7 @@ class TestOneEstimatePerOperator:
                 for i in range(rounds * n_keys):
                     k = (i * (tid + 1)) % n_keys
                     ops = stacks[(i + tid) % len(stacks)]
-                    got = ops.once(("t", k), lambda k=k: computed.append(k) or float(k), shared=True)
+                    got = ops.once(("t", k), lambda k=k: computed.append(k) or float(k))
                     if got != float(k):
                         wrong.append((k, got))
             except Exception as exc:
@@ -183,25 +158,25 @@ class TestOneEstimatePerOperator:
         assert not errors and not wrong
         assert sorted(computed) == list(range(n_keys))  # a lost update would repeat one
 
-    @pytest.mark.parametrize("value", [np.ones(2), 1, None, np.float32(1.0)])
-    def test_a_shared_result_must_be_a_float(self, tiny_stack, empty_registry, value):
-        ops = tiny_stack()
-        with pytest.raises(TypeError, match="float"):
-            ops.once("k", lambda: value, shared=True)
-        assert not empty_registry  # nothing was kept
-        assert ops.once("k", lambda: value) is value  # the stack's own memo takes it
-
-    def test_the_stack_memo_is_per_stack(self, tiny_stack):
-        a, b = tiny_stack(), tiny_stack()
+    @pytest.mark.parametrize(
+        "geometry_change, stack_kw",
+        [({"tilt_deg": 60.0}, {}), ({}, {"half_width": 3}), ({}, {"oversample": 3})],
+        ids=["geometry", "half_width", "oversample"],
+    )
+    def test_the_memo_is_per_operator(self, tiny_geometry, geometry_change, stack_kw):
+        # equal stacks share it, any result type; a stack differing in one
+        # of the three key parameters is another operator and does not
+        a, b = LaminoOperators(tiny_geometry), LaminoOperators(tiny_geometry)
+        other = LaminoOperators(replace(tiny_geometry, **geometry_change), **stack_kw)
         made = []
 
         def compute():
             made.append(np.zeros(1))
             return made[-1]
 
-        assert a.once("k", compute) is a.once("k", compute)
-        assert b.once("k", compute) is not a.once("k", compute)
-        assert len(made) == 2
+        assert a.once("k", compute) is b.once("k", compute) is made[0]
+        assert other.once("k", compute) is made[1]
+        assert a.once("k", compute) is made[0] and len(made) == 2
 
     def test_distinct_keys_stay_distinct(self, tiny_stack, power_iterations):
         ops = tiny_stack()
@@ -270,16 +245,16 @@ class TestBlocksWarmedOnTheSweepGrid:
         first = solver.run(d)
         assert set(ops.plan2d._blocks) == built  # the sweeps built nothing
 
-        # the second stack of the geometry reads sigma: no pass, so no block
-        # at construction, and its first sweeps build the same chunk-grid
-        # blocks — never a full-range one
+        # the second stack of the geometry reads sigma and the plans the
+        # first one built: neither its construction nor its sweeps build a
+        # block, and it computes the same bits
         later = tiny_stack()
+        assert later.plan2d is ops.plan2d and later.plan1d is ops.plan1d
         solver = ADMMSolver(
             later,
             ADMMConfig(n_outer=1, n_inner=1),
             executor=DirectExecutor(later, chunk_size=chunk),
         )
-        assert not later.plan2d._blocks
         second = solver.run(d)
         assert set(later.plan2d._blocks) == built
         assert np.array_equal(first.u, second.u)
