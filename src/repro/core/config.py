@@ -15,8 +15,8 @@ class PipelineConfig:
     """Knobs of the streaming execution mode (:mod:`repro.pipeline`).
 
     Defined here so the config layer stays free of the pipeline subsystem
-    (which wraps core executors, not the other way around); it is
-    re-exported as :class:`repro.pipeline.PipelineConfig`.
+    (which core executors run their sweeps through, not the other way
+    around); it is re-exported as :class:`repro.pipeline.PipelineConfig`.
 
     queue_depth:
         Capacity of each inter-stage queue (input slabs the reader may run
@@ -92,7 +92,6 @@ class MemoConfig:
     tau: float = 0.92
     encoder: str = "pool"
     key_hw: int = 8
-    key_depth: int = 16
     embed_dim: int = 60
     cache: str | None = "private"
     index_clusters: int = 16
@@ -179,11 +178,13 @@ class MLRConfig:
         identical to the default ``1 x 1`` for the paper-default private
         cache.
     pipeline:
-        ``None`` (the default) executes op sweeps monolithically; a
-        :class:`~repro.pipeline.PipelineConfig` wraps the executor in the
-        streaming :class:`~repro.pipeline.PipelinedExecutor` — overlapped
-        read -> memoized compute -> write with bounded queues, bit-identical
-        to the monolithic path.
+        Execution mode of the executor's op sweeps, passed down to the
+        :class:`~repro.core.memo_engine.MemoizedExecutor`: ``None`` (the
+        default) runs each sweep inline; a
+        :class:`~repro.pipeline.PipelineConfig` runs it as a
+        :class:`~repro.pipeline.ChunkPipeline` — overlapped read -> memoized
+        compute -> write with bounded queues, bit-identical to the inline
+        mode.
     memo_snapshot:
         Warm-start source for the memoization database tier: a snapshot
         directory written by :func:`repro.service.save_memo_snapshot` (or

@@ -161,7 +161,7 @@ class PoolKeyEncoder:
       collapsed, keeping along-axis structure visible to the gate.
     """
 
-    def __init__(self, key_hw: int = 8, depth: int = 8) -> None:
+    def __init__(self, key_hw: int = 8, depth: int = 16) -> None:
         if key_hw < 2:
             raise ValueError(f"key_hw must be >= 2, got {key_hw}")
         if depth < 1:

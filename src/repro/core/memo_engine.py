@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import runtime as obs
-from ..solvers.executor import SWEEP_KERNELS, DirectExecutor
+from ..solvers.executor import SWEEP_AXIS, SWEEP_KERNELS, DirectExecutor, operand_shape
 from .coalescer import CoalesceStats, KeyCoalescer
-from .config import MemoConfig
+from .config import MemoConfig, PipelineConfig
 from .keying import CNNKeyEncoder, PoolKeyEncoder, check_fingerprint
 from .memo_cache import CacheStats, GlobalMemoCache, PrivateMemoCache
 from .memo_db import MemoDatabase, MemoDBStats
@@ -166,23 +166,22 @@ class MemoizedExecutor(DirectExecutor):
         config: MemoConfig | None = None,
         chunk_size: int | None = None,
         encoder=None,
-        n_locations: int | None = None,
         n_workers: int = 1,
         n_shards: int = 1,
+        pipeline: PipelineConfig | None = None,
     ) -> None:
         if n_workers < 1 or n_shards < 1:
             raise ValueError("n_workers and n_shards must be >= 1")
-        super().__init__(ops, chunk_size=chunk_size)
+        super().__init__(ops, chunk_size=chunk_size, pipeline=pipeline)
         self.config = config or MemoConfig()
         if encoder is not None:
             self.encoder = encoder
         elif self.config.encoder == "pool":
-            self.encoder = PoolKeyEncoder(self.config.key_hw, depth=self.config.key_depth)
+            self.encoder = PoolKeyEncoder(self.config.key_hw)
         else:
             raise ValueError(
                 "encoder='cnn' requires passing a trained CNNKeyEncoder instance"
             )
-        self._n_locations_override = n_locations
         self.n_workers = n_workers
         self.n_shards = n_shards
         self.router = None
@@ -191,21 +190,14 @@ class MemoizedExecutor(DirectExecutor):
         self.reset_state()
 
     def n_locations_for(self, op: str) -> int:
-        """Chunk-location count of one operation's sweep.
-
-        ``Fu1D``/``Fu1D*`` partition along the volume x-axis
-        (``vol_shape[0]``); ``Fu2D``/``Fu2D*`` along the detector
-        row-frequency axis (``det_shape[0]``).  The two differ whenever the
-        volume height is not the detector height, so location counts (and
-        everything sized from them — global-cache capacity, worker
-        assignments) must be computed per op.
-        """
-        g = self.ops.geometry
-        if self._n_locations_override is not None:
-            return self._n_locations_override
-        n = g.vol_shape[0] if op in ("Fu1D", "Fu1D*") else g.det_shape[0]
-        size = self.chunk_size if self.chunk_size is not None else n
-        return -(-n // size)
+        """Chunk-location count of one operation's sweep: the size of the
+        chunk grid ``_sweep`` walks over the op's operand.  ``Fu1D`` /
+        ``Fu1D*`` sweep the volume x-axis, ``Fu2D`` / ``Fu2D*`` the detector
+        row-frequency axis; the counts differ whenever the volume height is
+        not the detector height, so everything sized from them (global-cache
+        capacity) is sized per op."""
+        n = operand_shape(op, self.ops.geometry)[SWEEP_AXIS[op]]
+        return len(self._grid(op, n))
 
     def reset_state(self) -> None:
         """Drop all memoization state (database tier connection, caches,
@@ -350,8 +342,8 @@ class MemoizedExecutor(DirectExecutor):
         of phase A before all of phase B — outputs just become available as
         each worker's block completes, which is what lets the pipeline's
         writer stage overlap them with the next block's compute.  The
-        full-array ops are inherited drivers over this seam, so the
-        monolithic and pipelined paths share it.
+        full-array ops are inherited calls to ``_sweep`` over this seam, so
+        the inline and pipelined modes share it.
 
         ``n_chunks`` (the sweep size) is required: the worker assignment
         must be fixed before the first item is consumed.

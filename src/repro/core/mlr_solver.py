@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..lamino.chunking import SlabAssembler
 from ..lamino.geometry import LaminoGeometry
 from ..lamino.operators import LaminoOperators
 from ..obs import runtime as obs
 from ..solvers.admm import ADMMConfig, ADMMResult, ADMMSolver
-from .config import MLRConfig
+from .config import MLRConfig, PipelineConfig
 from .keying import CNNKeyEncoder, chunk_to_image, state_digest
 from .memo_engine import MemoEvent, MemoizedExecutor
 
@@ -101,19 +102,17 @@ class MLRSolver:
             encoder=encoder,
             n_workers=self.config.n_workers,
             n_shards=self.config.n_shards,
+            pipeline=self.config.pipeline,
         )
+        #: the same executor under the name the perf ledger reads
         self.memo_executor = self.executor
-        if self.config.pipeline is not None:
-            from ..pipeline import PipelinedExecutor
-
-            self.executor = PipelinedExecutor(self.executor, self.config.pipeline)
         if snapshot_tree is not None:
             self.load_memo_snapshot(snapshot_tree)
         self.solver = ADMMSolver(self.ops, self.admm_config, executor=self.executor)
 
     def close(self) -> None:
         """Release transport resources (the remote memo client, if any)."""
-        self.memo_executor.close()
+        self.executor.close()
 
     # -- warm start / persistence --------------------------------------------------------
 
@@ -132,7 +131,7 @@ class MLRSolver:
         tree = snapshot if isinstance(snapshot, dict) else load_memo_snapshot(snapshot)
         enc_state = tree.get("encoder_state")
         if enc_state and self.config.memo.encoder == "cnn":
-            current = self.memo_executor.encoder
+            current = self.executor.encoder
             # digest the raw state tree — building a CNNKeyEncoder (with its
             # INT8 re-quantization) just to compare digests would waste the
             # common case where the snapshot's encoder is already installed
@@ -140,16 +139,16 @@ class MLRSolver:
                 isinstance(current, CNNKeyEncoder)
                 and current.weights_digest() == state_digest(enc_state)
             ):
-                self.memo_executor.encoder = CNNKeyEncoder.from_state(enc_state)
-                self.memo_executor.reset_state()
-        self.memo_executor.load_memo_state(tree)
+                self.executor.encoder = CNNKeyEncoder.from_state(enc_state)
+                self.executor.reset_state()
+        self.executor.load_memo_state(tree)
 
     def save_memo_snapshot(self, path) -> dict:
         """Persist the executor's database tier as a versioned on-disk
         snapshot; returns its header fields."""
         from ..service.snapshot import save_memo_snapshot
 
-        return save_memo_snapshot(path, self.memo_executor)
+        return save_memo_snapshot(path, self.executor)
 
     # -- optional CNN warmup -----------------------------------------------------------
 
@@ -203,26 +202,31 @@ class MLRSolver:
 
     # -- reconstruction -----------------------------------------------------------------
 
-    def _publish_memo_stats(self) -> None:
-        """Register the authoritative end-of-run values into the
-        observability registry — :class:`MemoDBStats` per memoized op and
-        merged (``memo_db_*``), and a remote tier's transport counters
-        (``net_client_*``) — so a ``repro.obs`` dump reconciles *exactly*
-        with the tier's own counters."""
-        if not obs.enabled():
-            return
-        from .memo_db import MemoDBStats
+    def _result(self, admm_result: ADMMResult) -> MLRResult:
+        """The run's :class:`MLRResult`, after registering the
+        authoritative end-of-run values into the observability registry —
+        :class:`MemoDBStats` per memoized op and merged (``memo_db_*``), and
+        a remote tier's transport counters (``net_client_*``) — so a
+        ``repro.obs`` dump reconciles *exactly* with the tier's own
+        counters."""
+        if obs.enabled():
+            from .memo_db import MemoDBStats
 
-        per_op = {
-            op: self.memo_executor.db_stats(op) for op in self.config.memo.memo_ops
-        }
-        per_op["all"] = MemoDBStats.merged(per_op.values())
-        for op, stats in per_op.items():
-            obs.publish_gauges("memo_db", stats, op=op)
-            obs.gauge("memo_db_hit_rate", op=op).set(stats.hit_rate)
-        net_stats = self.memo_executor.router.net_stats
-        if net_stats is not None:
-            obs.publish_gauges("net_client", net_stats)
+            per_op = {op: self.executor.db_stats(op) for op in self.config.memo.memo_ops}
+            per_op["all"] = MemoDBStats.merged(per_op.values())
+            for op, stats in per_op.items():
+                obs.publish_gauges("memo_db", stats, op=op)
+                obs.gauge("memo_db_hit_rate", op=op).set(stats.hit_rate)
+            net_stats = self.executor.router.net_stats
+            if net_stats is not None:
+                obs.publish_gauges("net_client", net_stats)
+        return MLRResult(
+            u=admm_result.u,
+            history=admm_result.history,
+            events=list(self.executor.events),
+            case_counts=self.executor.case_counts(),
+            op_counts=admm_result.op_counts,
+        )
 
     def reconstruct(
         self, d: np.ndarray, u0: np.ndarray | None = None, callback=None
@@ -232,14 +236,7 @@ class MLRSolver:
         it for per-job progress events and cooperative cancellation)."""
         with obs.span("solver.reconstruct"):
             admm_result: ADMMResult = self.solver.run(d, u0=u0, callback=callback)
-        self._publish_memo_stats()
-        return MLRResult(
-            u=admm_result.u,
-            history=admm_result.history,
-            events=list(self.executor.events),
-            case_counts=self.executor.case_counts(),
-            op_counts=admm_result.op_counts,
-        )
+        return self._result(admm_result)
 
     # -- streaming ingest ---------------------------------------------------------------
 
@@ -249,8 +246,8 @@ class MLRSolver:
         from ..pipeline import StreamingIngest
 
         if queue_depth is None:
-            pipeline = self.config.pipeline
-            queue_depth = pipeline.ingest_queue_depth if pipeline is not None else 4
+            pipeline = self.config.pipeline or PipelineConfig()
+            queue_depth = pipeline.ingest_queue_depth
         return StreamingIngest(
             self.geometry.data_shape,
             chunk_size=self.config.chunk_size,
@@ -279,12 +276,13 @@ class MLRSolver:
         try:
             dhat = None
             if self.admm_config.cancellation:
-                dhat = np.empty_like(d)
+                sink = SlabAssembler(len(d))
                 sweep = self.executor.sweep_stream(
                     "F2D", assemble(iter(ingest)), ingest.n_chunks
                 )
                 for chunk, dhat_c in sweep:
-                    dhat[chunk.slice] = dhat_c
+                    sink(chunk, dhat_c)
+                dhat = sink.result()
             else:
                 for _ in assemble(iter(ingest)):
                     pass
@@ -295,11 +293,4 @@ class MLRSolver:
             # QueueClosed instead of deadlocking on a vanished consumer
             ingest.abort()
             raise
-        self._publish_memo_stats()
-        return MLRResult(
-            u=admm_result.u,
-            history=admm_result.history,
-            events=list(self.executor.events),
-            case_counts=self.executor.case_counts(),
-            op_counts=admm_result.op_counts,
-        )
+        return self._result(admm_result)

@@ -1,6 +1,6 @@
 """Laminography substrate: geometry, USFFT operators, phantoms, chunking."""
 
-from .chunking import Chunk, check_tiling, chunk_ranges, iter_chunks, num_chunks, reassemble
+from .chunking import Chunk, check_tiling, chunk_ranges, iter_chunks
 from .geometry import LaminoGeometry
 from .operators import MEMOIZABLE_OPS, OP_NAMES, LaminoOperators
 from .phantoms import brain_like, ic_layers, make_phantom, pcb, slab_envelope
@@ -21,8 +21,6 @@ __all__ = [
     "check_tiling",
     "chunk_ranges",
     "iter_chunks",
-    "num_chunks",
-    "reassemble",
     "LaminoGeometry",
     "LaminoOperators",
     "OP_NAMES",

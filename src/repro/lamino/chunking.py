@@ -5,16 +5,21 @@ a whole operator application on the GPU: the partition axis of each operand
 is split into fixed-size *chunks* that are streamed device-to-device.  A
 chunk location (the ``(op, index)`` pair) is also the key granularity of the
 paper's memoization cache — each location owns a private single-entry cache.
+
+A sweep walks one :class:`ArraySource` (the operand's slabs, in chunk
+order) and feeds one :class:`SlabAssembler` (the output slabs, back into
+one array) — inline or through :class:`~repro.pipeline.ChunkPipeline`'s
+reader and writer threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Chunk", "check_tiling", "chunk_ranges", "iter_chunks", "num_chunks", "reassemble"]
+__all__ = ["ArraySource", "Chunk", "SlabAssembler", "check_tiling", "chunk_ranges", "iter_chunks"]
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,6 @@ class Chunk:
         sl[self.axis] = self.slice
         return a[tuple(sl)]
 
-    def put(self, a: np.ndarray, value: np.ndarray) -> None:
-        """Write ``value`` into the chunk's slab of ``a`` in place."""
-        sl = [slice(None)] * a.ndim
-        sl[self.axis] = self.slice
-        a[tuple(sl)] = value
-
 
 def chunk_ranges(n: int, size: int) -> list[tuple[int, int]]:
     """Split ``[0, n)`` into consecutive ranges of width ``size`` (last may
@@ -59,10 +58,6 @@ def chunk_ranges(n: int, size: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"axis length must be >= 1, got {n}")
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def num_chunks(n: int, size: int) -> int:
-    return len(chunk_ranges(n, size))
 
 
 def iter_chunks(n: int, size: int, axis: int = 0) -> Iterator[Chunk]:
@@ -90,22 +85,60 @@ def check_tiling(spans, length: int) -> None:
         raise ValueError(f"chunks cover [0, {pos}) of a length-{length} axis")
 
 
-def reassemble(chunks: list[tuple[Chunk, np.ndarray]], shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Rebuild a full array from ``(chunk, value)`` pairs.
+class ArraySource:
+    """The ``(chunk, payload)`` items of one sweep over an in-memory array.
 
-    Pairs may arrive in any order (a pipelined writer may see worker blocks
-    early), but together they must tile the partition axis exactly
-    (:func:`check_tiling`).
+    The payload is the chunk's slab of ``array`` (a view, zero-copy), or
+    ``payload(chunk)`` for ops whose chunk carries extra arguments (the
+    fused ``Fu2D`` subtract slab).
     """
-    if not chunks:
-        raise ValueError("reassemble needs at least one (chunk, value) pair")
-    axis = chunks[0][0].axis
-    out = np.empty(shape, dtype=dtype)
-    for chunk, value in chunks:
-        if chunk.axis != axis:
-            raise ValueError(
-                f"mixed partition axes: got {chunk.axis}, expected {axis}"
-            )
-        chunk.put(out, value)
-    check_tiling(((c.lo, c.hi) for c, _ in chunks), shape[axis])
-    return out
+
+    def __init__(
+        self,
+        array: np.ndarray,
+        chunks: Sequence[Chunk],
+        payload: Callable[[Chunk], object] | None = None,
+    ) -> None:
+        self.array = array
+        self.chunks = list(chunks)
+        self._payload = payload
+
+    def __len__(self) -> int:
+        return len(self.chunks)
+
+    def __iter__(self) -> Iterator[tuple[Chunk, object]]:
+        for chunk in self.chunks:
+            if self._payload is not None:
+                yield chunk, self._payload(chunk)
+            else:
+                yield chunk, chunk.take(self.array)
+
+
+class SlabAssembler:
+    """Reassemble output slabs into one array along ``axis``.
+
+    Accepts slabs in any order; ``result()`` verifies they tiled the axis
+    exactly (:func:`check_tiling`) and concatenates them in chunk order.
+    Concatenation keeps the slabs' layout: the USFFT ops emit
+    transposed-layout slabs, and downstream reductions like the key
+    encoder's pooling are layout-sensitive in their accumulation order, so
+    copying slabs into a C-order buffer would keep the values but change
+    the strides every later sweep sees, breaking bit-identity.
+    """
+
+    def __init__(self, axis_len: int, axis: int = 0) -> None:
+        if axis_len < 1:
+            raise ValueError(f"axis_len must be >= 1, got {axis_len}")
+        self.axis = axis
+        self.axis_len = axis_len
+        self._parts: list[tuple[tuple[int, int], np.ndarray]] = []
+
+    def __call__(self, chunk: Chunk, value: np.ndarray) -> None:
+        self._parts.append(((chunk.lo, chunk.hi), np.asarray(value)))
+
+    def result(self) -> np.ndarray:
+        if not self._parts:
+            raise ValueError("no slabs were written")
+        self._parts.sort(key=lambda item: item[0])
+        check_tiling((span for span, _value in self._parts), self.axis_len)
+        return np.concatenate([value for _span, value in self._parts], axis=self.axis)

@@ -1,22 +1,24 @@
 """Streaming pipelined reconstruction: overlapped read -> compute -> write.
 
 The subsystem that hides I/O behind the memoized solver: bounded queues
-with backpressure (:mod:`.queues`), prefetching chunk sources
-(:mod:`.reader`), slab sinks (:mod:`.writer`), the staged orchestrator
-(:mod:`.pipeline`), the incremental projection source (:mod:`.ingest`),
-and the drop-in :class:`PipelinedExecutor` the solver's ``pipeline=``
-mode installs (:mod:`.executor`).
+with backpressure (:mod:`.queues`), the SSD chunk source (:mod:`.reader`)
+and sink (:mod:`.writer`), the staged orchestrator (:mod:`.pipeline`) and
+the incremental projection source (:mod:`.ingest`).  Pipelined execution
+is a mode of the executor, not a wrapper around it: an executor built with
+``pipeline=PipelineConfig(...)`` (what ``MLRConfig(pipeline=...)`` passes
+down) runs each op sweep's in-memory :class:`ArraySource` and
+:class:`SlabAssembler` (re-exported from :mod:`repro.lamino.chunking`)
+through a :class:`ChunkPipeline`.
 """
 
-from .executor import PipelinedExecutor
+from ..lamino.chunking import ArraySource, SlabAssembler
 from .ingest import StreamingIngest
 from .pipeline import ChunkPipeline, PipelineConfig, PipelineStats
 from .queues import BoundedQueue, QueueClosed, QueueStats
-from .reader import ArraySource, SpillSource
-from .writer import SlabAssembler, SpillSlabWriter
+from .reader import SpillSource
+from .writer import SpillSlabWriter
 
 __all__ = [
-    "PipelinedExecutor",
     "StreamingIngest",
     "ChunkPipeline",
     "PipelineConfig",

@@ -9,7 +9,7 @@
 
 The reader and writer run on worker threads; **compute runs on the calling
 thread, single-threaded and in chunk order** — that is the property that
-keeps a pipelined run bit-identical to the monolithic path while the
+keeps a pipelined run bit-identical to the inline path while the
 queues overlap the reader's I/O (SSD fetches, ingest arrival) and the
 writer's I/O (reassembly, spills) with it.  Queue depths bound memory:
 at most ``queue_depth`` input slabs and ``queue_depth`` output slabs are
@@ -144,7 +144,6 @@ class ChunkPipeline:
             writer.join()
         self.stats.read_queue.merge(in_q.stats)
         self.stats.write_queue.merge(out_q.stats)
-        self.stats.publish(op=self.op)
 
         # A dead reader starves compute and a dead writer chokes it, so the
         # neighbor's root cause outranks compute's secondary failure.

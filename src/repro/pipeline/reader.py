@@ -1,18 +1,14 @@
-"""Reader stage: chunk sources with double-buffered prefetch.
+"""Reader stage: an SSD chunk source with double-buffered prefetch.
 
 The reader is the pipeline's producer: it materializes one input slab per
 chunk and pushes ``(chunk, payload)`` items into the bounded inter-stage
-queue.  Two backings are provided:
-
-- :class:`ArraySource` — slabs of an in-memory array (views; zero-copy),
-  optionally composed with a payload function for ops whose chunk payload
-  carries extra arguments (the fused ``Fu2D`` subtract slab);
-- :class:`SpillSource` — slabs persisted in a
-  :class:`~repro.memio.backing.SpillManager`.  It keeps ``prefetch_depth``
-  loads in flight ahead of the cursor (double-buffered at the default
-  depth 1), so the SSD read of chunk ``i+1`` overlaps the compute of chunk
-  ``i`` — the exact mechanics tomocupy-style conveyor readers use to hide
-  ingest I/O behind GPU work.
+queue.  :class:`SpillSource` serves slabs persisted in a
+:class:`~repro.memio.backing.SpillManager`.  It keeps ``prefetch_depth``
+loads in flight ahead of the cursor (double-buffered at the default depth
+1), so the SSD read of chunk ``i+1`` overlaps the compute of chunk ``i`` —
+the exact mechanics tomocupy-style conveyor readers use to hide ingest I/O
+behind GPU work.  (The in-memory source every executor sweep walks,
+:class:`~repro.lamino.chunking.ArraySource`, lives beside ``Chunk``.)
 
 A source is any iterable of ``(chunk, payload)`` pairs in ascending chunk
 order; the compute stage consumes them through the executor's
@@ -21,40 +17,14 @@ order; the compute stage consumes them through the executor's
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..lamino.chunking import Chunk, iter_chunks
+from ..lamino.chunking import Chunk
 from ..memio.backing import SpillManager
 
-__all__ = ["ArraySource", "SpillSource"]
-
-
-class ArraySource:
-    """Chunk slabs of an in-memory array along one axis."""
-
-    def __init__(
-        self,
-        array: np.ndarray,
-        chunk_size: int,
-        axis: int = 0,
-        payload: Callable[[Chunk], object] | None = None,
-    ) -> None:
-        self.array = array
-        self.axis = axis
-        self.chunks = list(iter_chunks(array.shape[axis], chunk_size, axis=axis))
-        self._payload = payload
-
-    def __len__(self) -> int:
-        return len(self.chunks)
-
-    def __iter__(self) -> Iterator[tuple[Chunk, object]]:
-        for chunk in self.chunks:
-            if self._payload is not None:
-                yield chunk, self._payload(chunk)
-            else:
-                yield chunk, chunk.take(self.array)
+__all__ = ["SpillSource"]
 
 
 class SpillSource:

@@ -1,11 +1,10 @@
-"""Writer stage: sinks that absorb output slabs as they complete.
+"""Writer stage: an SSD sink that absorbs output slabs as they complete.
 
 The writer is the pipeline's consumer: it receives ``(chunk, value)`` pairs
-from the compute stage's output queue (possibly out of chunk order when a
-multi-worker sweep releases worker blocks early) and either reassembles
-them into one array (:class:`SlabAssembler`) or persists each slab to SSD
-(:class:`SpillSlabWriter`).  Running on its own thread, the sink's work —
-memory placement, ``np.save`` — overlaps the compute of later chunks.
+from the compute stage's output queue.  :class:`SpillSlabWriter` persists
+each slab to SSD; running on its own thread, its ``np.save`` overlaps the
+compute of later chunks.  (The in-memory sink every executor sweep feeds,
+:class:`~repro.lamino.chunking.SlabAssembler`, lives beside ``Chunk``.)
 
 A sink is any callable ``(chunk, value) -> None`` with an optional
 ``result()`` returning the finished artifact at pipeline join.
@@ -15,42 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lamino.chunking import Chunk, check_tiling
+from ..lamino.chunking import Chunk
 from ..memio.backing import SpillManager
 
-__all__ = ["SlabAssembler", "SpillSlabWriter"]
-
-
-class SlabAssembler:
-    """Reassemble output slabs into one array along ``axis``.
-
-    Accepts slabs in any order; ``result()`` verifies they tiled the axis
-    exactly and concatenates them in chunk order — the *same*
-    ``np.concatenate`` the monolithic sweep performs, so the assembled
-    array has bit-identical values **and memory layout**.  (Layout matters:
-    the USFFT ops emit transposed-layout slabs, and downstream reductions
-    like the key encoder's pooling are layout-sensitive in their
-    accumulation order.  Copying slabs into a C-order buffer would preserve
-    values but change the strides every later sweep sees, silently breaking
-    bit-identity with the serial path.)
-    """
-
-    def __init__(self, axis_len: int, axis: int = 0) -> None:
-        if axis_len < 1:
-            raise ValueError(f"axis_len must be >= 1, got {axis_len}")
-        self.axis = axis
-        self.axis_len = axis_len
-        self._parts: list[tuple[tuple[int, int], np.ndarray]] = []
-
-    def __call__(self, chunk: Chunk, value: np.ndarray) -> None:
-        self._parts.append(((chunk.lo, chunk.hi), np.asarray(value)))
-
-    def result(self) -> np.ndarray:
-        if not self._parts:
-            raise ValueError("no slabs were written")
-        self._parts.sort(key=lambda item: item[0])
-        check_tiling((span for span, _value in self._parts), self.axis_len)
-        return np.concatenate([value for _span, value in self._parts], axis=self.axis)
+__all__ = ["SpillSlabWriter"]
 
 
 class SpillSlabWriter:

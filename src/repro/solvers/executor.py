@@ -3,34 +3,44 @@
 The LSP inner loop never calls :class:`~repro.lamino.operators.LaminoOperators`
 directly; it goes through an *executor* so that mLR's memoization engine can
 intercept each FFT operation chunk-by-chunk without touching solver code.
-The contract (duck-typed; :class:`DirectExecutor` is the reference
-implementation) is:
+The contract (:class:`DirectExecutor` is the reference implementation and
+the base of :class:`~repro.core.memo_engine.MemoizedExecutor`) is:
 
 - ``fu1d / fu1d_adj / fu2d / fu2d_adj / f2d / f2d_adj`` — the six operations
-  of Algorithm 1, full-array in/out; implementations are free to partition
-  the work into chunks internally,
+  of Algorithm 1, full-array in/out, each one call to the one chunk loop
+  ``_sweep`` (slice along ``SWEEP_AXIS[op]``, stream, reassemble),
 - ``fu2d(..., subtract=dhat)`` — the fused subtract-in-kernel variant of
   Section 4.2 (Figure 5b): returns ``Fu2D(x) - dhat`` from a single call,
 - ``begin_outer / begin_inner`` — iteration markers used by memoization to
   distinguish revisits of the same chunk location,
 - ``op_counts`` — dict op-name -> number of chunk-level invocations,
 - ``sweep_stream`` — the *streaming* form of one op sweep: consume
-  ``(chunk, payload)`` items in chunk order, yield ``(chunk, output)`` pairs.
-  The full-array methods are thin drivers over it, and the pipelined
-  execution mode (:mod:`repro.pipeline`) feeds it from a reader stage.
+  ``(chunk, payload)`` items in chunk order, yield ``(chunk, output)``
+  pairs: the seam the memoized executor overrides.
+
+Pipelined execution is a mode of ``_sweep``, not a second executor: with
+``pipeline=PipelineConfig(...)`` its chunk source and assembler run on the
+reader and writer threads of a :class:`~repro.pipeline.ChunkPipeline`
+while ``sweep_stream`` computes on the calling thread, in chunk order —
+bit-identical values and memory layout to the inline mode.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..lamino.chunking import iter_chunks
+from ..lamino.chunking import ArraySource, Chunk, SlabAssembler, iter_chunks
 from ..lamino.operators import LaminoOperators
 from ..obs import runtime as obs
 
-__all__ = ["DirectExecutor", "SWEEP_AXIS", "SWEEP_KERNELS"]
+if TYPE_CHECKING:
+    from ..core.config import PipelineConfig
+    from ..pipeline.pipeline import PipelineStats
+
+__all__ = ["DirectExecutor", "SWEEP_AXIS", "SWEEP_KERNELS", "operand_shape"]
 
 #: Partition axis of each operation's operand (and of its output slab).
 SWEEP_AXIS = {
@@ -55,18 +65,36 @@ SWEEP_KERNELS = {
 }
 
 
+def operand_shape(op: str, geometry) -> tuple[int, int, int]:
+    """Shape of ``op``'s full-array operand: the volume (``Fu1D``), ``Fu1D``'s
+    output (``Fu1D*``, ``Fu2D``) or the detector-plane array (the rest)."""
+    n1, _n0, n2 = geometry.vol_shape
+    u1 = (n1, geometry.det_shape[0], n2)
+    return {"Fu1D": geometry.vol_shape, "Fu1D*": u1, "Fu2D": u1}.get(op, geometry.data_shape)
+
+
 class DirectExecutor:
     """Chunk-streaming executor with no memoization (the paper's baseline).
 
-    ``chunk_size`` mirrors the GPU pipeline granularity: ``fu1d`` partitions
-    along the volume x-axis, ``fu2d``/``fu2d_adj`` along the detector
-    row-frequency axis, ``f2d``/``f2d_adj`` along the angle axis.  Setting
-    ``chunk_size=None`` disables chunking (single full-array call).
+    ``chunk_size`` mirrors the GPU pipeline granularity: ``fu1d``/``fu1d_adj``
+    partition along the volume x-axis, ``fu2d``/``fu2d_adj`` along the
+    detector row-frequency axis, ``f2d``/``f2d_adj`` along the angle axis.
+    Setting ``chunk_size=None`` disables chunking (single full-array call).
+    ``pipeline`` is the sweeps' execution mode: ``None`` inline, a
+    :class:`~repro.pipeline.PipelineConfig` pipelined.
     """
 
-    def __init__(self, ops: LaminoOperators, chunk_size: int | None = None) -> None:
+    def __init__(
+        self,
+        ops: LaminoOperators,
+        chunk_size: int | None = None,
+        pipeline: PipelineConfig | None = None,
+    ) -> None:
         self.ops = ops
         self.chunk_size = chunk_size
+        self.pipeline = pipeline
+        #: op -> cumulative queue statistics of its pipelined sweeps
+        self.pipeline_op_stats: dict[str, PipelineStats] = {}
         self.op_counts: Counter[str] = Counter()
         self.outer_iteration = -1
         self.inner_iteration = -1
@@ -79,13 +107,16 @@ class DirectExecutor:
     def begin_inner(self, iteration: int) -> None:
         self.inner_iteration = iteration
 
-    # -- chunk helpers ---------------------------------------------------------------
+    # -- the chunk grid --------------------------------------------------------------
 
-    def _chunks(self, n: int):
+    def _grid(self, op: str, n: int) -> list[Chunk]:
+        """Chunks of an ``op`` sweep over an operand ``n`` long on
+        ``SWEEP_AXIS[op]`` — ``chunk_size`` slabs, one slab when chunking
+        is off.  A chunk's index is its memoization location."""
         size = self.chunk_size if self.chunk_size is not None else n
-        return iter_chunks(n, size)
+        return list(iter_chunks(n, size, axis=SWEEP_AXIS[op]))
 
-    # -- streaming sweep API (consumed by repro.pipeline) ------------------------------
+    # -- streaming sweep API ---------------------------------------------------------
 
     def chunk_kernel(self, op: str):
         """Per-chunk kernel of ``op``: ``(chunk, payload) -> output slab``.
@@ -111,9 +142,9 @@ class DirectExecutor:
         order, yield ``(chunk, output)`` as each chunk completes.
 
         Processing is strictly in arrival order on the calling thread, so a
-        pipelined run produces bit-identical numerics to the monolithic
-        full-array path.  ``n_chunks`` is accepted for interface parity with
-        the memoized executor (which needs the sweep size up front).
+        pipelined run produces bit-identical numerics to the inline path.
+        ``n_chunks`` is accepted for interface parity with the memoized
+        executor (which needs the sweep size up front).
         """
         del n_chunks  # chunk-at-a-time execution needs no lookahead
         kernel = self.chunk_kernel(op)
@@ -123,51 +154,68 @@ class DirectExecutor:
                 out = kernel(chunk, payload)
             yield chunk, out
 
-    # -- the six operations (thin drivers over the streaming sweep, so the
-    # monolithic and pipelined paths share one chunk loop) -----------------------------
+    def _sweep(self, op: str, array: np.ndarray, payload=None) -> np.ndarray:
+        """The one chunk loop: ``array``'s chunk grid (``payload(chunk)``
+        replacing the plain slab where the op's chunk carries more) through
+        ``sweep_stream`` into one assembler — inline, or as a
+        :class:`~repro.pipeline.ChunkPipeline` whose per-op cumulative
+        statistics it publishes."""
+        axis = SWEEP_AXIS[op]
+        n = array.shape[axis]
+        source = ArraySource(array, self._grid(op, n), payload)
+        sink = SlabAssembler(n, axis)
+        if self.pipeline is None:
+            for chunk, out in self.sweep_stream(op, source, len(source)):
+                sink(chunk, out)
+            return sink.result()
+        # imported here: repro.pipeline imports repro.core, which imports this module
+        from ..pipeline.pipeline import ChunkPipeline, PipelineStats
 
-    def _sweep(self, op: str, items, n_chunks: int, axis: int) -> np.ndarray:
-        parts = [out for _, out in self.sweep_stream(op, items, n_chunks)]
-        return np.concatenate(parts, axis=axis)
+        pipe = ChunkPipeline(
+            source=source,
+            sweep=lambda items: self.sweep_stream(op, items, len(source)),
+            sink=sink,
+            queue_depth=self.pipeline.queue_depth,
+            op=op,
+        )
+        out = pipe.run()
+        stats = self.pipeline_op_stats.setdefault(op, PipelineStats()).merge(pipe.stats)
+        stats.publish(op=op)
+        return out
+
+    def pipeline_stats(self) -> PipelineStats:
+        """Queue/backpressure statistics aggregated over every pipelined
+        sweep (all zero in the inline mode)."""
+        from ..pipeline.pipeline import PipelineStats
+
+        agg = PipelineStats()
+        for stats in self.pipeline_op_stats.values():
+            agg.merge(stats)
+        return agg
+
+    # -- the six operations ----------------------------------------------------------
 
     def fu1d(self, u: np.ndarray) -> np.ndarray:
-        chunks = list(self._chunks(u.shape[0]))
-        return self._sweep(
-            "Fu1D", ((c, u[c.slice]) for c in chunks), len(chunks), axis=0
-        )
+        return self._sweep("Fu1D", u)
 
     def fu1d_adj(self, u1: np.ndarray) -> np.ndarray:
-        chunks = list(self._chunks(u1.shape[0]))
-        return self._sweep(
-            "Fu1D*", ((c, u1[c.slice]) for c in chunks), len(chunks), axis=0
-        )
+        return self._sweep("Fu1D*", u1)
 
     def fu2d(self, u1: np.ndarray, subtract: np.ndarray | None = None) -> np.ndarray:
-        chunks = list(self._chunks(u1.shape[1]))
-        items = (
-            (c, (u1[:, c.slice, :],
-                 subtract[:, c.slice, :] if subtract is not None else None))
-            for c in chunks
-        )
-        return self._sweep("Fu2D", items, len(chunks), axis=1)
+        # the fused kernel's dhat slab rides in the chunk payload
+        def payload(chunk: Chunk):
+            return chunk.take(u1), None if subtract is None else chunk.take(subtract)
+
+        return self._sweep("Fu2D", u1, payload)
 
     def fu2d_adj(self, r: np.ndarray) -> np.ndarray:
-        chunks = list(self._chunks(r.shape[1]))
-        return self._sweep(
-            "Fu2D*", ((c, r[:, c.slice, :]) for c in chunks), len(chunks), axis=1
-        )
+        return self._sweep("Fu2D*", r)
 
     def f2d(self, d: np.ndarray) -> np.ndarray:
-        chunks = list(self._chunks(d.shape[0]))
-        return self._sweep(
-            "F2D", ((c, d[c.slice]) for c in chunks), len(chunks), axis=0
-        )
+        return self._sweep("F2D", d)
 
     def f2d_adj(self, dhat: np.ndarray) -> np.ndarray:
-        chunks = list(self._chunks(dhat.shape[0]))
-        return self._sweep(
-            "F2D*", ((c, dhat[c.slice]) for c in chunks), len(chunks), axis=0
-        )
+        return self._sweep("F2D*", dhat)
 
     # -- single-chunk kernels (the SWEEP_KERNELS table's targets) ----------------------
 

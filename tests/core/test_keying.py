@@ -108,5 +108,7 @@ class TestPoolKeyEncoder:
 
     def test_identical_chunks_have_cs_one(self, rng):
         enc = PoolKeyEncoder()
-        c = _rand_chunk(rng)
+        c = _rand_chunk(rng, (16, 16, 16))
+        # the default keeps the memo engine's 16 depth bins of a deep chunk
+        assert enc.encode(c).size == enc.dim == 2 * 16 * 8 * 8
         assert cosine_similarity(enc.encode(c), enc.encode(c.copy())) == pytest.approx(1.0)

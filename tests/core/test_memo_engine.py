@@ -23,7 +23,7 @@ from repro.core import (
 from repro.core.memo_engine import make_db_factory
 from repro.core.memo_shard import MemoTier, memo_state_partitions
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
-from repro.lamino.chunking import Chunk
+from repro.lamino.chunking import Chunk, iter_chunks
 from repro.solvers import ADMMConfig, ADMMSolver, DirectExecutor, accuracy
 
 
@@ -299,13 +299,6 @@ class TestPerOpLocationCounts:
         assert [w.caches["Fu1D"].capacity for w in ex.workers] == [3, 3]
         assert [w.caches["Fu2D"].capacity for w in ex.workers] == [2, 2]
 
-    def test_explicit_override_wins(self):
-        g = LaminoGeometry((24, 16, 16), n_angles=12, det_shape=(16, 16), tilt_deg=61.0)
-        ops = LaminoOperators(g)
-        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4, n_locations=9)
-        assert ex.n_locations_for("Fu1D") == 9
-        assert ex.n_locations_for("Fu2D") == 9
-
     def test_ragged_volume_runs_end_to_end(self):
         """A volume taller than the detector exercises both axis lengths."""
         g = LaminoGeometry((24, 16, 16), n_angles=12, det_shape=(16, 16), tilt_deg=61.0)
@@ -390,7 +383,7 @@ class TestMissOutputIsFrozen:
         cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
-        chunks = list(ex._chunks(self.N))
+        chunks = list(iter_chunks(self.N, 4))
         u, r = rand_chunk(3, (self.N,) * 3), rand_chunk(4, ops.geometry.data_shape)
         operands = {  # a kernel that returns a view, and one that owns its output
             "Fu1D": lambda c, s: (s * u[c.slice]).astype(np.complex64),

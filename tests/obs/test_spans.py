@@ -132,12 +132,12 @@ class TestPipelineThreads:
         assert all(k["parent_id"] == compute_id for k in kernels)
 
     def test_pipelined_executor_sweep_spans(self, enabled, tiny_ops):
-        """The real seam: a PipelinedExecutor sweep produces per-chunk
+        """The real seam: a pipelined executor sweep produces per-chunk
         sweep.<op> spans parented under pipeline.compute."""
-        from repro.pipeline.executor import PipelinedExecutor
+        from repro.pipeline import PipelineConfig
         from repro.solvers.executor import DirectExecutor
 
-        execu = PipelinedExecutor(DirectExecutor(tiny_ops, chunk_size=4))
+        execu = DirectExecutor(tiny_ops, chunk_size=4, pipeline=PipelineConfig())
         u = np.zeros(tiny_ops.geometry.vol_shape, dtype=np.complex64)
         execu.fu1d(u)
         recs = by_name(obs.drain_spans()[0])

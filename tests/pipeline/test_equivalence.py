@@ -73,7 +73,7 @@ class TestPipelineEquivalence:
         solver, piped = _solve(problem, pipeline=PipelineConfig(queue_depth=2), admm=admm)
         assert np.array_equal(plain.u, piped.u)
         assert plain.events == piped.events
-        assert {"F2D", "F2D*"} <= set(solver.executor.stats)
+        assert {"F2D", "F2D*"} <= set(solver.executor.pipeline_op_stats)
 
     @pytest.mark.parametrize("n_workers,n_shards", [(2, 1), (2, 2), (3, 2)])
     def test_bit_identical_distributed_shapes(self, problem, serial, n_workers, n_shards):
@@ -159,6 +159,7 @@ class TestPipelineEquivalence:
         """A pipelined sweep that dies mid-flight must not leak buffered
         queries/keys into the executor's next sweep."""
         from repro.core.memo_engine import MemoizedExecutor
+        from repro.lamino import iter_chunks
         from repro.pipeline import ArraySource, ChunkPipeline
 
         geometry, ops, data = problem
@@ -178,7 +179,7 @@ class TestPipelineEquivalence:
                 raise OSError("disk full")
 
             pipe = ChunkPipeline(
-                source=ArraySource(u, chunk_size=4),
+                source=ArraySource(u, iter_chunks(N, 4)),
                 sweep=lambda items: ex.sweep_stream("Fu1D", items, 4),
                 sink=dying_sink,
                 queue_depth=1,
@@ -193,12 +194,20 @@ class TestPipelineEquivalence:
             out = ex.fu1d(u)
             assert np.array_equal(ref, out)
 
-    def test_train_encoder_reaches_wrapped_executor(self, problem):
+    def test_train_encoder_reaches_the_pipelined_executor(self, problem):
+        """Pipelining is a mode of the one executor: the trained encoder is
+        installed on ``solver.executor`` itself, and the pipelined run then
+        matches the serial one bit for bit."""
         geometry, ops, data = problem
-        cfg = MLRConfig(chunk_size=4, memo=_memo(), pipeline=PipelineConfig())
-        solver = MLRSolver(geometry, cfg, admm=_admm(n_outer=2), ops=ops)
-        encoder = solver.train_encoder(data, harvest_iterations=1, n_epochs=1)
-        # attribute writes pass through the pipelined wrapper to the engine
-        assert solver.executor.inner.encoder is encoder
-        result = solver.reconstruct(data)
-        assert np.isfinite(result.u).all()
+
+        def trained_run(pipeline):
+            cfg = MLRConfig(chunk_size=4, memo=_memo(), pipeline=pipeline)
+            solver = MLRSolver(geometry, cfg, admm=_admm(n_outer=2), ops=ops)
+            encoder = solver.train_encoder(data, harvest_iterations=1, n_epochs=1)
+            assert solver.executor is solver.memo_executor
+            assert solver.executor.encoder is encoder
+            return solver.reconstruct(data)
+
+        serial, piped = trained_run(None), trained_run(PipelineConfig())
+        assert np.array_equal(serial.u, piped.u)
+        assert serial.events == piped.events

@@ -24,14 +24,14 @@ def passthrough(items):
 class TestArraySource:
     def test_yields_slabs_in_order(self, rng):
         a = rng.standard_normal((10, 3))
-        src = ArraySource(a, chunk_size=4)
+        src = ArraySource(a, iter_chunks(10, 4))
         got = list(src)
         assert [c.index for c, _ in got] == [0, 1, 2]
         np.testing.assert_array_equal(got[2][1], a[8:10])
 
     def test_axis1_and_payload(self, rng):
         a = rng.standard_normal((2, 6, 2))
-        src = ArraySource(a, chunk_size=3, axis=1, payload=lambda c: (c.lo, c.hi))
+        src = ArraySource(a, iter_chunks(6, 3, axis=1), payload=lambda c: (c.lo, c.hi))
         assert [p for _, p in src] == [(0, 3), (3, 6)]
         assert len(src) == 2
 
@@ -103,6 +103,15 @@ class TestSlabAssembler:
         with pytest.raises(ValueError):
             sink.result()
 
+    def test_overlap_raises(self):
+        from repro.lamino import Chunk
+
+        sink = SlabAssembler(axis_len=4)
+        sink(Chunk(0, 0, 0, 3), np.zeros((3, 2)))
+        sink(Chunk(1, 0, 2, 4), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            sink.result()
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             SlabAssembler(axis_len=4).result()
@@ -114,7 +123,7 @@ class TestChunkPipeline:
     def test_end_to_end(self, rng):
         a = rng.standard_normal((16, 4))
         pipe = ChunkPipeline(
-            source=ArraySource(a, chunk_size=4),
+            source=ArraySource(a, iter_chunks(16, 4)),
             sweep=lambda items: ((c, 2.0 * x) for c, x in items),
             sink=SlabAssembler(axis_len=16),
             queue_depth=2,
@@ -152,7 +161,7 @@ class TestChunkPipeline:
                 yield c, x
 
         pipe = ChunkPipeline(
-            source=ArraySource(a, chunk_size=4),
+            source=ArraySource(a, iter_chunks(16, 4)),
             sweep=bad_sweep,
             sink=SlabAssembler(axis_len=16),
             queue_depth=1,
@@ -183,7 +192,7 @@ class TestChunkPipeline:
             raise OSError("write failed")
 
         pipe = ChunkPipeline(
-            source=ArraySource(a, chunk_size=4),
+            source=ArraySource(a, iter_chunks(16, 4)),
             sweep=passthrough,
             sink=bad_sink,
             queue_depth=1,
