@@ -15,6 +15,7 @@ from benchmarks._util import emit
 from repro.core import MemoConfig, MLRConfig, MLRSolver
 from repro.harness.datasets import SMALL, build
 from repro.lamino import LaminoOperators
+from repro.obs.report import table
 from repro.solvers import ADMMConfig, ADMMSolver, accuracy
 
 pytestmark = pytest.mark.slow
@@ -52,9 +53,10 @@ def ablation():
 
 def test_ablation_deviations(benchmark):
     rows, results = benchmark.pedantic(ablation, iterations=1, rounds=1)
-    lines = ["Ablation: engineering deviations (accuracy vs exact solver)"]
-    lines += [f"  {name:<40} acc={acc:<8} memo={memo}" for name, acc, memo in rows]
-    emit("ablation_deviations", "\n".join(lines))
+    emit("ablation_deviations", table(
+        ["variant", "accuracy", "memoized fraction"], rows,
+        "Ablation: engineering deviations (accuracy vs exact solver)",
+    ))
     full = results["full (affine reuse + staleness bound)"]
     # each removed mechanism hurts (or at best matches) accuracy
     assert full >= results["no scale correction (verbatim reuse)"] - 0.05

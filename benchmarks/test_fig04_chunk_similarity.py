@@ -14,7 +14,8 @@ def test_fig04_chunk_similarity(benchmark):
         iterations=1, rounds=1,
     )
     emit("fig04_chunk_similarity", result.report())
-    for label, counts in result.counts.items():
+    v = result.values
+    for label, counts in v["counts"].items():
         assert counts[0] == 0  # nothing to match at the first iteration
         # similarity appears and grows as the solver converges
         assert max(counts) >= 4, label

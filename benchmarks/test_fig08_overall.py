@@ -14,10 +14,11 @@ def test_fig08_overall(benchmark):
         iterations=1, rounds=1,
     )
     emit("fig08_overall", result.report())
-    norms = {row[0]: row[3] for row in result.rows}
+    v = result.values
+    norms = {row[0]: row[3] for row in v["rows"]}
     # mLR wins on every dataset
-    assert all(v < 1.0 for v in norms.values())
+    assert all(n < 1.0 for n in norms.values())
     # larger datasets benefit more (paper: 0.654 / 0.414 / 0.363)
     assert norms["2K"] < norms["1K"]
     # headline: tens of percent average improvement
-    assert result.mean_improvement > 0.2
+    assert v["mean_improvement"] > 0.2

@@ -14,7 +14,8 @@ def test_fig10_memo_breakdown(benchmark):
         iterations=1, rounds=1,
     )
     emit("fig10_memo_breakdown", result.report())
-    for _op, cases in result.data.items():
+    v = result.values
+    for _op, cases in v["data"].items():
         orig = sum(cases["orig"].values())
         fail = sum(cases["fail"].values())
         suc = sum(cases["suc"].values())
@@ -25,4 +26,4 @@ def test_fig10_memo_breakdown(benchmark):
         assert suc < orig
         assert cached < suc
     # all three cases occur in a real run
-    assert set(result.case_distribution) >= {"miss", "db_hit", "cache_hit"}
+    assert set(v["case_distribution"]) >= {"miss", "db_hit", "cache_hit"}

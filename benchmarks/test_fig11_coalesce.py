@@ -11,8 +11,9 @@ pytestmark = pytest.mark.slow
 def test_fig11_coalesce(benchmark):
     result = benchmark.pedantic(E.fig11_coalesce, iterations=1, rounds=1)
     emit("fig11_coalesce", result.report())
-    assert result.improvement > 0.2  # paper reports 25%
-    w = result.per_key["with"]
-    wo = result.per_key["without"]
+    v = result.values
+    assert v["improvement"] > 0.2  # paper reports 25%
+    w = v["per_key"]["with"]
+    wo = v["per_key"]["without"]
     assert w["communication"] < wo["communication"]
     assert w["similarity_search"] < wo["similarity_search"]

@@ -16,9 +16,10 @@ def test_fig12_cache_hitrate(benchmark):
     emit("fig12_cache_hitrate", result.report())
     import numpy as np
 
-    priv = np.mean([hr for _, hr in result.private_series[3:]])
-    glob = np.mean([hr for _, hr in result.global_series[3:]])
+    v = result.values
+    priv = np.mean([hr for _, hr in v["private_series"][3:]])
+    glob = np.mean([hr for _, hr in v["global_series"][3:]])
     # similar hit rates (the Figure 12 observation) ...
     assert abs(priv - glob) < 0.35
     # ... at a fraction of the similarity-comparison cost (85% in the paper)
-    assert result.comparison_saving > 0.5
+    assert v["comparison_saving"] > 0.5

@@ -11,10 +11,11 @@ pytestmark = pytest.mark.slow
 def test_fig13_offload(benchmark):
     result = benchmark.pedantic(E.fig13_offload, iterations=1, rounds=1)
     emit("fig13_offload", result.report())
-    best = result.outcomes["ADMM-Offload"]
-    greedy = result.outcomes["ADMM greedy offload"]
-    lru = result.outcomes["ADMM LRU offload"]
-    base = result.outcomes["ADMM (no offload)"]
+    v = result.values
+    best = v["outcomes"]["ADMM-Offload"]
+    greedy = v["outcomes"]["ADMM greedy offload"]
+    lru = v["outcomes"]["ADMM LRU offload"]
+    base = v["outcomes"]["ADMM (no offload)"]
     # ADMM-Offload saves memory with (near-)zero exposed time
     assert best.memory_saving > 0.05
     assert best.time_loss < 0.05

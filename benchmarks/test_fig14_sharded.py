@@ -23,34 +23,36 @@ def sharded():
 def test_fig14_sharded(benchmark, sharded):
     result = benchmark.pedantic(lambda: sharded, iterations=1, rounds=1)
     emit("fig14_sharded", result.report())
+    v = result.values
 
     # the numeric run really executed >= 4 workers x >= 2 shards
-    assert result.n_workers >= 4 and result.n_shards >= 2
+    assert v["n_workers"] >= 4 and v["n_shards"] >= 2
 
     # every shard served traffic and reports a sane hit rate
-    assert len(result.shard_hit_rates) == result.n_shards
-    assert all(q > 0 for q in result.shard_queries)
-    assert all(0.0 <= hr <= 1.0 for hr in result.shard_hit_rates)
-    assert sum(result.shard_entries) > 0
+    assert len(v["shard_hit_rates"]) == v["n_shards"]
+    assert all(q > 0 for q in v["shard_queries"])
+    assert all(0.0 <= hr <= 1.0 for hr in v["shard_hit_rates"])
+    assert sum(v["shard_entries"]) > 0
 
     # every worker coalesced keys into messages (batch stats are per worker)
-    assert len(result.worker_keys) == result.n_workers
-    assert all(k > 0 for k in result.worker_keys)
-    assert all(m > 0 for m in result.worker_messages)
-    assert all(b >= 1.0 for b in result.worker_mean_batch)
+    assert len(v["worker_keys"]) == v["n_workers"]
+    assert all(k > 0 for k in v["worker_keys"])
+    assert all(m > 0 for m in v["worker_messages"])
+    assert all(b >= 1.0 for b in v["worker_mean_batch"])
 
     # memoization actually served chunk-ops in the numeric run
-    served = result.case_counts.get("db_hit", 0) + result.case_counts.get("cache_hit", 0)
+    served = v["case_counts"].get("db_hit", 0) + v["case_counts"].get("cache_hit", 0)
     assert served > 0
 
 
 def test_fig14_sharded_scaling_surface(sharded):
+    v = sharded.values
     # workers scale: more workers never slow the iteration down
-    for s in sharded.grid_shards:
-        times = [sharded.lsp_times[(w, s)] for w in sharded.grid_workers]
+    for s in v["grid_shards"]:
+        times = [v["lsp_times"][(w, s)] for w in v["grid_workers"]]
         assert times[-1] < times[0]
     # shards scale: at any worker count, sharding the index never hurts
-    for w in sharded.grid_workers:
-        t1 = sharded.lsp_times[(w, sharded.grid_shards[0])]
-        tn = sharded.lsp_times[(w, sharded.grid_shards[-1])]
+    for w in v["grid_workers"]:
+        t1 = v["lsp_times"][(w, v["grid_shards"][0])]
+        tn = v["lsp_times"][(w, v["grid_shards"][-1])]
         assert tn <= t1 * 1.001

@@ -30,8 +30,9 @@ def test_fig17_convergence(benchmark):
         iterations=1, rounds=1,
     )
     emit("fig17_convergence", result.report())
-    lw = np.asarray(result.loss_without)
-    lm = np.asarray(result.loss_with)
+    v = result.values
+    lw = np.asarray(v["loss_without"])
+    lm = np.asarray(v["loss_with"])
     # the exact solver converges strongly
     assert lw[-1] < 0.2 * lw[0]
     # the memoized solver descends from its start ...

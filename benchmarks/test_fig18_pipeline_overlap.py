@@ -21,30 +21,32 @@ def overlap():
 def test_fig18_pipeline_overlap(benchmark, overlap):
     result = benchmark.pedantic(lambda: overlap, iterations=1, rounds=1)
     emit("fig18_pipeline_overlap", result.report())
+    v = result.values
     # timing-dependent, so printed here and kept out of the saved report
-    print(f"{result.read_backpressure} reader backpressure stalls")
+    print(f"{v['read_backpressure']} reader backpressure stalls")
 
     # the functional pipelined run is bit-identical to the monolithic path,
     # and the streaming-ingest run matches the batch reconstruction
-    assert result.bitwise_identical
-    assert result.streaming_identical
-    assert result.pipeline_items > 0
+    assert v["bitwise_identical"]
+    assert v["streaming_identical"]
+    assert v["pipeline_items"] > 0
 
     # memoization still served chunk-ops through the pipeline
-    served = result.case_counts.get("db_hit", 0) + result.case_counts.get("cache_hit", 0)
+    served = v["case_counts"].get("db_hit", 0) + v["case_counts"].get("cache_hit", 0)
     assert served > 0
 
 
 def test_fig18_overlap_model(overlap):
+    v = overlap.values
     # modeled I/O is nonzero, so pipelining must beat the serial makespan...
-    assert overlap.io_time > 0
-    for perf in overlap.perfs.values():
+    assert v["io_time"] > 0
+    for perf in v["perfs"].values():
         assert perf.pipelined_time < perf.serial_time
         # ...but never beyond what hiding all-but-the-bottleneck permits
         assert perf.speedup <= perf.speedup_bound * (1 + 1e-9)
         assert perf.pipelined_time >= perf.bottleneck_time * (1 - 1e-9)
 
     # deeper queues never hurt at fixed worker count
-    for w in overlap.worker_counts:
-        times = [overlap.perfs[(q, w)].pipelined_time for q in overlap.queue_depths]
+    for w in v["worker_counts"]:
+        times = [v["perfs"][(q, w)].pipelined_time for q in v["queue_depths"]]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(times, times[1:]))

@@ -16,18 +16,20 @@ def warmstart():
 def test_fig_warmstart(benchmark, warmstart):
     result = benchmark.pedantic(lambda: warmstart, iterations=1, rounds=1)
     emit("fig_warmstart", result.report())
+    v = result.values
 
     # the acceptance bar: job 2's warm hit rate strictly beats its cold run
-    assert result.warm_hit_rate > result.cold_hit_rate
-    assert result.warm_gain > 0.0
+    assert v["warm_hit_rate"] > v["cold_hit_rate"]
+    assert v["warm_gain"] > 0.0
 
     # warm start also beats job 1's own (within-run) hit rate — the
     # cross-job recurrence is real signal, not just within-run reuse
-    assert result.warm_hit_rate > result.first_job_hit_rate
+    assert v["warm_hit_rate"] > v["first_job_hit_rate"]
 
 
 def test_fig_warmstart_traffic_sane(warmstart):
-    rows = {(r[0], r[1]): r for r in warmstart.job_rows}
+    v = warmstart.values
+    rows = {(r[0], r[1]): r for r in v["job_rows"]}
     warm = rows[("scan-2", "service (warm)")]
     cold = rows[("scan-2", "standalone cold")]
     # both runs issued real query traffic

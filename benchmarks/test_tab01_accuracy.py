@@ -14,7 +14,8 @@ def test_tab01_accuracy(benchmark):
         iterations=1, rounds=1,
     )
     emit("tab01_accuracy", result.report())
-    accs = dict(zip(result.taus, result.accuracies))
+    v = result.values
+    accs = dict(zip(v["taus"], v["accuracies"]))
     # larger tau -> higher accuracy (the Table 1 trend), allowing small
     # non-monotonic wiggle between adjacent taus
     assert accs[0.96] > accs[0.86]
@@ -22,4 +23,4 @@ def test_tab01_accuracy(benchmark):
     # the default threshold keeps accuracy in a usable band
     assert accs[0.92] > 0.6
     # and memoization stays substantial throughout the sweep
-    assert all(m > 0.3 for m in result.memo_fractions)
+    assert all(m > 0.3 for m in v["memo_fractions"])

@@ -42,11 +42,10 @@ import urllib.request
 from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig, PipelineConfig
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
 from repro.net import MemoServerDaemon
-from repro.obs import build_report, dump_jsonl, load_jsonl, render_report, to_prometheus
+from repro.obs import dump_jsonl, load_report, render_report, to_prometheus
 from repro.obs import runtime as obs
 from repro.obs.export import dump_lines
 from repro.obs.heat import build_heat_report, entry_records, render_heat_report
-from repro.obs.report import merge_dumps
 from repro.solvers import ADMMConfig
 
 
@@ -183,8 +182,7 @@ def run_distributed(args) -> int:
 
     print("\n== stitched cross-process report "
           "(python -m repro.obs report client.jsonl server.jsonl) ==")
-    merged = merge_dumps([load_jsonl(local_path), load_jsonl(server_path)])
-    report = render_report(build_report(merged))
+    report = render_report(load_report(local_path, server_path))
     print(report)
     assert "processes" in report and " 2 processes" in report, \
         "expected the trace tree to span both processes"
@@ -283,7 +281,7 @@ def main() -> int:
     print(f"\nwrote {n_lines} JSONL records to {dump_path}")
 
     print("\n== per-stage report (python -m repro.obs report) ==")
-    print(render_report(build_report(load_jsonl(dump_path))))
+    print(render_report(load_report(dump_path)))
     return 0
 
 

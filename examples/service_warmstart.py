@@ -48,21 +48,22 @@ def warmstart_demo(out_dir: str, quick: bool) -> dict:
         snapshot_dir=snapshot_dir,
     )
     print(result.report())
-    assert result.warm_hit_rate > result.cold_hit_rate, (
+    v = result.values
+    assert v["warm_hit_rate"] > v["cold_hit_rate"], (
         "warm-started job must beat its cold run"
     )
     snapshot_nbytes = os.path.getsize(os.path.join(snapshot_dir, "snapshot.mlr"))
     print(f"snapshot: {snapshot_nbytes / 1024:.1f} KiB on disk")
     return {
-        "cold_hit_rate": result.cold_hit_rate,
-        "warm_hit_rate": result.warm_hit_rate,
-        "warm_gain": result.warm_gain,
-        "first_job_hit_rate": result.first_job_hit_rate,
+        "cold_hit_rate": v["cold_hit_rate"],
+        "warm_hit_rate": v["warm_hit_rate"],
+        "warm_gain": v["warm_gain"],
+        "first_job_hit_rate": v["first_job_hit_rate"],
         "snapshot_nbytes": snapshot_nbytes,
         "jobs": [
             dict(zip(["job", "mode", "queries", "hits", "hit_rate",
                       "entries_at_start"], row))
-            for row in result.job_rows
+            for row in v["job_rows"]
         ],
     }
 

@@ -109,25 +109,35 @@ class GlobalMemoCache:
     the private design; a lookup must compare against every cached item
     ("the global cache has to perform 64 [comparisons] for the 1K^3
     dataset"), which is where its overhead comes from.  FIFO replacement.
+
+    ``extents[location]`` is the location's chunk extent (rows on the sweep
+    axis): an entry is a candidate only for a query from a chunk of the same
+    extent, since on a ragged chunk grid a value computed on one extent
+    cannot serve another.
     """
 
-    def __init__(self, tau: float, capacity: int) -> None:
+    def __init__(self, tau: float, capacity: int, extents) -> None:
         if not (0.0 < tau <= 1.0):
             raise ValueError(f"tau must be in (0, 1], got {tau}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.tau = tau
         self.capacity = capacity
+        self._extents = extents
         self._items: OrderedDict = OrderedDict()  # insertion-ordered, FIFO
         self._counter = 0
         self.stats = CacheStats()
 
     def lookup(self, location, key: np.ndarray, iteration: int = 0) -> CacheHit | None:
         """Scan all cached items; best tau-similar entry wins (any location's
-        entry may serve any query — cross-location data sharing)."""
+        entry of the query's chunk extent may serve it — cross-location data
+        sharing)."""
         best_sim = -2.0
         best = None
-        for cached_key, cached_value, cached_meta in self._items.values():
+        extent = self._extents[location]
+        for cached_extent, cached_key, cached_value, cached_meta in self._items.values():
+            if cached_extent != extent:
+                continue
             self.stats.comparisons += 1
             sim = cosine_similarity(key, cached_key)
             if sim > best_sim:
@@ -144,6 +154,7 @@ class GlobalMemoCache:
         while len(self._items) >= self.capacity:
             self._items.popitem(last=False)
         self._items[self._counter] = (
+            self._extents[location],
             np.asarray(key, dtype=np.float32).copy(),
             value,
             meta,

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..lamino.chunking import Chunk
 from ..obs import runtime as obs
 from ..solvers.executor import SWEEP_AXIS, SWEEP_KERNELS, DirectExecutor, operand_shape
 from .coalescer import CoalesceStats, KeyCoalescer
@@ -189,15 +190,14 @@ class MemoizedExecutor(DirectExecutor):
         self.enabled = True
         self.reset_state()
 
-    def n_locations_for(self, op: str) -> int:
-        """Chunk-location count of one operation's sweep: the size of the
-        chunk grid ``_sweep`` walks over the op's operand.  ``Fu1D`` /
+    def op_grid(self, op: str) -> list[Chunk]:
+        """Chunk grid of one operation's sweep — the chunks ``_sweep`` walks
+        over the op's operand, one per memoization location.  ``Fu1D`` /
         ``Fu1D*`` sweep the volume x-axis, ``Fu2D`` / ``Fu2D*`` the detector
-        row-frequency axis; the counts differ whenever the volume height is
+        row-frequency axis; the grids differ whenever the volume height is
         not the detector height, so everything sized from them (global-cache
-        capacity) is sized per op."""
-        n = operand_shape(op, self.ops.geometry)[SWEEP_AXIS[op]]
-        return len(self._grid(op, n))
+        capacity and chunk extents) is sized per op."""
+        return self._grid(op, operand_shape(op, self.ops.geometry)[SWEEP_AXIS[op]])
 
     def reset_state(self) -> None:
         """Drop all memoization state (database tier connection, caches,
@@ -244,9 +244,11 @@ class MemoizedExecutor(DirectExecutor):
         if cfg.cache == "global":
             # per-worker capacity matches the worker's location share so the
             # fleet's total cache memory equals the single-worker baseline
-            n = self.n_locations_for(op)
-            share = -(-n // self.n_workers)
-            return GlobalMemoCache(cfg.tau, capacity=max(1, share))
+            grid = self.op_grid(op)
+            share = -(-len(grid) // self.n_workers)
+            return GlobalMemoCache(
+                cfg.tau, capacity=max(1, share), extents=[c.size for c in grid]
+            )
         return None
 
     def close(self) -> None:

@@ -1,11 +1,10 @@
-"""Experiment harness: datasets, per-figure regenerators, reporting."""
+"""Experiment harness: datasets and per-figure regenerators."""
 
-from . import experiments, report
+from . import experiments
 from .datasets import DATASETS, LARGE, MEDIUM, SMALL, DatasetSpec, build
 
 __all__ = [
     "experiments",
-    "report",
     "DATASETS",
     "LARGE",
     "MEDIUM",

@@ -4,8 +4,11 @@ Every ``fig*``/``tab*`` function reproduces the corresponding artifact's
 rows/series: real scaled-down solver runs supply the numerics (hit traces,
 accuracy, convergence, cache hit rates); the calibrated discrete-event
 platform model replays traces at paper scale for all timing results.  Each
-returns a result object with a ``report()`` string printing the same
-quantities the paper plots.
+returns one :class:`Figure`: the titled tables and note lines the paper's
+plot is read from, built where they are computed, plus the plain ``values``
+the benchmark checks assert on.  ``Figure.report()`` renders every artifact
+through the one table renderer, :func:`repro.obs.report.table`.  Figures
+14, 15 and 16 share one sweep: :func:`fig14_scaling` prints all three.
 
 ``quick=True`` (the default used by tests) shrinks iteration counts; the
 benchmarks run the fuller settings each ``benchmarks/test_fig*.py`` passes
@@ -14,7 +17,7 @@ benchmarks run the fuller settings each ``benchmarks/test_fig*.py`` passes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from ..core.offload import (
     lru_offload,
 )
 from ..core.perfsim import (
-    PipelinePerf,
     coalesce_comparison,
     memo_case_breakdown,
     simulate_iteration,
@@ -37,12 +39,13 @@ from ..core.perfsim import (
 )
 from ..lamino.operators import LaminoOperators
 from ..memio.variables import admm_variables
+from ..obs.report import table
 from ..solvers.admm import ADMMConfig, ADMMSolver
 from ..solvers.metrics import accuracy
-from . import report
 from .datasets import DATASETS, SMALL, DatasetSpec, build
 
 __all__ = [
+    "Figure",
     "fig02_memory_breakdown",
     "fig04_chunk_similarity",
     "fig08_overall",
@@ -53,8 +56,6 @@ __all__ = [
     "fig13_offload",
     "fig14_scaling",
     "fig14_sharded",
-    "fig15_bandwidth",
-    "fig16_latency_cdf",
     "tab01_accuracy",
     "fig17_convergence",
     "fig18_pipeline_overlap",
@@ -62,6 +63,20 @@ __all__ = [
 ]
 
 _DEFAULT_ADMM = dict(alpha=1e-3, rho=0.5, n_inner=4, step_max_rel=4.0)
+
+
+@dataclass
+class Figure:
+    """One regenerated artifact: ``(title, headers, rows)`` tables, the note
+    lines printed after them, and the ``values`` its checks read."""
+
+    tables: list[tuple[str, list[str], list[list]]]
+    notes: list[str] = field(default_factory=list)
+    values: dict = field(default_factory=dict)
+
+    def report(self) -> str:
+        tables = [table(headers, rows, title) for title, headers, rows in self.tables]
+        return "\n".join(["\n\n".join(tables), *self.notes])
 
 
 def _admm_config(n_outer: int) -> ADMMConfig:
@@ -122,42 +137,27 @@ def _steady_trace(events: list[MemoEvent], outer: int) -> list[MemoEvent]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MemoryBreakdownResult:
-    variable_bytes: dict[str, int]
-    phase_seconds: dict[str, float]
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.variable_bytes.values())
-
-    @property
-    def lsp_fraction(self) -> float:
-        total = sum(self.phase_seconds.values())
-        return self.phase_seconds["lsp"] / total if total else 0.0
-
-    def report(self) -> str:
-        rows = [
-            [name, nbytes / 2**30, 100.0 * nbytes / self.total_bytes]
-            for name, nbytes in sorted(
-                self.variable_bytes.items(), key=lambda kv: -kv[1]
-            )
-        ]
-        t1 = report.table(["variable", "GiB", "% of total"], rows, "Figure 2: CPU memory")
-        rows2 = [[k, v] for k, v in self.phase_seconds.items()]
-        t2 = report.table(
-            ["phase", "seconds"], rows2,
-            f"Figure 2: phase times (LSP fraction = {self.lsp_fraction:.2f})",
-        )
-        return t1 + "\n\n" + t2
-
-
-def fig02_memory_breakdown(spec: DatasetSpec = DATASETS["medium"]) -> MemoryBreakdownResult:
-    variables = admm_variables(spec.paper_n)
-    perf = simulate_iteration(spec.dims, n_gpus=1, variant="alg1", n_inner=4)
-    return MemoryBreakdownResult(
-        variable_bytes={k: v.nbytes for k, v in variables.items()},
-        phase_seconds=dict(perf.phase_durations),
+def fig02_memory_breakdown(spec: DatasetSpec = DATASETS["medium"]) -> Figure:
+    variable_bytes = {k: v.nbytes for k, v in admm_variables(spec.paper_n).items()}
+    phases = dict(
+        simulate_iteration(spec.dims, n_gpus=1, variant="alg1", n_inner=4).phase_durations
+    )
+    total_bytes = sum(variable_bytes.values())
+    total_s = sum(phases.values())
+    lsp_fraction = phases["lsp"] / total_s if total_s else 0.0
+    memory = [
+        [name, nbytes / 2**30, 100.0 * nbytes / total_bytes]
+        for name, nbytes in sorted(variable_bytes.items(), key=lambda kv: -kv[1])
+    ]
+    return Figure(
+        tables=[
+            ("Figure 2: CPU memory", ["variable", "GiB", "% of total"], memory),
+            (f"Figure 2: phase times (LSP fraction = {lsp_fraction:.2f})",
+             ["phase", "seconds"], [[k, v] for k, v in phases.items()]),
+        ],
+        values=dict(
+            variable_bytes=variable_bytes, total_bytes=total_bytes, lsp_fraction=lsp_fraction
+        ),
     )
 
 
@@ -166,28 +166,9 @@ def fig02_memory_breakdown(spec: DatasetSpec = DATASETS["medium"]) -> MemoryBrea
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SimilarityCensusResult:
-    counts: dict[str, list[int]]  # location label -> similar-prior counts/iter
-    tau: float
-
-    def report(self) -> str:
-        rows = []
-        n_iter = max(len(v) for v in self.counts.values())
-        for it in range(n_iter):
-            rows.append(
-                [it] + [v[it] if it < len(v) else "" for v in self.counts.values()]
-            )
-        return report.table(
-            ["iteration"] + list(self.counts),
-            rows,
-            f"Figure 4: tau-similar prior chunks per location (tau={self.tau})",
-        )
-
-
 def fig04_chunk_similarity(
     spec: DatasetSpec = SMALL, n_outer: int = 40, tau: float = 0.93, quick: bool = True
-) -> SimilarityCensusResult:
+) -> Figure:
     if quick:
         n_outer = min(n_outer, 24)
     problem = _Problem(spec)
@@ -203,8 +184,16 @@ def fig04_chunk_similarity(
     }
     # census is per op call (n_inner per outer); keep one sample per outer
     n_inner = _DEFAULT_ADMM["n_inner"]
-    picks = {k: v[::n_inner] for k, v in picks.items()}
-    return SimilarityCensusResult(counts=picks, tau=tau)
+    counts = {k: v[::n_inner] for k, v in picks.items()}
+    rows = [
+        [it] + [v[it] if it < len(v) else "" for v in counts.values()]
+        for it in range(max(len(v) for v in counts.values()))
+    ]
+    return Figure(
+        tables=[(f"Figure 4: tau-similar prior chunks per location (tau={tau})",
+                 ["iteration"] + list(counts), rows)],
+        values=dict(counts=counts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +201,10 @@ def fig04_chunk_similarity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OverallPerfResult:
-    rows: list[list]  # dataset, original s, mLR s, normalized
-
-    @property
-    def mean_improvement(self) -> float:
-        norms = [r[3] for r in self.rows]
-        return 1.0 - sum(norms) / len(norms)
-
-    def report(self) -> str:
-        t = report.table(
-            ["dataset", "original (s)", "mLR (s)", "normalized"],
-            self.rows,
-            "Figure 8: overall performance (60-iteration runtime)",
-        )
-        return t + f"\nmean improvement: {100 * self.mean_improvement:.1f}%"
-
-
-def fig08_overall(
-    n_outer: int = 60, sim_outer: int = 16, quick: bool = True
-) -> OverallPerfResult:
+def fig08_overall(n_outer: int = 60, sim_outer: int = 16, quick: bool = True) -> Figure:
     if quick:
         sim_outer = min(sim_outer, 10)
-    rows = []
+    rows = []  # dataset, original s, mLR s, normalized
     for key in ("small", "medium", "large"):
         spec = DATASETS[key]
         _solver, result = _run_mlr(spec, sim_outer)
@@ -264,7 +233,13 @@ def fig08_overall(
         rows.append(
             [spec.name, orig_total, mlr_total, mlr_total / orig_total]
         )
-    return OverallPerfResult(rows=rows)
+    mean_improvement = 1.0 - sum(r[3] for r in rows) / len(rows)
+    return Figure(
+        tables=[("Figure 8: overall performance (60-iteration runtime)",
+                 ["dataset", "original (s)", "mLR (s)", "normalized"], rows)],
+        notes=[f"mean improvement: {100 * mean_improvement:.1f}%"],
+        values=dict(rows=rows, mean_improvement=mean_improvement),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +247,7 @@ def fig08_overall(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CancellationResult:
-    rows: list[list]  # dataset, workload, variant, seconds
-
-    def report(self) -> str:
-        return report.table(
-            ["dataset", "workload", "variant", "seconds"],
-            self.rows,
-            "Figure 9: operation cancellation and fusion (FFT = 1 fwd+adj pass; "
-            "LSP = 4 inner iterations)",
-        )
-
-
-def fig09_cancellation(quick: bool = True) -> CancellationResult:
+def fig09_cancellation(quick: bool = True) -> Figure:
     del quick  # DES-only: always cheap
     variants = [
         ("w/ cancellation w/ fusion", "canc_fused"),
@@ -300,7 +262,12 @@ def fig09_cancellation(quick: bool = True) -> CancellationResult:
             lsp = simulate_iteration(dims, variant=variant, n_inner=4).lsp_time
             rows.append([DATASETS[key].name, "FFT", label, fft])
             rows.append([DATASETS[key].name, "LSP(4xFFT)", label, lsp])
-    return CancellationResult(rows=rows)
+    return Figure(
+        tables=[("Figure 9: operation cancellation and fusion (FFT = 1 fwd+adj pass; "
+                 "LSP = 4 inner iterations)",
+                 ["dataset", "workload", "variant", "seconds"], rows)],
+        values=dict(rows=rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,36 +275,9 @@ def fig09_cancellation(quick: bool = True) -> CancellationResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MemoBreakdownResult:
-    data: dict[str, dict[str, dict[str, float]]]
-    case_distribution: dict[str, float] | None = None
-
-    def report(self) -> str:
-        rows = []
-        for op, cases in self.data.items():
-            for case, comps in cases.items():
-                rows.append(
-                    [op, case, sum(comps.values())]
-                    + [comps.get(k, 0.0) for k in (
-                        "orig_comp", "key_encoding", "communication", "similarity_search", "others"
-                    )]
-                )
-        t = report.table(
-            ["op", "case", "total (s)", "orig_comp", "key_enc", "comm", "search", "others"],
-            rows,
-            "Figure 10: memoization breakdown per chunk-operation",
-        )
-        if self.case_distribution:
-            t += "\ncase distribution: " + ", ".join(
-                f"{k}={v:.0%}" for k, v in self.case_distribution.items()
-            )
-        return t
-
-
 def fig10_memo_breakdown(
     spec: DatasetSpec = SMALL, sim_outer: int = 12, quick: bool = True
-) -> MemoBreakdownResult:
+) -> Figure:
     if quick:
         sim_outer = min(sim_outer, 8)
     data = memo_case_breakdown(spec.dims)
@@ -345,7 +285,22 @@ def fig10_memo_breakdown(
     counts = {k: v for k, v in result.case_counts.items() if k != "direct"}
     total = sum(counts.values()) or 1
     dist = {k: v / total for k, v in counts.items()}
-    return MemoBreakdownResult(data=data, case_distribution=dist)
+    parts = ("orig_comp", "key_encoding", "communication", "similarity_search", "others")
+    rows = [
+        [op, case, sum(comps.values())] + [comps.get(k, 0.0) for k in parts]
+        for op, cases in data.items()
+        for case, comps in cases.items()
+    ]
+    notes = []
+    if dist:
+        notes.append("case distribution: " + ", ".join(f"{k}={v:.0%}" for k, v in dist.items()))
+    return Figure(
+        tables=[("Figure 10: memoization breakdown per chunk-operation",
+                 ["op", "case", "total (s)", "orig_comp", "key_enc", "comm", "search",
+                  "others"], rows)],
+        notes=notes,
+        values=dict(data=data, case_distribution=dist),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,31 +308,21 @@ def fig10_memo_breakdown(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoalesceResult:
-    per_key: dict[str, dict[str, float]]
-
-    @property
-    def improvement(self) -> float:
-        w = sum(self.per_key["with"].values())
-        wo = sum(self.per_key["without"].values())
-        return 1.0 - w / wo if wo else 0.0
-
-    def report(self) -> str:
-        rows = [
-            [k, v["communication"], v["similarity_search"], sum(v.values())]
-            for k, v in self.per_key.items()
-        ]
-        t = report.table(
-            ["mode", "communication (s/key)", "search (s/key)", "total"],
-            rows,
-            "Figure 11: key coalescing",
-        )
-        return t + f"\nimprovement: {100 * self.improvement:.0f}%"
-
-
-def fig11_coalesce(spec: DatasetSpec = SMALL) -> CoalesceResult:
-    return CoalesceResult(per_key=coalesce_comparison(spec.dims))
+def fig11_coalesce(spec: DatasetSpec = SMALL) -> Figure:
+    per_key = coalesce_comparison(spec.dims)
+    w = sum(per_key["with"].values())
+    wo = sum(per_key["without"].values())
+    improvement = 1.0 - w / wo if wo else 0.0
+    rows = [
+        [k, v["communication"], v["similarity_search"], sum(v.values())]
+        for k, v in per_key.items()
+    ]
+    return Figure(
+        tables=[("Figure 11: key coalescing",
+                 ["mode", "communication (s/key)", "search (s/key)", "total"], rows)],
+        notes=[f"improvement: {100 * improvement:.0f}%"],
+        values=dict(per_key=per_key, improvement=improvement),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,50 +330,32 @@ def fig11_coalesce(spec: DatasetSpec = SMALL) -> CoalesceResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CacheHitRateResult:
-    private_series: list[tuple[int, float]]
-    global_series: list[tuple[int, float]]
-    private_comparisons: int
-    global_comparisons: int
-
-    @property
-    def comparison_saving(self) -> float:
-        if self.global_comparisons == 0:
-            return 0.0
-        return 1.0 - self.private_comparisons / self.global_comparisons
-
-    def report(self) -> str:
-        gd = dict(self.global_series)
-        rows = [
-            [it, hr, gd.get(it, float("nan"))] for it, hr in self.private_series
-        ]
-        t = report.table(
-            ["iteration", "private hit rate", "global hit rate"],
-            rows,
-            "Figure 12: Fu2D cache hit rate",
-        )
-        return t + (
-            f"\nsimilarity comparisons: private={self.private_comparisons} "
-            f"global={self.global_comparisons} "
-            f"(saving {100 * self.comparison_saving:.0f}%)"
-        )
-
-
 def fig12_cache_hitrate(
     spec: DatasetSpec = SMALL, n_outer: int = 30, quick: bool = True
-) -> CacheHitRateResult:
+) -> Figure:
     if quick:
         n_outer = min(n_outer, 16)
     stats = {}
     for mode in ("private", "global"):
         solver, _result = _run_mlr(spec, n_outer, cache=mode)
         stats[mode] = solver.executor.cache_stats("Fu2D")
-    return CacheHitRateResult(
-        private_series=stats["private"].hit_rate_series(),
-        global_series=stats["global"].hit_rate_series(),
-        private_comparisons=stats["private"].comparisons,
-        global_comparisons=stats["global"].comparisons,
+    private, glob = stats["private"], stats["global"]
+    saving = 1.0 - private.comparisons / glob.comparisons if glob.comparisons else 0.0
+    private_series, global_series = private.hit_rate_series(), glob.hit_rate_series()
+    global_rates = dict(global_series)
+    rows = [[it, hr, global_rates.get(it, float("nan"))] for it, hr in private_series]
+    return Figure(
+        tables=[("Figure 12: Fu2D cache hit rate",
+                 ["iteration", "private hit rate", "global hit rate"], rows)],
+        notes=[f"similarity comparisons: private={private.comparisons} "
+               f"global={glob.comparisons} (saving {100 * saving:.0f}%)"],
+        values=dict(
+            private_series=private_series,
+            global_series=global_series,
+            private_comparisons=private.comparisons,
+            global_comparisons=glob.comparisons,
+            comparison_saving=saving,
+        ),
     )
 
 
@@ -437,45 +364,26 @@ def fig12_cache_hitrate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OffloadResult:
-    outcomes: dict[str, object]  # strategy -> PlanOutcome
-
-    def report(self) -> str:
-        rows = []
-        for name, o in self.outcomes.items():
-            rows.append(
-                [
-                    name,
-                    o.peak_bytes / 2**30,
-                    100 * o.memory_saving,
-                    100 * o.time_loss,
-                    o.mt if o.mt != float("inf") else "inf",
-                    ",".join(o.offloaded) or "-",
-                ]
-            )
-        return report.table(
-            ["strategy", "peak RSS (GiB)", "mem saving %", "perf loss %", "MT", "offloaded"],
-            rows,
-            "Figure 13: ADMM-Offload vs baselines",
-        )
-
-
-def fig13_offload(spec: DatasetSpec = SMALL) -> OffloadResult:
+def fig13_offload(spec: DatasetSpec = SMALL) -> Figure:
     cost = CostModel()
     sched = IterationSchedule.from_cost_model(spec.dims, cost)
     planner = OffloadPlanner(sched, cost)
-    base = planner.evaluate(())
-    best = planner.best_plan()
-    greedy = greedy_offload(sched, cost)
-    lru = lru_offload(sched, cost)
-    return OffloadResult(
-        outcomes={
-            "ADMM (no offload)": base,
-            "ADMM greedy offload": greedy,
-            "ADMM LRU offload": lru,
-            "ADMM-Offload": best,
-        }
+    outcomes = {  # strategy -> PlanOutcome
+        "ADMM (no offload)": planner.evaluate(()),
+        "ADMM greedy offload": greedy_offload(sched, cost),
+        "ADMM LRU offload": lru_offload(sched, cost),
+        "ADMM-Offload": planner.best_plan(),
+    }
+    rows = [
+        [name, o.peak_bytes / 2**30, 100 * o.memory_saving, 100 * o.time_loss,
+         o.mt if o.mt != float("inf") else "inf", ",".join(o.offloaded) or "-"]
+        for name, o in outcomes.items()
+    ]
+    return Figure(
+        tables=[("Figure 13: ADMM-Offload vs baselines",
+                 ["strategy", "peak RSS (GiB)", "mem saving %", "perf loss %", "MT",
+                  "offloaded"], rows)],
+        values=dict(outcomes=outcomes),
     )
 
 
@@ -484,39 +392,12 @@ def fig13_offload(spec: DatasetSpec = SMALL) -> OffloadResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScalingResult:
-    gpu_counts: list[int]
-    op_times: dict[str, list[float]]
-    overall: list[float]
-    nic_utilization: list[float]
-    latencies: dict[int, list[float]]
-
-    def report(self) -> str:
-        rows = [
-            [g] + [self.op_times[op][i] for op in self.op_times] + [self.overall[i]]
-            for i, g in enumerate(self.gpu_counts)
-        ]
-        t = report.table(
-            ["GPUs"] + list(self.op_times) + ["overall (s)"],
-            rows,
-            "Figure 14: scalability over GPUs",
-        )
-        rows2 = [
-            [g, 100 * u] for g, u in zip(self.gpu_counts, self.nic_utilization)
-        ]
-        t += "\n\n" + report.table(
-            ["GPUs", "bandwidth utilization %"], rows2, "Figure 15"
-        )
-        for g in self.gpu_counts:
-            lat = self.latencies[g]
-            frac = float(np.mean([v > 0.1 for v in lat])) if lat else 0.0
-            t += "\n" + report.table(
-                ["quantile", "latency (s)"],
-                report.cdf_rows(lat),
-                f"Figure 16: query latency CDF at {g} GPUs (>100ms: {frac:.0%})",
-            )
-        return t
+def cdf_rows(values, quantiles=(0.25, 0.5, 0.75, 0.9, 0.99)) -> list[list]:
+    """Quantile rows summarizing a latency distribution."""
+    vals = sorted(values)
+    if not vals:
+        return [[q, float("nan")] for q in quantiles]
+    return [[q, vals[min(len(vals) - 1, int(q * len(vals)))]] for q in quantiles]
 
 
 def fig14_scaling(
@@ -525,7 +406,9 @@ def fig14_scaling(
     sim_outer: int = 12,
     n_outer: int = 60,
     quick: bool = True,
-) -> ScalingResult:
+) -> Figure:
+    """Figures 14, 15 and 16 from one sweep: per-op and overall time,
+    memory-node NIC utilization, and the query-latency CDF per GPU count."""
     if quick:
         sim_outer = min(sim_outer, 8)
     _solver, result = _run_mlr(spec, sim_outer)
@@ -543,70 +426,29 @@ def fig14_scaling(
         overall.append(perf.iteration_time * n_outer)
         util.append(perf.memory_nic_utilization())
         lats[g] = perf.query_latencies
-    return ScalingResult(
-        gpu_counts=list(gpu_counts),
-        op_times=op_times,
-        overall=overall,
-        nic_utilization=util,
-        latencies=lats,
+    tables = [
+        ("Figure 14: scalability over GPUs", ["GPUs"] + list(op_times) + ["overall (s)"],
+         [[g] + [t[i] for t in op_times.values()] + [overall[i]]
+          for i, g in enumerate(gpu_counts)]),
+        ("Figure 15", ["GPUs", "bandwidth utilization %"],
+         [[g, 100 * u] for g, u in zip(gpu_counts, util)]),
+    ]
+    for g in gpu_counts:
+        frac = float(np.mean([v > 0.1 for v in lats[g]])) if lats[g] else 0.0
+        tables.append(
+            (f"Figure 16: query latency CDF at {g} GPUs (>100ms: {frac:.0%})",
+             ["quantile", "latency (s)"], cdf_rows(lats[g]))
+        )
+    return Figure(
+        tables=tables,
+        values=dict(
+            gpu_counts=list(gpu_counts),
+            op_times=op_times,
+            overall=overall,
+            nic_utilization=util,
+            latencies=lats,
+        ),
     )
-
-
-@dataclass
-class ShardedScalingResult:
-    """Figure 14 companion: the workers x shards scaling surface.
-
-    The numeric run is executed once at ``n_workers x n_shards`` (private
-    caches make the numerics independent of the worker/shard counts); its
-    per-worker and per-shard statistics are reported directly, and its
-    worker-tagged steady-state trace is replayed on the DES across the
-    (workers, shards) grid.
-    """
-
-    n_workers: int
-    n_shards: int
-    shard_hit_rates: list[float]
-    shard_queries: list[int]
-    shard_entries: list[int]
-    worker_keys: list[int]
-    worker_messages: list[int]
-    worker_mean_batch: list[float]
-    case_counts: dict[str, int]
-    grid_workers: list[int]
-    grid_shards: list[int]
-    lsp_times: dict[tuple[int, int], float]
-    query_p50: dict[tuple[int, int], float]
-
-    def report(self) -> str:
-        rows = [
-            [s, self.shard_queries[s], self.shard_hit_rates[s], self.shard_entries[s]]
-            for s in range(self.n_shards)
-        ]
-        t = report.table(
-            ["shard", "queries", "hit rate", "entries"],
-            rows,
-            f"Sharded memoization service ({self.n_workers} workers x "
-            f"{self.n_shards} shards, numeric run)",
-        )
-        rows2 = [
-            [w, self.worker_keys[w], self.worker_messages[w], self.worker_mean_batch[w]]
-            for w in range(self.n_workers)
-        ]
-        t += "\n\n" + report.table(
-            ["worker", "keys", "messages", "mean batch"],
-            rows2,
-            "Per-worker key coalescing",
-        )
-        rows3 = [
-            [w] + [self.lsp_times[(w, s)] for s in self.grid_shards]
-            for w in self.grid_workers
-        ]
-        t += "\n\n" + report.table(
-            ["workers \\ shards"] + [str(s) for s in self.grid_shards],
-            rows3,
-            "Figure 14 (sharded): LSP seconds over the workers x shards grid",
-        )
-        return t
 
 
 def fig14_sharded(
@@ -618,16 +460,18 @@ def fig14_sharded(
     sim_outer: int = 12,
     db_keys: int = 4_000_000,
     quick: bool = True,
-) -> ShardedScalingResult:
-    """The distributed-memoization scaling study (paper Sections 4.3/5.2).
+) -> Figure:
+    """The distributed-memoization scaling study (paper Sections 4.3/5.2),
+    Figure 14's workers x shards companion.
 
-    Runs the real (scaled-down) reconstruction on a
+    Runs the real (scaled-down) reconstruction once on a
     :class:`~repro.core.memo_engine.MemoizedExecutor` with
-    ``n_workers x n_shards``, then replays its worker-tagged steady trace on
-    the DES over the ``grid_workers x grid_shards`` surface.  ``db_keys`` is
-    the modeled beamline-scale key population — large enough that index
-    search time is visible next to the wire time, which is what sharding
-    attacks.
+    ``n_workers x n_shards`` (private caches make the numerics independent
+    of the worker/shard counts) and reports its per-shard and per-worker
+    statistics, then replays its worker-tagged steady trace on the DES over
+    the ``grid_workers x grid_shards`` surface.  ``db_keys`` is the modeled
+    beamline-scale key population — large enough that index search time is
+    visible next to the wire time, which is what sharding attacks.
     """
     if quick:
         sim_outer = min(sim_outer, 8)
@@ -640,20 +484,16 @@ def fig14_sharded(
     coalesce = ex.per_worker_coalesce_stats()
     trace = _steady_trace(result.events, sim_outer - 1)
 
-    lsp_times: dict[tuple[int, int], float] = {}
-    p50: dict[tuple[int, int], float] = {}
-    for w in grid_workers:
-        for s in grid_shards:
-            perf = simulate_iteration(
-                spec.dims, n_gpus=w, variant="canc_fused", n_inner=4,
-                trace=trace, db_keys=db_keys, n_shards=s,
-                trace_by_location=True,
-            )
-            lsp_times[(w, s)] = perf.lsp_time
-            lat = sorted(perf.query_latencies)
-            p50[(w, s)] = lat[len(lat) // 2] if lat else 0.0
-
-    return ShardedScalingResult(
+    lsp_times = {
+        (w, s): simulate_iteration(
+            spec.dims, n_gpus=w, variant="canc_fused", n_inner=4,
+            trace=trace, db_keys=db_keys, n_shards=s,
+            trace_by_location=True,
+        ).lsp_time
+        for w in grid_workers
+        for s in grid_shards
+    }
+    values = dict(
         n_workers=n_workers,
         n_shards=n_shards,
         shard_hit_rates=[st.hit_rate for st, _n in shard_stats],
@@ -666,18 +506,21 @@ def fig14_sharded(
         grid_workers=list(grid_workers),
         grid_shards=list(grid_shards),
         lsp_times=lsp_times,
-        query_p50=p50,
     )
-
-
-def fig15_bandwidth(**kwargs) -> ScalingResult:
-    """Figure 15 shares the Figure 14 sweep."""
-    return fig14_scaling(**kwargs)
-
-
-def fig16_latency_cdf(**kwargs) -> ScalingResult:
-    """Figure 16 shares the Figure 14 sweep."""
-    return fig14_scaling(**kwargs)
+    return Figure(
+        tables=[
+            (f"Sharded memoization service ({n_workers} workers x {n_shards} shards, "
+             "numeric run)",
+             ["shard", "queries", "hit rate", "entries"],
+             [[s, st.queries, st.hit_rate, n] for s, (st, n) in enumerate(shard_stats)]),
+            ("Per-worker key coalescing", ["worker", "keys", "messages", "mean batch"],
+             [[w, c.keys, c.messages, c.mean_batch] for w, c in enumerate(coalesce)]),
+            ("Figure 14 (sharded): LSP seconds over the workers x shards grid",
+             ["workers \\ shards"] + [str(s) for s in grid_shards],
+             [[w] + [lsp_times[(w, s)] for s in grid_shards] for w in grid_workers]),
+        ],
+        values=values,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -685,30 +528,12 @@ def fig16_latency_cdf(**kwargs) -> ScalingResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AccuracyResult:
-    taus: list[float]
-    accuracies: list[float]
-    memo_fractions: list[float]
-
-    def report(self) -> str:
-        rows = [
-            [t, a, m]
-            for t, a, m in zip(self.taus, self.accuracies, self.memo_fractions)
-        ]
-        return report.table(
-            ["tau", "accuracy", "memoized fraction"],
-            rows,
-            "Table 1: impact of memoization on reconstruction accuracy",
-        )
-
-
 def tab01_accuracy(
     spec: DatasetSpec = SMALL,
     taus: tuple[float, ...] = (0.86, 0.88, 0.90, 0.92, 0.94, 0.96),
     n_outer: int = 60,
     quick: bool = True,
-) -> AccuracyResult:
+) -> Figure:
     if quick:
         n_outer = min(n_outer, 20)
         taus = tuple(taus[::2])
@@ -719,55 +544,17 @@ def tab01_accuracy(
         res = problem.mlr(n_outer, tau).reconstruct(problem.data)
         accs.append(accuracy(ref.u.real, res.u.real))
         memos.append(res.memoized_fraction)
-    return AccuracyResult(taus=list(taus), accuracies=accs, memo_fractions=memos)
+    return Figure(
+        tables=[("Table 1: impact of memoization on reconstruction accuracy",
+                 ["tau", "accuracy", "memoized fraction"],
+                 [list(r) for r in zip(taus, accs, memos)])],
+        values=dict(taus=list(taus), accuracies=accs, memo_fractions=memos),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Figure 18 — streaming pipeline overlap
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PipelineOverlapResult:
-    """Serial vs pipelined execution: functional bit-identity at simulation
-    scale plus the overlapped-phase makespan surface at paper scale."""
-
-    queue_depths: list[int]
-    worker_counts: list[int]
-    perfs: dict[tuple[int, int], PipelinePerf]  # (queue_depth, workers) -> perf
-    io_time: float  # modeled per-chunk read + write seconds
-    bitwise_identical: bool
-    streaming_identical: bool
-    pipeline_items: int
-    #: producer blocks observed by the functional run — timing-dependent, so
-    #: not part of ``report()`` (whose output is committed)
-    read_backpressure: int
-    case_counts: dict[str, int]
-
-    @property
-    def serial_time(self) -> float:
-        return next(iter(self.perfs.values())).serial_time
-
-    def report(self) -> str:
-        rows = []
-        for (q, w), perf in sorted(self.perfs.items()):
-            rows.append(
-                [q, w, perf.pipelined_time, perf.speedup, perf.speedup_bound,
-                 perf.fill_drain_time]
-            )
-        t = report.table(
-            ["queue depth", "workers", "pipelined (s)", "speedup", "bound",
-             "fill/drain (s)"],
-            rows,
-            f"Figure 18: pipelined sweep makespan (serial = "
-            f"{self.serial_time:.3f} s, per-chunk I/O = {self.io_time * 1e3:.2f} ms)",
-        )
-        t += (
-            f"\nfunctional run: pipelined == serial bit-for-bit: "
-            f"{self.bitwise_identical}; streaming ingest == batch: "
-            f"{self.streaming_identical}; {self.pipeline_items} chunk-ops pipelined"
-        )
-        return t
 
 
 def fig18_pipeline_overlap(
@@ -776,16 +563,19 @@ def fig18_pipeline_overlap(
     worker_counts: tuple[int, ...] = (1, 2, 4),
     sim_outer: int = 6,
     quick: bool = True,
-) -> PipelineOverlapResult:
+) -> Figure:
     """The streaming-pipeline study (overlapped read -> memoized compute ->
-    write; :mod:`repro.pipeline`).
+    write; :mod:`repro.pipeline`): functional bit-identity at simulation
+    scale plus the overlapped-phase makespan surface at paper scale.
 
     The *functional* half runs the real solver twice — monolithic and
     ``pipeline=`` mode — and checks bit-identity, plus a streaming-ingest
     run where projections arrive block by block from a producer thread.
     The *modeled* half schedules one paper-scale sweep on the DES across
     the (queue depth, compute workers) grid, with SSD chunk reads/writes
-    as the outer stages.
+    as the outer stages.  ``values["read_backpressure"]`` (producer blocks
+    of the functional run) is timing-dependent, so the report leaves it
+    out: its output is committed.
     """
     if quick:
         sim_outer = min(sim_outer, 4)
@@ -828,7 +618,7 @@ def fig18_pipeline_overlap(
     read = cost.chunk_read_time(dims)
     write = cost.chunk_write_time(dims)
     compute = cost.chunk_compute_time(dims)
-    perfs = {
+    perfs = {  # (queue_depth, workers) -> PipelinePerf
         (q, w): simulate_pipeline(
             dims.n_chunks, read, compute, write, queue_depth=q, n_workers=w
         )
@@ -836,39 +626,38 @@ def fig18_pipeline_overlap(
         for w in worker_counts
     }
 
-    return PipelineOverlapResult(
-        queue_depths=list(queue_depths),
-        worker_counts=list(worker_counts),
-        perfs=perfs,
-        io_time=read + write,
-        bitwise_identical=bool(np.array_equal(serial_result.u, piped_result.u)),
-        streaming_identical=bool(np.array_equal(serial_result.u, streaming_result.u)),
-        pipeline_items=stats.items,
-        read_backpressure=stats.read_queue.producer_blocks,
-        case_counts=dict(piped_result.case_counts),
+    io_time = read + write  # modeled per-chunk read + write seconds
+    bitwise = bool(np.array_equal(serial_result.u, piped_result.u))
+    streaming = bool(np.array_equal(serial_result.u, streaming_result.u))
+    serial_time = next(iter(perfs.values())).serial_time
+    rows = [
+        [q, w, perf.pipelined_time, perf.speedup, perf.speedup_bound, perf.fill_drain_time]
+        for (q, w), perf in sorted(perfs.items())
+    ]
+    return Figure(
+        tables=[(f"Figure 18: pipelined sweep makespan (serial = {serial_time:.3f} s, "
+                 f"per-chunk I/O = {io_time * 1e3:.2f} ms)",
+                 ["queue depth", "workers", "pipelined (s)", "speedup", "bound",
+                  "fill/drain (s)"], rows)],
+        notes=[f"functional run: pipelined == serial bit-for-bit: {bitwise}; "
+               f"streaming ingest == batch: {streaming}; {stats.items} chunk-ops pipelined"],
+        values=dict(
+            queue_depths=list(queue_depths),
+            worker_counts=list(worker_counts),
+            perfs=perfs,
+            io_time=io_time,
+            bitwise_identical=bitwise,
+            streaming_identical=streaming,
+            pipeline_items=stats.items,
+            read_backpressure=stats.read_queue.producer_blocks,
+            case_counts=dict(piped_result.case_counts),
+        ),
     )
-
-
-@dataclass
-class ConvergenceResult:
-    loss_without: list[float]
-    loss_with: list[float]
-
-    def report(self) -> str:
-        rows = [
-            [i, a, b]
-            for i, (a, b) in enumerate(zip(self.loss_without, self.loss_with))
-        ]
-        return report.table(
-            ["iteration", "loss w/o memoization", "loss w/ memoization"],
-            rows,
-            "Figure 17: convergence with and without memoization",
-        )
 
 
 def fig17_convergence(
     spec: DatasetSpec = SMALL, n_outer: int = 60, tau: float = 0.92, quick: bool = True
-) -> ConvergenceResult:
+) -> Figure:
     if quick:
         n_outer = min(n_outer, 20)
     problem = _Problem(spec)
@@ -877,8 +666,6 @@ def fig17_convergence(
     # The memoized run's internal residuals are themselves approximated, so
     # both curves report the *true* loss of the iterate, evaluated with the
     # exact operators.
-    import numpy as np
-
     from ..solvers.tv import tv_norm
 
     dhat = ops.f2d(np.ascontiguousarray(data, dtype=np.complex64))
@@ -895,42 +682,17 @@ def fig17_convergence(
 
     problem.admm(n_outer).run(data, callback=cb("ref"))
     problem.mlr(n_outer, tau).solver.run(data, callback=cb("mlr"))
-    return ConvergenceResult(loss_without=losses["ref"], loss_with=losses["mlr"])
+    return Figure(
+        tables=[("Figure 17: convergence with and without memoization",
+                 ["iteration", "loss w/o memoization", "loss w/ memoization"],
+                 [[i, a, b] for i, (a, b) in enumerate(zip(losses["ref"], losses["mlr"]))])],
+        values=dict(loss_without=losses["ref"], loss_with=losses["mlr"]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Warm start — cross-job memoization through the reconstruction service
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class WarmstartResult:
-    """The cross-job experiment: repeated scans of one sample, reconstructed
-    as service jobs over the scheduler's shared (persistable) memo tier."""
-
-    job_rows: list[list]  # job, mode, queries, hits, hit rate, entries at start
-    first_job_hit_rate: float
-    cold_hit_rate: float  # second scan on a fresh database
-    warm_hit_rate: float  # second scan warm-started from the first job's db
-
-    @property
-    def warm_gain(self) -> float:
-        """Absolute db hit-rate gained by warm-starting the second scan."""
-        return self.warm_hit_rate - self.cold_hit_rate
-
-    def report(self) -> str:
-        t = report.table(
-            ["job", "mode", "db queries", "db hits", "hit rate", "entries at start"],
-            self.job_rows,
-            "Warm start: per-job memo-database traffic (deltas)",
-        )
-        lines = [
-            t,
-            "",
-            f"second-scan hit rate: cold {self.cold_hit_rate:.3f} -> "
-            f"warm {self.warm_hit_rate:.3f} (gain +{self.warm_gain:.3f})",
-        ]
-        return "\n".join(lines)
 
 
 def fig_warmstart(
@@ -939,7 +701,7 @@ def fig_warmstart(
     tau: float = 0.9,
     quick: bool = True,
     snapshot_dir: str | None = None,
-) -> WarmstartResult:
+) -> Figure:
     """Cross-job memoization: the IC-inspection operating mode where
     near-identical samples are scanned job after job.
 
@@ -951,8 +713,10 @@ def fig_warmstart(
     - ``scan-2 (cold)`` runs standalone on a fresh database — the control
       the warm hit rate is measured against.
 
-    With ``snapshot_dir`` the cold solver's database tier is also saved
-    there as an on-disk snapshot (the artifact the service example keeps).
+    ``values["warm_gain"]`` is the absolute db hit rate warm-starting the
+    second scan gains over that control.  With ``snapshot_dir`` the cold
+    solver's database tier is also saved there as an on-disk snapshot (the
+    artifact the service example keeps).
     """
     from ..lamino.projector import simulate_data
     from ..service import JobSpec, ReconstructionScheduler, ServiceConfig
@@ -992,13 +756,23 @@ def fig_warmstart(
                 round(stats.hit_rate, 4), entries]
 
     h1, h2 = jobs
-    return WarmstartResult(
-        job_rows=[
-            row("scan-1", "service (cold)", h1.memo_delta, h1.db_entries_start),
-            row("scan-2", "service (warm)", h2.memo_delta, h2.db_entries_start),
-            row("scan-2", "standalone cold", cold_stats, 0),
-        ],
-        first_job_hit_rate=h1.memo_delta.hit_rate,
-        cold_hit_rate=cold_stats.hit_rate,
-        warm_hit_rate=h2.memo_delta.hit_rate,
+    job_rows = [  # job, mode, queries, hits, hit rate, entries at start
+        row("scan-1", "service (cold)", h1.memo_delta, h1.db_entries_start),
+        row("scan-2", "service (warm)", h2.memo_delta, h2.db_entries_start),
+        row("scan-2", "standalone cold", cold_stats, 0),
+    ]
+    cold_rate, warm_rate = cold_stats.hit_rate, h2.memo_delta.hit_rate
+    return Figure(
+        tables=[("Warm start: per-job memo-database traffic (deltas)",
+                 ["job", "mode", "db queries", "db hits", "hit rate", "entries at start"],
+                 job_rows)],
+        notes=[f"second-scan hit rate: cold {cold_rate:.3f} -> warm {warm_rate:.3f} "
+               f"(gain +{warm_rate - cold_rate:.3f})"],
+        values=dict(
+            job_rows=job_rows,
+            first_job_hit_rate=h1.memo_delta.hit_rate,
+            cold_hit_rate=cold_rate,
+            warm_hit_rate=warm_rate,
+            warm_gain=warm_rate - cold_rate,
+        ),
     )

@@ -24,7 +24,7 @@ registry.  ``http`` stays a lazy submodule import here (it reaches into
 from .config import ObsConfig
 from .export import dump_jsonl, dump_lines, load_jsonl, to_prometheus
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, log_bucket_edges
-from .report import build_report, merge_dumps, render_report, report_from_file
+from .report import build_report, load_report, merge_dumps, render_report
 from .runtime import (
     configure,
     counter,
@@ -77,7 +77,7 @@ __all__ = [
     "dump_lines",
     "load_jsonl",
     "build_report",
+    "load_report",
     "merge_dumps",
     "render_report",
-    "report_from_file",
 ]

@@ -16,25 +16,8 @@ import argparse
 import json
 import os
 import sys
-import urllib.request
 
-from .export import load_jsonl
-from .report import build_report, merge_dumps, render_report
-
-
-def _fetch_snapshot(target: str, timeout: float = 5.0) -> dict:
-    """GET ``/snapshot`` from a telemetry server given ``host:port``."""
-    base = target if "://" in target else f"http://{target}"
-    with urllib.request.urlopen(f"{base.rstrip('/')}/snapshot", timeout=timeout) as resp:
-        return json.loads(resp.read().decode("utf-8"))
-
-
-def _load_source(source: str) -> dict:
-    """One ``report`` input: a JSONL dump on disk, else a telemetry
-    ``host:port`` whose ``/snapshot`` has the same shape."""
-    if os.path.exists(source) or ":" not in source:
-        return load_jsonl(source)
-    return _fetch_snapshot(source)
+from .report import load_report, render_report
 
 
 def _heat_tree(source: str) -> dict:
@@ -100,11 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "report":
-        if len(args.paths) == 1:
-            data = _load_source(args.paths[0])
-        else:
-            data = merge_dumps(_load_source(p) for p in args.paths)
-        report = build_report(data)
+        report = load_report(*args.paths)
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:

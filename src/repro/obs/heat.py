@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 
 from .registry import log_bucket_edges
-from .report import _fmt_s, _table
+from .report import _fmt_s, table
 
 __all__ = [
     "entry_records",
@@ -188,48 +188,23 @@ def render_heat_report(report: dict) -> str:
         f"{_fmt_bytes(report['reclaimable_bytes'])}",
         "",
     ]
-    if report["by_op"]:
-        lines.append("== by op ==")
-        lines.extend(
-            _table(
-                ["op", "entries", "hits", "cold", "bytes", "reclaimable"],
-                [
-                    [str(g["op"]), str(g["entries"]), str(g["hits"]),
-                     str(g["cold"]), _fmt_bytes(g["nbytes"]),
-                     _fmt_bytes(g["reclaimable"])]
-                    for g in report["by_op"]
-                ],
-            )
-        )
-        lines.append("")
-    if report["by_shard"]:
-        lines.append("== by shard ==")
-        lines.extend(
-            _table(
-                ["shard", "entries", "hits", "cold", "bytes", "reclaimable"],
-                [
-                    [str(g["shard"]), str(g["entries"]), str(g["hits"]),
-                     str(g["cold"]), _fmt_bytes(g["nbytes"]),
-                     _fmt_bytes(g["reclaimable"])]
-                    for g in report["by_shard"]
-                ],
-            )
-        )
-        lines.append("")
+    for key in ("op", "shard"):
+        if report[f"by_{key}"]:
+            rows = [
+                [g[key], g["entries"], g["hits"], g["cold"], _fmt_bytes(g["nbytes"]),
+                 _fmt_bytes(g["reclaimable"])]
+                for g in report[f"by_{key}"]
+            ]
+            lines += [table([key, "entries", "hits", "cold", "bytes", "reclaimable"],
+                            rows, f"== by {key} =="), ""]
     if report["age_deciles"]:
-        lines.append("== hit distribution by age decile (youngest first) ==")
-        lines.extend(
-            _table(
-                ["decile", "age range", "entries", "hits", "bytes"],
-                [
-                    [str(d["decile"]),
-                     f"{_fmt_s(d['age_min_s'])}..{_fmt_s(d['age_max_s'])}",
-                     str(d["entries"]), str(d["hits"]), _fmt_bytes(d["nbytes"])]
-                    for d in report["age_deciles"]
-                ],
-            )
-        )
-        lines.append("")
+        rows = [
+            [d["decile"], f"{_fmt_s(d['age_min_s'])}..{_fmt_s(d['age_max_s'])}",
+             d["entries"], d["hits"], _fmt_bytes(d["nbytes"])]
+            for d in report["age_deciles"]
+        ]
+        lines += [table(["decile", "age range", "entries", "hits", "bytes"], rows,
+                        "== hit distribution by age decile (youngest first) =="), ""]
     if not report["entries"]:
         lines.append("(tier is empty)")
     return "\n".join(lines).rstrip() + "\n"

@@ -24,15 +24,19 @@ end-to-end ``BENCH_perf.json`` number into a per-phase breakdown.
 
 from __future__ import annotations
 
+import json
+import os
+
 from .export import DUMP_VERSION, load_jsonl
 from .registry import _bucket_quantile
 
 __all__ = [
     "build_report",
     "build_trace",
+    "load_report",
     "merge_dumps",
     "render_report",
-    "report_from_file",
+    "table",
 ]
 
 _QUANTILES = (0.50, 0.95, 0.99)
@@ -312,26 +316,39 @@ def build_report(data: dict) -> dict:
     }
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
+def table(headers: list[str], rows: list[list], title: str = "") -> str:
+    """Fixed-width plain-text table, optionally under a title line: strings
+    pass through, numbers are formatted compactly (see :func:`_fmt`), and no
+    line carries trailing spaces.  The one renderer of every table this
+    package and :mod:`repro.harness` print."""
+    cells = [[_fmt(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
-    for row in rows:
+    for row in cells:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    out = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return out
+    lines = [title] if title else []
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)
+
+
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        if v == 0:
+            return "0"
+        if abs(v) >= 1000 or abs(v) < 1e-3:
+            return f"{v:.3e}"
+        return f"{v:.4g}"
+    return str(v)
 
 
 def render_report(report: dict) -> str:
     lines: list[str] = []
     dropped = report.get("meta", {}).get("dropped_spans", 0)
     if dropped:
-        lines.append(f"warning: {dropped} spans dropped (ring buffer overflow)")
-        lines.append("")
+        lines += [f"warning: {dropped} spans dropped (ring buffer overflow)", ""]
 
     trace = report.get("trace")
     if trace and trace["tree"]:
@@ -343,124 +360,84 @@ def render_report(report: dict) -> str:
             header += f", {trace['orphans']} orphaned spans"
         if trace["errors"]:
             header += f", {trace['errors']} errored spans"
-        lines.append(header + ") ==")
-        lines.extend(
-            _table(
-                ["span", "count", "total", "mean", "procs"],
-                [
-                    [
-                        "  " * r["depth"] + r["name"],
-                        str(r["count"]),
-                        _fmt_s(r["total_s"]),
-                        _fmt_s(r["mean_s"]),
-                        ",".join(r["procs"]) or "-",
-                    ]
-                    for r in trace["tree"]
-                ],
-            )
-        )
-        lines.append("")
+        rows = [
+            ["  " * r["depth"] + r["name"], r["count"], _fmt_s(r["total_s"]),
+             _fmt_s(r["mean_s"]), ",".join(r["procs"]) or "-"]
+            for r in trace["tree"]
+        ]
+        lines += [table(["span", "count", "total", "mean", "procs"], rows,
+                        header + ") =="), ""]
 
     if trace and trace["hops"]:
-        lines.append("== wire hops (client round trip - server handler = wire+queue) ==")
-        lines.extend(
-            _table(
-                ["type", "count", "client mean", "server mean", "wire mean"],
-                [
-                    [
-                        r["type"],
-                        str(r["count"]),
-                        _fmt_s(r["client_mean_s"]),
-                        _fmt_s(r["server_mean_s"]),
-                        _fmt_s(r["wire_mean_s"]),
-                    ]
-                    for r in trace["hops"]
-                ],
-            )
-        )
-        lines.append("")
+        rows = [
+            [r["type"], r["count"], _fmt_s(r["client_mean_s"]),
+             _fmt_s(r["server_mean_s"]), _fmt_s(r["wire_mean_s"])]
+            for r in trace["hops"]
+        ]
+        lines += [
+            table(["type", "count", "client mean", "server mean", "wire mean"], rows,
+                  "== wire hops (client round trip - server handler = wire+queue) =="),
+            "",
+        ]
 
     if trace and trace["shards"]:
-        lines.append("== server shards ==")
-        lines.extend(
-            _table(
-                ["shard", "count", "total", "mean"],
-                [
-                    [
-                        r["shard"],
-                        str(r["count"]),
-                        _fmt_s(r["total_s"]),
-                        _fmt_s(r["mean_s"]),
-                    ]
-                    for r in trace["shards"]
-                ],
-            )
-        )
-        lines.append("")
+        rows = [
+            [r["shard"], r["count"], _fmt_s(r["total_s"]), _fmt_s(r["mean_s"])]
+            for r in trace["shards"]
+        ]
+        lines += [table(["shard", "count", "total", "mean"], rows,
+                        "== server shards =="), ""]
 
     if report["spans"]:
-        lines.append("== spans (per-stage latency) ==")
-        lines.extend(
-            _table(
-                ["name", "count", "total", "mean", "p50", "p95", "p99"],
-                [
-                    [
-                        r["name"],
-                        str(r["count"]),
-                        _fmt_s(r["total_s"]),
-                        _fmt_s(r["mean_s"]),
-                        _fmt_s(r["p50_s"]),
-                        _fmt_s(r["p95_s"]),
-                        _fmt_s(r["p99_s"]),
-                    ]
-                    for r in report["spans"]
-                ],
-            )
-        )
-        lines.append("")
+        rows = [
+            [r["name"], r["count"]]
+            + [_fmt_s(r[k]) for k in ("total_s", "mean_s", "p50_s", "p95_s", "p99_s")]
+            for r in report["spans"]
+        ]
+        lines += [table(["name", "count", "total", "mean", "p50", "p95", "p99"], rows,
+                        "== spans (per-stage latency) =="), ""]
 
     if report["histograms"]:
-        lines.append("== histograms ==")
-        lines.extend(
-            _table(
-                ["name", "labels", "count", "mean", "p50", "p95", "p99"],
-                [
-                    [
-                        r["name"],
-                        _fmt_labels(r["labels"]),
-                        str(r["count"]),
-                        _fmt_s(r["mean_s"]),
-                        _fmt_s(r["p50_s"]),
-                        _fmt_s(r["p95_s"]),
-                        _fmt_s(r["p99_s"]),
-                    ]
-                    for r in report["histograms"]
-                ],
-            )
-        )
-        lines.append("")
+        rows = [
+            [r["name"], _fmt_labels(r["labels"]), r["count"]]
+            + [_fmt_s(r[k]) for k in ("mean_s", "p50_s", "p95_s", "p99_s")]
+            for r in report["histograms"]
+        ]
+        lines += [table(["name", "labels", "count", "mean", "p50", "p95", "p99"], rows,
+                        "== histograms =="), ""]
 
     if report["scalars"]:
-        lines.append("== counters / gauges ==")
         rows = []
         for r in report["scalars"]:
             value = f"{r['value']:g}"
             if r["kind"] == "gauge" and r.get("max", r["value"]) != r["value"]:
                 value += f" (max {r['max']:g})"
             rows.append([r["name"], _fmt_labels(r["labels"]), r["kind"], value])
-        lines.extend(_table(["name", "labels", "kind", "value"], rows))
-        lines.append("")
+        lines += [table(["name", "labels", "kind", "value"], rows,
+                        "== counters / gauges =="), ""]
 
     if len(lines) == 0:
         lines.append("(empty dump: no spans or metrics recorded)")
     return "\n".join(lines).rstrip() + "\n"
 
 
-def report_from_file(*paths: str) -> str:
-    """Render the report for one dump, or the stitched report of several
-    (e.g. a run's local dump plus each daemon's saved ``/snapshot``)."""
-    if len(paths) == 1:
-        data = load_jsonl(paths[0])
-    else:
-        data = merge_dumps(load_jsonl(p) for p in paths)
-    return render_report(build_report(data))
+def _load_source(source: str) -> dict:
+    """One ``report`` input: a JSONL dump on disk, else a telemetry
+    ``host:port`` whose ``/snapshot`` has the same shape."""
+    if os.path.exists(source) or ":" not in source:
+        return load_jsonl(source)
+    import urllib.request  # function-level: every solver imports obs, none fetches
+
+    base = source if "://" in source else f"http://{source}"
+    with urllib.request.urlopen(f"{base.rstrip('/')}/snapshot", timeout=5.0) as resp:
+        return json.loads(resp.read().decode("utf-8"))
+
+
+def load_report(*sources: str) -> dict:
+    """The aggregated report over JSONL dumps and/or live telemetry planes
+    (``host:port``): one source as loaded, several merged into one stitched
+    dataset (e.g. a run's local dump plus each daemon's ``/snapshot``).
+    What ``python -m repro.obs report`` prints, through :func:`render_report`
+    or as JSON."""
+    datas = [_load_source(s) for s in sources]
+    return build_report(datas[0] if len(datas) == 1 else merge_dumps(datas))

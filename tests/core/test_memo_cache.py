@@ -7,6 +7,9 @@ import pytest
 
 from repro.core import GlobalMemoCache, PrivateMemoCache
 
+#: one chunk extent for every location the global-cache tests use
+EXTENTS = [4] * 64
+
 
 def key(rng, dim=16):
     return rng.standard_normal(dim).astype(np.float32)
@@ -72,20 +75,20 @@ class TestPrivateCache:
 class TestGlobalCache:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            GlobalMemoCache(tau=1.5, capacity=4)
+            GlobalMemoCache(tau=1.5, capacity=4, extents=EXTENTS)
         with pytest.raises(ValueError):
-            GlobalMemoCache(tau=0.9, capacity=0)
+            GlobalMemoCache(tau=0.9, capacity=0, extents=EXTENTS)
 
     def test_cross_location_sharing(self, rng):
         """The defining difference: any location's entry can serve."""
-        c = GlobalMemoCache(tau=0.5, capacity=8)
+        c = GlobalMemoCache(tau=0.5, capacity=8, extents=EXTENTS)
         k = key(rng)
         c.insert(0, k, "value")
         hit = c.lookup(5, k)
         assert hit is not None and hit.value == "value"
 
     def test_comparisons_scale_with_size(self, rng):
-        c = GlobalMemoCache(tau=0.9, capacity=64)
+        c = GlobalMemoCache(tau=0.9, capacity=64, extents=EXTENTS)
         for loc in range(32):
             c.insert(loc, key(rng), loc)
         c.stats.comparisons = 0
@@ -93,7 +96,7 @@ class TestGlobalCache:
         assert c.stats.comparisons == 32
 
     def test_fifo_eviction_at_capacity(self, rng):
-        c = GlobalMemoCache(tau=0.9, capacity=2)
+        c = GlobalMemoCache(tau=0.9, capacity=2, extents=EXTENTS)
         keys = [key(rng) for _ in range(3)]
         for i, k in enumerate(keys):
             c.insert(i, k, i)
@@ -102,10 +105,23 @@ class TestGlobalCache:
         assert c.lookup(0, keys[2]).value == 2
 
     def test_best_match_wins(self, rng):
-        c = GlobalMemoCache(tau=0.8, capacity=8)
+        c = GlobalMemoCache(tau=0.8, capacity=8, extents=EXTENTS)
         k = key(rng)
         near = (k + 0.01 * key(rng)).astype(np.float32)
         far = (k + 0.5 * key(rng)).astype(np.float32)
         c.insert(0, far, "far")
         c.insert(1, near, "near")
         assert c.lookup(9, k).value == "near"
+
+    def test_only_same_extent_chunks_share(self, rng):
+        """On a ragged chunk grid an entry serves only a query from a chunk
+        of its own extent: the short last chunk's value cannot stand in for
+        a full chunk's, even under an identical key."""
+        c = GlobalMemoCache(tau=0.5, capacity=8, extents=[24, 24, 16])
+        k = key(rng)
+        c.insert(2, k, "short")
+        assert c.lookup(0, k) is None
+        assert c.stats.comparisons == 0  # not a candidate, not compared
+        c.insert(0, k, "full")
+        assert c.lookup(1, k).value == "full"
+        assert c.lookup(2, k).value == "short"

@@ -281,10 +281,10 @@ class TestPerOpLocationCounts:
         g = LaminoGeometry((24, 16, 16), n_angles=12, det_shape=(16, 16), tilt_deg=61.0)
         ops = LaminoOperators(g)
         ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4)
-        assert ex.n_locations_for("Fu1D") == 6
-        assert ex.n_locations_for("Fu1D*") == 6
-        assert ex.n_locations_for("Fu2D") == 4
-        assert ex.n_locations_for("Fu2D*") == 4
+        assert len(ex.op_grid("Fu1D")) == 6
+        assert len(ex.op_grid("Fu1D*")) == 6
+        assert len(ex.op_grid("Fu2D")) == 4
+        assert len(ex.op_grid("Fu2D*")) == 4
 
     def test_global_cache_capacity_sized_per_op(self):
         g = LaminoGeometry((24, 16, 16), n_angles=12, det_shape=(16, 16), tilt_deg=61.0)
@@ -299,18 +299,40 @@ class TestPerOpLocationCounts:
         assert [w.caches["Fu1D"].capacity for w in ex.workers] == [3, 3]
         assert [w.caches["Fu2D"].capacity for w in ex.workers] == [2, 2]
 
-    def test_ragged_volume_runs_end_to_end(self):
-        """A volume taller than the detector exercises both axis lengths."""
-        g = LaminoGeometry((24, 16, 16), n_angles=12, det_shape=(16, 16), tilt_deg=61.0)
+    @pytest.mark.parametrize("cache", ["private", "global", None])
+    @pytest.mark.parametrize(
+        "vol_shape, det_shape, chunk_size, n_fu1d, n_fu2d",
+        [
+            # a volume taller than the detector: the two axes' counts differ
+            ((24, 16, 16), (16, 16), 4, 6, 4),
+            # a chunk size dividing neither axis: a 1-row last chunk, whose
+            # pool key is shorter than a full chunk's
+            ((16, 8, 16), (16, 16), 3, 6, 6),
+            # a 16-row last chunk beside 24-row ones: the keys agree in
+            # shape, the values do not
+            ((40, 8, 16), (40, 16), 24, 2, 2),
+        ],
+        ids=["tall", "ragged-1-row", "ragged-16-rows"],
+    )
+    def test_ragged_volume_runs_end_to_end(
+        self, cache, vol_shape, det_shape, chunk_size, n_fu1d, n_fu2d
+    ):
+        """Every sweep location is reached, whatever the chunk grid, with
+        every cache mode: a global-cache entry only serves a query from a
+        chunk of its own extent."""
+        g = LaminoGeometry(vol_shape, n_angles=12, det_shape=det_shape, tilt_deg=61.0)
         ops = LaminoOperators(g)
         truth = brain_like(g.vol_shape, seed=3)
         d = simulate_data(truth, g, noise_level=0.03, seed=1)
-        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4)
-        ADMMSolver(ops, ADMMConfig(n_outer=3, n_inner=2, step_max_rel=4.0), executor=ex).run(d)
+        ex = MemoizedExecutor(ops, config=memo_cfg(cache=cache), chunk_size=chunk_size)
+        res = ADMMSolver(
+            ops, ADMMConfig(n_outer=3, n_inner=2, step_max_rel=4.0), executor=ex
+        ).run(d)
         fu1d_locs = {ev.chunk for ev in ex.events if ev.op == "Fu1D"}
         fu2d_locs = {ev.chunk for ev in ex.events if ev.op == "Fu2D"}
-        assert fu1d_locs == set(range(6))
-        assert fu2d_locs == set(range(4))
+        assert fu1d_locs == set(range(n_fu1d))
+        assert fu2d_locs == set(range(n_fu2d))
+        assert np.all(np.isfinite(res.u))
 
 
 class TestReconstructEdgeCases:
@@ -624,7 +646,7 @@ class TestWorkersAndShards:
 
     def test_events_tag_owning_worker(self, run):
         for ev in run.events:
-            assign = run.assignment_for(ev.op, run.n_locations_for(ev.op))
+            assign = run.assignment_for(ev.op, len(run.op_grid(ev.op)))
             assert ev.worker == assign.owner_of(ev.chunk)
 
     def test_events_tag_owning_shard(self, run):

@@ -9,8 +9,8 @@ from repro.obs import (
     build_report,
     dump_jsonl,
     load_jsonl,
+    load_report,
     render_report,
-    report_from_file,
     to_prometheus,
 )
 from repro.obs import runtime as obs
@@ -125,7 +125,7 @@ class TestReport:
         populate()
         path = tmp_path / "obs.jsonl"
         dump_jsonl(str(path))
-        text = report_from_file(str(path))
+        text = render_report(load_report(str(path)))
         assert "== spans (per-stage latency) ==" in text
         assert "== histograms ==" in text
         assert "== counters / gauges ==" in text

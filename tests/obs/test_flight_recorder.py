@@ -22,7 +22,7 @@ from repro.lamino import LaminoGeometry
 from repro.net import MemoServerDaemon, connect_tier
 from repro.net.policy import RetryPolicy
 from repro.obs import runtime as obs
-from repro.obs.report import report_from_file
+from repro.obs.report import load_report, render_report
 from repro.service import JobSpec, JobState, ReconstructionScheduler, ServiceConfig
 from repro.solvers import ADMMConfig
 
@@ -52,7 +52,7 @@ class TestDumpMechanics:
         names = {r.get("name") for r in lines[1:]}
         assert "doomed.op" in names and "witness_total" in names
         # the artifact is the report's native input
-        text = report_from_file(path)
+        text = render_report(load_report(path))
         assert "doomed.op" in text
         # and the recorder counts itself
         dumps = [

@@ -10,7 +10,7 @@ import pytest
 from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig, PipelineConfig
 from repro.core.memo_db import MemoDBStats
 from repro.net import MemoServerDaemon
-from repro.obs import dump_jsonl, load_jsonl, report_from_file
+from repro.obs import dump_jsonl, load_jsonl, load_report, render_report
 from repro.obs import runtime as obs
 from repro.solvers import ADMMConfig
 
@@ -50,7 +50,7 @@ class TestSolverTcpAcceptance:
         _solver, _result = tcp_run
         path = tmp_path / "run.jsonl"
         dump_jsonl(str(path))
-        text = report_from_file(str(path))
+        text = render_report(load_report(str(path)))
         # per-stage latency table covers every tier of the stack
         for stage in ("solver.reconstruct", "admm.outer", "sweep.Fu1D",
                       "usfft.fft", "usfft.interp", "memo.ann_query",
