@@ -1,13 +1,13 @@
 """Observability demo: one instrumented reconstruction, dumped and reported.
 
-Runs a pipelined reconstruction against a loopback memo server daemon with
+Runs a reconstruction against a loopback memo server daemon with
 the :mod:`repro.obs` runtime enabled (``MLRConfig(obs=ObsConfig())``), so
 every tier records as it works:
 
 - trace spans — solver / ADMM outer iterations / per-chunk sweep kernels /
-  USFFT fft+interp phases / ANN queries / pipeline stages / wire dispatch,
-- metrics — per-op memo hit counters, queue depth gauges and block-time
-  histograms, client/server request latency histograms.
+  USFFT fft+interp phases / ANN queries / wire dispatch,
+- metrics — per-op memo hit counters, client/server request latency
+  histograms.
 
 Then it writes the JSONL dump, prints the per-stage latency / throughput
 tables (the same output as ``python -m repro.obs report run.jsonl``), the
@@ -39,7 +39,7 @@ import sys
 import time
 import urllib.request
 
-from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig, PipelineConfig
+from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
 from repro.net import MemoServerDaemon
 from repro.obs import dump_jsonl, load_report, render_report, to_prometheus
@@ -150,7 +150,6 @@ def run_distributed(args) -> int:
         cfg = MLRConfig(
             chunk_size=4,
             memo=memo_cfg(transport="tcp", server_address=("127.0.0.1", port)),
-            pipeline=PipelineConfig(queue_depth=2),
             obs=ObsConfig(),
         )
         solver = MLRSolver(g, cfg, admm=admm, ops=ops)
@@ -207,7 +206,7 @@ def main() -> int:
     admm = ADMMConfig(n_outer=5 if args.quick else 8, n_inner=2,
                       step_max_rel=4.0)
 
-    print("== instrumented pipelined reconstruction over loopback TCP ==")
+    print("== instrumented reconstruction over loopback TCP ==")
     with MemoServerDaemon(n_shards=2, memo=memo_cfg(), name="obs-demo",
                           telemetry_port=0) as daemon:
         host, port = daemon.address
@@ -216,7 +215,6 @@ def main() -> int:
         cfg = MLRConfig(
             chunk_size=4,
             memo=memo_cfg(transport="tcp", server_address=daemon.address),
-            pipeline=PipelineConfig(queue_depth=2),
             obs=ObsConfig(),  # the only line observability costs
         )
         solver = MLRSolver(g, cfg, admm=admm, ops=ops)

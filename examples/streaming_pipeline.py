@@ -1,18 +1,10 @@
-"""Streaming pipelined reconstruction: overlap ingest I/O with memoized compute.
+"""Streaming ingest: reconstruct while the scan is still arriving.
 
-Three demonstrations of the `repro.pipeline` subsystem:
-
-1. **Pipelined execution** — the same memoized reconstruction run with
-   ``pipeline=PipelineConfig(...)``: every op sweep becomes an overlapped
-   reader -> memoized compute -> writer pipeline, bit-identical to the
-   monolithic path (asserted below).
-2. **Streaming ingest** — projections arrive block by block from a
-   producer thread (the "detector"), the ``F2D`` preprocessing runs on
-   early chunks before the scan finishes, and the reconstruction matches
-   the batch run bit for bit.
-3. **Overlapped-phase model** — the paper-scale DES study: serial vs
-   pipelined sweep makespan over queue depths and compute workers, with
-   SSD chunk reads/writes as the outer stages (Figure 18).
+Projections arrive block by block from a producer thread (the "detector"),
+the ``F2D`` preprocessing runs on early chunks before the scan finishes,
+and the reconstruction matches the batch run bit for bit (asserted below).
+An ingest declared for another scan shape is refused before anything is
+consumed, and its producer is released.
 
 Run:  python examples/streaming_pipeline.py [--quick]
 """
@@ -22,16 +14,26 @@ import threading
 
 import numpy as np
 
-from repro.cluster import CostModel, ProblemDims
-from repro.core import (
-    MemoConfig,
-    MLRConfig,
-    MLRSolver,
-    PipelineConfig,
-    simulate_pipeline,
-)
+from repro.core import MemoConfig, MLRConfig, MLRSolver
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
+from repro.pipeline import QueueClosed, StreamingIngest
 from repro.solvers import ADMMConfig
+
+
+def feed(ingest, data, block) -> threading.Thread:
+    """Push ``data`` in ``block``-angle blocks from a detector thread."""
+
+    def detector() -> None:
+        try:
+            with ingest:
+                for lo in range(0, data.shape[0], block):
+                    ingest.push(data[lo:lo + block])
+        except QueueClosed:
+            print("  detector released: the consumer tore the stream down")
+
+    feeder = threading.Thread(target=detector, name="detector")
+    feeder.start()
+    return feeder
 
 
 def main() -> None:
@@ -48,72 +50,34 @@ def main() -> None:
     admm = ADMMConfig(n_outer=n_outer, n_inner=4, step_max_rel=4.0)
     memo = MemoConfig(tau=0.92, warmup_iterations=2,
                       index_train_min=8, index_clusters=4, index_nprobe=2)
+    config = MLRConfig(chunk_size=4, memo=memo)
 
-    # -- 1. pipelined vs monolithic: bit-identical --------------------------------
-    serial = MLRSolver(
-        geometry, MLRConfig(chunk_size=4, memo=memo), admm=admm, ops=ops
-    ).reconstruct(data)
-    piped_solver = MLRSolver(
-        geometry,
-        MLRConfig(chunk_size=4, memo=memo, pipeline=PipelineConfig(queue_depth=2)),
-        admm=admm, ops=ops,
-    )
-    piped = piped_solver.reconstruct(data)
-    stats = piped_solver.executor.pipeline_stats()
-    assert np.array_equal(serial.u, piped.u), "pipelined run must be bit-identical"
-    print(f"pipelined == monolithic bit-for-bit over {stats.sweeps} sweeps / "
-          f"{stats.items} chunk-ops")
-    print(f"  reader backpressure stalls: {stats.read_queue.producer_blocks}, "
-          f"writer starvation waits: {stats.write_queue.consumer_blocks}, "
-          f"memoization served {100 * piped.memoized_fraction:.0f}% of chunk-ops")
+    batch = MLRSolver(geometry, config, admm=admm, ops=ops).reconstruct(data)
 
-    # -- 2. streaming ingest: reconstruct while the scan arrives ------------------
-    streaming_solver = MLRSolver(
-        geometry, MLRConfig(chunk_size=4, memo=memo), admm=admm, ops=ops
-    )
-    ingest = streaming_solver.make_ingest()
-
-    def detector() -> None:
-        from repro.pipeline import QueueClosed
-
-        block = 3  # deliberately misaligned with the chunk grid
-        try:
-            with ingest:
-                for lo in range(0, n, block):
-                    ingest.push(data[lo:lo + block])
-        except QueueClosed:
-            pass  # the consumer died and tore the stream down
-
-    feeder = threading.Thread(target=detector, name="detector")
-    feeder.start()
+    # -- reconstruct while the scan arrives ---------------------------------------
+    solver = MLRSolver(geometry, config, admm=admm, ops=ops)
+    ingest = solver.make_ingest()
+    feeder = feed(ingest, data, block=3)  # deliberately misaligned with the chunk grid
     try:
-        streamed = streaming_solver.reconstruct_streaming(ingest)
+        streamed = solver.reconstruct_streaming(ingest)
     finally:
         feeder.join()
-    assert np.array_equal(serial.u, streamed.u), "streaming must match batch"
+    assert np.array_equal(batch.u, streamed.u), "streaming must match batch"
     print(f"streaming ingest ({ingest.n_chunks} chunks, 3-angle blocks) == "
-          f"batch reconstruction bit-for-bit")
+          f"batch reconstruction bit-for-bit, memoization served "
+          f"{100 * streamed.memoized_fraction:.0f}% of chunk-ops")
 
-    # -- 3. paper-scale overlapped-phase model (Figure 18) -------------------------
-    cost = CostModel()
-    dims = ProblemDims(n=1024, n_chunks=64)
-    read = cost.chunk_read_time(dims)
-    write = cost.chunk_write_time(dims)
-    compute = cost.chunk_compute_time(dims)
-    serial_s = dims.n_chunks * (read + compute + write)
-    print(f"\npaper-scale sweep ({dims.n}^3, {dims.n_chunks} chunks): "
-          f"read {read * 1e3:.2f} ms + compute {compute * 1e3:.2f} ms + "
-          f"write {write * 1e3:.2f} ms per chunk")
-    print(f"{'queue':>6} {'workers':>8} {'pipelined (s)':>14} {'speedup':>8} "
-          f"{'bound':>6} {'fill/drain':>11}")
-    for q in (1, 2, 4):
-        for w in (1, 2, 4):
-            p = simulate_pipeline(dims.n_chunks, read, compute, write,
-                                  queue_depth=q, n_workers=w)
-            print(f"{q:>6} {w:>8} {p.pipelined_time:>14.3f} {p.speedup:>8.2f} "
-                  f"{p.speedup_bound:>6.2f} {p.fill_drain_time:>11.4f}")
-    print(f"serial makespan: {serial_s:.3f} s — overlap hides everything but "
-          f"the bottleneck stage (speedup <= serial / max stage)")
+    # -- a scan of the wrong shape is refused up front ------------------------------
+    short = StreamingIngest((n // 2, n, n), chunk_size=4, queue_depth=1)
+    feeder = feed(short, data[: n // 2], block=4)
+    try:
+        solver.reconstruct_streaming(short)
+    except ValueError as exc:
+        print(f"short scan refused: {exc}")
+    else:
+        raise AssertionError("a short scan must be refused")
+    finally:
+        feeder.join()
 
 
 if __name__ == "__main__":

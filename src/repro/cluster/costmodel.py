@@ -116,27 +116,6 @@ class CostModel:
     def ssd_read_time(self, nbytes: float) -> float:
         return self.node.ssd.read_time(nbytes)
 
-    # -- streaming pipeline stages -------------------------------------------------------
-
-    def chunk_read_time(self, dims: ProblemDims) -> float:
-        """Reader stage: SSD load of one chunk slab (spill-backed ingest)."""
-        return self.node.ssd.read_time(dims.chunk_bytes)
-
-    def chunk_write_time(self, dims: ProblemDims) -> float:
-        """Writer stage: SSD store of one output slab."""
-        return self.node.ssd.write_time(dims.chunk_bytes)
-
-    def chunk_compute_time(
-        self,
-        dims: ProblemDims,
-        ops: tuple[str, ...] = ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*"),
-    ) -> float:
-        """Compute stage: one chunk through the cancelled sweep's FFT ops
-        plus forward and adjoint PCIe staging."""
-        return sum(self.fft_time(op, dims) for op in ops) + 2 * (
-            self.h2d_time(dims) + self.d2h_time(dims)
-        )
-
     # -- CPU work ------------------------------------------------------------------------
 
     def encode_time(self, dims: ProblemDims) -> float:
@@ -150,6 +129,20 @@ class CostModel:
         cnn_macs = 2.6e6
         downsample_ops = dims.chunk_elems
         return (cnn_macs * 2 + downsample_ops) / self.node.cpu.int8_ops_per_s * 4
+
+    def cpu_phase_times(self, dims: ProblemDims) -> dict[str, float]:
+        """Host time of the ADMM phases outside the LSP, per outer iteration:
+        elementwise COMPLEX64 passes over the volume."""
+        vol = dims.n**3
+        cpu = self.node.cpu.complex_elemwise_per_s
+        return {
+            # RSP: grad(u), +lam/rho, isotropic shrink — ~10 field traversals
+            "rsp": 10.0 * vol / cpu,
+            # lambda update: grad reuse + axpy over the 3-component field
+            "lambda_update": 6.0 * vol / cpu,
+            # penalty update: two norms over the field
+            "penalty_update": 4.0 * vol / cpu,
+        }
 
     def cpu_subtract_time(self, dims: ProblemDims) -> float:
         """Frequency-domain COMPLEX64 subtraction on the CPU (the Sec. 4.2

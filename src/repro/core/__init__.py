@@ -4,7 +4,7 @@ database tier (:class:`MemoShardRouter`), offload planner, multi-GPU
 scaling, and the trace-driven performance simulation."""
 
 from .coalescer import CoalesceStats, KeyCoalescer
-from .config import MemoConfig, MLRConfig, ObsConfig, PipelineConfig
+from .config import MemoConfig, MLRConfig, ObsConfig
 from .keying import CNNKeyEncoder, PoolKeyEncoder, chunk_to_image, chunk_to_stack, pool3d
 from .memo_cache import CacheHit, CacheStats, GlobalMemoCache, PrivateMemoCache
 from .memo_db import MemoDatabase, MemoDBStats, QueryOutcome
@@ -36,11 +36,9 @@ from .offload import (
 )
 from .perfsim import (
     IterationPerf,
-    PipelinePerf,
     coalesce_comparison,
     memo_case_breakdown,
     simulate_iteration,
-    simulate_pipeline,
 )
 from .scaling import GPUAssignment, distribute_chunks
 
@@ -50,7 +48,6 @@ __all__ = [
     "MemoConfig",
     "MLRConfig",
     "ObsConfig",
-    "PipelineConfig",
     "CNNKeyEncoder",
     "PoolKeyEncoder",
     "chunk_to_image",
@@ -85,11 +82,9 @@ __all__ = [
     "greedy_offload",
     "lru_offload",
     "IterationPerf",
-    "PipelinePerf",
     "coalesce_comparison",
     "memo_case_breakdown",
     "simulate_iteration",
-    "simulate_pipeline",
     "GPUAssignment",
     "distribute_chunks",
 ]

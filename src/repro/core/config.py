@@ -7,40 +7,7 @@ from dataclasses import dataclass, field
 
 from ..obs.config import ObsConfig
 
-__all__ = ["MemoConfig", "MLRConfig", "ObsConfig", "PipelineConfig"]
-
-
-@dataclass
-class PipelineConfig:
-    """Knobs of the streaming execution mode (:mod:`repro.pipeline`).
-
-    Defined here so the config layer stays free of the pipeline subsystem
-    (which core executors run their sweeps through, not the other way
-    around); it is re-exported as :class:`repro.pipeline.PipelineConfig`.
-
-    queue_depth:
-        Capacity of each inter-stage queue (input slabs the reader may run
-        ahead, output slabs the writer may lag).  Depth 1 is strict
-        double-buffering; larger depths absorb burstier stage-time
-        variation at the cost of resident slabs.
-    ingest_queue_depth:
-        Block capacity of a :class:`~repro.pipeline.ingest.StreamingIngest`
-        source (backpressure on the instrument/producer side).
-
-    (SSD prefetch lookahead is a property of the chunk *source* — pass
-    ``prefetch_depth`` to :class:`~repro.pipeline.reader.SpillSource`.)
-    """
-
-    queue_depth: int = 2
-    ingest_queue_depth: int = 4
-
-    def __post_init__(self) -> None:
-        if self.queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.ingest_queue_depth < 1:
-            raise ValueError(
-                f"ingest_queue_depth must be >= 1, got {self.ingest_queue_depth}"
-            )
+__all__ = ["MemoConfig", "MLRConfig", "ObsConfig"]
 
 
 @dataclass
@@ -177,14 +144,6 @@ class MLRConfig:
         is pure routing: every ``n_workers x n_shards`` is numerically
         identical to the default ``1 x 1`` for the paper-default private
         cache.
-    pipeline:
-        Execution mode of the executor's op sweeps, passed down to the
-        :class:`~repro.core.memo_engine.MemoizedExecutor`: ``None`` (the
-        default) runs each sweep inline; a
-        :class:`~repro.pipeline.PipelineConfig` runs it as a
-        :class:`~repro.pipeline.ChunkPipeline` — overlapped read -> memoized
-        compute -> write with bounded queues, bit-identical to the inline
-        mode.
     memo_snapshot:
         Warm-start source for the memoization database tier: a snapshot
         directory written by :func:`repro.service.save_memo_snapshot` (or
@@ -206,7 +165,6 @@ class MLRConfig:
     memo: MemoConfig = field(default_factory=MemoConfig)
     n_workers: int = 1
     n_shards: int = 1
-    pipeline: PipelineConfig | None = None
     memo_snapshot: str | os.PathLike | dict | None = None
     obs: ObsConfig | None = None
 
@@ -214,11 +172,6 @@ class MLRConfig:
         if not isinstance(self.memo, MemoConfig):
             raise ValueError(
                 f"memo must be a MemoConfig, got {type(self.memo).__name__}"
-            )
-        if self.pipeline is not None and not isinstance(self.pipeline, PipelineConfig):
-            raise ValueError(
-                f"pipeline must be a PipelineConfig or None, "
-                f"got {type(self.pipeline).__name__}"
             )
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")

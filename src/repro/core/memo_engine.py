@@ -47,7 +47,7 @@ from ..lamino.chunking import Chunk
 from ..obs import runtime as obs
 from ..solvers.executor import SWEEP_AXIS, SWEEP_KERNELS, DirectExecutor, operand_shape
 from .coalescer import CoalesceStats, KeyCoalescer
-from .config import MemoConfig, PipelineConfig
+from .config import MemoConfig
 from .keying import CNNKeyEncoder, PoolKeyEncoder, check_fingerprint
 from .memo_cache import CacheStats, GlobalMemoCache, PrivateMemoCache
 from .memo_db import MemoDatabase, MemoDBStats
@@ -169,11 +169,10 @@ class MemoizedExecutor(DirectExecutor):
         encoder=None,
         n_workers: int = 1,
         n_shards: int = 1,
-        pipeline: PipelineConfig | None = None,
     ) -> None:
         if n_workers < 1 or n_shards < 1:
             raise ValueError("n_workers and n_shards must be >= 1")
-        super().__init__(ops, chunk_size=chunk_size, pipeline=pipeline)
+        super().__init__(ops, chunk_size=chunk_size)
         self.config = config or MemoConfig()
         if encoder is not None:
             self.encoder = encoder
@@ -342,10 +341,10 @@ class MemoizedExecutor(DirectExecutor):
         worker-disjoint and insertions are deferred to the end of the whole
         sweep, streaming worker-by-worker is bit-identical to running all
         of phase A before all of phase B — outputs just become available as
-        each worker's block completes, which is what lets the pipeline's
-        writer stage overlap them with the next block's compute.  The
-        full-array ops are inherited calls to ``_sweep`` over this seam, so
-        the inline and pipelined modes share it.
+        each worker's block completes, which is what lets a streaming
+        consumer (:meth:`~repro.core.mlr_solver.MLRSolver.reconstruct_streaming`)
+        take them while later chunks are still arriving.  The full-array
+        ops are inherited calls to ``_sweep`` over this seam.
 
         ``n_chunks`` (the sweep size) is required: the worker assignment
         must be fixed before the first item is consumed.
@@ -363,7 +362,7 @@ class MemoizedExecutor(DirectExecutor):
             completed = True
         finally:
             if not completed:
-                # a dead sweep (pipeline stage failure, abandoned generator)
+                # a dead sweep (a failing source, an abandoned generator)
                 # must not leak its buffered queries or coalesced keys into
                 # the next sweep's messages and statistics
                 for worker in self.workers:
@@ -435,8 +434,8 @@ class MemoizedExecutor(DirectExecutor):
             for chunk, x, sub, slot in block:
                 loc = chunk.index
                 tags = dict(worker=worker_id, shard=self.router.shard_of(loc))
-                # the span closes before the yield: consumer time (pipeline
-                # writer, downstream stages) must not bill to the kernel
+                # the span closes before the yield: consumer time (the
+                # assembler, a streaming caller) must not bill to the kernel
                 with obs.span(f"sweep.{op}", chunk=loc, worker=worker_id):
                     if not memoized_op or in_warmup:
                         out = compute(chunk, x)

@@ -28,7 +28,7 @@ from ..lamino.geometry import LaminoGeometry
 from ..lamino.operators import LaminoOperators
 from ..obs import runtime as obs
 from ..solvers.admm import ADMMConfig, ADMMResult, ADMMSolver
-from .config import MLRConfig, PipelineConfig
+from .config import MLRConfig
 from .keying import CNNKeyEncoder, chunk_to_image, state_digest
 from .memo_engine import MemoEvent, MemoizedExecutor
 
@@ -102,7 +102,6 @@ class MLRSolver:
             encoder=encoder,
             n_workers=self.config.n_workers,
             n_shards=self.config.n_shards,
-            pipeline=self.config.pipeline,
         )
         #: the same executor under the name the perf ledger reads
         self.memo_executor = self.executor
@@ -240,14 +239,12 @@ class MLRSolver:
 
     # -- streaming ingest ---------------------------------------------------------------
 
-    def make_ingest(self, queue_depth: int | None = None):
+    def make_ingest(self, queue_depth: int = 4):
         """A :class:`~repro.pipeline.StreamingIngest` matched to this
-        solver's geometry and chunk grid."""
+        solver's geometry and chunk grid; ``queue_depth`` blocks of
+        backpressure toward the producer."""
         from ..pipeline import StreamingIngest
 
-        if queue_depth is None:
-            pipeline = self.config.pipeline or PipelineConfig()
-            queue_depth = pipeline.ingest_queue_depth
         return StreamingIngest(
             self.geometry.data_shape,
             chunk_size=self.config.chunk_size,
@@ -264,9 +261,18 @@ class MLRSolver:
         transformed while later ones are still arriving — and the ADMM
         iterations start as soon as the scan completes.  The result is
         bit-identical to :meth:`reconstruct` on the fully assembled data.
+
+        An ingest declared for another scan shape is refused (``ValueError``)
+        before anything is consumed, and torn down so its producer sees
+        ``QueueClosed``.
         """
-        d = np.empty(self.geometry.data_shape,
-                     dtype=getattr(ingest, "dtype", np.complex64))
+        if tuple(ingest.data_shape) != self.geometry.data_shape:
+            ingest.abort()
+            raise ValueError(
+                f"ingest declares a {tuple(ingest.data_shape)} scan, the geometry "
+                f"needs {self.geometry.data_shape}"
+            )
+        d = np.empty(self.geometry.data_shape, dtype=ingest.dtype)
 
         def assemble(items):
             for chunk, slab in items:

@@ -103,8 +103,6 @@ class IterationSchedule:
     ) -> "IterationSchedule":
         """Canonical ADMM iteration (validated against the solver's real
         phase trace in the test suite)."""
-        vol = dims.n**3
-        cpu = cost.node.cpu.complex_elemwise_per_s
         if lsp_time is None:
             per_inner = sum(
                 dims.n_chunks
@@ -112,15 +110,7 @@ class IterationSchedule:
                 for op in ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")
             )
             lsp_time = n_inner * per_inner
-        durations = {
-            "lsp": lsp_time,
-            # RSP: grad(u), +lam/rho, isotropic shrink — ~10 field traversals
-            "rsp": 10.0 * vol / cpu,
-            # lambda update: grad reuse + axpy over the 3-component field
-            "lambda_update": 6.0 * vol / cpu,
-            # penalty update: two norms over the field
-            "penalty_update": 4.0 * vol / cpu,
-        }
+        durations = {"lsp": lsp_time, **cost.cpu_phase_times(dims)}
         accesses = [
             # LSP: psi/lam are read once at entry (forming g); the CG memory
             # g_prev is first needed after the first gradient evaluation and

@@ -29,9 +29,7 @@ from .scaling import distribute_chunks
 
 __all__ = [
     "IterationPerf",
-    "PipelinePerf",
     "simulate_iteration",
-    "simulate_pipeline",
     "memo_case_breakdown",
     "coalesce_comparison",
 ]
@@ -315,7 +313,7 @@ def simulate_iteration(
 
     lsp_time = tl.makespan
     gpu_busy = sum(g.compute.busy_time for g in cluster.gpus)
-    sched = _cpu_phase_durations(dims, cost)
+    sched = cost.cpu_phase_times(dims)
     return IterationPerf(
         timeline=tl,
         cluster=cluster,
@@ -327,126 +325,6 @@ def simulate_iteration(
         ],
         gpu_busy=gpu_busy,
     )
-
-
-@dataclass
-class PipelinePerf:
-    """Overlapped-phase timing of a read -> compute -> write chunk pipeline.
-
-    The serial baseline pays ``sum(stage)`` per chunk; the pipelined
-    makespan approaches ``max(stage totals) + fill/drain`` — the bottleneck
-    stage plus the latency of priming and emptying the queues.  ``speedup``
-    is therefore bounded by ``speedup_bound = serial / max(stage totals)``:
-    overlap can hide everything *except* the bottleneck stage.
-    """
-
-    n_chunks: int
-    queue_depth: int
-    n_workers: int
-    read_time: float
-    compute_time: float
-    write_time: float
-    pipelined_time: float
-
-    @property
-    def serial_time(self) -> float:
-        """No overlap: every chunk pays read + compute + write end to end."""
-        return self.n_chunks * (self.read_time + self.compute_time + self.write_time)
-
-    @property
-    def stage_totals(self) -> dict[str, float]:
-        """Aggregate busy time per stage engine (compute divided over its
-        ``n_workers`` parallel engines)."""
-        return {
-            "read": self.n_chunks * self.read_time,
-            "compute": self.n_chunks * self.compute_time / self.n_workers,
-            "write": self.n_chunks * self.write_time,
-        }
-
-    @property
-    def bottleneck_time(self) -> float:
-        return max(self.stage_totals.values())
-
-    @property
-    def fill_drain_time(self) -> float:
-        """Pipeline priming/emptying latency exposed beyond the bottleneck."""
-        return self.pipelined_time - self.bottleneck_time
-
-    @property
-    def io_time(self) -> float:
-        return self.read_time + self.write_time
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_time / self.pipelined_time if self.pipelined_time else 1.0
-
-    @property
-    def speedup_bound(self) -> float:
-        return self.serial_time / self.bottleneck_time if self.bottleneck_time else 1.0
-
-
-def simulate_pipeline(
-    n_chunks: int,
-    read_time: float,
-    compute_time: float,
-    write_time: float,
-    queue_depth: int = 2,
-    n_workers: int = 1,
-) -> PipelinePerf:
-    """Schedule one read -> compute -> write sweep on the DES.
-
-    Three serially shared engines — one reader (SSD/ingest), ``n_workers``
-    compute engines, one writer — process ``n_chunks`` chunks.  Bounded
-    queues of ``queue_depth`` apply backpressure: the read of chunk ``i``
-    cannot start until the compute of chunk ``i - queue_depth`` finished
-    (its input-queue slot freed), and the compute of chunk ``i`` waits for
-    the write of chunk ``i - queue_depth`` likewise.  The makespan realizes
-    the ``max(stage) + fill/drain`` overlapped-phase model instead of the
-    serial ``sum(stage)``.
-    """
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if queue_depth < 1:
-        raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if min(read_time, compute_time, write_time) < 0:
-        raise ValueError("stage times must be >= 0")
-    tl = Timeline()
-    reader = tl.resource("reader")
-    compute = tl.resource("compute", capacity=n_workers)
-    writer = tl.resource("writer")
-    reads: list = []
-    computes: list = []
-    writes: list = []
-    for i in range(n_chunks):
-        rdeps = [computes[i - queue_depth]] if i >= queue_depth else []
-        r = tl.add(f"read/{i}", reader, read_time, deps=rdeps)
-        cdeps = [r] + ([writes[i - queue_depth]] if i >= queue_depth else [])
-        c = tl.add(f"compute/{i}", compute, compute_time, deps=cdeps)
-        w = tl.add(f"write/{i}", writer, write_time, deps=[c])
-        reads.append(r)
-        computes.append(c)
-        writes.append(w)
-    return PipelinePerf(
-        n_chunks=n_chunks,
-        queue_depth=queue_depth,
-        n_workers=n_workers,
-        read_time=read_time,
-        compute_time=compute_time,
-        write_time=write_time,
-        pipelined_time=tl.makespan,
-    )
-
-
-def _cpu_phase_durations(dims: ProblemDims, cost: CostModel) -> dict[str, float]:
-    vol = dims.n**3
-    cpu = cost.node.cpu.complex_elemwise_per_s
-    return {
-        "rsp": 10.0 * vol / cpu,
-        "lambda_update": 6.0 * vol / cpu,
-        "penalty_update": 4.0 * vol / cpu,
-    }
 
 
 def memo_case_breakdown(

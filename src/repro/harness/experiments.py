@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster.costmodel import CostModel
-from ..core.config import MemoConfig, MLRConfig, PipelineConfig
+from ..core.config import MemoConfig, MLRConfig
 from ..core.memo_engine import MemoEvent, MemoizedExecutor
 from ..core.mlr_solver import MLRSolver
 from ..core.offload import (
@@ -35,7 +35,6 @@ from ..core.perfsim import (
     coalesce_comparison,
     memo_case_breakdown,
     simulate_iteration,
-    simulate_pipeline,
 )
 from ..lamino.operators import LaminoOperators
 from ..memio.variables import admm_variables
@@ -58,7 +57,6 @@ __all__ = [
     "fig14_sharded",
     "tab01_accuracy",
     "fig17_convergence",
-    "fig18_pipeline_overlap",
     "fig_warmstart",
 ]
 
@@ -549,109 +547,6 @@ def tab01_accuracy(
                  ["tau", "accuracy", "memoized fraction"],
                  [list(r) for r in zip(taus, accs, memos)])],
         values=dict(taus=list(taus), accuracies=accs, memo_fractions=memos),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 18 — streaming pipeline overlap
-# ---------------------------------------------------------------------------
-
-
-def fig18_pipeline_overlap(
-    spec: DatasetSpec = SMALL,
-    queue_depths: tuple[int, ...] = (1, 2, 4),
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-    sim_outer: int = 6,
-    quick: bool = True,
-) -> Figure:
-    """The streaming-pipeline study (overlapped read -> memoized compute ->
-    write; :mod:`repro.pipeline`): functional bit-identity at simulation
-    scale plus the overlapped-phase makespan surface at paper scale.
-
-    The *functional* half runs the real solver twice — monolithic and
-    ``pipeline=`` mode — and checks bit-identity, plus a streaming-ingest
-    run where projections arrive block by block from a producer thread.
-    The *modeled* half schedules one paper-scale sweep on the DES across
-    the (queue depth, compute workers) grid, with SSD chunk reads/writes
-    as the outer stages.  ``values["read_backpressure"]`` (producer blocks
-    of the functional run) is timing-dependent, so the report leaves it
-    out: its output is committed.
-    """
-    if quick:
-        sim_outer = min(sim_outer, 4)
-
-    # -- functional: serial vs pipelined vs streaming, bit for bit --------------
-    problem = _Problem(spec)
-    geometry, data = problem.geometry, problem.data
-
-    serial_result = problem.mlr(sim_outer).reconstruct(data)
-    piped_solver = problem.mlr(sim_outer, pipeline=PipelineConfig(queue_depth=2))
-    piped_result = piped_solver.reconstruct(data)
-    stats = piped_solver.executor.pipeline_stats()
-
-    streaming_solver = problem.mlr(sim_outer)
-    ingest = streaming_solver.make_ingest()
-
-    from ..pipeline import QueueClosed
-
-    def produce() -> None:
-        block = max(1, spec.sim_chunk - 1)  # deliberately chunk-misaligned
-        try:
-            with ingest:
-                for lo in range(0, geometry.data_shape[0], block):
-                    ingest.push(data[lo:lo + block])
-        except QueueClosed:
-            pass  # the consumer died and tore the stream down
-
-    import threading
-
-    feeder = threading.Thread(target=produce)
-    feeder.start()
-    try:
-        streaming_result = streaming_solver.reconstruct_streaming(ingest)
-    finally:
-        feeder.join()
-
-    # -- modeled: the overlapped-phase surface at paper scale -------------------
-    cost = CostModel()
-    dims = spec.dims
-    read = cost.chunk_read_time(dims)
-    write = cost.chunk_write_time(dims)
-    compute = cost.chunk_compute_time(dims)
-    perfs = {  # (queue_depth, workers) -> PipelinePerf
-        (q, w): simulate_pipeline(
-            dims.n_chunks, read, compute, write, queue_depth=q, n_workers=w
-        )
-        for q in queue_depths
-        for w in worker_counts
-    }
-
-    io_time = read + write  # modeled per-chunk read + write seconds
-    bitwise = bool(np.array_equal(serial_result.u, piped_result.u))
-    streaming = bool(np.array_equal(serial_result.u, streaming_result.u))
-    serial_time = next(iter(perfs.values())).serial_time
-    rows = [
-        [q, w, perf.pipelined_time, perf.speedup, perf.speedup_bound, perf.fill_drain_time]
-        for (q, w), perf in sorted(perfs.items())
-    ]
-    return Figure(
-        tables=[(f"Figure 18: pipelined sweep makespan (serial = {serial_time:.3f} s, "
-                 f"per-chunk I/O = {io_time * 1e3:.2f} ms)",
-                 ["queue depth", "workers", "pipelined (s)", "speedup", "bound",
-                  "fill/drain (s)"], rows)],
-        notes=[f"functional run: pipelined == serial bit-for-bit: {bitwise}; "
-               f"streaming ingest == batch: {streaming}; {stats.items} chunk-ops pipelined"],
-        values=dict(
-            queue_depths=list(queue_depths),
-            worker_counts=list(worker_counts),
-            perfs=perfs,
-            io_time=io_time,
-            bitwise_identical=bitwise,
-            streaming_identical=streaming,
-            pipeline_items=stats.items,
-            read_backpressure=stats.read_queue.producer_blocks,
-            case_counts=dict(piped_result.case_counts),
-        ),
     )
 
 

@@ -8,8 +8,7 @@ paper's memoization cache — each location owns a private single-entry cache.
 
 A sweep walks one :class:`ArraySource` (the operand's slabs, in chunk
 order) and feeds one :class:`SlabAssembler` (the output slabs, back into
-one array) — inline or through :class:`~repro.pipeline.ChunkPipeline`'s
-reader and writer threads.
+one array).
 """
 
 from __future__ import annotations

@@ -34,8 +34,7 @@ class SpillManager:
     """Spill numpy arrays to a directory; prefetch them back asynchronously.
 
     Thread-safety contract: concurrent operations on *distinct* names are
-    safe (the pipeline's reader and writer use distinct prefixes), and
-    ``close()`` may race any of them.  Re-spilling a name while another
+    safe, and ``close()`` may race any of them.  Re-spilling a name while another
     thread concurrently reads that *same* name is not coordinated — one
     writer per name at a time.
     """
@@ -98,7 +97,7 @@ class SpillManager:
 
         Idempotent for an already-in-flight name (no second submission, no
         double-counted statistics) and a no-op on a closed manager — a
-        pipeline reader racing the manager's shutdown must not die on it.
+        prefetching thread racing the manager's shutdown must not die on it.
         """
         with self._lock:
             if self._closed:

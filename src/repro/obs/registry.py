@@ -1,8 +1,8 @@
 """Thread-safe metrics registry: counters, gauges, log-bucketed histograms.
 
 The registry is the convergence point of the repo's stats dataclasses
-(``NetClientStats``, ``ServerStats``, ``QueueStats``, ``PipelineStats``,
-``SchedulerStats``, ``MemoDBStats`` — all through
+(``NetClientStats``, ``ServerStats``, ``SchedulerStats``,
+``MemoDBStats`` — all through
 :func:`repro.obs.runtime.publish_gauges`) and of the live instrumentation
 on the sweep / FFT / ANN / queue / wire hot paths.  Design constraints:
 

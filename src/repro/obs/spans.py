@@ -4,9 +4,7 @@ per-thread ring buffers.
 A span is one timed region (``with span("sweep.Fu1D", chunk=i):``).  Start
 and stop come from ``time.monotonic()`` so durations survive wall-clock
 adjustment; the parent relationship rides a :mod:`contextvars` variable, so
-it follows the logical flow of control — including into pipeline stage
-threads, which enter a copy of the launching thread's context (see
-:class:`~repro.pipeline.pipeline.ChunkPipeline`).
+it follows the logical flow of control.
 
 Spans form **traces**: the outermost span of a context mints a trace id
 that every descendant span inherits, and both ids are designed to survive

@@ -1,33 +1,18 @@
-"""Streaming pipelined reconstruction: overlapped read -> compute -> write.
+"""Streaming ingest: reconstruction starts before the scan finishes.
 
-The subsystem that hides I/O behind the memoized solver: bounded queues
-with backpressure (:mod:`.queues`), the SSD chunk source (:mod:`.reader`)
-and sink (:mod:`.writer`), the staged orchestrator (:mod:`.pipeline`) and
-the incremental projection source (:mod:`.ingest`).  Pipelined execution
-is a mode of the executor, not a wrapper around it: an executor built with
-``pipeline=PipelineConfig(...)`` (what ``MLRConfig(pipeline=...)`` passes
-down) runs each op sweep's in-memory :class:`ArraySource` and
-:class:`SlabAssembler` (re-exported from :mod:`repro.lamino.chunking`)
-through a :class:`ChunkPipeline`.
+A fixed-depth FIFO with backpressure and close semantics
+(:mod:`.queues`) and the incremental projection source built on it
+(:mod:`.ingest`), which
+:meth:`MLRSolver.reconstruct_streaming <repro.core.mlr_solver.MLRSolver.reconstruct_streaming>`
+consumes while an acquisition thread is still pushing angle blocks.
 """
 
-from ..lamino.chunking import ArraySource, SlabAssembler
 from .ingest import StreamingIngest
-from .pipeline import ChunkPipeline, PipelineConfig, PipelineStats
 from .queues import BoundedQueue, QueueClosed, QueueStats
-from .reader import SpillSource
-from .writer import SpillSlabWriter
 
 __all__ = [
     "StreamingIngest",
-    "ChunkPipeline",
-    "PipelineConfig",
-    "PipelineStats",
     "BoundedQueue",
     "QueueClosed",
     "QueueStats",
-    "ArraySource",
-    "SpillSource",
-    "SlabAssembler",
-    "SpillSlabWriter",
 ]

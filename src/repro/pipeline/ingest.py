@@ -1,8 +1,8 @@
 """Streaming ingest: reconstruction starts before the scan finishes.
 
 A laminography scan delivers projections incrementally — angle block by
-angle block off the detector.  :class:`StreamingIngest` is the pipeline
-source for that arrival process: an acquisition thread ``push()``es blocks
+angle block off the detector.  :class:`StreamingIngest` is the source
+for that arrival process: an acquisition thread ``push()``es blocks
 of whatever height the instrument produces, and the consumer side iterates
 ``(chunk, slab)`` items re-aligned to the solver's chunk grid, with
 backpressure (a bounded block queue) toward the producer.
@@ -51,7 +51,7 @@ class StreamingIngest:
         self.data_shape = tuple(data_shape)
         self.dtype = np.dtype(dtype)
         self.chunks = list(iter_chunks(data_shape[0], chunk_size))
-        self._queue = BoundedQueue(queue_depth)
+        self._queue = BoundedQueue(queue_depth, name="ingest")
         self._buffered: list[np.ndarray] = []
         self._buffered_rows = 0
         self._pushed_rows = 0

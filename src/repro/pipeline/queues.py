@@ -1,17 +1,16 @@
-"""Bounded inter-stage queues with close semantics and backpressure stats.
+"""A bounded queue with close semantics and backpressure stats.
 
-The streaming pipeline's stages communicate exclusively through
-:class:`BoundedQueue`: a fixed-depth FIFO whose ``put`` blocks when the
-queue is full (backpressure on the producer) and whose ``get`` blocks when
-it is empty (starvation of the consumer).  Both conditions are counted, so
-a finished run can report which stage was the bottleneck — the functional
-analogue of the DES pipeline model's ``max(stage)`` term.
+A streaming ingest hands chunk slabs from the acquisition thread to the
+solver through :class:`BoundedQueue`: a fixed-depth FIFO whose ``put``
+blocks when the queue is full (backpressure on the producer) and whose
+``get`` blocks when it is empty (starvation of the consumer).  Both
+conditions are counted, so a finished run can report which side waited.
 
 ``close()`` ends the stream: producers see :class:`QueueClosed` on further
 ``put``s, consumers drain the remaining items and then see
-:class:`QueueClosed` (or the end of iteration).  Closing is idempotent and
-safe from any thread, which is what lets a failing stage tear the whole
-pipeline down without deadlocking its neighbors.
+:class:`QueueClosed`.  Closing is idempotent and safe from any thread,
+which is what lets a failing consumer tear the stream down without
+deadlocking the producer.
 """
 
 from __future__ import annotations
@@ -39,14 +38,6 @@ class QueueStats:
     producer_blocks: int = 0  # puts that found the queue full (backpressure)
     consumer_blocks: int = 0  # gets that found the queue empty (starvation)
     max_depth: int = 0
-
-    def merge(self, other: "QueueStats") -> "QueueStats":
-        self.puts += other.puts
-        self.gets += other.gets
-        self.producer_blocks += other.producer_blocks
-        self.consumer_blocks += other.consumer_blocks
-        self.max_depth = max(self.max_depth, other.max_depth)
-        return self
 
 
 class BoundedQueue:
@@ -116,15 +107,3 @@ class BoundedQueue:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._items)
-
-    def __iter__(self):
-        """Drain until closed-and-empty."""
-        while True:
-            try:
-                yield self.get()
-            except QueueClosed:
-                return

@@ -17,28 +17,17 @@ the base of :class:`~repro.core.memo_engine.MemoizedExecutor`) is:
 - ``sweep_stream`` — the *streaming* form of one op sweep: consume
   ``(chunk, payload)`` items in chunk order, yield ``(chunk, output)``
   pairs: the seam the memoized executor overrides.
-
-Pipelined execution is a mode of ``_sweep``, not a second executor: with
-``pipeline=PipelineConfig(...)`` its chunk source and assembler run on the
-reader and writer threads of a :class:`~repro.pipeline.ChunkPipeline`
-while ``sweep_stream`` computes on the calling thread, in chunk order —
-bit-identical values and memory layout to the inline mode.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..lamino.chunking import ArraySource, Chunk, SlabAssembler, iter_chunks
 from ..lamino.operators import LaminoOperators
 from ..obs import runtime as obs
-
-if TYPE_CHECKING:
-    from ..core.config import PipelineConfig
-    from ..pipeline.pipeline import PipelineStats
 
 __all__ = ["DirectExecutor", "SWEEP_AXIS", "SWEEP_KERNELS", "operand_shape"]
 
@@ -80,21 +69,11 @@ class DirectExecutor:
     partition along the volume x-axis, ``fu2d``/``fu2d_adj`` along the
     detector row-frequency axis, ``f2d``/``f2d_adj`` along the angle axis.
     Setting ``chunk_size=None`` disables chunking (single full-array call).
-    ``pipeline`` is the sweeps' execution mode: ``None`` inline, a
-    :class:`~repro.pipeline.PipelineConfig` pipelined.
     """
 
-    def __init__(
-        self,
-        ops: LaminoOperators,
-        chunk_size: int | None = None,
-        pipeline: PipelineConfig | None = None,
-    ) -> None:
+    def __init__(self, ops: LaminoOperators, chunk_size: int | None = None) -> None:
         self.ops = ops
         self.chunk_size = chunk_size
-        self.pipeline = pipeline
-        #: op -> cumulative queue statistics of its pipelined sweeps
-        self.pipeline_op_stats: dict[str, PipelineStats] = {}
         self.op_counts: Counter[str] = Counter()
         self.outer_iteration = -1
         self.inner_iteration = -1
@@ -141,8 +120,7 @@ class DirectExecutor:
         """Streaming chunk sweep: consume ``(chunk, payload)`` in chunk
         order, yield ``(chunk, output)`` as each chunk completes.
 
-        Processing is strictly in arrival order on the calling thread, so a
-        pipelined run produces bit-identical numerics to the inline path.
+        Processing is strictly in arrival order on the calling thread.
         ``n_chunks`` is accepted for interface parity with the memoized
         executor (which needs the sweep size up front).
         """
@@ -157,41 +135,14 @@ class DirectExecutor:
     def _sweep(self, op: str, array: np.ndarray, payload=None) -> np.ndarray:
         """The one chunk loop: ``array``'s chunk grid (``payload(chunk)``
         replacing the plain slab where the op's chunk carries more) through
-        ``sweep_stream`` into one assembler — inline, or as a
-        :class:`~repro.pipeline.ChunkPipeline` whose per-op cumulative
-        statistics it publishes."""
+        ``sweep_stream`` into one assembler."""
         axis = SWEEP_AXIS[op]
         n = array.shape[axis]
         source = ArraySource(array, self._grid(op, n), payload)
         sink = SlabAssembler(n, axis)
-        if self.pipeline is None:
-            for chunk, out in self.sweep_stream(op, source, len(source)):
-                sink(chunk, out)
-            return sink.result()
-        # imported here: repro.pipeline imports repro.core, which imports this module
-        from ..pipeline.pipeline import ChunkPipeline, PipelineStats
-
-        pipe = ChunkPipeline(
-            source=source,
-            sweep=lambda items: self.sweep_stream(op, items, len(source)),
-            sink=sink,
-            queue_depth=self.pipeline.queue_depth,
-            op=op,
-        )
-        out = pipe.run()
-        stats = self.pipeline_op_stats.setdefault(op, PipelineStats()).merge(pipe.stats)
-        stats.publish(op=op)
-        return out
-
-    def pipeline_stats(self) -> PipelineStats:
-        """Queue/backpressure statistics aggregated over every pipelined
-        sweep (all zero in the inline mode)."""
-        from ..pipeline.pipeline import PipelineStats
-
-        agg = PipelineStats()
-        for stats in self.pipeline_op_stats.values():
-            agg.merge(stats)
-        return agg
+        for chunk, out in self.sweep_stream(op, source, len(source)):
+            sink(chunk, out)
+        return sink.result()
 
     # -- the six operations ----------------------------------------------------------
 

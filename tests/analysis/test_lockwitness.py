@@ -257,7 +257,7 @@ class TestConditionProtocol:
 
 class TestIntegration:
     def test_bounded_queue_pipeline(self, fresh_witness):
-        from repro.pipeline import BoundedQueue
+        from repro.pipeline import BoundedQueue, QueueClosed
 
         q = BoundedQueue(2)
         got: list[int] = []
@@ -269,21 +269,30 @@ class TestIntegration:
 
         t = threading.Thread(target=producer)
         t.start()
-        got.extend(q)
+        while True:
+            try:
+                got.append(q.get())
+            except QueueClosed:
+                break
         t.join(WAIT)
         assert got == list(range(64))
 
-    def test_chunk_pipeline(self, fresh_witness):
-        from repro.pipeline import ChunkPipeline
+    def test_streaming_ingest(self, fresh_witness):
+        from repro.pipeline import StreamingIngest
 
-        out: list[tuple[int, int]] = []
+        ingest = StreamingIngest((32, 2, 2), chunk_size=4, queue_depth=1)
 
-        def sweep(chunks):
-            for c in chunks:
-                yield c, 2 * c
+        def producer():
+            with ingest:
+                for lo in range(0, 32, 3):
+                    ingest.push(np.full((min(3, 32 - lo), 2, 2), lo))
 
-        ChunkPipeline(iter(range(32)), sweep, lambda c, v: out.append((c, v))).run()
-        assert sorted(out) == [(c, 2 * c) for c in range(32)]
+        t = threading.Thread(target=producer)
+        t.start()
+        got = [chunk.index for chunk, _slab in ingest]
+        t.join(WAIT)
+        assert not t.is_alive()
+        assert got == list(range(8))
 
     def test_spill_manager_roundtrip(self, fresh_witness, tmp_path):
         from repro.memio import SpillManager

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MemoConfig, MLRConfig, ObsConfig, PipelineConfig
+from repro.core import MemoConfig, MLRConfig, ObsConfig
 from repro.service import ServiceConfig
 from repro.solvers import ADMMConfig
 
@@ -36,11 +36,6 @@ class TestMLRConfig:
     def test_memo_must_be_memo_config(self):
         with pytest.raises(ValueError, match="MemoConfig"):
             MLRConfig(memo={"tau": 0.9})
-
-    def test_pipeline_must_be_pipeline_config(self):
-        with pytest.raises(ValueError, match="PipelineConfig"):
-            MLRConfig(pipeline=2)
-        MLRConfig(pipeline=PipelineConfig(queue_depth=1))
 
     def test_memo_snapshot_types(self):
         MLRConfig(memo_snapshot=None)
@@ -70,15 +65,6 @@ class TestMemoConfig:
             MemoConfig(key_hw=1)
         with pytest.raises(ValueError, match="warmup_iterations"):
             MemoConfig(warmup_iterations=-1)
-
-
-class TestPipelineConfig:
-    @pytest.mark.parametrize("bad", [0, -2])
-    def test_queue_depths(self, bad):
-        with pytest.raises(ValueError, match="queue_depth"):
-            PipelineConfig(queue_depth=bad)
-        with pytest.raises(ValueError, match="ingest_queue_depth"):
-            PipelineConfig(ingest_queue_depth=bad)
 
 
 class TestADMMConfig:

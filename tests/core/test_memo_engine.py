@@ -17,7 +17,6 @@ from repro.core import (
     MemoShardRouter,
     MLRConfig,
     MLRSolver,
-    PipelineConfig,
     shard_of_location,
 )
 from repro.core.memo_engine import make_db_factory
@@ -585,22 +584,19 @@ class TestFleetShapeEquivalence:
         n_workers=st.integers(1, 4),
         n_shards=st.integers(1, 3),
         chunk_size=st.sampled_from([3, 4, 8, 16]),
-        pipeline=st.sampled_from([None, PipelineConfig()]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_any_shape_reproduces_one_by_one(
-        self, problem, n_workers, n_shards, chunk_size, pipeline
-    ):
+    def test_any_shape_reproduces_one_by_one(self, problem, n_workers, n_shards, chunk_size):
         """Private caches scope reuse to a location, and a location is owned
-        by one worker and one shard — so the fleet shape (and the pipelined
-        execution mode) changes which worker/shard a decision is tagged
-        with and nothing else: reconstruction, event trace and database
-        traffic equal the 1 x 1 run's."""
+        by one worker and one shard — so the fleet shape changes which
+        worker/shard a decision is tagged with and nothing else:
+        reconstruction, event trace and database traffic equal the 1 x 1
+        run's."""
         g, ops, truth, d = problem
         ref_u, ref_trace, ref_db = self.ref(problem, chunk_size)
         cfg = MLRConfig(
             chunk_size=chunk_size, memo=memo_cfg(), n_workers=n_workers,
-            n_shards=n_shards, pipeline=pipeline,
+            n_shards=n_shards,
         )
         solver = MLRSolver(g, cfg, admm=ADMM, ops=ops)
         ex = solver.memo_executor

@@ -24,6 +24,20 @@ class TestSchedule:
         ]
         assert all(v > 0 for v in sched.phase_durations.values())
 
+    def test_cpu_phases_match_the_iteration_model(self, setup):
+        """The offload schedule and the DES iteration model price the host
+        phases with the cost model's one set of formulas."""
+        from repro.core.perfsim import simulate_iteration
+
+        cost, dims, sched = setup
+        cpu = cost.cpu_phase_times(dims)
+        perf = simulate_iteration(ProblemDims(n=256, n_chunks=16), cost, n_inner=1)
+        assert {k: sched.phase_durations[k] for k in cpu} == cpu
+        small = cost.cpu_phase_times(ProblemDims(n=256, n_chunks=16))
+        assert {k: perf.phase_durations[k] for k in small} == small
+        # elementwise passes over the volume: 4x the edge, 64x the time
+        assert cpu == pytest.approx({k: 64 * v for k, v in small.items()})
+
     def test_lsp_dominates(self, setup):
         _, _, sched = setup
         lsp = sched.phase_durations["lsp"]

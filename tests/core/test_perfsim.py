@@ -224,62 +224,3 @@ class TestTraceByLocation:
             n_shards=2, trace_by_location=True,
         )
         assert perf.lsp_time > 0
-
-
-class TestSimulatePipeline:
-    """The overlapped-phase model: makespan = max(stage) + fill/drain."""
-
-    def test_single_chunk_equals_serial(self):
-        from repro.core.perfsim import simulate_pipeline
-
-        p = simulate_pipeline(1, 0.01, 0.03, 0.005)
-        assert p.pipelined_time == pytest.approx(p.serial_time)
-
-    def test_bounded_by_model(self):
-        from repro.core.perfsim import simulate_pipeline
-
-        for q in (1, 2, 4):
-            for w in (1, 2, 4):
-                p = simulate_pipeline(64, 0.01, 0.03, 0.008, queue_depth=q, n_workers=w)
-                assert p.pipelined_time <= p.serial_time * (1 + 1e-12)
-                assert p.pipelined_time >= p.bottleneck_time * (1 - 1e-12)
-                assert p.speedup <= p.speedup_bound * (1 + 1e-9)
-
-    def test_io_overlap_beats_serial(self):
-        from repro.core.perfsim import simulate_pipeline
-
-        p = simulate_pipeline(32, 0.01, 0.02, 0.01, queue_depth=2)
-        assert p.pipelined_time < p.serial_time
-        assert p.io_time > 0
-
-    def test_no_io_no_speedup(self):
-        from repro.core.perfsim import simulate_pipeline
-
-        p = simulate_pipeline(32, 0.0, 0.02, 0.0, queue_depth=4)
-        assert p.pipelined_time == pytest.approx(p.serial_time)
-
-    def test_deeper_queues_and_workers_monotone(self):
-        from repro.core.perfsim import simulate_pipeline
-
-        t = [
-            simulate_pipeline(48, 0.01, 0.03, 0.01, queue_depth=q).pipelined_time
-            for q in (1, 2, 4, 8)
-        ]
-        assert all(b <= a * (1 + 1e-12) for a, b in zip(t, t[1:]))
-        tw = [
-            simulate_pipeline(48, 0.001, 0.05, 0.001, queue_depth=8, n_workers=w).pipelined_time
-            for w in (1, 2, 4)
-        ]
-        assert tw[-1] < tw[0]
-
-    def test_validation(self):
-        from repro.core.perfsim import simulate_pipeline
-
-        with pytest.raises(ValueError):
-            simulate_pipeline(0, 0.1, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            simulate_pipeline(4, 0.1, 0.1, 0.1, queue_depth=0)
-        with pytest.raises(ValueError):
-            simulate_pipeline(4, 0.1, 0.1, 0.1, n_workers=0)
-        with pytest.raises(ValueError):
-            simulate_pipeline(4, -0.1, 0.1, 0.1)

@@ -117,19 +117,6 @@ class TestExperimentsSmoke:
         assert v["loss_without"][-1] < v["loss_without"][0]
         assert "loss w/ memoization" in r.report()
 
-    def test_fig18(self):
-        r = E.fig18_pipeline_overlap(
-            TINY, queue_depths=(1, 2), worker_counts=(1, 2), sim_outer=3, quick=True
-        )
-        v = r.values
-        assert v["bitwise_identical"]
-        assert v["streaming_identical"]
-        assert v["io_time"] > 0
-        for perf in v["perfs"].values():
-            assert perf.pipelined_time < perf.serial_time
-            assert perf.speedup <= perf.speedup_bound * (1 + 1e-9)
-        assert "Figure 18" in r.report()
-
 
 class TestReportHelpers:
     def test_table_alignment(self):

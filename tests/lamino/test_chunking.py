@@ -1,4 +1,5 @@
-"""Chunk partition properties (hypothesis-driven)."""
+"""Chunk partition properties (hypothesis-driven), and the sweep's slab
+source and assembler."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lamino import Chunk, chunk_ranges, iter_chunks
+from repro.lamino.chunking import ArraySource, SlabAssembler
 
 
 class TestChunkRanges:
@@ -47,3 +49,69 @@ class TestChunk:
         chunks = list(iter_chunks(10, 4))
         assert [c.index for c in chunks] == [0, 1, 2]
         assert [c.size for c in chunks] == [4, 4, 2]
+
+
+class TestArraySource:
+    def test_yields_slabs_in_order(self, rng):
+        a = rng.standard_normal((10, 3))
+        src = ArraySource(a, iter_chunks(10, 4))
+        got = list(src)
+        assert [c.index for c, _ in got] == [0, 1, 2]
+        np.testing.assert_array_equal(got[2][1], a[8:10])
+
+    def test_axis1_and_payload(self, rng):
+        a = rng.standard_normal((2, 6, 2))
+        src = ArraySource(a, iter_chunks(6, 3, axis=1), payload=lambda c: (c.lo, c.hi))
+        assert [p for _, p in src] == [(0, 3), (3, 6)]
+        assert len(src) == 2
+
+
+class TestSlabAssembler:
+    def test_out_of_order_assembly(self, rng):
+        a = rng.standard_normal((7, 3))
+        sink = SlabAssembler(axis_len=7)
+        for c in reversed(list(iter_chunks(7, 3))):
+            sink(c, a[c.slice])
+        np.testing.assert_array_equal(sink.result(), a)
+
+    def test_preserves_memory_layout(self, rng):
+        # the assembler must reproduce np.concatenate's layout decision —
+        # transposed-layout slabs (as the USFFT ops emit) stay transposed
+        slabs = [
+            np.asfortranarray(rng.standard_normal((2, 4, 4))) for _ in range(3)
+        ]
+        sink = SlabAssembler(axis_len=6)
+        for c, s in zip(iter_chunks(6, 2), slabs):
+            sink(c, s)
+        expect = np.concatenate(slabs, axis=0)
+        got = sink.result()
+        np.testing.assert_array_equal(got, expect)
+        assert got.strides == expect.strides
+
+    def test_gap_raises(self):
+        chunks = list(iter_chunks(8, 4))
+        sink = SlabAssembler(axis_len=8)
+        sink(chunks[1], np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            sink.result()
+
+    def test_duplicate_raises(self):
+        chunks = list(iter_chunks(8, 4))
+        sink = SlabAssembler(axis_len=8)
+        sink(chunks[0], np.zeros((4, 2)))
+        sink(chunks[0], np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            sink.result()
+
+    def test_overlap_raises(self):
+        sink = SlabAssembler(axis_len=4)
+        sink(Chunk(0, 0, 0, 3), np.zeros((3, 2)))
+        sink(Chunk(1, 0, 2, 4), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            sink.result()
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            SlabAssembler(axis_len=4).result()
+        with pytest.raises(ValueError):
+            SlabAssembler(axis_len=0)

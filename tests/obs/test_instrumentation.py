@@ -5,9 +5,11 @@ MemoDBStats."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig, PipelineConfig
+from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig
 from repro.core.memo_db import MemoDBStats
 from repro.net import MemoServerDaemon
 from repro.obs import dump_jsonl, load_jsonl, load_report, render_report
@@ -117,34 +119,27 @@ class TestSolverTcpAcceptance:
         assert any(s["name"] == "usfft.fft" for s in data["spans"])
 
 
-class TestPipelinedTier:
-    def test_pipeline_and_queue_metrics_appear(self, tiny_geometry, tiny_ops,
-                                               tiny_data):
-        cfg = MLRConfig(
-            chunk_size=4,
-            memo=memo_cfg(),
-            pipeline=PipelineConfig(queue_depth=2),
-            obs=ObsConfig(),
-        )
+class TestStreamingIngestTier:
+    def test_ingest_queue_metrics_appear(self, tiny_geometry, tiny_ops, tiny_data):
+        cfg = MLRConfig(chunk_size=4, memo=memo_cfg(), obs=ObsConfig())
         solver = MLRSolver(tiny_geometry, cfg, admm=ADMM, ops=tiny_ops)
-        solver.reconstruct(tiny_data)
-        snapshot = obs.snapshot()
-        names = {e["name"] for e in snapshot}
-        assert "pipeline_queue_depth" in names
-        assert "pipeline_sweeps" in names
-        assert "pipeline_items" in names
-        # per-op cumulative totals match the executor's own stats
-        agg = solver.executor.pipeline_stats()
-        total_items = sum(
-            e["value"]
-            for e in snapshot
-            if e["name"] == "pipeline_items" and "op" in e["labels"]
-        )
-        assert total_items == agg.items
+        ingest = solver.make_ingest(queue_depth=1)
+
+        def produce():
+            with ingest:
+                for lo in range(0, tiny_data.shape[0], 3):
+                    ingest.push(tiny_data[lo:lo + 3])
+
+        feeder = threading.Thread(target=produce)
+        feeder.start()
+        solver.reconstruct_streaming(ingest)
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        depth = [e for e in obs.snapshot() if e["name"] == "pipeline_queue_depth"]
+        assert [e["labels"] for e in depth] == [{"queue": "ingest"}]
         spans, _ = obs.drain_spans()
-        stage_names = {rec["name"] for rec in spans}
-        assert {"pipeline.run", "pipeline.reader", "pipeline.writer",
-                "pipeline.compute"} <= stage_names
+        f2d = [rec for rec in spans if rec["name"] == "sweep.F2D"]
+        assert len(f2d) == ingest.n_chunks  # dhat was computed off the stream
         solver.close()
 
 

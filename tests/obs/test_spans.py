@@ -1,4 +1,4 @@
-"""Trace spans: parentage, ring-buffer bounds, cross-thread propagation."""
+"""Trace spans: parentage, ring-buffer bounds, per-thread rings."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.obs import SpanCollector, current_span_id
 from repro.obs import runtime as obs
 from repro.obs.spans import NULL_SPAN
-from repro.pipeline.pipeline import ChunkPipeline
 
 
 def by_name(spans):
@@ -96,56 +95,22 @@ class TestRingBuffer:
         assert t0s == sorted(t0s)
 
 
-class TestPipelineThreads:
-    def test_stage_spans_parent_to_the_pipeline_run(self, enabled):
-        """Reader/writer run on worker threads but inherit the launching
-        thread's context, so the whole pipeline forms one trace tree."""
-        written = []
-
-        def sweep(items):
-            for item in items:
-                with obs.span("kernel", i=item):
-                    pass
-                yield item, item * 2
-
-        pipe = ChunkPipeline(
-            source=range(6),
-            sweep=sweep,
-            sink=lambda chunk, value: written.append((chunk, value)),
-            queue_depth=2,
-            op="Fu1D",
-        )
-        pipe.run()
-        assert written == [(i, i * 2) for i in range(6)]
-
-        recs = by_name(obs.drain_spans()[0])
-        run_id = recs["pipeline.run"][0]["span_id"]
-        for stage in ("pipeline.reader", "pipeline.writer", "pipeline.compute"):
-            assert recs[stage][0]["parent_id"] == run_id, stage
-        # stage threads really are distinct threads, not the caller
-        assert recs["pipeline.reader"][0]["thread"] != recs["pipeline.compute"][0]["thread"]
-        assert recs["pipeline.writer"][0]["thread"] != recs["pipeline.compute"][0]["thread"]
-        # kernels run on the calling thread inside the compute span
-        compute_id = recs["pipeline.compute"][0]["span_id"]
-        kernels = recs["kernel"]
-        assert len(kernels) == 6
-        assert all(k["parent_id"] == compute_id for k in kernels)
-
-    def test_pipelined_executor_sweep_spans(self, enabled, tiny_ops):
-        """The real seam: a pipelined executor sweep produces per-chunk
-        sweep.<op> spans parented under pipeline.compute."""
-        from repro.pipeline import PipelineConfig
+class TestSweepSpans:
+    def test_executor_sweep_spans(self, enabled, tiny_ops):
+        """The real seam: an executor sweep produces one sweep.<op> span per
+        chunk, parented to the caller's span."""
         from repro.solvers.executor import DirectExecutor
 
-        execu = DirectExecutor(tiny_ops, chunk_size=4, pipeline=PipelineConfig())
+        execu = DirectExecutor(tiny_ops, chunk_size=4)
         u = np.zeros(tiny_ops.geometry.vol_shape, dtype=np.complex64)
-        execu.fu1d(u)
+        with obs.span("caller"):
+            execu.fu1d(u)
         recs = by_name(obs.drain_spans()[0])
-        compute_id = recs["pipeline.compute"][0]["span_id"]
+        caller_id = recs["caller"][0]["span_id"]
         sweeps = recs["sweep.Fu1D"]
         assert len(sweeps) == 4  # 16 rows / chunk_size 4
-        assert all(s["parent_id"] == compute_id for s in sweeps)
-        assert sorted(s["attrs"]["chunk"] for s in sweeps) == [0, 1, 2, 3]
+        assert all(s["parent_id"] == caller_id for s in sweeps)
+        assert [s["attrs"]["chunk"] for s in sweeps] == [0, 1, 2, 3]
 
 
 class TestDisabled:

@@ -1,4 +1,4 @@
-"""Bounded queue semantics: backpressure, close, iteration."""
+"""Bounded queue semantics: backpressure and close."""
 
 from __future__ import annotations
 
@@ -96,10 +96,3 @@ class TestBoundedQueue:
         q.close()
         q.close()
         assert q.closed
-
-    def test_iteration_ends_on_close(self):
-        q = BoundedQueue(8)
-        for i in range(5):
-            q.put(i)
-        q.close()
-        assert list(q) == [0, 1, 2, 3, 4]
