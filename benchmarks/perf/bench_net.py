@@ -6,10 +6,7 @@ key batch; the "optimized" side is the same batch through
 "speedup" is really the *transport overhead factor* (expected < 1): what
 one framed, checksummed, round-tripped message costs on top of the raw
 service.  A second entry measures the pipelined insert path, where the
-client does not wait for acknowledgements and the gap narrows.  A third
-pair prices the replicated tier: the replication wrapper over two loopback
-daemons' clients vs the single-daemon client, i.e. what insert fan-out and
-primary-replica query routing cost on top of plain TCP.
+client does not wait for acknowledgements and the gap narrows.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import numpy as np
 from repro.core import MemoConfig
 from repro.core.memo_engine import make_db_factory
 from repro.core.memo_shard import MemoShardRouter, ShardInsert, ShardQuery
-from repro.net import MemoServerDaemon, RemoteMemoClient, connect_tier
+from repro.net import MemoServerDaemon, RemoteMemoClient
 
 from .harness import pair_entry, time_fn
 
@@ -104,59 +101,5 @@ def run(quick: bool = True, repeat: int = 5) -> dict:
             ),
         )
 
-        with MemoServerDaemon(
-            n_shards=N_SHARDS, memo=_memo(), name="memo-server-r0"
-        ) as r0, MemoServerDaemon(
-            n_shards=N_SHARDS, memo=_memo(), name="memo-server-r1"
-        ) as r1:
-            replicated = connect_tier(
-                [r0.address, r1.address],
-                expect_tau=_memo().tau,
-                client_name="bench-replicated",
-            )
-            replicated.insert_batch(inserts)
-            replicated.flush()
-            # sanity against a pristine router (`local` has since absorbed
-            # the insert-timing loops above)
-            pristine = MemoShardRouter(N_SHARDS, make_db_factory(_memo()))
-            pristine.insert_batch(inserts)
-            for a, b in zip(
-                pristine.query_batch(probes), replicated.query_batch(probes)
-            ):
-                assert a.hit == b.hit and a.similarity == b.similarity
-
-            single_q = time_fn(lambda: client.query_batch(probes), repeat=repeat)
-            repl_q = time_fn(
-                lambda: replicated.query_batch(probes), repeat=repeat
-            )
-            out["net_query_batch_replicated"] = pair_entry(
-                single_q, repl_q,
-                note="baseline=single tcp client, optimized=2-replica client; "
-                     "'speedup'<1 is the replication overhead factor",
-                batch=len(probes),
-                overhead_x=(
-                    repl_q.best_s / single_q.best_s if single_q.best_s else None
-                ),
-            )
-
-            single_ins = time_fn(
-                lambda: client.insert_batch(insert_sample), repeat=repeat
-            )
-            repl_ins = time_fn(
-                lambda: replicated.insert_batch(insert_sample), repeat=repeat
-            )
-            replicated.flush()
-            client.flush()
-            out["net_insert_batch_replicated_fanout"] = pair_entry(
-                single_ins, repl_ins,
-                note="insert fan-out: every batch is pipelined to both "
-                     "replicas, so the wire cost roughly doubles",
-                batch=len(insert_sample),
-                overhead_x=(
-                    repl_ins.best_s / single_ins.best_s
-                    if single_ins.best_s else None
-                ),
-            )
-            replicated.close()
         client.close()
     return out

@@ -34,26 +34,16 @@ class MemoConfig:
         can — a same-sweep cross-location hit is deferred to the next block
         (or sweep), which is the one place the fleet shape is not pure
         routing.
-    transport / server_address / replication:
+    transport / server_address:
         Where the memoization database tier lives.  ``"inproc"`` (default)
         keeps the shard router in this process; ``"tcp"`` routes all
-        query/insert traffic to :class:`~repro.net.server.MemoServerDaemon`
-        daemons at ``server_address`` — a single ``"host:port"`` (or
-        ``(host, port)`` pair), a comma-separated ``"h1:p1,h2:p2"`` string,
-        or a list of either — so multiple hosts share one memo tier.  More
-        than one address (or ``replication=N`` over a longer list) wraps
-        one client per daemon in the replication tier
-        (:func:`repro.net.connect_tier`): inserts fan out to every live
-        replica, queries fail over per shard, and a killed replica degrades
-        throughput, not results.  The remote client is fail-open: an
+        query/insert traffic to the one
+        :class:`~repro.net.server.MemoServerDaemon` at ``server_address``
+        (``"host:port"`` or a ``(host, port)`` pair), so multiple hosts
+        share one memo tier.  The remote client is fail-open: an
         unreachable tier degrades to cold compute, never a failed
         reconstruction.  Loopback ``tcp`` is bit-identical to ``inproc`` at
-        every workers x shards layout, replicated or not.
-    heartbeat_interval_s:
-        Replicated-client background health loop period (ping + circuit
-        probes + anti-entropy resync of rejoined replicas).  ``None``
-        (default) disables the loop — deterministic runs resync only at
-        explicit points.
+        every workers x shards layout.
     """
 
     tau: float = 0.92
@@ -66,8 +56,6 @@ class MemoConfig:
     index_train_min: int = 32
     transport: str = "inproc"
     server_address: str | tuple | list | None = None
-    replication: int | None = None
-    heartbeat_interval_s: float | None = None
     memo_ops: tuple[str, ...] = ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")
     track_similarity_census: bool = False
     warmup_iterations: int = 1
@@ -107,31 +95,11 @@ class MemoConfig:
         if self.transport == "tcp" and self.server_address is None:
             raise ValueError("transport='tcp' requires a server_address")
         if self.server_address is not None:
-            # fail fast on malformed addresses at config time, naming the
-            # bad element, instead of deep inside client construction
-            from ..net.wire import parse_address_list
+            # fail fast on a malformed address at config time instead of
+            # deep inside client construction
+            from ..net.wire import parse_address
 
-            addresses = parse_address_list(self.server_address)
-            if self.replication is not None:
-                if not isinstance(self.replication, int) or isinstance(
-                    self.replication, bool
-                ):
-                    raise ValueError(
-                        f"replication must be an int, got {self.replication!r}"
-                    )
-                if not (1 <= self.replication <= len(addresses)):
-                    raise ValueError(
-                        f"replication={self.replication} needs 1..{len(addresses)} "
-                        f"(one address per replica), got {len(addresses)} addresses"
-                    )
-        elif self.replication is not None:
-            raise ValueError("replication requires server_address")
-        if self.heartbeat_interval_s is not None and self.heartbeat_interval_s <= 0:
-            raise ValueError(
-                f"heartbeat_interval_s must be positive, "
-                f"got {self.heartbeat_interval_s}"
-            )
-
+            parse_address(self.server_address)
 
 @dataclass
 class MLRConfig:

@@ -14,9 +14,10 @@ at the sweep seam.  It reproduces the paper's scalable deployment
   miss the cache are buffered and leave the worker as coalesced messages,
 - every emitted message goes to ``self.router`` — the **memoization
   database** tier on the memory node (Section 4.3.2): a
-  :class:`~repro.core.memo_shard.MemoShardRouter` in process, or what
-  :func:`repro.net.connect_tier` builds over TCP — and is serviced
-  through the batched ``query_batch`` / ``insert_batch`` API,
+  :class:`~repro.core.memo_shard.MemoShardRouter` in process, or a
+  :class:`~repro.net.client.RemoteMemoClient` of one daemon over TCP —
+  and is serviced through the batched ``query_batch`` / ``insert_batch``
+  API,
 - misses are computed and their insertions dispatched as one batched
   message per sweep (insertion is asynchronous in the paper — nothing in
   the sweep depends on it).
@@ -222,15 +223,13 @@ class MemoizedExecutor(DirectExecutor):
         cfg = self.config
         if cfg.transport != "tcp":
             return MemoShardRouter(self.n_shards, make_db_factory(cfg), tau=cfg.tau)
-        # the shard service lives in MemoServerDaemons (possibly on other
-        # hosts): one address gets the TCP client, more (or replication=N)
-        # the replication tier over one client each
-        from ..net import connect_tier
+        # the shard service lives in a MemoServerDaemon (possibly on
+        # another host)
+        from ..net import RemoteMemoClient
 
-        return connect_tier(
+        return RemoteMemoClient(
             cfg.server_address,
-            replication=cfg.replication,
-            heartbeat_interval_s=cfg.heartbeat_interval_s,
+            fail_open=True,
             expect_tau=cfg.tau,
             encoder_fingerprint=self._encoder_fingerprint(),
             n_shards_hint=self.n_shards,

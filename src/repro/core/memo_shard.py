@@ -14,10 +14,9 @@ of the reproduction:
   routes paper-scale query traffic exactly like the numeric run,
 - :class:`MemoTier` — the tier as everything above it sees it: the few
   primitives an implementation supplies and the derived half (``shard_of``,
-  ``stats``, ``entries``, context manager, health) written once.  The
-  in-process router here, the TCP client and the replication wrapper in
-  :mod:`repro.net` are its three implementations, and they compose: the
-  wrapper replicates over *any* list of tiers,
+  ``stats``, ``entries``, context manager) written once.  The in-process
+  router here and the TCP client of one daemon in :mod:`repro.net` are its
+  two implementations,
 - :class:`MemoShard` — one shard: the per ``(op, location)``
   :class:`~repro.core.memo_db.MemoDatabase` partitions it owns (each
   partition one table of entries with its own ANN index), served through
@@ -137,15 +136,15 @@ class ShardInsert:
 
 
 class MemoTier(ABC):
-    """The memoization-database tier: what the executor, the scheduler and
-    the replication wrapper may use of it.
+    """The memoization-database tier: what the executor and the scheduler
+    may use of it.
 
     An implementation supplies ``n_shards`` and the abstract methods; the
     rest is derived here, once.  The transport half (``connected``,
-    ``label``, ``net_stats``, ``flush``, ``ping``, ``reset_backoff``) has
-    in-process answers — always reachable, nothing in flight — that a
-    remote tier overrides, which is what lets replication wrap routers and
-    TCP clients alike.
+    ``net_stats``, ``flush``) has in-process answers — always reachable,
+    nothing in flight — that the remote tier overrides, so the solver's
+    telemetry and :func:`~repro.net.snapshot_store.pull_state` read either
+    tier alike.
     """
 
     n_shards: int
@@ -153,8 +152,6 @@ class MemoTier(ABC):
     net_stats = None
     #: False while a remote tier has no live connection
     connected = True
-    #: how telemetry names this tier (a remote tier's ``"host:port"``)
-    label: str | None = None
 
     @abstractmethod
     def query_batch(self, queries: list[ShardQuery]) -> list[QueryOutcome]:
@@ -182,7 +179,7 @@ class MemoTier(ABC):
 
     @abstractmethod
     def close(self) -> None:
-        """Release whatever the tier holds (sockets, threads)."""
+        """Release whatever the tier holds (a remote tier's socket)."""
 
     def shard_of(self, location: int) -> int:
         return shard_of_location(location, self.n_shards)
@@ -196,19 +193,8 @@ class MemoTier(ABC):
     def entries(self, op: str | None = None) -> int:
         return sum(n for _s, n in self.shard_stats(op))
 
-    def health(self) -> dict:
-        """Replica label -> ``{circuit, dirty, connected}``; empty for a
-        tier that is not replicated (nothing to pull out of rotation)."""
-        return {}
-
     def flush(self) -> None:
         """Wait out acknowledgements still in flight (none in process)."""
-
-    def ping(self) -> bool:
-        return True
-
-    def reset_backoff(self) -> None:
-        """Forget any reconnect window (there is none in process)."""
 
     def __enter__(self):
         return self

@@ -12,9 +12,7 @@ hold.  This package is that layer:
 - :mod:`repro.faults.runtime` — the process-wide injection seam the
   production code calls (zero-overhead no-ops while no plan is
   installed), wrapping the socket layer of :mod:`repro.net` and the
-  snapshot I/O of :mod:`repro.service.snapshot`,
-- :mod:`repro.faults.chaos` — in-process replica-set harness (kill /
-  restart daemons on schedule) for the chaos suite and demos.
+  snapshot I/O of :mod:`repro.service.snapshot`.
 
 Determinism contract: one :class:`FaultPlan` seed fixes every decision
 stream (keyed per injection site), so a single-threaded client replays

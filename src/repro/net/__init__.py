@@ -15,17 +15,13 @@ memo tier:
 - :mod:`repro.net.client` — :class:`RemoteMemoClient`, the
   :class:`~repro.core.memo_shard.MemoTier` over one TCP connection, with
   request pipelining, reconnect-with-backoff, and fail-open degradation to
-  cold compute; and :func:`connect_tier`, the one place an address list
-  becomes a tier,
-- :mod:`repro.net.replicated` — :class:`ReplicatedMemoClient`, replication
-  (insert fan-out, per-shard query failover, circuit breakers, resync) as a
-  wrapper over any list of tiers,
+  cold compute (one client per daemon: a TCP tier is one daemon),
 - :mod:`repro.net.snapshot_store` — :func:`pull_state`, reading a tier as
   a whole snapshot for cross-host warm starts (cold told from unreachable,
   with retries).
 
 The wire carries memo traffic only (queries, inserts, stats, snapshot
-push/pull, heartbeats); a daemon's metrics and spans are read from its
+push/pull, liveness pings); a daemon's metrics and spans are read from its
 HTTP telemetry plane (:mod:`repro.obs.http`).
 
 Select it with ``MemoConfig(transport="tcp", server_address=...)`` (compute
@@ -34,8 +30,7 @@ side) or ``ServiceConfig(memo_transport="tcp", memo_server=...)``
 bit-identical behavior is asserted between the two.
 """
 
-from .client import NetClientStats, RemoteMemoClient, TransportUnavailable, connect_tier
-from .replicated import ReplicatedMemoClient
+from .client import NetClientStats, RemoteMemoClient, TransportUnavailable
 from .snapshot_store import pull_state
 from .wire import (
     MAX_PAYLOAD_BYTES,
@@ -55,9 +50,7 @@ from .wire import (
 __all__ = [
     "NetClientStats",
     "RemoteMemoClient",
-    "ReplicatedMemoClient",
     "TransportUnavailable",
-    "connect_tier",
     "MemoServerDaemon",
     "ServerStats",
     "pull_state",

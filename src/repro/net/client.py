@@ -3,10 +3,8 @@ TCP connection to a :class:`~repro.net.server.MemoServerDaemon`.
 
 :class:`RemoteMemoClient` supplies the tier's primitives over the wire —
 ``query_batch`` / ``insert_batch`` / ``shard_stats`` / ``state_dict`` /
-``push_state`` — so every caller above it is transport-blind;
-:func:`connect_tier` is the one place an address list becomes a tier (one
-address: this client; more: the replication tier of
-:mod:`repro.net.replicated` over one client per daemon).
+``push_state`` — so every caller above it is transport-blind.  A TCP
+tier is one daemon and one client of it.
 
 Three behaviors define it:
 
@@ -72,14 +70,13 @@ from .wire import (
     inserts_to_wire,
     outcomes_from_wire,
     parse_address,
-    parse_address_list,
     queries_to_wire,
     send_frame,
     stats_from_wire,
     trace_ctx_to_wire,
 )
 
-__all__ = ["NetClientStats", "RemoteMemoClient", "TransportUnavailable", "connect_tier"]
+__all__ = ["NetClientStats", "RemoteMemoClient", "TransportUnavailable"]
 
 log = logging.getLogger("repro.net.client")
 
@@ -499,8 +496,7 @@ class RemoteMemoClient(MemoTier):
 
     def flush(self) -> None:
         """Drain every outstanding pipelined insert acknowledgement.  With
-        ``fail_open=False`` an undrainable connection raises (the replicated
-        tier uses that to mark the replica dirty for resync); fail-open
+        ``fail_open=False`` an undrainable connection raises; fail-open
         callers just lose the acks, like every other degraded path."""
         with self._lock:
             if self._sock is None:
@@ -631,7 +627,7 @@ class RemoteMemoClient(MemoTier):
             return None
 
     def ping(self) -> bool:
-        """One MSG_PING/MSG_PING_OK heartbeat round trip.  ``True`` means
+        """One MSG_PING/MSG_PING_OK liveness round trip.  ``True`` means
         the server answered; ``False`` (fail-open) that it is unreachable."""
         return isinstance(self._request_or_none(MSG_PING, {}, MSG_PING_OK), dict)
 
@@ -672,52 +668,3 @@ class RemoteMemoClient(MemoTier):
         except RemoteError as exc:
             raise ValueError(exc.remote_message) from None
         return reply is not None
-
-
-def connect_tier(
-    addresses,
-    replication: int | None = None,
-    heartbeat_interval_s: float | None = None,
-    fail_open: bool = True,
-    **client_kwargs,
-) -> MemoTier:
-    """The one place an address list becomes a memo tier.
-
-    ``addresses`` is anything :func:`~repro.net.wire.parse_address_list`
-    accepts.  One address is a :class:`RemoteMemoClient`; more — or
-    ``replication=N``, which uses the first N — are one client each inside
-    a :class:`~repro.net.replicated.ReplicatedMemoClient` (the only taker
-    of ``heartbeat_interval_s``).  ``client_kwargs`` go to every client.
-    A merely-down daemon is tolerated either way (the tier degrades);
-    deterministic misconfiguration raises immediately.
-    """
-    addrs = parse_address_list(addresses)
-    if replication is None and len(addrs) == 1:
-        return RemoteMemoClient(addrs[0], fail_open=fail_open, **client_kwargs)
-    if replication is not None:
-        if not (1 <= replication <= len(addrs)):
-            raise ValueError(
-                f"replication={replication} needs between 1 and "
-                f"{len(addrs)} addresses, got {len(addrs)}"
-            )
-        addrs = addrs[:replication]
-    from .replicated import ReplicatedMemoClient  # it imports this module
-
-    name = client_kwargs.pop("client_name", "memo-client")
-    replicas = []
-    for i, addr in enumerate(addrs):
-        # constructed fail-open so a down replica does not abort the set
-        # (deterministic misconfig still raises through), then flipped to
-        # fail-closed: later transport failures must surface in the
-        # wrapper, where the failover/breaker logic decides what degrades
-        client = RemoteMemoClient(
-            addr, fail_open=True, client_name=f"{name}-r{i}", **client_kwargs
-        )
-        client.fail_open = False
-        replicas.append(client)
-    return ReplicatedMemoClient(
-        replicas,
-        retry_policy=client_kwargs.get("retry_policy"),
-        heartbeat_interval_s=heartbeat_interval_s,
-        fail_open=fail_open,
-    )

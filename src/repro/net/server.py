@@ -146,7 +146,9 @@ class MemoServerDaemon:
         self.snapshot_interval_s = snapshot_interval_s
         self._max_payload = max_payload
         #: reap a connection that sends nothing for this long (None = never);
-        #: clients heartbeat with MSG_PING to stay alive across quiet spans
+        #: a client sends no heartbeats by itself: a reaped one reconnects
+        #: on its next request, and a caller that wants the connection kept
+        #: across quiet spans sends MSG_PING (``RemoteMemoClient.ping``)
         self.idle_timeout_s = idle_timeout_s
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -573,8 +575,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help="reap connections idle longer than this (clients heartbeat "
-             "with MSG_PING; default: never reap)",
+        help="reap connections idle longer than this (clients send no "
+             "heartbeats by themselves and reconnect on their next request; "
+             "default: never reap)",
     )
     parser.add_argument(
         "--telemetry-port", type=int, default=None, metavar="PORT",

@@ -13,8 +13,7 @@ while a cold reconstruction costs the whole warm fraction, so the pull
 retries under a :class:`~repro.net.policy.RetryPolicy` (jittered backoff,
 bounded by the policy deadline) before it gives up.  Semantic rejections
 (tau / encoder mismatch against the daemon) still raise.  Over TCP the
-tier is what :func:`~repro.net.client.connect_tier` builds for an address
-list (more than one address: the replicated tier, whose pulls fail over).
+tier is one :class:`~repro.net.client.RemoteMemoClient` of one daemon.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ def pull_state(tier: MemoTier, policy: RetryPolicy | None = None) -> dict | None
             "snapshot pull found no reachable daemon, retrying in %.2fs", delay
         )
         time.sleep(delay)
+        # only a RemoteMemoClient is ever disconnected: retry at once
         tier.reset_backoff()
     log.warning("snapshot pull gave up after %d attempts — seeding cold",
                 policy.max_attempts)

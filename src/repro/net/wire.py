@@ -79,7 +79,6 @@ __all__ = [
     "send_frame",
     "FrameReader",
     "parse_address",
-    "parse_address_list",
     "queries_to_wire",
     "queries_from_wire",
     "inserts_to_wire",
@@ -483,60 +482,32 @@ def stats_from_wire(node) -> MemoDBStats:
 
 
 def parse_address(address) -> tuple[str, int]:
-    """Normalize ``"host:port"`` strings and ``(host, port)`` pairs."""
-    if isinstance(address, (tuple, list)) and len(address) == 2:
-        return str(address[0]), int(address[1])
+    """One daemon's address from ``"host:port"`` or a ``(host, port)`` pair.
+
+    The host is a non-empty name or IPv4 literal (``":port"`` means
+    127.0.0.1) and the port an ``int`` in 0..65535.  Everything else is a
+    ``ValueError`` naming the input: a list of addresses (``"a:1,b:2"``,
+    ``[("a", 1), ("b", 2)]``), an IPv6 or multi-colon literal, a string or
+    ``bool`` port, and a port past 65535, which ``getaddrinfo`` would
+    silently wrap onto another one.
+    """
+    host = port = None
     if isinstance(address, str):
-        host, sep, port = address.rpartition(":")
-        # a remaining ':' in host means a bare IPv6 literal ('::1') or a
-        # multi-colon typo — misparsing those into (host, port) buys a
-        # confusing connect failure, so fail fast instead (IPv6 endpoints
-        # can be passed as an explicit (host, port) pair)
-        if sep and port.isdigit() and ":" not in host:
-            return host or "127.0.0.1", int(port)
-    raise ValueError(
-        f"expected 'host:port' or a (host, port) pair, got {address!r}"
-    )
-
-
-def parse_address_list(addresses) -> list[tuple[str, int]]:
-    """Normalize every accepted replica-list spelling into address pairs.
-
-    Accepts a single ``"host:port"`` string, a comma-separated
-    ``"h1:p1,h2:p2"`` string, one ``(host, port)`` pair, or a list/tuple
-    mixing any single-address form.  Validation errors name the element
-    that failed, so ``--server a:1,b`` reports ``'b'``, not the whole
-    list.  Duplicate addresses are rejected: a replica set with the same
-    endpoint twice silently halves its real redundancy."""
-    if isinstance(addresses, str):
-        items = [part.strip() for part in addresses.split(",") if part.strip()]
-        if not items:
-            raise ValueError(f"empty address list {addresses!r}")
-    elif isinstance(addresses, (tuple, list)):
-        if (
-            len(addresses) == 2
-            and isinstance(addresses[0], str)
-            and isinstance(addresses[1], int)
-        ):
-            items = [addresses]  # one (host, port) pair, not two addresses
-        else:
-            items = list(addresses)
-            if not items:
-                raise ValueError("empty address list")
-    else:
+        head, sep, tail = address.rpartition(":")
+        if sep and tail.isascii() and tail.isdigit():
+            host, port = head or "127.0.0.1", int(tail)
+    elif isinstance(address, (tuple, list)) and len(address) == 2:
+        host, port = address
+    if not (
+        isinstance(host, str)
+        and host
+        and not any(c in host for c in ":,")
+        and isinstance(port, int)
+        and not isinstance(port, bool)
+        and 0 <= port <= 65535
+    ):
         raise ValueError(
-            f"expected an address or list of addresses, got {addresses!r}"
+            "expected one address, 'host:port' or a (host, port) pair with "
+            f"an int port in 0..65535, got {address!r}"
         )
-    parsed: list[tuple[str, int]] = []
-    for item in items:
-        try:
-            addr = parse_address(item)
-        except ValueError as exc:
-            raise ValueError(f"bad address element {item!r}: {exc}") from None
-        if addr in parsed:
-            raise ValueError(
-                f"duplicate address element {item!r} — each replica must be a "
-                "distinct endpoint"
-            )
-        parsed.append(addr)
-    return parsed
+    return host, port

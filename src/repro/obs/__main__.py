@@ -30,9 +30,9 @@ def _heat_tree(source: str) -> dict:
 
         return read_snapshot(source, expect_kind="memo-state")
     if ":" in source:
-        from ..net import connect_tier
+        from ..net import RemoteMemoClient
 
-        with connect_tier(source, fail_open=False, client_name="obs-heat") as tier:
+        with RemoteMemoClient(source, fail_open=False, client_name="obs-heat") as tier:
             return tier.state_dict()
     raise SystemExit(
         f"heat source {source!r} is neither a snapshot directory nor host:port"

@@ -37,9 +37,9 @@ class ObsConfig:
     flight_dir:
         Directory for black-box flight-recorder dumps
         (:func:`repro.obs.runtime.flight_dump` artifacts, written on job
-        failure / snapshot quarantine / circuit-breaker open).  ``None``
-        falls back to the ``REPRO_FLIGHT_DIR`` environment variable; with
-        neither set, fault paths skip the dump entirely.
+        failure / snapshot quarantine).  ``None`` falls back to the
+        ``REPRO_FLIGHT_DIR`` environment variable; with neither set, fault
+        paths skip the dump entirely.
     http_port / http_host:
         With ``http_port`` set (and the runtime enabled), the runtime
         starts a :class:`~repro.obs.http.TelemetryServer` on

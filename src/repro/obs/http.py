@@ -10,8 +10,8 @@ needs — and is the only way telemetry leaves a memo daemon:
   (e.g. the memo daemon's traffic counters and per-entry heat histograms),
 - ``GET /healthz`` — liveness: 200 whenever the server answers at all,
 - ``GET /readyz`` — readiness: 200 only while every registered probe
-  passes (daemon accepting / scheduler not saturated / not all replica
-  breakers open), 503 with a JSON body naming the failing probe otherwise,
+  passes (daemon accepting / scheduler accepting and not saturated), 503
+  with a JSON body naming the failing probe otherwise,
 - ``GET /snapshot`` — the full JSON observability view: registry
   snapshot and a non-destructive span-ring peek — the same shape
   :func:`~repro.obs.export.load_jsonl` produces, so ``build_report``

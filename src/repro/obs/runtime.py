@@ -299,10 +299,9 @@ def telemetry_server():
 #
 # The span rings double as a black-box flight recorder: always on while
 # observability is enabled, bounded, overwriting oldest-first.  On a fault
-# (job failure, snapshot quarantine, circuit-breaker open) flight_dump()
-# writes the recent spans plus a full metrics snapshot to a JSONL artifact
-# — the same format `python -m repro.obs report` reads — so a chaos-suite
-# failure ships its own evidence.
+# (job failure, snapshot quarantine) flight_dump() writes the recent spans
+# plus a full metrics snapshot to a JSONL artifact — the same format
+# `python -m repro.obs report` reads — so a failure ships its own evidence.
 
 _FLIGHT_SEQ = itertools.count(1)
 

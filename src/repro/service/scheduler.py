@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 from ..core.memo_db import MemoDatabase
 from ..core.memo_shard import MemoShardRouter, MemoTier, memo_state_partitions
 from ..core.mlr_solver import MLRSolver
-from ..net.client import connect_tier
+from ..net.client import RemoteMemoClient
 from ..net.snapshot_store import pull_state
-from ..net.wire import parse_address, parse_address_list
+from ..net.wire import parse_address
 from ..obs import runtime as obs
 from .jobs import JobCancelled, JobHandle, JobSpec, JobState
 from .snapshot import read_snapshot, write_snapshot
@@ -87,9 +87,8 @@ class ServiceConfig:
         Where the shared memo tier lives.  ``"inproc"`` (default) holds it
         in this scheduler's memory; ``"tcp"`` backs it with a
         :class:`~repro.net.server.MemoServerDaemon` at ``memo_server``
-        (``"host:port"``, ``(host, port)``, a comma-separated replica list
-        or a list of addresses) through
-        :func:`~repro.net.client.connect_tier`, so schedulers on
+        (``"host:port"`` or ``(host, port)``) through one
+        :class:`~repro.net.client.RemoteMemoClient`, so schedulers on
         *different hosts* seed from and absorb into one tier.  The remote
         tier is fail-open: a daemon that stays unreachable past the pull's
         retry policy means cold seeds and dropped absorbs, never failed
@@ -99,8 +98,8 @@ class ServiceConfig:
         telemetry plane (:class:`~repro.obs.http.TelemetryServer`) on
         ``telemetry_host:telemetry_port``: ``/metrics`` (the scheduler's
         own gauges — a remote tier's daemons serve theirs from their own
-        planes), ``/healthz``, ``/readyz`` (accepting / queue-not-saturated
-        / not every replica breaker open) and ``/snapshot``.  Port 0 binds
+        planes), ``/healthz``, ``/readyz`` (accepting /
+        queue-not-saturated) and ``/snapshot``.  Port 0 binds
         ephemerally — read ``scheduler.telemetry.address`` back.
     """
 
@@ -127,7 +126,7 @@ class ServiceConfig:
         if self.memo_transport == "tcp":
             if self.memo_server is None:
                 raise ValueError("memo_transport='tcp' requires a memo_server address")
-            parse_address_list(self.memo_server)  # fail fast, naming bad elements
+            parse_address(self.memo_server)  # fail fast, naming the input
         if self.telemetry_port is not None:
             # same validation (and same rejection message) as the memo
             # daemon's bind address
@@ -165,8 +164,8 @@ class SharedMemoService:
     across processes.
 
     By default the tier is a router in this process.  Given the client of
-    a memo server daemon (:func:`repro.net.connect_tier`, what
-    ``ServiceConfig(memo_transport="tcp")`` builds), the same calls let
+    a memo server daemon (a :class:`~repro.net.client.RemoteMemoClient`,
+    what ``ServiceConfig(memo_transport="tcp")`` builds), the same calls let
     schedulers on different hosts warm-start from one shared tier; that
     tier is fail-open: an unreachable daemon seeds cold and drops absorbs
     rather than failing jobs.
@@ -236,7 +235,11 @@ class ReconstructionScheduler:
         if memo_service is None:
             if self.config.memo_transport == "tcp":
                 memo_service = SharedMemoService(
-                    connect_tier(self.config.memo_server, client_name="snapshot-store")
+                    RemoteMemoClient(
+                        self.config.memo_server,
+                        fail_open=True,
+                        client_name="snapshot-store",
+                    )
                 )
             else:
                 memo_service = SharedMemoService()
@@ -301,24 +304,9 @@ class ReconstructionScheduler:
             detail = f"{waiting} waiting, {running} running, depth limit {depth}"
             return ok, detail if ok else f"saturated: {detail}"
 
-        def memo_tier() -> tuple[bool, str]:
-            # only a replicated tier reports replicas; an in-process tier
-            # or single-server client is never the reason to pull this
-            # scheduler out of rotation (those paths fail open)
-            circuits = {
-                tag: h.get("circuit")
-                for tag, h in self.memo_service.tier.health().items()
-            }
-            if not circuits:
-                return True, "no replicated tier"
-            ok = any(state != "open" for state in circuits.values())
-            detail = " ".join(f"{tag}:{state}" for tag, state in sorted(circuits.items()))
-            return ok, detail if ok else f"all breakers open: {detail}"
-
         accepting.probe_name = "accepting"
         queue.probe_name = "queue"
-        memo_tier.probe_name = "memo_tier"
-        return [accepting, queue, memo_tier]
+        return [accepting, queue]
 
     # -- submission ----------------------------------------------------------------------
 

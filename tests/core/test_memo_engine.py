@@ -762,18 +762,18 @@ class TestTierSeam:
         assert set(tier.calls + fresh.router.calls) == set(TIER_PRIMITIVES)
 
     def test_derived_half_is_written_once(self):
-        """``shard_of`` / ``stats`` / ``entries`` / context manager / health
-        come from the base for every tier; the in-process answers of the
+        """``shard_of`` / ``stats`` / ``entries`` / context manager come from
+        the base for both tiers and the fake; the in-process answers of the
         transport half hold for a router."""
-        from repro.net import RemoteMemoClient, ReplicatedMemoClient
+        from repro.net import RemoteMemoClient
 
-        for cls in (MemoShardRouter, RemoteMemoClient, ReplicatedMemoClient, RecordingTier):
+        for cls in (MemoShardRouter, RemoteMemoClient, RecordingTier):
             assert issubclass(cls, MemoTier)
             for name in TIER_DERIVED + ("__enter__", "__exit__"):
                 assert name not in vars(cls), (cls.__name__, name)
         with MemoShardRouter(2, make_db_factory(memo_cfg())) as router:
-            assert router.health() == {} and router.net_stats is None
-            assert router.connected and router.ping() and router.flush() is None
+            assert router.net_stats is None
+            assert router.connected and router.flush() is None
             assert [router.shard_of(loc) for loc in range(4)] == [0, 1, 0, 1]
 
 

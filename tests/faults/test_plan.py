@@ -11,6 +11,10 @@ import pytest
 from repro.faults import FaultPlan, FaultRule, active_plan, install, installed, uninstall
 from repro.faults import runtime as faults
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+
 
 def drive(plan: FaultPlan, ops: list[str]):
     """Run a fixed operation sequence through a plan; returns the decisions."""
@@ -159,15 +163,17 @@ class TestRecvDecisionsArePerFrame:
         from repro.net.wire import FrameReader
 
         a, b = socket.socketpair()
+        sender = threading.Thread(target=lambda: [a.sendall(w) for w in writes])
+        sender.start()
         try:
             with faults.injected_faults(plan):
                 reader = FrameReader(faults.wrap_socket(b, "client:x"))
-                sender = threading.Thread(target=lambda: [a.sendall(w) for w in writes])
-                sender.start()
-                frames = [reader.read_frame() for _ in range(n_frames)]
-                sender.join()
-            return frames
+                return [reader.read_frame() for _ in range(n_frames)]
         finally:
+            # joined even when the reader raised: the writes are a few
+            # hundred bytes, so they fit the pair's buffer and the sender
+            # always finishes, and closing ``a`` under it would fail its write
+            sender.join()
             a.close()
             b.close()
 

@@ -1,4 +1,4 @@
-"""RetryPolicy / BackoffState / CircuitBreaker + replica-address parsing.
+"""RetryPolicy / BackoffState + daemon-address parsing.
 
 The jitter regression (satellite of the fault-tolerance PR): every delay
 stays within ``[base, cap]``, the cap is *hard* (no attempt count blows
@@ -8,20 +8,19 @@ differently-seeded clients** — the no-thundering-herd property.
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 
-from repro.net.client import connect_tier
-from repro.net.policy import (
-    CIRCUIT_CLOSED,
-    CIRCUIT_HALF_OPEN,
-    CIRCUIT_OPEN,
-    BackoffState,
-    CircuitBreaker,
-    RetryPolicy,
-    seed_from_name,
-)
+from repro.core import MemoConfig, MemoShardRouter
+from repro.core.memo_engine import make_db_factory
+from repro.core.memo_shard import ShardInsert, empty_memo_state, memo_state_partitions
+from repro.net.client import RemoteMemoClient
+from repro.net.policy import RetryPolicy, seed_from_name
 from repro.net.snapshot_store import pull_state
-from repro.net.wire import parse_address, parse_address_list
+from repro.net.wire import parse_address
+from repro.service import ServiceConfig
 
 
 class TestBackoff:
@@ -65,126 +64,120 @@ class TestBackoff:
             RetryPolicy(deadline_s=0)
         with pytest.raises(ValueError, match="backoff_max_s"):
             RetryPolicy(backoff_initial_s=1.0, backoff_max_s=0.5)
-        with pytest.raises(ValueError, match="failure_threshold"):
-            RetryPolicy(failure_threshold=0)
 
 
 class TestDeadlineIsOptional:
-    @pytest.mark.parametrize("n_daemons", [1, 2])
-    def test_pull_without_a_deadline_is_bounded_by_attempts(self, n_daemons):
+    def test_pull_without_a_deadline_is_bounded_by_attempts(self):
         """``deadline_s=None`` is a documented policy ("only ``max_attempts``
-        bounds it"): a pull against dead addresses must give up cold after
-        its attempts, not trip over ``monotonic() + None`` — over one
-        client and over the replicated tier two addresses make (which is
-        disconnected only when every replica is)."""
+        bounds it"): a pull against a dead address must give up cold after
+        its attempts, not trip over ``monotonic() + None``."""
         import socket
 
-        dead = []
-        for _ in range(n_daemons):
-            with socket.socket() as s:  # a port nothing listens on
-                s.bind(("127.0.0.1", 0))
-                dead.append(s.getsockname())
+        with socket.socket() as s:  # a port nothing listens on
+            s.bind(("127.0.0.1", 0))
+            dead = s.getsockname()
         policy = RetryPolicy(
             max_attempts=2, deadline_s=None, backoff_initial_s=0.0, backoff_max_s=0.01
         )
-        with connect_tier(dead, retry_policy=policy) as tier:
+        with RemoteMemoClient(dead, fail_open=True, retry_policy=policy) as tier:
             assert pull_state(tier, policy) is None
             assert not tier.connected
 
 
-class TestCircuitBreaker:
-    def make(self, **over):
-        t = [0.0]
-        policy = RetryPolicy(failure_threshold=3, reset_timeout_s=1.0, **over)
-        return policy.breaker(clock=lambda: t[0]), t
+class _WakingTier(MemoShardRouter):
+    """A one-entry tier that reads like a fail-open client of a daemon
+    answering from its ``up_at``-th pull on: empty and disconnected before."""
 
-    def test_opens_after_threshold(self):
-        breaker, _ = self.make()
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CIRCUIT_CLOSED and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CIRCUIT_OPEN
-        assert not breaker.allow()
+    def __init__(self, up_at: int) -> None:
+        super().__init__(1, make_db_factory(MemoConfig(index_train_min=4)))
+        self.insert_batch([ShardInsert(
+            "Fu1D", 0, np.ones(12, np.float32), np.ones((2, 2), np.complex64), (1.0, 0j)
+        )])
+        self.up_at, self.pulls, self.resets = up_at, 0, 0
 
-    def test_half_open_single_probe_then_close(self):
-        breaker, t = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        t[0] = 1.5  # past reset_timeout_s
-        assert breaker.state == CIRCUIT_HALF_OPEN
-        assert breaker.allow()  # the single probe
-        assert not breaker.allow()  # second caller refused while probing
-        breaker.record_success()
-        assert breaker.state == CIRCUIT_CLOSED
-        assert breaker.allow()
+    def reset_backoff(self) -> None:
+        self.resets += 1
 
-    def test_failed_probe_reopens(self):
-        breaker, t = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        t[0] = 1.5
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CIRCUIT_OPEN
-        assert not breaker.allow()
+    @property
+    def connected(self) -> bool:
+        return self.pulls >= self.up_at
 
-    def test_success_resets_failure_streak(self):
-        breaker, _ = self.make()
-        for _ in range(2):
-            breaker.record_failure()
-        breaker.record_success()
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CIRCUIT_CLOSED  # streaks don't accumulate
+    def state_dict(self) -> dict:
+        self.pulls += 1
+        return super().state_dict() if self.connected else empty_memo_state(1)
 
-    def test_force_probe_collapses_open_window(self):
-        breaker, _ = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        assert not breaker.allow()
-        breaker.force_probe()
-        assert breaker.state == CIRCUIT_HALF_OPEN
-        assert breaker.allow()
 
-    def test_transition_count(self):
-        breaker, t = self.make()
-        for _ in range(3):
-            breaker.record_failure()  # -> open
-        t[0] = 1.5
-        breaker.allow()  # -> half-open
-        breaker.record_success()  # -> closed
-        assert breaker.transitions == 3
+class TestPullRetries:
+    POLICY = RetryPolicy(max_attempts=3, deadline_s=None, backoff_initial_s=0.0,
+                         backoff_max_s=0.0)
+
+    def test_an_unreachable_daemon_is_asked_again(self):
+        """An empty tree while disconnected is a transport artifact, not a
+        cold tier: the pull backs off and asks again, and takes the tree
+        once the daemon answers."""
+        tier = _WakingTier(up_at=3)
+        tree = pull_state(tier, self.POLICY)
+        assert tier.pulls == 3 and len(memo_state_partitions(tree)) == 1
+        assert tier.resets == 2  # the client's reconnect window, before each retry
+
+    def test_it_gives_up_cold_after_its_attempts(self):
+        tier = _WakingTier(up_at=4)
+        assert pull_state(tier, self.POLICY) is None
+        assert (tier.pulls, tier.resets) == (3, 2)
+
+
+#: spellings of one daemon's address -> the (host, port) they name
+ACCEPTED = [
+    ("h:1", ("h", 1)),
+    (":123", ("127.0.0.1", 123)),
+    ("h:0", ("h", 0)),
+    ("h:65535", ("h", 65535)),
+    (("memo-host", 9000), ("memo-host", 9000)),  # ONE address, not two
+    (["h", 9], ("h", 9)),
+]
+
+#: spellings that name no single daemon: each is a ValueError naming it
+REFUSED = [
+    "h:70000",  # getaddrinfo would wrap it onto port 4464
+    "h:65536",
+    ("h", 70000),
+    ("h", -1),
+    ("h", True),
+    ("h", "9"),
+    ("", 1),
+    ("::1", 80),
+    "a:1,b:2",  # a list of daemons is not one address
+    [("a", 1), ("b", 2)],
+    ["a:1", "b:2"],
+    [],
+    ("h",),
+    ("h", 80, 0),
+    "::1",
+    "1:2:3",
+    "[::1]:80",
+    "nohost",
+    "h:port",
+    "h:-1",
+    123,
+]
+
+#: every surface that takes one daemon's address
+ENTRY_POINTS = {
+    "parse_address": parse_address,
+    "MemoConfig": lambda a: MemoConfig(transport="tcp", server_address=a),
+    "ServiceConfig": lambda a: ServiceConfig(memo_transport="tcp", memo_server=a),
+}
 
 
 class TestAddressParsing:
-    def test_single_forms(self):
-        assert parse_address_list("h:1") == [("h", 1)]
-        assert parse_address_list(("h", 1)) == [("h", 1)]
-        assert parse_address_list(["h:1"]) == [("h", 1)]
+    @pytest.mark.parametrize("spelling, want", ACCEPTED)
+    def test_one_address(self, spelling, want):
+        assert parse_address(spelling) == want
+        for make in ENTRY_POINTS.values():
+            make(spelling)
 
-    def test_comma_list_and_mixed(self):
-        assert parse_address_list("a:1, b:2,c:3") == [("a", 1), ("b", 2), ("c", 3)]
-        assert parse_address_list(["a:1", ("b", 2)]) == [("a", 1), ("b", 2)]
-
-    def test_error_names_bad_element(self):
-        with pytest.raises(ValueError, match=r"bad address element 'b'"):
-            parse_address_list("a:1,b")
-        with pytest.raises(ValueError, match=r"bad address element"):
-            parse_address_list([("a", 1), 42])
-
-    def test_rejects_duplicates_and_empty(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_address_list("a:1,a:1")
-        with pytest.raises(ValueError, match="empty"):
-            parse_address_list(" , ")
-        with pytest.raises(ValueError, match="empty"):
-            parse_address_list([])
-
-    def test_single_pair_is_not_two_addresses(self):
-        # the classic ambiguity: ("host", 9000) is ONE address
-        assert parse_address_list(("memo-host", 9000)) == [("memo-host", 9000)]
-
-    def test_parse_address_still_rejects_ipv6_strings(self):
-        with pytest.raises(ValueError):
-            parse_address("::1")
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", REFUSED, ids=repr)
+    def test_refused_naming_the_input(self, entry, bad):
+        with pytest.raises(ValueError, match="one address.*" + re.escape(repr(bad))):
+            ENTRY_POINTS[entry](bad)

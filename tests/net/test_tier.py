@@ -1,12 +1,7 @@
 """One memo tier, composed: the same behaviour out of every implementation.
 
 - **conformance** — one put/get/stats/state round trip over the in-process
-  router, the TCP client, replication over TCP and replication over two
-  in-process routers, with equal outcomes and ``shard_stats``,
-- **replication semantics without sockets** — fan-out, per-shard failover,
-  breakers, dirty/resync, over in-process routers behind a fake that fails
-  on command (``tests/faults/test_replication.py`` is the daemon-backed
-  integration layer),
+  router and the TCP client, with equal outcomes and ``shard_stats``,
 - **one merge-on-push** — the in-process router and the daemon install a
   pushed tree identically: all or nothing, heat unioned,
 - **the scheduler's tier** — ``SharedMemoService`` over a router in process
@@ -34,18 +29,9 @@ from repro.core.memo_shard import (
     MemoTier,
     ShardInsert,
     ShardQuery,
-    empty_memo_state,
     memo_state_partitions,
 )
-from repro.net import (
-    MemoServerDaemon,
-    RemoteMemoClient,
-    ReplicatedMemoClient,
-    TransportUnavailable,
-    connect_tier,
-)
-from repro.net.policy import RetryPolicy
-from repro.obs import ObsConfig
+from repro.net import MemoServerDaemon, RemoteMemoClient
 from repro.obs import runtime as obs
 from repro.service import SharedMemoService
 
@@ -100,32 +86,11 @@ def _inproc():
 @contextlib.contextmanager
 def _tcp():
     with MemoServerDaemon(n_shards=N_SHARDS, memo=MEMO) as srv:
-        with connect_tier(srv.address, expect_tau=MEMO.tau) as tier:
-            assert isinstance(tier, RemoteMemoClient)
+        with RemoteMemoClient(srv.address, expect_tau=MEMO.tau) as tier:
             yield tier
 
 
-@contextlib.contextmanager
-def _replicated_tcp():
-    with MemoServerDaemon(n_shards=N_SHARDS, memo=MEMO) as a:
-        with MemoServerDaemon(n_shards=N_SHARDS, memo=MEMO) as b:
-            with connect_tier([a.address, b.address], expect_tau=MEMO.tau) as tier:
-                assert isinstance(tier, ReplicatedMemoClient)
-                yield tier
-
-
-@contextlib.contextmanager
-def _replicated_inproc():
-    with ReplicatedMemoClient([router(), router()]) as tier:
-        yield tier
-
-
-TOPOLOGIES = {
-    "router": _inproc,
-    "tcp": _tcp,
-    "replicated-tcp": _replicated_tcp,
-    "replicated-routers": _replicated_inproc,
-}
+TOPOLOGIES = {"router": _inproc, "tcp": _tcp}
 
 
 def _round_trip(tier: MemoTier, rng) -> dict:
@@ -157,9 +122,7 @@ def _round_trip(tier: MemoTier, rng) -> dict:
         "partitions": sorted(
             (p["op"], p["location"]) for p in memo_state_partitions(tree)
         ),
-        # (a replica's tree carries that replica's own query counters)
         "restored": [(st.inserts, st.bytes_inserted, n) for st, n in restored.shard_stats()],
-        "health_is_a_map": isinstance(tier.health(), dict),
     }
 
 
@@ -239,178 +202,6 @@ class TestTierConformance:
                     tier.push_state(tree)
                 after = (tier.entries(), tier.shard_stats(), freeze(tier.state_dict()))
                 assert after == before, name
-            assert all(h["circuit"] == "closed" for h in tier.health().values())
-
-
-# -- replication semantics over in-process tiers ---------------------------------------------
-
-
-class Flaky(MemoTier):
-    """An in-process router that refuses every call while ``down``."""
-
-    def __init__(self) -> None:
-        self.inner = router()
-        self.n_shards = self.inner.n_shards
-        self.down = False
-
-    def _call(self, name, *args):
-        if self.down:
-            raise ConnectionRefusedError(f"replica is down ({name})")
-        return getattr(self.inner, name)(*args)
-
-    def query_batch(self, queries):
-        return self._call("query_batch", queries)
-
-    def insert_batch(self, inserts):
-        return self._call("insert_batch", inserts)
-
-    def shard_stats(self, op=None):
-        return self._call("shard_stats", op)
-
-    def state_dict(self):
-        return self._call("state_dict")
-
-    def push_state(self, tree):
-        return self._call("push_state", tree)
-
-    def ping(self):
-        return self._call("shard_stats", None) is not None
-
-    def close(self):
-        self.inner.close()
-
-
-POLICY = RetryPolicy(failure_threshold=2, reset_timeout_s=60.0)
-
-
-@pytest.fixture()
-def trio():
-    a, b = Flaky(), Flaky()
-    with ReplicatedMemoClient([a, b], retry_policy=POLICY) as tier:
-        yield tier, a, b
-
-
-def counter_total(name: str) -> float:
-    return sum(e["value"] for e in obs.snapshot() if e["name"] == name)
-
-
-class TestReplicationOverInprocTiers:
-    def test_inserts_reach_every_live_replica(self, trio, rng):
-        tier, a, b = trio
-        inserts = mk_items(rng, 6)
-        assert tier.insert_batch(inserts) == [-1] * 6
-        assert a.inner.entries() == b.inner.entries() == 6
-        assert tier.labels == ["replica0", "replica1"]
-        assert all(not h["dirty"] for h in tier.health().values())
-
-    def test_query_fails_over_per_shard_and_counts(self, trio, rng):
-        obs.configure(ObsConfig())
-        tier, a, b = trio
-        inserts = mk_items(rng, 6)
-        tier.insert_batch(inserts)
-        a.down = True  # the primary of shard 0 (locations 0, 2, 4)
-        outcomes = tier.query_batch(queries_for(inserts))
-        assert all(o.hit and o.similarity > 0.99 for o in outcomes)
-        # shard 1's sub-batch went to its primary b; shard 0's failed over
-        failovers = {
-            e["labels"]["shard"]: e["value"]
-            for e in obs.snapshot() if e["name"] == "net_client_failover_total"
-        }
-        assert failovers == {0: 1}
-        assert b.inner.stats().queries == 6 and a.inner.stats().queries == 0
-
-    def test_threshold_failures_open_the_breaker(self, trio, rng):
-        obs.configure(ObsConfig())
-        tier, a, b = trio
-        inserts = mk_items(rng, 2)
-        tier.insert_batch(inserts)
-        a.down = True
-        q = queries_for(inserts[:1])  # location 0: primary a
-        tier.query_batch(q)
-        assert tier.health()["replica0"]["circuit"] == "closed"  # 1 < threshold
-        tier.query_batch(q)
-        assert tier.health()["replica0"]["circuit"] == "open"
-        a.down = False  # back, but the open breaker skips it without a call
-        before = a.inner.stats().queries
-        assert tier.query_batch(q)[0].hit
-        assert a.inner.stats().queries == before
-        gauges = {
-            e["labels"]["replica"]: e["value"]
-            for e in obs.snapshot() if e["name"] == "circuit_state"
-        }
-        assert gauges == {"replica0": 2, "replica1": 0}
-
-    def test_skipped_replica_goes_dirty_and_resync_restores_it(self, trio, rng):
-        tier, a, b = trio
-        tier.insert_batch(mk_items(rng, 3))
-        b.down = True
-        tier.insert_batch(mk_items(rng, 3, op="Fu2D"))  # b misses these
-        assert tier.health()["replica1"]["dirty"]
-        assert (a.inner.entries(), b.inner.entries()) == (6, 3)
-        assert tier.resync() == 0  # still down: nothing to do yet
-        b.down = False
-        tier.reset_backoff()
-        assert tier.resync() == 1
-        assert not tier.health()["replica1"]["dirty"]
-        assert b.inner.shard_stats() == a.inner.shard_stats()
-        # a dirty replica is never the donor: with only it alive, no resync
-        a.down = True
-        tier.insert_batch(mk_items(rng, 1, first_loc=7))
-        assert tier.health()["replica0"]["dirty"]
-        b.down, a.down = True, False
-        tier.reset_backoff()
-        assert tier.resync() == 0
-
-    def test_all_replicas_down_fails_open_or_closed(self, rng):
-        obs.configure(ObsConfig())
-        a, b = Flaky(), Flaky()
-        a.down = b.down = True
-        probe = queries_for(mk_items(rng, 2))
-        with ReplicatedMemoClient([a, b], retry_policy=POLICY) as tier:
-            assert [o.hit for o in tier.query_batch(probe)] == [False, False]
-            assert tier.insert_batch(mk_items(rng, 2)) == [-1, -1]
-            assert tier.stats().queries == 0 and tier.entries() == 0
-            assert tier.state_dict() == empty_memo_state(N_SHARDS)
-            assert tier.push_state(empty_memo_state(N_SHARDS)) is False
-            assert counter_total("net_client_degraded_total") >= 5
-        with ReplicatedMemoClient([a, b], retry_policy=POLICY, fail_open=False) as strict:
-            with pytest.raises(TransportUnavailable):
-                strict.query_batch(probe)
-            with pytest.raises(TransportUnavailable):
-                strict.shard_stats()
-
-    def test_deterministic_rejection_is_not_a_replica_failure(self, trio):
-        tier, a, b = trio
-        bad = {"n_shards": 1, "partitions": [{"op": "Fu1D", "location": 0, "db": {}}]}
-        with pytest.raises(ValueError, match="malformed"):
-            tier.push_state(bad)
-        assert tier.health()["replica0"]["circuit"] == "closed"
-
-    def test_topology_disagreement_is_rejected(self):
-        with pytest.raises(ValueError, match="shard count"):
-            ReplicatedMemoClient([router(), MemoShardRouter(3, make_db_factory(MEMO))])
-        with pytest.raises(ValueError, match="at least one"):
-            ReplicatedMemoClient([])
-
-    def test_health_loop_probes_and_resyncs(self, rng):
-        import time
-
-        a, b = Flaky(), Flaky()
-        policy = RetryPolicy(failure_threshold=1, reset_timeout_s=60.0)
-        with ReplicatedMemoClient(
-            [a, b], retry_policy=policy, heartbeat_interval_s=0.02
-        ) as tier:
-            tier.insert_batch(mk_items(rng, 2))
-            b.down = True
-            tier.insert_batch(mk_items(rng, 2, op="Fu2D"))
-            assert tier.health()["replica1"]["dirty"]
-            b.down = False
-            deadline = time.monotonic() + 10.0
-            while tier.health()["replica1"]["dirty"] and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not tier.health()["replica1"]["dirty"]
-            assert tier.health()["replica1"]["circuit"] == "closed"
-            assert b.inner.entries() == 4
 
 
 # -- one merge-on-push -----------------------------------------------------------------------
@@ -451,7 +242,7 @@ class TestMergeOnPush:
                 tier.push_state(tree)
             assert live.entries() == 0
             # a request-level rejection: the same connection keeps serving
-            assert tier.entries() == 0 and tier.ping()
+            assert tier.entries() == 0 and tier.connected
 
     def test_valid_push_over_a_hot_partition_keeps_its_heat(self, kind, rng, monkeypatch):
         from repro.kvstore import store
@@ -529,7 +320,7 @@ def _service_inproc():
 @contextlib.contextmanager
 def _service_daemon():
     with MemoServerDaemon(n_shards=N_SHARDS, memo=MEMO) as srv:
-        service = SharedMemoService(connect_tier(srv.address, expect_tau=MEMO.tau))
+        service = SharedMemoService(RemoteMemoClient(srv.address, expect_tau=MEMO.tau))
         yield service
         service.close()
 

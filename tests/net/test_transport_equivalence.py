@@ -2,8 +2,7 @@
 
 - ``MLRSolver`` reconstructions and per-op memo hit/miss decisions match
   exactly between ``transport="inproc"`` and ``transport="tcp"`` at every
-  tested workers x shards layout — and with replication wrapped around
-  in-process routers instead of a wire,
+  tested workers x shards layout,
 - a scheduler warm-starts through a daemon-backed shared tier (two
   scheduler instances = two hosts sharing one daemon),
 - kill-the-daemon-mid-run fail-open: the job completes on cold compute and
@@ -18,13 +17,7 @@ import pytest
 from repro.core import MemoConfig, MemoShardRouter, MLRConfig, MLRSolver
 from repro.core.memo_engine import make_db_factory
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
-from repro.net import (
-    MemoServerDaemon,
-    RemoteMemoClient,
-    ReplicatedMemoClient,
-    connect_tier,
-    pull_state,
-)
+from repro.net import MemoServerDaemon, RemoteMemoClient, pull_state
 from repro.service import JobSpec, ReconstructionScheduler, ServiceConfig
 from repro.solvers import ADMMConfig
 
@@ -107,32 +100,6 @@ class TestBitIdentity:
                 == ref_solver.memo_executor.router.shard_stats()
             )
 
-    def test_replicated_over_inproc_routers_identical(self, problem):
-        """The fourth topology: replication wrapped around two in-process
-        routers (no wire at all) reproduces the bare router bit for bit,
-        and leaves both replicas holding the same tier."""
-        g, ops, d = problem
-        ref_solver, ref = run_solver(g, ops, d, memo_cfg(), n_workers=2, n_shards=2)
-        cfg = MLRConfig(chunk_size=4, memo=memo_cfg(), n_workers=2, n_shards=2)
-        solver = MLRSolver(g, cfg, admm=ADMM, ops=ops)
-        replicas = [MemoShardRouter(2, make_db_factory(memo_cfg())) for _ in range(2)]
-        solver.memo_executor.router = ReplicatedMemoClient(replicas)
-        res = solver.reconstruct(d)
-        np.testing.assert_array_equal(ref.u, res.u)
-        assert event_view(ref) == event_view(res)
-        assert ref.case_counts == res.case_counts
-        ref_ex, ex = ref_solver.memo_executor, solver.memo_executor
-        assert ex.db_stats_total().as_dict() == ref_ex.db_stats_total().as_dict()
-        assert ex.db_entries_total() == ref_ex.db_entries_total()
-        assert ex.router.shard_stats() == ref_ex.router.shard_stats()
-        assert ex.router.net_stats is None
-        # inserts reached both; each shard's reads went to its primary only
-        assert replicas[0].entries() == replicas[1].entries() == ref_ex.router.entries()
-        for shard, (stats, _n) in enumerate(ref_ex.router.shard_stats()):
-            primary, other = replicas[shard % 2], replicas[1 - shard % 2]
-            assert primary.shard_stats()[shard][0].queries == stats.queries
-            assert other.shard_stats()[shard][0].queries == 0
-
     def test_warm_start_via_remote_snapshot_matches_local(self, problem):
         """memo_snapshot loads push to the daemon; a second run over the
         same daemon behaves exactly like a locally warm-started run."""
@@ -207,7 +174,7 @@ class TestSchedulerRemoteTier:
             solver, _ = run_solver(
                 g, ops, d, memo_cfg(transport="tcp", server_address=srv.address)
             )
-            with connect_tier(srv.address) as tier:
+            with RemoteMemoClient(srv.address) as tier:
                 tree = pull_state(tier)
             assert tree is not None
         warm = MLRSolver(

@@ -1,12 +1,12 @@
 """Black-box flight recorder.
 
 The span rings double as an always-on bounded flight recorder: on a
-fault — job failure, snapshot quarantine, circuit-breaker open —
+fault — job failure, snapshot quarantine —
 ``obs.flight_dump()`` writes the recent spans plus a full metrics
 snapshot to a JSONL artifact (the exact format ``python -m repro.obs
 report`` stitches), so a chaos failure ships its own evidence.  These
 tests cover the dump mechanics (peek-not-drain, meta block, counter,
-never-raises) and the three production trigger points.
+never-raises) and the two production trigger points.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ import os
 import numpy as np
 
 from repro.core import MLRConfig, MemoConfig, ObsConfig
-from repro.core.memo_shard import ShardQuery
 from repro.lamino import LaminoGeometry
-from repro.net import MemoServerDaemon, connect_tier
-from repro.net.policy import RetryPolicy
 from repro.obs import runtime as obs
 from repro.obs.report import load_report, render_report
 from repro.service import JobSpec, JobState, ReconstructionScheduler, ServiceConfig
@@ -129,42 +126,18 @@ class TestProductionTriggers:
         assert meta["flight"]["attrs"]["attempts"] == 2  # original + 1 retry
         assert "OSError" in meta["flight"]["attrs"]["error"]
 
-    def test_circuit_breaker_open_dumps_flight(self, tmp_path):
-        obs.configure(ObsConfig(flight_dir=str(tmp_path)))
-        with MemoServerDaemon(n_shards=1, name="victim") as d:
-            address = d.address
-        # daemon closed: next contact trips the breaker immediately
-        rc = connect_tier(
-            [address], replication=1,
-            retry_policy=RetryPolicy(failure_threshold=1, reset_timeout_s=30.0),
-        )
-        try:
-            key = np.zeros(8, np.float32)
-            rc.query_batch([ShardQuery("Fu1D", 0, key)])
-        finally:
-            rc.close()
-        files = flight_files(tmp_path)
-        assert files and files[0].startswith("flight-circuit-open-")
-        with open(tmp_path / files[0], encoding="utf-8") as fh:
-            meta = json.loads(fh.readline())
-        attrs = meta["flight"]["attrs"]
-        assert attrs["replica"] == f"{address[0]}:{address[1]}"
-        assert attrs["error"]
+    def test_snapshot_quarantine_dumps_flight(self, tmp_path):
+        from repro.service.snapshot import load_or_quarantine
 
-    def test_breaker_reopen_does_not_redump(self, tmp_path):
-        """The dump fires on the closed->open *edge*, not on every failure
-        while open — a flapping replica must not flood the artifact dir."""
-        obs.configure(ObsConfig(flight_dir=str(tmp_path)))
-        with MemoServerDaemon(n_shards=1, name="victim") as d:
-            address = d.address
-        rc = connect_tier(
-            [address], replication=1,
-            retry_policy=RetryPolicy(failure_threshold=1, reset_timeout_s=30.0),
-        )
-        try:
-            key = np.zeros(8, np.float32)
-            for _ in range(5):  # breaker stays open: calls degrade silently
-                rc.query_batch([ShardQuery("Fu1D", 0, key)])
-        finally:
-            rc.close()
-        assert len(flight_files(tmp_path)) == 1  # one trip, one artifact
+        flights, snap = tmp_path / "flights", tmp_path / "snap"
+        flights.mkdir()
+        snap.mkdir()
+        (snap / "snapshot.mlr").write_bytes(b"not a snapshot")
+        obs.configure(ObsConfig(flight_dir=str(flights)))
+        assert load_or_quarantine(snap, "boot", job="warm") is None
+        files = flight_files(flights)
+        assert len(files) == 1 and files[0].startswith("flight-snapshot-quarantine-")
+        with open(flights / files[0], encoding="utf-8") as fh:
+            attrs = json.loads(fh.readline())["flight"]["attrs"]
+        assert attrs["where"] == "boot" and attrs["job"] == "warm"
+        assert attrs["snapshot"] == str(snap) and attrs["error"]
