@@ -36,7 +36,7 @@ code.co_lines(); a line or function belongs to the first lane reaching it).
 
 lanes
   production  python3 -m benchmarks.ledger --all --runs 1 --seconds 2 (4 workloads x trace 0/1),
-              the seven examples/*.py (--quick where they take it; observability_demo also
+              the six examples/*.py (--quick where they take it; observability_demo also
               --distributed, whose `python -m repro.net.server` child is stopped by SIGTERM),
               python -m repro.analysis, python -m repro.obs report / heat on the demos' output
   figures     pytest benchmarks/test_*.py --benchmark-disable (the paper-figure regenerators)
@@ -69,7 +69,6 @@ def commands(lane: str, scratch: str) -> list:
         [py, "examples/quickstart.py"],
         [py, "examples/multi_gpu_scaling.py"],
         [py, "examples/ic_inspection.py"],
-        [py, "examples/streaming_pipeline.py", "--quick"],
         [py, "examples/service_warmstart.py", "--quick", "--out", service_out],
         [py, "examples/remote_memo.py", "--quick", "--out", os.path.join(scratch, "remote-memo")],
         [py, "examples/observability_demo.py", "--quick", "--out", obs_out],

@@ -1,7 +1,7 @@
 """USFFT op-sweep microbenchmarks: vectorized kernels vs reference kernels.
 
 Times full chunked sweeps of the four memoizable operations (the shapes the
-executors actually drive through ``sweep_stream``) in complex64, with the
+executors actually drive through ``_sweep``) in complex64, with the
 same plans and inputs on both paths.  ``usfft2d_type2_sweep`` also records
 ``gauges.nnz_per_row``, the taps per target of the complex64 gather blocks
 it times, so ``trend.py`` fails if the stencil widens.

@@ -13,11 +13,11 @@
 ``sweep-kernel``
     The ``SWEEP_KERNELS`` dispatch table maps sweep-scheduled ops to
     single-chunk kernel method names.  Every class implementing one of
-    those kernels is an executor on the streaming path and must provide
-    the ``sweep_stream`` seam — defined locally, inherited from a
-    scanned base, or delegated via ``__getattr__``.  Every kernel name
-    in the table must be implemented by at least one scanned class, and
-    every table key must have a partition axis in ``SWEEP_AXIS``.
+    those kernels is an executor and must provide the ``_sweep`` seam —
+    defined locally, inherited from a scanned base, or delegated via
+    ``__getattr__``.  Every kernel name in the table must be implemented
+    by at least one scanned class, and every table key must have a
+    partition axis in ``SWEEP_AXIS``.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ class _ClassInfo:
 
 
 class SweepKernelRule:
-    """Every SWEEP_KERNELS executor must implement the sweep_stream seam."""
+    """Every SWEEP_KERNELS executor must implement the _sweep seam."""
 
     id = "sweep-kernel"
 
-    SEAM = "sweep_stream"
+    SEAM = "_sweep"
 
     def run(self, modules):
         classes: list[_ClassInfo] = []
@@ -178,8 +178,8 @@ class SweepKernelRule:
                             f"class {info.name} implements SWEEP_KERNELS "
                             f"kernel(s) {sorted(hit)} but neither defines nor "
                             f"inherits the '{self.SEAM}' seam (and has no "
-                            "__getattr__ delegation) — it cannot serve the "
-                            "streaming sweep path"
+                            "__getattr__ delegation) — it cannot run a chunk "
+                            "sweep"
                         ),
                     )
             for op, kernel in sorted(kernels.items()):

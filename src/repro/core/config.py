@@ -6,6 +6,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..obs.config import ObsConfig
+from ..solvers.executor import SWEEP_KERNELS
 
 __all__ = ["MemoConfig", "MLRConfig", "ObsConfig"]
 
@@ -88,6 +89,18 @@ class MemoConfig:
             raise ValueError(f"key_hw must be >= 2, got {self.key_hw}")
         if self.warmup_iterations < 0:
             raise ValueError("warmup_iterations must be >= 0")
+        unknown = [op for op in self.memo_ops if op not in SWEEP_KERNELS]
+        if unknown:
+            raise ValueError(
+                f"memo_ops may name only the sweep-scheduled ops {tuple(SWEEP_KERNELS)}, "
+                f"got {unknown}"
+            )
+        if len(set(self.memo_ops)) != len(self.memo_ops):
+            raise ValueError(f"memo_ops names an op twice: {tuple(self.memo_ops)}")
+        if self.max_consecutive_reuse < 1:
+            raise ValueError(
+                f"max_consecutive_reuse must be >= 1, got {self.max_consecutive_reuse}"
+            )
         if self.transport not in ("inproc", "tcp"):
             raise ValueError(
                 f"transport must be 'inproc' or 'tcp', got {self.transport!r}"

@@ -1,9 +1,9 @@
 """The memoization engine: a drop-in executor that replaces FFT operations.
 
-:class:`MemoizedExecutor` subclasses the chunk-streaming
+:class:`MemoizedExecutor` subclasses the chunked
 :class:`~repro.solvers.executor.DirectExecutor` and intercepts the four
 cancelled-pipeline operations (``Fu1D``, ``Fu2D``, ``Fu2D*``, ``Fu1D*``)
-at the sweep seam.  It reproduces the paper's scalable deployment
+at the sweep seam, ``_sweep``.  It reproduces the paper's scalable deployment
 (Sections 4.3, 4.4 and 5.2, Figures 6 and 14) functionally:
 
 - chunk locations are assigned to ``n_workers`` simulated GPU workers with
@@ -23,7 +23,7 @@ at the sweep seam.  It reproduces the paper's scalable deployment
   the sweep depends on it).
 
 Each op sweep runs in two phases per worker block: (A) encode keys, resolve
-cache hits, and stream the remainder through the coalescer to the shards;
+cache hits, and send the remainder through the coalescer to the shards;
 (B) in chunk order, serve hits (affine scale-corrected reuse) and compute
 misses.  Because memoization reuse is scoped to a single chunk location
 (Section 4.1) and a location is owned by exactly one worker and one shard,
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..lamino.chunking import Chunk
+from ..lamino.chunking import Chunk, SlabAssembler
 from ..obs import runtime as obs
 from ..solvers.executor import SWEEP_AXIS, SWEEP_KERNELS, DirectExecutor, operand_shape
 from .coalescer import CoalesceStats, KeyCoalescer
@@ -330,53 +330,45 @@ class MemoizedExecutor(DirectExecutor):
 
         return self.ops.once(("dc_basis", op, chunk.lo, chunk.hi, shape), compute)
 
-    def sweep_stream(self, op, items, n_chunks=None):
-        """Streaming multi-worker sweep: consume ``(chunk, payload)`` in
-        chunk order, yield ``(chunk, output)`` worker block by worker block.
+    def _sweep(self, op, array, payload=None):
+        """The multi-worker sweep of a sweep-scheduled op over ``array``'s
+        chunk grid.
 
         Per worker, phase A (encode, cache probe, coalesced shard queries)
         runs over the worker's contiguous chunk block, then phase B (serve
-        hits, compute misses) for that block.  Because chunk locations are
+        hits, compute misses) for that block.  Chunk locations are
         worker-disjoint and insertions are deferred to the end of the whole
-        sweep, streaming worker-by-worker is bit-identical to running all
-        of phase A before all of phase B — outputs just become available as
-        each worker's block completes, which is what lets a streaming
-        consumer (:meth:`~repro.core.mlr_solver.MLRSolver.reconstruct_streaming`)
-        take them while later chunks are still arriving.  The full-array
-        ops are inherited calls to ``_sweep`` over this seam.
-
-        ``n_chunks`` (the sweep size) is required: the worker assignment
-        must be fixed before the first item is consumed.
+        sweep, so worker-by-worker is bit-identical to running all of phase
+        A before all of phase B.  The full-array ops are inherited calls to
+        this seam.
         """
         if op not in SWEEP_KERNELS:
-            # detector-plane ops are never sweep-scheduled: stream them
+            # detector-plane ops are never sweep-scheduled: run them
             # chunk-at-a-time like the base executor
-            yield from super().sweep_stream(op, items, n_chunks=n_chunks)
-            return
-        if n_chunks is None:
-            raise ValueError("the memoized sweep needs n_chunks up front")
-        completed = False
+            return super()._sweep(op, array, payload)
         try:
-            yield from self._stream_sweep(op, items, n_chunks)
-            completed = True
-        finally:
-            if not completed:
-                # a dead sweep (a failing source, an abandoned generator)
-                # must not leak its buffered queries or coalesced keys into
-                # the next sweep's messages and statistics
-                for worker in self.workers:
-                    worker.pending = []
-                    worker.coalescer.discard()
+            return self._memo_sweep(op, array, payload)
+        except BaseException:
+            # a dead sweep (a failing encoder, kernel or tier call) must not
+            # leak its buffered queries or coalesced keys into the next
+            # sweep's messages and statistics
+            for worker in self.workers:
+                worker.pending = []
+                worker.coalescer.discard()
+            raise
 
-    def _stream_sweep(self, op, items, n_chunks):
+    def _memo_sweep(self, op, array, payload):
         cfg = self.config
         memoized_op = self.enabled and op in self._state
         in_warmup = self.outer_iteration < cfg.warmup_iterations
-        assign = self.assignment_for(op, n_chunks)
+        axis = SWEEP_AXIS[op]
+        n = array.shape[axis]
+        grid = self._grid(op, n)
+        assign = self.assignment_for(op, len(grid))
         state = self._state.get(op)
         compute = self._raw_kernel(op)
         inserts: list[ShardInsert] = []
-        it = iter(items)
+        sink = SlabAssembler(n, axis)
 
         for worker_id, owned in enumerate(assign.per_gpu):
             worker = self.workers[worker_id]
@@ -385,22 +377,10 @@ class MemoizedExecutor(DirectExecutor):
 
             # -- phase A: cache probe + coalesced shard queries for this block ------
             for ci in owned:
-                try:
-                    chunk, payload = next(it)
-                except StopIteration:
-                    raise ValueError(
-                        f"sweep_stream({op!r}): stream ended after chunk "
-                        f"{ci - 1}, expected {n_chunks} chunks"
-                    ) from None
-                if chunk.index != ci:
-                    raise ValueError(
-                        f"sweep_stream({op!r}): expected chunk {ci}, got "
-                        f"{chunk.index} — items must arrive in chunk order"
-                    )
-                # counted per consumed chunk (like the base executor), so a
-                # sweep abandoned mid-stream does not inflate the statistics
+                chunk = grid[ci]
+                item = chunk.take(array) if payload is None else payload(chunk)
                 self.op_counts[op] += 1
-                x, sub = payload if op == "Fu2D" else (payload, None)
+                x, sub = item if op == "Fu2D" else (item, None)
                 slot = _Slot()
                 block.append((chunk, x, sub, slot))
                 if not memoized_op or in_warmup:
@@ -433,8 +413,8 @@ class MemoizedExecutor(DirectExecutor):
             for chunk, x, sub, slot in block:
                 loc = chunk.index
                 tags = dict(worker=worker_id, shard=self.router.shard_of(loc))
-                # the span closes before the yield: consumer time (the
-                # assembler, a streaming caller) must not bill to the kernel
+                # the span closes before the assembler takes the slab: its
+                # time must not bill to the kernel
                 with obs.span(f"sweep.{op}", chunk=loc, worker=worker_id):
                     if not memoized_op or in_warmup:
                         out = compute(chunk, x)
@@ -481,15 +461,11 @@ class MemoizedExecutor(DirectExecutor):
                         sim = slot.outcome.similarity if slot.outcome is not None else -2.0
                         self._record(op, loc, CASE_MISS, sim, slot.key.nbytes,
                                      out.nbytes, **tags)
-                yield chunk, out if sub is None else out - sub
+                sink(chunk, out if sub is None else out - sub)
 
-        for extra in it:
-            raise ValueError(
-                f"sweep_stream({op!r}): got chunk {extra[0].index} beyond the "
-                f"declared {n_chunks} chunks"
-            )
         if inserts:
             self.router.insert_batch(inserts)
+        return sink.result()
 
     def _reconstruct(
         self,

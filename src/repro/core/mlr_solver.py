@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..lamino.chunking import SlabAssembler
 from ..lamino.geometry import LaminoGeometry
 from ..lamino.operators import LaminoOperators
 from ..obs import runtime as obs
@@ -235,68 +234,4 @@ class MLRSolver:
         it for per-job progress events and cooperative cancellation)."""
         with obs.span("solver.reconstruct"):
             admm_result: ADMMResult = self.solver.run(d, u0=u0, callback=callback)
-        return self._result(admm_result)
-
-    # -- streaming ingest ---------------------------------------------------------------
-
-    def make_ingest(self, queue_depth: int = 4):
-        """A :class:`~repro.pipeline.StreamingIngest` matched to this
-        solver's geometry and chunk grid; ``queue_depth`` blocks of
-        backpressure toward the producer."""
-        from ..pipeline import StreamingIngest
-
-        return StreamingIngest(
-            self.geometry.data_shape,
-            chunk_size=self.config.chunk_size,
-            queue_depth=queue_depth,
-        )
-
-    def reconstruct_streaming(self, ingest, u0: np.ndarray | None = None) -> MLRResult:
-        """Reconstruct from an incrementally arriving scan.
-
-        ``ingest`` is a :class:`~repro.pipeline.StreamingIngest` (see
-        :meth:`make_ingest`) being fed by an acquisition thread.  The
-        ``F2D`` preprocessing sweep (``dhat = F2D d``, Algorithm 2 line 2)
-        is driven directly off the stream — early angle chunks are
-        transformed while later ones are still arriving — and the ADMM
-        iterations start as soon as the scan completes.  The result is
-        bit-identical to :meth:`reconstruct` on the fully assembled data.
-
-        An ingest declared for another scan shape is refused (``ValueError``)
-        before anything is consumed, and torn down so its producer sees
-        ``QueueClosed``.
-        """
-        if tuple(ingest.data_shape) != self.geometry.data_shape:
-            ingest.abort()
-            raise ValueError(
-                f"ingest declares a {tuple(ingest.data_shape)} scan, the geometry "
-                f"needs {self.geometry.data_shape}"
-            )
-        d = np.empty(self.geometry.data_shape, dtype=ingest.dtype)
-
-        def assemble(items):
-            for chunk, slab in items:
-                d[chunk.slice] = slab
-                yield chunk, slab
-
-        try:
-            dhat = None
-            if self.admm_config.cancellation:
-                sink = SlabAssembler(len(d))
-                sweep = self.executor.sweep_stream(
-                    "F2D", assemble(iter(ingest)), ingest.n_chunks
-                )
-                for chunk, dhat_c in sweep:
-                    sink(chunk, dhat_c)
-                dhat = sink.result()
-            else:
-                for _ in assemble(iter(ingest)):
-                    pass
-            with obs.span("solver.reconstruct"):
-                admm_result: ADMMResult = self.solver.run(d, u0=u0, dhat=dhat)
-        except BaseException:
-            # tear the stream down so a producer blocked in push() sees
-            # QueueClosed instead of deadlocking on a vanished consumer
-            ingest.abort()
-            raise
         return self._result(admm_result)

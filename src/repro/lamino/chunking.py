@@ -6,19 +6,19 @@ is split into fixed-size *chunks* that are streamed device-to-device.  A
 chunk location (the ``(op, index)`` pair) is also the key granularity of the
 paper's memoization cache — each location owns a private single-entry cache.
 
-A sweep walks one :class:`ArraySource` (the operand's slabs, in chunk
-order) and feeds one :class:`SlabAssembler` (the output slabs, back into
-one array).
+A sweep walks the chunk grid of an operand already in memory, taking each
+chunk's slab as a view (:meth:`Chunk.take`), and feeds one
+:class:`SlabAssembler` (the output slabs, back into one array).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["ArraySource", "Chunk", "SlabAssembler", "check_tiling", "chunk_ranges", "iter_chunks"]
+__all__ = ["Chunk", "SlabAssembler", "check_tiling", "chunk_ranges", "iter_chunks"]
 
 
 @dataclass(frozen=True)
@@ -82,35 +82,6 @@ def check_tiling(spans, length: int) -> None:
         pos = hi
     if pos != length:
         raise ValueError(f"chunks cover [0, {pos}) of a length-{length} axis")
-
-
-class ArraySource:
-    """The ``(chunk, payload)`` items of one sweep over an in-memory array.
-
-    The payload is the chunk's slab of ``array`` (a view, zero-copy), or
-    ``payload(chunk)`` for ops whose chunk carries extra arguments (the
-    fused ``Fu2D`` subtract slab).
-    """
-
-    def __init__(
-        self,
-        array: np.ndarray,
-        chunks: Sequence[Chunk],
-        payload: Callable[[Chunk], object] | None = None,
-    ) -> None:
-        self.array = array
-        self.chunks = list(chunks)
-        self._payload = payload
-
-    def __len__(self) -> int:
-        return len(self.chunks)
-
-    def __iter__(self) -> Iterator[tuple[Chunk, object]]:
-        for chunk in self.chunks:
-            if self._payload is not None:
-                yield chunk, self._payload(chunk)
-            else:
-                yield chunk, chunk.take(self.array)
 
 
 class SlabAssembler:

@@ -1,4 +1,4 @@
-"""repro.obs — unified observability for the memo/pipeline/service/net tiers.
+"""repro.obs — unified observability for the memo/service/net tiers.
 
 Public surface (the instrumentation verbs the rest of the repo uses)::
 

@@ -115,6 +115,20 @@ class JobSpec:
                 "projections must be an ndarray or a zero-argument callable, "
                 f"got {type(self.projections).__name__}"
             )
+        # a wrong-shaped array is refused here, not on every attempt; a
+        # callable source is shape-checked when the job runs
+        if isinstance(self.projections, np.ndarray) and (
+            self.projections.shape != self.geometry.data_shape
+        ):
+            raise ValueError(
+                f"projections shape {self.projections.shape} != "
+                f"{self.geometry.data_shape}, the geometry's data shape"
+            )
+        if self.u0 is not None and np.shape(self.u0) != self.geometry.vol_shape:
+            raise ValueError(
+                f"u0 shape {np.shape(self.u0)} != {self.geometry.vol_shape}, "
+                "the geometry's volume shape"
+            )
         if not isinstance(self.config, MLRConfig):
             raise ValueError(
                 f"config must be an MLRConfig, got {type(self.config).__name__}"

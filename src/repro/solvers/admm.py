@@ -112,21 +112,15 @@ class ADMMSolver:
         u0: np.ndarray | None = None,
         callback: Callable[[int, np.ndarray, dict], None] | None = None,
         tracer=None,
-        dhat: np.ndarray | None = None,
     ) -> ADMMResult:
         """Reconstruct from projections ``d`` (real or complex, paper shape
-        ``(n_angles, h, w)``).
-
-        ``dhat`` optionally supplies a precomputed ``F2D d`` (used only
-        under operation cancellation) — the streaming-ingest path computes
-        it chunk by chunk while the scan is still arriving.
-        """
+        ``(n_angles, h, w)``), starting from ``u0`` (zeros when ``None``)."""
         cfg = self.config
         geometry = self.ops.geometry
         if d.shape != geometry.data_shape:
             raise ValueError(f"data shape {d.shape} != {geometry.data_shape}")
-        if dhat is not None and dhat.shape != geometry.data_shape:
-            raise ValueError(f"dhat shape {dhat.shape} != {geometry.data_shape}")
+        if u0 is not None and u0.shape != geometry.vol_shape:
+            raise ValueError(f"u0 shape {u0.shape} != {geometry.vol_shape}")
         d = np.ascontiguousarray(d, dtype=np.complex64)
         u = (
             u0.astype(np.complex64, copy=True)
@@ -137,10 +131,7 @@ class ADMMSolver:
         lam = np.zeros_like(psi)
         rho = cfg.rho
         # Algorithm 2 line 2: map the data to the frequency domain once.
-        if cfg.cancellation:
-            dhat = dhat if dhat is not None else self.executor.f2d(d)
-        else:
-            dhat = None
+        dhat = self.executor.f2d(d) if cfg.cancellation else None
 
         history: dict[str, list[float]] = {
             k: [] for k in ("loss", "data_loss", "tv", "primal_res", "dual_res", "rho")

@@ -8,15 +8,14 @@ the base of :class:`~repro.core.memo_engine.MemoizedExecutor`) is:
 
 - ``fu1d / fu1d_adj / fu2d / fu2d_adj / f2d / f2d_adj`` — the six operations
   of Algorithm 1, full-array in/out, each one call to the one chunk loop
-  ``_sweep`` (slice along ``SWEEP_AXIS[op]``, stream, reassemble),
+  ``_sweep`` (slice along ``SWEEP_AXIS[op]``, run each chunk, reassemble),
 - ``fu2d(..., subtract=dhat)`` — the fused subtract-in-kernel variant of
   Section 4.2 (Figure 5b): returns ``Fu2D(x) - dhat`` from a single call,
 - ``begin_outer / begin_inner`` — iteration markers used by memoization to
   distinguish revisits of the same chunk location,
 - ``op_counts`` — dict op-name -> number of chunk-level invocations,
-- ``sweep_stream`` — the *streaming* form of one op sweep: consume
-  ``(chunk, payload)`` items in chunk order, yield ``(chunk, output)``
-  pairs: the seam the memoized executor overrides.
+- ``_sweep(op, array, payload=None)`` — one op sweep over an operand that is
+  already in memory: the seam the memoized executor overrides.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 
-from ..lamino.chunking import ArraySource, Chunk, SlabAssembler, iter_chunks
+from ..lamino.chunking import Chunk, SlabAssembler, iter_chunks
 from ..lamino.operators import LaminoOperators
 from ..obs import runtime as obs
 
@@ -44,7 +43,7 @@ SWEEP_AXIS = {
 #: Sweep-scheduled (memoizable) op -> its single-chunk kernel method.  The
 #: one dispatch table: ``chunk_kernel`` binds these for the chunk-at-a-time
 #: sweep, and :class:`~repro.core.memo_engine.MemoizedExecutor` — which
-#: intercepts at ``sweep_stream``, not per kernel — binds the same methods
+#: intercepts at ``_sweep``, not per kernel — binds the same methods
 #: as the raw computation of a miss.
 SWEEP_KERNELS = {
     "Fu1D": "_run_fu1d",
@@ -63,7 +62,7 @@ def operand_shape(op: str, geometry) -> tuple[int, int, int]:
 
 
 class DirectExecutor:
-    """Chunk-streaming executor with no memoization (the paper's baseline).
+    """Chunked executor with no memoization (the paper's baseline).
 
     ``chunk_size`` mirrors the GPU pipeline granularity: ``fu1d``/``fu1d_adj``
     partition along the volume x-axis, ``fu2d``/``fu2d_adj`` along the
@@ -95,7 +94,7 @@ class DirectExecutor:
         size = self.chunk_size if self.chunk_size is not None else n
         return list(iter_chunks(n, size, axis=SWEEP_AXIS[op]))
 
-    # -- streaming sweep API ---------------------------------------------------------
+    # -- the one chunk loop ----------------------------------------------------------
 
     def chunk_kernel(self, op: str):
         """Per-chunk kernel of ``op``: ``(chunk, payload) -> output slab``.
@@ -116,31 +115,20 @@ class DirectExecutor:
             return lambda chunk, dhat_c: self.ops.f2d_adj(dhat_c)
         raise ValueError(f"unknown op {op!r}")
 
-    def sweep_stream(self, op: str, items, n_chunks: int | None = None):
-        """Streaming chunk sweep: consume ``(chunk, payload)`` in chunk
-        order, yield ``(chunk, output)`` as each chunk completes.
-
-        Processing is strictly in arrival order on the calling thread.
-        ``n_chunks`` is accepted for interface parity with the memoized
-        executor (which needs the sweep size up front).
-        """
-        del n_chunks  # chunk-at-a-time execution needs no lookahead
-        kernel = self.chunk_kernel(op)
-        for chunk, payload in items:
-            self.op_counts[op] += 1
-            with obs.span(f"sweep.{op}", chunk=chunk.index):
-                out = kernel(chunk, payload)
-            yield chunk, out
-
     def _sweep(self, op: str, array: np.ndarray, payload=None) -> np.ndarray:
-        """The one chunk loop: ``array``'s chunk grid (``payload(chunk)``
-        replacing the plain slab where the op's chunk carries more) through
-        ``sweep_stream`` into one assembler."""
+        """The one chunk loop: ``array``'s chunk grid, in order, on the
+        calling thread, each chunk's payload (its slab of ``array``, or
+        ``payload(chunk)`` where the op's chunk carries more) through the
+        op's kernel into one assembler."""
         axis = SWEEP_AXIS[op]
         n = array.shape[axis]
-        source = ArraySource(array, self._grid(op, n), payload)
+        kernel = self.chunk_kernel(op)
         sink = SlabAssembler(n, axis)
-        for chunk, out in self.sweep_stream(op, source, len(source)):
+        for chunk in self._grid(op, n):
+            item = chunk.take(array) if payload is None else payload(chunk)
+            self.op_counts[op] += 1
+            with obs.span(f"sweep.{op}", chunk=chunk.index):
+                out = kernel(chunk, item)
             sink(chunk, out)
         return sink.result()
 

@@ -256,44 +256,6 @@ class TestConditionProtocol:
 
 
 class TestIntegration:
-    def test_bounded_queue_pipeline(self, fresh_witness):
-        from repro.pipeline import BoundedQueue, QueueClosed
-
-        q = BoundedQueue(2)
-        got: list[int] = []
-
-        def producer():
-            for i in range(64):
-                q.put(i)
-            q.close()
-
-        t = threading.Thread(target=producer)
-        t.start()
-        while True:
-            try:
-                got.append(q.get())
-            except QueueClosed:
-                break
-        t.join(WAIT)
-        assert got == list(range(64))
-
-    def test_streaming_ingest(self, fresh_witness):
-        from repro.pipeline import StreamingIngest
-
-        ingest = StreamingIngest((32, 2, 2), chunk_size=4, queue_depth=1)
-
-        def producer():
-            with ingest:
-                for lo in range(0, 32, 3):
-                    ingest.push(np.full((min(3, 32 - lo), 2, 2), lo))
-
-        t = threading.Thread(target=producer)
-        t.start()
-        got = [chunk.index for chunk, _slab in ingest]
-        t.join(WAIT)
-        assert not t.is_alive()
-        assert got == list(range(8))
-
     def test_spill_manager_roundtrip(self, fresh_witness, tmp_path):
         from repro.memio import SpillManager
 

@@ -241,9 +241,8 @@ EXEC_CLEAN = """
     SWEEP_AXIS = {"Fu1D": 0, "Fu1D*": 0}
 
     class DirectExecutor:
-        def sweep_stream(self, op, chunks):
-            for chunk in chunks:
-                yield chunk
+        def _sweep(self, op, array, payload=None):
+            return array
 
         def _run_fu1d(self, chunk):
             return chunk
@@ -274,7 +273,7 @@ class TestSweepKernel:
         )
         report = run_analysis(root, select={"sweep-kernel"})
         assert len(report.findings) == 1
-        assert "sweep_stream" in report.findings[0].message
+        assert "_sweep" in report.findings[0].message
 
     def test_inherited_seam_satisfies(self, mini_repo):
         root = mini_repo(
@@ -284,8 +283,8 @@ class TestSweepKernel:
                 SWEEP_AXIS = {"Fu1D": 0}
 
                 class Base:
-                    def sweep_stream(self, op, chunks):
-                        return chunks
+                    def _sweep(self, op, array, payload=None):
+                        return array
 
                 class Derived(Base):
                     def _run_fu1d(self, chunk):
@@ -323,8 +322,8 @@ class TestSweepKernel:
                 SWEEP_AXIS = {"Fu1D": 0, "Fu2D": 0}
 
                 class DirectExecutor:
-                    def sweep_stream(self, op, chunks):
-                        return chunks
+                    def _sweep(self, op, array, payload=None):
+                        return array
 
                     def _run_fu1d(self, chunk):
                         return chunk
@@ -343,8 +342,8 @@ class TestSweepKernel:
                 SWEEP_AXIS = {}
 
                 class DirectExecutor:
-                    def sweep_stream(self, op, chunks):
-                        return chunks
+                    def _sweep(self, op, array, payload=None):
+                        return array
 
                     def _run_fu1d(self, chunk):
                         return chunk

@@ -66,6 +66,24 @@ class TestMemoConfig:
         with pytest.raises(ValueError, match="warmup_iterations"):
             MemoConfig(warmup_iterations=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(memo_ops=("Fu9D",)), "memo_ops"),  # no such op
+            (dict(memo_ops=("F2D",)), "memo_ops"),  # never sweep-scheduled
+            (dict(memo_ops=("Fu1D", "Fu2D", "Fu1D")), "memo_ops"),  # repeated
+            (dict(max_consecutive_reuse=0), "max_consecutive_reuse"),
+            (dict(max_consecutive_reuse=-1), "max_consecutive_reuse"),
+        ],
+    )
+    def test_settings_that_turn_memoization_off_are_refused(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            MemoConfig(**kwargs)
+
+    @pytest.mark.parametrize("memo_ops", [("Fu1D",), ("Fu2D", "Fu2D*")])
+    def test_op_subsets_stay_valid(self, memo_ops):
+        assert MemoConfig(memo_ops=memo_ops).memo_ops == memo_ops
+
 
 class TestADMMConfig:
     def test_defaults_valid(self):

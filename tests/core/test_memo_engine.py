@@ -4,6 +4,7 @@ fleet-shape (workers x shards) equivalence, and the tier seam."""
 from __future__ import annotations
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from repro.core import (
 from repro.core.memo_engine import make_db_factory
 from repro.core.memo_shard import MemoTier, memo_state_partitions
 from repro.lamino import LaminoGeometry, LaminoOperators, brain_like, simulate_data
-from repro.lamino.chunking import Chunk, iter_chunks
+from repro.lamino.chunking import Chunk, SlabAssembler
 from repro.solvers import ADMMConfig, ADMMSolver, DirectExecutor, accuracy
+from repro.solvers.executor import SWEEP_KERNELS, operand_shape
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +48,6 @@ def memo_cfg(**over):
 
 
 ADMM = ADMMConfig(n_outer=6, n_inner=3, step_max_rel=4.0)
-
-
-def run_chunk(ex, op, payload, hi):
-    """One single-chunk sweep of ``op`` through the public seam."""
-    chunk = Chunk(index=0, axis=0, lo=0, hi=hi)
-    [(_chunk, out)] = list(ex.sweep_stream(op, [(chunk, payload)], n_chunks=1))
-    return out
 
 
 def rand_chunk(seed, shape=(4, 16, 16)):
@@ -143,6 +138,58 @@ class TestEventTrace:
             assert all(c <= i for i, c in enumerate(counts))
 
 
+SERVED = ("db_hit", "cache_hit")
+METHOD = {"Fu1D": "fu1d", "Fu1D*": "fu1d_adj", "Fu2D": "fu2d", "Fu2D*": "fu2d_adj"}
+
+
+class TestMemoSettings:
+    @pytest.mark.parametrize("op", list(SWEEP_KERNELS))
+    def test_one_op_memo_ops_memoizes_that_op_alone(self, problem, op):
+        """``memo_ops=(op,)`` memoizes ``op`` alone: the same operand swept
+        twice is served the second time for ``op``, and the other three
+        sweep-scheduled ops run direct, equal to the direct executor."""
+        g, ops, truth, d = problem
+        cfg = memo_cfg(memo_ops=(op,), warmup_iterations=0, max_consecutive_reuse=100)
+        ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
+        direct = DirectExecutor(ops, chunk_size=4)
+        ex.begin_outer(1)
+        for other, method in METHOD.items():
+            x = rand_chunk(len(other), operand_shape(other, g))
+            for sweep in range(2):
+                n_events = len(ex.events)
+                got = getattr(ex, method)(x)
+                cases = {ev.case for ev in ex.events[n_events:]}
+                if other != op:
+                    assert cases == {"direct"}
+                    np.testing.assert_array_equal(got, getattr(direct, method)(x))
+                elif sweep == 0:
+                    assert cases == {"miss"}
+                else:
+                    assert cases and cases <= set(SERVED), cases
+        assert {ev.op for ev in ex.events if ev.case != "direct"} == {op}
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_reuse_bound_cycles_serves_and_refreshes(self, problem, bound):
+        """Sweeping one operand again and again, each location is computed,
+        served ``max_consecutive_reuse`` times, then recomputed — down to
+        the least bound the config accepts."""
+        g, ops, truth, d = problem
+        cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=bound)
+        ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
+        ex.begin_outer(1)
+        x = rand_chunk(5, operand_shape("Fu1D", g))
+        cycle = ["served"] * bound + ["miss"]
+        for _ in range(1 + 2 * len(cycle)):
+            ex.fu1d(x)
+        by_location: dict = {}
+        for ev in ex.events:
+            case = "served" if ev.case in SERVED else ev.case
+            by_location.setdefault(ev.chunk, []).append(case)
+        assert len(by_location) == 4  # 16/4 chunk locations
+        for cases in by_location.values():
+            assert cases == ["miss"] + cycle * 2
+
+
 class TestAffineReuse:
     def test_scaled_input_served_exactly(self, problem):
         """A pure rescaling of a stored chunk must be served (nearly)
@@ -152,8 +199,8 @@ class TestAffineReuse:
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)  # past warmup
         x = rand_chunk(0)
-        run_chunk(ex, "Fu1D", x, 4)
-        served = run_chunk(ex, "Fu1D", (2.0 * x).astype(np.complex64), 4)
+        ex.fu1d(x)
+        served = ex.fu1d((2.0 * x).astype(np.complex64))
         true = ops.fu1d(2.0 * x)
         assert ex.events[-1].case in ("db_hit", "cache_hit")
         assert np.linalg.norm(served - true) < 1e-3 * np.linalg.norm(true)
@@ -166,9 +213,9 @@ class TestAffineReuse:
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
         x = rand_chunk(1)
-        run_chunk(ex, "Fu1D", x, 4)
+        ex.fu1d(x)
         shifted = (x + (0.5 - 0.25j)).astype(np.complex64)
-        served = run_chunk(ex, "Fu1D", shifted, 4)
+        served = ex.fu1d(shifted)
         true = ops.fu1d(shifted)
         assert ex.events[-1].case in ("db_hit", "cache_hit")
         assert np.linalg.norm(served - true) < 1e-2 * np.linalg.norm(true)
@@ -184,8 +231,8 @@ class TestAffineReuse:
         sub = (np.random.default_rng(2).standard_normal(g.data_shape) + 0j).astype(
             np.complex64
         )
-        run_chunk(ex, "Fu2D", (x, None), 16)  # prime
-        out = run_chunk(ex, "Fu2D", (x, sub), 16)  # cache hit + subtraction outside
+        ex.fu2d(x)  # prime
+        out = ex.fu2d(x, subtract=sub)  # cache hit + subtraction outside
         assert ex.events[-1].case == "cache_hit"
         want = ops.fu2d(x) - sub
         assert np.linalg.norm(out - want) < 1e-3 * np.linalg.norm(want)
@@ -231,10 +278,8 @@ class TestCoalescerFlush:
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=2)
         ex.workers[0].coalescer = KeyCoalescer(key_bytes=100, payload_bytes=300)
         ex.begin_outer(1)
-        u = rand_chunk(3, (14, 16, 16))
-        chunks = [Chunk(index=i, axis=0, lo=2 * i, hi=2 * i + 2) for i in range(7)]
-        outs = list(ex.sweep_stream("Fu1D", [(c, u[c.slice]) for c in chunks], 7))
-        assert len(outs) == 7
+        ex.fu1d(rand_chunk(3, (14, 16, 16)))  # seven 2-row chunks
+        assert ex.op_counts["Fu1D"] == 7
         stats = ex.coalesce_stats()
         assert stats.keys == 7
         assert stats.messages == 3
@@ -249,16 +294,16 @@ class TestCoalescerFlush:
         cfg = memo_cfg(warmup_iterations=0, cache=None)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
-        u = rand_chunk(4, (16, 16, 16))
-        chunks = [Chunk(index=i, axis=0, lo=4 * i, hi=4 * i + 4) for i in range(4)]
+        encode = ex.encoder.encode
 
-        def broken():
-            yield chunks[0], u[chunks[0].slice]
-            yield chunks[1], u[chunks[1].slice]
-            raise RuntimeError("reader died")
+        def dies_at_the_third_chunk(x):
+            if ex.workers[0].coalescer.pending == 2:
+                raise RuntimeError("encoder died")
+            return encode(x)
 
-        with pytest.raises(RuntimeError, match="reader died"):
-            list(ex.sweep_stream("Fu1D", broken(), 4))
+        ex.encoder.encode = dies_at_the_third_chunk
+        with pytest.raises(RuntimeError, match="encoder died"):
+            ex.fu1d(rand_chunk(4, (16, 16, 16)))
         assert self.drained(ex)
         stats = ex.coalesce_stats()
         assert (stats.keys, stats.messages) == (0, 0)
@@ -362,21 +407,21 @@ class TestReconstructEdgeCases:
         g, ops, truth, d = problem
         ex = self._executor(ops, scale_correction=False)
         x = rand_chunk(5)
-        stored = run_chunk(ex, "Fu1D", x, 4)
-        served = run_chunk(ex, "Fu1D", (2.0 * x).astype(np.complex64), 4)
+        stored = ex.fu1d(x)
+        served = ex.fu1d((2.0 * x).astype(np.complex64))
         assert ex.events[-1].case in ("db_hit", "cache_hit")
         # raw reuse: the stored value verbatim, not a rescaled estimate
         np.testing.assert_array_equal(served, stored)
         served[0, 0, 0] = 99.0  # must be a copy, not an alias of the cache
-        again = run_chunk(ex, "Fu1D", (2.0 * x).astype(np.complex64), 4)
+        again = ex.fu1d((2.0 * x).astype(np.complex64))
         assert again[0, 0, 0] != 99.0
 
     def test_served_value_preserves_dtype(self, problem):
         g, ops, truth, d = problem
         ex = self._executor(ops)
         x = rand_chunk(6)
-        run_chunk(ex, "Fu1D", x, 4)
-        served = run_chunk(ex, "Fu1D", (1.5 * x).astype(np.complex64), 4)
+        ex.fu1d(x)
+        served = ex.fu1d((1.5 * x).astype(np.complex64))
         assert ex.events[-1].case in ("db_hit", "cache_hit")
         assert served.dtype == np.complex64
 
@@ -399,25 +444,30 @@ class TestMissOutputIsFrozen:
     N = 16
 
     def _run(self, ops, consume):
-        """A sweep of misses then a sweep of hits, per op, through the
-        public seam; ``consume`` sees every chunk the miss sweep yields."""
+        """A sweep of misses then a sweep of hits, per op, through the six
+        ops; ``consume`` sees every output slab the miss sweep hands its
+        assembler."""
         cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
-        chunks = list(iter_chunks(self.N, 4))
         u, r = rand_chunk(3, (self.N,) * 3), rand_chunk(4, ops.geometry.data_shape)
-        operands = {  # a kernel that returns a view, and one that owns its output
-            "Fu1D": lambda c, s: (s * u[c.slice]).astype(np.complex64),
-            "Fu2D*": lambda c, s: (s * r[:, c.slice, :]).astype(np.complex64),
+        sweeps = {  # a kernel that returns a view, and one that owns its output
+            "Fu1D": lambda s: ex.fu1d((s * u).astype(np.complex64)),
+            "Fu2D*": lambda s: ex.fu2d_adj((s * r).astype(np.complex64)),
         }
         yielded = []
-        for op, operand in operands.items():
+        assemble = SlabAssembler.__call__
+        for op, sweep in sweeps.items():
             for scale in (1.0, 1.5):
-                items = [(c, operand(c, scale)) for c in chunks]
-                for _chunk, out in ex.sweep_stream(op, items, n_chunks=len(chunks)):
+
+                def tap(sink, chunk, out, scale=scale):
                     yielded.append(out.copy())
                     if scale == 1.0:
                         consume(out)
+                    assemble(sink, chunk, out)
+
+                with mock.patch.object(SlabAssembler, "__call__", tap):
+                    sweep(scale)
         assert Counter(ev.case for ev in ex.events) == {"miss": 8, "cache_hit": 8}
         return ex, yielded
 

@@ -1,5 +1,5 @@
 """Chunk partition properties (hypothesis-driven), and the sweep's slab
-source and assembler."""
+assembler."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lamino import Chunk, chunk_ranges, iter_chunks
-from repro.lamino.chunking import ArraySource, SlabAssembler
+from repro.lamino.chunking import SlabAssembler
 
 
 class TestChunkRanges:
@@ -49,21 +49,6 @@ class TestChunk:
         chunks = list(iter_chunks(10, 4))
         assert [c.index for c in chunks] == [0, 1, 2]
         assert [c.size for c in chunks] == [4, 4, 2]
-
-
-class TestArraySource:
-    def test_yields_slabs_in_order(self, rng):
-        a = rng.standard_normal((10, 3))
-        src = ArraySource(a, iter_chunks(10, 4))
-        got = list(src)
-        assert [c.index for c, _ in got] == [0, 1, 2]
-        np.testing.assert_array_equal(got[2][1], a[8:10])
-
-    def test_axis1_and_payload(self, rng):
-        a = rng.standard_normal((2, 6, 2))
-        src = ArraySource(a, iter_chunks(6, 3, axis=1), payload=lambda c: (c.lo, c.hi))
-        assert [p for _, p in src] == [(0, 3), (3, 6)]
-        assert len(src) == 2
 
 
 class TestSlabAssembler:

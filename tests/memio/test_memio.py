@@ -135,7 +135,7 @@ class TestSpillManager:
 
 
 class TestSpillManagerConcurrency:
-    """Safety properties the streaming pipeline leans on."""
+    """Safety properties under concurrent and repeated use."""
 
     def test_double_close_is_idempotent(self, rng, tmp_path):
         sm = SpillManager(str(tmp_path))

@@ -5,8 +5,6 @@ MemoDBStats."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig
@@ -117,30 +115,6 @@ class TestSolverTcpAcceptance:
         data = load_jsonl(str(path))
         assert data["meta"]["dropped_spans"] == 0
         assert any(s["name"] == "usfft.fft" for s in data["spans"])
-
-
-class TestStreamingIngestTier:
-    def test_ingest_queue_metrics_appear(self, tiny_geometry, tiny_ops, tiny_data):
-        cfg = MLRConfig(chunk_size=4, memo=memo_cfg(), obs=ObsConfig())
-        solver = MLRSolver(tiny_geometry, cfg, admm=ADMM, ops=tiny_ops)
-        ingest = solver.make_ingest(queue_depth=1)
-
-        def produce():
-            with ingest:
-                for lo in range(0, tiny_data.shape[0], 3):
-                    ingest.push(tiny_data[lo:lo + 3])
-
-        feeder = threading.Thread(target=produce)
-        feeder.start()
-        solver.reconstruct_streaming(ingest)
-        feeder.join(timeout=10)
-        assert not feeder.is_alive()
-        depth = [e for e in obs.snapshot() if e["name"] == "pipeline_queue_depth"]
-        assert [e["labels"] for e in depth] == [{"queue": "ingest"}]
-        spans, _ = obs.drain_spans()
-        f2d = [rec for rec in spans if rec["name"] == "sweep.F2D"]
-        assert len(f2d) == ingest.n_chunks  # dhat was computed off the stream
-        solver.close()
 
 
 class TestSchedulerTier:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import threading
 
 import numpy as np
@@ -401,6 +402,14 @@ class TestValidation:
             JobSpec(name="j", priority=1.5, **ok)
         with pytest.raises(ValueError, match="priority"):
             JobSpec(name="j", priority=True, **ok)
+        # a wrong-shaped array is refused at submit, not on every attempt
+        short = data[: len(data) // 2]
+        with pytest.raises(ValueError, match=re.escape(f"projections shape {short.shape} != ")):
+            JobSpec(name="j", geometry=geometry, projections=short, max_retries=2)
+        n1, n0, n2 = geometry.vol_shape
+        with pytest.raises(ValueError, match=re.escape(f"u0 shape {(n1, n0, n2 + 1)} != ")):
+            JobSpec(name="j", u0=np.zeros((n1, n0, n2 + 1), np.complex64), max_retries=2, **ok)
+        JobSpec(name="j", projections=lambda: short, geometry=geometry)  # checked when run
 
     def test_submit_rejects_non_spec(self, problem):
         with ReconstructionScheduler(ServiceConfig(n_workers=1)) as sched:

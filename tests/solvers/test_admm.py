@@ -75,10 +75,13 @@ class TestConvergence:
 
 class TestBehaviours:
     def test_data_shape_validated(self, solved):
-        _, ops, *_ = solved
+        _, ops, _, d, _ = solved
         solver = ADMMSolver(ops, ADMMConfig(n_outer=1))
         with pytest.raises(ValueError):
             solver.run(np.zeros((2, 3, 4), dtype=np.float32))
+        n1, n0, n2 = ops.geometry.vol_shape
+        with pytest.raises(ValueError, match=r"u0 shape \(\d+, \d+, \d+\) != "):
+            solver.run(d, u0=np.zeros((n1, n0, n2 + 1), dtype=np.complex64))
 
     def test_warm_start_improves_first_loss(self, solved):
         _, ops, truth, d, result = solved

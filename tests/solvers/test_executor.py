@@ -4,11 +4,14 @@ loop the executor is specified by."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core import MemoConfig, MemoizedExecutor
 from repro.lamino import LaminoGeometry, LaminoOperators, iter_chunks
+from repro.lamino.chunking import SlabAssembler
 from repro.solvers.executor import SWEEP_AXIS, DirectExecutor, operand_shape
 
 # the sweep axes are 24, 16 and 12 long; the chunkings of them:
@@ -63,15 +66,25 @@ def _operand(shape, seed):
 
 def _by_hand(ex, op, x, sub, chunk):
     """The executor's specification: slice the operand along its sweep axis,
-    stream the slabs through ``sweep_stream``, concatenate in chunk order."""
+    sweep the slabs through ``_sweep``, concatenate its output slabs in
+    chunk order."""
     axis = SWEEP_AXIS[op]
     chunks = list(iter_chunks(x.shape[axis], chunk, axis=axis))
     if op == "Fu2D":
-        items = [(c, (c.take(x), c.take(sub))) for c in chunks]
+        slabs = {c.index: (c.take(x), c.take(sub)) for c in chunks}
     else:
-        items = [(c, c.take(x)) for c in chunks]
-    outs = [out for _c, out in ex.sweep_stream(op, items, len(chunks))]
-    return np.concatenate(outs, axis=axis)
+        slabs = {c.index: c.take(x) for c in chunks}
+    outs = {}
+    assemble = SlabAssembler.__call__
+
+    def tap(sink, c, out):
+        outs[c.index] = out
+        assemble(sink, c, out)
+
+    with mock.patch.object(SlabAssembler, "__call__", tap):
+        ex._sweep(op, x, lambda c: slabs[c.index])
+    assert list(outs) == sorted(outs) == list(slabs)  # every chunk, in order
+    return np.concatenate([outs[c.index] for c in chunks], axis=axis)
 
 
 @pytest.mark.parametrize("make", EXECUTORS.values(), ids=EXECUTORS.keys())
