@@ -1,11 +1,14 @@
 """Ablation of this reproduction's engineering deviations.
 
-The paper's memoization as literally described (verbatim value reuse, no
-staleness bound) is numerically unstable at reproduction scale; this bench
-quantifies what each added mechanism buys — the evidence behind the design
-deviations recorded on the ``MemoConfig`` fields (``scale_correction``,
-``max_consecutive_reuse``) in ``src/repro/core/config.py``; the report is
-``benchmarks/results/ablation_deviations.txt``.
+The paper's memoization as literally described (no staleness bound, no
+local cache) is compared with what this reproduction runs, under the
+``MemoConfig`` default reuse rule (``Fu2D*`` alone) — the evidence behind
+``max_consecutive_reuse`` in ``src/repro/core/config.py``; the report is
+``benchmarks/results/ablation_deviations.txt``.  Scale-corrected (affine)
+reuse is not ablated: it is always on.  At the perf ledger's solver
+geometry verbatim ``Fu2D*`` reuse read an excess over the direct solve of
+0.033 against 0.025, and with ``Fu1D*`` memoized too a data residual 5x
+the direct solve's against 1.3x.
 """
 
 import numpy as np
@@ -38,7 +41,6 @@ def ablation():
     rows = []
     variants = {
         "full (affine reuse + staleness bound)": {},
-        "no scale correction (verbatim reuse)": {"scale_correction": False},
         "no staleness bound": {"max_consecutive_reuse": 10_000},
         "no local cache": {"cache": None},
     }
@@ -56,12 +58,8 @@ def test_ablation_deviations(benchmark):
     emit("ablation_deviations", table(
         ["variant", "accuracy", "memoized fraction"], rows,
         "Ablation: engineering deviations (accuracy vs exact solver)",
-    ))
+    ) + f"\nmemoized ops: {', '.join(MemoConfig().memo_ops)} (the MemoConfig default)")
     full = results["full (affine reuse + staleness bound)"]
-    # each removed mechanism hurts (or at best matches) accuracy
-    assert full >= results["no scale correction (verbatim reuse)"] - 0.05
+    # the removed mechanism hurts (or at best matches) accuracy
     assert full >= results["no staleness bound"] - 0.05
-    # verbatim reuse is catastrophically worse (the divergence that motivated
-    # affine reuse)
-    assert results["no scale correction (verbatim reuse)"] < full - 0.1
     assert np.isfinite(full)

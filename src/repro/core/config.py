@@ -45,6 +45,28 @@ class MemoConfig:
         unreachable tier degrades to cold compute, never a failed
         reconstruction.  Loopback ``tcp`` is bit-identical to ``inproc`` at
         every workers x shards layout.
+    memo_ops:
+        The sweep-scheduled ops that are memoized; the others run direct.
+        The default is ``("Fu2D*",)``: the adjoint 2-D USFFT is the one
+        kernel expensive enough to be worth a lookup, and its reuse
+        converges.  The paper memoizes all four; pass
+        ``("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")`` to run that setting.  At the
+        perf ledger's solver geometry (volume (64, 32, 64), 32 angles,
+        chunk 8, 8 x 4 ADMM iterations, noise seed 1; the direct solve's
+        ``recon_rel_err`` is 0.612 and its data residual 0.033)::
+
+            memo_ops     kernel ms/chunk  excess   data residual  tier entries
+            Fu1D               0.41       0.063    0.228 (6.9x)        76
+            Fu2D               7.0        0.045    0.161 (4.9x)        43
+            Fu2D*              5.0        0.025    0.047 (1.4x)        57
+            Fu1D*              0.36       0.019    0.041 (1.2x)       168
+            all four            -         0.062    0.238 (7.2x)       419
+
+        "excess" is ``recon_rel_err`` over the direct solve's, minus 1.  A key
+        encode alone costs 0.1-0.2 ms/chunk, so the 1-D ops buy nothing
+        back; a reused forward value feeds ``r = F u - d``, where its error
+        is amplified near the fixed point, so forward reuse leaves a data
+        residual several times the direct solve's.
     """
 
     tau: float = 0.92
@@ -57,23 +79,21 @@ class MemoConfig:
     index_train_min: int = 32
     transport: str = "inproc"
     server_address: str | tuple | list | None = None
-    memo_ops: tuple[str, ...] = ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")
+    memo_ops: tuple[str, ...] = ("Fu2D*",)
     track_similarity_census: bool = False
     warmup_iterations: int = 1
-    #: The FFT operations are linear, and cosine similarity (the paper's
-    #: Eq. 3 gate) is scale-blind while residual magnitudes shrink across
-    #: ADMM iterations.  Scale-corrected reuse multiplies a retrieved value
-    #: by ||query chunk|| / ||stored chunk||, which keeps reuse sound as the
-    #: solver converges; disable to study the raw-reuse failure mode.
-    scale_correction: bool = True
     #: Bounded staleness: a chunk location serves at most this many
     #: consecutive memoized results before the engine forces a recompute
     #: (which refreshes the database and cache).  The paper's beamline-scale
     #: runs self-limit — 53% of lookups still miss at tau=0.92 (Sec. 6.4) —
     #: but small smooth synthetic problems converge so cleanly that the
     #: similarity gate alone never rejects, chaining one stale value forever
-    #: and biasing the gradient.  The refresh bound restores the paper's
-    #: intermittent-reuse regime; set to a huge value to disable.
+    #: and biasing the gradient.  Under the default ``Fu2D*``-only reuse it
+    #: matters little: at the perf ledger's solver geometry and 24 x 4 ADMM
+    #: iterations, ``10**9`` read a relative excess over the direct solve of
+    #: 0.049 / 0.051 / 0.040 against the default's 0.049 / 0.046 / 0.043
+    #: (tau 0.86 / 0.92 / 0.96), and it still bounds how long one stored
+    #: value can steer a location.  Set to a huge value to disable.
     max_consecutive_reuse: int = 4
 
     def __post_init__(self) -> None:

@@ -3,7 +3,9 @@
 :class:`MemoizedExecutor` subclasses the chunked
 :class:`~repro.solvers.executor.DirectExecutor` and intercepts the four
 cancelled-pipeline operations (``Fu1D``, ``Fu2D``, ``Fu2D*``, ``Fu1D*``)
-at the sweep seam, ``_sweep``.  It reproduces the paper's scalable deployment
+at the sweep seam, ``_sweep``; it memoizes those ``MemoConfig.memo_ops``
+names (``Fu2D*`` alone by default) and runs the others direct.  It
+reproduces the paper's scalable deployment
 (Sections 4.3, 4.4 and 5.2, Figures 6 and 14) functionally:
 
 - chunk locations are assigned to ``n_workers`` simulated GPU workers with
@@ -489,7 +491,7 @@ class MemoizedExecutor(DirectExecutor):
         *exactly*; only the AC residual is approximated, with error bounded
         by the Eq. 3 gate.
         """
-        if not self.config.scale_correction or stored_meta is None:
+        if stored_meta is None:
             return value.copy()
         ac_a, dc_a = stored_meta
         ac_q, dc_q = query_meta

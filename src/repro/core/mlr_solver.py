@@ -11,6 +11,13 @@ the *number of FFT operation executions* via memoization (Section 3), so a
 run with an impossible threshold (``tau -> 1``) degenerates to the original
 ADMM-FFT bit-for-bit — a property the integration tests assert.
 
+By default one op is memoized, the adjoint 2-D USFFT ``Fu2D*``
+(``MemoConfig.memo_ops``): it is the one kernel expensive enough to be
+worth a lookup, and its reuse converges.  The paper memoizes all four
+sweep-scheduled ops; pass ``memo_ops=("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")``
+to run that setting, at the cost of a data residual several times the
+direct solve's (``MemoConfig`` has the per-op numbers).
+
 For the paper's CNN key encoder, :meth:`train_encoder` performs the
 contrastive warmup (Section 4.3.1): it harvests chunk images from a few
 unmemoized iterations, trains the encoder on Eq. 2, INT8-quantizes it, and

@@ -13,6 +13,12 @@ through the one table renderer, :func:`repro.obs.report.table`.  Figures
 ``quick=True`` (the default used by tests) shrinks iteration counts; the
 benchmarks run the fuller settings each ``benchmarks/test_fig*.py`` passes
 (reports land in ``benchmarks/results/``).
+
+Which ops a figure memoizes is part of its set-up, and every memoizing
+artifact prints it.  The figures that reproduce the paper's four-op traces
+(4, 10, 12 and 14–16) pass :data:`PAPER_MEMO_OPS`; Table 1, Figures 8 and
+17 and the warm-start study run the ``MemoConfig`` default, ``Fu2D*``
+alone.
 """
 
 from __future__ import annotations
@@ -62,6 +68,9 @@ __all__ = [
 
 _DEFAULT_ADMM = dict(alpha=1e-3, rho=0.5, n_inner=4, step_max_rel=4.0)
 
+#: the paper's setting (Section 3): all four sweep-scheduled FFT ops memoized
+PAPER_MEMO_OPS = ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")
+
 
 @dataclass
 class Figure:
@@ -79,6 +88,12 @@ class Figure:
 
 def _admm_config(n_outer: int) -> ADMMConfig:
     return ADMMConfig(n_outer=n_outer, **_DEFAULT_ADMM)
+
+
+def _ops_note(memo: MemoConfig) -> str:
+    """The note line naming the ops a figure memoized."""
+    default = " (the MemoConfig default)" if memo.memo_ops == MemoConfig().memo_ops else ""
+    return f"memoized ops: {', '.join(memo.memo_ops)}{default}"
 
 
 def _memo_config(tau: float = 0.92, **over) -> MemoConfig:
@@ -170,7 +185,10 @@ def fig04_chunk_similarity(
     if quick:
         n_outer = min(n_outer, 24)
     problem = _Problem(spec)
-    memo = _memo_config(tau, track_similarity_census=True, warmup_iterations=10_000)
+    # the warmup spans the run: keys are tracked, nothing is served
+    memo = _memo_config(
+        tau, memo_ops=PAPER_MEMO_OPS, track_similarity_census=True, warmup_iterations=10_000
+    )
     ex = MemoizedExecutor(problem.ops, config=memo, chunk_size=2)
     ADMMSolver(problem.ops, _admm_config(n_outer), executor=ex).run(problem.data)
     census = ex.similarity_census("Fu2D", tau=tau)
@@ -190,6 +208,7 @@ def fig04_chunk_similarity(
     return Figure(
         tables=[(f"Figure 4: tau-similar prior chunks per location (tau={tau})",
                  ["iteration"] + list(counts), rows)],
+        notes=[_ops_note(memo)],
         values=dict(counts=counts),
     )
 
@@ -205,7 +224,7 @@ def fig08_overall(n_outer: int = 60, sim_outer: int = 16, quick: bool = True) ->
     rows = []  # dataset, original s, mLR s, normalized
     for key in ("small", "medium", "large"):
         spec = DATASETS[key]
-        _solver, result = _run_mlr(spec, sim_outer)
+        solver, result = _run_mlr(spec, sim_outer)
         dims = spec.dims
         orig_iter = simulate_iteration(dims, variant="alg1", n_inner=4).iteration_time
         # replay each simulated outer iteration's trace; extrapolate the
@@ -235,7 +254,8 @@ def fig08_overall(n_outer: int = 60, sim_outer: int = 16, quick: bool = True) ->
     return Figure(
         tables=[("Figure 8: overall performance (60-iteration runtime)",
                  ["dataset", "original (s)", "mLR (s)", "normalized"], rows)],
-        notes=[f"mean improvement: {100 * mean_improvement:.1f}%"],
+        notes=[f"mean improvement: {100 * mean_improvement:.1f}%",
+               _ops_note(solver.config.memo)],
         values=dict(rows=rows, mean_improvement=mean_improvement),
     )
 
@@ -279,7 +299,7 @@ def fig10_memo_breakdown(
     if quick:
         sim_outer = min(sim_outer, 8)
     data = memo_case_breakdown(spec.dims)
-    _solver, result = _run_mlr(spec, sim_outer)
+    solver, result = _run_mlr(spec, sim_outer, memo_ops=PAPER_MEMO_OPS)
     counts = {k: v for k, v in result.case_counts.items() if k != "direct"}
     total = sum(counts.values()) or 1
     dist = {k: v / total for k, v in counts.items()}
@@ -289,7 +309,7 @@ def fig10_memo_breakdown(
         for op, cases in data.items()
         for case, comps in cases.items()
     ]
-    notes = []
+    notes = [_ops_note(solver.config.memo)]
     if dist:
         notes.append("case distribution: " + ", ".join(f"{k}={v:.0%}" for k, v in dist.items()))
     return Figure(
@@ -335,7 +355,7 @@ def fig12_cache_hitrate(
         n_outer = min(n_outer, 16)
     stats = {}
     for mode in ("private", "global"):
-        solver, _result = _run_mlr(spec, n_outer, cache=mode)
+        solver, _result = _run_mlr(spec, n_outer, cache=mode, memo_ops=PAPER_MEMO_OPS)
         stats[mode] = solver.executor.cache_stats("Fu2D")
     private, glob = stats["private"], stats["global"]
     saving = 1.0 - private.comparisons / glob.comparisons if glob.comparisons else 0.0
@@ -346,7 +366,8 @@ def fig12_cache_hitrate(
         tables=[("Figure 12: Fu2D cache hit rate",
                  ["iteration", "private hit rate", "global hit rate"], rows)],
         notes=[f"similarity comparisons: private={private.comparisons} "
-               f"global={glob.comparisons} (saving {100 * saving:.0f}%)"],
+               f"global={glob.comparisons} (saving {100 * saving:.0f}%)",
+               _ops_note(solver.config.memo)],
         values=dict(
             private_series=private_series,
             global_series=global_series,
@@ -409,7 +430,7 @@ def fig14_scaling(
     memory-node NIC utilization, and the query-latency CDF per GPU count."""
     if quick:
         sim_outer = min(sim_outer, 8)
-    _solver, result = _run_mlr(spec, sim_outer)
+    solver, result = _run_mlr(spec, sim_outer, memo_ops=PAPER_MEMO_OPS)
     trace = _steady_trace(result.events, sim_outer - 1)
     db_keys = sum(1 for ev in result.events if ev.case == "miss")
     op_times: dict[str, list[float]] = {op: [] for op in ("Fu1D", "Fu1D*", "Fu2D", "Fu2D*")}
@@ -439,6 +460,7 @@ def fig14_scaling(
         )
     return Figure(
         tables=tables,
+        notes=[_ops_note(solver.config.memo)],
         values=dict(
             gpu_counts=list(gpu_counts),
             op_times=op_times,
@@ -474,7 +496,10 @@ def fig14_sharded(
     if quick:
         sim_outer = min(sim_outer, 8)
     problem = _Problem(spec)
-    solver = problem.mlr(sim_outer, n_workers=n_workers, n_shards=n_shards)
+    solver = problem.mlr(
+        sim_outer, memo_over=dict(memo_ops=PAPER_MEMO_OPS),
+        n_workers=n_workers, n_shards=n_shards,
+    )
     result = solver.reconstruct(problem.data)
     ex = solver.executor
 
@@ -517,6 +542,7 @@ def fig14_sharded(
              ["workers \\ shards"] + [str(s) for s in grid_shards],
              [[w] + [lsp_times[(w, s)] for s in grid_shards] for w in grid_workers]),
         ],
+        notes=[_ops_note(solver.config.memo)],
         values=values,
     )
 
@@ -539,13 +565,15 @@ def tab01_accuracy(
     ref = problem.admm(n_outer).run(problem.data)
     accs, memos = [], []
     for tau in taus:
-        res = problem.mlr(n_outer, tau).reconstruct(problem.data)
+        solver = problem.mlr(n_outer, tau)
+        res = solver.reconstruct(problem.data)
         accs.append(accuracy(ref.u.real, res.u.real))
         memos.append(res.memoized_fraction)
     return Figure(
         tables=[("Table 1: impact of memoization on reconstruction accuracy",
                  ["tau", "accuracy", "memoized fraction"],
                  [list(r) for r in zip(taus, accs, memos)])],
+        notes=[_ops_note(solver.config.memo)],
         values=dict(taus=list(taus), accuracies=accs, memo_fractions=memos),
     )
 
@@ -576,11 +604,13 @@ def fig17_convergence(
         return lambda it, u, hist: losses[name].append(true_loss(u))
 
     problem.admm(n_outer).run(data, callback=cb("ref"))
-    problem.mlr(n_outer, tau).solver.run(data, callback=cb("mlr"))
+    mlr = problem.mlr(n_outer, tau)
+    mlr.solver.run(data, callback=cb("mlr"))
     return Figure(
-        tables=[("Figure 17: convergence with and without memoization",
+        tables=[(f"Figure 17: convergence with and without memoization (tau={tau})",
                  ["iteration", "loss w/o memoization", "loss w/ memoization"],
                  [[i, a, b] for i, (a, b) in enumerate(zip(losses["ref"], losses["mlr"]))])],
+        notes=[_ops_note(mlr.config.memo)],
         values=dict(loss_without=losses["ref"], loss_with=losses["mlr"]),
     )
 
@@ -662,7 +692,7 @@ def fig_warmstart(
                  ["job", "mode", "db queries", "db hits", "hit rate", "entries at start"],
                  job_rows)],
         notes=[f"second-scan hit rate: cold {cold_rate:.3f} -> warm {warm_rate:.3f} "
-               f"(gain +{warm_rate - cold_rate:.3f})"],
+               f"(gain +{warm_rate - cold_rate:.3f})", _ops_note(cfg.memo)],
         values=dict(
             job_rows=job_rows,
             first_job_hit_rate=h1.memo_delta.hit_rate,

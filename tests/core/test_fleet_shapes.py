@@ -27,10 +27,10 @@ def problem():
     return geometry, LaminoOperators(geometry), data
 
 
-def _memo():
+def _memo(**over):
     return MemoConfig(
         tau=0.92, warmup_iterations=1, index_train_min=8,
-        index_clusters=4, index_nprobe=2,
+        index_clusters=4, index_nprobe=2, **over,
     )
 
 
@@ -72,8 +72,10 @@ FLEETS = {"1x1": (1, 1), "2x1": (2, 1), "2x2": (2, 2), "3x2": (3, 2)}
 
 
 def _executor(ops, n_workers, n_shards):
+    # the sweeps below are Fu1D's, which the default does not memoize
+    memo = _memo(memo_ops=("Fu1D", "Fu2D", "Fu2D*", "Fu1D*"))
     ex = MemoizedExecutor(
-        ops, config=_memo(), chunk_size=4, n_workers=n_workers, n_shards=n_shards
+        ops, config=memo, chunk_size=4, n_workers=n_workers, n_shards=n_shards
     )
     ex.begin_outer(ex.config.warmup_iterations)  # past warmup: the sweeps memoize
     ex.begin_inner(0)

@@ -47,6 +47,10 @@ def memo_cfg(**over):
     return MemoConfig(**base)
 
 
+#: the paper's four-op setting: the default memoizes ``Fu2D*`` alone, so a
+#: test that pins ``Fu1D`` / ``Fu2D`` / ``Fu1D*`` reuse names all four
+FOUR_OPS = ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")
+
 ADMM = ADMMConfig(n_outer=6, n_inner=3, step_max_rel=4.0)
 
 
@@ -61,7 +65,7 @@ def rand_chunk(seed, shape=(4, 16, 16)):
 def reference(problem):
     """The 1 worker x 1 shard run every fleet shape is compared to."""
     g, ops, truth, d = problem
-    ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4)
+    ex = MemoizedExecutor(ops, config=memo_cfg(memo_ops=FOUR_OPS), chunk_size=4)
     res = ADMMSolver(ops, ADMM, executor=ex).run(d)
     return ex, res
 
@@ -128,7 +132,9 @@ class TestEventTrace:
 
     def test_similarity_census_tracks_history(self, problem):
         g, ops, truth, d = problem
-        cfg = memo_cfg(track_similarity_census=True, warmup_iterations=100)
+        cfg = memo_cfg(
+            memo_ops=FOUR_OPS, track_similarity_census=True, warmup_iterations=100
+        )
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ADMMSolver(ops, ADMM, executor=ex).run(d)
         census = ex.similarity_census("Fu2D", tau=0.9)
@@ -168,13 +174,29 @@ class TestMemoSettings:
                     assert cases and cases <= set(SERVED), cases
         assert {ev.op for ev in ex.events if ev.case != "direct"} == {op}
 
+    def test_default_run_serves_fu2d_adj_alone(self, problem):
+        """A default ``MLRSolver`` memoizes ``Fu2D*`` only: it is served,
+        and every ``Fu1D`` / ``Fu2D`` / ``Fu1D*`` chunk-op runs direct."""
+        g, ops, truth, d = problem
+        solver = MLRSolver(g, MLRConfig(chunk_size=4), admm=ADMM, ops=ops)
+        res = solver.reconstruct(d)
+        memoized = Counter(ev.op for ev in res.events if ev.case != "direct")
+        served = Counter(ev.op for ev in res.events if ev.case in SERVED)
+        assert set(memoized) == {"Fu2D*"}
+        assert served["Fu2D*"] > 0
+        for op in ("Fu1D", "Fu2D", "Fu1D*"):
+            assert res.op_counts[op] > 0 and served[op] == 0
+        assert {p["op"] for p in memo_state_partitions(solver.executor.memo_state())} == {
+            "Fu2D*"
+        }
+
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_reuse_bound_cycles_serves_and_refreshes(self, problem, bound):
         """Sweeping one operand again and again, each location is computed,
         served ``max_consecutive_reuse`` times, then recomputed — down to
         the least bound the config accepts."""
         g, ops, truth, d = problem
-        cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=bound)
+        cfg = memo_cfg(memo_ops=FOUR_OPS, warmup_iterations=0, max_consecutive_reuse=bound)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
         x = rand_chunk(5, operand_shape("Fu1D", g))
@@ -195,7 +217,7 @@ class TestAffineReuse:
         """A pure rescaling of a stored chunk must be served (nearly)
         exactly — the linearity property affine reuse exploits."""
         g, ops, truth, d = problem
-        cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
+        cfg = memo_cfg(memo_ops=FOUR_OPS, warmup_iterations=0, max_consecutive_reuse=100)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)  # past warmup
         x = rand_chunk(0)
@@ -209,7 +231,7 @@ class TestAffineReuse:
         """Adding a DC offset to a stored chunk is handled exactly by the
         dc-basis correction."""
         g, ops, truth, d = problem
-        cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
+        cfg = memo_cfg(memo_ops=FOUR_OPS, warmup_iterations=0, max_consecutive_reuse=100)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
         x = rand_chunk(1)
@@ -224,7 +246,7 @@ class TestAffineReuse:
         """The fused Fu2D kernel's dhat slab rides in the payload and is
         subtracted outside the memoized (linear) region."""
         g, ops, truth, d = problem
-        cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
+        cfg = memo_cfg(memo_ops=FOUR_OPS, warmup_iterations=0, max_consecutive_reuse=100)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=16)
         ex.begin_outer(1)
         x = rand_chunk(2, (16, 16, 16))
@@ -274,7 +296,7 @@ class TestCoalescerFlush:
         """A 7-chunk sweep at 3 keys/message must leave as exactly 3
         messages (2 full + 1 tail), every key reaching the database."""
         g, ops, truth, d = problem
-        cfg = memo_cfg(warmup_iterations=0, cache=None)
+        cfg = memo_cfg(memo_ops=FOUR_OPS, warmup_iterations=0, cache=None)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=2)
         ex.workers[0].coalescer = KeyCoalescer(key_bytes=100, payload_bytes=300)
         ex.begin_outer(1)
@@ -291,7 +313,7 @@ class TestCoalescerFlush:
     def test_abandoned_sweep_discards_buffered_keys(self, problem):
         """A dead sweep must not leak keys into the next sweep's messages."""
         g, ops, truth, d = problem
-        cfg = memo_cfg(warmup_iterations=0, cache=None)
+        cfg = memo_cfg(memo_ops=FOUR_OPS, warmup_iterations=0, cache=None)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
         encode = ex.encoder.encode
@@ -333,12 +355,12 @@ class TestPerOpLocationCounts:
     def test_global_cache_capacity_sized_per_op(self):
         g = LaminoGeometry((24, 16, 16), n_angles=12, det_shape=(16, 16), tilt_deg=61.0)
         ops = LaminoOperators(g)
-        ex = MemoizedExecutor(ops, config=memo_cfg(cache="global"), chunk_size=4)
+        ex = MemoizedExecutor(ops, config=memo_cfg(memo_ops=FOUR_OPS, cache="global"), chunk_size=4)
         assert ex.workers[0].caches["Fu1D"].capacity == 6
         assert ex.workers[0].caches["Fu2D"].capacity == 4
         # a fleet's total cache memory equals the single-worker baseline
         ex = MemoizedExecutor(
-            ops, config=memo_cfg(cache="global"), chunk_size=4, n_workers=2
+            ops, config=memo_cfg(memo_ops=FOUR_OPS, cache="global"), chunk_size=4, n_workers=2
         )
         assert [w.caches["Fu1D"].capacity for w in ex.workers] == [3, 3]
         assert [w.caches["Fu2D"].capacity for w in ex.workers] == [2, 2]
@@ -381,7 +403,9 @@ class TestPerOpLocationCounts:
 
 class TestReconstructEdgeCases:
     def _executor(self, ops, **over):
-        cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100, **over)
+        cfg = memo_cfg(
+            memo_ops=FOUR_OPS, warmup_iterations=0, max_consecutive_reuse=100, **over
+        )
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
         return ex
@@ -402,19 +426,6 @@ class TestReconstructEdgeCases:
         )
         true = ops.fu1d(query)
         assert np.linalg.norm(served - true) < 1e-3 * np.linalg.norm(true)
-
-    def test_scale_correction_off_returns_raw_copy(self, problem):
-        g, ops, truth, d = problem
-        ex = self._executor(ops, scale_correction=False)
-        x = rand_chunk(5)
-        stored = ex.fu1d(x)
-        served = ex.fu1d((2.0 * x).astype(np.complex64))
-        assert ex.events[-1].case in ("db_hit", "cache_hit")
-        # raw reuse: the stored value verbatim, not a rescaled estimate
-        np.testing.assert_array_equal(served, stored)
-        served[0, 0, 0] = 99.0  # must be a copy, not an alias of the cache
-        again = ex.fu1d((2.0 * x).astype(np.complex64))
-        assert again[0, 0, 0] != 99.0
 
     def test_served_value_preserves_dtype(self, problem):
         g, ops, truth, d = problem
@@ -447,7 +458,7 @@ class TestMissOutputIsFrozen:
         """A sweep of misses then a sweep of hits, per op, through the six
         ops; ``consume`` sees every output slab the miss sweep hands its
         assembler."""
-        cfg = memo_cfg(warmup_iterations=0, max_consecutive_reuse=100)
+        cfg = memo_cfg(memo_ops=FOUR_OPS, warmup_iterations=0, max_consecutive_reuse=100)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ex.begin_outer(1)
         u, r = rand_chunk(3, (self.N,) * 3), rand_chunk(4, ops.geometry.data_shape)
@@ -525,7 +536,7 @@ class TestGeometryOnlyStateOnTheOperator:
         return {k: v for k, v in ops._state.memo.items() if k[0] == "dc_basis"}
 
     def _solve(self, g, d, ops, chunk):
-        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=chunk)
+        ex = MemoizedExecutor(ops, config=memo_cfg(memo_ops=FOUR_OPS), chunk_size=chunk)
         res = ADMMSolver(ops, ADMM, executor=ex).run(d)
         return res.u, event_trace(ex.events)
 
@@ -581,7 +592,9 @@ class TestSimilarityCensusVectorized:
         from repro.solvers.metrics import cosine_similarity
 
         g, ops, truth, d = problem
-        cfg = memo_cfg(track_similarity_census=True, warmup_iterations=100)
+        cfg = memo_cfg(
+            memo_ops=FOUR_OPS, track_similarity_census=True, warmup_iterations=100
+        )
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         ADMMSolver(ops, ADMM, executor=ex).run(d)
         for tau in (0.5, 0.9, 0.99):
@@ -595,7 +608,7 @@ class TestSimilarityCensusVectorized:
 
     def test_zero_keys_count_nothing(self, problem):
         g, ops, truth, d = problem
-        cfg = memo_cfg(track_similarity_census=True)
+        cfg = memo_cfg(memo_ops=FOUR_OPS, track_similarity_census=True)
         ex = MemoizedExecutor(ops, config=cfg, chunk_size=4)
         zero = np.zeros(8, dtype=np.float32)
         ex._state["Fu2D"].key_history[0] = [zero, zero, zero]
@@ -660,7 +673,7 @@ class TestFleetShapeEquivalence:
         g, ops, truth, d = problem
         ref_ex, _ = reference
         ex = MemoizedExecutor(
-            ops, config=memo_cfg(), chunk_size=4, n_workers=4, n_shards=2
+            ops, config=memo_cfg(memo_ops=FOUR_OPS), chunk_size=4, n_workers=4, n_shards=2
         )
         ADMMSolver(ops, ADMM, executor=ex).run(d)
         for op in ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*"):
@@ -733,7 +746,7 @@ class TestWorkersAndShards:
     def test_reset_state_clears_service(self, run, problem):
         g, ops, truth, d = problem
         ex = MemoizedExecutor(
-            ops, config=memo_cfg(), chunk_size=4, n_workers=2, n_shards=2
+            ops, config=memo_cfg(memo_ops=FOUR_OPS), chunk_size=4, n_workers=2, n_shards=2
         )
         ADMMSolver(ops, ADMM, executor=ex).run(d)
         assert ex.router.entries() > 0
@@ -793,7 +806,9 @@ class TestTierSeam:
         assert {n for n in vars(RecordingTier) if not n.startswith("_")} == set(
             TIER_PRIMITIVES
         )
-        ex = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4, n_workers=2)
+        ex = MemoizedExecutor(
+            ops, config=memo_cfg(memo_ops=FOUR_OPS), chunk_size=4, n_workers=2
+        )
         tier = ex.router = RecordingTier(n_shards=2)
         res = ADMMSolver(ops, ADMM, executor=ex).run(d)
         np.testing.assert_array_equal(res.u, ref.u)
@@ -801,7 +816,7 @@ class TestTierSeam:
         assert ex.db_stats_total().as_dict() == ref_ex.db_stats_total().as_dict()
         assert ex.db_entries_total() == ref_ex.db_entries_total()
 
-        fresh = MemoizedExecutor(ops, config=memo_cfg(), chunk_size=4)
+        fresh = MemoizedExecutor(ops, config=memo_cfg(memo_ops=FOUR_OPS), chunk_size=4)
         fresh.router = RecordingTier(n_shards=1)
         fresh.load_memo_state(ex.memo_state())
         assert fresh.db_entries_total() == ex.db_entries_total()
@@ -843,7 +858,7 @@ class TestSnapshotRefusal:
     def test_mismatched_snapshot_rejected_before_install(self, problem, tree):
         g, ops, truth, d = problem
         for over, match in (
-            (dict(tau=0.95), "tau"),
+            (dict(memo_ops=FOUR_OPS, tau=0.95), "tau"),
             (dict(memo_ops=("Fu2D", "Fu2D*")), "not memoized here"),
         ):
             ex = MemoizedExecutor(ops, config=memo_cfg(**over), chunk_size=4)

@@ -45,13 +45,19 @@ def first_job(problem):
 
 
 class TestMemoState:
-    def test_state_round_trip_preserves_everything(self, first_job, tmp_path):
-        executor = first_job.memo_executor
+    def test_state_round_trip_preserves_everything(self, problem, tmp_path):
+        geometry, d1, _ = problem
+        # the paper's four ops, so every op's partitions make the trip
+        memo = MemoConfig(**MEMO, memo_ops=("Fu1D", "Fu2D", "Fu2D*", "Fu1D*"))
+        cfg = MLRConfig(chunk_size=4, memo=memo)
+        job = MLRSolver(geometry, cfg, admm=ADMM)
+        job.reconstruct(d1)
+        executor = job.memo_executor
         save_memo_snapshot(tmp_path / "m", executor)
         tree = load_memo_snapshot(tmp_path / "m")
         assert tree["n_shards"] == 1
         assert len(tree["partitions"]) == 16  # 4 ops x 4 locations
-        fresh = MLRSolver(first_job.geometry, config(), admm=ADMM)
+        fresh = MLRSolver(geometry, cfg, admm=ADMM)
         fresh.memo_executor.load_memo_state(tree)
         assert fresh.memo_executor.db_entries_total() == executor.db_entries_total()
         assert (fresh.memo_executor.db_stats_total().as_dict()
