@@ -36,8 +36,7 @@ code.co_lines(); a line or function belongs to the first lane reaching it).
 
 lanes
   production  python3 -m benchmarks.ledger --all --runs 1 --seconds 2 (4 workloads x trace 0/1),
-              the six examples/*.py (--quick where they take it; observability_demo also
-              --distributed, whose `python -m repro.net.server` child is stopped by SIGTERM),
+              the six examples/*.py (--quick where they take it),
               python -m repro.analysis, python -m repro.obs report / heat on the demos' output
   figures     pytest benchmarks/test_*.py --benchmark-disable (the paper-figure regenerators)
   tests       pytest tests benchmarks/ledger
@@ -72,12 +71,8 @@ def commands(lane: str, scratch: str) -> list:
         [py, "examples/service_warmstart.py", "--quick", "--out", service_out],
         [py, "examples/remote_memo.py", "--quick", "--out", os.path.join(scratch, "remote-memo")],
         [py, "examples/observability_demo.py", "--quick", "--out", obs_out],
-        [py, "examples/observability_demo.py", "--quick", "--distributed", "--out", obs_out],
         [py, "-m", "repro.analysis"],
         [py, "-m", "repro.obs", "report", os.path.join(obs_out, "observability_demo.jsonl")],
-        [py, "-m", "repro.obs", "report",
-         os.path.join(obs_out, "observability_demo_client.jsonl"),
-         os.path.join(obs_out, "observability_demo_server.jsonl")],
         [py, "-m", "repro.obs", "heat", os.path.join(service_out, "snapshot")],
     ]
 

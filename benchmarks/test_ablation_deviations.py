@@ -56,7 +56,7 @@ def ablation():
 def test_ablation_deviations(benchmark):
     rows, results = benchmark.pedantic(ablation, iterations=1, rounds=1)
     emit("ablation_deviations", table(
-        ["variant", "accuracy", "memoized fraction"], rows,
+        ["variant", "accuracy", "served of memoized-op lookups"], rows,
         "Ablation: engineering deviations (accuracy vs exact solver)",
     ) + f"\nmemoized ops: {', '.join(MemoConfig().memo_ops)} (the MemoConfig default)")
     full = results["full (affine reuse + staleness bound)"]

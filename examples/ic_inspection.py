@@ -40,7 +40,7 @@ def main() -> None:
     )
     result = MLRSolver(geometry, config, admm=admm, ops=ops).reconstruct(data)
     print("IC phantom, strict threshold tau=0.95 (Section 4.5):")
-    print(f"  memoized fraction: {100 * result.memoized_fraction:.0f}%")
+    print(f"  served: {100 * result.memoized_fraction:.0f}% of memoized-op lookups")
     print(f"  accuracy vs original: {accuracy(reference.u.real, result.u.real):.3f}")
 
     # -- paper-scale offload plan for the same run -------------------------------

@@ -71,8 +71,6 @@ class MemoConfig:
 
     tau: float = 0.92
     encoder: str = "pool"
-    key_hw: int = 8
-    embed_dim: int = 60
     cache: str | None = "private"
     index_clusters: int = 16
     index_nprobe: int = 4
@@ -105,8 +103,6 @@ class MemoConfig:
             raise ValueError(
                 f"cache must be 'private', 'global' or None, got {self.cache!r}"
             )
-        if self.key_hw < 2:
-            raise ValueError(f"key_hw must be >= 2, got {self.key_hw}")
         if self.warmup_iterations < 0:
             raise ValueError("warmup_iterations must be >= 0")
         unknown = [op for op in self.memo_ops if op not in SWEEP_KERNELS]

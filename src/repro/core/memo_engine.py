@@ -180,7 +180,7 @@ class MemoizedExecutor(DirectExecutor):
         if encoder is not None:
             self.encoder = encoder
         elif self.config.encoder == "pool":
-            self.encoder = PoolKeyEncoder(self.config.key_hw)
+            self.encoder = PoolKeyEncoder()
         else:
             raise ValueError(
                 "encoder='cnn' requires passing a trained CNNKeyEncoder instance"

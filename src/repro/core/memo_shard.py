@@ -410,8 +410,8 @@ class MemoShardRouter(MemoTier):
         return [shard.stats_entries(op) for shard in self.shards]
 
     def heat_records(self) -> list[dict]:
-        """Every stored entry's heat record, shard by shard (what the
-        daemon's ``memo_entry_age_seconds`` scrape is computed from)."""
+        """Every stored entry's heat record, shard by shard (what
+        ``python -m repro.obs heat`` reports on)."""
         return [rec for shard in self.shards for rec in shard.heat_records()]
 
     # -- provenance ----------------------------------------------------------------

@@ -53,7 +53,13 @@ class MLRResult:
 
     @property
     def memoized_fraction(self) -> float:
-        """Share of memoizable chunk-ops served without FFT computation."""
+        """Served chunk-ops (cache + database hits) over memoized-op lookups.
+
+        The denominator is every chunk-op of a memoized op after warm-up
+        (``case_counts`` minus its ``"direct"`` entry), not every sweep
+        chunk-op: under the ``("Fu2D*",)`` default the other three ops run
+        direct and are not counted.  The share of all sweep chunk-ops is
+        ``served / sum(case_counts.values())``."""
         served = self.case_counts.get("db_hit", 0) + self.case_counts.get("cache_hit", 0)
         total = sum(
             n for case, n in self.case_counts.items() if case != "direct"
@@ -162,7 +168,7 @@ class MLRSolver:
         d: np.ndarray,
         harvest_iterations: int = 2,
         n_epochs: int = 6,
-        embed_dim: int | None = None,
+        embed_dim: int = 60,
         input_hw: int = 16,
         seed: int = 0,
     ) -> CNNKeyEncoder:
@@ -195,7 +201,7 @@ class MLRSolver:
         images = np.stack(harvest).astype(np.complex64)
         encoder = ChunkEncoder(
             input_hw=input_hw,
-            embed_dim=embed_dim or self.config.memo.embed_dim,
+            embed_dim=embed_dim,
             seed=seed,
         )
         train_contrastive(encoder, images, n_epochs=n_epochs, seed=seed)

@@ -571,7 +571,7 @@ def tab01_accuracy(
         memos.append(res.memoized_fraction)
     return Figure(
         tables=[("Table 1: impact of memoization on reconstruction accuracy",
-                 ["tau", "accuracy", "memoized fraction"],
+                 ["tau", "accuracy", "served of memoized-op lookups"],
                  [list(r) for r in zip(taus, accs, memos)])],
         notes=[_ops_note(solver.config.memo)],
         values=dict(taus=list(taus), accuracies=accs, memo_fractions=memos),

@@ -21,8 +21,9 @@ memo tier:
   with retries).
 
 The wire carries memo traffic only (queries, inserts, stats, snapshot
-push/pull, liveness pings); a daemon's metrics and spans are read from its
-HTTP telemetry plane (:mod:`repro.obs.http`).
+push/pull, liveness pings); a daemon's traffic counters are
+``daemon.stats``, and its metrics and spans stay in its own process's
+:mod:`repro.obs` runtime, which writes them out as one JSONL dump.
 
 Select it with ``MemoConfig(transport="tcp", server_address=...)`` (compute
 side) or ``ServiceConfig(memo_transport="tcp", memo_server=...)``

@@ -26,7 +26,7 @@ Three behaviors define it:
 
 The wire carries memo traffic only: this client's transport counters are
 ``net_stats`` (published as ``net_client_*`` gauges by the solver), and a
-daemon's own metrics and spans are read from its HTTP telemetry plane.
+daemon's own metrics and spans stay in the daemon's process.
 """
 
 from __future__ import annotations

@@ -31,9 +31,11 @@ the daemon is transport and operations around it:
   and on shutdown, and reloaded at boot, so the daemon itself warm-starts
   across restarts.
 
-The wire carries memo traffic only; the daemon's metrics and spans leave
-through its HTTP telemetry plane (``telemetry_port`` / ``--telemetry-port``:
-``/metrics``, ``/snapshot``, ``/healthz``, ``/readyz``).
+The wire carries memo traffic only.  The daemon's traffic counters are
+:attr:`MemoServerDaemon.stats`; its request and shard histograms and its
+handler spans go to its own process's :mod:`repro.obs` runtime.  A daemon
+hosted in the job's process therefore lands in the job's JSONL dump, its
+handler spans under the client request spans that sent them.
 
 Run standalone with ``python -m repro.net.server --port 9876 --shards 4``.
 """
@@ -131,8 +133,6 @@ class MemoServerDaemon:
         name: str = "memo-server",
         max_payload: int | None = None,
         idle_timeout_s: float | None = None,
-        telemetry_port: int | None = None,
-        telemetry_host: str = "127.0.0.1",
     ) -> None:
         if idle_timeout_s is not None and idle_timeout_s <= 0:
             raise ValueError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
@@ -180,23 +180,6 @@ class MemoServerDaemon:
                 target=self._snapshot_loop, name=f"{name}-snapshot", daemon=True
             )
             self._snapshot_thread.start()
-        # live telemetry plane: /metrics (traffic gauges + per-entry heat
-        # histograms), /healthz, /readyz (accepting), /snapshot
-        self.telemetry = None
-        if telemetry_port is not None:
-            from ..obs.http import TelemetryServer
-
-            def accepting() -> tuple[bool, str]:
-                ok = self.running
-                return ok, "accepting" if ok else "shut down"
-
-            accepting.probe_name = "accepting"
-            self.telemetry = TelemetryServer(
-                (telemetry_host, telemetry_port),
-                collect=[self._telemetry_collect],
-                readiness=[accepting],
-                name=name,
-            )
 
     # -- lifecycle -----------------------------------------------------------------------
 
@@ -212,11 +195,6 @@ class MemoServerDaemon:
         if self._stop.is_set():
             return
         self._stop.set()
-        if self.telemetry is not None:
-            try:
-                self.telemetry.close()
-            except OSError:
-                pass
         try:
             # close() alone does not wake a thread blocked in accept() — the
             # fd stays open inside the syscall and the port stays LISTEN;
@@ -264,7 +242,7 @@ class MemoServerDaemon:
 
         if not snapshot_exists(self.snapshot_path):
             return
-        tree = load_or_quarantine(self.snapshot_path, "server-boot", server=self.name)
+        tree = load_or_quarantine(self.snapshot_path, "server-boot")
         if tree is None:
             with self._lock:
                 self.stats.snapshots_quarantined += 1
@@ -295,22 +273,6 @@ class MemoServerDaemon:
                 self.save_snapshot()
             except Exception as exc:  # noqa: BLE001 — persistence must not kill serving
                 log.warning("periodic snapshot failed: %s", exc)
-
-    # -- operations ----------------------------------------------------------------------
-
-    def _telemetry_collect(self) -> list[dict]:
-        """Telemetry-plane collect hook: publish the traffic counters as
-        ``net_server_*`` gauges (side effect into the registry, picked up
-        by the same scrape) and return fresh-per-scrape
-        ``memo_entry_age_seconds`` histogram entries from the tier's
-        per-entry heat metadata.  Runs on the scrape thread."""
-        from ..obs.heat import age_histogram_entries
-
-        with self._lock:
-            stats_now = ServerStats(**vars(self.stats))
-        # published from the copy: the registry lock never nests under ours
-        obs.publish_gauges("net_server", stats_now, server=self.name)
-        return age_histogram_entries(self.router.heat_records())
 
     # -- the connection protocol ---------------------------------------------------------
 
@@ -366,9 +328,9 @@ class MemoServerDaemon:
                     return
                 t0 = time.monotonic()
                 type_name = MESSAGE_NAMES.get(msg_type, str(msg_type))
-                # the optional trace field stitches this handler span (and
-                # its shard children) under the client's request span in a
-                # merged dump; absent/malformed context -> a local root
+                # the optional trace field parents this handler span (and
+                # its shard children) under the client's request span;
+                # absent/malformed context -> a local root
                 trace_ctx = (
                     trace_ctx_from_wire(body.get("trace"))
                     if isinstance(body, dict)
@@ -552,7 +514,7 @@ def main(argv=None) -> int:
         description=(
             "mLR memo server daemon: one shared memoization tier for many "
             "hosts — the TCP wire (handshake, insert-replay dedup, "
-            "persistence, telemetry) in front of a sharded in-process memo "
+            "persistence) in front of a sharded in-process memo "
             "tier, which hosts the partitions and checks tau / encoder "
             "provenance"
         )
@@ -579,17 +541,6 @@ def main(argv=None) -> int:
              "heartbeats by themselves and reconnect on their next request; "
              "default: never reap)",
     )
-    parser.add_argument(
-        "--telemetry-port", type=int, default=None, metavar="PORT",
-        help="serve /metrics /healthz /readyz /snapshot on this HTTP port — "
-             "the daemon's only telemetry egress: scrape it, or point "
-             "`python -m repro.obs report` at it "
-             "(0 = ephemeral; default: no telemetry server)",
-    )
-    parser.add_argument(
-        "--telemetry-host", default="127.0.0.1",
-        help="bind address for --telemetry-port (default: 127.0.0.1)",
-    )
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     daemon = MemoServerDaemon(
@@ -600,16 +551,12 @@ def main(argv=None) -> int:
         snapshot_path=args.snapshot,
         snapshot_interval_s=args.snapshot_interval if args.snapshot else None,
         idle_timeout_s=args.idle_timeout,
-        telemetry_port=args.telemetry_port,
-        telemetry_host=args.telemetry_host,
     )
     host, port = daemon.address
     log.info(
         "memo server listening on %s:%d (%d shards, tau=%g)",
         host, port, daemon.router.n_shards, daemon.memo.tau,
     )
-    if daemon.telemetry is not None:
-        log.info("telemetry plane at %s", daemon.telemetry.url)
     try:
         threading.Event().wait()  # serve until interrupted
     except KeyboardInterrupt:

@@ -90,8 +90,8 @@ __all__ = [
 ]
 
 #: 2: the wire carries memo traffic only — the telemetry pulls (message
-#: types 13/14 and 17/18) are gone, served by the HTTP plane instead — and
-#: HELLO_OK / the stats reply shed the fields that went with them.
+#: types 13/14 and 17/18) are gone — and HELLO_OK / the stats reply shed
+#: the fields that went with them.
 #: 3: the snapshot messages carry the flat memo-state tree (one table per
 #: partition, see :mod:`repro.core.memo_shard`); query / insert frames are
 #: unchanged
@@ -144,9 +144,11 @@ MESSAGE_NAMES = {
 # Distributed tracing rides requests as an OPTIONAL "trace" dict in the
 # message body — never a new header field — so frames without it are
 # byte-identical to pre-trace builds (observability off costs zero wire
-# bytes).  Every protocol-version-2 server reads the field (its spans are
-# read from its telemetry plane's ``/snapshot``) and dict bodies tolerate
-# a missing or unknown key on both sides, so nothing is negotiated.
+# bytes).  A daemon's handler threads carry no ambient span context, so the
+# field is what parents a handler span under the client request span that
+# sent it: in a process that hosts both ends, one span tree then separates
+# wire time from server time.  Dict bodies tolerate a missing or unknown
+# key on both sides, so nothing is negotiated.
 
 
 def trace_ctx_to_wire(ctx) -> dict | None:

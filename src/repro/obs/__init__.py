@@ -11,37 +11,31 @@ Public surface (the instrumentation verbs the rest of the repo uses)::
         ...
 
 All of it is free while disabled (the default): enable with
-``REPRO_OBS=1`` or ``MLRConfig(obs=ObsConfig(enabled=True))``.  Export
-with :func:`to_prometheus` / :func:`dump_jsonl`; inspect dumps with
-``python -m repro.obs report``.  The live telemetry plane —
-:class:`~repro.obs.http.TelemetryServer` (``/metrics`` / ``/healthz`` /
-``/readyz`` / ``/snapshot``) and the memo-tier heat analytics
-(:mod:`repro.obs.heat`, ``python -m repro.obs heat``) — rides on the same
-registry.  ``http`` stays a lazy submodule import here (it reaches into
-:mod:`repro.net` for address parsing, which imports this package back).
+``REPRO_OBS=1`` or ``MLRConfig(obs=ObsConfig(enabled=True))``.  Telemetry
+stays in the process that recorded it until that process writes it out:
+:func:`dump_jsonl` is the one file a run leaves, ``python -m repro.obs
+report`` reads it, and :func:`to_prometheus` renders the registry as text.
+The memo-tier heat analytics (:mod:`repro.obs.heat`, ``python -m repro.obs
+heat``) read a snapshot directory or a live daemon over the memo wire.
 """
 
 from .config import ObsConfig
 from .export import dump_jsonl, dump_lines, load_jsonl, to_prometheus
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, log_bucket_edges
-from .report import build_report, load_report, merge_dumps, render_report
+from .report import build_report, load_report, render_report
 from .runtime import (
     configure,
     counter,
     drain_spans,
     enabled,
-    flight_dir,
-    flight_dump,
     gauge,
     histogram,
-    peek_spans,
     publish_gauges,
     registry,
     reset,
     server_span,
     snapshot,
     span,
-    telemetry_server,
 )
 from .spans import Span, SpanCollector, current_span_id, current_trace_context
 
@@ -67,10 +61,6 @@ __all__ = [
     "registry",
     "snapshot",
     "drain_spans",
-    "peek_spans",
-    "flight_dir",
-    "flight_dump",
-    "telemetry_server",
     "reset",
     "to_prometheus",
     "dump_jsonl",
@@ -78,6 +68,5 @@ __all__ = [
     "load_jsonl",
     "build_report",
     "load_report",
-    "merge_dumps",
     "render_report",
 ]

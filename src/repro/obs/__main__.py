@@ -1,9 +1,8 @@
 """CLI: ``python -m repro.obs {report,heat} ...``.
 
-- ``report <dump.jsonl | host:port> [more ...]`` — per-stage latency /
-  throughput tables for JSONL observability dumps and/or live telemetry
-  planes (a memo daemon's ``--telemetry-port``), merged into one stitched
-  cross-process trace report.
+- ``report <dump.jsonl>`` — per-stage latency / throughput tables and the
+  span tree of one JSONL observability dump (what
+  :func:`~repro.obs.export.dump_jsonl` writes).
 - ``heat <snapshot-dir | host:port> [--stale-after S]`` — memo-tier heat
   report (hit distribution by op / shard / age decile, cold-entry
   fraction, projected reclaimable bytes) from an on-disk memo snapshot or
@@ -47,13 +46,7 @@ def main(argv: list[str] | None = None) -> int:
 
     rep = sub.add_parser("report", help="print per-stage latency/throughput tables")
     rep.add_argument(
-        "paths",
-        nargs="+",
-        metavar="path",
-        help="JSONL dump(s) written by repro.obs.export.dump_jsonl and/or "
-             "HOST:PORT telemetry planes (e.g. a memo daemon's "
-             "--telemetry-port); several are merged into one stitched "
-             "cross-process report",
+        "path", help="JSONL dump written by repro.obs.export.dump_jsonl"
     )
     rep.add_argument(
         "--json",
@@ -83,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "report":
-        report = load_report(*args.paths)
+        report = load_report(args.path)
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:

@@ -34,21 +34,6 @@ class ObsConfig:
         ``histogram_min_s`` up to ``histogram_max_s``.  Fixed buckets (no
         raw sample lists) keep per-metric memory constant regardless of
         traffic.
-    flight_dir:
-        Directory for black-box flight-recorder dumps
-        (:func:`repro.obs.runtime.flight_dump` artifacts, written on job
-        failure / snapshot quarantine).  ``None`` falls back to the
-        ``REPRO_FLIGHT_DIR`` environment variable; with neither set, fault
-        paths skip the dump entirely.
-    http_port / http_host:
-        With ``http_port`` set (and the runtime enabled), the runtime
-        starts a :class:`~repro.obs.http.TelemetryServer` on
-        ``http_host:http_port`` serving ``/metrics``, ``/healthz``,
-        ``/readyz`` and ``/snapshot`` for this process (port 0 binds
-        ephemerally — read it back via
-        :func:`repro.obs.runtime.telemetry_server`).  The zero-code
-        equivalent is ``REPRO_OBS_HTTP=<port>`` in the environment, which
-        also implies ``REPRO_OBS=1``.
     """
 
     enabled: bool = True
@@ -56,15 +41,8 @@ class ObsConfig:
     histogram_min_s: float = 1e-6
     histogram_max_s: float = 100.0
     buckets_per_decade: int = 4
-    flight_dir: str | None = None
-    http_port: int | None = None
-    http_host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
-        if self.http_port is not None and not (0 <= self.http_port <= 65535):
-            raise ValueError(
-                f"http_port must be in [0, 65535] or None, got {self.http_port}"
-            )
         if self.span_buffer < 1:
             raise ValueError(f"span_buffer must be >= 1, got {self.span_buffer}")
         if not (0.0 < self.histogram_min_s < self.histogram_max_s):

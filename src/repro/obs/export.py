@@ -1,8 +1,8 @@
 """Exporters: Prometheus text format and a JSONL span/metrics dump.
 
-The JSONL dump is the interchange artifact between a run (or a live
-daemon) and ``python -m repro.obs report``: one JSON object per line,
-discriminated by a ``"rec"`` key —
+The JSONL dump is how a process's telemetry leaves it, and what ``python
+-m repro.obs report`` reads: one JSON object per line, discriminated by a
+``"rec"`` key —
 
 - ``{"rec": "meta", ...}`` — one header line (version, drop counts),
 - ``{"rec": "metric", ...}`` — one per metric, the registry snapshot entry,

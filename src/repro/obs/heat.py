@@ -13,31 +13,20 @@ capacity planning act on:
 - :func:`build_heat_report` / :func:`render_heat_report` — hit
   distribution by op, by shard and by age decile, the cold-entry fraction,
   and the projected bytes reclaimable at a staleness cutoff
-  (``python -m repro.obs heat <snapshot-or-host:port>``),
-- :func:`age_histogram_entries` — ``memo_entry_age_seconds`` histogram
-  entries in registry-snapshot format, computed *fresh* per scrape (ages
-  move with the clock, so they must never accumulate into a cumulative
-  histogram) for the ``/metrics`` telemetry endpoint.
+  (``python -m repro.obs heat <snapshot-or-host:port>``).
 """
 
 from __future__ import annotations
 
 import time
 
-from .registry import log_bucket_edges
 from .report import _fmt_s, table
 
 __all__ = [
     "entry_records",
-    "age_histogram_entries",
     "build_heat_report",
     "render_heat_report",
 ]
-
-#: age bucket edges for memo_entry_age_seconds: one per decade from 1s to
-#: ~11 days; entries older than the last edge land in the +Inf bucket
-AGE_EDGES = log_bucket_edges(1.0, 1e6, 1)
-
 
 def entry_records(tree: dict) -> list[dict]:
     """Per-entry heat records for every partition of a memo-state tree:
@@ -54,41 +43,6 @@ def entry_records(tree: dict) -> list[dict]:
     scratch = MemoShardRouter(int(tree["n_shards"]), MemoDatabase)
     scratch.push_state(tree)
     return scratch.heat_records()
-
-
-def age_histogram_entries(records: list[dict], now: float | None = None) -> list[dict]:
-    """``memo_entry_age_seconds`` histogram entries (registry-snapshot
-    format, one per ``(op, shard)``) over per-entry time-since-last-hit.
-    Recomputed from scratch at every call: ages are a function of *now*,
-    so a scrape-time histogram is the only honest representation."""
-    if now is None:
-        now = time.time()
-    by_series: dict[tuple[str, int], list[float]] = {}
-    for rec in records:
-        age = max(0.0, now - rec["last"])
-        by_series.setdefault((rec["op"], rec["shard"]), []).append(age)
-    entries = []
-    for (op, shard), ages in sorted(by_series.items()):
-        counts = [0] * len(AGE_EDGES)
-        for age in ages:
-            for i, edge in enumerate(AGE_EDGES):
-                if age <= edge:
-                    counts[i] += 1
-                    break
-        entries.append(
-            {
-                "kind": "histogram",
-                "name": "memo_entry_age_seconds",
-                "labels": {"op": op, "shard": str(shard)},
-                "edges": list(AGE_EDGES),
-                "counts": counts,
-                "count": len(ages),
-                "sum": float(sum(ages)),
-                "min": float(min(ages)),
-                "max": float(max(ages)),
-            }
-        )
-    return entries
 
 
 def _group_rows(records: list[dict], key: str, now: float, stale_after: float):

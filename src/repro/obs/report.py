@@ -1,14 +1,14 @@
-"""Per-stage latency / throughput report over JSONL observability dumps.
+"""Per-stage latency / throughput report over a JSONL observability dump.
 
-``python -m repro.obs report run.jsonl [memnode:9900 ...]`` merges any
-number of dumps (one per process: a solver run's local dump plus the
-telemetry plane — ``/snapshot`` — of each memo daemon) and prints:
+``python -m repro.obs report run.jsonl`` reads the dump one process wrote
+(:func:`~repro.obs.export.dump_jsonl`) and prints:
 
-- **trace tree** — the stitched cross-process span tree: spans are linked
-  by ``parent_id`` / ``trace_id`` across dumps, aggregated by name path,
-  and indented by depth, so a ``solver.reconstruct`` root shows its
-  ``net_client.request`` children and *their* ``net_server.request`` /
-  ``net_server.shard`` children from the daemon's dump,
+- **trace tree** — the span tree: spans are linked by ``parent_id`` /
+  ``trace_id``, aggregated by name path, and indented by depth, so a
+  ``solver.reconstruct`` root shows its ``net_client.request`` children
+  and *their* ``net_server.request`` / ``net_server.shard`` children when
+  the memo daemon ran in the same process (the request frame's trace
+  field carries the parent across the daemon's handler threads),
 - **wire hops** — per request type: the client-side round trip minus the
   matched server-side handler time = wire + queue cost of the hop,
 - **spans** — per span name: count, total busy time, mean and exact
@@ -24,17 +24,13 @@ end-to-end ``BENCH_perf.json`` number into a per-phase breakdown.
 
 from __future__ import annotations
 
-import json
-import os
-
-from .export import DUMP_VERSION, load_jsonl
+from .export import load_jsonl
 from .registry import _bucket_quantile
 
 __all__ = [
     "build_report",
     "build_trace",
     "load_report",
-    "merge_dumps",
     "render_report",
     "table",
 ]
@@ -68,44 +64,20 @@ def _fmt_labels(labels: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
 
 
-def merge_dumps(datas) -> dict:
-    """Concatenate loaded dumps (one per process) into one dataset.
-
-    Metrics and spans are plain concatenations — metric entries from
-    different processes are distinguishable by their labels (and span
-    records by their ``proc`` field), so no keyed merge is needed.  Drop
-    counts sum."""
-    datas = list(datas)
-    merged = {
-        "meta": {
-            "version": DUMP_VERSION,
-            "dropped_spans": 0,
-            "merged_dumps": len(datas),
-        },
-        "metrics": [],
-        "spans": [],
-    }
-    for data in datas:
-        meta = data.get("meta") or {}
-        merged["meta"]["dropped_spans"] += int(meta.get("dropped_spans") or 0)
-        merged["metrics"].extend(data.get("metrics") or [])
-        merged["spans"].extend(data.get("spans") or [])
-    return merged
-
-
-# -- cross-process trace stitching ----------------------------------------------------------
+# -- trace stitching ------------------------------------------------------------------------
 
 
 def build_trace(spans: list[dict]) -> dict | None:
-    """Stitch span records (possibly from several processes) into the
-    aggregated trace tree plus the per-hop wire-cost tables.
+    """Stitch span records into the aggregated trace tree plus the per-hop
+    wire-cost tables.
 
     Spans link by ``parent_id``: a server handler span carries the client
-    request span's id there (it rode the request frame), so once both
-    dumps are merged the walk crosses the process boundary like any other
-    edge.  Aggregation is by *name path* — every span with the same chain
-    of ancestor names lands in one row — which keeps the tree readable at
-    any span count.  Returns ``None`` for pre-trace dumps (no span ids).
+    request span's id there (it rode the request frame), so the walk
+    crosses from the daemon's handler thread to the client's like any
+    other edge.  Aggregation is by *name path* — every span with the same
+    chain of ancestor names lands in one row — which keeps the tree
+    readable at any span count.  Returns ``None`` for pre-trace dumps (no
+    span ids).
     """
     by_id: dict[int, dict] = {}
     for rec in spans:
@@ -121,7 +93,7 @@ def build_trace(spans: list[dict]) -> dict | None:
     def path_of(sid: int) -> tuple[str, ...]:
         nonlocal orphans
         # iterative walk with memoization; a cycle (corrupt dump) or a
-        # missing parent (its dump wasn't merged in) roots the chain there
+        # missing parent (lost to ring overflow) roots the chain there
         chain: list[int] = []
         cur: int | None = sid
         base: tuple[str, ...] = ()
@@ -139,7 +111,7 @@ def build_trace(spans: list[dict]) -> dict | None:
             chain.append(cur)
             parent = rec.get("parent_id")
             if parent is not None and parent not in by_id:
-                orphans += 1  # parent span lost (ring overflow / not pulled)
+                orphans += 1  # parent span lost (ring overflow)
                 parent = None
             cur = parent
         for node in reversed(chain):
@@ -149,20 +121,16 @@ def build_trace(spans: list[dict]) -> dict | None:
 
     rows: dict[tuple[str, ...], dict] = {}
     traces: set[int] = set()
-    procs: set[str] = set()
     errors = 0
     for sid, rec in by_id.items():
         path = path_of(sid)
         dur = float(rec.get("dur_s") or 0.0)
         row = rows.setdefault(
             path,
-            {"path": path, "count": 0, "total_s": 0.0, "procs": set(), "errors": 0},
+            {"path": path, "count": 0, "total_s": 0.0, "errors": 0},
         )
         row["count"] += 1
         row["total_s"] += dur
-        if rec.get("proc"):
-            row["procs"].add(str(rec["proc"]))
-            procs.add(str(rec["proc"]))
         if rec.get("error"):
             row["errors"] += 1
             errors += 1
@@ -180,7 +148,6 @@ def build_trace(spans: list[dict]) -> dict | None:
                 "count": row["count"],
                 "total_s": row["total_s"],
                 "mean_s": row["total_s"] / row["count"],
-                "procs": sorted(row["procs"]),
                 "errors": row["errors"],
             }
         )
@@ -244,7 +211,6 @@ def build_trace(spans: list[dict]) -> dict | None:
 
     return {
         "traces": len(traces),
-        "procs": len(procs),
         "orphans": orphans,
         "errors": errors,
         "tree": tree,
@@ -352,20 +318,17 @@ def render_report(report: dict) -> str:
 
     trace = report.get("trace")
     if trace and trace["tree"]:
-        header = (
-            f"== trace tree ({trace['traces']} traces, "
-            f"{trace['procs']} processes"
-        )
+        header = f"== trace tree ({trace['traces']} traces"
         if trace["orphans"]:
             header += f", {trace['orphans']} orphaned spans"
         if trace["errors"]:
             header += f", {trace['errors']} errored spans"
         rows = [
             ["  " * r["depth"] + r["name"], r["count"], _fmt_s(r["total_s"]),
-             _fmt_s(r["mean_s"]), ",".join(r["procs"]) or "-"]
+             _fmt_s(r["mean_s"])]
             for r in trace["tree"]
         ]
-        lines += [table(["span", "count", "total", "mean", "procs"], rows,
+        lines += [table(["span", "count", "total", "mean"], rows,
                         header + ") =="), ""]
 
     if trace and trace["hops"]:
@@ -421,23 +384,8 @@ def render_report(report: dict) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _load_source(source: str) -> dict:
-    """One ``report`` input: a JSONL dump on disk, else a telemetry
-    ``host:port`` whose ``/snapshot`` has the same shape."""
-    if os.path.exists(source) or ":" not in source:
-        return load_jsonl(source)
-    import urllib.request  # function-level: every solver imports obs, none fetches
-
-    base = source if "://" in source else f"http://{source}"
-    with urllib.request.urlopen(f"{base.rstrip('/')}/snapshot", timeout=5.0) as resp:
-        return json.loads(resp.read().decode("utf-8"))
-
-
-def load_report(*sources: str) -> dict:
-    """The aggregated report over JSONL dumps and/or live telemetry planes
-    (``host:port``): one source as loaded, several merged into one stitched
-    dataset (e.g. a run's local dump plus each daemon's ``/snapshot``).
-    What ``python -m repro.obs report`` prints, through :func:`render_report`
-    or as JSON."""
-    datas = [_load_source(s) for s in sources]
-    return build_report(datas[0] if len(datas) == 1 else merge_dumps(datas))
+def load_report(path: str) -> dict:
+    """The aggregated report over the JSONL dump at ``path``: what ``python
+    -m repro.obs report`` prints, through :func:`render_report` or as
+    JSON."""
+    return build_report(load_jsonl(path))

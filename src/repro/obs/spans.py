@@ -7,12 +7,10 @@ adjustment; the parent relationship rides a :mod:`contextvars` variable, so
 it follows the logical flow of control.
 
 Spans form **traces**: the outermost span of a context mints a trace id
-that every descendant span inherits, and both ids are designed to survive
-being stitched *across processes* — span ids are salted with 31 random
-per-process bits, so a server-side span recorded in the daemon can name a
-client-side span as its parent (carried over the wire, see
-:func:`repro.obs.runtime.server_span`) without id collisions cross-wiring
-the merged tree.
+that every descendant span inherits.  A memo daemon's handler threads have
+no ambient context, so a request frame carries the client span's ids and
+the handler span names that span as its parent (see
+:func:`repro.obs.runtime.server_span`).
 
 Finished spans land in the *recording thread's* ring buffer: appends never
 contend across threads (each ring's lock is only shared with the exporter
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import os
 import threading
 import time
 import uuid
@@ -34,7 +31,6 @@ __all__ = [
     "Span",
     "current_span_id",
     "current_trace_context",
-    "PROC_TAG",
 ]
 
 #: id of the innermost open span in this logical context (None at top level)
@@ -48,19 +44,6 @@ _TRACE: contextvars.ContextVar = contextvars.ContextVar(
 )
 
 _IDS = itertools.count(1)  # CPython-atomic id source shared by all threads
-
-#: 31 random bits distinguishing this process's span ids from every other
-#: process contributing records to one stitched trace
-_PROC_SALT = uuid.uuid4().int & 0x7FFF_FFFF
-
-#: provenance tag stamped on every record, so a merged report can say
-#: which process a span came from
-PROC_TAG = f"{os.getpid()}-{_PROC_SALT:08x}"
-
-
-def _new_span_id() -> int:
-    # salt << 32 | counter stays inside the wire's positive-i64 range
-    return (_PROC_SALT << 32) | next(_IDS)
 
 
 def _new_trace_id() -> int:
@@ -113,17 +96,6 @@ class _SpanRing:
             dropped, self._dropped = self._dropped, 0
         return records, dropped
 
-    def peek(self) -> tuple[list, int]:
-        """Copy of (records oldest-first, drop count) without clearing —
-        the flight recorder's read: a crash dump must not steal the spans
-        a later orderly export would have reported."""
-        with self._lock:
-            start = self._next % self.capacity
-            ordered = self._items[start:] + self._items[:start]
-            records = [r for r in ordered if r is not None]
-            dropped = self._dropped
-        return records, dropped
-
 
 class SpanCollector:
     """All threads' rings, plus the drain surface exporters use."""
@@ -160,27 +132,13 @@ class SpanCollector:
         records.sort(key=lambda r: r["t0"])
         return records, dropped
 
-    def peek(self) -> tuple[list[dict], int]:
-        """Like :meth:`drain` but non-destructive: the rings keep their
-        records (and their drop counts) for the next drain."""
-        with self._lock:
-            rings = list(self._rings)
-        records: list[dict] = []
-        dropped = 0
-        for ring in rings:
-            got, n_dropped = ring.peek()
-            records.extend(got)
-            dropped += n_dropped
-        records.sort(key=lambda r: r["t0"])
-        return records, dropped
-
 
 class Span:
     """One timed region; reusable only as a context manager, not re-entrant.
 
     ``remote`` (a ``(trace_id, parent_span_id)`` pair) grafts this span —
-    and every local descendant — under a span recorded in *another*
-    process: the server-side half of a request parents under the client
+    and every descendant in its context — under a span opened on another
+    thread: the server-side half of a request parents under the client
     span whose context rode the request frame."""
 
     __slots__ = (
@@ -206,9 +164,9 @@ class Span:
         self._trace_id = 0
 
     def __enter__(self) -> "Span":
-        self.span_id = _new_span_id()
+        self.span_id = next(_IDS)
         if self.remote is not None:
-            # adopt the remote caller's trace wholesale — descendants of
+            # adopt the caller's trace wholesale — descendants of
             # this span belong to the caller's trace, not a local one
             self._trace_id = self.remote[0]
             self._trace_token = _TRACE.set(self._trace_id)
@@ -238,7 +196,6 @@ class Span:
                 self.remote[1] if self.remote is not None else _CURRENT.get()
             ),
             "trace_id": self._trace_id,
-            "proc": PROC_TAG,
             "thread": threading.current_thread().name,
         }
         if self.attrs:

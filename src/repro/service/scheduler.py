@@ -93,14 +93,6 @@ class ServiceConfig:
         tier is fail-open: a daemon that stays unreachable past the pull's
         retry policy means cold seeds and dropped absorbs, never failed
         jobs.
-    telemetry_port / telemetry_host:
-        With ``telemetry_port`` set, the scheduler serves the live
-        telemetry plane (:class:`~repro.obs.http.TelemetryServer`) on
-        ``telemetry_host:telemetry_port``: ``/metrics`` (the scheduler's
-        own gauges — a remote tier's daemons serve theirs from their own
-        planes), ``/healthz``, ``/readyz`` (accepting /
-        queue-not-saturated) and ``/snapshot``.  Port 0 binds
-        ephemerally — read ``scheduler.telemetry.address`` back.
     """
 
     n_workers: int = 2
@@ -108,8 +100,6 @@ class ServiceConfig:
     share_memo: bool = True
     memo_transport: str = "inproc"
     memo_server: str | tuple | list | None = None
-    telemetry_port: int | None = None
-    telemetry_host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -127,10 +117,6 @@ class ServiceConfig:
             if self.memo_server is None:
                 raise ValueError("memo_transport='tcp' requires a memo_server address")
             parse_address(self.memo_server)  # fail fast, naming the input
-        if self.telemetry_port is not None:
-            # same validation (and same rejection message) as the memo
-            # daemon's bind address
-            parse_address((self.telemetry_host, self.telemetry_port))
 
 
 @dataclass
@@ -257,56 +243,6 @@ class ReconstructionScheduler:
         ]
         for t in self._workers:
             t.start()
-        # live telemetry plane (ServiceConfig(telemetry_port=...)):
-        # /metrics, /healthz, /readyz, /snapshot for this scheduler process
-        self.telemetry = None
-        if self.config.telemetry_port is not None:
-            from ..obs.http import TelemetryServer
-
-            self.telemetry = TelemetryServer(
-                (self.config.telemetry_host, self.config.telemetry_port),
-                collect=[self._telemetry_collect],
-                readiness=self._readiness_probes(),
-                name="scheduler",
-            )
-
-    # -- telemetry plane -----------------------------------------------------------------
-
-    def _telemetry_collect(self) -> list[dict]:
-        """Collect hook for the scrape path: publish the scheduler gauges
-        (same seam the worker loop uses).  Nothing is appended — a remote
-        tier's daemons are scraped at their own telemetry planes."""
-        with self._cond:
-            stats_now = SchedulerStats(**vars(self.stats))
-            depth_now = self._live_waiting_locked()
-            running_now = self._running
-        obs.publish_gauges("scheduler", stats_now)
-        obs.gauge("scheduler_queue_depth").set(depth_now)
-        obs.gauge("scheduler_running").set(running_now)
-        return []
-
-    def _readiness_probes(self) -> list:
-        def accepting() -> tuple[bool, str]:
-            with self._cond:
-                ok = not self._shutdown
-            return ok, "accepting" if ok else "shut down"
-
-        def queue() -> tuple[bool, str]:
-            depth = self.config.max_queue_depth
-            with self._cond:
-                waiting = self._live_waiting_locked()
-                running = self._running
-                ok = self._admits_locked()
-            if depth is None:
-                return True, f"{waiting} waiting (unbounded queue)"
-            # submit()'s own admission test: 503 here tells a load balancer
-            # to route around us *before* submissions start bouncing
-            detail = f"{waiting} waiting, {running} running, depth limit {depth}"
-            return ok, detail if ok else f"saturated: {detail}"
-
-        accepting.probe_name = "accepting"
-        queue.probe_name = "queue"
-        return [accepting, queue]
 
     # -- submission ----------------------------------------------------------------------
 
@@ -369,12 +305,6 @@ class ReconstructionScheduler:
         ``cancel_pending=True`` cancels the waiting queue instead (running
         jobs still finish — use their handles to cancel those too).
         """
-        if self.telemetry is not None:
-            try:
-                self.telemetry.close()
-            except OSError:
-                pass
-            self.telemetry = None
         with self._cond:
             self._shutdown = True
             if cancel_pending:
@@ -473,15 +403,6 @@ class ReconstructionScheduler:
                     handle._finish(JobState.FAILED, f"{type(exc).__name__}: {exc}")
                     with self._cond:
                         self.stats.failed += 1
-                    # black-box dump: the span rings hold the last thing
-                    # every stage was doing when the job gave up (no-op
-                    # unless a flight dir is configured)
-                    obs.flight_dump(
-                        "job-failure",
-                        job=spec.name,
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempts=attempt + 1,
-                    )
                     return
                 handle._add_event(
                     "attempt_failed", f"{type(exc).__name__}: {exc}"
@@ -497,7 +418,7 @@ class ReconstructionScheduler:
             solver = MLRSolver(spec.geometry, spec.config, admm=spec.admm)
             if solver.snapshot_quarantined:
                 # the job's requested warm-start snapshot was corrupt; the
-                # solver quarantined it (counted and flight-recorded there)
+                # solver quarantined it (counted and logged there)
                 # and started cold — record it where operators look first
                 # (the job's own event log)
                 handle._add_event(

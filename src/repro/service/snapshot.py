@@ -240,23 +240,18 @@ def load_memo_snapshot(path) -> dict:
     return read_snapshot(path, expect_kind="memo-state")
 
 
-def load_or_quarantine(path, where: str, **context) -> dict | None:
+def load_or_quarantine(path, where: str) -> dict | None:
     """Boot-time warm start: the memo-state tree at ``path``, or ``None``
     after moving an unusable snapshot aside (``<path>.corrupt``).  Warmth
     is an optimization — a damaged snapshot must neither take down the
     process booting from it nor be overwritten by its next save — so the
-    failure is counted (``snapshot_quarantined_total{where}``),
-    flight-recorded with ``context`` and logged, and the caller starts
-    cold."""
+    failure is counted (``snapshot_quarantined_total{where}``) and logged,
+    and the caller starts cold."""
     try:
         return load_memo_snapshot(path)
     except SnapshotError as exc:
         quarantined = quarantine_snapshot(path)
         obs.counter("snapshot_quarantined_total", where=where).inc()
-        obs.flight_dump(
-            "snapshot-quarantine", where=where, snapshot=str(path),
-            error=str(exc), **context,
-        )
         log.warning(
             "%s: warm-start snapshot %s unusable (%s) — quarantined to %s, "
             "starting cold", where, path, exc, quarantined,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MemoConfig, MLRConfig, ObsConfig
+from repro.core import MemoConfig, MLRConfig
 from repro.service import ServiceConfig
 from repro.solvers import ADMMConfig
 
@@ -61,8 +61,6 @@ class TestMemoConfig:
             MemoConfig(cache="l2")
 
     def test_numeric_knobs(self):
-        with pytest.raises(ValueError, match="key_hw"):
-            MemoConfig(key_hw=1)
         with pytest.raises(ValueError, match="warmup_iterations"):
             MemoConfig(warmup_iterations=-1)
 
@@ -127,8 +125,9 @@ class TestTransportOptions:
             (lambda: ServiceConfig(memo_transport="udp"), "memo_transport"),
             (lambda: ServiceConfig(memo_transport="tcp"), "memo_server"),
             (lambda: ServiceConfig(memo_transport="tcp", memo_server="h:1,nope"), "nope"),
-            (lambda: ObsConfig(http_port=70000), "http_port"),
-            (lambda: ObsConfig(http_port=-1), "http_port"),
+            # a port past 65535 would wrap onto another one in getaddrinfo
+            (lambda: MemoConfig(server_address="h:70000"), "0..65535"),
+            (lambda: ServiceConfig(memo_transport="tcp", memo_server=("h", -1)), "0..65535"),
         ],
     )
     def test_rejected(self, make, match):
@@ -138,17 +137,3 @@ class TestTransportOptions:
     def test_accepted(self):
         MemoConfig(transport="tcp", server_address="h:1")
         ServiceConfig(memo_transport="tcp", memo_server=("h", 1))
-        ObsConfig(http_port=0)
-
-    @pytest.mark.parametrize(
-        "raw, port, warned",
-        [("", None, False), ("0", 0, False), ("9100", 9100, False),
-         ("metrics", None, True), ("65536", None, True), ("-1", None, True)],
-    )
-    def test_obs_http_env(self, monkeypatch, caplog, raw, port, warned):
-        from repro.obs.runtime import _env_http_port
-
-        monkeypatch.setenv("REPRO_OBS_HTTP", raw)
-        with caplog.at_level("WARNING", logger="repro.obs"):
-            assert _env_http_port() == port
-        assert bool(caplog.records) == warned

@@ -875,8 +875,8 @@ class TestConfigValidation:
             {"tau": 1.5},
             {"encoder": "transformer"},
             {"cache": "both"},
-            {"key_hw": 1},
             {"warmup_iterations": -1},
+            {"server_address": "h:70000"},  # past the port range
         ],
     )
     def test_invalid_memo_config(self, kwargs):

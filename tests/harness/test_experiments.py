@@ -107,7 +107,7 @@ class TestExperimentsSmoke:
         r = E.tab01_accuracy(TINY, taus=(0.9, 0.96), n_outer=6, quick=False)
         assert len(r.values["taus"]) == 2
         assert all(np.isfinite(a) for a in r.values["accuracies"])
-        assert "memoized fraction" in r.report()
+        assert "served of memoized-op lookups" in r.report()
 
     def test_fig17(self):
         r = E.fig17_convergence(TINY, n_outer=5, quick=True)

@@ -39,6 +39,8 @@ from repro.net.wire import (
     queries_to_wire,
     stats_from_wire,
     stats_to_wire,
+    trace_ctx_from_wire,
+    trace_ctx_to_wire,
     unpack_obj,
 )
 
@@ -291,6 +293,45 @@ class TestTypedMessages:
         with pytest.raises(MessageError):
             inserts_from_wire([{"op": "x", "location": 0, "key": np.ones(2),
                                 "value": np.ones(2), "meta": {"bogus": 1}}])
+
+
+class TestTraceField:
+    """The optional ``"trace"`` request field: a client's ``(trace_id,
+    span_id)`` crosses the wire so an in-process daemon's handler spans
+    parent under the client's request spans; anything malformed is
+    dropped, never raised into the handler."""
+
+    def test_round_trips_through_a_frame(self):
+        body = {**{"items": []}, "trace": trace_ctx_to_wire((7, 2**40 + 3))}
+        frame = encode_frame(MSG_QUERY, 1, body)
+        _msg, _rid, back = read_one(frame)
+        assert trace_ctx_from_wire(back["trace"]) == {"tid": 7, "sid": 2**40 + 3}
+
+    def test_no_context_sends_no_field(self):
+        assert trace_ctx_to_wire(None) is None
+        assert trace_ctx_from_wire(None) is None
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            "tid=1,sid=2",
+            {"tid": 1},
+            {"tid": True, "sid": 2},
+            {"tid": 1, "sid": "2"},
+        ],
+        ids=["not-a-dict", "no-sid", "bool-id", "str-id"],
+    )
+    def test_malformed_field_is_dropped(self, node):
+        assert trace_ctx_from_wire(node) is None
+
+    def test_frame_size_does_not_depend_on_the_ids(self):
+        """Ids travel as fixed-width ints: a traced frame is as long with
+        small ids as with large ones."""
+        small = encode_frame(MSG_QUERY, 1, {"trace": trace_ctx_to_wire((1, 1))})
+        large = encode_frame(
+            MSG_QUERY, 1, {"trace": trace_ctx_to_wire((2**62, 2**62 - 1))}
+        )
+        assert len(small) == len(large)
 
 
 class TestParseAddress:

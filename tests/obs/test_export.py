@@ -57,6 +57,22 @@ class TestPrometheus:
         assert counts == sorted(counts)
         assert counts[-1] == 4
 
+    def test_samples_off_the_grid_land_in_the_edge_buckets(self, enabled):
+        """Samples below ``histogram_min_s`` and above ``histogram_max_s``
+        are counted, not dropped: the +Inf bucket equals ``_count``."""
+        h = obs.histogram("lat_seconds")
+        for dt in (1e-7, 1e-3, 1e-3, 0.5, 500.0):
+            h.observe(dt)
+        buckets, count = [], None
+        for line in to_prometheus().splitlines():
+            if line.startswith("lat_seconds_bucket"):
+                buckets.append(int(line.rsplit(" ", 1)[1]))
+            elif line.startswith("lat_seconds_count"):
+                count = int(line.rsplit(" ", 1)[1])
+        assert buckets == sorted(buckets)
+        assert buckets[0] >= 1  # the sub-grid sample sits in the first bucket
+        assert buckets[-1] == count == 5
+
     def test_empty_registry_renders_empty(self, enabled):
         assert to_prometheus() == ""
 
@@ -77,6 +93,16 @@ class TestJsonlRoundTrip:
         with open(path) as fh:
             for raw in fh:
                 assert json.loads(raw)["rec"] in ("meta", "metric", "span")
+
+    def test_span_records_are_this_process_only(self, enabled, tmp_path):
+        """A dump holds one process's spans: ids are distinct and no record
+        names a process."""
+        populate()
+        path = tmp_path / "obs.jsonl"
+        dump_jsonl(str(path))
+        spans = load_jsonl(str(path))["spans"]
+        assert len({s["span_id"] for s in spans}) == len(spans) == 2
+        assert all("proc" not in s for s in spans)
 
     def test_dump_drains_the_collector(self, enabled, tmp_path):
         populate()
@@ -148,6 +174,18 @@ class TestCli:
         assert obs_main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "sweep.Fu1D" in out and "== spans (per-stage latency) ==" in out
+
+    def test_report_takes_one_dump(self, enabled, tmp_path, capsys):
+        populate()
+        path = tmp_path / "obs.jsonl"
+        dump_jsonl(str(path))
+        try:
+            obs_main(["report", str(path), str(path)])
+        except SystemExit as exc:
+            assert exc.code == 2  # argparse: unrecognized argument
+        else:
+            raise AssertionError("expected a usage error")
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_report_json_mode(self, enabled, tmp_path, capsys):
         populate()

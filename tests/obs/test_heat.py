@@ -18,9 +18,7 @@ from repro.kvstore import encoded_nbytes
 from repro.kvstore import store as store_mod
 from repro.kvstore.store import KVStore
 from repro.net.server import MemoServerDaemon
-from repro.obs.export import to_prometheus
 from repro.obs.heat import (
-    age_histogram_entries,
     build_heat_report,
     entry_records,
     render_heat_report,
@@ -174,15 +172,6 @@ class TestHeatReport:
         ]
         text = render_heat_report(report)
         assert "projected reclaimable" in text and "by shard" in text
-
-    def test_age_histograms_are_prometheus_renderable(self, clock):
-        records = entry_records(self._tree(clock))
-        entries = age_histogram_entries(records, now=10000.0)
-        assert {e["labels"]["op"] for e in entries} == {"Fu1D", "Fu2D"}
-        for e in entries:
-            assert sum(e["counts"]) <= e["count"]  # overflow -> +Inf bucket
-        text = to_prometheus(entries)
-        assert 'memo_entry_age_seconds_bucket{le="+Inf",op="Fu1D",shard="0"} 2' in text
 
     def test_live_tier_records_match_state_records(self, clock):
         tier = MemoShardRouter(2, make_db_factory(MEMO))

@@ -1,11 +1,9 @@
-"""Network-tier metrics: the daemon's view through its telemetry plane,
-client request-latency histograms, degraded-mode counters and the
-``net_client_*`` gauges the solver publishes — all off the memo wire."""
+"""Network-tier metrics: the daemon's traffic counters (``daemon.stats``)
+and request histograms in the process registry, client request-latency
+histograms, degraded-mode counters and the ``net_client_*`` gauges the
+solver publishes — all off the memo wire."""
 
 from __future__ import annotations
-
-import json
-import urllib.request
 
 import numpy as np
 import pytest
@@ -14,6 +12,7 @@ from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig
 from repro.core.memo_shard import ShardInsert, ShardQuery
 from repro.net import MemoServerDaemon, RemoteMemoClient
 from repro.obs import runtime as obs
+from repro.obs.export import to_prometheus
 from repro.solvers import ADMMConfig
 
 
@@ -25,7 +24,7 @@ def memo_cfg(**over) -> MemoConfig:
 
 @pytest.fixture()
 def daemon():
-    with MemoServerDaemon(n_shards=2, memo=memo_cfg(), telemetry_port=0) as d:
+    with MemoServerDaemon(n_shards=2, memo=memo_cfg()) as d:
         yield d
 
 
@@ -42,63 +41,55 @@ def traffic(client, rng):
     return client.query_batch(probes)
 
 
-def scrape(daemon, path: str) -> str:
-    with urllib.request.urlopen(daemon.telemetry.url + path, timeout=5.0) as resp:
-        return resp.read().decode("utf-8")
+def series(name: str) -> list[dict]:
+    return [e for e in obs.snapshot() if e["name"] == name]
 
 
-class TestDaemonTelemetryPlane:
-    def test_snapshot_returns_server_view(self, enabled, daemon, rng):
+class TestDaemonView:
+    def test_stats_and_registry_hold_the_server_view(self, enabled, daemon, rng):
         with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
             traffic(client, rng)
-        payload = json.loads(scrape(daemon, "/snapshot"))
-        assert payload["meta"]["obs_enabled"] is True
-        by_name = {e["name"]: e for e in payload["metrics"]}
-        assert by_name["net_server_query_batches"]["value"] == 1
-        assert by_name["net_server_insert_batches"]["value"] == 1
-        assert by_name["net_server_queries"]["labels"] == {"server": "memo-server"}
+        assert daemon.stats.query_batches == 1
+        assert daemon.stats.insert_batches == 1
+        assert daemon.stats.queries == 8
         # request + shard service-time histograms from the daemon side
-        assert "net_server_request_seconds" in by_name
-        assert "net_server_shard_seconds" in by_name
+        assert series("net_server_request_seconds")
+        assert series("net_server_shard_seconds")
 
     def test_request_types_label_the_histograms(self, enabled, daemon, rng):
         with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
             traffic(client, rng)
-        types = {
-            e["labels"]["type"]
-            for e in json.loads(scrape(daemon, "/snapshot"))["metrics"]
-            if e["name"] == "net_server_request_seconds"
-        }
+        types = {e["labels"]["type"] for e in series("net_server_request_seconds")}
         assert {"query_batch", "insert_batch"} <= types
 
-    def test_metrics_scrape_is_prometheus_text(self, enabled, daemon, rng):
+    def test_server_histograms_render_as_prometheus_text(self, enabled, daemon, rng):
         with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
             traffic(client, rng)
-        out = scrape(daemon, "/metrics")
-        assert "# TYPE net_server_query_batches gauge" in out
-        assert 'net_server_query_batches{server="memo-server"} 1' in out
+        out = to_prometheus(obs.snapshot())
+        assert "# TYPE net_server_request_seconds histogram" in out
         assert "net_server_request_seconds_bucket" in out
 
-    def test_the_scrape_costs_no_wire_request(self, enabled, daemon, rng):
+    def test_reading_the_counters_costs_no_wire_request(self, enabled, daemon, rng):
         with RemoteMemoClient(daemon.address, expect_tau=memo_cfg().tau) as client:
             traffic(client, rng)
-            scrape(daemon, "/metrics")
+            obs.snapshot()
             assert client.net_stats.requests == 2  # insert + query, nothing else
         assert daemon.stats.stats_pulls == 0
 
+    def test_running_follows_the_accept_loop(self, enabled):
+        with MemoServerDaemon(memo=memo_cfg()) as d:
+            assert d.running
+        assert not d.running
 
-    def test_readyz_follows_the_accept_loop(self, enabled, daemon):
-        assert json.loads(scrape(daemon, "/readyz"))["probes"]["accepting"]["ok"] is True
-
-    def test_an_idle_reap_is_counted_on_the_plane(self, enabled):
+    def test_an_idle_reap_is_counted(self, enabled):
         import socket
 
-        with MemoServerDaemon(memo=memo_cfg(), idle_timeout_s=0.05, telemetry_port=0) as d:
+        with MemoServerDaemon(memo=memo_cfg(), idle_timeout_s=0.05) as d:
             with socket.create_connection(d.address, timeout=5.0) as sock:
                 assert sock.recv(1 << 16)  # says nothing: the typed error, then EOF
-            out = scrape(d, "/metrics")
-        assert 'net_server_idle_reaped_total{server="memo-server"} 1' in out
-        assert 'net_server_idle_reaped{server="memo-server"} 1' in out
+        assert d.stats.idle_reaped == 1
+        reaped = series("net_server_idle_reaped_total")
+        assert [(e["labels"], e["value"]) for e in reaped] == [({"server": "memo-server"}, 1)]
 
 
 class TestClientSide:

@@ -1,27 +1,22 @@
-"""Multi-dump stitching: ``merge_dumps`` + ``build_trace`` units.
+"""Span-tree stitching: ``build_trace`` units.
 
 Synthetic span records (hand-built, no daemon) pin the stitching rules
-the distributed-tracing suite exercises end-to-end: name-path
-aggregation, cross-process edges, orphan accounting, the hop table's
-client-minus-server arithmetic, and the CLI's multi-path merge.
+the trace-propagation suite exercises end-to-end: name-path aggregation,
+orphan accounting and the hop table's client-minus-server arithmetic.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.obs.__main__ import main as obs_main
 from repro.obs.export import DUMP_VERSION
-from repro.obs.report import build_report, build_trace, merge_dumps, render_report
+from repro.obs.report import build_report, build_trace, render_report
 
 
-def span(sid, name, parent=None, trace=1, dur=0.01, proc="p1", attrs=None,
-         error=None):
+def span(sid, name, parent=None, trace=1, dur=0.01, attrs=None, error=None):
     rec = {
         "name": name, "t0": 0.0, "dur_s": dur, "span_id": sid,
-        "parent_id": parent, "trace_id": trace, "proc": proc, "thread": "t",
+        "parent_id": parent, "trace_id": trace, "thread": "t",
     }
     if attrs:
         rec["attrs"] = attrs
@@ -36,18 +31,6 @@ def dump(spans, metrics=(), dropped=0):
         "metrics": list(metrics),
         "spans": list(spans),
     }
-
-
-class TestMergeDumps:
-    def test_concatenates_and_sums(self):
-        a = dump([span(1, "x")], metrics=[{"name": "m", "kind": "counter",
-                                           "labels": {}, "value": 1}], dropped=2)
-        b = dump([span(2, "y")], dropped=3)
-        merged = merge_dumps([a, b])
-        assert [s["name"] for s in merged["spans"]] == ["x", "y"]
-        assert len(merged["metrics"]) == 1
-        assert merged["meta"]["dropped_spans"] == 5
-        assert merged["meta"]["merged_dumps"] == 2
 
 
 class TestBuildTrace:
@@ -66,17 +49,6 @@ class TestBuildTrace:
         rows = {tuple(r["path"]): r for r in trace["tree"]}
         assert rows[("root", "child")]["count"] == 2  # same path, one row
         assert rows[("root", "child", "leaf")]["depth"] == 2
-
-    def test_cross_process_edge_counts_both_procs(self):
-        spans = [
-            span(1, "net_client.request", proc="client-proc"),
-            span(2, "net_server.request", parent=1, proc="server-proc"),
-        ]
-        trace = build_trace(spans)
-        assert trace["procs"] == 2
-        row = next(r for r in trace["tree"] if r["name"] == "net_server.request")
-        assert row["path"] == ["net_client.request", "net_server.request"]
-        assert row["procs"] == ["server-proc"]
 
     def test_missing_parent_roots_chain_and_counts_orphan(self):
         spans = [span(5, "stranded", parent=999)]
@@ -126,34 +98,13 @@ class TestRender:
         spans = [
             span(1, "solver.reconstruct"),
             span(2, "net_client.request", parent=1),
-            span(3, "net_server.request", parent=2, proc="p2",
+            span(3, "net_server.request", parent=2,
                  attrs={"type": "query_batch"}),
-            span(4, "net_server.shard", parent=3, proc="p2",
-                 attrs={"shard": 0}),
+            span(4, "net_server.shard", parent=3, attrs={"shard": 0}),
             span(9, "lost", parent=999),
         ]
         text = render_report(build_report(dump(spans)))
-        assert "trace tree (1 traces, 2 processes, 1 orphaned spans)" in text
+        assert "trace tree (1 traces, 1 orphaned spans)" in text
         assert "    net_server.request" in text  # depth-2 indent
         assert "wire hops" in text and "query_batch" in text
         assert "server shards" in text
-
-
-class TestCliMerge:
-    def test_report_merges_multiple_dumps(self, enabled, tmp_path, capsys):
-        a = tmp_path / "client.jsonl"
-        b = tmp_path / "server.jsonl"
-        # one dump per process: meta line then span lines
-        for path, spans in (
-            (a, [span(1, "net_client.request", proc="c")]),
-            (b, [span(2, "net_server.request", parent=1, proc="s")]),
-        ):
-            meta = {"rec": "meta", "version": DUMP_VERSION, "dropped_spans": 0}
-            lines = [json.dumps(meta)]
-            for s in spans:
-                lines.append(json.dumps({"rec": "span", **s}))
-            path.write_text("\n".join(lines) + "\n")
-        assert obs_main(["report", str(a), str(b)]) == 0
-        out = capsys.readouterr().out
-        assert "2 processes" in out
-        assert "net_server.request" in out

@@ -1,15 +1,11 @@
-"""Cross-process distributed tracing acceptance.
+"""Trace propagation over the memo wire.
 
-The PR's headline contracts:
+The contracts:
 
 - every ``net_server.request`` handler span (and its ``net_server.shard``
   children) parents under the ``net_client.request`` span that issued it,
   across the wire, under one trace id — including through reconnects and
   pipelined insert-ack drains,
-- a daemon's spans leave through its telemetry plane (``/snapshot``), and
-  merging that view with the local dump stitches a genuinely
-  cross-*process* tree (exercised against a ``python -m repro.net.server
-  --telemetry-port`` subprocess),
 - a full TCP reconstruction yields one stitched tree rooted at
   ``solver.reconstruct`` with a per-hop wire-cost table,
 - tracing off is invisible: no trace field on any frame, and the
@@ -17,14 +13,6 @@ The PR's headline contracts:
 """
 
 from __future__ import annotations
-
-import json
-import os
-import socket
-import subprocess
-import sys
-import time
-import urllib.request
 
 import numpy as np
 import pytest
@@ -36,7 +24,7 @@ from repro.faults import runtime as faults
 from repro.net import MemoServerDaemon
 from repro.net.client import RemoteMemoClient
 from repro.obs import runtime as obs
-from repro.obs.report import build_report, build_trace, merge_dumps, render_report
+from repro.obs.report import build_report, build_trace, render_report
 from repro.solvers import ADMMConfig
 
 ADMM = ADMMConfig(n_outer=5, n_inner=2, step_max_rel=4.0)
@@ -180,127 +168,6 @@ class TestReconnect:
         for s in servers:
             assert s["parent_id"] in client_ids
             assert s["trace_id"] == root["trace_id"]
-
-
-def plane_snapshot(url: str) -> dict:
-    """A telemetry plane's ``/snapshot``: the shape ``load_jsonl`` gives."""
-    with urllib.request.urlopen(url + "/snapshot", timeout=5.0) as resp:
-        return json.loads(resp.read().decode("utf-8"))
-
-
-class TestTelemetryPlaneSpans:
-    def test_snapshot_peeks_the_daemons_spans(self, enabled):
-        with MemoServerDaemon(n_shards=1, name="peeked", telemetry_port=0) as d:
-            with RemoteMemoClient(d.address, client_name="tp") as c:
-                c.ping()
-                first = plane_snapshot(d.telemetry.url)
-                assert first["meta"]["server"] == "peeked"
-                assert first["meta"]["obs_enabled"] is True
-                first_ids = {s["span_id"] for s in first["spans"]}
-                assert first_ids  # the ping handler span at minimum
-                c.ping()
-                second = plane_snapshot(d.telemetry.url)
-                # a read, not a drain: earlier spans stay in the ring
-                assert first_ids < {s["span_id"] for s in second["spans"]}
-                # and the wire saw the two pings only — no telemetry message
-                assert c.net_stats.requests == 2
-
-    def test_one_daemons_plane_stitches_under_the_client(self, enabled):
-        with MemoServerDaemon(n_shards=2, name="ra", telemetry_port=0) as d:
-            with RemoteMemoClient(d.address, client_name="agg") as c:
-                with obs.span("root.op"):
-                    c.insert_batch([insert(0)])
-                    c.query_batch([query(0)])
-                    c.flush()
-            view = plane_snapshot(d.telemetry.url)
-        assert view["meta"]["server"] == "ra"
-        batches = {
-            e["labels"]["server"]: e["value"]
-            for e in view["metrics"] if e["name"] == "net_server_insert_batches"
-        }
-        assert batches == {"ra": 1}
-        trace = build_trace(merge_dumps([view])["spans"])
-        paths = {tuple(r["path"]) for r in trace["tree"]}
-        assert ("root.op", "net_client.request", "net_server.request") in paths
-        assert trace["orphans"] == 0
-
-
-def _free_port() -> int:
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
-
-
-@pytest.mark.slow  # spawns a server process
-class TestCrossProcess:
-    def test_subprocess_server_dump_stitches(self, enabled, tmp_path):
-        """The real thing: the daemon in its own process (own obs runtime,
-        own pid), its spans read from its telemetry plane's ``/snapshot``,
-        merged with the local dump into one tree spanning two processes."""
-        repo = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(repo, "src") + os.pathsep + env.get(
-            "PYTHONPATH", "")
-        env["REPRO_OBS"] = "1"
-        port, plane_port = _free_port(), _free_port()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.net.server",
-             "--host", "127.0.0.1", "--port", str(port),
-             "--shards", "2", "--tau", "0.92",
-             "--telemetry-port", str(plane_port)],
-            env=env, cwd=repo,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.monotonic() + 20.0
-            ready = False
-            while time.monotonic() < deadline:
-                try:
-                    # the plane binds last: once it answers, both ports do
-                    for p in (port, plane_port):
-                        socket.create_connection(("127.0.0.1", p), timeout=1.0).close()
-                    ready = True
-                    break
-                except OSError:
-                    time.sleep(0.1)
-            assert ready, "server subprocess never came up"
-            client = RemoteMemoClient(
-                ("127.0.0.1", port), expect_tau=0.92,
-                fail_open=False, client_name="xproc",
-            )
-            with client:
-                with obs.span("solver.reconstruct"):
-                    client.insert_batch([insert(0), insert(3, seed=1)])
-                    client.query_batch([query(0), query(3)])
-                    client.flush()
-            pulled = plane_snapshot(f"http://127.0.0.1:{plane_port}")
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
-        local_spans, dropped = obs.drain_spans()
-        data = merge_dumps([
-            {"meta": {"dropped_spans": dropped}, "metrics": obs.snapshot(),
-             "spans": local_spans},
-            pulled,
-        ])
-        trace = build_trace(data["spans"])
-        assert trace["procs"] == 2  # genuinely two processes in one tree
-        paths = {tuple(r["path"]) for r in trace["tree"]}
-        assert ("solver.reconstruct", "net_client.request",
-                "net_server.request") in paths
-        assert ("solver.reconstruct", "net_client.request",
-                "net_server.request", "net_server.shard") in paths
-        # the server-side rows carry the *server's* proc tag
-        local_proc = local_spans[0]["proc"]
-        for row in trace["tree"]:
-            if row["name"] == "net_server.request":
-                assert row["procs"] and local_proc not in row["procs"]
-        # and the report renders a hop table off the merged data
-        text = render_report(build_report(data))
-        assert "wire hops" in text and "query_batch" in text
 
 
 class TestFullSolveStitched:

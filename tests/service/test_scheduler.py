@@ -268,6 +268,46 @@ class TestJobLifecycle:
         times = [ev.t for ev in handle.events]
         assert times == sorted(times)
 
+    def test_failed_job_ends_with_its_error_as_the_last_event(self, problem):
+        """What an operator reads about a job that gave up: the terminal
+        event carries the error, after one failed attempt and one retry."""
+
+        def doomed() -> np.ndarray:
+            raise OSError("scan volume unavailable")
+
+        with ReconstructionScheduler(ServiceConfig(n_workers=1)) as sched:
+            handle = sched.submit(
+                spec(problem, "doomed", projections=doomed, max_retries=1)
+            )
+            assert handle.wait(WAIT)
+        assert handle.state is JobState.FAILED
+        last = handle.events[-1]
+        assert last.kind == JobState.FAILED.value
+        assert last.detail == "OSError: scan volume unavailable"
+        kinds = [ev.kind for ev in handle.events]
+        assert kinds.count("attempt_failed") == 1 and kinds.count("retry") == 1
+
+    def test_scheduler_gauges_land_in_the_registry(self, problem):
+        """The worker loop publishes the scheduler's gauges into the
+        process registry, which ``to_prometheus`` renders and a JSONL dump
+        carries."""
+        import repro.obs as obs
+        from repro.obs import ObsConfig
+
+        obs.configure(ObsConfig(enabled=True))
+        try:
+            with ReconstructionScheduler(ServiceConfig(n_workers=1)) as sched:
+                handle = sched.submit(spec(problem, "published"))
+                assert handle.wait(WAIT)
+            text = obs.to_prometheus(obs.snapshot())
+        finally:
+            obs.reset()
+        lines = set(text.splitlines())
+        assert "scheduler_queue_depth 0" in lines
+        assert "scheduler_running 0" in lines
+        assert "scheduler_submitted 1" in lines
+        assert "scheduler_completed 1" in lines
+
     def test_bad_projections_type_fails(self, problem):
         with ReconstructionScheduler(ServiceConfig(n_workers=1)) as sched:
             handle = sched.submit(
@@ -415,92 +455,3 @@ class TestValidation:
         with ReconstructionScheduler(ServiceConfig(n_workers=1)) as sched:
             with pytest.raises(ValueError, match="JobSpec"):
                 sched.submit("not a spec")
-
-
-class TestTelemetryPlane:
-    """ServiceConfig(telemetry_port=...): the scheduler's live HTTP plane.
-
-    Acceptance: /readyz flips 503 <-> 200 on queue saturation and
-    recovery, and the bind address is validated like the memo daemon's."""
-
-    @staticmethod
-    def _get(url: str):
-        import urllib.error
-        import urllib.request
-
-        try:
-            with urllib.request.urlopen(url, timeout=5.0) as resp:
-                return resp.status, resp.read()
-        except urllib.error.HTTPError as err:
-            return err.code, err.read()
-
-    def test_readyz_flips_on_saturation_then_recovers(self, problem):
-        import json
-        import time
-        import urllib.request
-
-        _geometry, data = problem
-        gate = Gate(data)
-        with ReconstructionScheduler(
-            ServiceConfig(n_workers=1, max_queue_depth=0, telemetry_port=0)
-        ) as sched:
-            base = sched.telemetry.url
-            status, body = self._get(base + "/readyz")
-            assert (status, json.loads(body)["ready"]) == (200, True)
-            assert self._get(base + "/healthz") == (200, b"ok\n")
-
-            running = sched.submit(spec(problem, "gate", projections=gate))
-            assert gate.entered.wait(WAIT)
-            # the lone worker is busy and depth is 0: one more submit
-            # would bounce, so readiness must report saturated
-            status, body = self._get(base + "/readyz")
-            payload = json.loads(body)
-            assert status == 503 and payload["ready"] is False
-            assert payload["probes"]["queue"]["ok"] is False
-            assert "saturated" in payload["probes"]["queue"]["detail"]
-            assert payload["probes"]["accepting"]["ok"] is True
-            assert set(payload["probes"]) == {"accepting", "queue"}
-
-            gate.release.set()
-            assert running.wait(WAIT)
-            deadline = time.monotonic() + WAIT
-            while time.monotonic() < deadline:  # worker going idle races us
-                status, _ = self._get(base + "/readyz")
-                if status == 200:
-                    break
-                time.sleep(0.02)
-            assert status == 200
-        # shutdown tears the plane down with the scheduler
-        with pytest.raises(OSError):
-            urllib.request.urlopen(base + "/healthz", timeout=1.0)
-
-    def test_metrics_scrape_carries_scheduler_gauges(self, problem):
-        import repro.obs as obs
-        from repro.obs import ObsConfig
-
-        obs.configure(ObsConfig(enabled=True))
-        try:
-            with ReconstructionScheduler(
-                ServiceConfig(n_workers=1, telemetry_port=0)
-            ) as sched:
-                handle = sched.submit(spec(problem, "scraped"))
-                assert handle.wait(WAIT)
-                status, body = self._get(sched.telemetry.url + "/metrics")
-            assert status == 200
-            text = body.decode("utf-8")
-            assert "scheduler_queue_depth 0" in text
-            assert "scheduler_running 0" in text
-            assert "scheduler_submitted 1" in text
-        finally:
-            obs.reset()
-
-    def test_bind_address_validated_like_memo_daemon(self):
-        from repro.net.wire import parse_address
-
-        with pytest.raises(ValueError) as err:
-            ServiceConfig(telemetry_port="not-a-port")
-        try:
-            parse_address(("127.0.0.1", "not-a-port"))
-        except ValueError as exc:
-            expected = str(exc)
-        assert str(err.value) == expected

@@ -38,6 +38,7 @@ from repro.service import (
     read_snapshot,
     write_snapshot,
 )
+from repro.service.snapshot import load_or_quarantine
 from repro.solvers import ADMMConfig
 
 WAIT = 120.0
@@ -301,6 +302,53 @@ class TestQuarantine:
 
     def test_quarantine_of_nothing_is_none(self, tmp_path):
         assert quarantine_snapshot(tmp_path / "ghost") is None
+
+
+class TestLoadOrQuarantine:
+    """The boot-time warm start every caller shares (solver init, daemon
+    boot): a bad snapshot is moved aside, counted under the caller's
+    ``where`` label and logged, and the caller starts cold."""
+
+    def test_an_intact_snapshot_loads_and_counts_nothing(self, snapshot_dir):
+        obs.configure(ObsConfig())
+        tree = load_or_quarantine(snapshot_dir, "boot")
+        assert encode_tree(tree) == encode_tree(load_memo_snapshot(snapshot_dir))
+        assert os.path.isdir(snapshot_dir)
+        assert counter_total("snapshot_quarantined_total") == 0
+
+    def test_a_bad_snapshot_is_quarantined_counted_and_logged(
+        self, snapshot_dir, caplog
+    ):
+        obs.configure(ObsConfig())
+        (snapshot_dir / "snapshot.mlr").write_bytes(b"not a snapshot")
+        with caplog.at_level("WARNING", logger="repro.service.snapshot"):
+            assert load_or_quarantine(snapshot_dir, "boot") is None
+        assert not os.path.exists(snapshot_dir)
+        assert os.path.isdir(f"{snapshot_dir}.corrupt")
+        series = [
+            e for e in obs.snapshot() if e["name"] == "snapshot_quarantined_total"
+        ]
+        assert [(e["labels"], e["value"]) for e in series] == [({"where": "boot"}, 1)]
+        warm_start = [
+            r.getMessage() for r in caplog.records if "warm-start" in r.getMessage()
+        ]
+        assert len(warm_start) == 1
+        assert warm_start[0].startswith("boot: ")
+        assert f"{snapshot_dir}.corrupt" in warm_start[0]
+
+    def test_each_caller_counts_under_its_own_label(self, snapshot_tree, tmp_path):
+        obs.configure(ObsConfig())
+        for where in ("server-boot", "solver-init"):
+            path = tmp_path / where
+            write_snapshot(path, snapshot_tree, kind="memo-state")
+            damage(path, lambda raw: raw[: len(raw) // 2])
+            assert load_or_quarantine(path, where) is None
+        counts = {
+            e["labels"]["where"]: e["value"]
+            for e in obs.snapshot()
+            if e["name"] == "snapshot_quarantined_total"
+        }
+        assert counts == {"server-boot": 1, "solver-init": 1}
 
 
 class TestSolverColdStart:
