@@ -5,7 +5,7 @@ One unit of work is two ready ``ADMMSolver`` s (``DirectExecutor``,
 
 - **cold stack per solver** (the baseline of both entries): each solver gets
   its own ``LaminoOperators`` of a geometry the process has not seen — plans,
-  the chunk-grid Lipschitz pass and the block CSRs it warms, twice.  What a
+  the chunk-grid Lipschitz pass and the slice operators it warms, twice.  What a
   per-job stack paid before equal stacks shared their operator state.
 - **shared stack** (``solver_construction``): both solvers on one stack of an
   unseen geometry; the first pays all of it, the second reads the stack.
@@ -13,9 +13,9 @@ One unit of work is two ready ``ADMMSolver`` s (``DirectExecutor``,
   (``solver_construction_known_geometry``): each solver gets its own stack,
   but of a geometry whose operator state the process already holds — the
   scheduler's per-job stack: a registry hit, so no plan build, no pass and
-  no block; what is left is two ``ADMMSolver`` constructions.
+  no slice operator; what is left is two ``ADMMSolver`` constructions.
 
-Plans, blocks and the estimate are shared process-wide by equal
+Plans, slice operators and the estimate are shared process-wide by equal
 ``(geometry, half_width, oversample)`` (``repro.lamino.operators``), so
 "unseen" has to be manufactured: every cold build takes the next geometry
 of a sequence whose tilt differs by a millionth of a degree — a distinct
@@ -23,13 +23,13 @@ operator to the registry, the same cost to build.  The registry keeps the
 four most recently used states, so the cold runs evict the known geometry:
 its timing re-enters it in a warm-up call.
 
-``gauges.plan_mb`` is the 2-D plan's separable tap arrays and
-``gauges.block_mb`` its block cache after the construction of the *first*
-stack of a geometry (``USFFT2DPlan.nbytes`` before and after): a later
-equal stack shares those plans and adds nothing.  The sweeps add nothing to
-it either (``tests/solvers/test_lipschitz_cache.py``), so the two are the
-Fu2D operator's whole resident size, and ``trend.py`` gates both with the
-timing.
+``gauges.operator_mb`` is the 2-D plan's slice operators after the
+construction of the *first* stack of a geometry (``USFFT2DPlan.nbytes``; a
+plan stores nothing before its first use): a later equal stack shares that
+plan and adds nothing.  The sweeps add nothing to it either
+(``tests/solvers/test_lipschitz_cache.py``), nor does any other row range
+(``tests/lamino/test_plan_state.py``), so it is the Fu2D operator's whole
+resident size, and ``trend.py`` gates it with the timing.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ def run(quick: bool = True, repeat: int = 3) -> dict:
         _solver(LaminoOperators(known))
 
     ops = unseen_stack()
-    plan_bytes = ops.plan2d.nbytes  # no block exists yet
     _solver(ops)
-    block_bytes = ops.plan2d.nbytes - plan_bytes
+    operator_bytes = ops.plan2d.nbytes
 
     cold = time_fn(stack_per_solver, repeat=repeat, warmup=0)
     meta = dict(vol_shape=list(known.vol_shape), n_angles=known.n_angles, chunk_size=CHUNK_SIZE)
@@ -89,7 +88,7 @@ def run(quick: bool = True, repeat: int = 3) -> dict:
         "solver_construction": pair_entry(
             cold,
             time_fn(shared_stack, repeat=repeat, warmup=0),
-            gauges={"plan_mb": plan_bytes / 1e6, "block_mb": block_bytes / 1e6},
+            gauges={"operator_mb": operator_bytes / 1e6},
             **meta,
         ),
         "solver_construction_known_geometry": pair_entry(

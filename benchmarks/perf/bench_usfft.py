@@ -3,8 +3,8 @@
 Times full chunked sweeps of the four memoizable operations (the shapes the
 executors actually drive through ``_sweep``) in complex64, with the
 same plans and inputs on both paths.  ``usfft2d_type2_sweep`` also records
-``gauges.nnz_per_row``, the taps per target of the complex64 gather blocks
-it times, so ``trend.py`` fails if the stencil widens.
+``gauges.nnz_per_row``, the taps per target of the complex64 slice
+operators it times, so ``trend.py`` fails if the stencil widens.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def run(quick: bool = True, repeat: int = 5) -> dict:
             ref = time_fn(fn, repeat=repeat)
         out[name] = pair_entry(ref, opt, dtype="complex64")
     # cached by the sweeps above
-    gathers = [plan2d.block_gather(rows.start, rows.stop, np.complex64) for rows in slabs]
+    gathers = [plan2d.slice_gather(i, np.complex64) for i in range(plan2d.nslices)]
     out["usfft2d_type2_sweep"]["gauges"] = {
         "nnz_per_row": sum(m.nnz for m in gathers) / sum(m.shape[0] for m in gathers)
     }

@@ -10,7 +10,7 @@ the gate::
 compares the latest entry against the previous *comparable* one (same
 ``--quick`` flag) and exits nonzero when any benchmark's ``best_s`` — or
 one of its ``gauges``, the lower-is-better sizes a benchmark records next
-to its timings (``solver_construction.block_mb``) — grew by more than the
+to its timings (``solver_construction.operator_mb``) — grew by more than the
 threshold (default 25%).
 
 Machine identity matters: CI runners are heterogeneous VMs, so a

@@ -53,12 +53,12 @@ OP_NAMES = ("Fu1D", "Fu2D", "F2D*", "F2D", "Fu2D*", "Fu1D*")
 MEMOIZABLE_OPS = ("Fu1D", "Fu2D", "Fu2D*", "Fu1D*")
 
 #: Operator states the process keeps, least recently used evicted first.
-#: A state pins its two plans, every block CSR its stacks have built and its
-#: memo: ``USFFT2DPlan.nbytes`` after a sweep reads 25.6 MB at the ledger's
-#: service geometry (64,16,64)/32, chunk 4, and 51.1 MB at its solver
-#: geometry (64,32,64)/32, chunk 8, blocks included; the DC bases add 1.8 /
-#: 3.7 MB and the 1-D plan under 0.1 MB.  Four states of the larger one pin
-#: ~220 MB.
+#: A state pins its two plans, every slice operator its stacks have built
+#: and its memo: ``USFFT2DPlan.nbytes`` once every slice is built reads
+#: 18.5 MB at the ledger's service geometry (64,16,64)/32 and 36.9 MB at
+#: its solver geometry (64,32,64)/32, whatever row ranges were applied; the
+#: DC bases add 1.8 / 3.7 MB and the 1-D plan under 0.1 MB.  Four states of
+#: the larger one pin ~163 MB.
 _STATES_MAX = 4
 
 #: ``(geometry, half_width, oversample)`` -> :class:`_OperatorState`.
@@ -74,7 +74,7 @@ _STATES: OrderedDict = OrderedDict()  # guarded-by: _STATES_LOCK
 class _OperatorState:
     """What a stack derives from ``(geometry, half_width, oversample)``
     alone, in one memo: the two USFFT plans (and with them every cached
-    block CSR and dtype cast), the Lipschitz estimate, the DC bases.  One
+    slice operator and dtype cast), the Lipschitz estimate, the DC bases.  One
     per operator in the process (:data:`_STATES`); every equal stack holds
     the same one.  An evicted state stays valid for the stacks that hold
     it, and rebuilding it yields the same plans, to the last bit."""
@@ -119,7 +119,7 @@ class LaminoOperators:
     Building an instance finds the process's operator state for
     ``(geometry, half_width, oversample)`` — or builds its USFFT gridding
     plans, once, if the process has not seen that operator — so every
-    equal stack reads the same plans, block CSRs and geometry-only results
+    equal stack reads the same plans, slice operators and geometry-only results
     (:meth:`once`).  Individual operator applications run entirely from the
     plans.  Chunked application (the unit the memoization engine works on)
     is supported through the ``rows`` arguments, which select a slab of the

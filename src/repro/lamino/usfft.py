@@ -40,50 +40,49 @@ Algorithm (three steps, type 2):
    nearest fine-grid neighbors (per dimension) with Kaiser--Bessel weights.
 
 Step 3 is a precomputed linear operator — a small dense matrix in 1-D, and
-in 2-D one *block-diagonal* real CSR sparse matrix per contiguous slice
-range, expanded on first use from the plan's separable per-axis taps — so
-repeated operator applications (hundreds per ADMM solve) are pure
-BLAS/sparse matvecs; this is the same plan-and-execute structure
-CuFFT/FINUFFT use.
+in 2-D one real CSR sparse matrix per slice, built on first use from the
+slice's points — so repeated operator applications (hundreds per ADMM
+solve) are pure BLAS/sparse matvecs; this is the same plan-and-execute
+structure CuFFT/FINUFFT use.
 
 Execution discipline (the hot-path contract every executor relies on):
 
 - FFTs run through ``scipy.fft`` (pocketfft) by default, which preserves
   ``complex64`` end to end and accepts a ``workers`` thread count; see
   :func:`configure_fft` / :func:`fft_backend`.
-- the 2-D plan stores the tap geometry *separably*: per axis, the fine-grid
-  indices and Kaiser--Bessel weights of each target's ``2*K + 1`` taps.
-  The ``(2*K + 1)**2``-way outer product exists only inside a block.
-- the 2-D interpolation operator of a contiguous row range is **one** real
-  block-diagonal CSR per compute precision (float32 weights for complex64,
-  float64 for complex128), built on first use and cached on the plan: the
-  Kaiser--Bessel weights are real, so nothing complex is ever stored.
-- the type-1 scatter of a range is the *transpose view* of that block
-  (``block_scatter(...)`` is ``block_gather(...).T``, a CSC over the same
-  three arrays): there is no second matrix, and the pair is an exact
+- the 2-D interpolation operator is held **once**: one real CSR per
+  (slice, compute precision) — float32 weights for complex64, float64 for
+  complex128 — built on first use and cached on the plan.  The
+  Kaiser--Bessel weights are real, so nothing complex is ever stored, and
+  nothing else is: a slice's ``(2*K + 1)**2`` taps are recomputed from its
+  points when its operator is built.
+- a row range of any width is applied slice by slice, so every chunk grid
+  and the full range share the same operators: applying a new range
+  builds nothing for a slice some range already built.
+- the type-1 scatter of a slice is the *transpose view* of its gather
+  (``slice_scatter(i, ...)`` is ``slice_gather(i, ...).T``, a CSC over the
+  same three arrays): there is no second matrix, and the pair is an exact
   adjoint by construction.
-- a chunk's interpolation is two real SpMVs per direction — the block
-  applied to the real and to the imaginary plane of the flattened fine
-  spectrum — instead of a Python loop of ``nslices`` complex matvecs.
-- float32 blocks prune taps against one *plan-wide* threshold
+- a slice's interpolation is two real SpMVs per direction — its operator
+  applied to the real and to the imaginary plane of its flattened fine
+  spectrum — through scipy's public ``@``.
+- float32 operators prune taps against one *plan-wide* threshold
   (``TAP_PRUNE_REL`` of the plan's largest tap), so the operator a slice
-  gets does not depend on the row range it is applied in: chunked and
-  full-range application agree bit for bit, on any chunk grid.
+  gets does not depend on anything but the slice.
 - dtype-specific casts of the space-domain correction (and of the 1-D
   interpolation matrix) are cached on the plan, and the padded/oversampled
   workspace is preallocated per plan and per thread, so steady-state sweeps
   re-cast nothing and allocate nothing large before the FFT.
-- nothing builds blocks ahead of use; the first caller of a range does.
-  A plan is shared by every equal operator stack of the process
+- nothing builds slice operators ahead of use; the first caller of a slice
+  does.  A plan is shared by every equal operator stack of the process
   (``repro.lamino.operators`` keeps one per ``(geometry, half_width,
-  oversample)``), so its lazy fills — blocks, casts, the reference
-  ``interp`` — are built under the plan's lock, once, however many
-  threads ask; a lookup of a built one takes no lock.  For the first stack
-  of a geometry the first caller is the Lipschitz power iteration of
-  ``repro.solvers.lsp``, which runs on the executor's own chunk grid, so
-  construction leaves exactly the blocks the sweeps reuse; every later
-  equal stack finds them built, and neither its construction nor its
-  sweeps build any.
+  oversample)``), so its lazy fills — slice operators, casts, the
+  reference ``interp`` — are built under the plan's lock, once, however
+  many threads ask; a lookup of a built one takes no lock.  For the first
+  stack of a geometry the first caller is the Lipschitz power iteration of
+  ``repro.solvers.lsp``, which builds every slice the sweeps reuse; every
+  later equal stack finds them built, and neither its construction nor
+  its sweeps build any.
 
 :func:`reference_kernels` switches the module to the pre-vectorization
 kernels (``numpy.fft``, per-slice interpolation loops, per-call dtype
@@ -304,12 +303,16 @@ def _tap_geometry(coords: np.ndarray, oversample: int, half_width: int, beta: fl
     nearest = np.rint(centers).astype(np.int64)
     offsets = np.arange(-half_width, half_width + 1)
     idx = nearest[..., None] + offsets
-    t = centers[..., None] - idx
+    return idx, _kb_weight(centers[..., None] - idx, half_width, beta)
+
+
+def _kb_weight(t: np.ndarray, half_width: int, beta: float) -> np.ndarray:
+    """Kaiser--Bessel tap weight at ``t`` fine-grid nodes from the target;
+    it falls off with ``|t|``."""
     # a target halfway between nodes puts a tap at |t| == W: clip, so that
     # rounding in the radicand can never put a NaN weight into a plan
     r = np.sqrt(np.maximum(1.0 - (t / (half_width + 0.5)) ** 2, 0.0))
-    w = special.i0(beta * r) / special.i0(beta)
-    return idx, w
+    return special.i0(beta * r) / special.i0(beta)
 
 
 @dataclass
@@ -509,22 +512,21 @@ class USFFT2DPlan:
     laminography ``F_u2D`` operator where the in-plane frequency samples
     depend on the detector row frequency.
 
-    The window interpolation is separable, and the plan stores it that way:
-    per axis, the fine-grid index (raw, i.e. unshifted FFT layout — the
-    fftshift is part of the operator) and the Kaiser--Bessel weight of each
-    target's ``2*half_width + 1`` taps, shape ``(nslices, npts, taps)``.
-    :meth:`block_gather` expands them — per contiguous slice range and
-    compute precision, on first use, cached — into one block-diagonal CSR
-    over the flattened ``(nslices * fine0 * fine1)`` spectrum whose ``data``
-    is the *real* weight, so a whole chunk's type-2 interpolation is that
-    matrix applied to the spectrum's real and imaginary planes.
-    :meth:`block_scatter` is its transpose *view*, the CSC over the same
-    three arrays, so the type-1 scatter costs no second matrix.
-    :attr:`nbytes` is what the operator holds resident.  :attr:`interp`
-    (per-slice CSRs in the centered layout) serves the reference kernels
-    only and is built on first access.  Every lazy fill (blocks, casts,
-    ``interp``) is built under the plan's ``_lock``, so threads sharing the
-    plan build each one once.
+    The plan holds the interpolation operator once, as one real CSR per
+    (slice, compute precision): :meth:`slice_gather` builds it on first use
+    from the slice's points and caches it, shape ``(npts, fine0*fine1)``
+    over the slice's flattened *raw* (unshifted) fine spectrum — the
+    fftshift is part of the operator — with the real Kaiser--Bessel weight
+    as ``data``.  A row range of any width is applied slice by slice, so no
+    chunk grid and no full-range application ever stores a second copy.
+    :meth:`slice_scatter` is its transpose *view*, the CSC over the same
+    three arrays, so the type-1 scatter costs no second matrix.  Nothing
+    else is stored: a slice's taps are recomputed from its points when its
+    operator is built.  :attr:`nbytes` is what the operator holds resident.
+    :attr:`interp` (per-slice CSRs in the centered layout) serves the
+    reference kernels only and is built on first access.  Every lazy fill
+    (slice operators, casts, ``interp``) is built under the plan's
+    ``_lock``, so threads sharing the plan build each one once.
     """
 
     shape: tuple[int, int]
@@ -535,13 +537,11 @@ class USFFT2DPlan:
     fine_shape: tuple[int, int] = field(init=False)
     beta: float = field(init=False)
     corr: np.ndarray = field(init=False)
-    _tap_idx: tuple = field(init=False, repr=False)
-    _tap_w: tuple = field(init=False, repr=False)
     _prune_floor: float = field(init=False, repr=False)
     _lock: threading.Lock = field(init=False, default_factory=threading.Lock, repr=False)
     _interp: list | None = field(init=False, default=None, repr=False)  # guarded-by: _lock
     _casts: dict = field(init=False, default_factory=dict, repr=False)  # guarded-by: _lock
-    _blocks: dict = field(init=False, default_factory=dict, repr=False)  # guarded-by: _lock
+    _slices: dict = field(init=False, default_factory=dict, repr=False)  # guarded-by: _lock
     _scratch: threading.local = field(init=False, default_factory=threading.local, repr=False)
 
     def __post_init__(self) -> None:
@@ -557,20 +557,13 @@ class USFFT2DPlan:
         c0 = _space_correction(n0, self.fine_shape[0], self.half_width, self.beta)
         c1 = _space_correction(n1, self.fine_shape[1], self.half_width, self.beta)
         self.corr = np.outer(c0, c1)
-        # tap geometry for every slice at once (no per-slice Python loop)
-        (idx0, w0), (idx1, w1) = (
-            _tap_geometry(pts[..., ax], self.oversample, self.half_width, self.beta)
-            for ax in (0, 1)
-        )
-        # raw FFT layout: the spectrum's center is node 0
-        f0, f1 = self.fine_shape
-        self._tap_idx = (np.mod(idx0, f0).astype(np.int32), np.mod(idx1, f1).astype(np.int32))
-        self._tap_w = (w0, w1)
         # plan-wide, so the operator a slice gets does not depend on the
         # chunk range it is applied in; weights are non-negative, so a
-        # target's largest tap is the product of its per-axis maxima
-        largest = (w0.max(axis=-1) * w1.max(axis=-1)).max()
-        self._prune_floor = self.TAP_PRUNE_REL * float(largest)
+        # target's largest tap is the product of its per-axis maxima, and
+        # an axis's largest is its tap nearest the target (|t| <= 1/2)
+        centers = self.oversample * pts
+        peak = _kb_weight(centers - np.rint(centers), self.half_width, self.beta)
+        self._prune_floor = self.TAP_PRUNE_REL * float((peak[..., 0] * peak[..., 1]).max())
 
     @property
     def nslices(self) -> int:
@@ -582,20 +575,18 @@ class USFFT2DPlan:
 
     @property
     def nbytes(self) -> int:
-        """Bytes the fast path's interpolation operator holds resident: the
-        separable tap arrays plus every block cached so far (a scatter is a
-        view of its gather and adds nothing)."""
+        """Bytes the fast path's interpolation operator holds resident: every
+        slice operator cached so far (a scatter is a view of its gather and
+        adds nothing)."""
         with self._lock:
-            blocks = list(self._blocks.values())
-        return sum(a.nbytes for a in (*self._tap_idx, *self._tap_w)) + sum(
-            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks
-        )
+            pairs = list(self._slices.values())
+        return sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m, _ in pairs)
 
     @property
     def interp(self) -> list:
         """Per-slice CSR ``(npts, fine0*fine1)`` over the *centered* fine
         spectrum, full stencil, float64: the operator the reference kernels
-        loop over.  Built from the separable taps on first access; the fast
+        loop over.  Built from each slice's taps on first access; the fast
         path never touches it."""
         if self._interp is None:
             with self._lock:
@@ -614,26 +605,37 @@ class USFFT2DPlan:
                     ]
         return self._interp
 
+    def _axis_taps(self, i: int) -> list:
+        """Slice ``i``'s separable taps, ``[(idx0, w0), (idx1, w1)]``, each
+        ``(npts, taps)``: fine-grid index relative to the spectrum's center
+        and Kaiser--Bessel weight, per axis."""
+        return [
+            _tap_geometry(self.points[i, :, ax], self.oversample, self.half_width, self.beta)
+            for ax in (0, 1)
+        ]
+
     def _slice_taps(self, i: int, centered: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Slice ``i``'s expanded stencil, ``(npts, taps**2)`` each: flat
         fine-grid column (raw layout unless ``centered``) and weight."""
         f0, f1 = self.fine_shape
-        i0, i1 = self._tap_idx[0][i], self._tap_idx[1][i]
+        (i0, w0), (i1, w1) = self._axis_taps(i)
         if centered:
-            i0, i1 = (i0 + f0 // 2) % f0, (i1 + f1 // 2) % f1
+            i0, i1 = i0 + f0 // 2, i1 + f1 // 2
+        # raw FFT layout: the spectrum's center is node 0
+        i0, i1 = np.mod(i0, f0).astype(np.int32), np.mod(i1, f1).astype(np.int32)
         cols = i0[:, :, None] * f1 + i1[:, None, :]
-        w = self._tap_w[0][i][:, :, None] * self._tap_w[1][i][:, None, :]
+        w = w0[:, :, None] * w1[:, None, :]
         return cols.reshape(self.npts, -1), w.reshape(self.npts, -1)
 
     # -- cached compute-dtype variants -------------------------------------------------
 
-    #: tap-weight cutoff for float32 (complex64-compute) block operators,
+    #: tap-weight cutoff for float32 (complex64-compute) slice operators,
     #: relative to the plan's largest tap (a central weight, ~1): a tap this
     #: far below the central weight is at single-precision epsilon (1.2e-7)
     #: — its contribution is unrepresentable against the central tap in
     #: complex64 arithmetic — so the float32 operator drops it (~14% of the
-    #: square stencil, its corners, at the default width).  float64 blocks
-    #: keep the full stencil.
+    #: square stencil, its corners, at the default width).  float64
+    #: operators keep the full stencil.
     TAP_PRUNE_REL = 1e-7
 
     def corr_for(self, dtype, direction: str = "plain") -> np.ndarray:
@@ -661,69 +663,56 @@ class USFFT2DPlan:
                     self._casts[key] = out
         return out
 
-    def block_gather(self, start: int, stop: int, dtype) -> sparse.csr_matrix:
-        """Block-diagonal gather CSR for plan rows ``[start, stop)``.
+    def slice_gather(self, i: int, dtype) -> sparse.csr_matrix:
+        """Gather CSR of plan row ``i``: its type-2 interpolation.
 
-        Shape ``((stop-start) * npts, (stop-start) * fine0 * fine1)``, real
-        ``data`` in the precision of the compute ``dtype`` (float32 for
-        complex64/float32, else float64); applied to the real and imaginary
-        planes of the flattened fine spectrum it performs every slice's
-        type-2 interpolation.  Column indices address the *raw* (unshifted)
-        FFT layout.  Cached per (range, precision) — chunk grids are fixed
-        for a run, so steady-state sweeps build nothing — and built under
-        the plan's lock, so concurrent first callers of a range wait for
-        one build.
+        Shape ``(npts, fine0*fine1)``, int32 column indices into the slice's
+        flattened *raw* (unshifted) fine spectrum, real ``data`` in the
+        precision of the compute ``dtype`` (float32 for complex64/float32,
+        pruned against the plan-wide floor; else float64, full stencil).
+        Cached per (slice, precision) — whatever row ranges are applied, a
+        slice's operator exists once — and built under the plan's lock, so
+        concurrent first callers of a slice wait for one build.
         """
-        if not (0 <= start <= stop <= self.nslices):
-            raise ValueError(f"invalid slice range [{start}, {stop})")
+        return self._slice_pair(i, dtype)[0]
+
+    def slice_scatter(self, i: int, dtype) -> sparse.csc_matrix:
+        """Adjoint of :meth:`slice_gather`: the cached gather's transpose, a
+        CSC *view* over the same ``data``/``indices``/``indptr``.  The view
+        object is cached beside its gather: building one per call costs
+        more than the SpMV's own call overhead."""
+        return self._slice_pair(i, dtype)[1]
+
+    def _slice_pair(self, i: int, dtype) -> tuple:
+        if not 0 <= i < self.nslices:
+            raise ValueError(f"slice {i} outside [0, {self.nslices})")
         rdt = _real_dtype(dtype)
-        key = (start, stop, rdt.char)
-        mat = self._blocks.get(key)
-        if mat is None:
+        key = (i, rdt.char)
+        pair = self._slices.get(key)
+        if pair is None:
             with self._lock:
-                mat = self._blocks.get(key)
-                if mat is None:
-                    mat = self._blocks[key] = self._build_gather(start, stop, rdt)
-        return mat
+                pair = self._slices.get(key)
+                if pair is None:
+                    gather = self._build_gather(i, rdt)
+                    pair = self._slices[key] = (gather, gather.T)
+        return pair
 
-    def block_scatter(self, start: int, stop: int, dtype) -> sparse.csc_matrix:
-        """Adjoint of :meth:`block_gather`: the cached gather's transpose, a
-        CSC *view* over the same ``data``/``indices``/``indptr``."""
-        return self.block_gather(start, stop, dtype).T
-
-    def _build_gather(self, start: int, stop: int, rdt: np.dtype) -> sparse.csr_matrix:
-        nsl = stop - start
+    def _build_gather(self, i: int, rdt: np.dtype) -> sparse.csr_matrix:
+        cols, w = self._slice_taps(i)
+        if rdt == np.dtype(np.float32):
+            # drop taps beneath single-precision resolution
+            keep = w >= self._prune_floor
+            counts = keep.sum(axis=1, dtype=np.int32)
+            cols, w = cols[keep], w[keep]
+        else:
+            counts = np.full(self.npts, w.shape[1], dtype=np.int32)
+        indptr = np.zeros(self.npts + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
         nfine = self.fine_shape[0] * self.fine_shape[1]
-        taps2 = (2 * self.half_width + 1) ** 2
-        per_slice = self.npts * taps2
-        # indptr carries values up to nnz, which dwarfs the column count
-        idx_dtype = np.int32 if max(nsl * nfine, nsl * per_slice) < 2**31 else np.int64
-        prune = rdt == np.dtype(np.float32)
-        data = np.empty(nsl * per_slice, dtype=rdt)
-        indices = np.empty(nsl * per_slice, dtype=idx_dtype)
-        counts = np.full((nsl, self.npts), taps2, dtype=idx_dtype)
-        pos = 0
-        # slice by slice, so the expanded temporaries stay one slice wide
-        for j in range(nsl):
-            cols, w = self._slice_taps(start + j)
-            if prune:
-                # drop taps beneath single-precision resolution
-                keep = w >= self._prune_floor
-                counts[j] = keep.sum(axis=1)
-                cols, w = cols[keep], w[keep]
-            end = pos + w.size
-            data[pos:end] = w.reshape(-1)
-            indices[pos:end] = cols.reshape(-1)
-            indices[pos:end] += j * nfine
-            pos = end
-        if pos < data.size:
-            # in place: no second copy of the block, no oversized base kept alive
-            data.resize(pos, refcheck=False)
-            indices.resize(pos, refcheck=False)
-        indptr = np.zeros(nsl * self.npts + 1, dtype=idx_dtype)
-        np.cumsum(counts.reshape(-1), out=indptr[1:])
         return sparse.csr_matrix(
-            (data, indices, indptr), shape=(nsl * self.npts, nsl * nfine), copy=False
+            (w.reshape(-1).astype(rdt, copy=False), cols.reshape(-1), indptr),
+            shape=(self.npts, nfine),
+            copy=False,
         )
 
     def _workspace(self, nsl: int, cdtype) -> np.ndarray:
@@ -749,13 +738,17 @@ def _slice_range(plan: USFFT2DPlan, slices: slice | None) -> range:
     return range(start, stop)
 
 
-def _apply_planes(op, x: np.ndarray) -> np.ndarray:
-    """``op @ x.ravel()`` for a real sparse ``op`` and a complex ``x``: one
-    real SpMV per plane, so the weights are neither stored nor streamed as
-    complex numbers."""
-    out = np.empty(op.shape[0], dtype=x.dtype)
-    out.real = op @ np.ascontiguousarray(x.real).reshape(-1)
-    out.imag = op @ np.ascontiguousarray(x.imag).reshape(-1)
+def _apply_slices(mats: list, x: np.ndarray, n_out: int) -> np.ndarray:
+    """``out[j] = mats[j] @ x[j]`` for real sparse ``(n_out, n)`` operators
+    and a complex ``x`` of shape ``(len(mats), n)``: each operator applied
+    to the real and to the imaginary plane of its row, so the weights are
+    neither stored nor streamed as complex numbers.  The planes are split
+    once per call, not per slice."""
+    re, im = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
+    out = np.empty((len(mats), n_out), dtype=x.dtype)
+    for j, m in enumerate(mats):
+        out[j].real = m @ re[j]
+        out[j].imag = m @ im[j]
     return out
 
 
@@ -798,9 +791,9 @@ def usfft2d_type2(
     np.multiply(f[:, h0:, h1:], corr[h0:, h1:], out=padded[:, :h0, :h1])
     with _obs.span("usfft.fft", xform="2d_type2"):
         spec = _fftn_raw(padded, axes=(-2, -1))
-    gather = plan.block_gather(rows.start, rows.stop, cdtype)
+    gathers = [plan.slice_gather(i, cdtype) for i in rows]
     with _obs.span("usfft.interp", xform="2d_type2"):
-        out = _apply_planes(gather, spec).reshape(nsl, plan.npts)
+        out = _apply_slices(gathers, spec.reshape(nsl, f0 * f1), plan.npts)
     return out.astype(cdtype, copy=False)
 
 
@@ -821,9 +814,9 @@ def usfft2d_type1(
     f0, f1 = plan.fine_shape
     h0, h1 = n0 // 2, n1 // 2
     t0, t1 = f0 - h0, f1 - h1
-    scatter = plan.block_scatter(rows.start, rows.stop, cdtype)
+    scatters = [plan.slice_scatter(i, cdtype) for i in rows]
     with _obs.span("usfft.interp", xform="2d_type1"):
-        spec = _apply_planes(scatter, F.astype(cdtype, copy=False))
+        spec = _apply_slices(scatters, F.astype(cdtype, copy=False), f0 * f1)
     with _obs.span("usfft.fft", xform="2d_type1"):
         grid = _ifftn_raw(spec.reshape(nsl, f0, f1), axes=(-2, -1), overwrite=True)
     out = np.empty((nsl, n0, n1), dtype=cdtype)

@@ -32,8 +32,9 @@ the daemon is transport and operations around it:
   across restarts.
 
 The wire carries memo traffic only.  The daemon's traffic counters are
-:attr:`MemoServerDaemon.stats`; its request and shard histograms and its
-handler spans go to its own process's :mod:`repro.obs` runtime.  A daemon
+:attr:`MemoServerDaemon.stats`, published once as ``net_server_*`` gauges
+when it closes; its request and shard histograms and its handler spans go
+to its own process's :mod:`repro.obs` runtime.  A daemon
 hosted in the job's process therefore lands in the job's JSONL dump, its
 handler spans under the client request spans that sent them.
 
@@ -48,7 +49,7 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core.config import MemoConfig
 from ..core.memo_engine import make_db_factory, memo_state_partitions
@@ -191,7 +192,9 @@ class MemoServerDaemon:
 
     def close(self) -> None:
         """Graceful shutdown: stop accepting, unblock and join every
-        connection handler, persist a final snapshot."""
+        connection handler, persist a final snapshot, then publish
+        :attr:`stats` once as ``net_server_*`` gauges, so a dump written
+        after the close carries the daemon's traffic counters."""
         if self._stop.is_set():
             return
         self._stop.set()
@@ -230,6 +233,9 @@ class MemoServerDaemon:
                 self.save_snapshot()
             except Exception as exc:  # noqa: BLE001 — shutdown must not raise
                 log.warning("final snapshot failed: %s", exc)
+        with self._lock:
+            stats = replace(self.stats)
+        obs.publish_gauges("net_server", stats, server=self.name)
 
     @property
     def running(self) -> bool:

@@ -47,11 +47,12 @@ def estimate_normal_lipschitz(
     equal ``(geometry, half_width, oversample)`` shares
     (``LaminoOperators.once``), so the first stack of a geometry runs the
     passes and every later one reads the same float.  The 2-D stage runs in
-    row chunks of ``chunk_size`` — the grid the sweeps will use, so the pass
-    builds exactly the block operators they reuse, on the plans every equal
-    stack shares; the value does not depend on the grid (``USFFT2DPlan``
-    prunes against a plan-wide floor), which is why the grid is not in the
-    key.
+    row chunks of ``chunk_size`` — the grid the sweeps will use, so its
+    working arrays are no wider than theirs — and builds every slice
+    operator the sweeps reuse, on the plans every equal stack shares; the
+    value does not depend on the grid (``USFFT2DPlan`` holds one operator
+    per slice, pruned against a plan-wide floor), which is why the grid is
+    not in the key.
     """
     return ops.once(
         ("normal_lipschitz", n_iters, seed),

@@ -35,7 +35,7 @@ def shrink_isotropic(z: np.ndarray, kappa: float) -> np.ndarray:
     mag = grad_norm(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(mag > 0.0, np.maximum(1.0 - kappa / mag, 0.0), 0.0)
-    return (z * factor[None]).astype(z.dtype)
+    return (z * factor[None]).astype(z.dtype, copy=False)
 
 
 def rsp_update(

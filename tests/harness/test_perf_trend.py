@@ -104,16 +104,16 @@ class TestCompare:
         assert "gone" in out and "no longer gated" in out
 
     def test_gauges_are_gated_like_timings(self):
-        # a benchmark's lower-is-better sizes (solver_construction.block_mb)
+        # a benchmark's lower-is-better sizes (solver_construction.operator_mb)
         def with_gauge(mb):
             p = payload({"a": 1.0})
-            p["benchmarks"]["a"]["gauges"] = {"block_mb": mb}
+            p["benchmarks"]["a"]["gauges"] = {"operator_mb": mb}
             return trend.history_entry(p)
 
-        assert with_gauge(100.0)["gauges"] == {"a.block_mb": 100.0}
+        assert with_gauge(100.0)["gauges"] == {"a.operator_mb": 100.0}
         assert trend.compare(with_gauge(100.0), with_gauge(120.0)) == []
         regs = trend.compare(with_gauge(100.0), with_gauge(130.0))
-        assert [r["benchmark"] for r in regs] == ["a.block_mb"]
+        assert [r["benchmark"] for r in regs] == ["a.operator_mb"]
         # an entry from before gauges existed has nothing to compare against
         assert trend.compare(trend.history_entry(payload({"a": 1.0})), with_gauge(1e9)) == []
 

@@ -46,8 +46,8 @@ def data(tiny_geometry):
 @pytest.fixture()
 def builds(monkeypatch):
     """Counters of what the stacks build: ``plans`` by class name,
-    ``blocks`` by ``(start, stop, precision)``, ``once`` by memo key."""
-    counts = {"plans": Counter(), "blocks": Counter(), "once": Counter()}
+    ``slices`` by ``(slice, precision)``, ``once`` by memo key."""
+    counts = {"plans": Counter(), "slices": Counter(), "once": Counter()}
     for cls in (U.USFFT1DPlan, U.USFFT2DPlan):
         def counting_plan(*a, _cls=cls, **kw):
             counts["plans"][_cls.__name__] += 1
@@ -56,9 +56,9 @@ def builds(monkeypatch):
         monkeypatch.setattr(operators_module, cls.__name__, counting_plan)
     build_gather = U.USFFT2DPlan._build_gather
 
-    def counting_gather(plan, start, stop, rdt):
-        counts["blocks"][(start, stop, rdt.char)] += 1
-        return build_gather(plan, start, stop, rdt)
+    def counting_gather(plan, i, rdt):
+        counts["slices"][(i, rdt.char)] += 1
+        return build_gather(plan, i, rdt)
 
     monkeypatch.setattr(U.USFFT2DPlan, "_build_gather", counting_gather)
     once = operators_module._OperatorState.once
@@ -71,21 +71,22 @@ def builds(monkeypatch):
 
 
 class TestEqualStacksShare:
-    def test_plans_blocks_and_bases(self, tiny_geometry, data, builds):
+    def test_plans_slice_operators_and_bases(self, tiny_geometry, data, builds):
         first = LaminoOperators(tiny_geometry)
         u = _reconstruct(first, data)
-        blocks, bases = dict(first.plan2d._blocks), _bases(first)
-        assert blocks and bases
+        slices, bases = dict(first.plan2d._slices), _bases(first)
+        assert slices and bases
+        assert all(n == 1 for n in builds["slices"].values())  # each built once
         second = LaminoOperators(tiny_geometry)
         assert second.plan1d is first.plan1d and second.plan2d is first.plan2d
         assert second.once(next(iter(bases)), pytest.fail) is next(iter(bases.values()))
-        before = (dict(builds["blocks"]), dict(builds["once"]))
+        before = (dict(builds["slices"]), dict(builds["once"]))
         again = _reconstruct(second, data)
-        # the second stack built no plan, no block and computed no basis
+        # the second stack built no plan, no slice operator and computed no basis
         assert builds["plans"] == Counter(USFFT1DPlan=1, USFFT2DPlan=1)
-        assert (dict(builds["blocks"]), dict(builds["once"])) == before
-        assert second.plan2d._blocks.keys() == blocks.keys()
-        assert all(second.plan2d._blocks[k] is v for k, v in blocks.items())
+        assert (dict(builds["slices"]), dict(builds["once"])) == before
+        assert second.plan2d._slices.keys() == slices.keys()
+        assert all(second.plan2d._slices[k] is v for k, v in slices.items())
         assert all(_bases(second)[k] is v for k, v in bases.items())
         np.testing.assert_array_equal(u, again)
 
@@ -152,7 +153,7 @@ class TestConcurrentConstruction:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert builds["plans"] == Counter(USFFT1DPlan=1, USFFT2DPlan=1)
-        assert builds["blocks"] and set(builds["blocks"].values()) == {1}
+        assert builds["slices"] and set(builds["slices"].values()) == {1}
         assert any(k[0] == "dc_basis" for k in builds["once"])
         assert set(builds["once"].values()) == {1}
         for u in results[1:]:

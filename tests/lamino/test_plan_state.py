@@ -1,7 +1,7 @@
-"""Geometry-only 2-D plan state: the block operators do not depend on the
-chunk grid they are built for, the scatter is the gather's transpose view,
-the operator's resident size is one real block per range, and threads that
-share a plan build each lazy fill once."""
+"""Geometry-only 2-D plan state: the operator a slice gets does not depend
+on the chunk grid it is applied in, the scatter is the gather's transpose
+view, the operator's resident size is one real CSR per slice whatever ranges
+were applied, and threads that share a plan build each lazy fill once."""
 
 from __future__ import annotations
 
@@ -68,9 +68,10 @@ class TestScatterFromGather:
     def test_scatter_is_exactly_the_gather_transposed(self, dtype):
         rng = np.random.default_rng(3)
         plan = U.USFFT2DPlan((8, 12), rng.uniform(-4, 4, size=(5, 17, 2)))
-        scatter = plan.block_scatter(1, 4, dtype)
-        gather = plan.block_gather(1, 4, dtype)
-        assert list(plan._blocks) == [(1, 4, gather.dtype.char)]  # the scatter cached nothing
+        scatter = plan.slice_scatter(1, dtype)
+        gather = plan.slice_gather(1, dtype)
+        assert list(plan._slices) == [(1, gather.dtype.char)]  # one entry for both directions
+        assert plan.slice_scatter(1, dtype) is scatter  # the view is kept, not rebuilt
         assert scatter.format == "csc" and scatter.shape == gather.shape[::-1]
         for name in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(scatter, name), getattr(gather, name))
@@ -81,10 +82,10 @@ class TestScatterFromGather:
 
 
 class TestResidentSize:
-    """The Fu2D operator's bytes: separable taps in the plan, one real block
-    per (range, precision), nothing per direction.  Each test builds its
-    stack on a fresh registry (``conftest.operator_registry``), so the plan
-    starts with no block."""
+    """The Fu2D operator's bytes: one real CSR per (slice, precision),
+    nothing per range, per direction or per tap.  Each test builds its stack
+    on a fresh registry (``conftest.operator_registry``), so the plan starts
+    with no slice operator."""
 
     CHUNK = 8
 
@@ -99,35 +100,58 @@ class TestResidentSize:
     def test_bytes_per_stored_tap(self, geometry, dtype, bytes_per_tap):
         ops = LaminoOperators(geometry)
         plan, h = ops.plan2d, geometry.det_shape[0]
-        taps = 2 * plan.half_width + 1
-        # per axis: int32 index + float64 weight per tap, nothing expanded
-        assert plan.nbytes == 2 * plan.nslices * plan.npts * taps * (4 + 8)
-        tap_bytes = plan.nbytes
+        assert plan.nbytes == 0  # no taps are stored, nothing is expanded ahead of use
         grid = [slice(lo, lo + self.CHUNK) for lo in range(0, h, self.CHUNK)]
         rng = np.random.default_rng(0)
         u1 = _rand(rng, (geometry.vol_shape[0], h, geometry.vol_shape[2]), dtype)
         for _ in range(2):  # a second sweep adds nothing
             for r in grid:
                 ops.fu2d_adj(ops.fu2d(u1[:, r], rows=r), rows=r)
-        blocks = [plan.block_gather(r.start, r.stop, dtype) for r in grid]
-        assert len(plan._blocks) == len(grid)  # one per range x precision, all cached
-        for r, gather in zip(grid, blocks):
+        mats = [plan.slice_gather(i, dtype) for i in range(h)]
+        assert len(plan._slices) == h  # one per slice x precision, all cached
+        for i, gather in enumerate(mats):
             assert not np.iscomplexobj(gather.data)
-            assert np.shares_memory(plan.block_scatter(r.start, r.stop, dtype).data, gather.data)
-        nnz = sum(m.nnz for m in blocks)
-        rows = sum(m.shape[0] for m in blocks)
+            assert gather.indices.dtype == gather.indptr.dtype == np.int32
+            assert np.shares_memory(plan.slice_scatter(i, dtype).data, gather.data)
+        nnz = sum(m.nnz for m in mats)
         # weight + column index per tap; the row pointer is 4 B per *target*
-        assert plan.nbytes - tap_bytes == nnz * bytes_per_tap + 4 * (rows + len(blocks))
-        assert (plan.nbytes - tap_bytes) / nnz < bytes_per_tap + 0.1
+        assert plan.nbytes == nnz * bytes_per_tap + 4 * h * (plan.npts + 1)
+        assert plan.nbytes / nnz < bytes_per_tap + 0.1
 
-    def test_each_precision_gets_its_own_block(self, geometry):
+    def test_each_precision_gets_its_own_operator(self, geometry):
         plan = LaminoOperators(geometry).plan2d
-        single = plan.block_gather(0, 4, np.complex64)
-        double = plan.block_gather(0, 4, np.complex128)
+        single = plan.slice_gather(0, np.complex64)
+        double = plan.slice_gather(0, np.complex128)
         assert single.dtype == np.float32 and double.dtype == np.float64
-        assert plan.block_gather(0, 4, np.float32) is single
-        assert set(plan._blocks) == {(0, 4, "f"), (0, 4, "d")}
-        assert single.nnz < double.nnz == 4 * plan.npts * 81
+        assert plan.slice_gather(0, np.float32) is single
+        assert set(plan._slices) == {(0, "f"), (0, "d")}
+        assert single.nnz < double.nnz == plan.npts * 81
+
+    def test_any_row_ranges_share_one_operator(self):
+        """A chunk grid, a ragged grid, then the full range: the operator
+        does not grow after the first sweep, and all three compute the same
+        bits."""
+        g = LaminoGeometry((16, 8, 16), n_angles=10, det_shape=(H, 16), tilt_deg=61.0)
+        ops = LaminoOperators(g)
+        plan = ops.plan2d
+        rng = np.random.default_rng(1)
+        u1 = _rand(rng, (g.vol_shape[0], H, g.vol_shape[2]))
+        u2 = _rand(rng, g.data_shape)
+        grids = (
+            [slice(lo, lo + 4) for lo in range(0, H, 4)],
+            [slice(0, 5), slice(5, 6), slice(6, H)],
+            [slice(0, H)],
+        )
+        outs, sizes = [], []
+        for grid in grids:
+            fwd = np.concatenate([ops.fu2d(u1[:, r], rows=r) for r in grid], axis=1)
+            adj = np.concatenate([ops.fu2d_adj(u2[:, r], rows=r) for r in grid], axis=1)
+            outs.append((fwd, adj))
+            sizes.append(plan.nbytes)
+        assert sizes[0] > 0 and sizes == [sizes[0]] * len(grids)
+        for fwd, adj in outs[1:]:
+            np.testing.assert_array_equal(fwd.view(np.uint32), outs[0][0].view(np.uint32))
+            np.testing.assert_array_equal(adj.view(np.uint32), outs[0][1].view(np.uint32))
 
 
 class TestReferenceOperatorIsLazy:
@@ -141,7 +165,7 @@ class TestReferenceOperatorIsLazy:
         solver = MLRSolver(tiny_geometry, MLRConfig(chunk_size=4), admm=admm, ops=ops)
         solver.reconstruct(d)
         solver.close()
-        assert ops.plan2d._blocks and ops.plan2d._interp is None
+        assert ops.plan2d._slices and ops.plan2d._interp is None
 
     def test_first_access_expands_the_same_taps_once(self):
         rng = np.random.default_rng(5)
@@ -155,8 +179,8 @@ class TestReferenceOperatorIsLazy:
             f0, f1 = plan.fine_shape
             centered = m.toarray().reshape(plan.npts, f0, f1)
             raw = np.roll(centered, (f0 // 2, f1 // 2), axis=(1, 2)).reshape(plan.npts, -1)
-            block = plan.block_gather(i, i + 1, np.complex128)
-            np.testing.assert_array_equal(raw, block.toarray())
+            gather = plan.slice_gather(i, np.complex128)
+            np.testing.assert_array_equal(raw, gather.toarray())
 
 
 def _race(n_threads, fn):
@@ -197,15 +221,15 @@ class TestLazyFillsUnderThePlanLock:
         built = []
         real = U.USFFT2DPlan._build_gather
 
-        def slow_build(self, start, stop, rdt):
-            built.append((start, stop))
+        def slow_build(self, i, rdt):
+            built.append(i)
             time.sleep(0.02)  # a window every other thread reaches
-            return real(self, start, stop, rdt)
+            return real(self, i, rdt)
 
         monkeypatch.setattr(U.USFFT2DPlan, "_build_gather", slow_build)
-        got = _race(self.N, lambda: plan.block_gather(1, 4, np.complex64))
-        assert built == [(1, 4)]
-        assert all(m is got[0] for m in got)
+        got = _race(self.N, lambda: [plan.slice_gather(i, np.complex64) for i in range(1, 4)])
+        assert built == [1, 2, 3]
+        assert all(m is o for mats in got for m, o in zip(mats, got[0]))
 
     def test_casts_and_the_reference_operator_are_built_once(self):
         rng = np.random.default_rng(4)

@@ -105,20 +105,18 @@ class TestDtypePreservation:
             plan1d.fine_n,
             plan1d.ns,
         )
-        # the Kaiser--Bessel weights are real: a block carries the *real*
-        # dtype of the compute precision, in both directions
+        # the Kaiser--Bessel weights are real: a slice operator carries the
+        # *real* dtype of the compute precision, in both directions
         for cdtype, rdtype in [(np.complex64, np.float32), (np.complex128, np.float64)]:
-            g = plan2d.block_gather(0, plan2d.nslices, cdtype)
-            s = plan2d.block_scatter(1, 4, cdtype)
+            g = plan2d.slice_gather(plan2d.nslices - 1, cdtype)
+            s = plan2d.slice_scatter(1, cdtype)
             assert g.dtype == rdtype and s.dtype == rdtype
             assert g.format == "csr" and s.format == "csc"
 
     def test_cast_caches_are_reused(self, plan1d, plan2d):
         assert plan1d.corr_for(np.float32) is plan1d.corr_for(np.float32)
         assert plan1d.interp_for(np.complex64) is plan1d.interp_for(np.complex64)
-        assert plan2d.block_gather(0, 2, np.complex64) is plan2d.block_gather(
-            0, 2, np.complex64
-        )
+        assert plan2d.slice_gather(2, np.complex64) is plan2d.slice_gather(2, np.complex64)
 
     def test_operators_preserve_complex64(self, rng):
         g = LaminoGeometry((8, 8, 8), n_angles=6, det_shape=(8, 8), tilt_deg=61.0)
@@ -196,17 +194,19 @@ class TestWorkspaceReuse:
         np.testing.assert_array_equal(a, U.usfft1d_type2(f32, plan1d))
         np.testing.assert_array_equal(b, U.usfft1d_type2(f64, plan1d))
 
-    def test_invalid_block_range_rejected(self, plan2d):
+    def test_invalid_slice_rejected(self, plan2d):
         with pytest.raises(ValueError):
-            plan2d.block_gather(3, 2, np.complex64)
+            plan2d.slice_gather(-1, np.complex64)
         with pytest.raises(ValueError):
-            plan2d.block_scatter(0, plan2d.nslices + 1, np.complex64)
+            plan2d.slice_scatter(plan2d.nslices, np.complex64)
+        with pytest.raises(ValueError):
+            U.usfft2d_type2(np.zeros((2, 8, 12), np.complex64), plan2d, slices=slice(3, 5, 2))
 
 
 class TestSplitPlaneOperands:
-    """The 2-D interpolation is a real block applied to the operand's real
-    and imaginary planes; operands that are not C-contiguous complex arrays
-    must come out as if they were."""
+    """The 2-D interpolation is a real CSR per slice applied to the
+    operand's real and imaginary planes; operands that are not C-contiguous
+    complex arrays must come out as if they were."""
 
     @pytest.mark.parametrize(
         "real,cplx", [(np.float32, np.complex64), (np.float64, np.complex128)]

@@ -8,11 +8,18 @@ daemon's snapshot persistence.
 
 from __future__ import annotations
 
+import os
+import queue
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,3 +544,55 @@ class TestIdleReaping:
             assert _until(lambda: reaper.stats.idle_reaped == 1)
             assert c.entries() == 2  # a fresh connection, the tier untouched
             assert reaper.stats.connections == 2
+
+
+@pytest.mark.slow
+class TestCommandLine:
+    """``python -m repro.net.server`` past its argument parsing: it serves,
+    and SIGINT shuts it down cleanly with the tier persisted."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    def test_serves_then_persists_on_sigint(self, tmp_path, rng):
+        snap = tmp_path / "tier"
+        cmd = [sys.executable, "-m", "repro.net.server", "--host", "127.0.0.1",
+               "--port", "0", "--shards", "1", "--snapshot", str(snap)]
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        proc = subprocess.Popen(
+            cmd, env=env, cwd=self.ROOT, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+            # a child may inherit SIGINT ignored; the daemon persists on KeyboardInterrupt
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.default_int_handler),
+        )
+        lines: queue.Queue = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(ln) for ln in proc.stderr], daemon=True
+        )
+        reader.start()
+        try:
+            port, deadline = None, time.monotonic() + 60.0
+            while port is None and time.monotonic() < deadline:
+                try:
+                    line = lines.get(timeout=1.0)
+                except queue.Empty:
+                    assert proc.poll() is None, "the daemon exited before listening"
+                    continue
+                found = re.search(r"listening on [\d.]+:(\d+)", line)
+                port = int(found.group(1)) if found else None
+            assert port, "no 'listening on' line"
+            item = _mk_items(rng, 1)[0]
+            with RemoteMemoClient(("127.0.0.1", port), expect_tau=0.92) as c:
+                c.insert_batch([item])
+                c.flush()
+                (res,) = c.query_batch([ShardQuery(item.op, item.location, item.key)])
+            assert res.hit
+            np.testing.assert_array_equal(res.value, item.value)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+            assert len(memo_state_partitions(read_snapshot(snap, "memo-state"))) == 1
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+            reader.join(timeout=10)
+            proc.stderr.close()

@@ -12,7 +12,7 @@ from repro.core import MemoConfig, MLRConfig, MLRSolver, ObsConfig
 from repro.core.memo_shard import ShardInsert, ShardQuery
 from repro.net import MemoServerDaemon, RemoteMemoClient
 from repro.obs import runtime as obs
-from repro.obs.export import to_prometheus
+from repro.obs.export import dump_jsonl, load_jsonl, to_prometheus
 from repro.solvers import ADMMConfig
 
 
@@ -90,6 +90,26 @@ class TestDaemonView:
         assert d.stats.idle_reaped == 1
         reaped = series("net_server_idle_reaped_total")
         assert [(e["labels"], e["value"]) for e in reaped] == [({"server": "memo-server"}, 1)]
+
+    def test_close_publishes_the_counters_to_the_dump(self, enabled, rng, tmp_path):
+        d = MemoServerDaemon(n_shards=2, memo=memo_cfg())
+        try:
+            with RemoteMemoClient(d.address, expect_tau=memo_cfg().tau) as client:
+                traffic(client, rng)
+            assert not series("net_server_query_batches")  # published at the close
+        finally:
+            d.close()
+        d.close()  # a second close publishes nothing new
+        path = tmp_path / "run.jsonl"
+        dump_jsonl(str(path))
+        gauges = {
+            m["name"]: m for m in load_jsonl(str(path))["metrics"]
+            if m["name"].startswith("net_server_") and m["kind"] == "gauge"
+        }
+        for name, want in [("query_batches", 1), ("queries", 8), ("insert_batches", 1),
+                           ("inserts", 8), ("connections", 1), ("active_connections", 0)]:
+            got = gauges[f"net_server_{name}"]
+            assert (got["value"], got["labels"]) == (want, {"server": d.name}), name
 
 
 class TestClientSide:

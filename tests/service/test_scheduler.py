@@ -414,7 +414,7 @@ class TestOperatorStatePerGeometry:
             assert second.wait(WAIT)
         assert first.state is second.state is JobState.DONE
         assert len(computed) == n_computed  # no basis, no estimate
-        assert plan2d.nbytes == nbytes  # no block
+        assert plan2d.nbytes == nbytes  # no slice operator
 
 
 class TestValidation:

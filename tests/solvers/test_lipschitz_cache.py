@@ -226,28 +226,31 @@ class TestOneEstimatePerOperator:
 
         lsp_module.LSP(Bare(ops))
         assert power_iterations == [(8, 0, None)]
-        assert {(k[0], k[1]) for k in ops.plan2d._blocks} == {(0, 16)}
+        assert {i for i, _ in ops.plan2d._slices} == set(range(16))
 
 
-class TestBlocksWarmedOnTheSweepGrid:
+class TestSliceOperatorsWarmedAtConstruction:
     @pytest.mark.parametrize("chunk", [4, 6])
-    def test_construction_builds_the_blocks_the_run_uses(self, tiny_stack, chunk):
+    def test_construction_builds_the_slice_operators_the_run_uses(self, tiny_stack, chunk):
         ops = tiny_stack()
         solver = ADMMSolver(
             ops,
             ADMMConfig(n_outer=1, n_inner=1),
             executor=DirectExecutor(ops, chunk_size=chunk),
         )
-        built = set(ops.plan2d._blocks)
-        assert built and max(stop - start for start, stop, *_ in built) <= chunk
+        built = set(ops.plan2d._slices)
+        # every slice, in the one precision the run computes in
+        assert built == {(i, "f") for i in range(ops.geometry.det_shape[0])}
+        nbytes = ops.plan2d.nbytes
         rng = np.random.default_rng(0)
         d = rng.standard_normal(ops.geometry.data_shape).astype(np.complex64)
         first = solver.run(d)
-        assert set(ops.plan2d._blocks) == built  # the sweeps built nothing
+        assert set(ops.plan2d._slices) == built  # the sweeps built nothing
+        assert ops.plan2d.nbytes == nbytes
 
         # the second stack of the geometry reads sigma and the plans the
         # first one built: neither its construction nor its sweeps build a
-        # block, and it computes the same bits
+        # slice operator, and it computes the same bits
         later = tiny_stack()
         assert later.plan2d is ops.plan2d and later.plan1d is ops.plan1d
         solver = ADMMSolver(
@@ -256,7 +259,7 @@ class TestBlocksWarmedOnTheSweepGrid:
             executor=DirectExecutor(later, chunk_size=chunk),
         )
         second = solver.run(d)
-        assert set(later.plan2d._blocks) == built
+        assert set(later.plan2d._slices) == built
         assert np.array_equal(first.u, second.u)
 
 

@@ -314,6 +314,20 @@ RULES = (
         "the daemon serves no telemetry port",
         "repro.net.server", r"--telemetry-(port|host)",
     ),
+    # -- one interpolation stencil per operator ---------------------------------------------
+    Forbid(
+        45, "no-stored-taps",
+        "a 2-D plan stores no taps: a slice's are recomputed from its points "
+        "when its operator is built",
+        r"_tap_idx|_tap_w",
+    ),
+    Forbid(
+        45, "one-operator-per-slice",
+        "USFFT2DPlan holds one CSR per (slice, precision): no operator keyed "
+        "by row range, which stored the stencil again for every range applied",
+        r"block_(gather|scatter)|_blocks\b|block-diagonal|\(start, stop, \w+\.char\)",
+        under=("src/repro/lamino/usfft.py",),
+    ),
 )
 
 
